@@ -4,13 +4,16 @@ Unlike the split engine, workers train the *entire* model locally and only
 exchange model parameters with the PS, so communication consists of model
 uploads/downloads and compute time is charged for the full network.
 
-Like :class:`~repro.core.engine.SplitTrainingEngine`, this engine
-implements the :class:`~repro.api.algorithm.Algorithm` interface:
-steppable rounds with a monotonic index, and full ``state_dict()`` /
-``load_state_dict()`` support for checkpoint/resume.  Rounds follow the
-same staged structure (plan -> local-step -> aggregate), with the stage
-bodies bound into :class:`~repro.parallel.pipeline.FullRoundOps` and driven
-by the configured :class:`~repro.parallel.pipeline.PipelineScheduler`.
+The round lifecycle (steppable rounds, checkpoint/resume, planning with
+over-selection, churn, accounting, executor-death recovery, evaluation and
+the round record) is :class:`~repro.core.round_engine.RoundEngine`'s, shared
+with :class:`~repro.core.engine.SplitTrainingEngine`; FedAvg is the
+degenerate split whose server part is empty.  This module supplies the
+full-model variation points only: a selection strategy instead of a control
+policy (every selected worker trains at ``base_batch_size``), the two stage
+bodies (local-step -> aggregate) bound into
+:class:`~repro.parallel.pipeline.FullRoundOps`, and full-network cost and
+traffic accounting.
 """
 
 from __future__ import annotations
@@ -19,17 +22,13 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.api.algorithm import Algorithm
 from repro.config import ExperimentConfig
-from repro.core.elastic import (
-    ElasticController,
-    ElasticRound,
-    build_elastic_controller,
-)
+from repro.core.controller import RoundPlan
+from repro.core.elastic import ElasticController, ElasticRound
+from repro.core.round_engine import RoundEngine
+from repro.core.server import evaluate_classifier
 from repro.core.worker import SplitWorker
 from repro.data.dataset import TrainTestSplit
-from repro.exceptions import ExecutorDeathError
-from repro.metrics.history import History, RoundRecord, wire_round_delta
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import estimate_forward_flops
 from repro.nn.module import Sequential
@@ -40,19 +39,10 @@ from repro.nn.serialization import (
     module_extra_state,
 )
 from repro.parallel.base import Executor
-from repro.parallel.pipeline import FullRoundOps, PipelineScheduler, build_pipeline
-from repro.parallel.serial import SerialExecutor
-from repro.population.pool import WorkerPool, as_worker_pool
+from repro.parallel.pipeline import FullRoundOps, PipelineScheduler
+from repro.population.pool import WorkerPool
 from repro.simulation.cluster import Cluster, LazyCluster
-from repro.simulation.timing import (
-    average_waiting_time,
-    elastic_round_duration,
-)
-from repro.simulation.traffic import TrafficMeter
-from repro.utils.logging import get_logger
 from repro.utils.rng import spawned_rng
-
-logger = get_logger("baselines.fl_engine")
 
 
 class FLSelectionStrategy(Protocol):
@@ -70,8 +60,10 @@ class FLSelectionStrategy(Protocol):
         ...  # pragma: no cover - protocol definition
 
 
-class FLTrainingEngine(Algorithm):
+class FLTrainingEngine(RoundEngine):
     """FedAvg-style training with a pluggable worker-selection strategy."""
+
+    ROUND_SEED_OFFSET = 40617
 
     def __init__(
         self,
@@ -85,81 +77,28 @@ class FLTrainingEngine(Algorithm):
         pipeline: PipelineScheduler | None = None,
         elastic: ElasticController | None = None,
     ) -> None:
-        self.config = config
-        self.model = model.clone()
-        self.pool = as_worker_pool(workers)
-        self.cluster = cluster
-        self.data = data
-        self.selection = selection
-        self.executor = executor if executor is not None else SerialExecutor()
-        self.pipeline = pipeline if pipeline is not None else build_pipeline(config)
-        #: Round elasticity (over-selection, first-k-of-n, rejoin); ``None``
-        #: keeps the historical synchronous code paths untouched.
-        self._elastic = (
-            elastic if elastic is not None else build_elastic_controller(config)
+        super().__init__(
+            config, workers, cluster, data,
+            executor=executor, pipeline=pipeline, elastic=elastic,
         )
-
+        self.model = model.clone()
+        self.selection = selection
         self.loss_fn = CrossEntropyLoss()
-        self.traffic = TrafficMeter()
-        self.history = History(algorithm=config.algorithm)
         self.model_bytes = model_size_bytes(self.model)
         self.full_flops = estimate_forward_flops(self.model, data.feature_shape)
-        #: Root seed of the per-round RNG streams; generators are derived
-        #: lazily per round index so the round count is unbounded.
-        self._round_seed = config.seed + 40617
-        self._round_index = 0
-        self._clock = 0.0
-        self._current_lr = config.learning_rate
 
     # -- public API -----------------------------------------------------------
-    @property
-    def workers(self) -> list[SplitWorker]:
-        """The eager worker list (raises for lazily-materialised populations)."""
-        return self.pool.eager_workers
-
-    def step_round(self) -> RoundRecord:
-        """Execute one communication round and return its record."""
-        self._run_round(self._round_index)
-        self._round_index += 1
-        return self.history.records[-1]
-
-    @property
-    def rounds_completed(self) -> int:
-        """Number of communication rounds executed so far."""
-        return self._round_index
-
     def global_model(self) -> Sequential:
         """A copy of the current global model, in evaluation mode."""
         model = self.model.clone()
         model.eval()
         return model
 
-    def drain(self) -> None:
-        """Wait for in-flight asynchronous dispatch (pipelined rounds)."""
-        self.executor.drain()
-
-    def close(self) -> None:
-        """Release executor resources (worker processes, pools)."""
-        self.executor.close()
-
     # -- checkpointing -----------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Every mutable piece of training state, for checkpoint/resume."""
-        self.drain()
+    def _engine_state(self) -> dict:
         state = {
-            "round_index": self._round_index,
-            "clock": self._clock,
-            "current_lr": self._current_lr,
-            "history": self.history.to_dict(),
             "model": self.model.state_dict(),
             "model_extra": module_extra_state(self.model),
-            "traffic": self.traffic.state_dict(),
-            "cluster": self.cluster.state_dict(),
-            "workers": self.pool.workers_state(),
-            "elastic": (
-                self._elastic.state_dict() if self._elastic is not None else None
-            ),
-            "codec": self.executor.codec_state(),
         }
         if getattr(self.selection, "stateful", False):
             # Present only for stateful selection strategies (e.g. one
@@ -168,229 +107,86 @@ class FLTrainingEngine(Algorithm):
             state["selection"] = self.selection.state_dict()
         return state
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore training state captured by :meth:`state_dict`."""
-        self.pool.load_workers_state(state["workers"])
-        self._round_index = int(state["round_index"])
-        self._clock = float(state["clock"])
-        self._current_lr = float(state["current_lr"])
-        self.history = History.from_dict(state["history"])
+    def _load_engine_state(self, state: dict) -> None:
         self.model.load_state_dict(state["model"])
         load_module_extra_state(self.model, state["model_extra"])
-        self.traffic.load_state_dict(state["traffic"])
-        self.cluster.load_state_dict(state["cluster"])
-        if self._elastic is not None and state.get("elastic") is not None:
-            self._elastic.load_state_dict(state["elastic"])
-        self.executor.load_codec_state(state.get("codec"))
         if (getattr(self.selection, "stateful", False)
                 and state.get("selection") is not None):
             self.selection.load_state_dict(state["selection"])
 
-    # -- internals -------------------------------------------------------------
-    def _run_round(self, round_index: int) -> None:
-        config = self.config
-        wire_before = self.executor.transport_stats()
-        selected, selected_workers = self._stage_plan(round_index)
-        # Elastic rounds draw their churn once, up front, against the
-        # planned cohort; a death-recovery re-run reuses the same draw.
-        elastic_state: ElasticRound | None = None
-        if self._elastic is not None:
-            elastic_state = self._elastic.begin_round(
-                round_index, selected, self._durations_for(selected)
-            )
-        losses: list[float] = []
-        accounting: dict = {}
-
-        def account() -> None:
-            # ACCOUNT: simulated time and traffic; bound into the ops so
-            # the scheduler owns the whole stage order (idempotent -- the
-            # engine invokes it again defensively below).
-            if accounting:
-                return
-            duration, waiting = self._account_time_and_traffic(
-                selected, elastic_state
-            )
-            self._clock += duration
-            accounting["duration"] = duration
-            accounting["waiting"] = waiting
-
-        def make_ops(ids: list[int], workers: list[SplitWorker]) -> FullRoundOps:
-            def train() -> list[dict[str, np.ndarray]]:
-                # LOCAL_STEP: full-model training on every selected worker.
-                return self.executor.train_full(
-                    workers,
-                    self.model,
-                    self.loss_fn,
-                    iterations=config.local_iterations,
-                    batch_size=config.base_batch_size,
-                    learning_rate=self._current_lr,
-                )
-
-            def aggregate(states: list[dict[str, np.ndarray]]) -> None:
-                weights = []
-                for worker in workers:
-                    weights.append(float(worker.num_samples))
-                    worker.participation_count += 1
-                if elastic_state is None:
-                    for state in states:
-                        losses.append(self._local_loss(state))
-                    self.model.load_state_dict(
-                        average_state_dicts(states, weights)
-                    )
-                    return
-                resolved = self._elastic.apply_aggregate(
-                    elastic_state, ids, states, weights, self.model.state_dict()
-                )
-                # A missing reply carries no loss observation either.
-                completed = set(elastic_state.completed)
-                for worker, state in zip(workers, states):
-                    if worker.worker_id in completed:
-                        losses.append(self._local_loss(state))
-                if resolved is None:
-                    # Below the cohort quorum: the round leaves the global
-                    # model unchanged.
-                    return
-                final_states, final_weights = resolved
-                self.model.load_state_dict(
-                    average_state_dicts(final_states, final_weights)
-                )
-
-            return FullRoundOps(
-                executor=self.executor,
-                workers=workers,
-                train=train,
-                aggregate=aggregate,
-                account=account,
-            )
-
-        try:
-            self.pipeline.run_full_round(make_ops(selected, selected_workers))
-        except ExecutorDeathError as error:
-            if elastic_state is None:
-                raise
-            self._recover_round(
-                selected, selected_workers, elastic_state, error, make_ops,
-                round_index,
-            )
-        account()
-        # Round over: fold the cohort's mutable state back into the pool
-        # (a no-op for eager populations, the release point for lazy ones).
-        self.pool.release(selected_workers)
-        population_stats = self.pool.collect_round_stats()
-
-        duration, waiting = accounting["duration"], accounting["waiting"]
-        accuracy, test_loss = self._evaluate()
-        if elastic_state is not None:
-            elastic_kwargs = {
-                "dropped_ids": [int(w) for w in elastic_state.dropped],
-                "completed_ids": [int(w) for w in elastic_state.completed],
-                "rejoined_ids": [int(w) for w in elastic_state.rejoined],
-                "dropout_rate": elastic_state.dropout_rate,
-                "effective_cohort": elastic_state.effective_cohort,
-            }
-        else:
-            elastic_kwargs = {"effective_cohort": len(selected)}
-        wire, logical, ratio = wire_round_delta(
-            wire_before, self.executor.transport_stats()
-        )
-        self.history.append(
-            RoundRecord(
-                round_index=round_index,
-                sim_time=self._clock,
-                duration=duration,
-                waiting_time=waiting,
-                traffic_mb=self.traffic.total_megabytes,
-                train_loss=float(np.mean(losses)) if losses else 0.0,
-                test_loss=test_loss,
-                test_accuracy=accuracy,
-                num_selected=len(selected),
-                total_batch=config.base_batch_size * len(selected),
-                selected_ids=[int(w) for w in selected],
-                cache_hits=int(population_stats.get("cache_hits", 0)),
-                cache_misses=int(population_stats.get("cache_misses", 0)),
-                bytes_on_wire=wire,
-                logical_bytes=logical,
-                compression_ratio=ratio,
-                **elastic_kwargs,
-            )
-        )
-        self._current_lr *= config.lr_decay
-        logger.debug("FL round %d: acc=%.3f", round_index, accuracy)
-
-    def _stage_plan(
-        self, round_index: int
-    ) -> tuple[list[int], list[SplitWorker]]:
-        """PLAN: refresh durations and run the selection strategy.
-
-        When the pool supplies a candidate subset, the strategy sees dense
-        candidate-local arrays and its picks are remapped to global ids.
-        """
-        self.cluster.advance_round(round_index)
-        candidates = self.pool.plan_candidates(round_index)
-        if candidates is None:
-            durations = self._per_worker_durations()
-        else:
-            durations = self._durations_for(candidates)
+    # -- variation points --------------------------------------------------------
+    def _compute_plan(
+        self, round_index: int, candidates: np.ndarray | None
+    ) -> RoundPlan:
+        """Run the selection strategy over the candidates' round durations."""
+        ids = range(len(self.pool)) if candidates is None else candidates
         selected = self.selection.select(
             round_index,
-            durations,
+            self._worker_durations(self._base_batch_plan(ids)),
             self.pool.label_distributions(candidates),
             self.pool.participation_counts(candidates),
             spawned_rng(self._round_seed, round_index),
         )
-        if not selected:
-            raise RuntimeError("FL selection strategy selected no workers")
-        if candidates is not None:
-            selected = [int(candidates[local]) for local in selected]
-        if self._elastic is not None:
-            selected = self._elastic.over_select_ids(
-                selected, self.pool, candidates
-            )
-        return selected, self.pool.checkout(selected)
+        return self._base_batch_plan(selected)
 
-    def _recover_round(
+    def _base_batch_plan(self, ids) -> RoundPlan:
+        """Every FL worker trains at the identical ``base_batch_size``."""
+        ids = [int(worker_id) for worker_id in ids]
+        return RoundPlan(
+            selected=ids,
+            batch_sizes=dict.fromkeys(ids, self.config.base_batch_size),
+        )
+
+    def _run_stages(
         self,
-        selected: list[int],
+        plan: RoundPlan,
         selected_workers: list[SplitWorker],
-        elastic_state: ElasticRound,
-        error: ExecutorDeathError,
-        make_ops,
         round_index: int,
-    ) -> None:
-        """Re-run a round whose executor process died, with the survivors.
+        account,
+        elastic_state: "ElasticRound | None",
+    ) -> list[float]:
+        """LOCAL_STEP -> AGGREGATE under the configured scheduler."""
+        config = self.config
+        losses: list[float] = []
 
-        Mirrors the split engine's recovery: the dirty pool is torn down
-        (a fresh one spawns lazily), the lost workers become dropouts, and
-        the round restarts with the survivors when enough of the planned
-        cohort remains -- otherwise it yields no update but the session
-        lives on.  A second death in the re-run propagates.
-        """
-        lost = sorted(
-            {int(worker_id) for worker_id in error.worker_ids}
-            & {int(worker_id) for worker_id in selected}
-        )
-        if not lost:
-            raise error
-        logger.warning(
-            "FL round %d: executor death lost workers %s; re-planning with "
-            "the survivors", round_index, lost,
-        )
-        self.executor.close()
-        self._elastic.record_death(elastic_state, lost)
-        lost_set = set(lost)
-        survivors = [
-            int(worker_id) for worker_id in selected
-            if int(worker_id) not in lost_set
-        ]
-        if len(survivors) < self._elastic.min_cohort(len(elastic_state.planned)):
-            elastic_state.no_update = True
-            elastic_state.completed = []
-            return
-        survivor_workers = [
-            worker for worker in selected_workers
-            if worker.worker_id not in lost_set
-        ]
-        self.pipeline.run_full_round(make_ops(survivors, survivor_workers))
+        def train() -> list[dict[str, np.ndarray]]:
+            # LOCAL_STEP: full-model training on every selected worker.
+            return self.executor.train_full(
+                selected_workers,
+                self.model,
+                self.loss_fn,
+                iterations=config.local_iterations,
+                batch_size=config.base_batch_size,
+                learning_rate=self._current_lr,
+            )
+
+        def aggregate(states: list[dict[str, np.ndarray]]) -> None:
+            weights = [float(worker.num_samples) for worker in selected_workers]
+            resolved, observed = (states, weights), states
+            if elastic_state is not None:
+                resolved = self._elastic.apply_aggregate(
+                    elastic_state, plan.selected, states, weights,
+                    self.model.state_dict(),
+                )
+                # A missing reply carries no loss observation either.
+                completed = set(elastic_state.completed)
+                observed = [
+                    state for worker, state in zip(selected_workers, states)
+                    if worker.worker_id in completed
+                ]
+            losses.extend(self._local_loss(state) for state in observed)
+            # ``None``: below the cohort quorum, the round leaves the global
+            # model unchanged.
+            if resolved is not None:
+                self.model.load_state_dict(average_state_dicts(*resolved))
+
+        self.pipeline.run_full_round(FullRoundOps(
+            executor=self.executor,
+            workers=selected_workers,
+            train=train,
+            aggregate=aggregate,
+        ))
+        return losses
 
     def _local_loss(self, state: dict[str, np.ndarray]) -> float:
         """Training loss of a locally updated model on a small probe batch."""
@@ -401,58 +197,16 @@ class FLTrainingEngine(Algorithm):
         logits = probe.forward(self.data.train.data[:size])
         return self.loss_fn.forward(logits, self.data.train.targets[:size])
 
-    def _per_worker_durations(self) -> np.ndarray:
-        """Per-round duration of every worker (compute + model exchange)."""
-        return self._durations_for(range(len(self.pool)))
-
-    def _durations_for(self, ids) -> np.ndarray:
-        """Per-round duration of a subset of workers, in ``ids`` order."""
-        config = self.config
-        durations = []
-        for worker_id in ids:
-            device = self.cluster[int(worker_id)]
-            compute = (
-                config.local_iterations
-                * config.base_batch_size
-                * device.compute_time_per_sample(self.full_flops)
-            )
-            transfer = 2 * device.model_transfer_time(self.model_bytes)
-            durations.append(compute + transfer)
-        return np.asarray(durations)
-
-    def _account_time_and_traffic(
-        self,
-        selected: list[int],
-        elastic_state: "ElasticRound | None" = None,
-    ) -> tuple[float, float]:
-        durations = self._durations_for(selected)
-        self.traffic.add_model_exchange(self.model_bytes, num_workers=len(selected))
-        deadline = (
-            elastic_state.churn.deadline if elastic_state is not None else None
-        )
-        return (
-            elastic_round_duration(durations, deadline),
-            average_waiting_time(durations),
-        )
+    def _worker_costs(
+        self, plan: RoundPlan, worker_id: int
+    ) -> tuple[float, int, int]:
+        return self.full_flops, 0, self.model_bytes
 
     def _evaluate(self) -> tuple[float, float]:
-        """Accuracy and loss of the global model on the test split."""
         self.model.eval()
-        data = self.data.test.data
-        targets = self.data.test.targets
-        correct = 0
-        losses = []
-        batch = self.config.eval_batch_size
-        for start in range(0, data.shape[0], batch):
-            stop = start + batch
-            batch_data = data[start:stop]
-            logits = self.model.forward(batch_data)
-            losses.append(
-                self.loss_fn.forward(logits, targets[start:stop]) * batch_data.shape[0]
-            )
-            correct += int((logits.argmax(axis=1) == targets[start:stop]).sum())
+        result = evaluate_classifier(
+            self.model.forward, self.loss_fn, self.data.test.data,
+            self.data.test.targets, self.config.eval_batch_size,
+        )
         self.model.train()
-        total = data.shape[0]
-        if total == 0:
-            return 0.0, 0.0
-        return correct / total, float(np.sum(losses) / total)
+        return result

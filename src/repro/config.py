@@ -7,6 +7,7 @@ baselines and the motivation variants) through
 
 from __future__ import annotations
 
+import difflib
 from dataclasses import dataclass, field, asdict
 
 from repro.exceptions import ConfigurationError
@@ -33,6 +34,35 @@ KNOWN_DATASETS = ("har", "speech", "cifar10", "image100", "blobs")
 
 #: Built-in model names (see ``KNOWN_ALGORITHMS`` on registry validation).
 KNOWN_MODELS = ("mlp", "cnn_h", "cnn_s", "alexnet_s", "vgg_s")
+
+#: Every ``extras`` key the code reads.  Other keys are free-form metadata
+#: (notes, tags) and pass through untouched -- unless they are a near miss
+#: of one of these or of a config field, which :meth:`ExperimentConfig.validate`
+#: rejects as a typo instead of silently ignoring the setting.
+KNOWN_EXTRAS = (
+    "auto_budget",
+    "codec_policy",
+    "codec_topk_ratio",
+    "depth_aware_selection",
+    "device_dropout_rates",
+    "executor_processes",
+    "executor_start_method",
+    "policy",
+    "policy_kwargs",
+    "population_live_devices",
+    "population_samples_per_worker",
+    "population_sharding",
+    "split_depth_max",
+    "split_depth_min",
+    "split_index",
+    "top_lr_scale",
+    "transport_capacity",
+)
+
+#: ``difflib`` similarity at or above which an unknown ``extras`` key counts
+#: as a misspelling: every single-character edit of a known key clears it,
+#: the free-form keys in use (``note``, ``tags``, ``telemetry``) score < 0.6.
+_TYPO_SIMILARITY = 0.8
 
 
 @dataclass
@@ -238,6 +268,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 SELECTION_SOLVERS.unknown_message(self.selector)
             )
+        self._reject_misspelled_extras()
         self._validate_split_extras()
         depth_aware = self.extras.get("depth_aware_selection")
         if depth_aware is not None:
@@ -407,6 +438,28 @@ class ExperimentConfig:
                         f"extras['device_dropout_rates'][{name!r}] must be a "
                         f"rate in [0, 1], got {rate!r}"
                     )
+
+    def _reject_misspelled_extras(self) -> None:
+        """Fail on an ``extras`` key that nearly spells a known name.
+
+        Covers keys passed in ``extras`` directly and unknown top-level keys
+        :meth:`from_dict` swept into it (``num_worker=8``), which would
+        otherwise leave the intended setting at its default without a word.
+        """
+        fields = [name for name in self.__dataclass_fields__ if name != "extras"]
+        for key in self.extras:
+            if key in KNOWN_EXTRAS:
+                continue
+            closest = difflib.get_close_matches(
+                str(key), [*KNOWN_EXTRAS, *fields], n=1, cutoff=_TYPO_SIMILARITY
+            )
+            if closest:
+                kind = "extras key" if closest[0] in KNOWN_EXTRAS else "config field"
+                raise ConfigurationError(
+                    f"unknown extras key {key!r}; did you mean the {kind} "
+                    f"{closest[0]!r}? (extras keys the code reads: "
+                    f"{', '.join(KNOWN_EXTRAS)})"
+                )
 
     def _validate_split_extras(self) -> None:
         """Config-time checks of the split-point extras.

@@ -144,7 +144,7 @@ class ElasticController:
         return [int(available[index]) for index in order[:extra]]
 
     def over_select(self, plan, pool, candidates, base_batch_size: int):
-        """Pad a split-round plan to ``ceil(f * K)`` workers.
+        """Pad a round plan to ``ceil(f * K)`` workers.
 
         Backups train at the base batch size (the policy never planned
         them, so there is no regulated size to reuse).  At factor 1.0 the
@@ -168,15 +168,6 @@ class ElasticController:
             merged_kl=plan.merged_kl,
             info=dict(plan.info, over_selected=backups),
         )
-
-    def over_select_ids(self, selected, pool, candidates) -> list[int]:
-        """Pad an FL-round id list to ``ceil(f * K)`` workers."""
-        selected = [int(worker_id) for worker_id in selected]
-        target = math.ceil(self.over_select_factor * len(selected))
-        extra = target - len(selected)
-        if extra <= 0:
-            return selected
-        return sorted(selected + self._backups(selected, pool, candidates, extra))
 
     # -- round lifecycle ------------------------------------------------------
     def begin_round(

@@ -8,12 +8,14 @@ split forward/backward propagation (with or without feature merging),
 weighted bottom-model aggregation, simulated-clock accounting, traffic
 accounting and evaluation.
 
-The engine implements the :class:`~repro.api.algorithm.Algorithm`
-interface: rounds execute one at a time through ``step_round()`` with a
-monotonic round index (repeated ``run()`` calls extend the same run), and
-``state_dict()`` / ``load_state_dict()`` capture every mutable piece of
-training state so a :class:`~repro.api.session.Session` can checkpoint and
-resume bit-exactly.
+The round lifecycle itself -- steppable rounds with a monotonic index,
+checkpoint/resume of the shared state, planning + over-selection, churn,
+accounting, executor-death recovery, evaluation and the round record --
+lives in :class:`~repro.core.round_engine.RoundEngine`, shared with the
+full-model engine (:mod:`repro.baselines.fl_engine`).  This module holds
+only what is specific to *split* training: the control-policy context, the
+split stage bodies, per-depth cost tables and the split-only checkpoint
+keys.
 
 A round is an explicit stage sequence (plan -> install -> bottom-forward ->
 merge -> top-update -> backward-dispatch -> local-step -> aggregate): the
@@ -34,44 +36,26 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.api.algorithm import Algorithm
 from repro.config import ExperimentConfig
 from repro.core.controller import ControlContext, RoundPlan
-from repro.core.elastic import (
-    ElasticController,
-    ElasticRound,
-    build_elastic_controller,
-)
+from repro.core.elastic import ElasticController, ElasticRound
+from repro.core.round_engine import RoundEngine
 from repro.core.server import SplitServer
 from repro.core.worker import SplitWorker
 from repro.data.dataset import TrainTestSplit
-from repro.exceptions import ConfigurationError, ExecutorDeathError
-from repro.metrics.history import History, RoundRecord, wire_round_delta
+from repro.exceptions import ConfigurationError
 from repro.nn.models import estimate_forward_flops
 from repro.nn.module import Sequential
 from repro.nn.serialization import model_size_bytes
 from repro.nn.split import SplitModel, candidate_split_depths
 from repro.parallel.base import Executor
-from repro.parallel.pipeline import (
-    PipelineScheduler,
-    RoundReport,
-    SplitRoundOps,
-    build_pipeline,
-)
-from repro.parallel.serial import SerialExecutor
-from repro.population.pool import WorkerPool, as_worker_pool
+from repro.parallel.pipeline import PipelineScheduler, SplitRoundOps
+from repro.population.pool import WorkerPool
 from repro.simulation.cluster import Cluster, LazyCluster
 from repro.simulation.estimator import BandwidthEstimator, WorkerStateEstimator
-from repro.simulation.timing import (
-    average_waiting_time,
-    elastic_round_duration,
-)
-from repro.simulation.traffic import TrafficMeter, feature_bytes
+from repro.simulation.traffic import feature_bytes
 from repro.splitpoint import SplitContext, build_split_policy
-from repro.utils.logging import get_logger
 from repro.utils.rng import spawned_rng
-
-logger = get_logger("core.engine")
 
 #: Clip bounds for the batch-size-proportional worker learning-rate scale
 #: (Section IV-B): a worker whose regulated batch is much smaller/larger
@@ -101,8 +85,10 @@ class ControlPolicy(Protocol):
         ...  # pragma: no cover - protocol definition
 
 
-class SplitTrainingEngine(Algorithm):
+class SplitTrainingEngine(RoundEngine):
     """Runs split federated training under a pluggable control policy."""
+
+    ROUND_SEED_OFFSET = 9173
 
     def __init__(
         self,
@@ -123,20 +109,12 @@ class SplitTrainingEngine(Algorithm):
                 f"model {config.model!r} declares no split point; register "
                 f"it with split_after_weighted metadata"
             )
-        self.config = config
-        self.split = split
-        self.pool = as_worker_pool(workers)
-        self.cluster = cluster
-        self.data = data
-        self.policy = policy
-        self.executor = executor if executor is not None else SerialExecutor()
-        self.pipeline = pipeline if pipeline is not None else build_pipeline(config)
-        #: Round elasticity (over-selection, first-k-of-n, rejoin); ``None``
-        #: keeps the historical synchronous code paths untouched.
-        self._elastic = (
-            elastic if elastic is not None
-            else build_elastic_controller(config, cluster)
+        super().__init__(
+            config, workers, cluster, data,
+            executor=executor, pipeline=pipeline, elastic=elastic,
         )
+        self.split = split
+        self.policy = policy
 
         self.server = SplitServer(
             bottom_template=split.bottom,
@@ -151,8 +129,6 @@ class SplitTrainingEngine(Algorithm):
         )
         # Delta-cache capture/reconstruction needs the round's global bottom.
         self.pool.bind_bottom_source(lambda: self.server.global_bottom)
-        self.traffic = TrafficMeter()
-        self.history = History(algorithm=config.algorithm)
 
         # Static quantities of the split model.
         input_shape = data.feature_shape
@@ -196,12 +172,6 @@ class SplitTrainingEngine(Algorithm):
             )
         self._last_depths: dict[int, int] = {}
 
-        #: Root seed of the per-round RNG streams; generators are derived
-        #: lazily per round index so the round count is unbounded.
-        self._round_seed = config.seed + 9173
-        self._round_index = 0
-        self._clock = 0.0
-        self._current_lr = config.learning_rate
         #: A plan prefetched by a relaxed scheduler during the previous
         #: round's aggregate window: ``(round_index, plan)`` or ``None``.
         #: Planning mutates the simulated cluster and the state estimator,
@@ -234,22 +204,6 @@ class SplitTrainingEngine(Algorithm):
             self._depth_model_bytes[depth] = model_size_bytes(prefix)
 
     # -- public API -----------------------------------------------------------
-    @property
-    def workers(self) -> list[SplitWorker]:
-        """The eager worker list (raises for lazily-materialised populations)."""
-        return self.pool.eager_workers
-
-    def step_round(self) -> RoundRecord:
-        """Execute one communication round and return its record."""
-        self._run_round(self._round_index)
-        self._round_index += 1
-        return self.history.records[-1]
-
-    @property
-    def rounds_completed(self) -> int:
-        """Number of communication rounds executed so far."""
-        return self._round_index
-
     def global_model(self) -> Sequential:
         """The current global model (bottom + top), as a single Sequential."""
         combined = Sequential(
@@ -259,23 +213,14 @@ class SplitTrainingEngine(Algorithm):
         combined.eval()
         return combined
 
-    def drain(self) -> None:
-        """Wait for in-flight asynchronous dispatch (pipelined rounds)."""
-        self.executor.drain()
-
-    def close(self) -> None:
-        """Release executor resources (worker processes, pools)."""
-        self.executor.close()
-
     # -- checkpointing -----------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Every mutable piece of training state, for checkpoint/resume.
+    def _engine_state(self) -> dict:
+        """The split-only checkpoint keys.
 
-        Drains the executor first, then serialises the one cross-round
-        in-flight artifact a relaxed schedule leaves behind -- the
-        prefetched next-round plan -- so resume is exact at any staleness.
+        Includes the one cross-round in-flight artifact a relaxed schedule
+        leaves behind -- the prefetched next-round plan -- so resume is
+        exact at any staleness.
         """
-        self.drain()
         pending_plan = None
         if self._pending_plan is not None:
             pending_plan = {
@@ -283,21 +228,10 @@ class SplitTrainingEngine(Algorithm):
                 "plan": self._pending_plan[1].to_dict(),
             }
         state = {
-            "round_index": self._round_index,
-            "clock": self._clock,
-            "current_lr": self._current_lr,
             "pending_plan": pending_plan,
-            "history": self.history.to_dict(),
             "server": self.server.state_dict(),
             "estimator": self.estimator.state_dict(),
             "bandwidth_estimator": self.bandwidth_estimator.state_dict(),
-            "traffic": self.traffic.state_dict(),
-            "cluster": self.cluster.state_dict(),
-            "workers": self.pool.workers_state(),
-            "elastic": (
-                self._elastic.state_dict() if self._elastic is not None else None
-            ),
-            "codec": self.executor.codec_state(),
         }
         if self._split_policy is not None:
             # Present only under a non-trivial policy, so uniform
@@ -315,12 +249,7 @@ class SplitTrainingEngine(Algorithm):
             }
         return state
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore training state captured by :meth:`state_dict`."""
-        self.pool.load_workers_state(state["workers"])
-        self._round_index = int(state["round_index"])
-        self._clock = float(state["clock"])
-        self._current_lr = float(state["current_lr"])
+    def _load_engine_state(self, state: dict) -> None:
         pending_plan = state.get("pending_plan")
         self._pending_plan = None
         if pending_plan is not None:
@@ -328,15 +257,9 @@ class SplitTrainingEngine(Algorithm):
                 int(pending_plan["round_index"]),
                 RoundPlan.from_dict(pending_plan["plan"]),
             )
-        self.history = History.from_dict(state["history"])
         self.server.load_state_dict(state["server"])
         self.estimator.load_state_dict(state["estimator"])
         self.bandwidth_estimator.load_state_dict(state["bandwidth_estimator"])
-        self.traffic.load_state_dict(state["traffic"])
-        self.cluster.load_state_dict(state["cluster"])
-        if self._elastic is not None and state.get("elastic") is not None:
-            self._elastic.load_state_dict(state["elastic"])
-        self.executor.load_codec_state(state.get("codec"))
         if self._split_policy is not None and state.get("splitpoint") is not None:
             self._split_policy.load_state_dict(state["splitpoint"])
         solver = getattr(self.policy, "selection_solver", None)
@@ -413,142 +336,38 @@ class SplitTrainingEngine(Algorithm):
         return np.asarray(costs, dtype=np.float64)
 
     def _run_round(self, round_index: int) -> None:
-        config = self.config
-        wire_before = self.executor.transport_stats()
-        plan, selected_workers = self._stage_plan(round_index)
-        # Elastic rounds draw their churn once, up front, against the
-        # planned cohort; a death-recovery re-run reuses the same draw.
-        elastic_state: ElasticRound | None = None
-        if self._elastic is not None:
-            elastic_state = self._elastic.begin_round(
-                round_index, plan.selected, self._worker_durations(plan)
+        super()._run_round(round_index)
+        if self._split_policy is not None:
+            record = self.history.records[-1]
+            self._split_policy.observe_traffic(
+                record.bytes_on_wire, record.logical_bytes
             )
-        accounting: dict = {}
 
-        def account() -> None:
-            # ACCOUNT: participation, simulated time/traffic and the
-            # bandwidth observation.  Reads the plan and the *round-r*
-            # cluster state only, so a relaxed scheduler may run it inside
-            # the aggregate window (before any next-round planning
-            # advances the cluster); idempotent because the engine invokes
-            # it unconditionally afterwards for the exact schedulers.
-            if accounting:
-                return
-            for worker in selected_workers:
-                worker.participation_count += 1
-            duration, waiting = self._account_time_and_traffic(
-                plan, elastic_state
-            )
-            self._clock += duration
-            self.bandwidth_estimator.observe(
-                self.cluster.current_budget_mbps * self._budget_scale
-            )
-            accounting["duration"] = duration
-            accounting["waiting"] = waiting
-            if self._split_policy is not None:
-                self._split_policy.observe_durations(
-                    round_index,
-                    {
-                        int(worker_id): float(worker_duration)
-                        for worker_id, worker_duration in zip(
-                            plan.selected, self._worker_durations(plan)
-                        )
-                    },
-                )
-
-        # INSTALL .. AGGREGATE run under the configured scheduler; tau local
-        # iterations of split training (end-of-round aggregation is Eq. 17).
-        try:
-            losses = self.pipeline.run_split_round(
-                self._round_ops(
-                    plan, selected_workers, round_index, account, elastic_state
-                ),
-                config.local_iterations,
-                self.policy.aggregate_every_iteration,
-            )
-        except ExecutorDeathError as error:
-            if elastic_state is None:
-                raise
-            losses = self._recover_round(
-                plan, selected_workers, round_index, account, elastic_state,
-                error,
-            )
-        account()
-        # Round over: fold the cohort's mutable state back into the pool
-        # (a no-op for eager populations, the release point for lazy ones).
-        self.pool.release(selected_workers)
-        # Third-party schedulers registered via register_pipeline may not
-        # subclass PipelineScheduler; treat the report as optional.
-        report = getattr(self.pipeline, "last_report", None) or RoundReport()
-        population_stats = self.pool.collect_round_stats()
-
-        accuracy, test_loss = self.server.evaluate(
-            self.data.test.data, self.data.test.targets, config.eval_batch_size
-        )
-        if elastic_state is not None:
-            elastic_kwargs = {
-                "dropped_ids": [int(w) for w in elastic_state.dropped],
-                "completed_ids": [int(w) for w in elastic_state.completed],
-                "rejoined_ids": [int(w) for w in elastic_state.rejoined],
-                "dropout_rate": elastic_state.dropout_rate,
-                "effective_cohort": elastic_state.effective_cohort,
-            }
-        else:
-            elastic_kwargs = {"effective_cohort": len(plan.selected)}
-        wire, logical, ratio = wire_round_delta(
-            wire_before, self.executor.transport_stats()
+    def _observe_round(
+        self, round_index: int, plan: RoundPlan, durations: np.ndarray
+    ) -> None:
+        """The bandwidth observation and the split policy's duration feed."""
+        self.bandwidth_estimator.observe(
+            self.cluster.current_budget_mbps * self._budget_scale
         )
         if self._split_policy is not None:
-            self._split_policy.observe_traffic(wire, logical)
-        self.history.append(
-            RoundRecord(
-                round_index=round_index,
-                sim_time=self._clock,
-                duration=accounting["duration"],
-                waiting_time=accounting["waiting"],
-                traffic_mb=self.traffic.total_megabytes,
-                train_loss=float(np.mean(losses)) if losses else 0.0,
-                test_loss=test_loss,
-                test_accuracy=accuracy,
-                num_selected=len(plan.selected),
-                total_batch=plan.total_batch,
-                merged_kl=plan.merged_kl,
-                effective_staleness=report.effective_staleness,
-                selected_ids=[int(w) for w in plan.selected],
-                cache_hits=int(population_stats.get("cache_hits", 0)),
-                cache_misses=int(population_stats.get("cache_misses", 0)),
-                bytes_on_wire=wire,
-                logical_bytes=logical,
-                compression_ratio=ratio,
-                **elastic_kwargs,
+            self._split_policy.observe_durations(
+                round_index,
+                {
+                    int(worker_id): float(worker_duration)
+                    for worker_id, worker_duration in zip(plan.selected, durations)
+                },
             )
-        )
-        self._current_lr *= config.lr_decay
-        logger.debug(
-            "round %d: acc=%.3f loss=%.3f time=%.1fs traffic=%.1fMB",
-            round_index, accuracy, np.mean(losses) if losses else 0.0,
-            self._clock, self.traffic.total_megabytes,
-        )
 
-    def _compute_plan(self, round_index: int) -> RoundPlan:
-        """Refresh estimates and run the control policy for one round.
-
-        When the pool supplies a candidate subset, planning runs entirely
-        in candidate-local coordinates (the policy sees dense arrays of
-        ``len(candidates)`` rows) and the resulting plan is remapped to
-        global worker ids afterwards.
-        """
-        self.cluster.advance_round(round_index)
-        candidates = self.pool.plan_candidates(round_index)
+    def _compute_plan(
+        self, round_index: int, candidates: np.ndarray | None
+    ) -> RoundPlan:
+        """Refresh the state estimates and run the control policy."""
         self._observe_states(candidates)
-        context = self._make_context(round_index, candidates)
-        plan = self.policy.plan_round(context)
-        if candidates is not None:
-            plan = plan.remapped(candidates)
-        if self._elastic is not None:
-            plan = self._elastic.over_select(
-                plan, self.pool, candidates, self.config.base_batch_size
-            )
+        return self.policy.plan_round(self._make_context(round_index, candidates))
+
+    def _plan_round(self, round_index: int) -> RoundPlan:
+        plan = super()._plan_round(round_index)
         if self._split_policy is not None:
             # Depths are assigned last so over-selected stand-ins get one
             # too, and against the plan's final regulated batch sizes.
@@ -566,10 +385,7 @@ class SplitTrainingEngine(Algorithm):
             batch_sizes=plan.batch_sizes,
             base_batch_size=self.config.base_batch_size,
             local_iterations=self.config.local_iterations,
-            aggregations=(
-                self.config.local_iterations
-                if self.policy.aggregate_every_iteration else 1
-            ),
+            aggregations=self._aggregations,
         )
         depths = self._split_policy.assign_depths(
             round_index, list(plan.selected), context
@@ -593,106 +409,36 @@ class SplitTrainingEngine(Algorithm):
 
         Called by relaxed schedulers after the previous round's accounting;
         the computed plan (and the cluster/estimator mutations planning
-        entails) is exactly what :meth:`_stage_plan` would have produced at
+        entails) is exactly what :meth:`_next_plan` would have produced at
         the start of the round, so trajectories are unchanged -- only the
         round-end drain disappears.
         """
         if self._pending_plan is None:
-            self._pending_plan = (round_index, self._compute_plan(round_index))
+            self._pending_plan = (round_index, self._plan_round(round_index))
 
-    def _stage_plan(
-        self, round_index: int
-    ) -> tuple[RoundPlan, list[SplitWorker]]:
+    def _next_plan(self, round_index: int) -> RoundPlan:
         """PLAN: take the prefetched plan or compute one, set the top LR."""
-        if self._pending_plan is not None and self._pending_plan[0] == round_index:
-            plan = self._pending_plan[1]
-            self._pending_plan = None
+        pending, self._pending_plan = self._pending_plan, None
+        if pending is not None and pending[0] == round_index:
+            plan = pending[1]
         else:
-            self._pending_plan = None
-            plan = self._compute_plan(round_index)
-        if not plan.selected:
-            raise RuntimeError("control policy selected no workers")
+            plan = self._plan_round(round_index)
         self.server.set_learning_rate(self._top_lr(plan))
-        return plan, self.pool.checkout(plan.selected)
+        return plan
 
-    def _recover_round(
+    def _run_stages(
         self,
         plan: RoundPlan,
         selected_workers: list[SplitWorker],
         round_index: int,
         account,
-        elastic_state: ElasticRound,
-        error: ExecutorDeathError,
+        elastic_state: "ElasticRound | None",
     ) -> list[float]:
-        """Re-run a round whose executor process died, with the survivors.
+        """INSTALL .. AGGREGATE under the configured scheduler.
 
-        The dead process takes its workers' in-flight state with it: the
-        dirty pool is torn down (a fresh one spawns lazily on the next
-        dispatch), the lost workers are recorded as dropped, and -- when
-        enough of the planned cohort survives -- the round restarts from
-        INSTALL with a survivor-only plan.  A second death in the re-run
-        propagates.  With too few survivors the round yields no update but
-        the session lives on.
+        Binds the round's stage bodies for the scheduler: ``tau`` local
+        iterations of split training; end-of-round aggregation is Eq. 17.
         """
-        lost = sorted(
-            {int(worker_id) for worker_id in error.worker_ids}
-            & {int(worker_id) for worker_id in plan.selected}
-        )
-        if not lost:
-            # The death carried no attributable workers (e.g. it struck
-            # before assignment); nothing to re-plan around.
-            raise error
-        logger.warning(
-            "round %d: executor death lost workers %s; re-planning with "
-            "the survivors", round_index, lost,
-        )
-        # Sibling processes of a dead child hold untrustworthy protocol
-        # state; tear the pool down and let the next dispatch respawn it.
-        self.executor.close()
-        self._elastic.record_death(elastic_state, lost)
-        lost_set = set(lost)
-        survivors = [
-            int(worker_id) for worker_id in plan.selected
-            if int(worker_id) not in lost_set
-        ]
-        if len(survivors) < self._elastic.min_cohort(len(elastic_state.planned)):
-            elastic_state.no_update = True
-            elastic_state.completed = []
-            return []
-        survivor_plan = RoundPlan(
-            selected=survivors,
-            batch_sizes={
-                worker_id: plan.batch_sizes[worker_id]
-                for worker_id in survivors
-            },
-            merged_kl=plan.merged_kl,
-            info=dict(plan.info, replanned_after_death=lost),
-            depths=None if plan.depths is None else {
-                worker_id: plan.depths[worker_id] for worker_id in survivors
-            },
-        )
-        survivor_workers = [
-            worker for worker in selected_workers
-            if worker.worker_id not in lost_set
-        ]
-        return self.pipeline.run_split_round(
-            self._round_ops(
-                survivor_plan, survivor_workers, round_index, account,
-                elastic_state,
-            ),
-            self.config.local_iterations,
-            self.policy.aggregate_every_iteration,
-        )
-
-    def _round_ops(
-        self,
-        plan: RoundPlan,
-        selected_workers: list[SplitWorker],
-        round_index: int,
-        account,
-        elastic_state: "ElasticRound | None" = None,
-    ) -> SplitRoundOps:
-        """Bind this round's stage bodies for the pipeline scheduler."""
         worker_ids = [worker.worker_id for worker in selected_workers]
 
         def update_top(features, labels):
@@ -716,14 +462,15 @@ class SplitTrainingEngine(Algorithm):
                 )
             return loss, [gradients[worker_id] for worker_id in worker_ids]
 
-        return SplitRoundOps(
+        ops = SplitRoundOps(
             executor=self.executor,
             workers=selected_workers,
             batch_sizes=[plan.batch_sizes[worker_id] for worker_id in worker_ids],
             install=lambda: self._install_bottoms(plan, selected_workers),
             update_top=update_top,
-            aggregate=lambda: self._aggregate(
-                plan, selected_workers, elastic_state
+            aggregate=lambda: self._aggregate_states(
+                plan, selected_workers,
+                self.executor.bottom_states(selected_workers), elastic_state,
             ),
             install_nowait=lambda: self._install_bottoms(
                 plan, selected_workers, nowait=True
@@ -736,6 +483,10 @@ class SplitTrainingEngine(Algorithm):
             depths=None if plan.depths is None else [
                 plan.depths[worker_id] for worker_id in worker_ids
             ],
+        )
+        return self.pipeline.run_split_round(
+            ops, self.config.local_iterations,
+            self.policy.aggregate_every_iteration,
         )
 
     def _install_bottoms(
@@ -768,28 +519,14 @@ class SplitTrainingEngine(Algorithm):
         install = self.executor.install_nowait if nowait else self.executor.install
         install(selected_workers, self.server.global_bottom, learning_rates)
 
-    def _aggregate(
-        self,
-        plan: RoundPlan,
-        selected_workers: list[SplitWorker],
-        elastic_state: "ElasticRound | None" = None,
-    ) -> None:
-        """Aggregate bottom models with batch-size-proportional weights (Eq. 17)."""
-        self._aggregate_states(
-            plan,
-            selected_workers,
-            self.executor.bottom_states(selected_workers),
-            elastic_state,
-        )
-
     def _aggregate_states(
         self,
         plan: RoundPlan,
         selected_workers: list[SplitWorker],
         states: list[dict[str, np.ndarray]],
-        elastic_state: "ElasticRound | None" = None,
+        elastic_state: "ElasticRound | None",
     ) -> None:
-        """The weight-averaging half of AGGREGATE, given collected states."""
+        """AGGREGATE the collected bottom states, batch-size weighted (Eq. 17)."""
         weights = [float(plan.batch_sizes[w.worker_id]) for w in selected_workers]
         if plan.depths is not None:
             # Complete every prefix state with its bridge's server-trained
@@ -848,30 +585,12 @@ class SplitTrainingEngine(Algorithm):
         scale = float(np.clip(scale, *TOP_LR_SCALE_BOUNDS))
         return self._current_lr * scale
 
-    def _worker_durations(self, plan: RoundPlan) -> np.ndarray:
-        """Planned round duration of each selected worker, in plan order.
-
-        Reads the round's cluster state without mutating anything, so the
-        same numbers come out whether it runs at the start of the round
-        (the churn draw) or inside the accounting stage.
-        """
-        config = self.config
-        aggregations = (
-            config.local_iterations if self.policy.aggregate_every_iteration else 1
-        )
-        durations = []
-        for worker_id in plan.selected:
-            device = self.cluster[worker_id]
-            flops, exchange, model_bytes = self._worker_costs(plan, worker_id)
-            mu = device.compute_time_per_sample(flops)
-            beta = device.comm_time_per_sample(exchange)
-            batch = plan.batch_sizes[worker_id]
-            compute_comm = config.local_iterations * batch * (mu + beta)
-            model_moves = 2 * aggregations * device.model_transfer_time(
-                model_bytes
-            )
-            durations.append(compute_comm + model_moves)
-        return np.asarray(durations)
+    @property
+    def _aggregations(self) -> int:
+        """Bottom-model exchanges per round: every iteration for SplitFed."""
+        if self.policy.aggregate_every_iteration:
+            return self.config.local_iterations
+        return 1
 
     def _worker_costs(
         self, plan: RoundPlan, worker_id: int
@@ -894,28 +613,8 @@ class SplitTrainingEngine(Algorithm):
             self.bottom_model_bytes,
         )
 
-    def _account_time_and_traffic(
-        self, plan: RoundPlan, elastic_state: "ElasticRound | None" = None
-    ) -> tuple[float, float]:
-        """Charge simulated time and network traffic for the round."""
-        config = self.config
-        aggregations = (
-            config.local_iterations if self.policy.aggregate_every_iteration else 1
-        )
-        durations = self._worker_durations(plan)
-        for worker_id in plan.selected:
-            batch = plan.batch_sizes[worker_id]
-            __, exchange, model_bytes = self._worker_costs(plan, worker_id)
-            # Traffic: features up + gradients down for every iteration, plus
-            # bottom-model exchange once (or once per iteration for SplitFed).
-            self.traffic.add_feature_exchange(
-                config.local_iterations * batch * exchange
-            )
-            self.traffic.add_model_exchange(model_bytes * aggregations)
-        deadline = (
-            elastic_state.churn.deadline if elastic_state is not None else None
-        )
-        return (
-            elastic_round_duration(durations, deadline),
-            average_waiting_time(durations),
+    def _evaluate(self) -> tuple[float, float]:
+        return self.server.evaluate(
+            self.data.test.data, self.data.test.targets,
+            self.config.eval_batch_size,
         )

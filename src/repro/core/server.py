@@ -16,6 +16,29 @@ from repro.nn.serialization import (
 from repro.nn.split import carve_bridge, shift_state_keys
 
 
+def evaluate_classifier(
+    forward, loss_fn, data: np.ndarray, targets: np.ndarray, batch_size: int
+) -> tuple[float, float]:
+    """Accuracy and mean loss of ``forward`` over a test set, in batches.
+
+    ``forward`` maps an input batch to logits; the caller puts its model
+    into (and back out of) evaluation mode.
+    """
+    correct = 0
+    losses = []
+    for start in range(0, data.shape[0], batch_size):
+        stop = start + batch_size
+        batch = data[start:stop]
+        labels = targets[start:stop]
+        logits = forward(batch)
+        losses.append(loss_fn.forward(logits, labels) * batch.shape[0])
+        correct += int((logits.argmax(axis=1) == labels).sum())
+    total = data.shape[0]
+    if total == 0:
+        return 0.0, 0.0
+    return correct / total, float(np.sum(losses) / total)
+
+
 class SplitServer:
     """Hosts the top model, merges features and aggregates bottom models.
 
@@ -294,21 +317,13 @@ class SplitServer:
         """Accuracy and mean loss of the current global model on a test set."""
         self.global_bottom.eval()
         self.top.eval()
-        correct = 0
-        losses = []
-        for start in range(0, data.shape[0], batch_size):
-            stop = start + batch_size
-            batch = data[start:stop]
-            labels = targets[start:stop]
-            logits = self.top.forward(self.global_bottom.forward(batch))
-            losses.append(self.loss_fn.forward(logits, labels) * batch.shape[0])
-            correct += int((logits.argmax(axis=1) == labels).sum())
+        result = evaluate_classifier(
+            lambda batch: self.top.forward(self.global_bottom.forward(batch)),
+            self.loss_fn, data, targets, batch_size,
+        )
         self.global_bottom.train()
         self.top.train()
-        total = data.shape[0]
-        if total == 0:
-            return 0.0, 0.0
-        return correct / total, float(np.sum(losses) / total)
+        return result
 
     # -- learning-rate control -----------------------------------------------
     def set_learning_rate(self, learning_rate: float) -> None:

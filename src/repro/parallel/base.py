@@ -17,7 +17,7 @@ streams) inside the engine/worker objects; executors only hold per-round
 scratch state that is rebuilt by :meth:`Executor.install`, which is why
 switching executors never invalidates a checkpoint.
 
-Split-training call sequence, per round (mirrors ``SplitTrainingEngine``)::
+Split-training call sequence, per round (``SplitTrainingEngine._run_stages``)::
 
     install(workers, bottom, lrs)          # distribute the global bottom
     repeat tau times:
@@ -26,7 +26,7 @@ Split-training call sequence, per round (mirrors ``SplitTrainingEngine``)::
         backward_step(workers, gradients)  # dispatched gradients + SGD step
     bottom_states(workers)                 # collect for aggregation
 
-Full-model (FL) call sequence, per round::
+Full-model call sequence, per round (``FLTrainingEngine._run_stages``)::
 
     train_full(workers, model, loss_fn, iterations, batch_size, lr)
 """

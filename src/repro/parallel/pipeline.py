@@ -311,8 +311,7 @@ class FullRoundOps:
 
     ``train`` runs every selected worker's local iterations (LOCAL_STEP)
     and returns the locally updated state dicts; ``aggregate`` consumes
-    them.  ``account`` optionally binds the engine's parent-side round
-    accounting so the scheduler owns the whole stage order.
+    them.  The round driver runs its parent-side accounting afterwards.
     """
 
     executor: "Executor"
@@ -320,7 +319,6 @@ class FullRoundOps:
     train: Callable[[], list]
     aggregate: Callable[[list], None]
     on_stage: StageHook | None = None
-    account: Callable[[], None] | None = None
 
     def note(self, stage: RoundStage, iteration: int | None = None) -> None:
         if self.on_stage is not None:
@@ -381,8 +379,6 @@ class PipelineScheduler:
         states = ops.train()
         ops.note(RoundStage.AGGREGATE)
         ops.aggregate(states)
-        if ops.account is not None:
-            ops.account()
         self._report(2)
         return states
 

@@ -102,14 +102,6 @@ class TestOverSelection:
         )
         assert padded.selected == [2, 4]
 
-    def test_over_select_ids_matches_the_plan_variant(self):
-        controller = _controller(over_select_factor=1.5)
-        pool = _FakePool([3, 0, 0, 0])
-        assert controller.over_select_ids([0, 2], pool, None) == [0, 1, 2]
-        # ceil(1.0 * k) == k: no padding at a neutral factor.
-        neutral = _controller(over_select_factor=1.0)
-        assert neutral.over_select_ids([0], _FakePool([0, 0]), None) == [0]
-
 
 class TestApplyAggregate:
     def test_missing_workers_are_filtered_out(self):

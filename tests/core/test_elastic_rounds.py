@@ -289,6 +289,41 @@ class TestRejoin:
             for p, b in zip(padded, base)
         )
 
+    def test_over_selection_pads_an_fl_selection(self):
+        """The FL engine plans with the same ``RoundPlan`` as the split
+        engine, so a strategy's picks are padded by the same path."""
+        base, __ = _run(_config(algorithm="pyramidfl"))
+        padded, __ = _run(_config(
+            algorithm="pyramidfl", elastic=True, over_select_factor=1.5,
+        ))
+        for b, p in zip(base, padded):
+            assert b["num_selected"] == 3
+            assert p["num_selected"] == 5  # ceil(1.5 * 3)
+            assert p["selected_ids"] == sorted(p["selected_ids"])
+            assert set(b["selected_ids"]) <= set(p["selected_ids"])
+            assert p["total_batch"] == 8 * p["num_selected"]
+
+
+class TestDeviceClassDropout:
+    @pytest.mark.parametrize("algorithm", ["mergesfl", "fedavg"])
+    def test_a_class_at_rate_one_is_exactly_the_dropped_set(self, algorithm):
+        """Regression: the FL engine built its controller without the
+        cluster, so ``device_dropout_rates`` validated and was ignored."""
+        config = _config(
+            algorithm=algorithm, elastic=True, num_rounds=2,
+            extras={"device_dropout_rates": {"jetson_tx2": 1.0}},
+        )
+        with Session.from_config(config) as session:
+            cluster = session.algorithm.engine.cluster
+            history = session.run()
+        for record in history.records:
+            doomed = [
+                worker_id for worker_id in record.selected_ids
+                if cluster[worker_id].profile.name == "jetson_tx2"
+            ]
+            assert doomed, "the seed cluster lost its jetson_tx2 workers"
+            assert record.dropped_ids == doomed
+
 
 # -- engine-level death recovery -----------------------------------------------
 
@@ -331,6 +366,28 @@ class TestDeathRecovery:
         assert len(history) == 3
         assert history.records[1].dropped_ids
         assert history.records[1].completed_ids
+
+    @pytest.mark.parametrize("algorithm", ["mergesfl", "fedavg"])
+    def test_death_recovery_counts_the_planned_cohort_once(self, algorithm):
+        """Regression: the FL engine bumped ``participation_count`` only for
+        the re-run's survivors, the split engine for the planned cohort;
+        the driver now counts once, for everyone the round planned."""
+        config = _config(
+            algorithm=algorithm, executor="process", elastic=True,
+            min_cohort_fraction=0.2, num_rounds=2,
+        )
+        with Session.from_config(config) as session:
+            session.run(1)
+            self._kill_first_child(session)
+            history = session.run()
+            workers = session.algorithm.engine.workers
+        assert history.records[1].dropped_ids
+        for worker in workers:
+            planned = sum(
+                worker.worker_id in record.selected_ids
+                for record in history.records
+            )
+            assert worker.participation_count == planned, worker.worker_id
 
     def test_below_quorum_death_yields_no_update_but_survives(self):
         config = _config(

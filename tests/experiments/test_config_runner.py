@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.config import KNOWN_ALGORITHMS, ExperimentConfig
+from repro.config import KNOWN_ALGORITHMS, KNOWN_EXTRAS, ExperimentConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.reporting import format_comparison, format_table
 from repro.experiments.runner import (
@@ -70,6 +72,61 @@ class TestExperimentConfig:
         config = ExperimentConfig.from_dict({"dataset": "blobs", "model": "mlp",
                                              "mystery_knob": 3})
         assert config.extras["mystery_knob"] == 3
+
+    def test_known_extras_lists_every_key_the_code_reads(self):
+        import pathlib
+        import re
+
+        import repro
+
+        read = set()
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            read.update(re.findall(
+                r"extras(?:\.get\(|\.setdefault\(|\[)\s*[\"']([a-z_]+)[\"']",
+                path.read_text(),
+            ))
+        assert read == set(KNOWN_EXTRAS)
+
+    @pytest.mark.parametrize("typo, intended", [
+        ("codec_topk_ration", "codec_topk_ratio"),
+        ("executor_process", "executor_processes"),
+        ("num_worker", "num_workers"),
+    ])
+    def test_misspelled_extras_key_rejected(self, typo, intended):
+        with pytest.raises(ConfigurationError, match=f"did you mean.*{intended}'"):
+            ExperimentConfig(extras={typo: 2})
+        # ... also when from_dict sweeps an unknown top-level key into extras.
+        with pytest.raises(ConfigurationError, match=f"did you mean.*{intended}'"):
+            ExperimentConfig.from_dict({"dataset": "blobs", typo: 2})
+
+    def test_free_form_extras_stay_accepted(self):
+        extras = {"note": "x", "tags": ("a", "b"), "telemetry": {"on": True}}
+        assert ExperimentConfig(extras=extras).extras == extras
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key=st.sampled_from(KNOWN_EXTRAS),
+        edit=st.sampled_from(["delete", "insert", "substitute", "transpose"]),
+        position=st.integers(min_value=0, max_value=64),
+        letter=st.sampled_from("abcdefghijklmnopqrstuvwxyz_"),
+    )
+    def test_single_character_edits_of_known_extras_rejected(
+        self, key, edit, position, letter
+    ):
+        at = position % len(key)
+        if edit == "delete":
+            typo = key[:at] + key[at + 1:]
+        elif edit == "insert":
+            typo = key[:at] + letter + key[at:]
+        elif edit == "substitute":
+            typo = key[:at] + letter + key[at + 1:]
+        else:
+            at = position % (len(key) - 1)
+            typo = key[:at] + key[at + 1] + key[at] + key[at + 2:]
+        assume(typo not in KNOWN_EXTRAS)
+        assume(typo not in ExperimentConfig.__dataclass_fields__)
+        with pytest.raises(ConfigurationError, match="did you mean"):
+            ExperimentConfig(extras={typo: 1})
 
     def test_replace(self):
         config = ExperimentConfig()

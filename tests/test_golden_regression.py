@@ -1,19 +1,30 @@
-"""Golden regression: a fixed-seed MergeSFL run must match a checked-in history.
+"""Golden regression: fixed-seed runs must match checked-in histories.
 
-The golden file pins the full numeric trajectory (losses, accuracies,
-simulated clock, traffic) of a small fixed-seed 3-round MergeSFL run, so a
-refactor that silently changes the training math -- a reordered reduction,
-a changed default, an off-by-one in batch regulation -- fails loudly even
-when every unit test still passes.
+Each row of :data:`GOLDEN_CONFIGS` pins the full numeric trajectory
+(losses, accuracies, simulated clock, traffic, cohorts) of a small
+fixed-seed 3-round run, so a refactor that silently changes the training
+math -- a reordered reduction, a changed default, an off-by-one in batch
+regulation -- fails loudly even when every unit test still passes.  The
+rows cover both engines (``mergesfl``/``splitfed`` on the split engine,
+``fedavg``/``pyramidfl`` on the FL engine), per-iteration aggregation
+(``splitfed``) and elastic rounds.
+
+:data:`CHECKPOINT_FIXTURES` additionally pins the checkpoint *format*: a
+checkpoint file written after two rounds must keep loading, must equal
+(same keys, same values) what a fresh two-round run saves today, and must
+continue to the golden's remaining records.
 
 Float fields are compared at 1e-9 relative tolerance (bit-exactness across
-BLAS builds and numpy versions is not guaranteed); integer fields exactly.
+BLAS builds and numpy versions is not guaranteed); everything else exactly.
+Only the fields a golden file carries are compared, so older files with
+fewer ``RoundRecord`` fields stay valid.
 
 To regenerate after an *intentional* change to the training math::
 
-    PYTHONPATH=src python tests/test_golden_regression.py --regenerate
+    PYTHONPATH=src python tests/test_golden_regression.py --regenerate [NAME ...]
 
-and explain in the commit message why the trajectory moved.
+(every row when no name is given) and explain in the commit message why
+the trajectory moved.
 """
 
 from __future__ import annotations
@@ -22,23 +33,41 @@ import json
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
-GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "mergesfl_blobs_seed3.json"
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
-#: Fields of a RoundRecord compared exactly.
-INT_FIELDS = ("round_index", "num_selected", "total_batch")
-#: Fields compared at tolerance.
-FLOAT_FIELDS = (
-    "sim_time", "duration", "waiting_time", "traffic_mb",
-    "train_loss", "test_loss", "test_accuracy", "merged_kl",
-)
+#: Golden name -> overrides on the shared base configuration.
+GOLDEN_CONFIGS: dict[str, dict] = {
+    "mergesfl_blobs_seed3": {},
+    "fedavg_blobs_seed3": {"algorithm": "fedavg"},
+    "pyramidfl_blobs_seed3": {"algorithm": "pyramidfl"},
+    "splitfed_blobs_seed3": {"algorithm": "splitfed"},
+    "mergesfl_elastic_blobs_seed3": {
+        "elastic": True, "dropout_rate": 0.3, "over_select_factor": 1.25,
+    },
+}
+
+#: Golden name -> rounds completed when its checkpoint fixture was saved.
+CHECKPOINT_FIXTURES: dict[str, int] = {
+    "mergesfl_blobs_seed3": 2,
+    "fedavg_blobs_seed3": 2,
+}
 
 
-def _golden_config():
+def _golden_path(name: str) -> pathlib.Path:
+    return GOLDEN_DIR / f"{name}.json"
+
+
+def _checkpoint_path(name: str) -> pathlib.Path:
+    return GOLDEN_DIR / f"{name}.round{CHECKPOINT_FIXTURES[name]}.ckpt.json"
+
+
+def _golden_config(name: str):
     from repro.config import ExperimentConfig
 
-    return ExperimentConfig(
+    base = dict(
         algorithm="mergesfl",
         dataset="blobs",
         model="mlp",
@@ -53,52 +82,116 @@ def _golden_config():
         learning_rate=0.1,
         seed=3,
     )
+    return ExperimentConfig(**{**base, **GOLDEN_CONFIGS[name]})
 
 
-def _run_history() -> list[dict]:
+def _run_history(name: str) -> list[dict]:
     from repro.api.session import Session
 
-    with Session.from_config(_golden_config()) as session:
+    with Session.from_config(_golden_config(name)) as session:
         history = session.run()
     return history.to_dict()["records"]
 
 
-def test_mergesfl_history_matches_golden():
-    assert GOLDEN_PATH.exists(), (
-        f"golden file missing: {GOLDEN_PATH}; regenerate with "
+def _assert_same(expected, actual, where: str) -> None:
+    """Structural equality: floats at tolerance, everything else exact."""
+    if isinstance(expected, dict):
+        assert isinstance(actual, dict), where
+        assert sorted(actual) == sorted(expected), where
+        for key, value in expected.items():
+            _assert_same(value, actual[key], f"{where}.{key}")
+    elif isinstance(expected, (list, tuple)):
+        assert len(actual) == len(expected), where
+        for index, value in enumerate(expected):
+            _assert_same(value, actual[index], f"{where}[{index}]")
+    elif isinstance(expected, np.ndarray):
+        assert actual.dtype == expected.dtype, where
+        assert actual.shape == expected.shape, where
+        if expected.dtype.kind == "f":
+            np.testing.assert_allclose(
+                actual, expected, rtol=1e-9, atol=1e-12, err_msg=where
+            )
+        else:
+            assert np.array_equal(actual, expected), where
+    elif isinstance(expected, float):
+        assert actual == pytest.approx(expected, rel=1e-9, abs=1e-12), where
+    else:
+        assert actual == expected, where
+
+
+def _assert_records_match(golden_records: list[dict], records: list[dict]) -> None:
+    assert len(records) == len(golden_records)
+    for index, (expected, actual) in enumerate(zip(golden_records, records)):
+        _assert_same(
+            expected,
+            {field: actual[field] for field in expected},
+            f"records[{index}]",
+        )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_history_matches_golden(name):
+    path = _golden_path(name)
+    assert path.exists(), (
+        f"golden file missing: {path}; regenerate with "
         f"'PYTHONPATH=src python {pathlib.Path(__file__).name} --regenerate'"
     )
-    golden = json.loads(GOLDEN_PATH.read_text())
-    records = _run_history()
-    assert len(records) == len(golden["records"])
-    for expected, actual in zip(golden["records"], records):
-        for field in INT_FIELDS:
-            assert actual[field] == expected[field], field
-        for field in FLOAT_FIELDS:
-            if expected[field] is None:
-                assert actual[field] is None, field
-            else:
-                assert actual[field] == pytest.approx(
-                    expected[field], rel=1e-9, abs=1e-12
-                ), field
+    golden = json.loads(path.read_text())
+    _assert_records_match(golden["records"], _run_history(name))
 
 
-def _regenerate() -> None:
-    payload = {
-        "description": (
-            "Fixed-seed 3-round MergeSFL history on blobs/mlp; see "
-            "tests/test_golden_regression.py"
-        ),
-        "config": _golden_config().to_dict(),
-        "records": _run_history(),
-    }
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN_PATH}")
+@pytest.mark.parametrize("name", sorted(CHECKPOINT_FIXTURES))
+def test_checkpoint_fixture_loads_and_continues(name, tmp_path):
+    from repro.api.checkpoint import load_checkpoint_payload
+    from repro.api.session import Session
+
+    fixture = _checkpoint_path(name)
+    golden = json.loads(_golden_path(name).read_text())["records"]
+
+    # What a fresh run saves today has the fixture's keys and values.
+    with Session.from_config(_golden_config(name)) as session:
+        session.run(CHECKPOINT_FIXTURES[name])
+        session.save_checkpoint(tmp_path / "fresh.json")
+    _assert_same(
+        load_checkpoint_payload(fixture),
+        load_checkpoint_payload(tmp_path / "fresh.json"),
+        "checkpoint",
+    )
+
+    # The fixture itself resumes to the uninterrupted run's records.
+    with Session.load_checkpoint(fixture) as resumed:
+        history = resumed.run()
+    _assert_records_match(golden, history.to_dict()["records"])
+
+
+def _regenerate(names: list[str]) -> None:
+    from repro.api.session import Session
+
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        config = _golden_config(name)
+        payload = {
+            "description": (
+                f"Fixed-seed {config.num_rounds}-round {config.algorithm} "
+                f"history on blobs/mlp; see tests/test_golden_regression.py"
+            ),
+            "config": config.to_dict(),
+            "records": _run_history(name),
+        }
+        _golden_path(name).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        )
+        print(f"wrote {_golden_path(name)}")
+        if name in CHECKPOINT_FIXTURES:
+            with Session.from_config(config) as session:
+                session.run(CHECKPOINT_FIXTURES[name])
+                session.save_checkpoint(_checkpoint_path(name))
+            print(f"wrote {_checkpoint_path(name)}")
 
 
 if __name__ == "__main__":
     if "--regenerate" in sys.argv:
-        _regenerate()
+        requested = [arg for arg in sys.argv[1:] if not arg.startswith("--")]
+        _regenerate(requested or sorted(GOLDEN_CONFIGS))
     else:
         print(__doc__)
