@@ -203,10 +203,7 @@ class FLTrainingEngine(RoundEngine):
         return self.full_flops, 0, self.model_bytes
 
     def _evaluate(self) -> tuple[float, float]:
-        self.model.eval()
-        result = evaluate_classifier(
-            self.model.forward, self.loss_fn, self.data.test.data,
+        return evaluate_classifier(
+            [self.model], self.loss_fn, self.data.test.data,
             self.data.test.targets, self.config.eval_batch_size,
         )
-        self.model.train()
-        return result

@@ -17,22 +17,35 @@ from repro.nn.split import carve_bridge, shift_state_keys
 
 
 def evaluate_classifier(
-    forward, loss_fn, data: np.ndarray, targets: np.ndarray, batch_size: int
+    stages: list[Sequential],
+    loss_fn: CrossEntropyLoss,
+    data: np.ndarray,
+    targets: np.ndarray,
+    batch_size: int,
 ) -> tuple[float, float]:
-    """Accuracy and mean loss of ``forward`` over a test set, in batches.
+    """Accuracy and mean loss of a model over a test set, in batches.
 
-    ``forward`` maps an input batch to logits; the caller puts its model
-    into (and back out of) evaluation mode.
+    ``stages`` are applied one after another (bottom then top, or the one
+    full model).  They run in evaluation mode and come back in training
+    mode without the forward state of the last test batch, which would
+    otherwise sit on the global model -- tens of MB of im2col columns and
+    pool masks -- until the next evaluation.
     """
+    for stage in stages:
+        stage.eval()
     correct = 0
     losses = []
     for start in range(0, data.shape[0], batch_size):
         stop = start + batch_size
-        batch = data[start:stop]
         labels = targets[start:stop]
-        logits = forward(batch)
-        losses.append(loss_fn.forward(logits, labels) * batch.shape[0])
+        logits = data[start:stop]
+        for stage in stages:
+            logits = stage.forward(logits)
+        losses.append(loss_fn.forward(logits, labels) * labels.shape[0])
         correct += int((logits.argmax(axis=1) == labels).sum())
+    for stage in stages:
+        stage.train()
+        stage.clear_forward_state()
     total = data.shape[0]
     if total == 0:
         return 0.0, 0.0
@@ -315,15 +328,9 @@ class SplitServer:
         self, data: np.ndarray, targets: np.ndarray, batch_size: int = 256
     ) -> tuple[float, float]:
         """Accuracy and mean loss of the current global model on a test set."""
-        self.global_bottom.eval()
-        self.top.eval()
-        result = evaluate_classifier(
-            lambda batch: self.top.forward(self.global_bottom.forward(batch)),
-            self.loss_fn, data, targets, batch_size,
+        return evaluate_classifier(
+            [self.global_bottom, self.top], self.loss_fn, data, targets, batch_size
         )
-        self.global_bottom.train()
-        self.top.train()
-        return result
 
     # -- learning-rate control -----------------------------------------------
     def set_learning_rate(self, learning_rate: float) -> None:

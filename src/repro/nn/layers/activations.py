@@ -10,49 +10,38 @@ from repro.nn.module import Module
 class ReLU(Module):
     """Rectified linear unit."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._mask: np.ndarray | None = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._mask = inputs > 0
-        return inputs * self._mask
+        mask = self._forward_state = inputs > 0
+        return inputs * mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._forward_state is None:
             raise RuntimeError("backward called before forward")
-        return grad_output * self._mask
+        return grad_output * self._forward_state
 
 
 class Tanh(Module):
     """Hyperbolic tangent."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: np.ndarray | None = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(inputs)
-        return self._output
+        output = self._forward_state = np.tanh(inputs)
+        return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
+        if self._forward_state is None:
             raise RuntimeError("backward called before forward")
-        return grad_output * (1.0 - self._output**2)
+        return grad_output * (1.0 - self._forward_state**2)
 
 
 class Sigmoid(Module):
     """Logistic sigmoid."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._output: np.ndarray | None = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = 1.0 / (1.0 + np.exp(-inputs))
-        return self._output
+        output = self._forward_state = 1.0 / (1.0 + np.exp(-inputs))
+        return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
+        if self._forward_state is None:
             raise RuntimeError("backward called before forward")
-        return grad_output * self._output * (1.0 - self._output)
+        output = self._forward_state
+        return grad_output * output * (1.0 - output)

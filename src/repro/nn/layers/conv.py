@@ -1,9 +1,12 @@
 """Convolutional layers implemented with im2col/col2im.
 
 The 2-D and 1-D convolutions are the workhorses of the paper's model zoo
-(CNN-H, CNN-S, AlexNet, VGG16).  They are implemented with explicit column
-matrices so both the forward pass and the backward pass are dense GEMMs,
-which keeps the CPU-only simulation fast enough for the benchmark harness.
+(CNN-H, CNN-S, AlexNet, VGG16).  ``im2col`` unfolds the input into explicit
+column matrices, so the forward pass and both backward products are
+``np.matmul`` calls -- one BLAS GEMM per sample -- which keeps the CPU-only
+simulation fast enough for the benchmark harness.  (``np.matmul`` and not
+``np.einsum``: einsum does not hand these contractions to BLAS and runs them
+about four times slower at the model zoo's sizes.)
 """
 
 from __future__ import annotations
@@ -21,6 +24,22 @@ def _pair(value: int | tuple[int, int]) -> tuple[int, int]:
     if isinstance(value, tuple):
         return value
     return (value, value)
+
+
+def _tap_spans(
+    kernel: int, stride: int, padding: int, size: int, out_size: int
+) -> list[tuple[slice, slice]]:
+    """Along one axis, per kernel tap: the output positions that read a real
+    (not padding) input element, and the input elements they read."""
+    spans = []
+    for tap in range(kernel):
+        first = max(0, -((tap - padding) // stride))
+        last = max(first, min(out_size, (size - 1 - tap + padding) // stride + 1))
+        start = tap - padding + stride * first
+        spans.append(
+            (slice(first, last), slice(start, start + stride * (last - first), stride))
+        )
+    return spans
 
 
 def im2col(
@@ -52,17 +71,14 @@ def im2col(
             f"convolution output would be empty for input {inputs.shape} "
             f"kernel {kernel} stride {stride} padding {padding}"
         )
-    padded = np.pad(
-        inputs, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant"
-    )
-    cols = np.empty(
-        (batch, channels, kh, kw, out_h, out_w), dtype=inputs.dtype
-    )
-    for i in range(kh):
-        i_end = i + sh * out_h
-        for j in range(kw):
-            j_end = j + sw * out_w
-            cols[:, :, i, j, :, :] = padded[:, :, i:i_end:sh, j:j_end:sw]
+    # Patches are copied straight from ``inputs``; what would read the zero
+    # padding is never written, so the buffer starts zeroed when there is any.
+    allocate = np.zeros if ph or pw else np.empty
+    cols = allocate((batch, channels, kh, kw, out_h, out_w), dtype=inputs.dtype)
+    column_spans = _tap_spans(kw, sw, pw, width, out_w)
+    for i, (out_rows, rows) in enumerate(_tap_spans(kh, sh, ph, height, out_h)):
+        for j, (out_columns, columns) in enumerate(column_spans):
+            cols[:, :, i, j, out_rows, out_columns] = inputs[:, :, rows, columns]
     cols = cols.reshape(batch, channels * kh * kw, out_h * out_w)
     return cols, (out_h, out_w)
 
@@ -82,17 +98,12 @@ def col2im(
     ph, pw = padding
     out_h, out_w = output_size
     cols = cols.reshape(batch, channels, kh, kw, out_h, out_w)
-    padded = np.zeros(
-        (batch, channels, height + 2 * ph, width + 2 * pw), dtype=cols.dtype
-    )
-    for i in range(kh):
-        i_end = i + sh * out_h
-        for j in range(kw):
-            j_end = j + sw * out_w
-            padded[:, :, i:i_end:sh, j:j_end:sw] += cols[:, :, i, j, :, :]
-    if ph == 0 and pw == 0:
-        return padded
-    return padded[:, :, ph:ph + height, pw:pw + width]
+    image = np.zeros(input_shape, dtype=cols.dtype)
+    column_spans = _tap_spans(kw, sw, pw, width, out_w)
+    for i, (out_rows, rows) in enumerate(_tap_spans(kh, sh, ph, height, out_h)):
+        for j, (out_columns, columns) in enumerate(column_spans):
+            image[:, :, rows, columns] += cols[:, :, i, j, out_rows, out_columns]
+    return image
 
 
 class Conv2d(Module):
@@ -122,7 +133,6 @@ class Conv2d(Module):
             kaiming_uniform((out_channels, fan_in), fan_in, rng), name="weight"
         )
         self.bias = Parameter(zeros((out_channels,)), name="bias") if bias else None
-        self._cache: tuple[np.ndarray, tuple[int, ...], tuple[int, int]] | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if inputs.ndim != 4 or inputs.shape[1] != self.in_channels:
@@ -130,23 +140,23 @@ class Conv2d(Module):
                 f"Conv2d expects (batch, {self.in_channels}, H, W), got {inputs.shape}"
             )
         cols, out_size = im2col(inputs, self.kernel_size, self.stride, self.padding)
-        self._cache = (cols, inputs.shape, out_size)
-        out = np.einsum("of,bfl->bol", self.weight.data, cols)
+        self._forward_state = (cols, inputs.shape, out_size)
+        out = np.matmul(self.weight.data, cols)
         if self.bias is not None:
-            out = out + self.bias.data[None, :, None]
+            out += self.bias.data[:, None]
         batch = inputs.shape[0]
         return out.reshape(batch, self.out_channels, out_size[0], out_size[1])
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
+        if self._forward_state is None:
             raise RuntimeError("backward called before forward")
-        cols, input_shape, out_size = self._cache
+        cols, input_shape, out_size = self._forward_state
         batch = input_shape[0]
         grad = grad_output.reshape(batch, self.out_channels, -1)
-        self.weight.grad += np.einsum("bol,bfl->of", grad, cols)
+        self.weight.grad += np.matmul(grad, cols.transpose(0, 2, 1)).sum(axis=0)
         if self.bias is not None:
             self.bias.grad += grad.sum(axis=(0, 2))
-        grad_cols = np.einsum("of,bol->bfl", self.weight.data, grad)
+        grad_cols = np.matmul(self.weight.data.T, grad)
         return col2im(
             grad_cols, input_shape, self.kernel_size, self.stride, self.padding, out_size
         )
@@ -215,3 +225,6 @@ class Conv1d(Module):
 
     def parameters(self) -> list[Parameter]:
         return self._conv.parameters()
+
+    def clear_forward_state(self) -> None:
+        self._conv.clear_forward_state()

@@ -39,23 +39,22 @@ class Linear(Module):
             name="weight",
         )
         self.bias = Parameter(zeros((out_features,)), name="bias") if bias else None
-        self._cache_input: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if inputs.ndim != 2 or inputs.shape[1] != self.in_features:
             raise ShapeError(
                 f"Linear expects (batch, {self.in_features}), got {inputs.shape}"
             )
-        self._cache_input = inputs
+        self._forward_state = inputs
         out = inputs @ self.weight.data.T
         if self.bias is not None:
             out = out + self.bias.data
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache_input is None:
+        if self._forward_state is None:
             raise RuntimeError("backward called before forward")
-        inputs = self._cache_input
+        inputs = self._forward_state
         self.weight.grad += grad_output.T @ inputs
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=0)

@@ -14,6 +14,47 @@ def _pool_pair(kernel_size: int | tuple[int, int]) -> tuple[int, int]:
     return (kernel_size, kernel_size)
 
 
+def max_pool(
+    inputs: np.ndarray, kernel: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Max over non-overlapping ``kernel`` windows of the two trailing axes.
+
+    Returns the pooled ``(..., out_h, out_w)`` array and the backward mask of
+    shape ``(..., out_h, kh, out_w, kw)``: one over the number of window
+    positions that equal the window's maximum at those positions (ties share
+    the gradient), zero elsewhere.  Rows and columns that do not fill a
+    window are dropped.
+    """
+    kh, kw = kernel
+    out_h, out_w = inputs.shape[-2] // kh, inputs.shape[-1] // kw
+    trimmed = inputs[..., : out_h * kh, : out_w * kw]
+    # One strided view per window position, row-major over the window.
+    taps = [trimmed[..., i::kh, j::kw] for i in range(kh) for j in range(kw)]
+    out = taps[0]
+    for tap in taps[1:]:
+        out = np.maximum(out, tap)
+    hits = [tap == out for tap in taps]
+    counts = np.zeros(out.shape)
+    for hit in hits:
+        counts += hit
+    mask = np.empty((*out.shape[:-1], kh, out_w, kw))
+    for index, hit in enumerate(hits):
+        np.divide(hit, counts, out=mask[..., index // kw, :, index % kw])
+    return out, mask
+
+
+def max_pool_backward(
+    mask: np.ndarray, grad_output: np.ndarray, input_shape: tuple[int, ...]
+) -> np.ndarray:
+    """Route ``grad_output`` through :func:`max_pool`'s mask to the inputs."""
+    grad_windows = mask * grad_output[..., :, None, :, None]
+    out_h, kh, out_w, kw = mask.shape[-4:]
+    grad_trimmed = grad_windows.reshape(*mask.shape[:-4], out_h * kh, out_w * kw)
+    grad_input = np.zeros(input_shape, dtype=np.float64)
+    grad_input[..., : out_h * kh, : out_w * kw] = grad_trimmed
+    return grad_input
+
+
 class MaxPool2d(Module):
     """Non-overlapping 2-D max pooling with ``stride == kernel_size``.
 
@@ -29,41 +70,25 @@ class MaxPool2d(Module):
         if kh <= 0 or kw <= 0:
             raise ValueError("kernel_size must be positive")
         self.kernel_size = (kh, kw)
-        self._cache: tuple[np.ndarray, tuple[int, ...]] | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if inputs.ndim != 4:
             raise ShapeError(f"MaxPool2d expects 4-D input, got {inputs.shape}")
         kh, kw = self.kernel_size
-        batch, channels, height, width = inputs.shape
-        out_h, out_w = height // kh, width // kw
-        if out_h == 0 or out_w == 0:
+        height, width = inputs.shape[2:]
+        if height < kh or width < kw:
             raise ShapeError(
                 f"input spatial size {height}x{width} smaller than kernel {self.kernel_size}"
             )
-        trimmed = inputs[:, :, : out_h * kh, : out_w * kw]
-        windows = trimmed.reshape(batch, channels, out_h, kh, out_w, kw)
-        out = windows.max(axis=(3, 5))
-        # Mask of the max positions per window (ties share the gradient).
-        expanded = out[:, :, :, None, :, None]
-        mask = (windows == expanded).astype(np.float64)
-        counts = mask.sum(axis=(3, 5), keepdims=True)
-        mask = mask / counts
-        self._cache = (mask, inputs.shape)
+        out, mask = max_pool(inputs, self.kernel_size)
+        self._forward_state = (mask, inputs.shape)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
+        if self._forward_state is None:
             raise RuntimeError("backward called before forward")
-        mask, input_shape = self._cache
-        kh, kw = self.kernel_size
-        batch, channels, height, width = input_shape
-        out_h, out_w = height // kh, width // kw
-        grad_windows = mask * grad_output[:, :, :, None, :, None]
-        grad_trimmed = grad_windows.reshape(batch, channels, out_h * kh, out_w * kw)
-        grad_input = np.zeros(input_shape, dtype=np.float64)
-        grad_input[:, :, : out_h * kh, : out_w * kw] = grad_trimmed
-        return grad_input
+        mask, input_shape = self._forward_state
+        return max_pool_backward(mask, grad_output, input_shape)
 
 
 class MaxPool1d(Module):
@@ -84,6 +109,9 @@ class MaxPool1d(Module):
         grad = self._pool.backward(grad_output[:, :, None, :])
         return grad[:, :, 0, :]
 
+    def clear_forward_state(self) -> None:
+        self._pool.clear_forward_state()
+
 
 class AvgPool2d(Module):
     """Non-overlapping 2-D average pooling with ``stride == kernel_size``."""
@@ -93,7 +121,6 @@ class AvgPool2d(Module):
         if kernel_size <= 0:
             raise ValueError("kernel_size must be positive")
         self.kernel_size = kernel_size
-        self._input_shape: tuple[int, ...] | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if inputs.ndim != 4:
@@ -105,18 +132,18 @@ class AvgPool2d(Module):
             raise ShapeError(
                 f"input spatial size {height}x{width} smaller than kernel {k}"
             )
-        self._input_shape = inputs.shape
+        self._forward_state = inputs.shape
         trimmed = inputs[:, :, : out_h * k, : out_w * k]
         windows = trimmed.reshape(batch, channels, out_h, k, out_w, k)
         return windows.mean(axis=(3, 5))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input_shape is None:
+        if self._forward_state is None:
             raise RuntimeError("backward called before forward")
         k = self.kernel_size
-        batch, channels, height, width = self._input_shape
-        out_h, out_w = height // k, width // k
+        input_shape = self._forward_state
+        out_h, out_w = input_shape[2] // k, input_shape[3] // k
         grad = np.repeat(np.repeat(grad_output, k, axis=2), k, axis=3) / (k * k)
-        grad_input = np.zeros(self._input_shape, dtype=np.float64)
+        grad_input = np.zeros(input_shape, dtype=np.float64)
         grad_input[:, :, : out_h * k, : out_w * k] = grad
         return grad_input

@@ -19,20 +19,19 @@ class Dropout(Module):
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
         self._rng = rng if rng is not None else new_rng()
-        self._mask: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if not self.training or self.p == 0.0:
-            self._mask = None
+            self._forward_state = None
             return inputs
         keep = 1.0 - self.p
-        self._mask = (self._rng.random(inputs.shape) < keep) / keep
-        return inputs * self._mask
+        mask = self._forward_state = (self._rng.random(inputs.shape) < keep) / keep
+        return inputs * mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._forward_state is None:
             return grad_output
-        return grad_output * self._mask
+        return grad_output * self._forward_state
 
     def extra_state(self) -> dict:
         return {"rng": self._rng.bit_generator.state}
@@ -55,7 +54,6 @@ class _BatchNormBase(Module):
         self.beta = Parameter(np.zeros(num_features), name="beta")
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def parameters(self) -> list[Parameter]:
         return [self.gamma, self.beta]
@@ -86,14 +84,14 @@ class _BatchNormBase(Module):
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         normalized = (flat - mean) * inv_std
-        self._cache = (normalized, inv_std, flat - mean)
+        self._forward_state = (normalized, inv_std, flat - mean)
         return normalized * self.gamma.data + self.beta.data
 
     def _denormalize_grad(self, grad_flat: np.ndarray) -> np.ndarray:
         """Backward pass on the (samples, features) view."""
-        if self._cache is None:
+        if self._forward_state is None:
             raise RuntimeError("backward called before forward")
-        normalized, inv_std, centered = self._cache
+        normalized, inv_std, centered = self._forward_state
         samples = grad_flat.shape[0]
         self.gamma.grad += (grad_flat * normalized).sum(axis=0)
         self.beta.grad += grad_flat.sum(axis=0)
@@ -134,14 +132,13 @@ class BatchNorm2d(_BatchNormBase):
                 f"BatchNorm2d expects (batch, {self.num_features}, H, W), "
                 f"got {inputs.shape}"
             )
-        self._input_shape = inputs.shape
         flat = inputs.transpose(0, 2, 3, 1).reshape(-1, self.num_features)
         out = self._normalize(flat)
         batch, channels, height, width = inputs.shape
         return out.reshape(batch, height, width, channels).transpose(0, 3, 1, 2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = self._input_shape
+        batch, channels, height, width = grad_output.shape
         grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.num_features)
         grad = self._denormalize_grad(grad_flat)
         return grad.reshape(batch, height, width, channels).transpose(0, 3, 1, 2)

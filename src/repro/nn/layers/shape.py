@@ -10,15 +10,11 @@ from repro.nn.module import Module
 class Flatten(Module):
     """Flatten all dimensions after the batch dimension."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._input_shape: tuple[int, ...] | None = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._input_shape = inputs.shape
+        self._forward_state = inputs.shape
         return inputs.reshape(inputs.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input_shape is None:
+        if self._forward_state is None:
             raise RuntimeError("backward called before forward")
-        return grad_output.reshape(self._input_shape)
+        return grad_output.reshape(self._forward_state)

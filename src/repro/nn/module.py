@@ -24,6 +24,11 @@ class Module:
 
     def __init__(self) -> None:
         self.training = True
+        #: Whatever ``forward`` keeps for ``backward`` (columns, masks,
+        #: shapes).  Every layer stores it here and nowhere else, so that
+        #: copying a module and :meth:`clear_forward_state` can skip or drop
+        #: it without knowing the layer.
+        self._forward_state = None
 
     # -- computation ----------------------------------------------------
     def forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -110,8 +115,28 @@ class Module:
             param.data = value.copy()
 
     def clone(self) -> "Module":
-        """Return a structurally identical deep copy of this module."""
+        """Return an independent copy: parameters, gradients and buffers.
+
+        Buffers are everything a layer owns besides its forward state --
+        running statistics, RNG streams, ``training``.  The forward state
+        is left behind, so a clone costs the model's size whatever batch
+        the original last saw, and ``backward`` on a fresh clone raises
+        until the clone has run its own ``forward``.
+        """
         return copy.deepcopy(self)
+
+    def __deepcopy__(self, memo: dict) -> "Module":
+        copied = type(self).__new__(type(self))
+        memo[id(self)] = copied
+        for name, value in vars(self).items():
+            copied.__dict__[name] = (
+                None if name == "_forward_state" else copy.deepcopy(value, memo)
+            )
+        return copied
+
+    def clear_forward_state(self) -> None:
+        """Drop what ``forward`` kept for ``backward`` (containers recurse)."""
+        self._forward_state = None
 
     def num_parameters(self) -> int:
         """Total number of trainable scalars."""
@@ -174,6 +199,10 @@ class Sequential(Module):
             layer_prefix = f"{prefix}.layer{index}" if prefix else f"layer{index}"
             named.extend(layer.named_parameters(layer_prefix))
         return named
+
+    def clear_forward_state(self) -> None:
+        for layer in self.layers:
+            layer.clear_forward_state()
 
     def train(self) -> "Sequential":
         super().train()

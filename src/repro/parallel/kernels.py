@@ -10,7 +10,7 @@ flattened ``(w * batch, ...)`` view), so the results are bit-identical to
 running the serial layer once per worker -- the executor equivalence suite
 asserts exactly that.
 
-Why this is faster despite identical FLOPs: one einsum/matmul over the
+Why this is faster despite identical FLOPs: one matmul over the
 stacked operands replaces ``w`` small kernel launches, so the Python layer
 dispatch and numpy call overhead -- the dominant cost at simulation scale
 -- is paid once per layer instead of once per worker per layer.
@@ -25,7 +25,13 @@ import numpy as np
 from repro.nn.layers.activations import ReLU, Sigmoid, Tanh
 from repro.nn.layers.conv import Conv1d, Conv2d, col2im, im2col
 from repro.nn.layers.linear import Linear
-from repro.nn.layers.pooling import AvgPool2d, MaxPool1d, MaxPool2d
+from repro.nn.layers.pooling import (
+    AvgPool2d,
+    MaxPool1d,
+    MaxPool2d,
+    max_pool,
+    max_pool_backward,
+)
 from repro.nn.layers.regularization import BatchNorm1d, BatchNorm2d, Dropout
 from repro.nn.layers.shape import Flatten
 from repro.nn.module import Sequential
@@ -99,8 +105,8 @@ class BatchedConv2d(BatchedLayer):
 
     The column matrices are computed by the *serial* ``im2col`` on a
     ``(w * batch, ...)`` view (pure slicing, so values are identical), and
-    the GEMMs gain a leading ``w`` axis on the same einsum signatures the
-    serial layer uses.
+    the serial layer's three ``np.matmul`` products gain a leading ``w``
+    axis: the same GEMM per 2-D slice, so the results match bitwise.
     """
 
     def __init__(self, layer: Conv2d, count: int) -> None:
@@ -123,19 +129,19 @@ class BatchedConv2d(BatchedLayer):
         cols, out_size = im2col(flat, self.kernel_size, self.stride, self.padding)
         cols = cols.reshape(w, batch, *cols.shape[1:])
         self._cache = (cols, inputs.shape, out_size)
-        out = np.einsum("wof,wbfl->wbol", self.weight.data, cols)
+        out = np.matmul(self.weight.data[:, None], cols)
         if self.bias is not None:
-            out = out + self.bias.data[:, None, :, None]
+            out += self.bias.data[:, None, :, None]
         return out.reshape(w, batch, self.out_channels, out_size[0], out_size[1])
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         cols, input_shape, out_size = self._cache
         w, batch = input_shape[:2]
         grad = grad_output.reshape(w, batch, self.out_channels, -1)
-        self.weight.grad += np.einsum("wbol,wbfl->wof", grad, cols)
+        self.weight.grad += np.matmul(grad, cols.transpose(0, 1, 3, 2)).sum(axis=1)
         if self.bias is not None:
             self.bias.grad += grad.sum(axis=(1, 3))
-        grad_cols = np.einsum("wof,wbol->wbfl", self.weight.data, grad)
+        grad_cols = np.matmul(self.weight.data.transpose(0, 2, 1)[:, None], grad)
         grad_flat = col2im(
             grad_cols.reshape(w * batch, *grad_cols.shape[2:]),
             (w * batch, *input_shape[2:]),
@@ -217,37 +223,21 @@ class BatchedFlatten(BatchedLayer):
 
 
 class BatchedMaxPool2d(BatchedLayer):
+    """The serial pooling kernels, which work on the two trailing axes."""
+
     def __init__(self, layer: MaxPool2d, count: int) -> None:
         super().__init__(count)
         self.kernel_size = layer.kernel_size
         self._cache: tuple[np.ndarray, tuple[int, ...]] | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        kh, kw = self.kernel_size
-        w, batch, channels, height, width = inputs.shape
-        out_h, out_w = height // kh, width // kw
-        trimmed = inputs[:, :, :, : out_h * kh, : out_w * kw]
-        windows = trimmed.reshape(w, batch, channels, out_h, kh, out_w, kw)
-        out = windows.max(axis=(4, 6))
-        expanded = out[:, :, :, :, None, :, None]
-        mask = (windows == expanded).astype(np.float64)
-        counts = mask.sum(axis=(4, 6), keepdims=True)
-        mask = mask / counts
+        out, mask = max_pool(inputs, self.kernel_size)
         self._cache = (mask, inputs.shape)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         mask, input_shape = self._cache
-        kh, kw = self.kernel_size
-        w, batch, channels, height, width = input_shape
-        out_h, out_w = height // kh, width // kw
-        grad_windows = mask * grad_output[:, :, :, :, None, :, None]
-        grad_trimmed = grad_windows.reshape(
-            w, batch, channels, out_h * kh, out_w * kw
-        )
-        grad_input = np.zeros(input_shape, dtype=np.float64)
-        grad_input[:, :, :, : out_h * kh, : out_w * kw] = grad_trimmed
-        return grad_input
+        return max_pool_backward(mask, grad_output, input_shape)
 
 
 class BatchedMaxPool1d(BatchedLayer):

@@ -139,6 +139,10 @@ class TestEndToEndBaselines:
         breakdown = algorithm.engine.traffic.breakdown()
         assert breakdown["feature"] == 0.0
         assert breakdown["model"] > 0.0
+        # Evaluation released the test batch's forward state.
+        model = algorithm.engine.model
+        assert model.training
+        assert all(layer._forward_state is None for layer in model)
 
     def test_sfl_baselines_have_feature_traffic(self, fast_config):
         config = fast_config.replace(algorithm="locfedmix_sl", num_rounds=2)

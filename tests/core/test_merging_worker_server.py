@@ -186,6 +186,17 @@ class TestSplitServer:
         assert 0.0 <= accuracy <= 1.0
         assert loss > 0
 
+    def test_evaluate_leaves_no_forward_state_on_the_global_model(self):
+        # The test batches are the largest the global model ever sees; their
+        # columns and masks must not stay on it until the next evaluation.
+        server, __ = _server_setup()
+        data = make_blobs(train_samples=10, test_samples=40, seed=0)
+        first = server.evaluate(data.test.data, data.test.targets)
+        for stage in (server.global_bottom, server.top):
+            assert stage.training and all(layer.training for layer in stage)
+            assert all(layer._forward_state is None for layer in stage)
+        assert server.evaluate(data.test.data, data.test.targets) == first
+
     def test_set_learning_rate(self):
         server, __ = _server_setup()
         server.set_learning_rate(0.01)

@@ -1,10 +1,25 @@
 """Tests for Module and Sequential containers."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.nn.layers import Linear, ReLU
-from repro.nn.module import Sequential
+from repro.nn.layers import (
+    AvgPool2d,
+    BatchNorm2d,
+    Conv1d,
+    Conv2d,
+    Dropout,
+    Flatten,
+    Linear,
+    MaxPool1d,
+    MaxPool2d,
+    ReLU,
+    Tanh,
+)
+from repro.nn.module import Module, Sequential
+from repro.nn.parameter import Parameter
 from repro.utils.rng import new_rng
 
 
@@ -106,3 +121,105 @@ class TestSequential:
         x2[0, 0] += eps
         numeric = (model.forward(x2).sum() - model.forward(x).sum()) / eps
         assert np.isclose(grad_in[0, 0], numeric, atol=1e-4)
+
+
+def _conv_model(seed=0):
+    rng = new_rng(seed)
+    return Sequential([
+        Conv2d(3, 6, 3, padding=1, rng=rng), BatchNorm2d(6), ReLU(), MaxPool2d(2),
+        Flatten(), Dropout(0.3, rng=new_rng(seed + 1)), Linear(6 * 8 * 8, 5, rng=rng),
+    ])
+
+
+def _arrays(value, found):
+    """Every ndarray reachable from ``value`` through attributes and containers."""
+    if isinstance(value, np.ndarray):
+        found.append(value)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _arrays(item, found)
+    elif isinstance(value, dict):
+        _arrays(list(value.values()), found)
+    elif isinstance(value, (Module, Parameter)):
+        _arrays(vars(value), found)
+    return found
+
+
+class TestCloneContract:
+    """``clone()`` copies parameters, gradients and buffers, never forward state."""
+
+    def _warm(self):
+        model = _conv_model()
+        x = new_rng(3).normal(size=(16, 3, 16, 16))
+        out = model.forward(x)
+        model.backward(np.ones_like(out))
+        return model, x
+
+    def test_clone_holds_only_parameters_grads_and_buffers(self):
+        model, __ = self._warm()
+        clone = model.clone()
+        allowed = {id(p.data) for p in clone.parameters()}
+        allowed |= {id(p.grad) for p in clone.parameters()}
+        norm = clone.layers[1]
+        allowed |= {id(norm.running_mean), id(norm.running_var)}
+        assert {id(array) for array in _arrays(clone, [])} == allowed
+        parameter_bytes = sum(p.data.nbytes for p in model.parameters())
+        assert len(pickle.dumps(clone)) <= 2 * parameter_bytes + 4096
+        # The original still holds the batch it saw: that is what is skipped.
+        assert len(pickle.dumps(model)) > 10 * parameter_bytes
+
+    def test_warm_and_cold_clones_are_the_same_size(self):
+        warm, __ = self._warm()
+        cold = _conv_model()
+        sizes = [
+            sorted(array.nbytes for array in _arrays(model.clone(), []))
+            for model in (warm, cold)
+        ]
+        assert sizes[0] == sizes[1]
+        # Pickled, they differ by the digits of the advanced dropout RNG state.
+        assert abs(len(pickle.dumps(warm.clone())) - len(pickle.dumps(cold.clone()))) < 64
+
+    def test_clone_preserves_buffers_grads_and_mode(self):
+        model, __ = self._warm()
+        model.eval()
+        clone = model.clone()
+        assert not clone.training and not any(layer.training for layer in clone)
+        norm, cloned_norm = model.layers[1], clone.layers[1]
+        assert np.any(norm.running_mean != 0)
+        assert np.array_equal(cloned_norm.running_mean, norm.running_mean)
+        assert np.array_equal(cloned_norm.running_var, norm.running_var)
+        assert cloned_norm.running_mean is not norm.running_mean
+        for param, cloned in zip(model.parameters(), clone.parameters()):
+            assert np.array_equal(cloned.data, param.data)
+            assert np.any(param.grad != 0)
+            assert np.array_equal(cloned.grad, param.grad)
+            assert cloned.data is not param.data and cloned.grad is not param.grad
+
+    def test_clone_forward_is_bitwise_the_originals(self):
+        # Same parameters, same running statistics, same dropout stream.
+        model, x = self._warm()
+        clone = model.clone()
+        assert model.layers[5].extra_state() == clone.layers[5].extra_state()
+        assert np.array_equal(clone.forward(x), model.forward(x))
+        assert np.array_equal(clone.forward(x), model.forward(x))  # streams advance alike
+
+    def test_backward_on_a_fresh_clone_raises(self):
+        model, __ = self._warm()
+        clone = model.clone()
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            clone.backward(np.ones((16, 5)))
+        for layer, shape in [
+            (Conv1d(2, 3, 3), (2, 2, 8)), (MaxPool1d(2), (2, 2, 8)),
+            (Tanh(), (2, 8)), (AvgPool2d(2), (2, 2, 8, 8)),
+        ]:
+            out = layer.forward(np.ones(shape))
+            with pytest.raises(RuntimeError, match="backward called before forward"):
+                layer.clone().backward(np.ones_like(out))
+
+    def test_clear_forward_state_reaches_nested_layers(self):
+        model = Sequential([Conv1d(2, 3, 3, rng=new_rng(0)), ReLU(), MaxPool1d(2)])
+        out = model.forward(np.ones((2, 2, 8)))
+        model.clear_forward_state()
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            model.backward(np.ones_like(out))
+        assert all(a.size <= 18 for a in _arrays(model, []))  # weights and bias only

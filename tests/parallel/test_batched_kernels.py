@@ -45,12 +45,16 @@ def _layer_cases():
         ("linear", Linear(12, 7, rng=rng), (5, 12)),
         ("linear_nobias", Linear(12, 7, bias=False, rng=rng), (5, 12)),
         ("conv2d", Conv2d(3, 5, kernel_size=3, stride=2, padding=1, rng=rng), (4, 3, 9, 9)),
+        # AlexNet-S's second conv at batch 16: GEMMs large enough for BLAS to
+        # thread, which must not break the per-slice equality.
+        ("conv2d_alexnet_s", Conv2d(6, 13, kernel_size=3, padding=1, rng=rng), (16, 6, 16, 16)),
         ("conv1d", Conv1d(2, 6, kernel_size=5, padding=2, rng=rng), (4, 2, 16)),
         ("relu", ReLU(), (5, 11)),
         ("tanh", Tanh(), (5, 11)),
         ("sigmoid", Sigmoid(), (5, 11)),
         ("flatten", Flatten(), (5, 3, 4, 4)),
         ("maxpool2d", MaxPool2d(2), (4, 3, 6, 6)),
+        ("maxpool2d_trimmed", MaxPool2d((2, 3)), (4, 3, 7, 11)),
         ("maxpool1d", MaxPool1d(2), (4, 3, 12)),
         ("avgpool2d", AvgPool2d(3), (4, 2, 9, 9)),
         ("dropout", Dropout(0.3, rng=new_rng(5)), (5, 11)),
