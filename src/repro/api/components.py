@@ -55,9 +55,9 @@ class ExperimentComponents:
     ``split`` is ``None`` for models that declare no split point
     (no ``split_after_weighted`` registry metadata); such models can only
     run full-model (FL) algorithms.  ``executor`` is the execution backend
-    (built from ``config.executor`` through the
-    :data:`~repro.api.registry.EXECUTORS` registry) that the engines use
-    for per-worker compute.
+    (the :data:`~repro.api.registry.EXECUTORS` entry ``config.executor``
+    names or, for ``"auto"``, resolves to -- its ``name`` says which) that
+    the engines use for per-worker compute.
     """
 
     config: ExperimentConfig
@@ -338,7 +338,7 @@ def build_components(config: ExperimentConfig) -> ExperimentComponents:
         workers=workers,
         cluster=cluster,
         bandwidth_budget=budget,
-        executor=build_executor(config),
+        executor=build_executor(config, model, workers),
         pool=pool,
     )
 

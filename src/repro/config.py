@@ -59,6 +59,10 @@ KNOWN_EXTRAS = (
     "transport_capacity",
 )
 
+#: ``executor`` value that leaves the backend to
+#: :func:`repro.parallel.resolve_executor`; not a registry entry.
+AUTO_EXECUTOR = "auto"
+
 #: ``difflib`` similarity at or above which an unknown ``extras`` key counts
 #: as a misspelling: every single-character edit of a known key clears it,
 #: the free-form keys in use (``note``, ``tags``, ``telemetry``) score < 0.6.
@@ -158,11 +162,18 @@ class ExperimentConfig:
     rejoin_staleness_bound: int = 0
 
     # Execution --------------------------------------------------------------
-    #: How the per-worker compute of each round is executed: ``"serial"``,
-    #: ``"batched"`` (vectorized over the worker axis) or ``"process"``
-    #: (multiprocessing pool); see :mod:`repro.parallel`.  All backends are
-    #: bit-exact with each other, so this is purely a speed knob.
-    executor: str = "serial"
+    #: How the per-worker compute of each round is executed.  All backends
+    #: are bit-exact with each other, so this is purely a speed knob, and
+    #: the default ``"auto"`` lets the code pick: it is resolved once, when
+    #: the components are built, to ``"batched"`` (every worker stacked into
+    #: one numpy kernel per layer) when the whole model is dense layers with
+    #: stacked kernels and the pipeline is not ``"staleness"``, and to
+    #: ``"serial"`` (the per-worker reference) otherwise; see
+    #: :func:`repro.parallel.resolve_executor`.  Naming a backend --
+    #: ``"serial"``, ``"batched"`` or ``"process"`` (multiprocessing pool) --
+    #: forces it and is never re-resolved: force ``"process"`` for conv
+    #: models on a multi-core host, ``"serial"`` to run the reference.
+    executor: str = AUTO_EXECUTOR
     #: How the stages of each round are scheduled: ``"sync"`` (strict stage
     #: order), ``"pipelined"`` (double-buffered cross-iteration overlap on
     #: executors that support asynchronous dispatch) or ``"staleness"``
@@ -252,7 +263,7 @@ class ExperimentConfig:
             raise ConfigurationError(DATASETS.unknown_message(self.dataset))
         if self.model not in MODELS:
             raise ConfigurationError(MODELS.unknown_message(self.model))
-        if self.executor not in EXECUTORS:
+        if self.executor != AUTO_EXECUTOR and self.executor not in EXECUTORS:
             raise ConfigurationError(EXECUTORS.unknown_message(self.executor))
         if self.pipeline not in PIPELINES:
             raise ConfigurationError(PIPELINES.unknown_message(self.pipeline))

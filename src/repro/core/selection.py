@@ -135,12 +135,19 @@ class PopulationFitness:
         """Fitness of every row of ``masks`` (a ``(population, N)`` matrix).
 
         Duplicate individuals -- common once the GA starts converging --
-        are evaluated once and their score broadcast back.
+        are evaluated once and their score broadcast back.  They are found
+        by hashing each row's packed bits; a row's fitness does not depend
+        on the other rows, so which copy is evaluated changes nothing.
         """
         masks = np.atleast_2d(np.asarray(masks, dtype=bool))
-        unique, inverse = np.unique(masks, axis=0, return_inverse=True)
-        if unique.shape[0] < masks.shape[0]:
-            return self.evaluate(unique)[inverse]
+        slot_of: dict[bytes, int] = {}
+        inverse = [
+            slot_of.setdefault(row.tobytes(), len(slot_of))
+            for row in np.packbits(masks, axis=1)
+        ]
+        if len(slot_of) < masks.shape[0]:
+            __, distinct = np.unique(inverse, return_index=True)
+            return self.evaluate(masks[distinct])[inverse]
         nonempty = masks.any(axis=1)
         fitness = np.full(masks.shape[0], 1e6)
         if not np.any(nonempty):

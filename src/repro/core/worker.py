@@ -57,7 +57,7 @@ class SplitWorker:
 
     def receive_bottom_model(self, bottom: Sequential, learning_rate: float) -> None:
         """Install a fresh copy of the global bottom model for this round."""
-        self.bottom = bottom.clone()
+        self.bottom = bottom.clone().without_input_grad()
         self.bottom.train()
         self.optimizer = SGD(
             self.bottom.parameters(),
@@ -159,7 +159,7 @@ class SplitWorker:
 
         Returns the locally updated state dict; the caller owns aggregation.
         """
-        local = model.clone()
+        local = model.clone().without_input_grad()
         local.train()
         optimizer = SGD(
             local.parameters(),

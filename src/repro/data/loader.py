@@ -37,15 +37,18 @@ class BatchLoader:
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         size = min(batch_size, len(self.dataset))
-        picked: list[int] = []
-        while len(picked) < size:
-            if self._cursor >= len(self._order):
-                self._order = self._rng.permutation(len(self.dataset))
-                self._cursor = 0
-            take = min(size - len(picked), len(self._order) - self._cursor)
-            picked.extend(self._order[self._cursor:self._cursor + take].tolist())
-            self._cursor += take
-        return np.asarray(picked, dtype=np.int64)
+        stop = self._cursor + size
+        if stop <= len(self._order):
+            # The whole draw lies inside the current shuffle: one slice.
+            indices = self._order[self._cursor:stop].astype(np.int64)
+            self._cursor = stop
+            return indices
+        # The draw crosses a reshuffle: what is left of the current order,
+        # then the head of the next (``size`` never exceeds one order).
+        tail = self._order[self._cursor:]
+        self._order = self._rng.permutation(len(self.dataset))
+        self._cursor = size - len(tail)
+        return np.concatenate((tail, self._order[:self._cursor]), dtype=np.int64)
 
     def next_batch(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Return the next ``(data, targets)`` mini-batch of the given size."""

@@ -147,7 +147,7 @@ class Conv2d(Module):
         batch = inputs.shape[0]
         return out.reshape(batch, self.out_channels, out_size[0], out_size[1])
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
         if self._forward_state is None:
             raise RuntimeError("backward called before forward")
         cols, input_shape, out_size = self._forward_state
@@ -156,6 +156,8 @@ class Conv2d(Module):
         self.weight.grad += np.matmul(grad, cols.transpose(0, 2, 1)).sum(axis=0)
         if self.bias is not None:
             self.bias.grad += grad.sum(axis=(0, 2))
+        if not self.needs_input_grad:
+            return None
         grad_cols = np.matmul(self.weight.data.T, grad)
         return col2im(
             grad_cols, input_shape, self.kernel_size, self.stride, self.padding, out_size
@@ -219,9 +221,10 @@ class Conv1d(Module):
         out = self._conv.forward(inputs[:, :, None, :])
         return out[:, :, 0, :]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
+        self._conv.needs_input_grad = self.needs_input_grad
         grad = self._conv.backward(grad_output[:, :, None, :])
-        return grad[:, :, 0, :]
+        return None if grad is None else grad[:, :, 0, :]
 
     def parameters(self) -> list[Parameter]:
         return self._conv.parameters()

@@ -51,13 +51,15 @@ class Linear(Module):
             out = out + self.bias.data
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
         if self._forward_state is None:
             raise RuntimeError("backward called before forward")
         inputs = self._forward_state
         self.weight.grad += grad_output.T @ inputs
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=0)
+        if not self.needs_input_grad:
+            return None
         return grad_output @ self.weight.data
 
     def parameters(self) -> list[Parameter]:

@@ -22,6 +22,12 @@ from repro.nn.parameter import Parameter
 class Module:
     """Base class for all neural-network layers and containers."""
 
+    #: ``False`` on a layer whose input is raw data (see
+    #: :meth:`Sequential.without_input_grad`): the layers that pay a GEMM
+    #: for the input gradient -- ``Linear``, ``Conv2d``, ``Conv1d`` -- then
+    #: accumulate their parameter gradients only and return ``None``.
+    needs_input_grad = True
+
     def __init__(self) -> None:
         self.training = True
         #: Whatever ``forward`` keeps for ``backward`` (columns, masks,
@@ -172,6 +178,17 @@ class Sequential(Module):
         if isinstance(index, slice):
             return Sequential(self.layers[index])
         return self.layers[index]
+
+    def without_input_grad(self) -> "Sequential":
+        """Stop the first layer computing the gradient w.r.t. the model input.
+
+        For a worker's own copy of a model, whose input is a mini-batch of
+        raw data nobody differentiates: ``backward`` then returns ``None``.
+        Never for the global model or a server-side bridge, whose input
+        gradient is what gets dispatched.  Returns ``self`` for chaining.
+        """
+        self.layers[0].needs_input_grad = False
+        return self
 
     # -- computation ----------------------------------------------------
     def forward(self, inputs: np.ndarray) -> np.ndarray:

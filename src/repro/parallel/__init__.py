@@ -7,9 +7,11 @@ Every engine describes *what* each selected worker computes per round; an
 * ``batched`` -- all workers vectorized into stacked numpy kernels.
 * ``process`` -- workers fanned out to a pool of OS processes.
 
-All three produce bit-identical training trajectories for a fixed seed;
-pick one with ``ExperimentConfig(executor="batched")`` or register your own
-with :func:`~repro.api.registry.register_executor`.  Executor factories
+All three produce bit-identical training trajectories for a fixed seed.
+The default ``ExperimentConfig(executor="auto")`` resolves to ``batched``
+on dense models and to ``serial`` otherwise (:func:`resolve_executor`);
+force one with ``ExperimentConfig(executor="process")`` or register your
+own with :func:`~repro.api.registry.register_executor`.  Executor factories
 receive the full :class:`~repro.config.ExperimentConfig` so backends can
 read tuning knobs from ``config.extras`` (the process pool size, for
 example, comes from ``extras["executor_processes"]``).
@@ -45,14 +47,16 @@ from repro.api.registry import (
     register_pipeline,
     register_transport,
 )
+from repro.config import AUTO_EXECUTOR
 from repro.parallel.base import Executor
-from repro.parallel.batched import BatchedExecutor
+from repro.parallel.batched import BatchedExecutor, uniform_worker_hyperparams
 from repro.parallel.codec import (
     CODECS,
     Codec,
     CodecPolicy,
     build_codec_policy,
 )
+from repro.parallel.kernels import DENSE_LAYER_TYPES
 from repro.parallel.pipeline import (
     ArtifactKind,
     ArtifactRef,
@@ -105,6 +109,7 @@ __all__ = [
     "build_pipeline",
     "build_transport",
     "relaxed_dispatch_order",
+    "resolve_executor",
     "round_stage_specs",
 ]
 
@@ -162,11 +167,48 @@ def _build_staleness_pipeline(config) -> BoundedStalenessScheduler:
     return BoundedStalenessScheduler(staleness=int(getattr(config, "staleness", 0)))
 
 
-def build_executor(config) -> Executor:
-    """Instantiate the executor named in ``config.executor`` via the registry."""
+def resolve_executor(config, model=None, workers=()) -> str:
+    """The registered backend ``config.executor`` stands for.
+
+    An explicit name is returned as is.  The ``"auto"`` default picks
+    between the two in-process backends from what is observable when the
+    components are built: ``"batched"`` when every layer of ``model`` is a
+    dense layer with a stacked kernel
+    (:data:`~repro.parallel.kernels.DENSE_LAYER_TYPES` -- there the stacked
+    kernels replace per-worker Python with one numpy call per layer), and
+    ``"serial"`` otherwise: conv/pool models, where the stacked kernels
+    measure ~0.85x of the per-worker loop; third-party layers and
+    hand-wired workers with differing optimizer hyper-parameters, which
+    the stacked path would run per worker anyway; ``pipeline="staleness"``,
+    whose relaxed dispatch only the per-worker backend implements; and no
+    ``model`` to look at.  ``model`` is the full model: every worker-side
+    model (the bottom, a per-depth prefix, FedAvg's whole model) is a
+    slice of it.
+    """
+    if config.executor != AUTO_EXECUTOR:
+        return config.executor
+    dense = model is not None and all(
+        type(layer) in DENSE_LAYER_TYPES for layer in model.layers
+    )
+    if (
+        not dense
+        or config.pipeline == "staleness"
+        or (workers and uniform_worker_hyperparams(workers) is None)
+    ):
+        return "serial"
+    return "batched"
+
+
+def build_executor(config, model=None, workers=()) -> Executor:
+    """Instantiate the executor ``config.executor`` resolves to.
+
+    ``model`` and ``workers`` only inform the ``"auto"`` default (see
+    :func:`resolve_executor`); the result's ``name`` says which backend
+    was built.
+    """
     from repro.api.registry import EXECUTORS
 
-    return EXECUTORS.get(config.executor)(config)
+    return EXECUTORS.get(resolve_executor(config, model, workers))(config)
 
 
 def build_transport(config) -> Transport:

@@ -43,61 +43,47 @@ class _Group:
         self.slots = slots
         self.model = model
         self.sgd = sgd
-        self.pending_batches: list[int] = [0] * len(slots)
+        self.pending_batch = 0
 
 
-class _RoundState:
-    """Everything installed for the current round's selected workers."""
+class _DepthRound:
+    """The workers of the installed cohort that share one cut depth.
 
-    def __init__(self, snapshot, worker_ids, learning_rates, momentum,
-                 weight_decay, max_grad_norm) -> None:
-        self.snapshot = snapshot
-        self.worker_ids = list(worker_ids)
-        self.learning_rates = np.asarray(learning_rates, dtype=np.float64)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.max_grad_norm = max_grad_norm
-        self.groups: list[_Group] | None = None
-        self.group_of: dict[int, tuple[_Group, int]] = {}
-
-    def build_groups(self, shapes: list[tuple[int, ...]]) -> None:
-        """Partition worker slots by mini-batch shape and stack each group."""
-        by_shape: dict[tuple[int, ...], list[int]] = {}
-        for slot, shape in enumerate(shapes):
-            by_shape.setdefault(shape, []).append(slot)
-        self.groups = []
-        for slots in by_shape.values():
-            model = BatchedModel(self.snapshot, len(slots))
-            sgd = BatchedSGD(
-                model.parameters(),
-                self.learning_rates[slots],
-                momentum=self.momentum,
-                weight_decay=self.weight_decay,
-                max_grad_norm=self.max_grad_norm,
-            )
-            group = _Group(slots, model, sgd)
-            self.groups.append(group)
-            for position, slot in enumerate(slots):
-                self.group_of[slot] = (group, position)
-
-
-class _MultiRoundState:
-    """Per-depth sub-rounds of a heterogeneous-split install.
-
-    Workers sharing a cut depth stack into one (or more, by mini-batch
-    shape) vectorized kernels exactly like a uniform round; ``slots`` maps
-    each sub-round's local worker positions back to the cohort order.
+    ``slots`` are their positions in the cohort; a uniform round is a
+    single depth round over every slot.  They stack into one (or more, by
+    mini-batch shape) vectorized kernels once the first forward has shown
+    the shapes.
     """
 
-    def __init__(
-        self, worker_ids: list[int],
-        subrounds: list[tuple[list[int], _RoundState]],
-    ) -> None:
-        self.worker_ids = list(worker_ids)
-        self.subrounds = subrounds
+    def __init__(self, slots, snapshot, learning_rates, hyperparams) -> None:
+        self.slots = slots
+        self.snapshot = snapshot
+        self.learning_rates = np.asarray(learning_rates, dtype=np.float64)
+        self.hyperparams = hyperparams
+        self.groups: list[_Group] | None = None
+
+    def build_groups(self, shapes: list[tuple[int, ...]]) -> None:
+        """Partition the cohort slots by mini-batch shape and stack each group."""
+        by_shape: dict[tuple[int, ...], list[int]] = {}
+        for member, shape in enumerate(shapes):
+            by_shape.setdefault(shape, []).append(member)
+        momentum, weight_decay, max_grad_norm = self.hyperparams
+        self.groups = []
+        for members in by_shape.values():
+            model = BatchedModel(self.snapshot, len(members))
+            sgd = BatchedSGD(
+                model.parameters(),
+                self.learning_rates[members],
+                momentum=momentum,
+                weight_decay=weight_decay,
+                max_grad_norm=max_grad_norm,
+            )
+            self.groups.append(
+                _Group([self.slots[member] for member in members], model, sgd)
+            )
 
 
-def _uniform_worker_hyperparams(workers) -> tuple | None:
+def uniform_worker_hyperparams(workers) -> tuple | None:
     """The shared ``(momentum, weight_decay, max_grad_norm)``, or ``None``.
 
     The stacked optimizer shares scalar hyper-parameters across the group;
@@ -113,6 +99,22 @@ def _uniform_worker_hyperparams(workers) -> tuple | None:
     return next(iter(settings))
 
 
+def _gather_batches(workers, drawn, slots) -> np.ndarray:
+    """The drawn mini-batches of ``slots``, copied from the shards into one
+    ``(len(slots), batch, ...)`` array."""
+    data = workers[slots[0]].dataset.data
+    stacked = np.empty(
+        (len(slots), len(drawn[slots[0]][0]), *data.shape[1:]), dtype=data.dtype
+    )
+    for position, slot in enumerate(slots):
+        # ``mode="clip"`` only skips ``take``'s bounce buffer: the indices
+        # come from the loader's permutation of this very shard.
+        workers[slot].dataset.data.take(
+            drawn[slot][0], axis=0, out=stacked[position], mode="clip"
+        )
+    return stacked
+
+
 class BatchedExecutor(Executor):
     """Vectorize the per-worker compute across the worker axis."""
 
@@ -120,8 +122,9 @@ class BatchedExecutor(Executor):
 
     def __init__(self) -> None:
         self._serial = SerialExecutor()
-        self._round: _RoundState | None = None
-        self._multi: _MultiRoundState | None = None
+        #: The installed cohort's worker ids, and its depth rounds.
+        self._worker_ids: list[int] | None = None
+        self._depth_rounds: list[_DepthRound] = []
         self._fallback_active = False
         self._warned: set[tuple[str, ...]] = set()
 
@@ -130,7 +133,7 @@ class BatchedExecutor(Executor):
         unsupported = unsupported_layers(model)
         if unsupported:
             return f"no batched kernels for layer types: {unsupported}"
-        if _uniform_worker_hyperparams(workers) is None:
+        if uniform_worker_hyperparams(workers) is None:
             return "workers have heterogeneous optimizer hyper-parameters"
         return None
 
@@ -142,192 +145,99 @@ class BatchedExecutor(Executor):
 
     # -- split training -------------------------------------------------------
     def install(self, workers, bottom, learning_rates) -> None:
-        self._multi = None
-        reason = self._fallback_reason(workers, bottom)
-        if reason is not None:
-            self._warn_fallback(reason)
-            self._round = None
-            self._fallback_active = True
-            self._serial.install(workers, bottom, learning_rates)
-            return
-        self._fallback_active = False
-        momentum, weight_decay, max_grad_norm = _uniform_worker_hyperparams(workers)
-        # Snapshot the global bottom now (one clone instead of one per
-        # worker), so later mutation of the server's model cannot leak into
-        # this round's stacked parameters.
-        self._round = _RoundState(
-            snapshot=bottom.clone().train(),
-            worker_ids=[worker.worker_id for worker in workers],
-            learning_rates=learning_rates,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            max_grad_norm=max_grad_norm,
+        self.install_multi(
+            workers, bottom, learning_rates, [len(bottom)] * len(workers)
         )
 
     def install_multi(self, workers, bottom, learning_rates, depths) -> None:
         """Stack workers *within* each cut-depth group (heterogeneous splits)."""
-        self._round = None
-        self._multi = None
+        self._worker_ids = None
         reason = self._fallback_reason(workers, bottom)
+        self._fallback_active = reason is not None
         if reason is not None:
             self._warn_fallback(reason)
-            self._fallback_active = True
             self._serial.install_multi(workers, bottom, learning_rates, depths)
             return
-        if len(set(depths)) == 1 and depths[0] == len(bottom):
-            self.install(workers, bottom, learning_rates)
-            return
-        self._fallback_active = False
-        momentum, weight_decay, max_grad_norm = _uniform_worker_hyperparams(workers)
-        subrounds = []
+        hyperparams = uniform_worker_hyperparams(workers)
+        self._depth_rounds = []
         for depth in sorted(set(depths)):
             slots = [slot for slot, d in enumerate(depths) if d == depth]
-            prefix = Sequential(bottom.layers[:depth]).clone().train()
-            subrounds.append((slots, _RoundState(
-                snapshot=prefix,
-                worker_ids=[workers[slot].worker_id for slot in slots],
-                learning_rates=[learning_rates[slot] for slot in slots],
-                momentum=momentum,
-                weight_decay=weight_decay,
-                max_grad_norm=max_grad_norm,
-            )))
-        self._multi = _MultiRoundState(
-            worker_ids=[worker.worker_id for worker in workers],
-            subrounds=subrounds,
-        )
+            # Snapshot the global bottom now (one clone per depth instead
+            # of one per worker), so later mutation of the server's model
+            # cannot leak into this round's stacked parameters.
+            self._depth_rounds.append(_DepthRound(
+                slots,
+                Sequential(bottom.layers[:depth]).clone().train(),
+                [learning_rates[slot] for slot in slots],
+                hyperparams,
+            ))
+        self._worker_ids = [worker.worker_id for worker in workers]
 
-    def _require_round(self, workers) -> _RoundState:
-        state = self._round
-        if state is None:
+    def _require_round(self, workers, after_forward: str | None = None):
+        """The installed depth rounds; ``after_forward`` names a caller that
+        needs the groups the first forward builds."""
+        if self._worker_ids is None:
             raise RuntimeError("no bottom model installed on the batched executor")
-        if [worker.worker_id for worker in workers] != state.worker_ids:
+        if [worker.worker_id for worker in workers] != self._worker_ids:
             raise RuntimeError(
                 "worker set changed since install(); re-install the bottom model"
             )
-        return state
-
-    def _require_multi(self, workers) -> _MultiRoundState:
-        state = self._multi
-        assert state is not None
-        if [worker.worker_id for worker in workers] != state.worker_ids:
-            raise RuntimeError(
-                "worker set changed since install_multi(); re-install"
-            )
-        return state
-
-    def _multi_forward(self, workers, batch_sizes):
-        state = self._require_multi(workers)
-        # Draw in cohort order, exactly like the serial loop, so sampling
-        # RNG streams stay bit-identical across executors.
-        drawn = [
-            worker.draw_batch(batch_size)
-            for worker, batch_size in zip(workers, batch_sizes)
-        ]
-        features: list[np.ndarray | None] = [None] * len(workers)
-        for slots, sub in state.subrounds:
-            if sub.groups is None:
-                sub.build_groups([drawn[slot][0].shape for slot in slots])
-            for group in sub.groups:
-                stacked = np.stack(
-                    [drawn[slots[local]][0] for local in group.slots]
-                )
-                out = group.model.forward(stacked)
-                for position, local in enumerate(group.slots):
-                    features[slots[local]] = out[position]
-                    group.pending_batches[position] = stacked.shape[1]
-        labels = [labs for __, labs in drawn]
-        return features, labels
-
-    def _multi_backward_step(self, workers, gradients) -> None:
-        state = self._require_multi(workers)
-        for slots, sub in state.subrounds:
-            if sub.groups is None:
-                raise RuntimeError("backward_step called before forward")
-            for group in sub.groups:
-                for position, local in enumerate(group.slots):
-                    got = gradients[slots[local]].shape[0]
-                    expected = group.pending_batches[position]
-                    if got != expected:
-                        raise ValueError(
-                            f"gradient batch {got} does not match the pending "
-                            f"forward batch {expected}"
-                        )
-                stacked = np.stack(
-                    [gradients[slots[local]] for local in group.slots]
-                )
-                group.sgd.zero_grad()
-                group.model.backward(stacked)
-                group.sgd.step()
-
-    def _multi_bottom_states(self, workers):
-        state = self._require_multi(workers)
-        states: list[dict[str, np.ndarray] | None] = [None] * len(workers)
-        for slots, sub in state.subrounds:
-            if sub.groups is None:
-                raise RuntimeError("bottom_states called before any forward pass")
-            for local, slot in enumerate(slots):
-                group, position = sub.group_of[local]
-                states[slot] = group.model.state_dict_for(position)
-        return states
+        if after_forward and any(
+            depth_round.groups is None for depth_round in self._depth_rounds
+        ):
+            raise RuntimeError(f"{after_forward} called before forward")
+        return self._depth_rounds
 
     def forward(self, workers, batch_sizes):
         if self._fallback_active:
             return self._serial.forward(workers, batch_sizes)
-        if self._multi is not None:
-            return self._multi_forward(workers, batch_sizes)
-        state = self._require_round(workers)
+        depth_rounds = self._require_round(workers)
+        # Draw in cohort order, exactly like the serial loop, so sampling
+        # RNG streams stay bit-identical across executors.
         drawn = [
-            worker.draw_batch(batch_size)
+            worker.draw_batch_indices(batch_size)
             for worker, batch_size in zip(workers, batch_sizes)
         ]
-        if state.groups is None:
-            state.build_groups([data.shape for data, __ in drawn])
         features: list[np.ndarray | None] = [None] * len(workers)
-        for group in state.groups:
-            stacked = np.stack([drawn[slot][0] for slot in group.slots])
-            out = group.model.forward(stacked)
-            for position, slot in enumerate(group.slots):
-                features[slot] = out[position]
-                group.pending_batches[position] = stacked.shape[1]
-        labels = [labs for __, labs in drawn]
-        return features, labels
+        for depth_round in depth_rounds:
+            if depth_round.groups is None:
+                depth_round.build_groups([
+                    (len(drawn[slot][0]), *workers[slot].dataset.data.shape[1:])
+                    for slot in depth_round.slots
+                ])
+            for group in depth_round.groups:
+                stacked = _gather_batches(workers, drawn, group.slots)
+                group.pending_batch = stacked.shape[1]
+                for slot, out in zip(group.slots, group.model.forward(stacked)):
+                    features[slot] = out
+        return features, [labels for __, labels in drawn]
 
     def backward_step(self, workers, gradients) -> None:
         if self._fallback_active:
             self._serial.backward_step(workers, gradients)
             return
-        if self._multi is not None:
-            self._multi_backward_step(workers, gradients)
-            return
-        state = self._require_round(workers)
-        if state.groups is None:
-            raise RuntimeError("backward_step called before forward")
-        for group in state.groups:
-            for position, slot in enumerate(group.slots):
-                got = gradients[slot].shape[0]
-                expected = group.pending_batches[position]
-                if got != expected:
-                    raise ValueError(
-                        f"gradient batch {got} does not match the pending "
-                        f"forward batch {expected}"
-                    )
-            stacked = np.stack([gradients[slot] for slot in group.slots])
-            group.sgd.zero_grad()
-            group.model.backward(stacked)
-            group.sgd.step()
+        for depth_round in self._require_round(workers, "backward_step"):
+            for group in depth_round.groups:
+                for slot in group.slots:
+                    got = gradients[slot].shape[0]
+                    if got != group.pending_batch:
+                        raise ValueError(
+                            f"gradient batch {got} does not match the pending "
+                            f"forward batch {group.pending_batch}"
+                        )
+                stacked = np.stack([gradients[slot] for slot in group.slots])
+                group.sgd.zero_grad()
+                group.model.backward(stacked)
+                group.sgd.step()
 
     def bottom_states(self, workers):
         if self._fallback_active:
             return self._serial.bottom_states(workers)
-        if self._multi is not None:
-            return self._multi_bottom_states(workers)
-        state = self._require_round(workers)
-        if state.groups is None:
-            raise RuntimeError("bottom_states called before any forward pass")
-        states = []
-        for slot, __ in enumerate(workers):
-            group, position = state.group_of[slot]
-            states.append(group.model.state_dict_for(position))
+        states: list[dict[str, np.ndarray] | None] = [None] * len(workers)
+        for depth_round in self._require_round(workers, "bottom_states"):
+            for group in depth_round.groups:
+                for position, slot in enumerate(group.slots):
+                    states[slot] = group.model.state_dict_for(position)
         return states
 
     # -- full-model (FL) training ---------------------------------------------
@@ -340,7 +250,7 @@ class BatchedExecutor(Executor):
             return self._serial.train_full(
                 workers, model, loss_fn, iterations, batch_size, learning_rate
             )
-        momentum, weight_decay, max_grad_norm = _uniform_worker_hyperparams(workers)
+        momentum, weight_decay, max_grad_norm = uniform_worker_hyperparams(workers)
         # Pre-draw every worker's mini-batch sequence (worker-major, exactly
         # the per-loader draw order of the serial loop).
         batches = [

@@ -52,6 +52,9 @@ class BatchedParameter:
 class BatchedLayer:
     """Base class: one layer vectorized over ``count`` workers."""
 
+    #: As :attr:`repro.nn.module.Module.needs_input_grad`.
+    needs_input_grad = True
+
     def __init__(self, count: int) -> None:
         self.count = count
         self.params: list[BatchedParameter] = []
@@ -92,11 +95,13 @@ class BatchedLinear(BatchedLayer):
             out = out + self.bias.data[:, None, :]
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
         inputs = self._cache_input
         self.weight.grad += np.matmul(grad_output.transpose(0, 2, 1), inputs)
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=1)
+        if not self.needs_input_grad:
+            return None
         return np.matmul(grad_output, self.weight.data)
 
 
@@ -134,13 +139,15 @@ class BatchedConv2d(BatchedLayer):
             out += self.bias.data[:, None, :, None]
         return out.reshape(w, batch, self.out_channels, out_size[0], out_size[1])
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
         cols, input_shape, out_size = self._cache
         w, batch = input_shape[:2]
         grad = grad_output.reshape(w, batch, self.out_channels, -1)
         self.weight.grad += np.matmul(grad, cols.transpose(0, 1, 3, 2)).sum(axis=1)
         if self.bias is not None:
             self.bias.grad += grad.sum(axis=(1, 3))
+        if not self.needs_input_grad:
+            return None
         grad_cols = np.matmul(self.weight.data.transpose(0, 2, 1)[:, None], grad)
         grad_flat = col2im(
             grad_cols.reshape(w * batch, *grad_cols.shape[2:]),
@@ -165,9 +172,10 @@ class BatchedConv1d(BatchedLayer):
         out = self._conv.forward(inputs[:, :, :, None, :])
         return out[:, :, :, 0, :]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
+        self._conv.needs_input_grad = self.needs_input_grad
         grad = self._conv.backward(grad_output[:, :, :, None, :])
-        return grad[:, :, :, 0, :]
+        return None if grad is None else grad[:, :, :, 0, :]
 
 
 class BatchedReLU(BatchedLayer):
@@ -436,6 +444,14 @@ BATCHED_LAYER_TYPES: dict[type, type] = {
 }
 
 
+#: The dense layers: with no im2col or pooling windows to build, a forward
+#: or backward here is one small GEMM or elementwise op per worker, so the
+#: stacked kernel's single call per layer is what a large cohort saves.
+DENSE_LAYER_TYPES: frozenset[type] = frozenset(
+    {Linear, ReLU, Tanh, Sigmoid, Flatten, Dropout, BatchNorm1d}
+)
+
+
 def unsupported_layers(model: Sequential) -> list[str]:
     """Names of layer types in ``model`` without a batched counterpart.
 
@@ -456,7 +472,10 @@ class BatchedModel:
 
     Parameters start as ``count`` copies of the template's current values;
     :meth:`state_dict_for` slices one worker's parameters back out under the
-    same names ``Sequential.state_dict`` would use.
+    same names ``Sequential.state_dict`` would use.  The stack is the
+    workers' own copies, fed raw mini-batches, so like them
+    (:meth:`~repro.nn.module.Sequential.without_input_grad`) it computes no
+    gradient w.r.t. its input and ``backward`` returns ``None``.
     """
 
     def __init__(self, template: Sequential, count: int) -> None:
@@ -470,6 +489,7 @@ class BatchedModel:
             BATCHED_LAYER_TYPES[type(layer)](layer, count)
             for layer in template.layers
         ]
+        self.layers[0].needs_input_grad = False
         self._param_names = [name for name, _ in template.named_parameters()]
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -478,11 +498,10 @@ class BatchedModel:
             out = layer.forward(out)
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> None:
         grad = grad_output
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
-        return grad
 
     def parameters(self) -> list[BatchedParameter]:
         params: list[BatchedParameter] = []

@@ -149,7 +149,7 @@ def _child_main(connector: ChildConnector) -> None:
                 # Heterogeneous split points: the spec's fifth element is
                 # the worker's prefix depth into the shipped bottom.
                 source = Sequential(bottom.layers[:spec[4]])
-            model = source.clone()
+            model = source.clone().without_input_grad()
             model.train()
             bottoms[worker_id] = {
                 "model": model,
@@ -251,7 +251,7 @@ def _child_main(connector: ChildConnector) -> None:
                     for worker_id, task in tasks.items():
                         index_batches, lr, momentum, weight_decay, max_grad_norm = task
                         shard_data, shard_targets = shards[worker_id]
-                        local = model.clone()
+                        local = model.clone().without_input_grad()
                         local.train()
                         optimizer = SGD(
                             local.parameters(),

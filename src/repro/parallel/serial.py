@@ -20,6 +20,7 @@ from collections import deque
 
 import numpy as np
 
+from repro.nn.module import Sequential
 from repro.parallel.base import Executor
 from repro.parallel.staleness import InflightQueue
 
@@ -31,7 +32,7 @@ class SerialExecutor(Executor):
     supports_staleness = True
 
     def __init__(self) -> None:
-        #: Per-worker in-flight forwards of the relaxed protocol.
+        #: The installed cohort's in-flight forwards of the relaxed protocol.
         self._inflight: dict[int, InflightQueue] = {}
         #: Completed-but-uncollected forward results, oldest first.
         self._features: deque[tuple[list, list]] = deque()
@@ -39,14 +40,24 @@ class SerialExecutor(Executor):
         self._states: deque[list] = deque()
 
     def install(self, workers, bottom, learning_rates) -> None:
+        self.install_multi(
+            workers, bottom, learning_rates, [len(bottom)] * len(workers)
+        )
+
+    def install_multi(self, workers, bottom, learning_rates, depths) -> None:
         # A failed relaxed round may leave uncollected results behind;
         # installing starts the round from a clean slate, mirroring the
         # process executor's recovery drain.
         self._features.clear()
         self._states.clear()
-        for worker, lr in zip(workers, learning_rates):
-            worker.receive_bottom_model(bottom, lr)
-            self._inflight[worker.worker_id] = InflightQueue()
+        prefixes = {
+            depth: Sequential(bottom.layers[:depth]) for depth in set(depths)
+        }
+        for worker, lr, depth in zip(workers, learning_rates, depths):
+            worker.receive_bottom_model(prefixes[depth], lr)
+        # Rebuilt, not updated: queues of workers outside this cohort would
+        # otherwise pile up, one per distinct participant of a lazy population.
+        self._inflight = {worker.worker_id: InflightQueue() for worker in workers}
 
     def forward(self, workers, batch_sizes):
         features: list[np.ndarray] = []
@@ -73,9 +84,9 @@ class SerialExecutor(Executor):
         ]
 
     # -- relaxed dispatch (see repro.parallel.pipeline) -----------------------
-    def install_nowait(self, workers, bottom, learning_rates) -> None:
-        """Install immediately; in-process there is no ack to skip."""
-        self.install(workers, bottom, learning_rates)
+    #: Installs run immediately; in-process there is no ack to skip.
+    install_nowait = install
+    install_multi_nowait = install_multi
 
     def dispatch_forward(self, workers, batch_sizes) -> None:
         """Run the next forward now; it may overtake pending backwards."""

@@ -106,6 +106,22 @@ class TestSplitWorker:
         worker.bottom.parameters()[0].data[:] = 0.0
         assert not np.allclose(split.bottom.parameters()[0].data, 0.0)
 
+    def test_only_the_workers_copy_drops_the_input_gradient(self, tiny_mlp):
+        """The model a worker was handed -- the server's global bottom, the
+        FL engine's global model -- still differentiates w.r.t. its input."""
+        worker, data = _worker()
+        split = split_model(tiny_mlp, 2)
+        worker.receive_bottom_model(split.bottom, learning_rate=0.1)
+        features, __ = worker.forward_batch(8)
+        assert worker.bottom.backward(np.ones_like(features)) is None
+        worker.train_full_model(
+            tiny_mlp, CrossEntropyLoss(), iterations=1, batch_size=8,
+            learning_rate=0.1,
+        )
+        for model in (split.bottom, tiny_mlp):
+            out = model.forward(data.train.data[:8])
+            assert model.backward(np.ones_like(out)).shape == (8, 32)
+
     def test_train_full_model_reduces_loss(self, tiny_mlp):
         worker, data = _worker(samples=200)
         loss_fn = CrossEntropyLoss()

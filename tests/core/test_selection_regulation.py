@@ -126,6 +126,36 @@ class TestPopulationFitness:
         ])
         assert np.array_equal(vectorized, reference)
 
+    @pytest.mark.parametrize("num_workers", [13, 64, 1000])
+    @pytest.mark.parametrize("duplicates", ["all", "none", "some"])
+    def test_hashed_dedup_matches_scalar_fitness_row_by_row(
+        self, num_workers, duplicates
+    ):
+        """Rows are deduplicated by their packed bits: 13 and 1000 leave
+        padding bits in the last byte, 64 none.  Whatever repeats, every row
+        gets the scalar fitness of its own mask."""
+        rng = new_rng(29)
+        batch_sizes, dists, target = self._random_problem(rng, num_workers, 10)
+        budget = 0.3 * 16.0 * num_workers
+        fitness = PopulationFitness(batch_sizes, dists, target, 0.3, budget)
+        masks = rng.random((20, num_workers)) < 0.5
+        masks[5] = False                             # an empty-mask row ...
+        if duplicates == "all":
+            masks[:] = masks[7]
+        elif duplicates == "some":
+            masks[9] = masks[5]                      # ... and its duplicate
+            masks[[0, 11, 19]] = masks[3]
+            masks[12] = masks[3]
+            masks[12, -1] ^= True                    # differs in the last bit only
+        else:
+            assert len({row.tobytes() for row in masks}) == len(masks)
+        reference = np.asarray([
+            _fitness(mask, np.asarray(batch_sizes, dtype=np.int64),
+                     np.atleast_2d(dists), target, 0.3, budget)
+            for mask in masks
+        ])
+        assert np.array_equal(fitness.evaluate(masks), reference)
+
     def test_zero_batch_sizes_match_scalar_fallback(self):
         """Masks whose selected workers all have zero batch size hit the
         scalar path's uniform-mean fallback, not a NaN."""

@@ -5,6 +5,7 @@ import pytest
 
 from repro.data.loader import BatchLoader
 from repro.data.synthetic import make_blobs
+from repro.utils.rng import new_rng
 
 
 @pytest.fixture
@@ -48,3 +49,63 @@ class TestBatchLoader:
         first = BatchLoader(data.train, seed=7).next_batch(10)
         second = BatchLoader(data.train, seed=7).next_batch(10)
         assert np.allclose(first[0], second[0])
+
+
+def _list_based_next_indices(loader: BatchLoader, batch_size: int) -> np.ndarray:
+    """The original formulation of ``next_indices``: a Python list filled
+    piecewise, reshuffling whenever the order runs out."""
+    size = min(batch_size, len(loader.dataset))
+    picked: list[int] = []
+    while len(picked) < size:
+        if loader._cursor >= len(loader._order):
+            loader._order = loader._rng.permutation(len(loader.dataset))
+            loader._cursor = 0
+        take = min(size - len(picked), len(loader._order) - loader._cursor)
+        picked.extend(loader._order[loader._cursor:loader._cursor + take].tolist())
+        loader._cursor += take
+    return np.asarray(picked, dtype=np.int64)
+
+
+def _assert_same_state(loader: BatchLoader, reference: BatchLoader) -> None:
+    state, expected = loader.state_dict(), reference.state_dict()
+    assert state["rng"] == expected["rng"]
+    assert state["cursor"] == expected["cursor"]
+    assert np.array_equal(state["order"], expected["order"])
+
+
+class TestNextIndices:
+    @pytest.mark.parametrize("shard", [1, 7, 20])
+    def test_matches_list_based_formulation(self, shard):
+        """Across reshuffle boundaries, exact-exhaustion draws and
+        ``batch_size > len(shard)``: same indices, same sampling state."""
+        data = make_blobs(train_samples=shard, test_samples=5, seed=0)
+        loader = BatchLoader(data.train, seed=3)
+        reference = BatchLoader(data.train, seed=3)
+        sizes = new_rng(11).integers(1, 2 * shard + 2, size=300)
+        for batch_size in [shard, shard, *sizes.tolist()]:
+            indices = loader.next_indices(batch_size)
+            assert indices.dtype == np.int64
+            assert np.array_equal(
+                indices, _list_based_next_indices(reference, batch_size)
+            )
+            _assert_same_state(loader, reference)
+
+    def test_returned_indices_do_not_alias_the_order(self, loader):
+        indices = loader.next_indices(8)
+        before = loader.state_dict()["order"]
+        indices[:] = -1
+        assert np.array_equal(loader.state_dict()["order"], before)
+
+    def test_state_dict_round_trip_mid_epoch(self):
+        data = make_blobs(train_samples=20, test_samples=5, seed=0)
+        loader = BatchLoader(data.train, seed=3)
+        loader.next_indices(12)                      # cursor mid-epoch
+        state = loader.state_dict()
+        resumed = BatchLoader(data.train, seed=99)
+        resumed.load_state_dict(state)
+        _assert_same_state(resumed, loader)
+        for batch_size in (5, 12, 3, 20, 30):        # 2nd draw crosses a reshuffle
+            indices = resumed.next_indices(batch_size)
+            assert indices.dtype == np.int64
+            assert np.array_equal(indices, loader.next_indices(batch_size))
+            _assert_same_state(resumed, loader)

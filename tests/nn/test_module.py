@@ -223,3 +223,57 @@ class TestCloneContract:
         with pytest.raises(RuntimeError, match="backward called before forward"):
             model.backward(np.ones_like(out))
         assert all(a.size <= 18 for a in _arrays(model, []))  # weights and bias only
+
+
+class TestWithoutInputGrad:
+    """A worker's copy skips the gradient w.r.t. raw data; nothing else moves."""
+
+    CASES = {
+        "linear": (lambda rng: [Linear(6, 5, rng=rng), ReLU(), Linear(5, 3, rng=rng)],
+                   (4, 6)),
+        "conv2d": (lambda rng: [Conv2d(2, 3, 3, padding=1, rng=rng), ReLU(),
+                                MaxPool2d(2), Flatten(), Linear(12, 3, rng=rng)],
+                   (4, 2, 4, 4)),
+        "conv1d": (lambda rng: [Conv1d(2, 3, 3, padding=1, rng=rng), Tanh(),
+                                Flatten(), Linear(24, 3, rng=rng)],
+                   (4, 2, 8)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_parameter_grads_and_stepped_weights_are_byte_equal(self, case):
+        from repro.nn.optim import SGD
+
+        build, input_shape = self.CASES[case]
+        model = Sequential(build(new_rng(3)))
+        plain, marked = model.clone(), model.clone().without_input_grad()
+        rng = new_rng(8)
+        for __ in range(3):
+            inputs = rng.normal(size=input_shape)
+            grad_out = rng.normal(size=(input_shape[0], 3))
+            results = []
+            for local in (plain, marked):
+                optimizer = SGD(local.parameters(), lr=0.1, momentum=0.9,
+                                max_grad_norm=1.0)
+                optimizer.zero_grad()
+                out = local.forward(inputs)
+                grad_in = local.backward(grad_out)
+                grads = [param.grad.copy() for param in local.parameters()]
+                optimizer.step()
+                results.append((out, grad_in, grads))
+            (out, grad_in, grads), (marked_out, marked_grad_in, marked_grads) = results
+            assert grad_in.shape == inputs.shape and marked_grad_in is None
+            assert np.array_equal(out, marked_out)
+            for grad, marked_grad in zip(grads, marked_grads):
+                assert grad.tobytes() == marked_grad.tobytes()
+            for key, value in plain.state_dict().items():
+                assert value.tobytes() == marked.state_dict()[key].tobytes()
+
+    def test_mark_stays_on_the_copy_and_survives_its_clones(self):
+        model = _model()
+        marked = model.clone().without_input_grad()
+        inputs = np.ones((2, 4))
+        for local, expected in ((model, True), (marked, False), (marked.clone(), False)):
+            assert local.layers[0].needs_input_grad is expected
+            assert all(layer.needs_input_grad for layer in local.layers[1:])
+            local.forward(inputs)
+            assert (local.backward(np.ones((2, 3))) is None) is not expected

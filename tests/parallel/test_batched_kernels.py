@@ -99,6 +99,30 @@ def test_batched_layer_bit_exact(layer, input_shape):
             assert np.array_equal(batched_param.grad[w], serial_param.grad)
 
 
+@pytest.mark.parametrize("name", ["linear", "conv2d", "conv1d"])
+def test_stacked_first_layer_skips_only_the_input_gradient(name):
+    """What ``BatchedModel`` sets on its first layer: ``backward`` returns
+    ``None`` and the parameter gradients are the ones it had before."""
+    layer, input_shape = next(
+        case[1:] for case in _layer_cases() if case[0] == name
+    )
+    rng = new_rng(31)
+    inputs = rng.normal(size=(WORKERS, *input_shape))
+    plain = BATCHED_LAYER_TYPES[type(layer)](layer, WORKERS)
+    marked = BATCHED_LAYER_TYPES[type(layer)](layer, WORKERS)
+    marked.needs_input_grad = False
+    grad_out = rng.normal(size=plain.forward(inputs).shape)
+    marked.forward(inputs)
+    assert plain.backward(grad_out).shape == inputs.shape
+    assert marked.backward(grad_out) is None
+    for param, marked_param in zip(plain.params, marked.params):
+        assert param.grad.tobytes() == marked_param.grad.tobytes()
+    model = BatchedModel(Sequential([layer]), WORKERS)
+    model.forward(inputs)
+    assert model.layers[0].needs_input_grad is False
+    assert model.backward(grad_out) is None and layer.needs_input_grad
+
+
 @pytest.mark.parametrize("momentum,weight_decay,max_grad_norm", [
     (0.0, 0.0, None),
     (0.9, 1e-4, 5.0),

@@ -343,3 +343,47 @@ class TestStalenessConfig:
         )
         assert isinstance(scheduler, BoundedStalenessScheduler)
         assert scheduler.staleness == 2
+
+
+class TestSerialInflightQueues:
+    """The serial executor keeps one in-flight queue per *installed* worker."""
+
+    def test_queues_follow_rotating_cohorts(self, tiny_split):
+        from repro.core.worker import SplitWorker
+        from repro.data.synthetic import make_blobs
+        from repro.parallel.serial import SerialExecutor
+
+        data = make_blobs(train_samples=40, test_samples=8, seed=0)
+        workers = [
+            SplitWorker(worker_id, data.train, num_classes=4, seed=worker_id)
+            for worker_id in range(9)
+        ]
+        executor = SerialExecutor()
+        for cohort in ([0, 1, 2], [2, 3, 4, 5], [6, 7], [8, 0, 4]):
+            selected = [workers[worker_id] for worker_id in cohort]
+            executor.install(selected, tiny_split.bottom, [0.1] * len(selected))
+            assert sorted(executor._inflight) == sorted(cohort)
+            executor.dispatch_forward(selected, [4] * len(selected))
+            features, __ = executor.collect_forward(selected)
+            executor.dispatch_backward(selected, [0.1 * f for f in features])
+        # Per-depth installs are one cohort, not one cohort per depth.
+        selected = workers[:5]
+        executor.install_multi_nowait(
+            selected, tiny_split.bottom, [0.1] * 5, [1, 2, 1, 2, 2]
+        )
+        assert sorted(executor._inflight) == [0, 1, 2, 3, 4]
+        assert [len(worker.bottom) for worker in selected] == [1, 2, 1, 2, 2]
+
+    def test_lazy_population_does_not_accumulate_queues(self):
+        config = _config(
+            num_workers=40, population="lazy", population_candidates=6,
+            pipeline="staleness", staleness=1, num_rounds=4, train_samples=400,
+        )
+        with Session.from_config(config) as session:
+            executor = session.components.executor
+            participants = set()
+            for __ in range(config.num_rounds):
+                record = session.step()
+                participants.update(executor._inflight)
+                assert len(executor._inflight) == record.num_selected
+        assert len(participants) > len(executor._inflight)

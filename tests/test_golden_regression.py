@@ -164,6 +164,26 @@ def test_checkpoint_fixture_loads_and_continues(name, tmp_path):
     _assert_records_match(golden, history.to_dict()["records"])
 
 
+@pytest.mark.parametrize("name", sorted(CHECKPOINT_FIXTURES))
+def test_checkpoint_echoing_serial_still_resumes_to_golden(name, tmp_path):
+    """Checkpoints written while ``executor`` defaulted to ``"serial"`` echo
+    that name; they are the fixture with that one field put back."""
+    from repro.api.session import Session
+
+    payload = json.loads(_checkpoint_path(name).read_text())
+    assert payload["config"]["executor"] == "auto"
+    payload["config"]["executor"] = "serial"
+    legacy = tmp_path / "serial.ckpt.json"
+    legacy.write_text(json.dumps(payload))
+    with Session.load_checkpoint(legacy) as resumed:
+        assert resumed.components.executor.name == "serial"
+        history = resumed.run()
+    _assert_records_match(
+        json.loads(_golden_path(name).read_text())["records"],
+        history.to_dict()["records"],
+    )
+
+
 def _regenerate(names: list[str]) -> None:
     from repro.api.session import Session
 
