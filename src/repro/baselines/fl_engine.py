@@ -14,6 +14,12 @@ policy (every selected worker trains at ``base_batch_size``), the two stage
 bodies (local-step -> aggregate) bound into
 :class:`~repro.parallel.pipeline.FullRoundOps`, and full-network cost and
 traffic accounting.
+
+Every trained sample is forwarded exactly once: ``Executor.train_full``
+hands back each worker's mean training loss next to its updated state, and
+the round's ``train_loss`` is the mean of those over the workers whose reply
+was observed -- the same quantity the split engines report.  The engine
+never re-evaluates a returned state.
 """
 
 from __future__ import annotations
@@ -147,11 +153,11 @@ class FLTrainingEngine(RoundEngine):
     ) -> list[float]:
         """LOCAL_STEP -> AGGREGATE under the configured scheduler."""
         config = self.config
-        losses: list[float] = []
+        observed_losses: list[float] = []
 
-        def train() -> list[dict[str, np.ndarray]]:
+        def train() -> tuple[list[dict[str, np.ndarray]], list[float]]:
             # LOCAL_STEP: full-model training on every selected worker.
-            return self.executor.train_full(
+            trained = self.executor.train_full(
                 selected_workers,
                 self.model,
                 self.loss_fn,
@@ -159,10 +165,23 @@ class FLTrainingEngine(RoundEngine):
                 batch_size=config.base_batch_size,
                 learning_rate=self._current_lr,
             )
+            if not (
+                isinstance(trained, tuple) and len(trained) == 2
+                and len(trained[0]) == len(trained[1]) == len(selected_workers)
+            ):
+                raise TypeError(
+                    f"executor {self.executor.name!r} "
+                    f"({type(self.executor).__name__}).train_full must return "
+                    "(states, losses): two lists aligned with the workers, "
+                    "the locally updated state dicts and each worker's mean "
+                    f"training loss; got {type(trained).__name__}"
+                )
+            return trained
 
-        def aggregate(states: list[dict[str, np.ndarray]]) -> None:
+        def aggregate(trained) -> None:
+            states, losses = trained
             weights = [float(worker.num_samples) for worker in selected_workers]
-            resolved, observed = (states, weights), states
+            resolved, observed = (states, weights), losses
             if elastic_state is not None:
                 resolved = self._elastic.apply_aggregate(
                     elastic_state, plan.selected, states, weights,
@@ -171,10 +190,10 @@ class FLTrainingEngine(RoundEngine):
                 # A missing reply carries no loss observation either.
                 completed = set(elastic_state.completed)
                 observed = [
-                    state for worker, state in zip(selected_workers, states)
+                    loss for worker, loss in zip(selected_workers, losses)
                     if worker.worker_id in completed
                 ]
-            losses.extend(self._local_loss(state) for state in observed)
+            observed_losses.extend(observed)
             # ``None``: below the cohort quorum, the round leaves the global
             # model unchanged.
             if resolved is not None:
@@ -186,16 +205,7 @@ class FLTrainingEngine(RoundEngine):
             train=train,
             aggregate=aggregate,
         ))
-        return losses
-
-    def _local_loss(self, state: dict[str, np.ndarray]) -> float:
-        """Training loss of a locally updated model on a small probe batch."""
-        probe = self.model.clone()
-        probe.load_state_dict(state)
-        probe.eval()
-        size = min(64, len(self.data.train))
-        logits = probe.forward(self.data.train.data[:size])
-        return self.loss_fn.forward(logits, self.data.train.targets[:size])
+        return observed_losses
 
     def _worker_costs(
         self, plan: RoundPlan, worker_id: int

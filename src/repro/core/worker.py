@@ -154,25 +154,63 @@ class SplitWorker:
         iterations: int,
         batch_size: int,
         learning_rate: float,
-    ) -> dict[str, np.ndarray]:
+    ) -> tuple[dict[str, np.ndarray], float]:
         """Train a full model locally (used by FedAvg / PyramidFL baselines).
 
-        Returns the locally updated state dict; the caller owns aggregation.
+        Returns ``(state, loss)``: the locally updated state dict (the
+        caller owns aggregation) and the mean training loss over the
+        ``iterations`` mini-batches.
         """
-        local = model.clone().without_input_grad()
-        local.train()
-        optimizer = SGD(
-            local.parameters(),
-            lr=learning_rate,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            max_grad_norm=self.max_grad_norm,
+        return train_local_model(
+            model,
+            loss_fn,
+            (self.loader.next_batch(batch_size) for __ in range(iterations)),
+            learning_rate,
+            self.momentum,
+            self.weight_decay,
+            self.max_grad_norm,
         )
-        for __ in range(iterations):
-            data, labels = self.loader.next_batch(batch_size)
-            optimizer.zero_grad()
-            logits = local.forward(data)
-            loss_fn.forward(logits, labels)
-            local.backward(loss_fn.backward())
-            optimizer.step()
-        return local.state_dict()
+
+
+def train_local_model(
+    model: Sequential,
+    loss_fn,
+    batches,
+    learning_rate: float,
+    momentum: float,
+    weight_decay: float,
+    max_grad_norm: float | None,
+) -> tuple[dict[str, np.ndarray], float]:
+    """One worker's local full-model training: SGD over ``batches``.
+
+    The single local-training loop of the FL path -- a worker runs it on
+    mini-batches drawn from its loader, a process-executor child on slices
+    of its shard copy -- so the arithmetic and the reported loss cannot
+    drift between the two.  ``model`` is left untouched (a private copy is
+    trained); ``batches`` yields ``(data, labels)`` pairs and is consumed
+    lazily, one mini-batch per step.
+
+    Returns:
+        ``(state, loss)``: the trained copy's state dict and the mean of the
+        per-iteration training losses (``0.0`` for an empty ``batches``).
+        The mean is a left-to-right running sum divided by the count, which
+        the stacked kernels reproduce bit for bit.
+    """
+    local = model.clone().without_input_grad()
+    local.train()
+    optimizer = SGD(
+        local.parameters(),
+        lr=learning_rate,
+        momentum=momentum,
+        weight_decay=weight_decay,
+        max_grad_norm=max_grad_norm,
+    )
+    total, steps = 0.0, 0
+    for data, labels in batches:
+        optimizer.zero_grad()
+        logits = local.forward(data)
+        total += loss_fn.forward(logits, labels)
+        local.backward(loss_fn.backward())
+        optimizer.step()
+        steps += 1
+    return local.state_dict(), total / max(steps, 1)

@@ -15,7 +15,14 @@ class RoundRecord:
         duration: This round's duration (seconds).
         waiting_time: Average worker idle time in this round (seconds).
         traffic_mb: Cumulative network traffic (MB).
-        train_loss: Mean training loss over the round's iterations.
+        train_loss: Mean training loss over the round's local iterations,
+            as computed *during* training on the mini-batches that were
+            trained on -- one definition for every algorithm.  Split
+            engines average the top model's per-iteration losses; FL
+            engines average, over the workers whose reply was observed,
+            each worker's mean per-iteration loss (``Executor.train_full``
+            returns it).  ``0.0`` when no update was observed (an elastic
+            round that lost its whole cohort).
         test_loss: Test loss of the global model after the round.
         test_accuracy: Test accuracy of the global model after the round.
         num_selected: Number of workers in the round's worker set.

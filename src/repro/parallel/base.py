@@ -29,6 +29,7 @@ Split-training call sequence, per round (``SplitTrainingEngine._run_stages``)::
 Full-model call sequence, per round (``FLTrainingEngine._run_stages``)::
 
     train_full(workers, model, loss_fn, iterations, batch_size, lr)
+        -> (states, losses)                # updated models + mean train loss
 """
 
 from __future__ import annotations
@@ -177,11 +178,17 @@ class Executor(abc.ABC):
         iterations: int,
         batch_size: int,
         learning_rate: float,
-    ) -> list[dict[str, np.ndarray]]:
+    ) -> tuple[list[dict[str, np.ndarray]], list[float]]:
         """Train the full ``model`` locally on every worker (FedAvg-style).
 
-        Returns the locally updated state dicts, aligned with ``workers``;
-        the caller owns aggregation.
+        Returns:
+            ``(states, losses)``, both aligned with ``workers``: the locally
+            updated state dicts (the caller owns aggregation) and each
+            worker's mean training loss over its ``iterations`` mini-batches
+            -- the per-iteration ``loss_fn.forward`` values the training
+            loop computes anyway, so the engine never runs a second forward
+            pass to report :attr:`RoundRecord.train_loss`.  Like the states,
+            the losses are bit-identical across backends.
         """
 
     # -- lifecycle ------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.parallel.base import Executor
 from repro.parallel.kernels import (
     BatchedModel,
     BatchedSGD,
-    batched_cross_entropy_gradient,
+    batched_cross_entropy,
     unsupported_layers,
 )
 from repro.parallel.serial import SerialExecutor
@@ -268,6 +268,7 @@ class BatchedExecutor(Executor):
             by_shape.setdefault(next(iter(shapes)), []).append(slot)
 
         states: list[dict[str, np.ndarray] | None] = [None] * len(workers)
+        losses = [0.0] * len(workers)
         for slots in by_shape.values():
             stacked_model = BatchedModel(model, len(slots))
             sgd = BatchedSGD(
@@ -277,6 +278,9 @@ class BatchedExecutor(Executor):
                 weight_decay=weight_decay,
                 max_grad_norm=max_grad_norm,
             )
+            # Running per-worker loss sums, added in iteration order like
+            # the serial loop's scalar accumulator.
+            totals = np.zeros(len(slots))
             for iteration in range(iterations):
                 data = np.stack([batches[slot][iteration][0] for slot in slots])
                 labels = np.stack(
@@ -285,9 +289,12 @@ class BatchedExecutor(Executor):
                 )
                 sgd.zero_grad()
                 logits = stacked_model.forward(data)
-                grad = batched_cross_entropy_gradient(logits, labels)
+                step_losses, grad = batched_cross_entropy(logits, labels)
+                totals += step_losses
                 stacked_model.backward(grad)
                 sgd.step()
+            means = (totals / iterations).tolist()
             for position, slot in enumerate(slots):
                 states[slot] = stacked_model.state_dict_for(position)
-        return states
+                losses[slot] = means[position]
+        return states, losses

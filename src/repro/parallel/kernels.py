@@ -578,23 +578,26 @@ class BatchedSGD:
             param.data -= self.learning_rates.reshape(-1, *tail) * update
 
 
-def batched_cross_entropy_gradient(
+def batched_cross_entropy(
     logits: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """Per-worker gradient of the mean softmax cross-entropy.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-worker mean softmax cross-entropy and its gradient.
 
-    Matches ``CrossEntropyLoss.forward(...); CrossEntropyLoss.backward()``
-    applied to each worker's ``(batch, classes)`` slice: the softmax shift,
-    exponentiation and row normalisation are all per-row operations, so
-    adding the leading worker axis leaves every element's arithmetic
-    unchanged.
+    Returns ``(losses, grad)``: ``losses[w]`` matches
+    ``CrossEntropyLoss.forward(...)`` and ``grad[w]`` the following
+    ``CrossEntropyLoss.backward()`` applied to worker ``w``'s
+    ``(batch, classes)`` slice.  The softmax shift, exponentiation and row
+    normalisation are all per-row operations and the loss reduces each
+    worker's contiguous row of log-likelihoods exactly as the 1-D mean
+    does, so adding the leading worker axis leaves every element's
+    arithmetic unchanged.
     """
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=-1, keepdims=True)
     workers, batch = labels.shape
+    picked = (np.arange(workers)[:, None], np.arange(batch)[None, :], labels)
+    losses = (-np.log(probs[picked] + 1e-12)).mean(axis=-1)
     grad = probs.copy()
-    grad[
-        np.arange(workers)[:, None], np.arange(batch)[None, :], labels
-    ] -= 1.0
-    return grad / batch
+    grad[picked] -= 1.0
+    return losses, grad / batch

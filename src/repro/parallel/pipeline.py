@@ -310,14 +310,15 @@ class FullRoundOps:
     """Stage bodies of one full-model (FL) round.
 
     ``train`` runs every selected worker's local iterations (LOCAL_STEP)
-    and returns the locally updated state dicts; ``aggregate`` consumes
-    them.  The round driver runs its parent-side accounting afterwards.
+    and returns ``Executor.train_full``'s ``(states, losses)``;
+    ``aggregate`` consumes that result as is.  The round driver runs its
+    parent-side accounting afterwards.
     """
 
     executor: "Executor"
     workers: "list[SplitWorker]"
-    train: Callable[[], list]
-    aggregate: Callable[[list], None]
+    train: Callable[[], tuple[list, list]]
+    aggregate: Callable[[tuple[list, list]], None]
     on_stage: StageHook | None = None
 
     def note(self, stage: RoundStage, iteration: int | None = None) -> None:
@@ -373,14 +374,14 @@ class PipelineScheduler:
         self._report(syncs)
         return losses
 
-    def run_full_round(self, ops: FullRoundOps) -> list:
-        """Execute the FL round stages and return the local state dicts."""
+    def run_full_round(self, ops: FullRoundOps) -> tuple[list, list]:
+        """Execute the FL round stages and return what ``ops.train`` did."""
         ops.note(RoundStage.LOCAL_STEP)
-        states = ops.train()
+        trained = ops.train()
         ops.note(RoundStage.AGGREGATE)
-        ops.aggregate(states)
+        ops.aggregate(trained)
         self._report(2)
-        return states
+        return trained
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"

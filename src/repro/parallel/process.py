@@ -29,7 +29,8 @@ The synchronous per-round protocol mirrors
     forward  -> ship drawn indices, receive split-layer features
     backward -> ship dispatched gradients (children take the SGD step)
     states   -> receive locally updated bottom state dicts
-    train_full -> ship a full model + pre-drawn index sequences, receive states
+    train_full -> ship a full model + pre-drawn index sequences, receive
+        the states and mean training losses in one reply
 
 On top of that, the executor implements the split-phase pipelining
 capability (``supports_pipelining``; see :mod:`repro.parallel.pipeline`):
@@ -111,6 +112,7 @@ _UNCOUNTED_COMMANDS = frozenset({"load_shard", "codec_load", "codec_state"})
 
 def _child_main(connector: ChildConnector) -> None:
     """Child process loop: host bottom models / run local training on demand."""
+    from repro.core.worker import train_local_model
     from repro.nn.module import Sequential
     from repro.nn.optim import SGD
     from repro.parallel.staleness import InflightQueue
@@ -246,30 +248,20 @@ def _child_main(connector: ChildConnector) -> None:
                     endpoint.codec_load(payload)
                     endpoint.send(("ok", None))
                 elif command == "train_full":
-                    model, loss_fn, iterations, tasks = payload
-                    states = {}
-                    for worker_id, task in tasks.items():
-                        index_batches, lr, momentum, weight_decay, max_grad_norm = task
+                    # One reply frame: every hosted worker's
+                    # ``(state, mean training loss)``.
+                    model, loss_fn, __, tasks = payload
+                    trained = {}
+                    for worker_id, (index_batches, *hyperparams) in tasks.items():
                         shard_data, shard_targets = shards[worker_id]
-                        local = model.clone().without_input_grad()
-                        local.train()
-                        optimizer = SGD(
-                            local.parameters(),
-                            lr=lr,
-                            momentum=momentum,
-                            weight_decay=weight_decay,
-                            max_grad_norm=max_grad_norm,
+                        trained[worker_id] = train_local_model(
+                            model,
+                            loss_fn,
+                            ((shard_data[indices], shard_targets[indices])
+                             for indices in index_batches),
+                            *hyperparams,
                         )
-                        for indices in index_batches:
-                            data = shard_data[indices]
-                            labels = shard_targets[indices]
-                            optimizer.zero_grad()
-                            logits = local.forward(data)
-                            loss_fn.forward(logits, labels)
-                            local.backward(loss_fn.backward())
-                            optimizer.step()
-                        states[worker_id] = local.state_dict()
-                    endpoint.send(("ok", states), klass=WEIGHTS)
+                    endpoint.send(("ok", trained), klass=WEIGHTS)
                 else:
                     raise RuntimeError(f"unknown executor command {command!r}")
             except Exception:  # noqa: BLE001 - forwarded to the parent
@@ -950,7 +942,8 @@ class ProcessExecutor(Executor):
                 )
             messages[index] = ("train_full", (model, loss_fn, iterations, tasks))
         replies = self._broadcast(messages)
-        states_of: dict[int, dict] = {}
+        trained_of: dict[int, tuple[dict, float]] = {}
         for payload in replies.values():
-            states_of.update(payload)
-        return [states_of[worker.worker_id] for worker in workers]
+            trained_of.update(payload)
+        trained = [trained_of[worker.worker_id] for worker in workers]
+        return [state for state, __ in trained], [loss for __, loss in trained]

@@ -76,12 +76,13 @@ class SerialExecutor(Executor):
         return [worker.bottom_state() for worker in workers]
 
     def train_full(self, workers, model, loss_fn, iterations, batch_size, learning_rate):
-        return [
+        trained = [
             worker.train_full_model(
                 model, loss_fn, iterations, batch_size, learning_rate
             )
             for worker in workers
         ]
+        return [state for state, __ in trained], [loss for __, loss in trained]
 
     # -- relaxed dispatch (see repro.parallel.pipeline) -----------------------
     #: Installs run immediately; in-process there is no ack to skip.

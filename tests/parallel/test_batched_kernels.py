@@ -29,7 +29,7 @@ from repro.parallel.kernels import (
     BATCHED_LAYER_TYPES,
     BatchedModel,
     BatchedSGD,
-    batched_cross_entropy_gradient,
+    batched_cross_entropy,
     unsupported_layers,
 )
 from repro.parallel.serial import SerialExecutor
@@ -157,7 +157,7 @@ def test_batched_sgd_bit_exact(momentum, weight_decay, max_grad_norm):
             opt.step()
         batched_opt.zero_grad()
         logits = batched_model.forward(data)
-        batched_model.backward(batched_cross_entropy_gradient(logits, labels))
+        batched_model.backward(batched_cross_entropy(logits, labels)[1])
         batched_opt.step()
 
     for w, model in enumerate(serial_models):
@@ -166,14 +166,19 @@ def test_batched_sgd_bit_exact(momentum, weight_decay, max_grad_norm):
 
 
 def test_batched_cross_entropy_gradient_matches_serial():
+    """Losses and gradients are bit-equal to ``CrossEntropyLoss`` on every
+    worker's slice, at batch sizes on both sides of numpy's pairwise-sum
+    thresholds (8 and 128) -- the reduction the per-worker mean relies on."""
     rng = new_rng(4)
-    logits = rng.normal(size=(WORKERS, 6, 5))
-    labels = rng.integers(0, 5, size=(WORKERS, 6))
-    grad = batched_cross_entropy_gradient(logits, labels)
     loss = CrossEntropyLoss()
-    for w in range(WORKERS):
-        loss.forward(logits[w], labels[w])
-        assert np.array_equal(grad[w], loss.backward())
+    for batch in (1, 5, 6, 8, 32, 130, 300):
+        logits = rng.normal(size=(WORKERS, batch, 5)) * 4.0
+        labels = rng.integers(0, 5, size=(WORKERS, batch))
+        losses, grad = batched_cross_entropy(logits, labels)
+        assert losses.shape == (WORKERS,)
+        for w in range(WORKERS):
+            assert losses[w] == loss.forward(logits[w], labels[w])
+            assert np.array_equal(grad[w], loss.backward())
 
 
 class _PluginLayer(Module):

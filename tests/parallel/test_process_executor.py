@@ -153,11 +153,14 @@ class TestChildLoop:
                             {5: (index_batches, 0.05, 0.0, 0.0, None)})),
             ("close", None),
         ])
-        status, states = endpoint.replies[-1]
+        status, trained = endpoint.replies[-1]
         assert status == "ok"
+        # One reply carries the worker's state and its mean training loss.
+        state, loss = trained[5]
         assert not np.array_equal(
-            states[5]["layer0.weight"], model.state_dict()["layer0.weight"]
+            state["layer0.weight"], model.state_dict()["layer0.weight"]
         )
+        assert isinstance(loss, float) and 0.0 < loss < 10.0
 
     def test_no_reply_command_error_is_deferred_to_next_reply_slot(self):
         """A failing fire-and-forget command must not emit an unpaired reply;
