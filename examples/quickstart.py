@@ -1,7 +1,7 @@
 """Quickstart: train MergeSFL on a synthetic CIFAR-10 analogue.
 
 Drives MergeSFL through the steppable :class:`repro.Session` API: per-round
-progress streams through an ``on_round_end`` hook, and the run is split in
+progress streams through a ``round_end`` event handler, and the run is split in
 two halves with a JSON checkpoint round trip in between to demonstrate
 bit-exact resume.  Takes well under a minute on a laptop CPU.
 
@@ -47,8 +47,9 @@ def main() -> None:
     print(f"{'round':>5} {'sim time (s)':>12} {'waiting (s)':>11} "
           f"{'traffic (MB)':>12} {'accuracy':>9}")
 
-    @session.on_round_end
-    def report(session, record):
+    @session.on("round_end")
+    def report(session, event):
+        record = event.record
         print(f"{record.round_index:>5} {record.sim_time:>12.1f} "
               f"{record.waiting_time:>11.2f} {record.traffic_mb:>12.1f} "
               f"{record.test_accuracy:>9.3f}")
@@ -60,7 +61,7 @@ def main() -> None:
     session.save_checkpoint(checkpoint)
 
     resumed = Session.load_checkpoint(checkpoint)
-    resumed.on_round_end(report)
+    resumed.on("round_end", report)
     history = resumed.run()          # the remaining rounds
 
     print(f"\nresumed from {checkpoint} after round {config.num_rounds // 2 - 1}")

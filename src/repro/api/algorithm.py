@@ -77,8 +77,8 @@ class Algorithm(abc.ABC):
         """Wait until no asynchronously dispatched round work is in flight.
 
         Called by :class:`~repro.api.session.Session` before checkpointing
-        so a pipelined round (see :mod:`repro.parallel.pipeline`) can never
-        race the state capture.  The default is a no-op; engines that own
+        so such a round (see :mod:`repro.parallel.pipeline`) can never race
+        the state capture.  The default is a no-op; engines that own
         an :class:`~repro.parallel.base.Executor` forward the call to it.
         """
 

@@ -155,8 +155,6 @@ def build_model_for(config: ExperimentConfig, data: TrainTestSplit) -> Sequentia
         raise ConfigurationError(
             f"model {config.model!r} declares unknown input_kind {input_kind!r}"
         )
-    # build_model honours legacy MODEL_REGISTRY dict mutations as well as
-    # the registry, keeping both extension paths effective here.
     return build_model(config.model, **kwargs)
 
 
@@ -278,8 +276,6 @@ def resolve_split_layer(config: ExperimentConfig, model: Sequential) -> int:
 
 def build_components(config: ExperimentConfig) -> ExperimentComponents:
     """Materialise dataset, partition, model, split, cluster and workers."""
-    # make_dataset honours legacy DATASET_REGISTRY dict mutations as well
-    # as the registry, keeping both extension paths effective here.
     data = make_dataset(
         config.dataset,
         train_samples=config.train_samples,

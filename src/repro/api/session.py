@@ -18,13 +18,6 @@ Typed events stream progress and implement early stopping (see
 
     session.add_callback(EarlyStopping(target=0.9))   # packaged handlers
 
-The legacy ``on_round_end`` hook remains as a thin alias that receives the
-record directly::
-
-    @session.on_round_end
-    def watch(session, record):
-        return record.test_accuracy >= 0.9
-
 Checkpoints are plain JSON files carrying the configuration plus the full
 mutable algorithm state (weights, optimizer buffers, RNG streams, clock,
 traffic and history), so a restored session continues bit-exactly where the
@@ -37,7 +30,6 @@ saved one stopped::
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from pathlib import Path
 
 from repro.api.algorithm import Algorithm
@@ -60,9 +52,6 @@ logger = get_logger("api.session")
 
 #: Format version stamped into checkpoints.
 CHECKPOINT_VERSION = 1
-
-#: Signature of round-end hooks; a truthy return value requests early stop.
-RoundCallback = Callable[["Session", RoundRecord], object]
 
 
 class Session:
@@ -133,20 +122,6 @@ class Session:
         the current :meth:`run` loop.
         """
         return self.events.on(event, handler)
-
-    def on_round_end(self, callback: RoundCallback) -> RoundCallback:
-        """Register a legacy round-end hook; usable as a decorator.
-
-        Thin alias for ``session.on("round_end", ...)`` that unwraps the
-        event: hooks receive ``(session, record)`` and a truthy return
-        value requests early stop, exactly as before the typed event API.
-        """
-        def adapter(session: "Session", event: RoundEnd) -> object:
-            return callback(session, event.record)
-
-        adapter.__qualname__ = getattr(callback, "__qualname__", repr(callback))
-        self.events.on("round_end", adapter)
-        return callback
 
     def add_callback(self, callback: Callback) -> Callback:
         """Attach a packaged :class:`~repro.api.events.Callback` instance.
@@ -225,7 +200,7 @@ class Session:
         (see :mod:`repro.parallel.pipeline`) may have asynchronously
         dispatched work still in flight on the executor, and the capture
         must not race it.  Cross-round artifacts that survive the drain --
-        the staleness scheduler's prefetched next-round plan -- are
+        the scheduler's prefetched next-round plan -- are
         *serialized* by the engine's ``state_dict`` instead, so resume is
         exact at any staleness.
         """

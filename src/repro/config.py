@@ -166,28 +166,33 @@ class ExperimentConfig:
     #: are bit-exact with each other, so this is purely a speed knob, and
     #: the default ``"auto"`` lets the code pick: it is resolved once, when
     #: the components are built, to ``"batched"`` (every worker stacked into
-    #: one numpy kernel per layer) when the whole model is dense layers with
-    #: stacked kernels and the pipeline is not ``"staleness"``, and to
-    #: ``"serial"`` (the per-worker reference) otherwise; see
+    #: one numpy kernel per layer) when every layer of the model has a
+    #: stacked kernel (the dense layers) and the pipeline is not
+    #: ``"staleness"``, and to ``"serial"`` (the per-worker reference)
+    #: otherwise -- exactly where a forced ``"batched"`` would fall back; see
     #: :func:`repro.parallel.resolve_executor`.  Naming a backend --
     #: ``"serial"``, ``"batched"`` or ``"process"`` (multiprocessing pool) --
     #: forces it and is never re-resolved: force ``"process"`` for conv
     #: models on a multi-core host, ``"serial"`` to run the reference.
     executor: str = AUTO_EXECUTOR
-    #: How the stages of each round are scheduled: ``"sync"`` (strict stage
-    #: order), ``"pipelined"`` (double-buffered cross-iteration overlap on
-    #: executors that support asynchronous dispatch) or ``"staleness"``
-    #: (dependency-tracked bounded-staleness scheduling); see
-    #: :mod:`repro.parallel.pipeline`.  ``sync`` and ``pipelined`` are
+    #: How the stages of each round are scheduled -- three constructions
+    #: of the one scheduler in :mod:`repro.parallel.pipeline`: ``"sync"``
+    #: (the blocking reference order), ``"pipelined"`` (the order derived
+    #: from the round's artifact graph, dispatched asynchronously on
+    #: executors that support it: fewer blocking points, and the round's
+    #: accounting plus the next round's plan overlap the executor's tail
+    #: compute) or ``"staleness"`` (that graph order under the
+    #: ``staleness`` bound below).  ``sync`` and ``pipelined`` are
     #: bit-exact with each other; ``staleness`` is bit-exact at
-    #: ``staleness=0`` and a measured relaxation otherwise.
+    #: ``staleness=0`` and a measured relaxation otherwise.  Executors
+    #: without asynchronous dispatch run the blocking order under every
+    #: name.
     pipeline: str = "sync"
-    #: Staleness bound of the ``"staleness"`` scheduler: how many local
-    #: updates a bottom forward may lag behind the strict schedule.  ``0``
-    #: reproduces the pipelined schedule bit-exactly; ``>= 1`` relaxes the
-    #: forward/backward dependency and enables cross-round pipelining
-    #: (deterministic, executor-independent, but a different -- measured --
-    #: trajectory).  Ignored by the other schedulers.
+    #: Staleness bound of ``pipeline="staleness"``: how many local updates
+    #: a bottom forward may lag behind the strict schedule.  ``0`` is the
+    #: ``"pipelined"`` schedule; ``>= 1`` relaxes the forward/backward
+    #: dependency (deterministic, executor-independent, but a different --
+    #: measured -- trajectory).  Ignored under the other two names.
     staleness: int = 0
     #: How feature/gradient/mini-batch arrays cross the process executor's
     #: process boundary: ``"pipe"`` (pickle over a pipe) or ``"shm"``

@@ -114,7 +114,7 @@ class RoundPlan:
     def to_dict(self) -> dict:
         """JSON-safe representation (batch-size keys become strings).
 
-        Plans are normally transient, but a relaxed schedule may prefetch
+        Plans are normally transient, but the scheduler's graph body prefetches
         the *next* round's plan during the current round's aggregate window
         (cross-round pipelining); the engine then serialises it into the
         checkpoint so resume stays exact.  ``depths`` appears only when a

@@ -21,13 +21,15 @@ A round is an explicit stage sequence (plan -> install -> bottom-forward ->
 merge -> top-update -> backward-dispatch -> local-step -> aggregate): the
 engine supplies the stage bodies as :class:`~repro.parallel.pipeline.SplitRoundOps`
 and a :class:`~repro.parallel.pipeline.PipelineScheduler` (picked by
-``config.pipeline``) decides the execution order -- strictly sequential,
-double-buffered across iterations, or relaxed under a bounded staleness.
-The stage bodies bind *artifact versions*, not an implicit order: the
-engine's parent-side accounting and even the next round's PLAN are handed
-to the scheduler as callables it may run inside the aggregate window
-(cross-round pipelining), and a plan prefetched that way is serialised
-into ``state_dict`` so checkpoint/resume stays exact at any staleness.
+``config.pipeline``) decides the execution order -- its blocking
+reference order, or the order derived from the artifact graph (exact, or
+relaxed under a bounded staleness) on executors with asynchronous
+dispatch.  The stage bodies bind *artifact versions*, not an implicit
+order: the engine's parent-side accounting and even the next round's PLAN
+are handed to the scheduler as callables its graph body runs inside the
+aggregate window (cross-round pipelining), and a plan prefetched that way
+is serialised into ``state_dict`` so checkpoint/resume stays exact under
+either body and at any staleness.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ class SplitTrainingEngine(RoundEngine):
             )
         self._last_depths: dict[int, int] = {}
 
-        #: A plan prefetched by a relaxed scheduler during the previous
+        #: A plan prefetched by the scheduler's graph body during the previous
         #: round's aggregate window: ``(round_index, plan)`` or ``None``.
         #: Planning mutates the simulated cluster and the state estimator,
         #: so the prefetched plan is part of the checkpointed state.
@@ -217,9 +219,9 @@ class SplitTrainingEngine(RoundEngine):
     def _engine_state(self) -> dict:
         """The split-only checkpoint keys.
 
-        Includes the one cross-round in-flight artifact a relaxed schedule
-        leaves behind -- the prefetched next-round plan -- so resume is
-        exact at any staleness.
+        Includes the one cross-round in-flight artifact the scheduler's
+        graph body leaves behind -- the prefetched next-round plan -- so
+        resume is exact at any staleness.
         """
         pending_plan = None
         if self._pending_plan is not None:
@@ -407,7 +409,8 @@ class SplitTrainingEngine(RoundEngine):
     def _prefetch_plan(self, round_index: int) -> None:
         """Plan ``round_index`` early, inside the previous aggregate window.
 
-        Called by relaxed schedulers after the previous round's accounting;
+        Called by the scheduler's graph body after the previous round's
+        accounting;
         the computed plan (and the cluster/estimator mutations planning
         entails) is exactly what :meth:`_next_plan` would have produced at
         the start of the round, so trajectories are unchanged -- only the
@@ -466,16 +469,9 @@ class SplitTrainingEngine(RoundEngine):
             executor=self.executor,
             workers=selected_workers,
             batch_sizes=[plan.batch_sizes[worker_id] for worker_id in worker_ids],
-            install=lambda: self._install_bottoms(plan, selected_workers),
+            install=lambda wait: self._install_bottoms(plan, selected_workers, wait),
             update_top=update_top,
-            aggregate=lambda: self._aggregate_states(
-                plan, selected_workers,
-                self.executor.bottom_states(selected_workers), elastic_state,
-            ),
-            install_nowait=lambda: self._install_bottoms(
-                plan, selected_workers, nowait=True
-            ),
-            finish_aggregate=lambda states: self._aggregate_states(
+            aggregate=lambda states: self._aggregate_states(
                 plan, selected_workers, states, elastic_state
             ),
             account=account,
@@ -493,7 +489,7 @@ class SplitTrainingEngine(RoundEngine):
         self,
         plan: RoundPlan,
         selected_workers: list[SplitWorker],
-        nowait: bool = False,
+        wait: bool = True,
     ) -> None:
         """Distribute the global bottom model with batch-size-scaled rates."""
         learning_rates = [
@@ -507,16 +503,12 @@ class SplitTrainingEngine(RoundEngine):
             # Bridges are carved from the same global bottom the workers
             # receive, before any of them can step.
             self.server.install_bridges(set(depths))
-            install_multi = (
-                self.executor.install_multi_nowait if nowait
-                else self.executor.install_multi
-            )
-            install_multi(
+            self.executor.install_multi(
                 selected_workers, self.server.global_bottom, learning_rates,
-                depths,
+                depths, wait=wait,
             )
             return
-        install = self.executor.install_nowait if nowait else self.executor.install
+        install = self.executor.install if wait else self.executor.install_nowait
         install(selected_workers, self.server.global_bottom, learning_rates)
 
     def _aggregate_states(

@@ -108,7 +108,7 @@ class RoundEngine(Algorithm):
         return self._round_index
 
     def drain(self) -> None:
-        """Wait for in-flight asynchronous dispatch (pipelined rounds)."""
+        """Wait for in-flight asynchronous dispatch (graph-order rounds)."""
         self.executor.drain()
 
     def close(self) -> None:
@@ -119,8 +119,8 @@ class RoundEngine(Algorithm):
     def state_dict(self) -> dict:
         """Every mutable piece of training state, for checkpoint/resume.
 
-        Drains the executor first so the capture cannot race a pipelined
-        round; cross-round artifacts that survive the drain are serialised
+        Drains the executor first so the capture cannot race an
+        asynchronously dispatched round; cross-round artifacts that survive the drain are serialised
         by the subclass through :meth:`_engine_state`.
         """
         self.drain()
@@ -184,8 +184,8 @@ class RoundEngine(Algorithm):
     ) -> list[float]:
         """Run the round's stages under the scheduler; return its losses.
 
-        ``account`` is the driver's idempotent parent-side accounting; a
-        relaxed schedule may invoke it early, inside the aggregate window.
+        ``account`` is the driver's idempotent parent-side accounting; the
+        scheduler's graph body invokes it early, inside the aggregate window.
         """
 
     @abc.abstractmethod
@@ -214,7 +214,7 @@ class RoundEngine(Algorithm):
         """Feed the accounted round to the engine's estimators (optional).
 
         Runs at the end of ``account()``, i.e. before any next-round
-        planning a relaxed scheduler prefetches.
+        planning the scheduler's graph body prefetches.
         """
 
     # -- simulated cost model ----------------------------------------------------
@@ -288,10 +288,10 @@ class RoundEngine(Algorithm):
         def account() -> None:
             # ACCOUNT: participation, simulated time/traffic and the
             # estimator observations.  Reads the plan and the *round-r*
-            # cluster state only, so a relaxed scheduler may run it inside
-            # the aggregate window (before any next-round planning
+            # cluster state only, so the scheduler's graph body may run it
+            # inside the aggregate window (before any next-round planning
             # advances the cluster); idempotent because the driver invokes
-            # it unconditionally afterwards for the exact schedulers.  The
+            # it unconditionally afterwards for the blocking body.  The
             # whole planned cohort counts as having participated, also
             # when an executor death shrinks the cohort that re-runs.
             if accounting:

@@ -17,7 +17,6 @@ from repro.data.synthetic import (
     make_cifar10,
     make_image100,
     make_blobs,
-    DATASET_REGISTRY,
     DATASET_SPECS,
     DatasetSpec,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "make_cifar10",
     "make_image100",
     "make_blobs",
-    "DATASET_REGISTRY",
     "DATASET_SPECS",
     "DatasetSpec",
     "iid_partition",

@@ -12,7 +12,6 @@ Dirichlet partitioning that drive the paper's non-IID results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable
 
 import numpy as np
 
@@ -205,22 +204,6 @@ def make_blobs(
     )
 
 
-#: Built-in makers (kept for backwards compatibility; the authoritative,
-#: extensible mapping is :data:`repro.api.registry.DATASETS`).
-DATASET_REGISTRY: dict[str, Callable[..., TrainTestSplit]] = {
-    "har": make_har,
-    "speech": make_speech,
-    "cifar10": make_cifar10,
-    "image100": make_image100,
-    "blobs": make_blobs,
-}
-
-#: Snapshot of the original dict entries, so mutations of
-#: ``DATASET_REGISTRY`` by legacy code remain detectable and keep their
-#: pre-registry behaviour.
-_DATASET_REGISTRY_BUILTINS = dict(DATASET_REGISTRY)
-
-
 def make_dataset(
     name: str,
     train_samples: int = 2000,
@@ -231,13 +214,7 @@ def make_dataset(
 
     Resolves through :data:`repro.api.registry.DATASETS`, so datasets
     registered by third-party code (``@register_dataset``) work here too.
-    Entries added to -- or replaced in -- the legacy ``DATASET_REGISTRY``
-    dict also keep working: a mutated dict entry takes precedence, as it
-    did before the registries existed.
     """
-    legacy = DATASET_REGISTRY.get(name)
-    if legacy is not None and legacy is not _DATASET_REGISTRY_BUILTINS.get(name):
-        maker = legacy
-    else:
-        maker = DATASETS.get(name)
-    return maker(train_samples=train_samples, test_samples=test_samples, seed=seed)
+    return DATASETS.get(name)(
+        train_samples=train_samples, test_samples=test_samples, seed=seed
+    )

@@ -44,7 +44,6 @@ from repro.nn.models import (
     build_vgg_s,
     build_mlp,
     default_split_layer,
-    MODEL_REGISTRY,
 )
 
 __all__ = [
@@ -86,5 +85,4 @@ __all__ = [
     "build_vgg_s",
     "build_mlp",
     "default_split_layer",
-    "MODEL_REGISTRY",
 ]

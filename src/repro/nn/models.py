@@ -14,7 +14,6 @@ connected classifier moves to the parameter server.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 
 import numpy as np
 
@@ -228,33 +227,12 @@ def build_vgg_s(
     return Sequential(layers)
 
 
-#: Built-in builders (kept for backwards compatibility; the authoritative,
-#: extensible mapping is :data:`repro.api.registry.MODELS`).
-MODEL_REGISTRY: dict[str, Callable[..., Sequential]] = {
-    "mlp": build_mlp,
-    "cnn_h": build_cnn_h,
-    "cnn_s": build_cnn_s,
-    "alexnet_s": build_alexnet_s,
-    "vgg_s": build_vgg_s,
-}
-
-#: Snapshot of the original dict entries, so mutations of ``MODEL_REGISTRY``
-#: by legacy code remain detectable and keep their pre-registry behaviour.
-_MODEL_REGISTRY_BUILTINS = dict(MODEL_REGISTRY)
-
-
 def build_model(name: str, **kwargs) -> Sequential:
     """Build a model by registry name.
 
     Resolves through :data:`repro.api.registry.MODELS`, so models registered
-    by third-party code (``@register_model``) work here too.  Entries added
-    to -- or replaced in -- the legacy ``MODEL_REGISTRY`` dict also keep
-    working: a mutated dict entry takes precedence, as it did before the
-    registries existed.
+    by third-party code (``@register_model``) work here too.
     """
-    legacy = MODEL_REGISTRY.get(name)
-    if legacy is not None and legacy is not _MODEL_REGISTRY_BUILTINS.get(name):
-        return legacy(**kwargs)
     return MODELS.get(name)(**kwargs)
 
 

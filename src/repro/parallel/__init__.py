@@ -4,7 +4,8 @@ Every engine describes *what* each selected worker computes per round; an
 :class:`~repro.parallel.base.Executor` decides *how*:
 
 * ``serial`` -- one worker after another (the reference semantics).
-* ``batched`` -- all workers vectorized into stacked numpy kernels.
+* ``batched`` -- all workers vectorized into stacked numpy kernels
+  (dense layers only; other models run per worker).
 * ``process`` -- workers fanned out to a pool of OS processes.
 
 All three produce bit-identical training trajectories for a fixed seed.
@@ -16,15 +17,17 @@ receive the full :class:`~repro.config.ExperimentConfig` so backends can
 read tuning knobs from ``config.extras`` (the process pool size, for
 example, comes from ``extras["executor_processes"]``).
 
-Two further axes compose with the executor choice:
+Three further axes compose with the executor choice:
 
 * the **round pipeline** (``config.pipeline``, :mod:`repro.parallel.pipeline`)
-  schedules the stages of each round -- ``sync`` runs them strictly in
-  order, ``pipelined`` double-buffers iteration ``k+1``'s bottom-forward
-  work against iteration ``k``'s top update on capable executors, and
-  ``staleness`` schedules by declared artifact dependencies with a bounded
-  staleness (``config.staleness``; 0 is bit-exact, ``>= 1`` is a
-  deterministic measured relaxation with cross-round pipelining);
+  schedules the stages of each round with one scheduler class -- ``sync``
+  runs its blocking reference order, ``pipelined`` runs the order derived
+  from the declared artifact dependencies through the asynchronous
+  dispatch protocol of capable executors (``serial``, ``process`` over
+  ``shm``), overlapping the round's accounting and the next round's plan
+  with the executor's tail compute, and ``staleness`` runs that same order
+  with a bounded staleness (``config.staleness``; 0 is bit-exact, ``>= 1``
+  is a deterministic measured relaxation);
 * the **feature transport** (``config.transport``,
   :mod:`repro.parallel.transport`) moves tensors across the process
   executor's process boundary -- ``pipe`` pickles them, ``shm`` ships them
@@ -56,13 +59,11 @@ from repro.parallel.codec import (
     CodecPolicy,
     build_codec_policy,
 )
-from repro.parallel.kernels import DENSE_LAYER_TYPES
+from repro.parallel.kernels import unsupported_layers
 from repro.parallel.pipeline import (
     ArtifactKind,
     ArtifactRef,
-    BoundedStalenessScheduler,
     FullRoundOps,
-    PipelinedScheduler,
     PipelineScheduler,
     RoundReport,
     RoundStage,
@@ -86,7 +87,6 @@ __all__ = [
     "ArtifactKind",
     "ArtifactRef",
     "BatchedExecutor",
-    "BoundedStalenessScheduler",
     "CODECS",
     "Codec",
     "CodecPolicy",
@@ -95,7 +95,6 @@ __all__ = [
     "InflightQueue",
     "PipeTransport",
     "PipelineScheduler",
-    "PipelinedScheduler",
     "ProcessExecutor",
     "RoundReport",
     "RoundStage",
@@ -148,23 +147,26 @@ def _build_shm_transport(config) -> SharedMemoryTransport:
     )
 
 
-@register_pipeline("sync", description="stages run strictly in order")
+@register_pipeline("sync", description="blocking reference order")
 def _build_sync_pipeline(config) -> PipelineScheduler:
     return PipelineScheduler()
 
 
-@register_pipeline("pipelined", description="double-buffered cross-iteration overlap")
-def _build_pipelined_pipeline(config) -> PipelinedScheduler:
-    return PipelinedScheduler()
+@register_pipeline(
+    "pipelined", description="graph order, dispatched asynchronously (exact)"
+)
+def _build_pipelined_pipeline(config) -> PipelineScheduler:
+    return PipelineScheduler(asynchronous=True)
 
 
 @register_pipeline(
     "staleness",
-    description="dependency-tracked bounded-staleness scheduling "
-                "(config.staleness; 0 = exact)",
+    description="graph order with bounded staleness (config.staleness; 0 = exact)",
 )
-def _build_staleness_pipeline(config) -> BoundedStalenessScheduler:
-    return BoundedStalenessScheduler(staleness=int(getattr(config, "staleness", 0)))
+def _build_staleness_pipeline(config) -> PipelineScheduler:
+    return PipelineScheduler(
+        asynchronous=True, staleness=int(getattr(config, "staleness", 0))
+    )
 
 
 def resolve_executor(config, model=None, workers=()) -> str:
@@ -172,26 +174,22 @@ def resolve_executor(config, model=None, workers=()) -> str:
 
     An explicit name is returned as is.  The ``"auto"`` default picks
     between the two in-process backends from what is observable when the
-    components are built: ``"batched"`` when every layer of ``model`` is a
-    dense layer with a stacked kernel
-    (:data:`~repro.parallel.kernels.DENSE_LAYER_TYPES` -- there the stacked
-    kernels replace per-worker Python with one numpy call per layer), and
-    ``"serial"`` otherwise: conv/pool models, where the stacked kernels
-    measure ~0.85x of the per-worker loop; third-party layers and
-    hand-wired workers with differing optimizer hyper-parameters, which
-    the stacked path would run per worker anyway; ``pipeline="staleness"``,
-    whose relaxed dispatch only the per-worker backend implements; and no
-    ``model`` to look at.  ``model`` is the full model: every worker-side
-    model (the bottom, a per-depth prefix, FedAvg's whole model) is a
-    slice of it.
+    components are built: ``"batched"`` exactly where the batched executor
+    would not fall back to its per-worker loop -- every layer of ``model``
+    has a stacked kernel (:func:`~repro.parallel.kernels.unsupported_layers`
+    is empty: the dense layers, where one numpy call per layer replaces
+    per-worker Python) and the workers share their optimizer
+    hyper-parameters -- and ``"serial"`` otherwise: conv/pool models and
+    third-party layers, ``pipeline="staleness"``, whose asynchronous
+    dispatch only the per-worker backend implements, and no ``model`` to
+    look at.  ``model`` is the full model: every worker-side model (the
+    bottom, a per-depth prefix, FedAvg's whole model) is a slice of it.
     """
     if config.executor != AUTO_EXECUTOR:
         return config.executor
-    dense = model is not None and all(
-        type(layer) in DENSE_LAYER_TYPES for layer in model.layers
-    )
     if (
-        not dense
+        model is None
+        or unsupported_layers(model)
         or config.pipeline == "staleness"
         or (workers and uniform_worker_hyperparams(workers) is None)
     ):

@@ -17,7 +17,8 @@ streams) inside the engine/worker objects; executors only hold per-round
 scratch state that is rebuilt by :meth:`Executor.install`, which is why
 switching executors never invalidates a checkpoint.
 
-Split-training call sequence, per round (``SplitTrainingEngine._run_stages``)::
+Split-training call sequence, per round, as the scheduler's blocking body
+drives it (``SplitTrainingEngine._run_stages``)::
 
     install(workers, bottom, lrs)          # distribute the global bottom
     repeat tau times:
@@ -25,6 +26,19 @@ Split-training call sequence, per round (``SplitTrainingEngine._run_stages``)::
         ... top-model update on the PS ...
         backward_step(workers, gradients)  # dispatched gradients + SGD step
     bottom_states(workers)                 # collect for aggregation
+
+Backends that set :attr:`Executor.supports_async_dispatch` also offer the
+same round as split-phase, non-blocking primitives, which the scheduler's
+graph body drives (:mod:`repro.parallel.pipeline`)::
+
+    install_nowait(workers, bottom, lrs)   # no acknowledgement
+    repeat tau times, in graph order:
+        stage_forward(workers, batch_sizes)    # draw + ship the batches
+        launch_forward(workers)                # start the forward
+        collect_forward(workers)               # block for its features
+        backward_step_nowait(workers, grads)   # no acknowledgement
+    request_states(workers)                # ask for the bottom states ...
+    collect_states(workers)                # ... block for them later
 
 Full-model call sequence, per round (``FLTrainingEngine._run_stages``)::
 
@@ -50,27 +64,19 @@ class Executor(abc.ABC):
     #: Registry name of the backend (also used in logs and error messages).
     name: str = "abstract"
 
-    #: Whether the backend implements the split-phase pipelining protocol
-    #: (``stage_forward`` / ``launch_forward`` / ``collect_forward`` /
-    #: ``fused_backward_forward`` / ``backward_step_nowait``) that the
-    #: pipelined scheduler (:mod:`repro.parallel.pipeline`) drives.  In-
-    #: process backends gain nothing from it and leave this ``False``; the
-    #: scheduler then falls back to the synchronous stage order.
-    supports_pipelining: bool = False
-
-    #: Whether the backend implements the *relaxed dispatch* protocol the
-    #: bounded-staleness scheduler drives (``install_nowait`` /
-    #: ``dispatch_forward`` / ``collect_forward`` / ``dispatch_backward`` /
-    #: ``request_states`` / ``collect_states``).  The contract is ordering,
-    #: not timing: commands execute per-worker in dispatch order, so a
-    #: forward dispatched before a pending backward runs on weights that
-    #: miss that update -- the backend keeps delayed backwards well-defined
-    #: with in-flight snapshots (:mod:`repro.parallel.staleness`) and the
-    #: relaxed trajectory stays deterministic and backend-independent.
-    #: Backends without the capability leave this ``False``; the staleness
-    #: scheduler then falls back to the *exact* schedule (a semantic
-    #: fallback, logged loudly).
-    supports_staleness: bool = False
+    #: Whether the backend implements the asynchronous dispatch protocol
+    #: the scheduler's graph body drives (``install_nowait`` /
+    #: ``stage_forward`` / ``launch_forward`` / ``collect_forward`` /
+    #: ``backward_step_nowait`` / ``request_states`` / ``collect_states``).
+    #: The contract is ordering, not timing: commands execute per-worker in
+    #: dispatch order, so a forward launched before a pending backward runs
+    #: on weights that miss that update -- the backend keeps delayed
+    #: backwards well-defined with in-flight snapshots
+    #: (:mod:`repro.parallel.staleness`) and the trajectory stays
+    #: deterministic and backend-independent at every staleness bound.
+    #: Backends without the capability leave this ``False``; the scheduler
+    #: then runs its blocking body.
+    supports_async_dispatch: bool = False
 
     # -- split training -------------------------------------------------------
     @abc.abstractmethod
@@ -94,19 +100,24 @@ class Executor(abc.ABC):
         bottom: "Sequential",
         learning_rates: list[float],
         depths: list[int],
+        wait: bool = True,
     ) -> None:
         """Distribute per-worker *prefixes* of the bottom model.
 
         Worker ``i`` receives ``bottom.layers[:depths[i]]`` -- the
         heterogeneous-split-point generalization of :meth:`install`.  The
         default groups workers by depth and issues one ordinary
-        :meth:`install` per group, which is correct for any backend whose
-        install state is per-worker; backends with cohort-level install
-        state (the batched executor's stacked snapshot) override this.
-        Uniform runs never call it, so the single-depth path is untouched.
+        :meth:`install` per group (``install_nowait`` when ``wait`` is
+        false, which only the graph body of a backend advertising
+        :attr:`supports_async_dispatch` asks for), which is correct for
+        any backend whose install state is per-worker; backends with
+        cohort-level install state (the batched executor's stacked
+        snapshot) override this.  Uniform runs never call it, so the
+        single-depth path is untouched.
         """
         from repro.nn.module import Sequential
 
+        install = self.install if wait else self.install_nowait
         for depth in sorted(set(depths)):
             subset = [w for w, d in zip(workers, depths) if d == depth]
             subset_lrs = [
@@ -116,34 +127,7 @@ class Executor(abc.ABC):
                 bottom if depth == len(bottom)
                 else Sequential(bottom.layers[:depth])
             )
-            self.install(subset, prefix, subset_lrs)
-
-    def install_multi_nowait(
-        self,
-        workers: "list[SplitWorker]",
-        bottom: "Sequential",
-        learning_rates: list[float],
-        depths: list[int],
-    ) -> None:
-        """Asynchronous :meth:`install_multi` for relaxed-dispatch backends.
-
-        Groups by depth like the synchronous variant but dispatches each
-        group through ``install_nowait`` so the staleness scheduler keeps
-        its ordering semantics.  Only meaningful on backends advertising
-        :attr:`supports_staleness`.
-        """
-        from repro.nn.module import Sequential
-
-        for depth in sorted(set(depths)):
-            subset = [w for w, d in zip(workers, depths) if d == depth]
-            subset_lrs = [
-                lr for lr, d in zip(learning_rates, depths) if d == depth
-            ]
-            prefix = (
-                bottom if depth == len(bottom)
-                else Sequential(bottom.layers[:depth])
-            )
-            self.install_nowait(subset, prefix, subset_lrs)
+            install(subset, prefix, subset_lrs)
 
     @abc.abstractmethod
     def forward(
@@ -195,9 +179,9 @@ class Executor(abc.ABC):
     def drain(self) -> None:
         """Block until no asynchronously dispatched work is in flight.
 
-        Engines call this before capturing checkpoint state so a pipelined
-        round can never race the state capture.  Backends without
-        asynchronous dispatch have nothing to wait for.
+        Engines call this before capturing checkpoint state so such a round
+        can never race the state capture.  Backends without asynchronous
+        dispatch have nothing to wait for.
         """
 
     def close(self) -> None:

@@ -12,9 +12,12 @@ Sampling state never leaves the workers: mini-batches are drawn from every
 worker's own :class:`~repro.data.loader.BatchLoader` in the main process,
 so checkpoints are identical to serial execution.
 
-Models containing layers without a batched kernel (third-party plugins;
-every built-in layer, including BatchNorm1d/2d, has one) transparently
-fall back to serial execution, with a one-time warning per layer-type set.
+Only the dense layers have a stacked kernel
+(:data:`~repro.parallel.kernels.BATCHED_LAYER_TYPES`).  Models containing
+any other layer -- convolution, pooling, BatchNorm2d, third-party plugins
+-- transparently fall back to serial execution, with a one-time warning
+per layer-type set; ``executor="auto"`` never picks this backend for them
+(:func:`~repro.parallel.resolve_executor` asks the same table).
 """
 
 from __future__ import annotations
@@ -149,7 +152,7 @@ class BatchedExecutor(Executor):
             workers, bottom, learning_rates, [len(bottom)] * len(workers)
         )
 
-    def install_multi(self, workers, bottom, learning_rates, depths) -> None:
+    def install_multi(self, workers, bottom, learning_rates, depths, wait=True) -> None:
         """Stack workers *within* each cut-depth group (heterogeneous splits)."""
         self._worker_ids = None
         reason = self._fallback_reason(workers, bottom)

@@ -1,19 +1,22 @@
-"""Vectorized (worker-stacked) counterparts of the ``nn/layers`` kernels.
+"""Vectorized (worker-stacked) counterparts of the dense ``nn/layers`` kernels.
 
 The :class:`~repro.parallel.batched.BatchedExecutor` stacks the selected
 workers' identically-shaped bottom models along a new leading *worker* axis
 ``w`` and runs a single numpy kernel per layer for all workers at once:
 activations have shape ``(w, batch, ...)`` and parameters ``(w, ...)``.
-Each batched layer mirrors its serial counterpart operation for operation
-(the convolutions even reuse the serial ``im2col``/``col2im`` kernels on a
-flattened ``(w * batch, ...)`` view), so the results are bit-identical to
-running the serial layer once per worker -- the executor equivalence suite
-asserts exactly that.
+Each batched layer mirrors its serial counterpart operation for operation,
+so the results are bit-identical to running the serial layer once per
+worker -- the executor equivalence suite asserts exactly that.
 
-Why this is faster despite identical FLOPs: one matmul over the
-stacked operands replaces ``w`` small kernel launches, so the Python layer
-dispatch and numpy call overhead -- the dominant cost at simulation scale
--- is paid once per layer instead of once per worker per layer.
+Only the dense layers (:data:`BATCHED_LAYER_TYPES`: linear, activations,
+flatten, dropout, BatchNorm1d) have a stacked kernel.  There one matmul
+over the stacked operands replaces ``w`` small kernel launches, so the
+Python layer dispatch and numpy call overhead -- the dominant cost at
+simulation scale -- is paid once per layer instead of once per worker per
+layer.  Convolution and pooling spend their time inside im2col/GEMM, where
+stacking saves nothing and the larger working set costs cache: stacked
+conv kernels measured 0.83-0.85x of the per-worker loop (EXPERIMENTS.md,
+PR 13) and were deleted; models containing such layers run per worker.
 """
 
 from __future__ import annotations
@@ -23,16 +26,8 @@ import copy
 import numpy as np
 
 from repro.nn.layers.activations import ReLU, Sigmoid, Tanh
-from repro.nn.layers.conv import Conv1d, Conv2d, col2im, im2col
 from repro.nn.layers.linear import Linear
-from repro.nn.layers.pooling import (
-    AvgPool2d,
-    MaxPool1d,
-    MaxPool2d,
-    max_pool,
-    max_pool_backward,
-)
-from repro.nn.layers.regularization import BatchNorm1d, BatchNorm2d, Dropout
+from repro.nn.layers.regularization import BatchNorm1d, Dropout
 from repro.nn.layers.shape import Flatten
 from repro.nn.module import Sequential
 
@@ -105,79 +100,6 @@ class BatchedLinear(BatchedLayer):
         return np.matmul(grad_output, self.weight.data)
 
 
-class BatchedConv2d(BatchedLayer):
-    """2-D convolution with per-worker weights, via the serial im2col kernels.
-
-    The column matrices are computed by the *serial* ``im2col`` on a
-    ``(w * batch, ...)`` view (pure slicing, so values are identical), and
-    the serial layer's three ``np.matmul`` products gain a leading ``w``
-    axis: the same GEMM per 2-D slice, so the results match bitwise.
-    """
-
-    def __init__(self, layer: Conv2d, count: int) -> None:
-        super().__init__(count)
-        self.kernel_size = layer.kernel_size
-        self.stride = layer.stride
-        self.padding = layer.padding
-        self.out_channels = layer.out_channels
-        self.weight = BatchedParameter(_stack(layer.weight.data, count), "weight")
-        self.params = [self.weight]
-        self.bias = None
-        if layer.bias is not None:
-            self.bias = BatchedParameter(_stack(layer.bias.data, count), "bias")
-            self.params.append(self.bias)
-        self._cache: tuple[np.ndarray, tuple[int, ...], tuple[int, int]] | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        w, batch = inputs.shape[:2]
-        flat = inputs.reshape(w * batch, *inputs.shape[2:])
-        cols, out_size = im2col(flat, self.kernel_size, self.stride, self.padding)
-        cols = cols.reshape(w, batch, *cols.shape[1:])
-        self._cache = (cols, inputs.shape, out_size)
-        out = np.matmul(self.weight.data[:, None], cols)
-        if self.bias is not None:
-            out += self.bias.data[:, None, :, None]
-        return out.reshape(w, batch, self.out_channels, out_size[0], out_size[1])
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
-        cols, input_shape, out_size = self._cache
-        w, batch = input_shape[:2]
-        grad = grad_output.reshape(w, batch, self.out_channels, -1)
-        self.weight.grad += np.matmul(grad, cols.transpose(0, 1, 3, 2)).sum(axis=1)
-        if self.bias is not None:
-            self.bias.grad += grad.sum(axis=(1, 3))
-        if not self.needs_input_grad:
-            return None
-        grad_cols = np.matmul(self.weight.data.transpose(0, 2, 1)[:, None], grad)
-        grad_flat = col2im(
-            grad_cols.reshape(w * batch, *grad_cols.shape[2:]),
-            (w * batch, *input_shape[2:]),
-            self.kernel_size,
-            self.stride,
-            self.padding,
-            out_size,
-        )
-        return grad_flat.reshape(input_shape)
-
-
-class BatchedConv1d(BatchedLayer):
-    """1-D convolution, delegating to the 2-D kernels like the serial layer."""
-
-    def __init__(self, layer: Conv1d, count: int) -> None:
-        super().__init__(count)
-        self._conv = BatchedConv2d(layer._conv, count)
-        self.params = self._conv.params
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        out = self._conv.forward(inputs[:, :, :, None, :])
-        return out[:, :, :, 0, :]
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
-        self._conv.needs_input_grad = self.needs_input_grad
-        grad = self._conv.backward(grad_output[:, :, :, None, :])
-        return None if grad is None else grad[:, :, :, 0, :]
-
-
 class BatchedReLU(BatchedLayer):
     def __init__(self, layer: ReLU, count: int) -> None:
         super().__init__(count)
@@ -230,77 +152,18 @@ class BatchedFlatten(BatchedLayer):
         return grad_output.reshape(self._input_shape)
 
 
-class BatchedMaxPool2d(BatchedLayer):
-    """The serial pooling kernels, which work on the two trailing axes."""
+class BatchedBatchNorm1d(BatchedLayer):
+    """Stacked batch normalisation over ``(w, batch, features)`` inputs.
 
-    def __init__(self, layer: MaxPool2d, count: int) -> None:
-        super().__init__(count)
-        self.kernel_size = layer.kernel_size
-        self._cache: tuple[np.ndarray, tuple[int, ...]] | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        out, mask = max_pool(inputs, self.kernel_size)
-        self._cache = (mask, inputs.shape)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        mask, input_shape = self._cache
-        return max_pool_backward(mask, grad_output, input_shape)
-
-
-class BatchedMaxPool1d(BatchedLayer):
-    def __init__(self, layer: MaxPool1d, count: int) -> None:
-        super().__init__(count)
-        self._pool = BatchedMaxPool2d(layer._pool, count)
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        out = self._pool.forward(inputs[:, :, :, None, :])
-        return out[:, :, :, 0, :]
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad = self._pool.backward(grad_output[:, :, :, None, :])
-        return grad[:, :, :, 0, :]
-
-
-class BatchedAvgPool2d(BatchedLayer):
-    def __init__(self, layer: AvgPool2d, count: int) -> None:
-        super().__init__(count)
-        self.kernel_size = layer.kernel_size
-        self._input_shape: tuple[int, ...] | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        w, batch, channels, height, width = inputs.shape
-        out_h, out_w = height // k, width // k
-        self._input_shape = inputs.shape
-        trimmed = inputs[:, :, :, : out_h * k, : out_w * k]
-        windows = trimmed.reshape(w, batch, channels, out_h, k, out_w, k)
-        return windows.mean(axis=(4, 6))
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        w, batch, channels, height, width = self._input_shape
-        out_h, out_w = height // k, width // k
-        grad = np.repeat(np.repeat(grad_output, k, axis=3), k, axis=4) / (k * k)
-        grad_input = np.zeros(self._input_shape, dtype=np.float64)
-        grad_input[:, :, :, : out_h * k, : out_w * k] = grad
-        return grad_input
-
-
-class _BatchedBatchNormBase(BatchedLayer):
-    """Shared machinery for stacked 1-D and 2-D batch normalisation.
-
-    Normalisation runs on a ``(w, samples, features)`` view; every
-    reduction is over the middle (samples) axis, which numpy evaluates as
+    Every reduction is over the middle (batch) axis, which numpy evaluates as
     the same sequential row accumulation the serial layer's ``axis=0``
     reductions use -- so batch statistics, outputs and gradients are
     bit-identical per worker slice.  Each worker carries its own running
     statistics, exactly like the per-worker clones of serial execution.
     """
 
-    def __init__(self, layer, count: int) -> None:
+    def __init__(self, layer: BatchNorm1d, count: int) -> None:
         super().__init__(count)
-        self.num_features = layer.num_features
         self.momentum = layer.momentum
         self.eps = layer.eps
         self.training = True
@@ -311,8 +174,7 @@ class _BatchedBatchNormBase(BatchedLayer):
         self.running_var = _stack(layer.running_var, count).copy()
         self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def _normalize(self, flat: np.ndarray) -> np.ndarray:
-        """Normalise a ``(w, samples, features)`` view, as the serial layer."""
+    def forward(self, flat: np.ndarray) -> np.ndarray:
         if self.training:
             mean = flat.mean(axis=1)
             var = flat.var(axis=1)
@@ -330,8 +192,7 @@ class _BatchedBatchNormBase(BatchedLayer):
         self._cache = (normalized, inv_std, flat - mean[:, None, :])
         return normalized * self.gamma.data[:, None, :] + self.beta.data[:, None, :]
 
-    def _denormalize_grad(self, grad_flat: np.ndarray) -> np.ndarray:
-        """Backward pass on the ``(w, samples, features)`` view."""
+    def backward(self, grad_flat: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         normalized, inv_std, centered = self._cache
@@ -350,47 +211,6 @@ class _BatchedBatchNormBase(BatchedLayer):
             + grad_var[:, None, :] * 2.0 * centered / samples
             + grad_mean[:, None, :] / samples
         )
-
-
-class BatchedBatchNorm1d(_BatchedBatchNormBase):
-    """Stacked batch normalisation over ``(w, batch, features)`` inputs."""
-
-    def __init__(self, layer: BatchNorm1d, count: int) -> None:
-        super().__init__(layer, count)
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        return self._normalize(inputs)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return self._denormalize_grad(grad_output)
-
-
-class BatchedBatchNorm2d(_BatchedBatchNormBase):
-    """Stacked batch normalisation over ``(w, batch, C, H, W)`` inputs.
-
-    The channels-last flattening mirrors the serial layer's
-    ``transpose(0, 2, 3, 1).reshape(-1, C)`` per worker slice, so the
-    per-channel sample order inside every reduction is identical.
-    """
-
-    def __init__(self, layer: BatchNorm2d, count: int) -> None:
-        super().__init__(layer, count)
-        self._input_shape: tuple[int, ...] | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._input_shape = inputs.shape
-        w, batch, channels, height, width = inputs.shape
-        flat = inputs.transpose(0, 1, 3, 4, 2).reshape(w, -1, self.num_features)
-        out = self._normalize(flat)
-        return out.reshape(w, batch, height, width, channels).transpose(0, 1, 4, 2, 3)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        w, batch, channels, height, width = self._input_shape
-        grad_flat = grad_output.transpose(0, 1, 3, 4, 2).reshape(
-            w, -1, self.num_features
-        )
-        grad = self._denormalize_grad(grad_flat)
-        return grad.reshape(w, batch, height, width, channels).transpose(0, 1, 4, 2, 3)
 
 
 class BatchedDropout(BatchedLayer):
@@ -424,32 +244,22 @@ class BatchedDropout(BatchedLayer):
         return grad_output * self._mask
 
 
-#: Serial layer type -> batched counterpart.  Layers outside this table
-#: (third-party plugins) make the batched executor fall back to serial
-#: execution for the whole model.
+#: Serial layer type -> stacked counterpart: the *dense* layers.  With no
+#: im2col or pooling windows to build, a forward or backward here is one
+#: small GEMM or elementwise op per worker, so the stacked kernel's single
+#: call per layer is what a large cohort saves.  Conv/pool/BatchNorm2d
+#: layers have no stacked kernel (stacked, they measured 0.83-0.85x of the
+#: per-worker loop) and third-party layers cannot have one: a model
+#: containing any layer outside this table runs per worker.
 BATCHED_LAYER_TYPES: dict[type, type] = {
     Linear: BatchedLinear,
-    Conv2d: BatchedConv2d,
-    Conv1d: BatchedConv1d,
     ReLU: BatchedReLU,
     Tanh: BatchedTanh,
     Sigmoid: BatchedSigmoid,
     Flatten: BatchedFlatten,
-    MaxPool2d: BatchedMaxPool2d,
-    MaxPool1d: BatchedMaxPool1d,
-    AvgPool2d: BatchedAvgPool2d,
     Dropout: BatchedDropout,
     BatchNorm1d: BatchedBatchNorm1d,
-    BatchNorm2d: BatchedBatchNorm2d,
 }
-
-
-#: The dense layers: with no im2col or pooling windows to build, a forward
-#: or backward here is one small GEMM or elementwise op per worker, so the
-#: stacked kernel's single call per layer is what a large cohort saves.
-DENSE_LAYER_TYPES: frozenset[type] = frozenset(
-    {Linear, ReLU, Tanh, Sigmoid, Flatten, Dropout, BatchNorm1d}
-)
 
 
 def unsupported_layers(model: Sequential) -> list[str]:

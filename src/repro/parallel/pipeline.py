@@ -4,7 +4,7 @@ Both training engines describe a round as a set of *stages*
 (:class:`RoundStage`): plan the worker set, install the bottom models, then
 for each of the ``tau`` local iterations run the bottom forward, merge the
 features, update the top model and dispatch the gradients for the local SGD
-steps, and finally aggregate the bottom models.  A
+steps, and finally aggregate the bottom models.  The
 :class:`PipelineScheduler` owns the execution order of those stages; the
 engines only provide the stage bodies through :class:`SplitRoundOps` /
 :class:`FullRoundOps`.
@@ -14,40 +14,44 @@ Stages are not merely a sequence: each stage instance reads and writes
 merged features of iteration ``k``, the dispatched top gradients of
 iteration ``k``, the global model before/after aggregation.  The
 declarative dependency graph lives in :func:`round_stage_specs`; every
-legal schedule is an order that respects those edges, and the one edge the
-paper-relevant relaxations bend is the bottom-forward's read of the bottom
-weights (see :class:`ArtifactRef.relaxed`).
+legal schedule is an order that respects those edges
+(:func:`relaxed_dispatch_order`), and the one edge the paper-relevant
+relaxation bends is the bottom-forward's read of the bottom weights (see
+:class:`ArtifactRef.relaxed`).
 
-Three schedulers are registered (``ExperimentConfig(pipeline=...)``):
+There is one scheduler class with two parameters and two bodies:
 
-* ``sync`` -- :class:`PipelineScheduler`: every stage runs to completion
-  before the next starts.  This is the reference order; its behaviour
-  *defines* what the exact schedulers must reproduce bit-exactly.
-* ``pipelined`` -- :class:`PipelinedScheduler`: when the executor supports
-  asynchronous dispatch (``Executor.supports_pipelining``), iteration
-  ``k+1``'s bottom-forward work is double-buffered against iteration
-  ``k``'s top update; the staleness bound is 0, so histories stay
-  bit-exact with ``sync``.
-* ``staleness`` -- :class:`BoundedStalenessScheduler`: dispatches any stage
-  whose declared inputs are within ``config.staleness`` versions of fresh.
-  At ``staleness=0`` it *is* the pipelined schedule (bit-exact, pinned in
-  the equivalence suite).  At ``staleness >= 1`` the bottom forward of
-  iteration ``k`` may run on weights that miss up to ``staleness`` of the
-  latest local updates, and the round tail relaxes too: the aggregate's
-  state collection is dispatched asynchronously so parent-side accounting
-  and the *next* round's PLAN/GA overlap the children's tail compute
-  (cross-round pipelining -- the round-end drain disappears).  The
-  trajectory is no longer bit-exact with ``sync``; it is deterministic
-  (the relaxed order is a pure function of the dependency graph and the
-  staleness bound) and identical across capable executors, and the history
-  records its realized per-round staleness so the relaxation is
-  measurable.
+* the **blocking body** runs ``install`` / ``forward`` / ``backward_step`` /
+  ``bottom_states`` one after another.  It is the reference order: its
+  behaviour *defines* what the graph body must reproduce bit-exactly at
+  staleness 0, and it is the only order an executor without asynchronous
+  dispatch, a per-iteration re-install (SplitFed) or ``tau = 0`` can run.
+* the **graph body** walks ``relaxed_dispatch_order(round_stage_specs(tau),
+  staleness)`` and drives the executor's asynchronous protocol
+  (``install_nowait`` / ``stage_forward`` + ``launch_forward`` /
+  ``collect_forward`` / ``backward_step_nowait`` / ``request_states`` +
+  ``collect_states``).  Its only blocking points are the ``tau`` feature
+  collections and the state collection, and the aggregate is a window:
+  the states are requested, the parent runs the round's accounting and the
+  *next* round's PLAN/GA while the executor finishes its tail compute, and
+  only then blocks for the states.
 
-Schedulers hold no cross-round *executor* state, so switching them never
+The three registered names (``ExperimentConfig(pipeline=...)``) are three
+constructions of that class: ``sync`` = ``PipelineScheduler()`` (always the
+blocking body), ``pipelined`` = ``PipelineScheduler(asynchronous=True)``
+(the graph body at staleness 0, bit-exact with ``sync``) and ``staleness``
+= ``PipelineScheduler(asynchronous=True, staleness=config.staleness)``.  At
+``staleness >= 1`` the bottom forward of iteration ``k`` may run on weights
+that miss up to ``staleness`` of the latest local updates; the trajectory
+is then no longer bit-exact with ``sync`` but deterministic (the order is a
+pure function of the graph and the bound) and identical across capable
+executors, and the history records the realized per-round staleness.
+
+The scheduler holds no cross-round *executor* state, so switching it never
 invalidates a checkpoint; ``Session.save_checkpoint`` still drains the
-executor first, and the one cross-round artifact the staleness scheduler
-creates -- the prefetched next-round plan -- is serialized by the engine's
-``state_dict`` so resume stays exact at any staleness.
+executor first, and the one cross-round artifact the graph body creates --
+the prefetched next-round plan -- is serialized by the engine's
+``state_dict`` and consumed by whichever body runs the next round.
 """
 
 from __future__ import annotations
@@ -102,7 +106,7 @@ class ArtifactRef:
 
     ``relaxed`` marks the dependency a bounded-staleness schedule may bend:
     the read is satisfied by any version within ``staleness`` of the
-    requested one.  Exact schedulers treat every read as strict.
+    requested one.  At staleness 0 every read is strict.
     """
 
     kind: ArtifactKind
@@ -124,8 +128,8 @@ def round_stage_specs(local_iterations: int) -> list[StageSpec]:
     """The dependency graph of one end-aggregating split round.
 
     Per-iteration aggregation (SplitFed) re-installs after every iteration,
-    which serialises the round by construction; relaxed schedulers fall
-    back to the exact order there, so only the end-aggregate form needs a
+    which serialises the round by construction; the scheduler runs its
+    blocking body there, so only the end-aggregate form needs a
     declarative graph.
     """
     specs = [
@@ -170,7 +174,7 @@ class ScheduledStage:
 
     ``lag`` is the realized staleness of the stage's relaxed reads: how
     many versions behind the strict requirement its input was when the
-    stage became dispatchable (always 0 for exact schedules).
+    stage became dispatchable (always 0 at staleness 0).
     """
 
     spec: StageSpec
@@ -267,30 +271,27 @@ class SplitRoundOps:
     """Stage bodies of one split-training round, supplied by the engine.
 
     The scheduler decides *when* each runs; the engine decides *what* they
-    do.  ``update_top`` covers the MERGE and TOP_UPDATE stages and returns
-    ``(loss, gradients)`` with the gradient segments aligned with
-    ``workers``; the executor's ``backward_step`` covers BACKWARD_DISPATCH
-    and LOCAL_STEP.
+    do.  ``install(wait)`` distributes the bottom models, blocking for the
+    executor's acknowledgement only when ``wait`` is true; ``update_top``
+    covers the MERGE and TOP_UPDATE stages and returns ``(loss,
+    gradients)`` with the gradient segments aligned with ``workers``; the
+    executor's ``backward_step`` covers BACKWARD_DISPATCH and LOCAL_STEP;
+    ``aggregate(states)`` consumes the bottom states the scheduler
+    collected from the executor.
 
-    The optional bindings exist for relaxed schedulers: ``install_nowait``
-    installs without waiting for the acknowledgement,
-    ``finish_aggregate`` consumes executor-collected bottom states (so the
-    collection can be dispatched asynchronously), ``account`` performs the
-    engine's parent-side round accounting (idempotent), and
-    ``prefetch_plan`` computes the *next* round's plan -- both may be
-    invoked inside the aggregate window to overlap the executor's tail
-    compute.  Schedulers that never relax ignore all four.
+    ``account`` (the engine's idempotent parent-side round accounting) and
+    ``prefetch_plan`` (the *next* round's plan) are run by the graph body
+    inside its aggregate window, overlapping the executor's tail compute;
+    the blocking body leaves both to the round driver.
     """
 
     executor: "Executor"
     workers: "list[SplitWorker]"
     batch_sizes: list[int]
-    install: Callable[[], None]
+    install: Callable[[bool], None]
     update_top: Callable[[list, list], tuple[float, list[np.ndarray]]]
-    aggregate: Callable[[], None]
+    aggregate: Callable[[list], None]
     on_stage: StageHook | None = None
-    install_nowait: Callable[[], None] | None = None
-    finish_aggregate: Callable[[list], None] | None = None
     account: Callable[[], None] | None = None
     prefetch_plan: Callable[[], None] | None = None
     #: Per-worker cut depths (aligned with ``workers``) when a split-point
@@ -327,15 +328,43 @@ class FullRoundOps:
 
 
 class PipelineScheduler:
-    """Reference scheduler: stages run strictly one after another."""
+    """The round scheduler: one class, a blocking body and a graph body.
 
-    name = "sync"
+    Args:
+        asynchronous: Run split rounds in graph order
+            (:func:`relaxed_dispatch_order` over :func:`round_stage_specs`)
+            through the executor's asynchronous dispatch protocol.
+            ``False`` always runs the blocking reference order.
+        staleness: Bound of the graph's one relaxable edge; 0 keeps the
+            trajectory bit-exact with the blocking order.
 
-    def __init__(self) -> None:
+    Which body runs a round is observed, not configured: the graph body
+    needs ``Executor.supports_async_dispatch``, end-of-round aggregation
+    (a per-iteration re-install serialises the round by construction) and
+    at least one iteration; everything else takes the blocking body.  At
+    staleness 0 both yield the same trajectory, so only a *requested
+    relaxation* that cannot run -- a change of semantics back to exact,
+    not just of speed -- is logged, loudly and once.
+    """
+
+    def __init__(self, asynchronous: bool = False, staleness: int = 0) -> None:
+        if staleness < 0:
+            raise ValueError(f"staleness must be non-negative, got {staleness}")
+        if staleness and not asynchronous:
+            raise ValueError("staleness >= 1 needs asynchronous=True")
+        self.asynchronous = bool(asynchronous)
+        self.staleness = int(staleness)
         #: Blocking barriers across the scheduler's lifetime (cumulative).
         self.sync_points = 0
         #: Measurements of the most recently completed round.
         self.last_report = RoundReport()
+        self._warned_exact = False
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"{type(self).__name__}(asynchronous={self.asynchronous}, "
+            f"staleness={self.staleness})"
+        )
 
     def _report(self, sync_points: int, effective_staleness: float = 0.0) -> None:
         self.sync_points += sync_points
@@ -348,30 +377,121 @@ class PipelineScheduler:
         aggregate_every_iteration: bool,
     ) -> list[float]:
         """Execute INSTALL .. AGGREGATE and return the per-iteration losses."""
+        capable = getattr(ops.executor, "supports_async_dispatch", False)
+        if (self.asynchronous and capable and local_iterations > 0
+                and not aggregate_every_iteration):
+            return self._run_graph(ops, local_iterations)
+        if self.staleness and local_iterations > 0 and not self._warned_exact:
+            self._warned_exact = True
+            logger.warning(
+                "staleness=%d requested but running the EXACT schedule (%s); "
+                "the run behaves as staleness=0",
+                self.staleness,
+                "the round re-installs after every iteration" if capable
+                else f"executor {ops.executor.name!r} has no asynchronous dispatch",
+            )
+        return self._run_blocking(ops, local_iterations, aggregate_every_iteration)
+
+    def _run_blocking(
+        self,
+        ops: SplitRoundOps,
+        local_iterations: int,
+        aggregate_every_iteration: bool,
+    ) -> list[float]:
+        """The reference order: every stage completes before the next starts."""
+        executor = ops.executor
+
+        def aggregate(iteration: int | None = None) -> None:
+            ops.note(RoundStage.AGGREGATE, iteration)
+            ops.aggregate(executor.bottom_states(ops.workers))
+
         syncs = 1
         ops.note(RoundStage.INSTALL)
-        ops.install()
+        ops.install(True)
         losses: list[float] = []
         for iteration in range(local_iterations):
             ops.note(RoundStage.BOTTOM_FORWARD, iteration)
-            features, labels = ops.executor.forward(ops.workers, ops.batch_sizes)
+            features, labels = executor.forward(ops.workers, ops.batch_sizes)
             ops.note(RoundStage.TOP_UPDATE, iteration)
             loss, gradients = ops.update_top(features, labels)
             ops.note(RoundStage.BACKWARD_DISPATCH, iteration)
-            ops.executor.backward_step(ops.workers, gradients)
+            executor.backward_step(ops.workers, gradients)
             losses.append(loss)
             syncs += 2
             if aggregate_every_iteration:
-                ops.note(RoundStage.AGGREGATE, iteration)
-                ops.aggregate()
+                aggregate(iteration)
                 ops.note(RoundStage.INSTALL, iteration)
-                ops.install()
+                ops.install(True)
                 syncs += 2
         if not aggregate_every_iteration:
-            ops.note(RoundStage.AGGREGATE)
-            ops.aggregate()
+            aggregate()
             syncs += 1
         self._report(syncs)
+        return losses
+
+    def _run_graph(self, ops: SplitRoundOps, local_iterations: int) -> list[float]:
+        """The order derived from the dependency graph, dispatched
+        asynchronously; blocks only to collect features and states."""
+        executor = ops.executor
+        lags: list[int] = []
+        losses: list[float] = []
+        #: Features collected ahead of their top update, keyed by iteration.
+        collected: dict[int, tuple[list, list]] = {}
+        launched = gathered = 0  # forwards dispatched / collected (FIFO)
+        gradients: list | None = None
+
+        def collect_through(iteration: int) -> None:
+            nonlocal gathered
+            while gathered <= iteration:
+                collected[gathered] = executor.collect_forward(ops.workers)
+                gathered += 1
+
+        for slot in relaxed_dispatch_order(
+            round_stage_specs(local_iterations), self.staleness
+        ):
+            stage, iteration = slot.spec.stage, slot.spec.iteration
+            if stage is RoundStage.INSTALL:
+                ops.note(stage)
+                ops.install(False)
+            elif stage is RoundStage.BOTTOM_FORWARD:
+                # May overtake up to `staleness` pending local updates; the
+                # executor's in-flight snapshots keep the delayed backwards
+                # well-defined (see repro.parallel.staleness).
+                ops.note(stage, iteration)
+                executor.stage_forward(ops.workers, ops.batch_sizes)
+                executor.launch_forward(ops.workers)
+                launched += 1
+                lags.append(slot.lag)
+            elif stage is RoundStage.TOP_UPDATE:
+                collect_through(iteration)
+                features, labels = collected.pop(iteration)
+                ops.note(stage, iteration)
+                loss, gradients = ops.update_top(features, labels)
+                losses.append(loss)
+            elif stage is RoundStage.BACKWARD_DISPATCH:
+                # Bulk safety: gradients only travel while no bulk reply is
+                # mid-flight the other way, so every outstanding forward is
+                # collected first (the children computed them already).
+                collect_through(launched - 1)
+                ops.note(stage, iteration)
+                executor.backward_step_nowait(ops.workers, gradients)
+            elif stage is RoundStage.AGGREGATE:
+                # The aggregate window: while the executor finishes its
+                # tail compute (the final local updates, the state capture)
+                # the parent accounts the round and plans the next one.
+                # Account *before* prefetch: planning round r+1 advances
+                # the simulated cluster, which accounting for round r must
+                # not see.
+                executor.request_states(ops.workers)
+                if ops.account is not None:
+                    ops.account()
+                if ops.prefetch_plan is not None:
+                    ops.note(RoundStage.PLAN)
+                    ops.prefetch_plan()
+                ops.note(stage)
+                ops.aggregate(executor.collect_states(ops.workers))
+        # Blocking points: one per feature collection, one for the states.
+        self._report(gathered + 1, float(np.mean(lags)))
         return losses
 
     def run_full_round(self, ops: FullRoundOps) -> tuple[list, list]:
@@ -382,240 +502,6 @@ class PipelineScheduler:
         ops.aggregate(trained)
         self._report(2)
         return trained
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}()"
-
-
-class PipelinedScheduler(PipelineScheduler):
-    """Double-buffered scheduler: overlap transfer/dispatch across iterations.
-
-    Requires the split-phase executor capability (``stage_forward`` /
-    ``launch_forward`` / ``collect_forward`` / ``fused_backward_forward`` /
-    ``backward_step_nowait``); falls back to the synchronous order when the
-    executor lacks it or the round re-installs after every iteration.
-    """
-
-    name = "pipelined"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._warned_fallback = False
-
-    def run_split_round(
-        self,
-        ops: SplitRoundOps,
-        local_iterations: int,
-        aggregate_every_iteration: bool,
-    ) -> list[float]:
-        executor = ops.executor
-        if local_iterations <= 0:
-            # Nothing to double-buffer; the pre-loop launch would leave an
-            # uncollected forward behind.  The sync order handles zero
-            # iterations gracefully.
-            return PipelineScheduler.run_split_round(
-                self, ops, local_iterations, aggregate_every_iteration
-            )
-        if not getattr(executor, "supports_pipelining", False) or aggregate_every_iteration:
-            if not self._warned_fallback:
-                self._warned_fallback = True
-                reason = (
-                    "the round re-installs after every iteration"
-                    if aggregate_every_iteration
-                    else f"executor {executor.name!r} has no asynchronous dispatch"
-                )
-                logger.warning(
-                    "pipelined scheduler falling back to synchronous stage "
-                    "order: %s", reason,
-                )
-            return PipelineScheduler.run_split_round(
-                self, ops, local_iterations, aggregate_every_iteration
-            )
-        syncs = 1
-        ops.note(RoundStage.INSTALL)
-        ops.install()
-        losses: list[float] = []
-        # Double buffer: iteration 0's batches are staged and its forward
-        # launched before the loop; inside the loop, iteration k+1's batches
-        # ship while the children still compute forward k.
-        ops.note(RoundStage.BOTTOM_FORWARD, 0)
-        executor.stage_forward(ops.workers, ops.batch_sizes)
-        executor.launch_forward(ops.workers)
-        for iteration in range(local_iterations):
-            if iteration + 1 < local_iterations:
-                ops.note(RoundStage.BOTTOM_FORWARD, iteration + 1)
-                executor.stage_forward(ops.workers, ops.batch_sizes)
-            features, labels = executor.collect_forward(ops.workers)
-            syncs += 1
-            ops.note(RoundStage.TOP_UPDATE, iteration)
-            loss, gradients = ops.update_top(features, labels)
-            ops.note(RoundStage.BACKWARD_DISPATCH, iteration)
-            if iteration + 1 < local_iterations:
-                # One synchronisation: backward k + step + forward k+1.
-                executor.fused_backward_forward(ops.workers, gradients)
-            else:
-                executor.backward_step_nowait(ops.workers, gradients)
-            losses.append(loss)
-        ops.note(RoundStage.AGGREGATE)
-        ops.aggregate()
-        syncs += 1
-        self._report(syncs)
-        return losses
-
-
-class BoundedStalenessScheduler(PipelinedScheduler):
-    """Dependency-tracked scheduler with a bounded-staleness relaxation.
-
-    The round's stages are taken from the declarative graph of
-    :func:`round_stage_specs` and dispatched by
-    :func:`relaxed_dispatch_order`: any stage whose declared inputs are
-    within ``staleness`` versions of fresh may run.  ``staleness=0``
-    reproduces the pipelined (hence the synchronous) trajectory bit for
-    bit.  ``staleness>=1`` needs the executor's relaxed-dispatch
-    capability (``Executor.supports_staleness``): bottom forwards overtake
-    up to ``staleness`` pending local updates (the executor's in-flight
-    snapshots keep delayed backwards well-defined; see
-    :mod:`repro.parallel.staleness`), installs stop waiting for
-    acknowledgements, and the aggregate's state collection is dispatched
-    asynchronously so the engine's accounting and the next round's PLAN
-    overlap the executor's tail compute.  Executors without the capability
-    (and SplitFed-style per-iteration aggregation) fall back to the exact
-    pipelined/synchronous order with a warning -- the fallback changes the
-    *semantics* back to exact, not just the speed.
-    """
-
-    name = "staleness"
-
-    def __init__(self, staleness: int = 0) -> None:
-        super().__init__()
-        if staleness < 0:
-            raise ValueError(f"staleness must be non-negative, got {staleness}")
-        self.staleness = int(staleness)
-        self._warned_relaxation_fallback = False
-        self._pending_gradients: list | None = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(staleness={self.staleness})"
-
-    def run_split_round(
-        self,
-        ops: SplitRoundOps,
-        local_iterations: int,
-        aggregate_every_iteration: bool,
-    ) -> list[float]:
-        if self.staleness == 0 or local_iterations <= 0:
-            # Exact schedule, pinned bit-identical to the pipelined one.
-            return super().run_split_round(
-                ops, local_iterations, aggregate_every_iteration
-            )
-        executor = ops.executor
-        if not getattr(executor, "supports_staleness", False) or aggregate_every_iteration:
-            if not self._warned_relaxation_fallback:
-                self._warned_relaxation_fallback = True
-                reason = (
-                    "the round re-installs after every iteration"
-                    if aggregate_every_iteration
-                    else f"executor {executor.name!r} has no relaxed dispatch"
-                )
-                logger.warning(
-                    "staleness=%d requested but falling back to the EXACT "
-                    "schedule (%s); the run behaves as staleness=0",
-                    self.staleness, reason,
-                )
-            return super().run_split_round(
-                ops, local_iterations, aggregate_every_iteration
-            )
-        return self._run_relaxed(ops, local_iterations)
-
-    def _run_relaxed(self, ops: SplitRoundOps, local_iterations: int) -> list[float]:
-        """Execute the relaxed schedule derived from the dependency graph."""
-        executor = ops.executor
-        order = relaxed_dispatch_order(
-            round_stage_specs(local_iterations), self.staleness
-        )
-        syncs = 0
-        lags: list[int] = []
-        losses: list[float] = []
-        #: Features collected ahead of their top update, keyed by iteration.
-        collected: dict[int, tuple[list, list]] = {}
-        outstanding = 0      # dispatched-but-uncollected forwards
-        next_collect = 0     # iteration index the next collection yields
-
-        def collect_one() -> None:
-            nonlocal outstanding, next_collect, syncs
-            collected[next_collect] = executor.collect_forward(ops.workers)
-            outstanding -= 1
-            next_collect += 1
-            syncs += 1
-
-        for slot in order:
-            spec = slot.spec
-            if spec.stage is RoundStage.INSTALL:
-                ops.note(RoundStage.INSTALL)
-                if ops.install_nowait is not None:
-                    ops.install_nowait()
-                else:
-                    ops.install()
-                    syncs += 1
-            elif spec.stage is RoundStage.BOTTOM_FORWARD:
-                ops.note(RoundStage.BOTTOM_FORWARD, spec.iteration)
-                executor.dispatch_forward(ops.workers, ops.batch_sizes)
-                outstanding += 1
-                lags.append(slot.lag)
-            elif spec.stage is RoundStage.TOP_UPDATE:
-                while spec.iteration not in collected:
-                    collect_one()
-                features, labels = collected.pop(spec.iteration)
-                ops.note(RoundStage.TOP_UPDATE, spec.iteration)
-                loss, gradients = ops.update_top(features, labels)
-                losses.append(loss)
-                self._pending_gradients = gradients
-            elif spec.stage is RoundStage.BACKWARD_DISPATCH:
-                # Bulk safety: gradients only travel while no bulk reply is
-                # mid-flight the other way, so every outstanding forward is
-                # collected first (the children computed them already).
-                while outstanding:
-                    collect_one()
-                ops.note(RoundStage.BACKWARD_DISPATCH, spec.iteration)
-                executor.dispatch_backward(ops.workers, self._pending_gradients)
-                self._pending_gradients = None
-            elif spec.stage is RoundStage.AGGREGATE:
-                syncs += self._relaxed_aggregate(ops)
-        self._report(syncs, float(np.mean(lags)) if lags else 0.0)
-        return losses
-
-    def _relaxed_aggregate(self, ops: SplitRoundOps) -> int:
-        """Aggregate with the cross-round overlap window; returns syncs used.
-
-        The state collection is dispatched first; while the executor's tail
-        compute (the final local updates and the state capture) proceeds,
-        the parent runs its round accounting and -- the cross-round part --
-        the *next* round's PLAN/GA.  Only then does the scheduler block for
-        the states.  Requires the engine to have split its aggregate into
-        collect + ``finish_aggregate``; ops without the split keep the
-        blocking aggregate.
-        """
-        executor = ops.executor
-        if ops.finish_aggregate is None:
-            ops.note(RoundStage.AGGREGATE)
-            if ops.account is not None:
-                ops.account()
-            if ops.prefetch_plan is not None:
-                ops.prefetch_plan()
-            ops.aggregate()
-            return 1
-        executor.request_states(ops.workers)
-        # Account *before* prefetch: planning round r+1 advances the
-        # simulated cluster, which accounting for round r must not see.
-        if ops.account is not None:
-            ops.account()
-        if ops.prefetch_plan is not None:
-            ops.note(RoundStage.PLAN)
-            ops.prefetch_plan()
-        ops.note(RoundStage.AGGREGATE)
-        states = executor.collect_states(ops.workers)
-        ops.finish_aggregate(states)
-        return 1
 
 
 def build_pipeline(config) -> PipelineScheduler:

@@ -21,47 +21,53 @@ hold a second copy of the training set for the pool's lifetime (mirroring
 a real deployment, where each device stores its own data); ``close()``
 releases it.
 
-The synchronous per-round protocol mirrors
-:class:`~repro.parallel.base.Executor`:
+Every message is ``(command, payload, wants_reply)``: whether a command is
+acknowledged is data in the message, so the executor speaks two protocols
+over one set of child commands.
 
-    load_shard -> ship a worker's shard arrays (once per pool)
-    install  -> ship the global bottom + per-worker learning rates
-    forward  -> ship drawn indices, receive split-layer features
-    backward -> ship dispatched gradients (children take the SGD step)
-    states   -> receive locally updated bottom state dicts
-    train_full -> ship a full model + pre-drawn index sequences, receive
-        the states and mean training losses in one reply
+The **blocking** protocol mirrors :class:`~repro.parallel.base.Executor`;
+every call sends one replying message per child and waits:
 
-On top of that, the executor implements the split-phase pipelining
-capability (``supports_pipelining``; see :mod:`repro.parallel.pipeline`):
+    ===============  ==========================================  ============
+    call             message                                     reply
+    ===============  ==========================================  ============
+    (first install)  ``load_shard`` a worker's shard, once/pool  ack
+    install[_multi]  ``install`` bottom + per-worker specs       ack
+    forward          ``forward`` drawn indices                   features
+    backward_step    ``backward`` dispatched gradients           ack
+    bottom_states    ``states`` worker ids                       state dicts
+    train_full       ``train_full`` model + index sequences      states+losses
+    ===============  ==========================================  ============
 
-    stage_forward   -> draw + ship iteration k+1's mini-batches (no reply)
-    launch_forward  -> start the bottom forward on staged data (reply later)
-    collect_forward -> block for the staged forward's features
-    fused_backward_forward -> one message: back-propagate iteration k,
-        take the SGD step, then immediately forward iteration k+1 on the
-        staged data -- halving the parent/child synchronisations per
-        iteration and letting data transfer overlap child compute
-    backward_step_nowait -> dispatch gradients without waiting for the ack
+The **asynchronous** protocol (``supports_async_dispatch``; the graph body
+of :mod:`repro.parallel.pipeline` drives it at every staleness bound)
+splits the same round into dispatches that return at once and collections
+that block:
 
-and the relaxed-dispatch capability the bounded-staleness scheduler
-drives (``supports_staleness``; same transport requirement):
+    ====================  ====================================  ============
+    call                  message                               reply
+    ====================  ====================================  ============
+    install_nowait        ``install``, ``wants_reply=False``    --
+    stage_forward         ``stage`` the next batch's indices    --
+    launch_forward        ``forward_staged`` worker ids         (queued)
+    collect_forward       --                                    features
+    backward_step_nowait  ``backward``, ``wants_reply=False``   --
+    request_states        ``states`` worker ids                 (queued)
+    collect_states        --                                    state dicts
+    ====================  ====================================  ============
 
-    install_nowait   -> install without waiting for the acknowledgement
-    dispatch_forward -> stage + launch the next iteration's forward; it may
-        be dispatched *before* a pending backward, in which case the child
-        runs it on an in-flight snapshot (:mod:`repro.parallel.staleness`)
-        so the delayed backward keeps its own weights and activations
-    dispatch_backward -> ``backward_step_nowait`` under its protocol name
-    request_states / collect_states -> split the aggregation's state
-        collection so parent-side work (round accounting, the next round's
-        PLAN) overlaps the children's tail compute
+A forward launched *before* a pending backward runs in the child on an
+in-flight snapshot (:mod:`repro.parallel.staleness`), so the delayed
+backward keeps its own weights and activations; with no backward pending
+it is the plain forward, which is why both protocols share the child's
+code path bit for bit.
 
 Reply-bearing asynchronous requests (launched forwards, state
 collections) are tracked in a FIFO *completion queue*: per-child channels
 are ordered, so popping the oldest entry and receiving one reply per
 involved child always pairs replies with the right request, no matter how
-many are in flight.  Every no-reply command additionally leaves the
+many are in flight.  A command sent without ``wants_reply`` defers any
+error it raises to the next replying command's reply slot, and leaves the
 channel "dirty" until the next reply from that child;
 :meth:`ProcessExecutor.drain` consumes the completion queue and pings
 dirty children so checkpointing never races in-flight work.
@@ -89,19 +95,10 @@ logger = get_logger("parallel.process")
 #: overhead outweighs any parallelism at simulation scale.
 DEFAULT_MAX_PROCESSES = 8
 
-#: Fire-and-forget commands: the child sends no reply, and any error they
-#: raise is *deferred* to the next replying command's reply slot so the
-#: one-reply-per-request pairing the parent relies on is never broken.
-_NO_REPLY_COMMANDS = frozenset({"stage", "backward_nowait", "install_nowait"})
-
 #: Payload class of each parent->child command's bulk arrays, for the
 #: transport codec policy.  Untagged commands (staged indices, installs,
 #: shard shipping) always travel raw.
-_SEND_CLASS = {
-    "backward": GRADIENTS,
-    "backward_nowait": GRADIENTS,
-    "fused_step": GRADIENTS,
-}
+_SEND_CLASS = {"backward": GRADIENTS}
 
 #: Commands whose traffic is excluded from the wire-byte counters: shard
 #: shipping happens once per pool lifetime and codec-state exchanges only
@@ -130,7 +127,7 @@ def _child_main(connector: ChildConnector) -> None:
         data = shards[worker_id][0][indices]
         # All forwards route through the in-flight queue: with no pending
         # backward this is a plain forward on the hosted model (bit-exact
-        # with the historical path); under relaxed dispatch a forward that
+        # with the blocking path); under asynchronous dispatch a forward that
         # overtakes a backward runs on a snapshot so the delayed gradient
         # stays well-defined.
         return held["inflight"].forward(held["model"], data)
@@ -174,9 +171,10 @@ def _child_main(connector: ChildConnector) -> None:
                 message = endpoint.recv()
             except (EOFError, OSError):
                 break
-            command, payload = message
-            if (deferred_errors and command != "close"
-                    and command not in _NO_REPLY_COMMANDS):
+            command, payload, wants_reply = message
+            if command == "close":
+                break
+            if deferred_errors and wants_reply:
                 # A fire-and-forget command failed earlier; report it in
                 # this command's reply slot instead of executing (the
                 # round's state is already inconsistent).
@@ -184,91 +182,63 @@ def _child_main(connector: ChildConnector) -> None:
                 deferred_errors.clear()
                 continue
             try:
-                if command == "close":
-                    break
-                elif command == "load_shard":
+                reply, klass, count = None, None, True
+                if command == "load_shard":
                     shards.update(payload)
-                    endpoint.send(("ok", None))
                 elif command == "install":
-                    run_install(payload)
-                    endpoint.send(("ok", None))
-                elif command == "install_nowait":
-                    # Relaxed-dispatch install: no acknowledgement; errors
-                    # defer to the next replying command like every other
-                    # fire-and-forget command.
                     run_install(payload)
                 elif command == "forward":
                     staged.update(payload)
-                    endpoint.send(
-                        ("ok", {wid: run_forward(wid) for wid in payload}),
-                        klass=FEATURES,
-                    )
+                    reply = {wid: run_forward(wid) for wid in payload}
+                    klass = FEATURES
                 elif command == "stage":
-                    # Mini-batches for the *next* forward; no reply, the
-                    # next replying command acts as the sync point.
+                    # Mini-batches for the *next* forward.
                     staged.update(payload)
                 elif command == "forward_staged":
-                    endpoint.send(
-                        ("ok", {wid: run_forward(wid) for wid in payload}),
-                        klass=FEATURES,
-                    )
-                elif command == "fused_step":
-                    # Backward + SGD step for the pending iteration, then
-                    # forward the staged one -- a single synchronisation.
-                    for worker_id, gradient in payload.items():
-                        run_backward(worker_id, gradient)
-                    endpoint.send(
-                        ("ok", {wid: run_forward(wid) for wid in payload}),
-                        klass=FEATURES,
-                    )
+                    reply = {wid: run_forward(wid) for wid in payload}
+                    klass = FEATURES
                 elif command == "backward":
                     for worker_id, gradient in payload.items():
                         run_backward(worker_id, gradient)
-                    endpoint.send(("ok", None))
-                elif command == "backward_nowait":
-                    for worker_id, gradient in payload.items():
-                        run_backward(worker_id, gradient)
                 elif command == "states":
-                    endpoint.send(
-                        ("ok", {
-                            worker_id: bottoms[worker_id]["model"].state_dict()
-                            for worker_id in payload
-                        }),
-                        klass=WEIGHTS,
-                    )
+                    reply = {
+                        worker_id: bottoms[worker_id]["model"].state_dict()
+                        for worker_id in payload
+                    }
+                    klass = WEIGHTS
                 elif command == "ping":
-                    endpoint.send(("ok", None))
+                    pass
                 elif command == "codec_state":
                     # Error-feedback residuals of this child's codecs, for
                     # checkpointing; uncounted so per-round byte deltas do
                     # not depend on checkpoint cadence.
-                    endpoint.send(("ok", endpoint.codec_state_dict()),
-                                  count=False)
+                    reply, count = endpoint.codec_state_dict(), False
                 elif command == "codec_load":
                     endpoint.codec_load(payload)
-                    endpoint.send(("ok", None))
                 elif command == "train_full":
                     # One reply frame: every hosted worker's
                     # ``(state, mean training loss)``.
                     model, loss_fn, __, tasks = payload
-                    trained = {}
+                    reply = {}
                     for worker_id, (index_batches, *hyperparams) in tasks.items():
                         shard_data, shard_targets = shards[worker_id]
-                        trained[worker_id] = train_local_model(
+                        reply[worker_id] = train_local_model(
                             model,
                             loss_fn,
                             ((shard_data[indices], shard_targets[indices])
                              for indices in index_batches),
                             *hyperparams,
                         )
-                    endpoint.send(("ok", trained), klass=WEIGHTS)
+                    klass = WEIGHTS
                 else:
                     raise RuntimeError(f"unknown executor command {command!r}")
+                if wants_reply:
+                    endpoint.send(("ok", reply), klass=klass, count=count)
             except Exception:  # noqa: BLE001 - forwarded to the parent
-                if command in _NO_REPLY_COMMANDS:
-                    deferred_errors.append(traceback.format_exc())
-                else:
+                if wants_reply:
                     endpoint.send(("error", traceback.format_exc()))
+                else:
+                    deferred_errors.append(traceback.format_exc())
     finally:
         endpoint.close()
 
@@ -342,7 +312,7 @@ class ProcessExecutor(Executor):
         #: per child, so receiving one reply per involved child of the
         #: oldest entry always pairs replies with the right request --
         #: which is what lets several forwards (and a state collection) be
-        #: in flight at once under relaxed dispatch.
+        #: in flight at once under asynchronous dispatch.
         self._completions: deque[tuple[str, tuple[int, ...]]] = deque()
         #: Labels of staged mini-batches, one entry per stage_forward call.
         self._staged_labels: deque[dict[int, np.ndarray]] = deque()
@@ -356,27 +326,15 @@ class ProcessExecutor(Executor):
         self._pending_codec: dict[str, np.ndarray] = {}
 
     @property
-    def supports_pipelining(self) -> bool:
-        """Pipelining needs out-of-band bulk transfer (see ``Transport``).
+    def supports_async_dispatch(self) -> bool:
+        """Asynchronous dispatch needs out-of-band bulk transfer (see ``Transport``).
 
-        Staging the next iteration's mini-batches while a features reply is
-        still outstanding would mutually write-block parent and child over
-        a plain pipe once payloads exceed the OS pipe buffer; the shared-
-        memory transport moves bulk through its rings, so only it can back
-        the double-buffered schedule.  With other transports the pipelined
-        scheduler transparently falls back to the synchronous order.
-        """
-        return self._transport.supports_async_bulk
-
-    @property
-    def supports_staleness(self) -> bool:
-        """Relaxed dispatch shares pipelining's transport requirement.
-
-        Its schedule keeps a features reply outstanding while gradients
-        travel the other way; only a transport with out-of-band bulk (the
-        shared-memory rings) can carry that without the mutual write-block
-        a plain pipe risks.  The staleness scheduler falls back to the
-        exact schedule on other transports.
+        Its schedules stage mini-batches and send gradients while a
+        features reply is still outstanding the other way; over a plain
+        pipe that would mutually write-block parent and child once
+        payloads exceed the OS pipe buffer.  The shared-memory transport
+        moves bulk through its rings, so only it can back the protocol; on
+        other transports the scheduler runs its blocking body.
         """
         return self._transport.supports_async_bulk
 
@@ -432,7 +390,7 @@ class ProcessExecutor(Executor):
                 child.process.terminate()
                 continue
             try:
-                child.endpoint.send(("close", None))
+                child.endpoint.send(("close", None, False))
             except (BrokenPipeError, OSError, TransportError):
                 child.process.terminate()
         for child in self._children:
@@ -520,7 +478,7 @@ class ProcessExecutor(Executor):
         command = message[0]
         try:
             child.endpoint.send(
-                message,
+                (*message, expects_reply),
                 klass=_SEND_CLASS.get(command),
                 count=command not in _UNCOUNTED_COMMANDS,
             )
@@ -611,15 +569,18 @@ class ProcessExecutor(Executor):
         if messages:
             self._broadcast(messages)
 
-    def _install_messages(self, workers, learning_rates, bottom, command: str,
-                          depths=None):
-        """Assign workers, ship fresh shards, build per-child install messages.
+    def _install(self, workers, bottom, learning_rates, depths, wait: bool) -> None:
+        """Assign workers, ship fresh shards, send one install per child.
 
         With ``depths``, every worker's spec carries its prefix depth as a
         fifth element (the child carves ``bottom.layers[:depth]`` before
         cloning); without it the specs keep their historical 4-tuple form,
-        so uniform runs put identical bytes on the wire.
+        so uniform runs put identical bytes on the wire.  Shard shipping
+        (first selection of a worker) always synchronises -- it happens
+        once per pool lifetime -- but with ``wait`` false the install
+        itself is fire-and-forget; errors defer to the next reply.
         """
+        self._consume_abandoned_replies()
         shards = self._assign(workers)
         self._ship_shards(shards)
         self._ship_codec_state(shards)
@@ -647,16 +608,17 @@ class ProcessExecutor(Executor):
                 if depth_of is not None:
                     spec = spec + (depth_of[worker_id],)
                 specs[worker_id] = spec
-            messages[index] = (command, (bottom, specs))
-        return messages
+            messages[index] = ("install", (bottom, specs))
+        if wait:
+            self._broadcast(messages)
+        else:
+            for index, message in messages.items():
+                self._send(index, message, expects_reply=False)
 
     def install(self, workers, bottom, learning_rates) -> None:
-        self._consume_abandoned_replies()
-        self._broadcast(
-            self._install_messages(workers, learning_rates, bottom, "install")
-        )
+        self._install(workers, bottom, learning_rates, None, wait=True)
 
-    def install_multi(self, workers, bottom, learning_rates, depths) -> None:
+    def install_multi(self, workers, bottom, learning_rates, depths, wait=True) -> None:
         """Per-worker prefix install in one message per child.
 
         The base class's per-depth-group loop would not work here: a child
@@ -665,12 +627,7 @@ class ProcessExecutor(Executor):
         the first's.  One message carrying per-worker depths keeps install
         atomic per child.
         """
-        self._consume_abandoned_replies()
-        self._broadcast(
-            self._install_messages(
-                workers, learning_rates, bottom, "install", depths=depths
-            )
-        )
+        self._install(workers, bottom, learning_rates, depths, wait)
 
     def forward(self, workers, batch_sizes):
         drawn = {
@@ -695,20 +652,14 @@ class ProcessExecutor(Executor):
         })
 
     def bottom_states(self, workers):
-        by_child: dict[int, list[int]] = {}
-        for worker in workers:
-            by_child.setdefault(self._assignment[worker.worker_id], []).append(
-                worker.worker_id
-            )
-        replies = self._broadcast(
-            {index: ("states", ids) for index, ids in by_child.items()}
-        )
-        states_of: dict[int, dict] = {}
-        for payload in replies.values():
-            states_of.update(payload)
-        return [states_of[worker.worker_id] for worker in workers]
+        self.request_states(workers)
+        return self.collect_states(workers)
 
-    # -- split-phase pipelining (see repro.parallel.pipeline) -----------------
+    # -- asynchronous dispatch (see repro.parallel.pipeline) ------------------
+    def install_nowait(self, workers, bottom, learning_rates) -> None:
+        """Install without waiting for the acknowledgements."""
+        self._install(workers, bottom, learning_rates, None, wait=False)
+
     def stage_forward(self, workers, batch_sizes) -> None:
         """Draw and ship the next iteration's mini-batch indices (no reply).
 
@@ -728,7 +679,11 @@ class ProcessExecutor(Executor):
             self._send(index, ("stage", shard), expects_reply=False)
 
     def launch_forward(self, workers) -> None:
-        """Start the bottom forward on staged data; reply collected later."""
+        """Start the bottom forward on staged data; reply collected later.
+
+        It may be launched before a pending backward, in which case the
+        child runs it on an in-flight snapshot.
+        """
         by_child = self._by_child(workers, [w.worker_id for w in workers])
         indices = tuple(sorted(by_child))
         for index in indices:
@@ -757,73 +712,10 @@ class ProcessExecutor(Executor):
         labels = [labels_of[worker.worker_id] for worker in workers]
         return features, labels
 
-    def fused_backward_forward(self, workers, gradients) -> None:
-        """One message per child: backward + step, then forward staged data."""
-        by_child = self._by_child(workers, gradients)
-        indices = tuple(sorted(by_child))
-        for index in indices:
-            self._send(index, ("fused_step", by_child[index]), expects_reply=True)
-        self._completions.append(("forward", indices))
-
     def backward_step_nowait(self, workers, gradients) -> None:
         """Dispatch gradients without waiting for the acknowledgement."""
         for index, shard in self._by_child(workers, gradients).items():
-            self._send(index, ("backward_nowait", shard), expects_reply=False)
-
-    def drain(self) -> None:
-        """Wait until every child has processed all in-flight commands.
-
-        Replies abandoned by a failed round (the scheduler always collects
-        within a healthy one) are consumed and discarded, so checkpointing
-        right after a round error still works -- all checkpointable state
-        lives in the parent.
-        """
-        if self._children is None:
-            return
-        self._consume_abandoned_replies(tolerate_death=True)
-        for index, child in enumerate(self._children):
-            if child.dirty and not child.dead:
-                try:
-                    self._send(index, ("ping", None), expects_reply=True)
-                    self._recv(index)
-                except ExecutorDeathError:
-                    # The child died with commands in flight; there is
-                    # nothing to wait for and all checkpointable state is
-                    # parent-side, so draining the survivors suffices.
-                    continue
-
-    # -- relaxed dispatch (see repro.parallel.pipeline) -----------------------
-    def install_nowait(self, workers, bottom, learning_rates) -> None:
-        """Install without waiting for acknowledgements (relaxed schedules).
-
-        Shard shipping (first selection of a worker) still synchronises --
-        it happens once per pool lifetime -- but the per-round install
-        itself is fire-and-forget; errors defer to the next reply.
-        """
-        self._consume_abandoned_replies()
-        messages = self._install_messages(
-            workers, learning_rates, bottom, "install_nowait"
-        )
-        for index, message in messages.items():
-            self._send(index, message, expects_reply=False)
-
-    def install_multi_nowait(self, workers, bottom, learning_rates, depths) -> None:
-        """Fire-and-forget :meth:`install_multi` (relaxed schedules)."""
-        self._consume_abandoned_replies()
-        messages = self._install_messages(
-            workers, learning_rates, bottom, "install_nowait", depths=depths
-        )
-        for index, message in messages.items():
-            self._send(index, message, expects_reply=False)
-
-    def dispatch_forward(self, workers, batch_sizes) -> None:
-        """Stage and launch the next forward; may overtake pending backwards."""
-        self.stage_forward(workers, batch_sizes)
-        self.launch_forward(workers)
-
-    def dispatch_backward(self, workers, gradients) -> None:
-        """Gradient dispatch under the relaxed protocol (fire-and-forget)."""
-        self.backward_step_nowait(workers, gradients)
+            self._send(index, ("backward", shard), expects_reply=False)
 
     def request_states(self, workers) -> None:
         """Ask for the bottom states; the reply is collected later.
@@ -851,6 +743,28 @@ class ProcessExecutor(Executor):
         for index in indices:
             states_of.update(self._recv(index))
         return [states_of[worker.worker_id] for worker in workers]
+
+    def drain(self) -> None:
+        """Wait until every child has processed all in-flight commands.
+
+        Replies abandoned by a failed round (the scheduler always collects
+        within a healthy one) are consumed and discarded, so checkpointing
+        right after a round error still works -- all checkpointable state
+        lives in the parent.
+        """
+        if self._children is None:
+            return
+        self._consume_abandoned_replies(tolerate_death=True)
+        for index, child in enumerate(self._children):
+            if child.dirty and not child.dead:
+                try:
+                    self._send(index, ("ping", None), expects_reply=True)
+                    self._recv(index)
+                except ExecutorDeathError:
+                    # The child died with commands in flight; there is
+                    # nothing to wait for and all checkpointable state is
+                    # parent-side, so draining the survivors suffices.
+                    continue
 
     # -- transport accounting and codec state ---------------------------------
     def transport_stats(self) -> dict[str, int]:

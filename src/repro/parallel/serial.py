@@ -4,14 +4,14 @@ This is the reference backend.  It delegates straight to the
 :class:`~repro.core.worker.SplitWorker` methods, so its behaviour *defines*
 what the other executors must reproduce bit-exactly.
 
-The backend also implements the relaxed-dispatch protocol of the
-bounded-staleness scheduler (``supports_staleness``): dispatches execute
-immediately in call order, which is exactly the per-worker ordering the
-protocol promises, and forwards that overtake pending backwards go through
-the shared in-flight snapshot mechanics
-(:mod:`repro.parallel.staleness`).  A relaxed serial run is therefore the
-*reference semantics* for relaxed process runs, just as the plain serial
-run is for exact ones.
+The backend also implements the asynchronous dispatch protocol of the
+scheduler's graph body (``supports_async_dispatch``): every primitive
+executes immediately in call order, which is exactly the per-worker
+ordering the protocol promises, and forwards that overtake pending
+backwards go through the shared in-flight snapshot mechanics
+(:mod:`repro.parallel.staleness`).  A serial run of the graph order is
+therefore the *reference semantics* for process runs of it at every
+staleness bound, just as the blocking serial run is for the exact ones.
 """
 
 from __future__ import annotations
@@ -29,11 +29,13 @@ class SerialExecutor(Executor):
     """Run every worker's computation sequentially (the historical semantics)."""
 
     name = "serial"
-    supports_staleness = True
+    supports_async_dispatch = True
 
     def __init__(self) -> None:
-        #: The installed cohort's in-flight forwards of the relaxed protocol.
+        #: The installed cohort's in-flight forwards of the async protocol.
         self._inflight: dict[int, InflightQueue] = {}
+        #: Staged-but-unlaunched mini-batches, oldest first.
+        self._staged: deque[list[tuple[np.ndarray, np.ndarray]]] = deque()
         #: Completed-but-uncollected forward results, oldest first.
         self._features: deque[tuple[list, list]] = deque()
         #: Completed-but-uncollected state collections, oldest first.
@@ -44,10 +46,11 @@ class SerialExecutor(Executor):
             workers, bottom, learning_rates, [len(bottom)] * len(workers)
         )
 
-    def install_multi(self, workers, bottom, learning_rates, depths) -> None:
-        # A failed relaxed round may leave uncollected results behind;
+    def install_multi(self, workers, bottom, learning_rates, depths, wait=True) -> None:
+        # A failed graph-order round may leave uncollected results behind;
         # installing starts the round from a clean slate, mirroring the
         # process executor's recovery drain.
+        self._staged.clear()
         self._features.clear()
         self._states.clear()
         prefixes = {
@@ -84,29 +87,36 @@ class SerialExecutor(Executor):
         ]
         return [state for state, __ in trained], [loss for __, loss in trained]
 
-    # -- relaxed dispatch (see repro.parallel.pipeline) -----------------------
+    # -- asynchronous dispatch (see repro.parallel.pipeline) ------------------
     #: Installs run immediately; in-process there is no ack to skip.
     install_nowait = install
-    install_multi_nowait = install_multi
 
-    def dispatch_forward(self, workers, batch_sizes) -> None:
-        """Run the next forward now; it may overtake pending backwards."""
+    def stage_forward(self, workers, batch_sizes) -> None:
+        """Draw the next forward's mini-batches (in cohort order)."""
+        self._staged.append([
+            worker.draw_batch(batch_size)
+            for worker, batch_size in zip(workers, batch_sizes)
+        ])
+
+    def launch_forward(self, workers) -> None:
+        """Run the oldest staged forward now; it may overtake pending backwards."""
+        if not self._staged:
+            raise RuntimeError("launch_forward called with nothing staged")
         features: list[np.ndarray] = []
         labels: list[np.ndarray] = []
-        for worker, batch_size in zip(workers, batch_sizes):
-            data, labs = worker.draw_batch(batch_size)
+        for worker, (data, labs) in zip(workers, self._staged.popleft()):
             queue = self._inflight[worker.worker_id]
             features.append(queue.forward(worker.bottom, data))
             labels.append(labs)
         self._features.append((features, labels))
 
     def collect_forward(self, workers):
-        """Oldest dispatched-but-uncollected forward's results."""
+        """Oldest launched-but-uncollected forward's results."""
         if not self._features:
             raise RuntimeError("collect_forward called with no forward in flight")
         return self._features.popleft()
 
-    def dispatch_backward(self, workers, gradients) -> None:
+    def backward_step_nowait(self, workers, gradients) -> None:
         """Apply the oldest pending forward's (possibly delayed) backward."""
         for worker, gradient in zip(workers, gradients):
             self._inflight[worker.worker_id].backward(

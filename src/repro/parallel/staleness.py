@@ -1,8 +1,8 @@
 """Worker-local mechanics of bounded-staleness execution.
 
-Under a relaxed schedule (see
-:class:`~repro.parallel.pipeline.BoundedStalenessScheduler`) the bottom
-forward of iteration ``k+1`` may execute *before* the backward of
+Under a relaxed schedule (the graph body of
+:class:`~repro.parallel.pipeline.PipelineScheduler` at ``staleness >= 1``)
+the bottom forward of iteration ``k+1`` may execute *before* the backward of
 iteration ``k`` has been applied.  That breaks the invariant the plain
 ``forward -> backward -> step`` path relies on: a layer's ``backward``
 consumes the activation caches of its matching ``forward``, and a newer

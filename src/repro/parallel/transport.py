@@ -567,11 +567,11 @@ class Transport(abc.ABC):
     name: str = "abstract"
 
     #: Whether bulk array payloads travel out-of-band (rings) rather than
-    #: through the pipe.  Pipelined scheduling sends bulk *while replies are
-    #: outstanding*; over a plain OS pipe (64 KiB buffer) that can mutually
-    #: write-block parent and child at realistic payload sizes, so the
-    #: process executor only offers the pipelining capability when this is
-    #: ``True``.
+    #: through the pipe.  Asynchronous dispatch sends bulk *while replies
+    #: are outstanding*; over a plain OS pipe (64 KiB buffer) that can
+    #: mutually write-block parent and child at realistic payload sizes, so
+    #: the process executor only advertises ``supports_async_dispatch``
+    #: when this is ``True``.
     supports_async_bulk: bool = False
 
     #: Codec policy applied to every channel this transport creates.  One

@@ -78,23 +78,23 @@ class TestSessionEvents:
             ("start", 1), ("eval", 1), ("end", 1),
         ]
 
-    def test_typed_and_legacy_hooks_coexist(self, fast_config):
-        """session.on("round_end", ...) and on_round_end fire side by side."""
+    def test_round_end_handlers_fire_side_by_side(self, fast_config):
+        """A plain and a decorator-registered round_end handler both fire."""
         session = Session.from_config(fast_config)
-        typed, legacy = [], []
-        session.on("round_end", lambda s, e: typed.append(e.record.round_index))
+        plain, decorated = [], []
+        session.on("round_end", lambda s, e: plain.append(e.record.round_index))
 
-        @session.on_round_end
-        def watch(sess, record):
-            legacy.append(record.round_index)
+        @session.on("round_end")
+        def watch(sess, event):
+            decorated.append(event.record.round_index)
 
         session.run(2)
-        assert typed == [0, 1]
-        assert legacy == [0, 1]
+        assert plain == [0, 1]
+        assert decorated == [0, 1]
 
-    def test_legacy_truthy_return_still_stops(self, fast_config):
+    def test_round_end_truthy_return_stops(self, fast_config):
         session = Session.from_config(fast_config)
-        session.on_round_end(lambda sess, record: record.round_index >= 0)
+        session.on("round_end", lambda sess, event: event.record.round_index >= 0)
         session.run(3)
         assert session.rounds_completed == 1
 
@@ -114,12 +114,12 @@ class TestSessionEvents:
         session.save_checkpoint(path)
         assert saved == [(str(path), 1)]
 
-    def test_failing_legacy_hook_reports_its_name(self, fast_config):
+    def test_failing_round_end_hook_reports_its_name(self, fast_config):
         session = Session.from_config(fast_config)
         fired = []
 
-        @session.on_round_end
-        def broken_hook(sess, record):
+        @session.on("round_end")
+        def broken_hook(sess, event):
             raise RuntimeError("argh")
 
         session.on("round_end", lambda s, e: fired.append(e.record.round_index))

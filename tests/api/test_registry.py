@@ -360,69 +360,6 @@ class TestOutOfTreePlugin:
         finally:
             MODELS.unregister("plugin_splitless")
 
-    def test_legacy_dict_mutation_still_resolves(self):
-        """Entries pushed into the legacy MODEL_REGISTRY / DATASET_REGISTRY
-        dicts (the pre-registry extension path) still resolve."""
-        from repro.data.synthetic import DATASET_REGISTRY, make_blobs, make_dataset
-        from repro.nn.models import MODEL_REGISTRY, build_mlp, build_model
-
-        MODEL_REGISTRY["legacy_mlp"] = build_mlp
-        DATASET_REGISTRY["legacy_blobs"] = make_blobs
-        try:
-            model = build_model("legacy_mlp", input_dim=8, num_classes=2, seed=0)
-            assert model.forward(np.zeros((1, 8))).shape == (1, 2)
-            split = make_dataset("legacy_blobs", train_samples=32, test_samples=8)
-            assert len(split.train) == 32
-        finally:
-            del MODEL_REGISTRY["legacy_mlp"]
-            del DATASET_REGISTRY["legacy_blobs"]
-
-    def test_legacy_dict_replacement_of_builtin_wins(self):
-        """Replacing a built-in name in the legacy dicts (pre-registry
-        monkeypatch pattern) still changes what build_model/make_dataset
-        return."""
-        from repro.data.synthetic import DATASET_REGISTRY, make_blobs, make_dataset
-        from repro.nn.models import MODEL_REGISTRY, build_mlp, build_model
-
-        def sentinel_model(**kwargs):
-            return build_mlp(input_dim=8, num_classes=2, hidden_dims=(3,), seed=0)
-
-        def sentinel_dataset(**kwargs):
-            return make_blobs(train_samples=16, test_samples=4, seed=0)
-
-        original_model = MODEL_REGISTRY["mlp"]
-        original_dataset = DATASET_REGISTRY["blobs"]
-        MODEL_REGISTRY["mlp"] = sentinel_model
-        DATASET_REGISTRY["blobs"] = sentinel_dataset
-        try:
-            model = build_model("mlp", input_dim=99, num_classes=7)
-            assert model.forward(np.zeros((1, 8))).shape == (1, 2)  # sentinel's dims
-            split = make_dataset("blobs", train_samples=500)
-            assert len(split.train) == 16                           # sentinel's size
-        finally:
-            MODEL_REGISTRY["mlp"] = original_model
-            DATASET_REGISTRY["blobs"] = original_dataset
-
-    def test_legacy_dataset_replacement_reaches_run_experiment(self, fast_config):
-        """Legacy dict mutation must affect whole experiments, not just the
-        direct make_dataset call (build_components routes through it)."""
-        from repro.data.synthetic import DATASET_REGISTRY, make_blobs
-        from repro.experiments.runner import run_experiment
-
-        calls = []
-
-        def counting_blobs(**kwargs):
-            calls.append(1)
-            return make_blobs(**kwargs)
-
-        original = DATASET_REGISTRY["blobs"]
-        DATASET_REGISTRY["blobs"] = counting_blobs
-        try:
-            run_experiment(fast_config.replace(num_rounds=1))
-            assert calls, "legacy DATASET_REGISTRY replacement was bypassed"
-        finally:
-            DATASET_REGISTRY["blobs"] = original
-
     def test_unknown_names_still_rejected_with_registry_message(self):
         with pytest.raises(ConfigurationError, match="unknown algorithm"):
             ExperimentConfig(algorithm="definitely_not_registered")

@@ -121,16 +121,16 @@ class TestSession:
         session = Session.from_config(fast_config)
         seen = []
 
-        @session.on_round_end
-        def collect(sess, record):
-            seen.append(record.round_index)
+        @session.on("round_end")
+        def collect(sess, event):
+            seen.append(event.record.round_index)
 
         session.run(2)
         assert seen == [0, 1]
 
     def test_callback_truthy_return_stops_run(self, fast_config):
         session = Session.from_config(fast_config)
-        session.on_round_end(lambda sess, record: record.round_index >= 0)
+        session.on("round_end", lambda sess, event: event.record.round_index >= 0)
         session.run(3)
         assert session.rounds_completed == 1
 

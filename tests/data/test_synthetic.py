@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api.registry import DATASETS
 from repro.data.synthetic import (
-    DATASET_REGISTRY,
     DATASET_SPECS,
     make_blobs,
     make_cifar10,
@@ -15,7 +15,7 @@ from repro.exceptions import ConfigurationError
 
 class TestSpecs:
     def test_every_spec_has_a_generator(self):
-        assert set(DATASET_SPECS) == set(DATASET_REGISTRY)
+        assert set(DATASET_SPECS) == set(DATASETS.names())
 
     def test_paper_shapes(self):
         assert DATASET_SPECS["har"].feature_shape == (9, 128)
@@ -32,7 +32,7 @@ class TestSpecs:
 
 
 class TestGenerators:
-    @pytest.mark.parametrize("name", sorted(DATASET_REGISTRY))
+    @pytest.mark.parametrize("name", sorted(DATASETS.names()))
     def test_shapes_and_sizes(self, name):
         split = make_dataset(name, train_samples=64, test_samples=16, seed=0)
         spec = DATASET_SPECS[name]

@@ -5,8 +5,8 @@ import pytest
 
 from repro.exceptions import ConfigurationError, SplitError
 from repro.nn.layers import Conv1d, Conv2d, Linear
+from repro.api.registry import MODELS
 from repro.nn.models import (
-    MODEL_REGISTRY,
     build_alexnet_s,
     build_cnn_h,
     build_cnn_s,
@@ -48,7 +48,7 @@ class TestSplitModel:
 
 
 class TestModelZoo:
-    @pytest.mark.parametrize("name", sorted(set(MODEL_REGISTRY) - {"mlp"}))
+    @pytest.mark.parametrize("name", sorted(set(MODELS.names()) - {"mlp"}))
     def test_builders_produce_sequential(self, name):
         kwargs = {"width": 0.25, "seed": 0}
         model = build_model(name, **kwargs)

@@ -1,27 +1,24 @@
-"""Layer-level bit-exactness of the stacked kernels, and the serial fallback."""
+"""Layer-level bit-exactness of the stacked dense kernels, and the serial
+fallback every other model (conv/pool included) takes."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.data.synthetic import make_blobs
+from repro.data.synthetic import make_blobs, make_cifar10
 from repro.core.worker import SplitWorker
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm1d,
-    BatchNorm2d,
-    Conv1d,
     Conv2d,
     Dropout,
     Flatten,
     Linear,
-    MaxPool1d,
-    MaxPool2d,
     ReLU,
     Sigmoid,
     Tanh,
 )
+from repro.nn.models import build_alexnet_s
 from repro.nn.module import Module, Sequential
 from repro.nn.optim import SGD
 from repro.parallel.batched import BatchedExecutor
@@ -44,22 +41,12 @@ def _layer_cases():
     return [
         ("linear", Linear(12, 7, rng=rng), (5, 12)),
         ("linear_nobias", Linear(12, 7, bias=False, rng=rng), (5, 12)),
-        ("conv2d", Conv2d(3, 5, kernel_size=3, stride=2, padding=1, rng=rng), (4, 3, 9, 9)),
-        # AlexNet-S's second conv at batch 16: GEMMs large enough for BLAS to
-        # thread, which must not break the per-slice equality.
-        ("conv2d_alexnet_s", Conv2d(6, 13, kernel_size=3, padding=1, rng=rng), (16, 6, 16, 16)),
-        ("conv1d", Conv1d(2, 6, kernel_size=5, padding=2, rng=rng), (4, 2, 16)),
         ("relu", ReLU(), (5, 11)),
         ("tanh", Tanh(), (5, 11)),
         ("sigmoid", Sigmoid(), (5, 11)),
         ("flatten", Flatten(), (5, 3, 4, 4)),
-        ("maxpool2d", MaxPool2d(2), (4, 3, 6, 6)),
-        ("maxpool2d_trimmed", MaxPool2d((2, 3)), (4, 3, 7, 11)),
-        ("maxpool1d", MaxPool1d(2), (4, 3, 12)),
-        ("avgpool2d", AvgPool2d(3), (4, 2, 9, 9)),
         ("dropout", Dropout(0.3, rng=new_rng(5)), (5, 11)),
         ("batchnorm1d", BatchNorm1d(9), (6, 9)),
-        ("batchnorm2d", BatchNorm2d(3), (5, 3, 6, 6)),
     ]
 
 
@@ -99,12 +86,11 @@ def test_batched_layer_bit_exact(layer, input_shape):
             assert np.array_equal(batched_param.grad[w], serial_param.grad)
 
 
-@pytest.mark.parametrize("name", ["linear", "conv2d", "conv1d"])
-def test_stacked_first_layer_skips_only_the_input_gradient(name):
+def test_stacked_first_layer_skips_only_the_input_gradient():
     """What ``BatchedModel`` sets on its first layer: ``backward`` returns
     ``None`` and the parameter gradients are the ones it had before."""
     layer, input_shape = next(
-        case[1:] for case in _layer_cases() if case[0] == name
+        case[1:] for case in _layer_cases() if case[0] == "linear"
     )
     rng = new_rng(31)
     inputs = rng.normal(size=(WORKERS, *input_shape))
@@ -195,11 +181,13 @@ def test_unsupported_layers_reported():
     model = Sequential([Linear(8, 8, rng=new_rng(0)), _PluginLayer(), ReLU()])
     assert unsupported_layers(model) == ["_PluginLayer"]
     assert unsupported_layers(Sequential([Linear(8, 8, rng=new_rng(0))])) == []
-    # Normalised models are fully supported since the stacked BatchNorm
-    # kernels landed.
     assert unsupported_layers(
         Sequential([Linear(8, 8, rng=new_rng(0)), BatchNorm1d(8)])
     ) == []
+    # Only dense layers are stacked: a convolution runs per worker.
+    assert unsupported_layers(
+        Sequential([Conv2d(3, 4, kernel_size=3, rng=new_rng(0)), ReLU()])
+    ) == ["Conv2d"]
 
 
 def _make_workers(seed_offset: int = 0) -> list[SplitWorker]:
@@ -238,6 +226,44 @@ def test_batched_executor_falls_back_on_unsupported_layer():
             assert np.array_equal(f_serial[w], f_batched[w])
             for key in s_serial[w]:
                 assert np.array_equal(s_serial[w][key], s_batched[w][key])
+
+
+@pytest.mark.parametrize("depths", [None, [4, 7, 4]], ids=["uniform", "two-depths"])
+def test_forced_batched_on_alexnet_s_equals_serial_through_the_fallback(depths, caplog):
+    """With the stacked conv kernels gone, ``executor="batched"`` forced on
+    a conv bottom is the per-worker loop: features and updated states equal
+    ``SerialExecutor``'s bit for bit, per-depth installs included."""
+    model = build_alexnet_s(width=0.25, seed=1)
+    bottom = Sequential(model.layers[:7])
+    data = make_cifar10(train_samples=90, test_samples=10, seed=4)
+
+    results = {}
+    for name, executor in (("serial", SerialExecutor()), ("batched", BatchedExecutor())):
+        workers = [
+            SplitWorker(
+                worker_id=i,
+                dataset=data.train.subset(np.arange(i * 30, (i + 1) * 30)),
+                num_classes=data.num_classes,
+                seed=200 + i,
+            )
+            for i in range(3)
+        ]
+        with caplog.at_level("WARNING", logger="repro.parallel.batched"):
+            if depths is None:
+                executor.install(workers, bottom, [0.1, 0.05, 0.2])
+            else:
+                executor.install_multi(workers, bottom, [0.1, 0.05, 0.2], depths)
+        features, __ = executor.forward(workers, [6, 4, 6])
+        executor.backward_step(workers, [0.1 * feats for feats in features])
+        results[name] = (features, executor.bottom_states(workers))
+    assert "falling back to serial: no batched kernels for layer types" in caplog.text
+
+    (f_serial, s_serial), (f_batched, s_batched) = results["serial"], results["batched"]
+    for w in range(3):
+        assert np.array_equal(f_serial[w], f_batched[w])
+        assert sorted(s_serial[w]) == sorted(s_batched[w])
+        for key in s_serial[w]:
+            assert np.array_equal(s_serial[w][key], s_batched[w][key])
 
 
 def test_batched_executor_requires_install():

@@ -22,7 +22,6 @@ from repro.config import ExperimentConfig
 from repro.nn.layers import Linear, ReLU
 from repro.nn.module import Module, Sequential
 from repro.parallel import build_executor, resolve_executor
-from repro.parallel.kernels import BATCHED_LAYER_TYPES, DENSE_LAYER_TYPES
 
 TINY = dict(
     num_workers=4, num_rounds=2, local_iterations=2, train_samples=96,
@@ -59,8 +58,36 @@ def _session_backend(**overrides) -> str:
         return session.components.executor.name
 
 
-def test_dense_layers_all_have_stacked_kernels():
-    assert DENSE_LAYER_TYPES <= set(BATCHED_LAYER_TYPES)
+#: A dataset every built-in model can train on.
+BUILTIN_MODELS = {
+    "mlp": "blobs", "cnn_h": "har", "cnn_s": "speech",
+    "alexnet_s": "cifar10", "vgg_s": "image100",
+}
+
+
+def test_every_builtin_model_is_covered():
+    assert sorted(BUILTIN_MODELS) == sorted(MODELS.names())
+
+
+@pytest.mark.parametrize("model", sorted(BUILTIN_MODELS))
+def test_auto_picks_batched_exactly_where_batched_does_not_fall_back(model, caplog):
+    """One source of truth for "dense": the default resolves to ``batched``
+    iff a forced ``batched`` session runs without its per-worker fallback."""
+    overrides = dict(
+        TINY, dataset=BUILTIN_MODELS[model], model=model, model_width=0.25,
+        num_rounds=1, local_iterations=1,
+    )
+    config = ExperimentConfig(**overrides)
+    with Session.from_config(config) as session:
+        resolved = resolve_executor(
+            config, session.components.model, session.components.workers
+        )
+        assert session.components.executor.name == resolved
+    with caplog.at_level(logging.WARNING, logger="repro.parallel.batched"):
+        with Session.from_config(ExperimentConfig(**overrides, executor="batched")) as forced:
+            forced.run()
+    fell_back = "falling back to serial" in caplog.text
+    assert (resolved == "batched") == (not fell_back)
 
 
 @pytest.mark.parametrize("overrides,backend", [

@@ -58,7 +58,11 @@ def _install_spec(worker_ids, lr=0.1):
 
 
 def _drive(script: list) -> _ScriptedEndpoint:
-    endpoint = _ScriptedEndpoint(script)
+    """Run the child loop over ``(command, payload[, wants_reply])`` messages;
+    the reply flag defaults to true."""
+    endpoint = _ScriptedEndpoint(
+        [message if len(message) == 3 else (*message, True) for message in script]
+    )
     _child_main(_ScriptedConnector(endpoint))
     assert endpoint.closed
     return endpoint
@@ -104,24 +108,27 @@ class TestChildLoop:
         expected = bottom.clone().train().forward(shard[0][indices])
         assert np.array_equal(endpoint.replies[2][1][0], expected)
 
-    def test_staged_fused_pipeline_cycle(self):
+    def test_staged_asynchronous_cycle(self):
         idx = lambda *values: np.asarray(values, dtype=np.int64)  # noqa: E731
+        zeros = {0: np.zeros((4, 16)), 1: np.zeros((4, 16))}
         endpoint = _drive([
             ("load_shard", {0: _shard(), 1: _shard(seed=1)}),
-            ("install", (_bottom(), _install_spec([0, 1]))),
-            ("stage", {0: idx(0, 1, 2, 3), 1: idx(4, 5, 6, 7)}),
+            ("install", (_bottom(), _install_spec([0, 1])), False),
+            ("stage", {0: idx(0, 1, 2, 3), 1: idx(4, 5, 6, 7)}, False),
             ("forward_staged", [0, 1]),
-            ("stage", {0: idx(8, 9, 10, 11), 1: idx(12, 13, 14, 15)}),
-            ("fused_step", {0: np.zeros((4, 16)), 1: np.zeros((4, 16))}),
-            ("backward_nowait", {0: np.zeros((4, 16)), 1: np.zeros((4, 16))}),
+            ("backward", zeros, False),
+            ("stage", {0: idx(8, 9, 10, 11), 1: idx(12, 13, 14, 15)}, False),
+            ("forward_staged", [0, 1]),
+            ("backward", zeros, False),
             ("ping", None),
             ("close", None),
         ])
         statuses = [status for status, __ in endpoint.replies]
-        # stage and backward_nowait produce no reply; ping syncs.
-        assert statuses == ["ok", "ok", "ok", "ok", "ok"]
-        assert set(endpoint.replies[2][1]) == {0, 1}   # forward_staged features
-        assert set(endpoint.replies[3][1]) == {0, 1}   # fused_step features
+        # install, stage and backward were sent without wants_reply: only
+        # load_shard, the two forwards and the ping answer.
+        assert statuses == ["ok", "ok", "ok", "ok"]
+        assert set(endpoint.replies[1][1]) == {0, 1}   # first forward's features
+        assert set(endpoint.replies[2][1]) == {0, 1}   # second forward's features
 
     def test_gradient_batch_mismatch_reported(self):
         endpoint = _drive([
@@ -169,7 +176,7 @@ class TestChildLoop:
             ("load_shard", {0: _shard()}),
             ("install", (_bottom(), _install_spec([0]))),
             ("forward", {0: np.arange(8, dtype=np.int64)}),
-            ("backward_nowait", {0: np.zeros((3, 16))}),  # wrong batch: fails
+            ("backward", {0: np.zeros((3, 16))}, False),  # wrong batch: fails
             ("ping", None),
             ("states", [0]),
             ("close", None),
@@ -184,7 +191,7 @@ class TestChildLoop:
         endpoint = _drive([
             ("load_shard", {0: _shard()}),
             ("install", (_bottom(), _install_spec([0]))),
-            ("stage", {0: np.arange(4, dtype=np.int64)}),
+            ("stage", {0: np.arange(4, dtype=np.int64)}, False),
             ("install", (_bottom(), _install_spec([0]))),
             ("forward_staged", [0]),   # staged indices were dropped -> error
             ("close", None),
@@ -234,9 +241,10 @@ def _make_workers(count: int = 2) -> list[SplitWorker]:
     ]
 
 
-def test_child_error_in_pipelined_round_is_recoverable():
-    """A child-side error surfacing through collect_forward must not leave a
-    phantom pending forward: the next install recovers without blocking."""
+def test_child_error_in_asynchronous_round_is_recoverable():
+    """A child-side error of a no-reply command surfaces through the next
+    collect_forward and must not leave a phantom pending forward: the next
+    install recovers without blocking."""
     workers = _make_workers()
     bottom = _bottom()
     executor = ProcessExecutor(processes=1)
@@ -245,9 +253,10 @@ def test_child_error_in_pipelined_round_is_recoverable():
         executor.stage_forward(workers, [8, 8])
         executor.launch_forward(workers)
         executor.collect_forward(workers)
-        executor.stage_forward(workers, [8, 8])
         bad = [np.zeros((3, 16)), np.zeros((3, 16))]   # wrong batch size
-        executor.fused_backward_forward(workers, bad)
+        executor.backward_step_nowait(workers, bad)
+        executor.stage_forward(workers, [8, 8])
+        executor.launch_forward(workers)
         with pytest.raises(RuntimeError, match="does not match the pending"):
             executor.collect_forward(workers)
         assert not executor._completions
@@ -257,6 +266,42 @@ def test_child_error_in_pipelined_round_is_recoverable():
         executor.drain()
     finally:
         executor.close()
+
+
+def test_completion_queue_pairs_replies_with_two_forwards_in_flight():
+    """Two launched forwards and a state request in flight at once: each
+    collection receives the reply of the oldest request, in dispatch order,
+    and equals the blocking protocol's results."""
+    bottom = _bottom()
+    executor = ProcessExecutor(
+        processes=2, transport=SharedMemoryTransport(capacity=1 << 20)
+    )
+    reference = ProcessExecutor(processes=1)
+    try:
+        workers, twins = _make_workers(), _make_workers()
+        executor.install_nowait(workers, bottom, [0.1, 0.1])
+        for __ in range(2):
+            executor.stage_forward(workers, [8, 8])
+            executor.launch_forward(workers)
+        executor.request_states(workers)
+        assert [kind for kind, __ in executor._completions] == [
+            "forward", "forward", "states"
+        ]
+        first = executor.collect_forward(workers)
+        second = executor.collect_forward(workers)
+        states = executor.collect_states(workers)
+        assert not executor._completions
+
+        reference.install(twins, bottom, [0.1, 0.1])
+        for features, labels in (first, second):
+            expected, expected_labels = reference.forward(twins, [8, 8])
+            for got, want in zip(features + labels, expected + expected_labels):
+                assert np.array_equal(got, want)
+        for got, want in zip(states, reference.bottom_states(twins)):
+            assert all(np.array_equal(got[key], want[key]) for key in want)
+    finally:
+        executor.close()
+        reference.close()
 
 
 def test_install_recovery_survives_an_errored_abandoned_forward():

@@ -11,8 +11,9 @@ The contract under test, in increasing strength:
 * ``staleness>=1`` is a *different* trajectory (the relaxation really
   happens) that is deterministic and identical across capable executors
   ({serial, process x shm}), converges within a pinned epsilon of the
-  exact run, records its realized staleness, and needs strictly fewer
-  scheduler/executor synchronisations;
+  exact run and records its realized staleness; the graph order needs
+  tau+1 scheduler/executor synchronisations per round at every staleness,
+  the blocking order 2*tau+2;
 * checkpoint/resume mid-run stays exact at staleness 1, including the
   cross-round prefetched plan.
 """
@@ -31,7 +32,7 @@ from repro.metrics.history import WIRE_FIELDS
 from repro.metrics.summary import schedule_divergence
 from repro.parallel.pipeline import (
     ArtifactKind,
-    BoundedStalenessScheduler,
+    PipelineScheduler,
     RoundStage,
     relaxed_dispatch_order,
     round_stage_specs,
@@ -153,7 +154,7 @@ class TestDependencyGraph:
         with pytest.raises(ValueError, match="non-negative"):
             relaxed_dispatch_order(round_stage_specs(2), -1)
         with pytest.raises(ValueError, match="non-negative"):
-            BoundedStalenessScheduler(staleness=-1)
+            PipelineScheduler(asynchronous=True, staleness=-1)
         with pytest.raises(ConfigurationError, match="staleness"):
             _config(staleness=-1)
 
@@ -253,34 +254,47 @@ class TestConvergenceTolerance:
 # -- synchronisation accounting ------------------------------------------------
 
 class TestSyncCounter:
+    """Exact per-round counts at tau=3: the blocking body blocks 2*tau+2
+    times (install, forward + backward per iteration, states), the graph
+    body tau+1 times (one feature collection per iteration, states) -- at
+    every staleness, so relaxing buys overlap, not fewer barriers."""
+
+    BLOCKING, GRAPH = 8, 4
+
     @staticmethod
     def _pipeline_after_run(config):
         with Session.from_config(config) as session:
             session.run()
             return session.algorithm.engine.pipeline
 
-    def test_staleness_reduces_synchronisations(self):
-        """tau=3 rounds: sync needs 2*tau+2 barriers, staleness-1 tau+1 --
-        the acceptance criterion's scheduler sync counter."""
-        sync = self._pipeline_after_run(_config(executor="serial"))
-        relaxed = self._pipeline_after_run(
-            _config(executor="serial", pipeline="staleness", staleness=1)
-        )
-        assert sync.last_report.sync_points == 8
-        assert relaxed.last_report.sync_points == 4
-        assert relaxed.sync_points < sync.sync_points
+    CASES = {
+        "serial/sync": (dict(executor="serial"), BLOCKING),
+        "serial/pipelined": (dict(executor="serial", pipeline="pipelined"), GRAPH),
+        "serial/staleness-1": (
+            dict(executor="serial", pipeline="staleness", staleness=1), GRAPH),
+        "batched/pipelined": (
+            dict(executor="batched", pipeline="pipelined"), BLOCKING),
+        "process-pipe/pipelined": (
+            dict(executor="process", transport="pipe", pipeline="pipelined"),
+            BLOCKING),
+        "process-shm/sync": (
+            dict(executor="process", transport="shm", pipeline="sync"), BLOCKING),
+        "process-shm/pipelined": (
+            dict(executor="process", transport="shm", pipeline="pipelined"), GRAPH),
+        "process-shm/staleness-2": (
+            dict(executor="process", transport="shm",
+                 pipeline="staleness", staleness=2), GRAPH),
+    }
 
-    def test_staleness_one_beats_pipelined_on_process(self):
-        pipelined = self._pipeline_after_run(_config(
-            executor="process", transport="shm", pipeline="pipelined",
-        ))
-        relaxed = self._pipeline_after_run(_config(
-            executor="process", transport="shm",
-            pipeline="staleness", staleness=1,
-        ))
-        assert relaxed.last_report.sync_points < pipelined.last_report.sync_points
-        assert relaxed.last_report.effective_staleness > 0.0
-        assert pipelined.last_report.effective_staleness == 0.0
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sync_points_per_round(self, case):
+        overrides, per_round = self.CASES[case]
+        config = _config(**overrides)
+        pipeline = self._pipeline_after_run(config)
+        assert pipeline.last_report.sync_points == per_round
+        assert pipeline.sync_points == per_round * config.num_rounds
+        relaxed = overrides.get("staleness", 0) > 0
+        assert (pipeline.last_report.effective_staleness > 0.0) == relaxed
 
 
 # -- checkpoint / resume -------------------------------------------------------
@@ -341,8 +355,8 @@ class TestStalenessConfig:
         scheduler = build_pipeline(
             _config(pipeline="staleness", staleness=2)
         )
-        assert isinstance(scheduler, BoundedStalenessScheduler)
-        assert scheduler.staleness == 2
+        assert type(scheduler) is PipelineScheduler
+        assert (scheduler.asynchronous, scheduler.staleness) == (True, 2)
 
 
 class TestSerialInflightQueues:
@@ -363,13 +377,14 @@ class TestSerialInflightQueues:
             selected = [workers[worker_id] for worker_id in cohort]
             executor.install(selected, tiny_split.bottom, [0.1] * len(selected))
             assert sorted(executor._inflight) == sorted(cohort)
-            executor.dispatch_forward(selected, [4] * len(selected))
+            executor.stage_forward(selected, [4] * len(selected))
+            executor.launch_forward(selected)
             features, __ = executor.collect_forward(selected)
-            executor.dispatch_backward(selected, [0.1 * f for f in features])
+            executor.backward_step_nowait(selected, [0.1 * f for f in features])
         # Per-depth installs are one cohort, not one cohort per depth.
         selected = workers[:5]
-        executor.install_multi_nowait(
-            selected, tiny_split.bottom, [0.1] * 5, [1, 2, 1, 2, 2]
+        executor.install_multi(
+            selected, tiny_split.bottom, [0.1] * 5, [1, 2, 1, 2, 2], wait=False
         )
         assert sorted(executor._inflight) == [0, 1, 2, 3, 4]
         assert [len(worker.bottom) for worker in selected] == [1, 2, 1, 2, 2]
