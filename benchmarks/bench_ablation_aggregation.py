@@ -1,8 +1,8 @@
 """Extra ablation: adaptive (batch-size-weighted) vs uniform bottom aggregation.
 
-DESIGN.md calls out Eq. 17's adaptive weights as a design choice; this bench
-compares MergeSFL's weighted aggregation against plain uniform averaging by
-aggregating diverged bottom states both ways.
+The README's "Algorithms" section calls out Eq. 17's adaptive weights as a
+design choice; this bench compares MergeSFL's weighted aggregation against
+plain uniform averaging by aggregating diverged bottom states both ways.
 """
 
 import numpy as np

@@ -1,9 +1,10 @@
 """Extra ablation: the registered selection solvers head to head.
 
-DESIGN.md calls out the GA (Alg. 1 line 5) as a design choice; this bench
-compares every production solver in :data:`repro.api.registry.SELECTION_SOLVERS`
-(``ga``, ``ga-warm``, ``local-search``, ``greedy``) on the same skewed
-worker population, reporting the KL divergence of the selected mixtures.
+The README's "Algorithms" section calls out the GA (Alg. 1 line 5) as a
+design choice; this bench compares every production solver in
+:data:`repro.api.registry.SELECTION_SOLVERS` (``ga``, ``ga-warm``,
+``local-search``, ``greedy``) on the same skewed worker population,
+reporting the KL divergence of the selected mixtures.
 The solvers are built through the registry -- the same code path
 ``config.selector`` takes -- so the ablation measures exactly what a
 configured run would get.

@@ -24,7 +24,7 @@ from repro.metrics.summary import final_accuracy, mean_waiting_time
 from benchmarks.common import bench_overrides, run_once
 
 #: Split-point policies of the sweep (``uniform`` is the exact anchor).
-POLICIES = ("uniform", "profile", "adaptive")
+SPLIT_POLICY_NAMES = ("uniform", "profile", "adaptive")
 
 
 def _splitpoint_config(policy: str, **overrides):
@@ -50,7 +50,7 @@ def _run(config):
 def _policy_sweep() -> list[dict]:
     return [
         {"policy": policy, "history": _run(_splitpoint_config(policy))}
-        for policy in POLICIES
+        for policy in SPLIT_POLICY_NAMES
     ]
 
 

@@ -1,10 +1,12 @@
-"""Using the library's lower-level API directly.
+"""A custom control policy, hand-wired and as a registered algorithm.
 
 Shows how to build a custom split-federated-learning setup without the
 experiment runner: construct a model, split it at a chosen layer, create
 workers and a simulated cluster, plug in a custom control policy and drive
 the training engine by hand.  This is the path a downstream user would take
-to prototype a new selection or batching strategy.
+to prototype a new selection or batching strategy.  The last step is the
+library's one extension route: the same policy registered as an algorithm
+(three lines) and run through ``Session`` like any built-in.
 
 Usage::
 
@@ -13,6 +15,7 @@ Usage::
 
 import numpy as np
 
+from repro import Session, register_algorithm
 from repro.config import ExperimentConfig
 from repro.core.batching import regulate_batch_sizes
 from repro.core.controller import ControlContext, RoundPlan
@@ -54,6 +57,7 @@ def main() -> None:
     config = ExperimentConfig(
         dataset="speech",
         model="cnn_s",
+        model_width=0.5,
         num_workers=8,
         num_rounds=4,
         local_iterations=6,
@@ -73,7 +77,7 @@ def main() -> None:
     )
 
     # 2. Model: CNN-S split after its 4th conv layer (as in the paper).
-    model = build_cnn_s(width=0.5, seed=config.seed)
+    model = build_cnn_s(width=config.model_width, seed=config.seed)
     split = split_model(model, default_split_layer("cnn_s", model))
     print(f"bottom layers: {len(split.bottom)}, top layers: {len(split.top)}")
 
@@ -94,8 +98,20 @@ def main() -> None:
         data=data,
         policy=TopKFastestPolicy(k=5),
     )
-    history = engine.run()
+    report(engine.run())
 
+    # 5. The same policy as a registered algorithm: the session builds the
+    #    components and the configured executor and population reach the
+    #    engine through ``from_components``.
+    @register_algorithm("topk_fastest")
+    def build_topk_fastest(components):
+        return SplitTrainingEngine.from_components(components, TopKFastestPolicy(k=5))
+
+    with Session.from_config(config.replace(algorithm="topk_fastest")) as session:
+        report(session.run())
+
+
+def report(history) -> None:
     for record in history:
         print(f"round {record.round_index}: "
               f"selected={record.num_selected} "

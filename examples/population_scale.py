@@ -64,7 +64,7 @@ def main() -> None:
     session.run()
     elapsed = time.perf_counter() - start
 
-    pool = session.algorithm.engine.pool
+    pool = session.algorithm.pool
     stats = pool.stats()
     participation = participation_summary(session.history)
     rows = [

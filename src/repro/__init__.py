@@ -10,13 +10,17 @@ Regulation.  This package provides:
 * ``repro.simulation`` -- an edge-computing testbed simulator (Jetson device
   profiles, WiFi bandwidth model, simulated clock, traffic accounting).
 * ``repro.core`` -- the MergeSFL system itself: feature merging, batch size
-  regulation, GA-based worker selection, control and training modules.
-* ``repro.baselines`` -- FedAvg, SplitFed, LocFedMix-SL, AdaSFL, PyramidFL
-  and the motivation/ablation variants.
+  regulation, worker selection, the control module (Alg. 1, every step
+  behind a switch) and the split training engine.
+* ``repro.baselines`` -- the full-model (FL) engine with FedAvg's and
+  PyramidFL's selection strategies.
+* ``repro.algorithms`` -- the one table of the eleven built-in algorithms:
+  MergeSFL, its ablations, SplitFed, LocFedMix-SL, AdaSFL and the
+  motivation variants as rows of control-module switches, FedAvg and
+  PyramidFL as selection strategies.
 * ``repro.api`` -- the extension and execution API: plugin registries
   (``@register_algorithm`` / ``@register_dataset`` / ``@register_model`` /
-  ``@register_policy`` / ``@register_executor`` / ``@register_codec``),
-  the unified
+  ``@register_executor`` / ``@register_codec`` / ...), the unified
   :class:`~repro.api.algorithm.Algorithm` interface, and the steppable,
   checkpointable :class:`~repro.api.session.Session`.
 * ``repro.parallel`` -- interchangeable, bit-exact execution backends for
@@ -37,11 +41,11 @@ Quickstart::
 
 Extending::
 
-    from repro import register_algorithm
+    from repro import SplitTrainingEngine, register_algorithm
 
     @register_algorithm("my_sfl")
     def build_my_sfl(components):
-        ...
+        return SplitTrainingEngine.from_components(components, MyPolicy())
 """
 
 from repro.version import __version__
@@ -54,7 +58,6 @@ from repro.api.registry import (
     EXECUTORS,
     MODELS,
     PIPELINES,
-    POLICIES,
     SELECTION_SOLVERS,
     SPLIT_POLICIES,
     TRANSPORTS,
@@ -64,12 +67,14 @@ from repro.api.registry import (
     register_executor,
     register_model,
     register_pipeline,
-    register_policy,
     register_selection_solver,
     register_split_policy,
     register_transport,
 )
 from repro.api.session import Session
+from repro.baselines.fl_engine import FLTrainingEngine
+from repro.core.controller import ControlModule
+from repro.core.engine import SplitTrainingEngine
 from repro.experiments.runner import run_experiment
 from repro.study import Study, StudyRunner, StudyStore
 
@@ -79,6 +84,9 @@ __all__ = [
     "run_experiment",
     "Algorithm",
     "Session",
+    "ControlModule",
+    "SplitTrainingEngine",
+    "FLTrainingEngine",
     "Study",
     "StudyRunner",
     "StudyStore",
@@ -88,7 +96,6 @@ __all__ = [
     "EXECUTORS",
     "MODELS",
     "PIPELINES",
-    "POLICIES",
     "SELECTION_SOLVERS",
     "SPLIT_POLICIES",
     "TRANSPORTS",
@@ -98,7 +105,6 @@ __all__ = [
     "register_executor",
     "register_model",
     "register_pipeline",
-    "register_policy",
     "register_selection_solver",
     "register_split_policy",
     "register_transport",

@@ -1,9 +1,9 @@
 """Public extension and execution API.
 
 * :mod:`repro.api.registry` -- pluggable registries for algorithms,
-  datasets, models and policies, with ``@register_*`` decorators.
+  datasets, models and the execution axes, with ``@register_*`` decorators.
 * :mod:`repro.api.algorithm` -- the unified :class:`Algorithm` interface
-  every engine and facade implements.
+  both engines (and any plugin) implement.
 * :mod:`repro.api.components` -- configuration-to-components assembly
   (datasets, partitions, models, clusters) and registry-driven algorithm
   construction.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import importlib
 
-from repro.api.algorithm import Algorithm, EngineBackedAlgorithm
+from repro.api.algorithm import Algorithm
 from repro.api.events import (
     EVENT_TYPES,
     Callback,
@@ -37,13 +37,11 @@ from repro.api.registry import (
     DATASETS,
     EXECUTORS,
     MODELS,
-    POLICIES,
     Registry,
     register_algorithm,
     register_dataset,
     register_executor,
     register_model,
-    register_policy,
 )
 
 #: Attributes resolved lazily to avoid import cycles with the modules that
@@ -58,7 +56,6 @@ _LAZY_ATTRIBUTES = {
 
 __all__ = [
     "Algorithm",
-    "EngineBackedAlgorithm",
     "EVENT_TYPES",
     "Callback",
     "CheckpointSaved",
@@ -71,12 +68,10 @@ __all__ = [
     "DATASETS",
     "EXECUTORS",
     "MODELS",
-    "POLICIES",
     "register_algorithm",
     "register_dataset",
     "register_executor",
     "register_model",
-    "register_policy",
     "Session",
     "ExperimentComponents",
     "build_algorithm",

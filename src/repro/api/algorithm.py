@@ -1,16 +1,16 @@
 """The unified algorithm interface.
 
-Every trainable algorithm in the repository -- the split engine behind
-MergeSFL and the SFL baselines, the FL engine behind FedAvg/PyramidFL, and
+Every trainable algorithm in the repository -- the split engine that is
+MergeSFL and the SFL baselines, the FL engine that is FedAvg/PyramidFL, and
 any out-of-tree plugin -- implements :class:`Algorithm`: incremental
 execution via :meth:`Algorithm.step_round`, batch execution via
 :meth:`Algorithm.run`, and full state capture via
 :meth:`Algorithm.state_dict` / :meth:`Algorithm.load_state_dict` so a
 :class:`repro.api.session.Session` can checkpoint and resume it.
 
-Facade classes that own an engine (``MergeSFL``, ``SplitFed``, ``FedAvg``,
-...) derive from :class:`EngineBackedAlgorithm`, which forwards the whole
-contract to the engine.
+There is no facade layer: an :data:`~repro.api.registry.ALGORITHMS` factory
+returns the engine itself (see :mod:`repro.algorithms`), so
+``session.algorithm`` is a :class:`~repro.core.round_engine.RoundEngine`.
 """
 
 from __future__ import annotations
@@ -102,38 +102,3 @@ class Algorithm(abc.ABC):
         for _ in range(rounds):
             self.step_round()
         return self.history
-
-
-class EngineBackedAlgorithm(Algorithm):
-    """Base for facades that delegate the whole contract to ``self.engine``."""
-
-    engine: Algorithm
-
-    @property
-    def config(self) -> "ExperimentConfig":
-        return self.engine.config
-
-    @property
-    def history(self) -> History:
-        return self.engine.history
-
-    def step_round(self) -> RoundRecord:
-        return self.engine.step_round()
-
-    def run(self, num_rounds: int | None = None) -> History:
-        return self.engine.run(num_rounds)
-
-    def global_model(self) -> "Sequential":
-        return self.engine.global_model()
-
-    def state_dict(self) -> dict:
-        return self.engine.state_dict()
-
-    def load_state_dict(self, state: dict) -> None:
-        self.engine.load_state_dict(state)
-
-    def drain(self) -> None:
-        self.engine.drain()
-
-    def close(self) -> None:
-        self.engine.close()

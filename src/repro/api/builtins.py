@@ -6,11 +6,7 @@ Importing this module is a side effect: each imported module carries
 their first lookup, so merely registering a plugin never pays this cost.
 """
 
-import repro.baselines.fedavg  # noqa: F401
-import repro.baselines.policies  # noqa: F401
-import repro.baselines.pyramidfl  # noqa: F401
-import repro.baselines.sfl  # noqa: F401
-import repro.core.mergesfl  # noqa: F401
+import repro.algorithms  # noqa: F401
 import repro.data.synthetic  # noqa: F401
 import repro.nn.models  # noqa: F401
 import repro.parallel  # noqa: F401

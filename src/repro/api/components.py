@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.elastic import ElasticController
     from repro.parallel.base import Executor
     from repro.selection.solvers import SelectionSolver
 
@@ -44,7 +43,8 @@ from repro.simulation.cluster import Cluster, LazyCluster, build_cluster
 from repro.simulation.traffic import feature_bytes
 
 #: Fraction of the "everyone at full batch" ingress load used as the default
-#: bandwidth budget, so worker selection is a real constraint (see DESIGN.md).
+#: bandwidth budget, so worker selection is a real constraint (see the
+#: README's "Algorithms" section).
 DEFAULT_BUDGET_UTILISATION = 0.6
 
 
@@ -76,11 +76,6 @@ class ExperimentComponents:
     #: stores a :class:`~repro.population.pool.LazyWorkerPool` here and
     #: leaves ``workers`` empty.
     pool: "WorkerPool | None" = None
-    #: Round-elasticity controller shared by whichever engine the algorithm
-    #: builds.  ``None`` means :meth:`elastic_controller` builds one from
-    #: the configuration on first use (itself ``None`` when
-    #: ``config.elastic`` is off, which keeps rounds synchronous).
-    elastic: "ElasticController | None" = None
     #: Worker-selection solver shared by whichever policy the algorithm
     #: builds.  ``None`` means :meth:`selection_solver` resolves
     #: ``config.selector`` from the registry on first use.
@@ -91,14 +86,6 @@ class ExperimentComponents:
         if self.pool is None:
             self.pool = EagerWorkerPool(self.workers)
         return self.pool
-
-    def elastic_controller(self) -> "ElasticController | None":
-        """The elasticity controller, built from the config on first use."""
-        if self.elastic is None:
-            from repro.core.elastic import build_elastic_controller
-
-            self.elastic = build_elastic_controller(self.config, self.cluster)
-        return self.elastic
 
     def selection_solver(self) -> "SelectionSolver":
         """The worker-selection solver, resolved from ``config.selector``."""

@@ -1,24 +1,26 @@
 """Name-based plugin registries.
 
 Every extensible axis of the system -- algorithms, datasets, models and
-control policies -- is backed by a :class:`Registry`.  Built-in components
+the execution axes (executor, pipeline, transport, codec, split policy,
+selection solver) -- is backed by a :class:`Registry`.  Built-in components
 register themselves with the decorators below in the module that defines
-them (e.g. ``@register_algorithm("mergesfl")`` in
-:mod:`repro.core.mergesfl`); third-party code registers additional entries
-the same way, without editing any core module:
+them (the eleven algorithms in one loop over
+:data:`repro.algorithms.BUILTIN_ALGORITHMS`); third-party code registers
+additional entries the same way, without editing any core module.  A custom
+control policy needs no registry of its own -- it rides in on an algorithm:
 
-    from repro.api import register_algorithm
+    from repro import SplitTrainingEngine, register_algorithm
 
     @register_algorithm("my_sfl", description="my out-of-tree variant")
     def build_my_sfl(components):
-        return MySFL(...)
+        return SplitTrainingEngine.from_components(components, MyPolicy())
 
-Algorithm entries are factories ``(components) -> Algorithm``, dataset
-entries are makers ``(train_samples, test_samples, seed) -> TrainTestSplit``,
-model entries are builders returning a :class:`~repro.nn.module.Sequential`
-(see :func:`repro.api.components.build_model_for` for the keyword contract
-selected by the ``input_kind`` metadata), and policy entries are factories
-``(config, **overrides) -> policy``.
+Algorithm entries are factories ``(components) -> Algorithm`` (normally an
+engine), dataset entries are makers ``(train_samples, test_samples, seed) ->
+TrainTestSplit`` and model entries are builders returning a
+:class:`~repro.nn.module.Sequential` (see
+:func:`repro.api.components.build_model_for` for the keyword contract
+selected by the ``input_kind`` metadata).
 
 The registries populate lazily: the first lookup imports
 :mod:`repro.api.builtins`, which pulls in every module carrying built-in
@@ -208,7 +210,7 @@ class Registry:
 
 
 #: True while :func:`_load_builtins` is importing the built-in modules; the
-#: shared import populates all four registries at once, so duplicate checks
+#: shared import populates every registry at once, so duplicate checks
 #: must relax for every registry during that window, not just the one whose
 #: lookup triggered it.
 _LOADING_BUILTINS = False
@@ -236,8 +238,6 @@ ALGORITHMS = Registry("algorithm", populate=_load_builtins)
 DATASETS = Registry("dataset", populate=_load_builtins)
 #: Model builders returning a ``Sequential`` (see ``build_model_for``).
 MODELS = Registry("model", populate=_load_builtins)
-#: Control policies / selection strategies: factories ``(config, **kw) -> policy``.
-POLICIES = Registry("policy", populate=_load_builtins)
 #: Execution backends: factories ``(config) -> Executor`` (see ``repro.parallel``).
 EXECUTORS = Registry("executor", populate=_load_builtins)
 #: Round schedulers: factories ``(config) -> PipelineScheduler``
@@ -259,7 +259,6 @@ SELECTION_SOLVERS = Registry("selection solver", populate=_load_builtins)
 register_algorithm = ALGORITHMS.register
 register_dataset = DATASETS.register
 register_model = MODELS.register
-register_policy = POLICIES.register
 register_executor = EXECUTORS.register
 register_pipeline = PIPELINES.register
 register_transport = TRANSPORTS.register

@@ -1,31 +1,21 @@
-"""Baselines evaluated in the paper plus the motivation variants.
+"""The full-model (FL) baselines: one engine, two selection strategies.
 
-Split-learning baselines (SplitFed, LocFedMix-SL, AdaSFL and the SFL-T /
-SFL-FM / SFL-BR motivation variants) reuse the shared split training engine
-with simple control policies; the federated-learning baselines (FedAvg,
-PyramidFL) train full models locally through a dedicated FL engine.
+FedAvg and PyramidFL train the entire model locally through
+:class:`FLTrainingEngine` under :class:`SelectAll` / :class:`PyramidSelection`.
+The split-learning baselines (SplitFed, LocFedMix-SL, AdaSFL and the SFL-T /
+SFL-FM / SFL-BR motivation variants) need no code of their own: they are
+rows of :class:`~repro.core.controller.ControlModule` switches over the
+split engine, listed with these two in
+:data:`repro.algorithms.BUILTIN_ALGORITHMS`.
 """
 
-from repro.baselines.policies import (
-    FixedBatchPolicy,
-    RegulatedBatchPolicy,
-)
-from repro.baselines.sfl import SplitFed, LocFedMixSL, AdaSFL, SFLVariant
 from repro.baselines.fl_engine import FLTrainingEngine, FLSelectionStrategy
-from repro.baselines.fedavg import FedAvg, SelectAll
-from repro.baselines.pyramidfl import PyramidFL, PyramidSelection
+from repro.baselines.fedavg import SelectAll
+from repro.baselines.pyramidfl import PyramidSelection
 
 __all__ = [
-    "FixedBatchPolicy",
-    "RegulatedBatchPolicy",
-    "SplitFed",
-    "LocFedMixSL",
-    "AdaSFL",
-    "SFLVariant",
     "FLTrainingEngine",
     "FLSelectionStrategy",
-    "FedAvg",
     "SelectAll",
-    "PyramidFL",
     "PyramidSelection",
 ]

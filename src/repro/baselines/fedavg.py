@@ -1,21 +1,14 @@
 """FedAvg baseline (McMahan et al., AISTATS'17).
 
 Every worker trains the entire model locally with an identical, fixed batch
-size; the PS averages the local models weighted by shard size.
+size; the PS averages the local models weighted by shard size.  FedAvg is
+:class:`~repro.baselines.fl_engine.FLTrainingEngine` under the trivial
+selection strategy below (see :data:`repro.algorithms.BUILTIN_ALGORITHMS`).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.api.algorithm import EngineBackedAlgorithm
-from repro.api.registry import register_algorithm, register_policy
-from repro.baselines.fl_engine import FLTrainingEngine
-from repro.config import ExperimentConfig
-from repro.core.worker import SplitWorker
-from repro.data.dataset import TrainTestSplit
-from repro.nn.module import Sequential
-from repro.simulation.cluster import Cluster
 
 
 class SelectAll:
@@ -30,50 +23,3 @@ class SelectAll:
         rng: np.random.Generator,
     ) -> list[int]:
         return list(range(durations.shape[0]))
-
-
-class FedAvg(EngineBackedAlgorithm):
-    """FedAvg facade: full-model local training + uniform participation."""
-
-    def __init__(
-        self,
-        config: ExperimentConfig,
-        model: Sequential,
-        workers: list[SplitWorker],
-        cluster: Cluster,
-        data: TrainTestSplit,
-        executor=None,
-    ) -> None:
-        self.engine = FLTrainingEngine(
-            config=config,
-            model=model,
-            workers=workers,
-            cluster=cluster,
-            data=data,
-            selection=SelectAll(),
-            executor=executor,
-        )
-
-    @classmethod
-    def from_components(cls, components) -> "FedAvg":
-        """Build from :class:`~repro.api.components.ExperimentComponents`."""
-        return cls(
-            config=components.config,
-            model=components.model,
-            workers=components.worker_pool(),
-            cluster=components.cluster,
-            data=components.data,
-            executor=components.executor,
-        )
-
-
-register_algorithm(
-    "fedavg", FedAvg.from_components,
-    description="FedAvg: full-model local training, uniform participation",
-)
-
-
-@register_policy("select_all", kind="fl_selection",
-                 description="Every worker participates every round")
-def _build_select_all(config: ExperimentConfig, **overrides) -> SelectAll:
-    return SelectAll(**overrides)

@@ -93,6 +93,22 @@ class FLTrainingEngine(RoundEngine):
         self.model_bytes = model_size_bytes(self.model)
         self.full_flops = estimate_forward_flops(self.model, data.feature_shape)
 
+    @classmethod
+    def from_components(
+        cls, components, selection: FLSelectionStrategy
+    ) -> "FLTrainingEngine":
+        """The engine over :class:`~repro.api.components.ExperimentComponents`
+        (the FL twin of ``SplitTrainingEngine.from_components``)."""
+        return cls(
+            config=components.config,
+            model=components.model,
+            workers=components.worker_pool(),
+            cluster=components.cluster,
+            data=components.data,
+            selection=selection,
+            executor=components.executor,
+        )
+
     # -- public API -----------------------------------------------------------
     def global_model(self) -> Sequential:
         """A copy of the current global model, in evaluation mode."""

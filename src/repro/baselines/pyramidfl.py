@@ -12,22 +12,16 @@ comparison -- utility-driven selection -- and scores each worker by
   not dominated by stragglers,
 
 with an exploration term that favours rarely selected workers.  The
-simplification is recorded in DESIGN.md.
+simplification is recorded in the README's "Algorithms" section.  PyramidFL
+is :class:`~repro.baselines.fl_engine.FLTrainingEngine` under
+:class:`PyramidSelection` (see :data:`repro.algorithms.BUILTIN_ALGORITHMS`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.api.algorithm import EngineBackedAlgorithm
-from repro.api.registry import register_algorithm, register_policy
-from repro.baselines.fl_engine import FLTrainingEngine
-from repro.config import ExperimentConfig
 from repro.core.divergence import iid_distribution, kl_divergence, mixed_label_distribution
-from repro.core.worker import SplitWorker
-from repro.data.dataset import TrainTestSplit
-from repro.nn.module import Sequential
-from repro.simulation.cluster import Cluster
 
 
 class PyramidSelection:
@@ -75,51 +69,3 @@ class PyramidSelection:
             selected.append(int(best_worker))
             candidates.remove(best_worker)
         return sorted(selected)
-
-
-class PyramidFL(EngineBackedAlgorithm):
-    """PyramidFL facade: full-model training + utility-driven selection."""
-
-    def __init__(
-        self,
-        config: ExperimentConfig,
-        model: Sequential,
-        workers: list[SplitWorker],
-        cluster: Cluster,
-        data: TrainTestSplit,
-        participation_fraction: float = 0.6,
-        executor=None,
-    ) -> None:
-        self.engine = FLTrainingEngine(
-            config=config,
-            model=model,
-            workers=workers,
-            cluster=cluster,
-            data=data,
-            selection=PyramidSelection(participation_fraction=participation_fraction),
-            executor=executor,
-        )
-
-    @classmethod
-    def from_components(cls, components) -> "PyramidFL":
-        """Build from :class:`~repro.api.components.ExperimentComponents`."""
-        return cls(
-            config=components.config,
-            model=components.model,
-            workers=components.worker_pool(),
-            cluster=components.cluster,
-            data=components.data,
-            executor=components.executor,
-        )
-
-
-register_algorithm(
-    "pyramidfl", PyramidFL.from_components,
-    description="PyramidFL: utility-driven selection with straggler avoidance",
-)
-
-
-@register_policy("pyramid", kind="fl_selection",
-                 description="Utility-driven FL worker selection")
-def _build_pyramid_selection(config: ExperimentConfig, **overrides) -> PyramidSelection:
-    return PyramidSelection(**overrides)

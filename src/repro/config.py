@@ -12,29 +12,6 @@ from dataclasses import dataclass, field, asdict
 
 from repro.exceptions import ConfigurationError
 
-#: Built-in algorithm names.  Kept for backwards compatibility; validation
-#: consults :data:`repro.api.registry.ALGORITHMS`, which additionally
-#: contains any third-party registrations.
-KNOWN_ALGORITHMS = (
-    "mergesfl",
-    "mergesfl_no_fm",
-    "mergesfl_no_br",
-    "fedavg",
-    "splitfed",
-    "locfedmix_sl",
-    "adasfl",
-    "pyramidfl",
-    "sfl_t",
-    "sfl_fm",
-    "sfl_br",
-)
-
-#: Built-in dataset names (see ``KNOWN_ALGORITHMS`` on registry validation).
-KNOWN_DATASETS = ("har", "speech", "cifar10", "image100", "blobs")
-
-#: Built-in model names (see ``KNOWN_ALGORITHMS`` on registry validation).
-KNOWN_MODELS = ("mlp", "cnn_h", "cnn_s", "alexnet_s", "vgg_s")
-
 #: Every ``extras`` key the code reads.  Other keys are free-form metadata
 #: (notes, tags) and pass through untouched -- unless they are a near miss
 #: of one of these or of a config field, which :meth:`ExperimentConfig.validate`
@@ -47,8 +24,6 @@ KNOWN_EXTRAS = (
     "device_dropout_rates",
     "executor_processes",
     "executor_start_method",
-    "policy",
-    "policy_kwargs",
     "population_live_devices",
     "population_samples_per_worker",
     "population_sharding",

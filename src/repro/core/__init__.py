@@ -2,15 +2,18 @@
 
 The subpackage is organised around the paper's two modules:
 
-* **Control module** (:mod:`repro.core.controller`): worker state
-  estimation, batch-size regulation (Eq. 9), GA-based worker selection
-  minimising the KL divergence to the IID label distribution (Eq. 10-13),
-  Lagrangian batch fine-tuning (Eq. 14) and bandwidth scaling.
+* **Control module** (:mod:`repro.core.controller`): batch-size regulation
+  (Eq. 9), solver-driven worker selection minimising the KL divergence to
+  the IID label distribution (Eq. 10-13), Lagrangian batch fine-tuning
+  (Eq. 14) and bandwidth scaling -- each step behind a switch of the one
+  :class:`ControlModule`, so MergeSFL, its ablations and the SFL baselines
+  are rows of :data:`repro.algorithms.BUILTIN_ALGORITHMS`.
 * **Training module** (:mod:`repro.core.engine`): bottom-model training on
   workers, feature merging, top-model update, gradient dispatching and
   weighted bottom-model aggregation (Eq. 15-17).
 
-:class:`repro.core.mergesfl.MergeSFL` wires the two together.
+``SplitTrainingEngine.from_components(components, ControlModule(...))`` wires
+the two together; the engine is the algorithm.
 """
 
 from repro.core.divergence import kl_divergence, mixed_label_distribution, iid_distribution
@@ -28,7 +31,6 @@ from repro.core.worker import SplitWorker
 from repro.core.server import SplitServer
 from repro.core.controller import ControlModule, RoundPlan
 from repro.core.engine import SplitTrainingEngine, ControlPolicy
-from repro.core.mergesfl import MergeSFL, MergeSFLPolicy
 
 __all__ = [
     "kl_divergence",
@@ -50,6 +52,4 @@ __all__ = [
     "RoundPlan",
     "SplitTrainingEngine",
     "ControlPolicy",
-    "MergeSFL",
-    "MergeSFLPolicy",
 ]

@@ -1,11 +1,15 @@
-"""The MergeSFL control module (Section IV-A, Alg. 1).
+"""The control module (Section IV-A, Alg. 1) -- the one split control policy.
 
-At the start of every communication round the control module estimates
-worker states, regulates batch sizes (Eq. 9), selects a worker set whose
-merged label distribution approximates IID under the PS ingress-bandwidth
-constraint (Eq. 10-13, genetic algorithm), fine-tunes the batch sizes to
-push the KL divergence below the threshold (Eq. 14, Lagrangian step) and
-finally rescales the batch sizes to use the available bandwidth.
+At the start of every communication round the control module regulates
+batch sizes (Eq. 9), selects a worker set whose merged label distribution
+approximates IID under the PS ingress-bandwidth constraint (Eq. 10-13,
+solver-driven), fine-tunes the batch sizes to push the KL divergence below
+the threshold (Eq. 14, Lagrangian step) and rescales them to use the
+available bandwidth.  Each step sits behind a switch of
+:class:`ControlModule`: all on is MergeSFL, and every other split approach
+the paper evaluates (SplitFed, LocFedMix-SL, AdaSFL, the Fig. 11 ablations,
+Section II's SFL-T / SFL-FM / SFL-BR) is a row of switches in
+:data:`repro.algorithms.BUILTIN_ALGORITHMS`.
 """
 
 from __future__ import annotations
@@ -156,78 +160,73 @@ class RoundPlan:
 
 
 class ControlModule:
-    """Implements Alg. 1: worker arrangement and configuration.
+    """Alg. 1 with every step behind a switch; satisfies ``ControlPolicy``.
 
     Args:
+        solver: Worker-selection solver (see :mod:`repro.selection`); the
+            default is the paper's GA.  Dropped when ``select`` is off, so
+            the engine checkpoints solver state only for rows that select.
         kl_threshold: ``epsilon`` for the fine-tuning step.
-        enable_regulation: Apply Eq. 9 batch-size regulation (otherwise all
-            workers use the base batch size).
-        enable_selection: Run the GA worker selection (otherwise all workers
-            participate).
-        enable_finetune: Run the Lagrangian KL fine-tuning and bandwidth
-            scaling steps.
-        ga_population: GA population size.
-        ga_generations: GA generation count.
-        selection_fraction: Fraction ``m/N`` used to seed the GA population.
-        use_greedy: Replace the GA with the greedy selector (ablation);
-            shorthand for ``solver=GreedySolver()``.
-        solver: Worker-selection solver (see :mod:`repro.selection`).  The
-            default builds the paper's GA from the knobs above, which is
-            bit-exact with the historical inline call.
+        regulate: Eq. 9 batch-size regulation (otherwise every worker gets
+            ``base_batch_size``).
+        select: Eq. 10-13 worker selection (otherwise everyone participates).
+        finetune: Eq. 14 Lagrangian fine-tuning plus bandwidth scaling.
+        merge_features: The PS merges features before the top update
+            (Eq. 16) instead of updating the top model per worker.
+        aggregate_every_iteration: Aggregate bottom models after every
+            local iteration (SplitFed) instead of once per round.
+        identical_batch: The Fig. 11 "w/o BR" ablation: the round is planned
+            as usual, then every selected worker trains at the mean of the
+            Eq. 9 batch sizes.
     """
 
     def __init__(
         self,
-        kl_threshold: float = 0.05,
-        enable_regulation: bool = True,
-        enable_selection: bool = True,
-        enable_finetune: bool = True,
-        ga_population: int = 20,
-        ga_generations: int = 15,
-        selection_fraction: float = 0.5,
-        use_greedy: bool = False,
         solver: "object | None" = None,
+        *,
+        kl_threshold: float = 0.05,
+        regulate: bool = True,
+        select: bool = True,
+        finetune: bool = True,
+        merge_features: bool = True,
+        aggregate_every_iteration: bool = False,
+        identical_batch: bool = False,
     ) -> None:
         self.kl_threshold = kl_threshold
-        self.enable_regulation = enable_regulation
-        self.enable_selection = enable_selection
-        self.enable_finetune = enable_finetune
-        self.ga_population = ga_population
-        self.ga_generations = ga_generations
-        self.selection_fraction = selection_fraction
-        self.use_greedy = use_greedy
-        if solver is None:
+        self.regulate = regulate
+        self.select = select
+        self.finetune = finetune
+        self.merge_features = merge_features
+        self.aggregate_every_iteration = aggregate_every_iteration
+        self.identical_batch = identical_batch
+        #: The engine serialises a stateful solver through its
+        #: ``state_dict`` (see ``SplitTrainingEngine._engine_state``).
+        self.solver = None
+        if select:
             # Imported lazily: repro.selection imports repro.core, so a
             # module-level import here would be circular.
-            from repro.selection.solvers import GASolver, GreedySolver
+            from repro.selection.solvers import GASolver
 
-            if use_greedy:
-                solver = GreedySolver()
-            else:
-                solver = GASolver(
-                    population_size=ga_population,
-                    generations=ga_generations,
-                    seed_fraction=selection_fraction,
-                )
-        self.solver = solver
+            self.solver = solver if solver is not None else GASolver()
 
     def plan_round(self, context: ControlContext) -> RoundPlan:
         """Produce the worker set and batch-size configuration for one round."""
         num_workers = context.per_sample_durations.shape[0]
         target = iid_distribution(context.label_distributions)
+        info: dict = {}
 
         # Lines 1-2: batch size regulation (Eq. 9).
-        if self.enable_regulation:
-            batch_sizes = regulate_batch_sizes(
+        if self.regulate:
+            regulated = regulate_batch_sizes(
                 context.per_sample_durations, context.max_batch_size
             )
         else:
-            batch_sizes = np.full(num_workers, context.base_batch_size, dtype=np.int64)
+            regulated = np.full(num_workers, context.base_batch_size, dtype=np.int64)
+        batch_sizes = regulated
 
         # Lines 3-5: priorities and solver-driven selection under the
         # bandwidth constraint (the default solver is the paper's GA).
-        priorities = selection_priorities(context.participation_counts)
-        if self.enable_selection:
+        if self.select:
             from repro.selection.solvers import SelectionProblem
 
             selection = self.solver.solve(SelectionProblem(
@@ -236,18 +235,17 @@ class ControlModule:
                 target_distribution=target,
                 bandwidth_per_sample=context.bandwidth_per_sample,
                 bandwidth_budget=context.bandwidth_budget,
-                priorities=priorities,
+                priorities=selection_priorities(context.participation_counts),
                 rng=context.rng,
                 worker_ids=context.worker_ids,
             ))
             selected = selection.selected
-            feasible = selection.feasible
+            info["feasible"] = selection.feasible
         else:
             selected = np.arange(num_workers)
-            feasible = True
 
         # Line 6: Lagrangian fine-tuning of batch sizes towards KL <= epsilon.
-        if self.enable_finetune:
+        if self.finetune:
             batch_sizes = finetune_batch_sizes(
                 batch_sizes,
                 selected,
@@ -269,10 +267,15 @@ class ControlModule:
         phi = mixed_label_distribution(
             context.label_distributions, batch_sizes, selected
         )
-        plan = RoundPlan(
+        if self.identical_batch:
+            # "w/o BR": the plan (and its merged KL) stands, but everyone
+            # trains at the mean of the Eq. 9 sizes over the whole fleet.
+            average = max(1, int(round(float(np.mean(regulated)))))
+            batch_sizes = np.full(num_workers, average, dtype=np.int64)
+            info["identical_batch"] = average
+        return RoundPlan(
             selected=[int(w) for w in selected],
             batch_sizes={int(w): int(batch_sizes[w]) for w in selected},
             merged_kl=kl_divergence(phi, target),
-            info={"feasible": feasible},
+            info=info,
         )
-        return plan

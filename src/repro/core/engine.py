@@ -180,6 +180,27 @@ class SplitTrainingEngine(RoundEngine):
         #: so the prefetched plan is part of the checkpointed state.
         self._pending_plan: tuple[int, RoundPlan] | None = None
 
+    @classmethod
+    def from_components(
+        cls, components, policy: ControlPolicy
+    ) -> "SplitTrainingEngine":
+        """The engine over :class:`~repro.api.components.ExperimentComponents`.
+
+        The one place that maps a component set to the constructor's
+        arguments: the configured executor and the population pool (eager
+        or lazy) always reach the engine, whatever the policy.
+        """
+        return cls(
+            config=components.config,
+            split=components.split,
+            workers=components.worker_pool(),
+            cluster=components.cluster,
+            data=components.data,
+            policy=policy,
+            bandwidth_budget_override=components.bandwidth_budget,
+            executor=components.executor,
+        )
+
     def _build_depth_tables(self, input_shape: tuple[int, ...]) -> None:
         """Per-depth cost tables for the split-point policy's context.
 
@@ -239,7 +260,7 @@ class SplitTrainingEngine(RoundEngine):
             # Present only under a non-trivial policy, so uniform
             # checkpoints keep their historical format byte for byte.
             state["splitpoint"] = self._split_policy.state_dict()
-        solver = getattr(self.policy, "selection_solver", None)
+        solver = getattr(self.policy, "solver", None)
         if solver is not None and getattr(solver, "stateful", False):
             # Same contract as "splitpoint": only stateful solvers add the
             # key, so default (ga) checkpoints keep the historical format.
@@ -264,7 +285,7 @@ class SplitTrainingEngine(RoundEngine):
         self.bandwidth_estimator.load_state_dict(state["bandwidth_estimator"])
         if self._split_policy is not None and state.get("splitpoint") is not None:
             self._split_policy.load_state_dict(state["splitpoint"])
-        solver = getattr(self.policy, "selection_solver", None)
+        solver = getattr(self.policy, "solver", None)
         if solver is not None and state.get("selection") is not None:
             solver.load_state_dict(state["selection"])
         if self._depth_aware and state.get("selection_depths") is not None:

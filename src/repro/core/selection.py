@@ -76,6 +76,50 @@ def _fitness(
     return kl + 10.0 * violation + 0.05 * (1.0 - utilisation)
 
 
+def _smoothed_reference(target_distribution: np.ndarray) -> np.ndarray:
+    """``Phi_0`` as :func:`kl_divergence` smooths it, hoisted out of the KL."""
+    phi0 = normalize_distribution(np.asarray(target_distribution, dtype=np.float64))
+    phi0 = phi0 + _EPS
+    return phi0 / phi0.sum()
+
+
+def _mixture_kl(
+    numerators: np.ndarray, sizes: np.ndarray, phi0: np.ndarray
+) -> np.ndarray:
+    """KL to the smoothed reference of every mixture row ``numerator / size``.
+
+    The one row-wise copy of what :func:`_fitness` computes per mask:
+    :func:`mixed_label_distribution` normalises the mixture,
+    :func:`kl_divergence` normalises again and applies epsilon smoothing.
+    Sums run over the last (contiguous) axis, so each row reduces in the
+    same order as the scalar path and the values match bit for bit.
+    """
+    phi = numerators / sizes[:, None].astype(np.float64)
+    phi = phi / phi.sum(axis=1, keepdims=True)
+    phi = phi / phi.sum(axis=1, keepdims=True)
+    phi = phi + _EPS
+    phi = phi / phi.sum(axis=1, keepdims=True)
+    return np.sum(phi * np.log(phi / phi0[None, :]), axis=1)
+
+
+def decode_selection(
+    selected: "np.ndarray | list[int]",
+    batch_sizes: np.ndarray,
+    label_distributions: np.ndarray,
+    target_distribution: np.ndarray,
+    bandwidth_per_sample: "float | np.ndarray",
+    bandwidth_budget: float,
+) -> SelectionResult:
+    """Turn positional worker indices into a :class:`SelectionResult`."""
+    phi = mixed_label_distribution(label_distributions, batch_sizes, selected)
+    used = occupied_bandwidth(batch_sizes, selected, bandwidth_per_sample)
+    return SelectionResult(
+        selected=np.sort(np.asarray(selected)),
+        kl=kl_divergence(phi, target_distribution),
+        feasible=used <= bandwidth_budget * (1.0 + 1e-9),
+    )
+
+
 class PopulationFitness:
     """Vectorized GA fitness: a whole population evaluated in one pass.
 
@@ -113,9 +157,7 @@ class PopulationFitness:
         # The smoothed reference distribution: identical for every mask, so
         # the normalisation inside ``kl_divergence`` is hoisted out.
         self._target = np.asarray(target_distribution, dtype=np.float64)
-        phi0 = normalize_distribution(self._target)
-        phi0 = phi0 + _EPS
-        self._phi0 = phi0 / phi0.sum()
+        self._phi0 = _smoothed_reference(self._target)
         per_sample = np.asarray(bandwidth_per_sample, dtype=np.float64)
         if per_sample.ndim > 0:
             if per_sample.shape[0] != self._batches.shape[0]:
@@ -129,7 +171,6 @@ class PopulationFitness:
             self._bandwidth_costs = None
         self._bandwidth_per_sample = bandwidth_per_sample
         self._bandwidth_budget = bandwidth_budget
-        self._incremental: IncrementalFitness | None = None
 
     def evaluate(self, masks: np.ndarray) -> np.ndarray:
         """Fitness of every row of ``masks`` (a ``(population, N)`` matrix).
@@ -148,38 +189,11 @@ class PopulationFitness:
         if len(slot_of) < masks.shape[0]:
             __, distinct = np.unique(inverse, return_index=True)
             return self.evaluate(masks[distinct])[inverse]
-        nonempty = masks.any(axis=1)
-        fitness = np.full(masks.shape[0], 1e6)
-        if not np.any(nonempty):
-            return fitness
-        # Masks whose selected workers all have zero batch size take the
-        # scalar path's uniform-mean fallback; evaluate them one by one (a
-        # degenerate case, unreachable from the engines where batches >= 1).
-        sizes_all = masks @ self._batches
-        degenerate = nonempty & (sizes_all == 0)
-        if np.any(degenerate):
-            for row in np.flatnonzero(degenerate):
-                fitness[row] = _fitness(
-                    masks[row], self._batches, self._matrix, self._target,
-                    self._bandwidth_per_sample, self._bandwidth_budget,
-                )
-            nonempty = nonempty & ~degenerate
-            if not np.any(nonempty):
-                return fitness
         # Masked stack: unselected workers become exact-zero rows, so the
         # sequential sum over the worker axis reproduces the scalar path's
         # selected-rows sum bit for bit.
-        stacked = masks[:, :, None] * self._contributions[None, :, :]
-        mixture = stacked.sum(axis=1)[nonempty]
-        sizes = sizes_all[nonempty]
-        phi = mixture / sizes[:, None].astype(np.float64)
-        # mixed_label_distribution normalises the mixture, kl_divergence
-        # normalises again and applies epsilon smoothing; mirror all three.
-        phi = phi / phi.sum(axis=1, keepdims=True)
-        phi = phi / phi.sum(axis=1, keepdims=True)
-        phi = phi + _EPS
-        phi = phi / phi.sum(axis=1, keepdims=True)
-        kl = np.sum(phi * np.log(phi / self._phi0[None, :]), axis=1)
+        numerators = (masks[:, :, None] * self._contributions[None, :, :]).sum(axis=1)
+        sizes = masks @ self._batches
         if self._bandwidth_costs is None:
             used = sizes.astype(np.float64) * self._bandwidth_per_sample
         else:
@@ -188,32 +202,45 @@ class PopulationFitness:
             # ``costs[selected]``, so the vector path agrees bitwise with
             # the scalar helpers too.
             used = np.array(
-                [float(self._bandwidth_costs[row].sum()) for row in masks[nonempty]]
+                [float(self._bandwidth_costs[row].sum()) for row in masks]
             )
-        budget = self._bandwidth_budget
-        violation = np.maximum(0.0, used - budget) / budget
-        utilisation = np.minimum(1.0, used / budget)
-        fitness[nonempty] = kl + 10.0 * violation + 0.05 * (1.0 - utilisation)
-        return fitness
+        return self._score_rows(
+            masks.sum(axis=1), numerators, sizes, used, lambda row: masks[row]
+        )
+
+    def _score_rows(self, counts, numerators, sizes, used, mask_of) -> np.ndarray:
+        """Penalised fitness of every row of mixture terms.
+
+        The one vectorized copy of :func:`_fitness`, shared by
+        :meth:`evaluate` (terms reduced from masks) and
+        :class:`IncrementalFitness` (terms adjusted from an anchor).  Empty
+        rows score the penalty constant; rows whose selected workers all
+        have zero batch size take the scalar path's uniform-mean fallback
+        on ``mask_of(row)`` (degenerate; unreachable from the engines, where
+        batches are >= 1).
+        """
+        scores = np.full(counts.shape[0], 1e6)
+        live = counts > 0
+        degenerate = live & (sizes <= 0)
+        for row in np.flatnonzero(degenerate):
+            scores[row] = _fitness(
+                mask_of(int(row)), self._batches, self._matrix, self._target,
+                self._bandwidth_per_sample, self._bandwidth_budget,
+            )
+        rows = live & ~degenerate
+        if np.any(rows):
+            budget = self._bandwidth_budget
+            violation = np.maximum(0.0, used[rows] - budget) / budget
+            utilisation = np.minimum(1.0, used[rows] / budget)
+            scores[rows] = (
+                _mixture_kl(numerators[rows], sizes[rows], self._phi0)
+                + 10.0 * violation + 0.05 * (1.0 - utilisation)
+            )
+        return scores
 
     def incremental(self, mask: np.ndarray) -> "IncrementalFitness":
         """An O(classes)-per-flip evaluator anchored at ``mask``."""
         return IncrementalFitness(self, mask)
-
-    def delta_evaluate(self, mask: np.ndarray, flip_index: int) -> float:
-        """Fitness of ``mask`` with bit ``flip_index`` flipped, in O(classes).
-
-        The cached mixture numerator/denominator is rebuilt (one ``(N,
-        classes)`` reduction) only when ``mask`` differs from the previously
-        anchored mask; scanning a 1-flip neighbourhood of one mask then
-        costs O(classes) per candidate instead of re-reducing the full
-        stack for every neighbour.
-        """
-        mask = np.asarray(mask, dtype=bool)
-        cached = self._incremental
-        if cached is None or not cached.matches(mask):
-            cached = self._incremental = IncrementalFitness(self, mask)
-        return cached.flip_score(int(flip_index))
 
 
 class IncrementalFitness:
@@ -251,10 +278,6 @@ class IncrementalFitness:
         """A copy of the current anchor mask."""
         return self._mask.copy()
 
-    def matches(self, mask: np.ndarray) -> bool:
-        """Whether ``mask`` equals the current anchor."""
-        return bool(np.array_equal(self._mask, mask))
-
     def resync(self) -> None:
         """Rebuild the cached terms from scratch (bit-exact with evaluate)."""
         parent, mask = self._parent, self._mask
@@ -271,32 +294,21 @@ class IncrementalFitness:
         self._commits = 0
 
     def score(self) -> float:
-        """Fitness of the anchor mask itself."""
-        return self._assemble(
-            self._count, self._numerator, self._size, self._used,
-            lambda: self._mask.copy(),
-        )
-
-    def flip_score(self, index: int) -> float:
-        """Fitness of the anchor with bit ``index`` flipped (not committed)."""
-        count, numerator, size, used = self._flip_terms(index)
-
-        def degenerate_mask() -> np.ndarray:
-            mask = self._mask.copy()
-            mask[index] = not mask[index]
-            return mask
-
-        return self._assemble(count, numerator, size, used, degenerate_mask)
+        """Fitness of the anchor mask itself (the one-row case)."""
+        return float(self._parent._score_rows(
+            np.array([self._count]), self._numerator[None, :],
+            np.array([self._size]), np.array([self._used]),
+            lambda row: self._mask.copy(),
+        )[0])
 
     def flip_scores(self) -> np.ndarray:
         """Fitness of every 1-flip neighbour, in one vectorized pass.
 
-        Bitwise identical to ``[flip_score(i) for i in range(N)]``: each
-        row's terms are the same ``sign * contribution`` adjustment of the
-        cached anchor terms, and the row-wise assembly mirrors the scalar
-        one reduction for reduction.  One ``(N, classes)`` matrix op
-        replaces N Python-level flip evaluations, which is what makes a
-        full first-improvement sweep cheaper than a single GA generation.
+        Row ``i`` is the ``sign * contribution`` adjustment of the cached
+        anchor terms :meth:`flip` would commit for worker ``i``.  One
+        ``(N, classes)`` matrix op replaces N Python-level flip
+        evaluations, which is what makes a full first-improvement sweep
+        cheaper than a single GA generation.
         """
         parent = self._parent
         signs = np.where(self._mask, -1.0, 1.0)
@@ -314,15 +326,13 @@ class IncrementalFitness:
             mask[row] = not mask[row]
             return mask
 
-        return self._assemble_many(counts, numerators, sizes, used, degenerate_mask)
+        return parent._score_rows(counts, numerators, sizes, used, degenerate_mask)
 
     def swap_scores(self, add_indices: np.ndarray, remove_index: int) -> np.ndarray:
         """Fitness of swapping ``remove_index`` for each of ``add_indices``.
 
-        The vectorized counterpart of :meth:`swap_score` -- bitwise
-        identical to calling it once per candidate -- so a swap sweep costs
-        one matrix op per removed worker instead of one Python-level
-        evaluation per (add, remove) pair.
+        A swap sweep costs one matrix op per removed worker instead of one
+        Python-level evaluation per (add, remove) pair.
         """
         parent = self._parent
         adds = np.asarray(add_indices, dtype=np.int64)
@@ -350,49 +360,23 @@ class IncrementalFitness:
             mask[remove_index] = False
             return mask
 
-        return self._assemble_many(counts, numerators, sizes, used, degenerate_mask)
-
-    def swap_score(self, add_index: int, remove_index: int) -> float:
-        """Fitness after adding ``add_index`` and removing ``remove_index``."""
-        parent = self._parent
-        if not self._mask[remove_index] or self._mask[add_index]:
-            raise SelectionError(
-                "swap must add an unselected worker and remove a selected one"
-            )
-        numerator = (
-            self._numerator
-            + parent._contributions[add_index]
-            - parent._contributions[remove_index]
-        )
-        size = (
-            self._size
-            + int(parent._batches[add_index])
-            - int(parent._batches[remove_index])
-        )
-        if parent._bandwidth_costs is not None:
-            used = (
-                self._used
-                + float(parent._bandwidth_costs[add_index])
-                - float(parent._bandwidth_costs[remove_index])
-            )
-        else:
-            used = float(size) * parent._bandwidth_per_sample
-
-        def degenerate_mask() -> np.ndarray:
-            mask = self._mask.copy()
-            mask[add_index] = True
-            mask[remove_index] = False
-            return mask
-
-        return self._assemble(self._count, numerator, size, used, degenerate_mask)
+        return parent._score_rows(counts, numerators, sizes, used, degenerate_mask)
 
     def flip(self, index: int) -> None:
         """Commit a bit flip, updating the cached terms in O(classes)."""
-        count, numerator, size, used = self._flip_terms(index)
-        self._mask[index] = not self._mask[index]
-        self._count, self._numerator, self._size, self._used = (
-            count, numerator, size, used,
-        )
+        parent = self._parent
+        adding = not self._mask[index]
+        sign, step = (1.0, 1) if adding else (-1.0, -1)
+        self._numerator = self._numerator + sign * parent._contributions[index]
+        self._size += step * int(parent._batches[index])
+        self._count += step
+        if parent._bandwidth_costs is not None:
+            self._used += sign * float(parent._bandwidth_costs[index])
+        else:
+            # Scalar bandwidth derives exactly from the integer size, so
+            # the scalar path never accumulates drift in ``used``.
+            self._used = float(self._size) * parent._bandwidth_per_sample
+        self._mask[index] = adding
         self._commits += 1
         if self._commits >= self.resync_interval:
             self.resync()
@@ -401,77 +385,6 @@ class IncrementalFitness:
         """Commit an add/remove pair."""
         self.flip(add_index)
         self.flip(remove_index)
-
-    def _flip_terms(self, index: int) -> tuple[int, np.ndarray, int, float]:
-        parent = self._parent
-        adding = not self._mask[index]
-        sign = 1.0 if adding else -1.0
-        step = 1 if adding else -1
-        numerator = self._numerator + sign * parent._contributions[index]
-        size = self._size + step * int(parent._batches[index])
-        count = self._count + step
-        if parent._bandwidth_costs is not None:
-            used = self._used + sign * float(parent._bandwidth_costs[index])
-        else:
-            # Scalar bandwidth derives exactly from the integer size, so
-            # the scalar path never accumulates drift in ``used``.
-            used = float(size) * parent._bandwidth_per_sample
-        return count, numerator, size, used
-
-    def _assemble(self, count, numerator, size, used, degenerate_mask) -> float:
-        parent = self._parent
-        if count == 0:
-            return 1e6
-        if size <= 0:
-            # All-zero-batch selections take the scalar path's uniform-mean
-            # fallback; rebuild the hypothetical mask only here (rare).
-            return _fitness(
-                degenerate_mask(), parent._batches, parent._matrix,
-                parent._target, parent._bandwidth_per_sample,
-                parent._bandwidth_budget,
-            )
-        phi = numerator / float(size)
-        phi = phi / phi.sum()
-        phi = phi / phi.sum()
-        phi = phi + _EPS
-        phi = phi / phi.sum()
-        kl = float(np.sum(phi * np.log(phi / parent._phi0)))
-        budget = parent._bandwidth_budget
-        violation = max(0.0, used - budget) / budget
-        utilisation = min(1.0, used / budget)
-        return kl + 10.0 * violation + 0.05 * (1.0 - utilisation)
-
-    def _assemble_many(self, counts, numerators, sizes, used,
-                       degenerate_mask) -> np.ndarray:
-        """Row-wise :meth:`_assemble`: same reductions, one matrix op.
-
-        Sums run over the last (contiguous) axis, so each row reduces in
-        the same order as the scalar path and the scores match bit for bit.
-        """
-        parent = self._parent
-        scores = np.full(counts.shape[0], 1e6)
-        live = counts > 0
-        degenerate = live & (sizes <= 0)
-        for row in np.flatnonzero(degenerate):
-            scores[row] = _fitness(
-                degenerate_mask(int(row)), parent._batches, parent._matrix,
-                parent._target, parent._bandwidth_per_sample,
-                parent._bandwidth_budget,
-            )
-        rows = live & ~degenerate
-        if not np.any(rows):
-            return scores
-        phi = numerators[rows] / sizes[rows, None].astype(np.float64)
-        phi = phi / phi.sum(axis=1, keepdims=True)
-        phi = phi / phi.sum(axis=1, keepdims=True)
-        phi = phi + _EPS
-        phi = phi / phi.sum(axis=1, keepdims=True)
-        kl = np.sum(phi * np.log(phi / parent._phi0[None, :]), axis=1)
-        budget = parent._bandwidth_budget
-        violation = np.maximum(0.0, used[rows] - budget) / budget
-        utilisation = np.minimum(1.0, used[rows] / budget)
-        scores[rows] = kl + 10.0 * violation + 0.05 * (1.0 - utilisation)
-        return scores
 
 
 def genetic_select(
@@ -553,13 +466,9 @@ def genetic_select(
         scores = fitness.evaluate(np.stack(population))
 
     best = population[int(np.argmin(scores))]
-    selected = np.flatnonzero(best)
-    phi = mixed_label_distribution(label_distributions, batch_sizes, selected)
-    used = occupied_bandwidth(batch_sizes, selected, bandwidth_per_sample)
-    return SelectionResult(
-        selected=np.sort(selected),
-        kl=kl_divergence(phi, target_distribution),
-        feasible=used <= bandwidth_budget * (1.0 + 1e-9),
+    return decode_selection(
+        np.flatnonzero(best), batch_sizes, label_distributions,
+        target_distribution, bandwidth_per_sample, bandwidth_budget,
     )
 
 
@@ -598,10 +507,7 @@ def greedy_select(
     if priorities is None:
         priorities = np.ones(num_workers)
     contributions = batch_sizes.astype(np.float64)[:, None] * label_distributions
-    # Smoothed reference distribution, hoisted out of kl_divergence.
-    phi0 = normalize_distribution(np.asarray(target_distribution, dtype=np.float64))
-    phi0 = phi0 + _EPS
-    phi0 = phi0 / phi0.sum()
+    phi0 = _smoothed_reference(target_distribution)
     vector_costs = None
     if np.ndim(bandwidth_per_sample) > 0:
         vector_costs = batch_sizes.astype(np.float64) * np.asarray(
@@ -636,16 +542,10 @@ def greedy_select(
         positive = trial_sizes[candidates] > 0
         good = candidates[positive]
         if good.size:
-            mixtures = numerator[None, :] + contributions[rem[good]]
-            phi = mixtures / trial_sizes[good, None].astype(np.float64)
-            # mixed_label_distribution normalises the mixture and
-            # kl_divergence normalises again with epsilon smoothing;
-            # mirror all three row-wise (same chain as PopulationFitness).
-            phi = phi / phi.sum(axis=1, keepdims=True)
-            phi = phi / phi.sum(axis=1, keepdims=True)
-            phi = phi + _EPS
-            phi = phi / phi.sum(axis=1, keepdims=True)
-            kls[good] = np.sum(phi * np.log(phi / phi0[None, :]), axis=1)
+            kls[good] = _mixture_kl(
+                numerator[None, :] + contributions[rem[good]],
+                trial_sizes[good], phi0,
+            )
         # Trials whose batches sum to zero take the scalar path's
         # uniform-mean fallback (degenerate; unreachable from the engines).
         for pos in candidates[~positive]:
@@ -667,10 +567,7 @@ def greedy_select(
     if not selected:
         # Always select at least the single highest-priority worker.
         selected = [int(np.argsort(-np.asarray(priorities))[0])]
-    phi = mixed_label_distribution(label_distributions, batch_sizes, selected)
-    used = occupied_bandwidth(batch_sizes, selected, bandwidth_per_sample)
-    return SelectionResult(
-        selected=np.sort(np.asarray(selected)),
-        kl=kl_divergence(phi, target_distribution),
-        feasible=used <= bandwidth_budget * (1.0 + 1e-9),
+    return decode_selection(
+        selected, batch_sizes, label_distributions, target_distribution,
+        bandwidth_per_sample, bandwidth_budget,
     )

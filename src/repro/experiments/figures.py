@@ -77,10 +77,6 @@ def figure_config(dataset: str, algorithm: str, non_iid_level: float = 0.0,
     )
 
 
-#: Backwards-compatible private alias (pre-Study callers used ``_config``).
-_config = figure_config
-
-
 def approaches_study(
     dataset: str,
     approaches: tuple[str, ...] = FIVE_APPROACHES,
@@ -96,9 +92,12 @@ def approaches_study(
     if study_name is None:
         study_name = f"{dataset}-p{non_iid_level:g}-approaches"
     return Study(study_name, [
-        Trial(approach, _config(dataset, approach, non_iid_level, **overrides),
-              {"dataset": dataset, "algorithm": approach,
-               "non_iid_level": non_iid_level})
+        Trial(
+            approach,
+            figure_config(dataset, approach, non_iid_level, **overrides),
+            {"dataset": dataset, "algorithm": approach,
+             "non_iid_level": non_iid_level},
+        )
         for approach in approaches
     ])
 
@@ -297,7 +296,7 @@ def figure10_noniid_levels(
     """
     study = Study.grid(
         f"{dataset}-fig10-noniid-levels",
-        _config(dataset, approaches[0], levels[0], **overrides),
+        figure_config(dataset, approaches[0], levels[0], **overrides),
         axes={"non_iid_level": levels, "algorithm": approaches},
     )
     results = StudyRunner(study, n_jobs=n_jobs).run()
@@ -376,8 +375,8 @@ def figure12_scalability(
                           if key != "num_workers"}
         study = Study.grid(
             f"{dataset}-fig12-scalability",
-            _config(dataset, "mergesfl", non_iid_level=0.0,
-                    num_workers=scales[0], **base_overrides),
+            figure_config(dataset, "mergesfl", non_iid_level=0.0,
+                          num_workers=scales[0], **base_overrides),
             axes={"num_workers": scales},
         )
     results = StudyRunner(study, n_jobs=n_jobs).run()

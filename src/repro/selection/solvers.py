@@ -39,11 +39,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.api.registry import SELECTION_SOLVERS, register_selection_solver
-from repro.core.batching import occupied_bandwidth
-from repro.core.divergence import kl_divergence, mixed_label_distribution
 from repro.core.selection import (
     PopulationFitness,
     SelectionResult,
+    decode_selection,
     genetic_select,
     greedy_select,
 )
@@ -109,16 +108,10 @@ class SelectionProblem:
 
     def decode(self, selected: np.ndarray) -> SelectionResult:
         """Turn candidate-local indices into a :class:`SelectionResult`."""
-        phi = mixed_label_distribution(
-            self.label_distributions, self.batch_sizes, selected
-        )
-        used = occupied_bandwidth(
-            self.batch_sizes, selected, self.bandwidth_per_sample
-        )
-        return SelectionResult(
-            selected=np.sort(np.asarray(selected)),
-            kl=kl_divergence(phi, self.target_distribution),
-            feasible=used <= self.bandwidth_budget * (1.0 + 1e-9),
+        return decode_selection(
+            selected, self.batch_sizes, self.label_distributions,
+            self.target_distribution, self.bandwidth_per_sample,
+            self.bandwidth_budget,
         )
 
 
@@ -290,8 +283,8 @@ def _polish(
 def _flip_sweep(inc, current: float) -> tuple[float, bool]:
     """One first-improvement 1-flip pass, batched.
 
-    Semantically identical to scanning ``flip_score(0..N-1)`` in order and
-    committing every strict improvement as it is found: each committed flip
+    Semantically identical to scoring the 1-flip neighbours 0..N-1 in order
+    and committing every strict improvement as it is found: each committed flip
     re-anchors the incremental terms, so the batch of neighbour scores is
     recomputed and the scan resumes at the next index.  The number of
     vectorized evaluations is ``1 + commits`` instead of N scalar ones.
@@ -516,8 +509,7 @@ class ExactSolver(SelectionSolver):
 
     Cost is ``2^N`` fitness rows, so instances are capped at
     :attr:`max_workers` workers.  Used as the agreement oracle for the
-    other solvers in tests and ``bench_selection.py``; never wire it into a
-    production config.
+    other solvers in tests; never wire it into a production config.
     """
 
     name = "exact"

@@ -16,7 +16,7 @@ def get_logger(name: str | None = None) -> logging.Logger:
     """Return a logger in the package namespace.
 
     Args:
-        name: Sub-logger name (e.g. ``"core.mergesfl"``); ``None`` returns
+        name: Sub-logger name (e.g. ``"core.round_engine"``); ``None`` returns
             the package root logger.
     """
     if name is None:

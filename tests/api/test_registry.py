@@ -7,13 +7,12 @@ from repro.api.registry import (
     ALGORITHMS,
     DATASETS,
     MODELS,
-    POLICIES,
     Registry,
     register_algorithm,
     register_dataset,
     register_model,
 )
-from repro.config import KNOWN_ALGORITHMS, KNOWN_DATASETS, KNOWN_MODELS, ExperimentConfig
+from repro.config import KNOWN_EXTRAS, ExperimentConfig
 from repro.exceptions import ConfigurationError
 
 
@@ -172,103 +171,63 @@ class TestRegistry:
 
 
 class TestBuiltinRegistries:
-    def test_all_builtin_algorithms_registered(self):
-        assert set(KNOWN_ALGORITHMS) <= set(ALGORITHMS.names())
+    def test_builtin_algorithms_are_exactly_the_table(self):
+        from repro.algorithms import BUILTIN_ALGORITHMS
+
+        assert ALGORITHMS.names() == sorted(BUILTIN_ALGORITHMS)
+        assert len(BUILTIN_ALGORITHMS) == 11
+        for name, (description, _) in BUILTIN_ALGORITHMS.items():
+            assert ALGORITHMS.metadata(name) == {"description": description}
 
     def test_all_builtin_datasets_registered(self):
-        assert set(KNOWN_DATASETS) <= set(DATASETS.names())
+        assert {"har", "speech", "cifar10", "image100", "blobs"} <= set(DATASETS.names())
 
     def test_all_builtin_models_registered(self):
-        assert set(KNOWN_MODELS) <= set(MODELS.names())
-
-    def test_builtin_policies_registered(self):
-        assert {"mergesfl", "fixed_batch", "regulated_batch",
-                "select_all", "pyramid"} <= set(POLICIES.names())
+        assert {"mlp", "cnn_h", "cnn_s", "alexnet_s", "vgg_s"} <= set(MODELS.names())
 
     def test_model_metadata_carries_split_position(self):
         assert MODELS.metadata("alexnet_s")["split_after_weighted"] == 5
         assert MODELS.metadata("vgg_s")["split_after_weighted"] == 13
 
-    def test_policy_factories_build(self, fast_config):
-        policy = POLICIES.get("mergesfl")(fast_config)
-        assert policy.merge_features is True
-        fixed = POLICIES.get("fixed_batch")(fast_config, merge_features=True)
-        assert fixed.merge_features is True
+    def test_one_extension_route(self):
+        """Nine registries, no policy registry, no policy extras."""
+        import repro.api.registry as registry_module
 
+        registries = [
+            name for name, value in vars(registry_module).items()
+            if isinstance(value, Registry)
+        ]
+        assert len(registries) == 9 and "POLICIES" not in registries
+        assert len(KNOWN_EXTRAS) == 15
+        assert not {"policy", "policy_kwargs"} & set(KNOWN_EXTRAS)
+        for name in ("split_custom", "fl_custom"):
+            assert name not in ALGORITHMS
 
-class TestPolicyDrivenAlgorithms:
-    """extras['policy'] wires POLICIES entries into the generic engines."""
-
-    def test_split_custom_runs_registered_policy(self, fast_config):
+    @pytest.mark.parametrize("name", [
+        "adasfl", "fedavg", "locfedmix_sl", "mergesfl", "mergesfl_no_br",
+        "mergesfl_no_fm", "pyramidfl", "sfl_br", "sfl_fm", "sfl_t", "splitfed",
+    ])
+    def test_session_algorithm_is_the_engine_itself(self, fast_config, name):
         from repro.api.session import Session
+        from repro.core.round_engine import RoundEngine
 
-        config = fast_config.replace(
-            algorithm="split_custom",
-            extras={"policy": "fixed_batch",
-                    "policy_kwargs": {"merge_features": True}},
-        )
-        session = Session.from_config(config)
-        assert session.algorithm.policy.merge_features is True
-        assert len(session.run(2)) == 2
-
-    def test_fl_custom_runs_registered_selection(self, fast_config):
-        from repro.api.session import Session
-
-        config = fast_config.replace(
-            algorithm="fl_custom", extras={"policy": "pyramid"}
-        )
-        history = Session.from_config(config).run(2)
-        assert len(history) == 2
-
-    def test_out_of_tree_policy_reaches_the_engine(self, fast_config):
-        from repro.api.registry import register_policy
-        from repro.api.session import Session
-        from repro.baselines.policies import FixedBatchPolicy
-
-        calls = []
-
-        @register_policy("probe")
-        def build_probe(config, **overrides):
-            calls.append(1)
-            return FixedBatchPolicy(**overrides)
-
-        try:
-            config = fast_config.replace(
-                algorithm="split_custom", extras={"policy": "probe"}
-            )
-            Session.from_config(config).run(1)
-            assert calls == [1]
-        finally:
-            POLICIES.unregister("probe")
-
-    def test_missing_policy_extra_rejected(self, fast_config):
-        from repro.api.components import build_algorithm, build_components
-
-        config = fast_config.replace(algorithm="split_custom")
-        with pytest.raises(ConfigurationError, match="extras\\['policy'\\]"):
-            build_algorithm(build_components(config))
-
-    def test_policy_kind_mismatch_rejected_upfront(self, fast_config):
-        from repro.api.components import build_algorithm, build_components
-
-        config = fast_config.replace(
-            algorithm="fl_custom", extras={"policy": "fixed_batch"}
-        )
-        with pytest.raises(ConfigurationError, match="needs a fl_selection policy"):
-            build_algorithm(build_components(config))
-        config = fast_config.replace(
-            algorithm="split_custom", extras={"policy": "pyramid"}
-        )
-        with pytest.raises(ConfigurationError, match="needs a split_control policy"):
-            build_algorithm(build_components(config))
+        session = Session.from_config(fast_config.replace(algorithm=name))
+        assert isinstance(session.algorithm, RoundEngine)
+        assert not hasattr(session.algorithm, "engine")
+        assert session.algorithm.executor is session.components.executor
 
 
 class TestOutOfTreePlugin:
     """A new algorithm + dataset + model validate and run without touching config.py."""
 
-    def test_plugin_experiment_runs_end_to_end(self):
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"executor": "batched"},
+        {"population": "lazy"},
+    ], ids=["default", "batched", "lazy"])
+    def test_plugin_experiment_runs_end_to_end(self, overrides):
         from repro.api.session import Session
-        from repro.baselines.policies import FixedBatchPolicy
+        from repro.core.controller import ControlModule
         from repro.core.engine import SplitTrainingEngine
         from repro.data.dataset import Dataset, TrainTestSplit
         from repro.nn.models import build_mlp
@@ -298,16 +257,20 @@ class TestOutOfTreePlugin:
                 seed=seed,
             )
 
+        class EveryoneMerged(ControlModule):
+            """An out-of-tree policy: SFL-FM, counting its calls."""
+
+            calls = 0
+
+            def plan_round(self, context):
+                type(self).calls += 1
+                return super().plan_round(context)
+
         @register_algorithm("plugin_sfl")
         def build_plugin_sfl(components):
-            return SplitTrainingEngine(
-                config=components.config,
-                split=components.split,
-                workers=components.workers,
-                cluster=components.cluster,
-                data=components.data,
-                policy=FixedBatchPolicy(merge_features=True),
-                bandwidth_budget_override=components.bandwidth_budget,
+            return SplitTrainingEngine.from_components(
+                components,
+                EveryoneMerged(regulate=False, select=False, finetune=False),
             )
 
         try:
@@ -319,9 +282,18 @@ class TestOutOfTreePlugin:
                 num_rounds=2,
                 train_samples=120,
                 test_samples=40,
+                **overrides,
             )
-            history = Session.from_config(config).run()
+            with Session.from_config(config) as session:
+                # The configured backend and population reach the plugin.
+                assert session.algorithm.executor is session.components.executor
+                assert session.algorithm.executor.name == overrides.get(
+                    "executor", "batched")
+                assert session.algorithm.pool is session.components.worker_pool()
+                history = session.run()
             assert len(history) == 2
+            assert EveryoneMerged.calls == 2
+            assert all(record.num_selected == 3 for record in history.records)
         finally:
             ALGORITHMS.unregister("plugin_sfl")
             DATASETS.unregister("plugin_rings")

@@ -91,7 +91,7 @@ class TestAlgorithmInterface:
         with pytest.raises(ValueError):
             algorithm.run(-1)
 
-    def test_fl_facade_global_model(self, fast_config):
+    def test_fl_engine_global_model(self, fast_config):
         config = fast_config.replace(algorithm="fedavg")
         algorithm = build_algorithm(build_components(config))
         algorithm.run(1)

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.config import ExperimentConfig
+from repro.algorithms import BUILTIN_ALGORITHMS
+from repro.api.registry import ALGORITHMS
+from repro.baselines import PyramidSelection, SelectAll
+from repro.core.batching import regulate_batch_sizes
 from repro.core.controller import ControlContext, ControlModule, RoundPlan
-from repro.core.divergence import iid_distribution
 from repro.core.engine import SplitTrainingEngine
-from repro.core.mergesfl import MergeSFL, MergeSFLPolicy
-from repro.baselines.policies import FixedBatchPolicy
 from repro.experiments.runner import build_components, build_algorithm
+from repro.selection import GASolver, GreedySolver
 from repro.utils.rng import new_rng
 
 
@@ -33,67 +34,121 @@ def _context(num_workers=6, num_classes=4, seed=0, budget=None):
 
 class TestControlModule:
     def test_plan_structure(self):
-        control = ControlModule()
-        plan = control.plan_round(_context())
+        plan = ControlModule().plan_round(_context())
         assert isinstance(plan, RoundPlan)
         assert plan.selected == sorted(plan.selected)
         assert set(plan.batch_sizes) == set(plan.selected)
         assert all(size >= 1 for size in plan.batch_sizes.values())
-
-    def test_respects_bandwidth_budget(self):
-        context = _context(budget=30.0)
-        plan = ControlModule().plan_round(context)
-        assert plan.total_batch <= 30.0 * (1 + 1e-6)
-
-    def test_regulation_gives_fast_workers_larger_batches(self):
-        context = _context()
-        plan = ControlModule(enable_selection=False, enable_finetune=False).plan_round(context)
-        durations = context.per_sample_durations
-        fastest = int(np.argmin(durations))
-        slowest = int(np.argmax(durations))
-        assert plan.batch_sizes[fastest] >= plan.batch_sizes[slowest]
-
-    def test_disable_regulation_uses_base_batch(self):
-        context = _context()
-        control = ControlModule(
-            enable_regulation=False, enable_selection=False, enable_finetune=False
-        )
-        plan = control.plan_round(context)
-        assert all(size == 8 for size in plan.batch_sizes.values())
-
-    def test_disable_selection_selects_everyone(self):
-        context = _context()
-        plan = ControlModule(enable_selection=False, enable_finetune=False).plan_round(context)
-        assert plan.selected == list(range(6))
-
-    def test_merged_kl_reported(self):
-        plan = ControlModule().plan_round(_context())
         assert plan.merged_kl >= 0.0
 
-    def test_greedy_selection_variant(self):
-        plan = ControlModule(use_greedy=True).plan_round(_context())
-        assert len(plan.selected) >= 1
+    def test_respects_bandwidth_budget(self):
+        plan = ControlModule().plan_round(_context(budget=30.0))
+        assert plan.total_batch <= 30.0 * (1 + 1e-6)
+
+    def test_solver_defaults_to_the_ga_and_is_dropped_without_selection(self):
+        assert isinstance(ControlModule().solver, GASolver)
+        greedy = GreedySolver()
+        assert ControlModule(greedy).solver is greedy
+        assert ControlModule(greedy, select=False).solver is None
+        assert len(ControlModule(greedy).plan_round(_context()).selected) >= 1
 
     def test_total_batch_property(self):
         plan = RoundPlan(selected=[0, 1], batch_sizes={0: 4, 1: 6})
         assert plan.total_batch == 10
 
 
-class TestMergeSFLPolicy:
-    def test_no_br_variant_uses_identical_batches(self, fast_config):
-        policy = MergeSFLPolicy(fast_config, enable_regulation=False)
-        plan = policy.plan_round(_context())
-        sizes = set(plan.batch_sizes.values())
-        assert len(sizes) == 1
+#: The ControlModule switches and their MergeSFL (all steps on) values.
+SWITCHES = dict(
+    regulate=True, select=True, finetune=True, merge_features=True,
+    aggregate_every_iteration=False, identical_batch=False,
+)
 
-    def test_no_fm_variant_disables_merging(self, fast_config):
-        policy = MergeSFLPolicy(fast_config, enable_merging=False)
-        assert policy.merge_features is False
+#: Typical SFL, spelt out independently of ``repro.algorithms``.
+SFL = dict(regulate=False, select=False, finetune=False, merge_features=False)
 
-    def test_default_flags(self, fast_config):
-        policy = MergeSFLPolicy(fast_config)
-        assert policy.merge_features is True
-        assert policy.aggregate_every_iteration is False
+#: name -> (switches that differ from MergeSFL, cohort, batch sizes, info keys).
+TABLE = {
+    "mergesfl": ({}, "subset", "finetuned", {"feasible"}),
+    "mergesfl_no_fm": (
+        dict(finetune=False, merge_features=False),
+        "subset", "eq9", {"feasible"},
+    ),
+    "mergesfl_no_br": (
+        dict(identical_batch=True),
+        "subset", "averaged", {"feasible", "identical_batch"},
+    ),
+    "splitfed": (
+        dict(SFL, aggregate_every_iteration=True), "everyone", "base", set(),
+    ),
+    "locfedmix_sl": (SFL, "everyone", "base", set()),
+    "sfl_t": (SFL, "everyone", "base", set()),
+    "sfl_fm": (dict(SFL, merge_features=True), "everyone", "base", set()),
+    "adasfl": (dict(SFL, regulate=True), "everyone", "eq9", set()),
+    "sfl_br": (dict(SFL, regulate=True), "everyone", "eq9", set()),
+}
+
+
+class TestAlgorithmTable:
+    """Every split algorithm is one row of switches over one ControlModule."""
+
+    def test_table_lists_exactly_the_builtin_names(self):
+        assert sorted(BUILTIN_ALGORITHMS) == ALGORITHMS.names()
+        split_rows = {
+            name for name, (_, row) in BUILTIN_ALGORITHMS.items()
+            if isinstance(row, dict)
+        }
+        assert split_rows == set(TABLE)
+        assert BUILTIN_ALGORITHMS["fedavg"][1] is SelectAll
+        assert BUILTIN_ALGORITHMS["pyramidfl"][1] is PyramidSelection
+
+    @pytest.mark.parametrize("name", sorted(TABLE))
+    def test_row_plans_as_the_paper_describes(self, name):
+        row, cohort, batches, info_keys = TABLE[name]
+        switches = {**SWITCHES, **row}
+        policy = ControlModule(**row)
+        context = _context(budget=40.0)
+        plan = policy.plan_round(context)
+        regulated = regulate_batch_sizes(context.per_sample_durations, 16)
+
+        if cohort == "everyone":
+            assert plan.selected == list(range(6))
+        else:
+            assert 1 <= len(plan.selected) < 6
+        sizes = [plan.batch_sizes[worker] for worker in plan.selected]
+        if batches == "base":
+            assert set(sizes) == {8}
+        elif batches == "eq9":
+            assert sizes == [int(regulated[worker]) for worker in plan.selected]
+            assert len(set(regulated)) > 1
+        elif batches == "averaged":
+            assert set(sizes) == {int(round(float(regulated.mean())))}
+            assert plan.info["identical_batch"] == sizes[0]
+        else:  # fine-tuned and scaled into the budget
+            assert all(1 <= size <= 16 for size in sizes)
+            assert plan.total_batch <= 40.0 * (1 + 1e-6)
+        assert set(plan.info) == info_keys
+        assert policy.merge_features == switches["merge_features"]
+        assert (policy.aggregate_every_iteration
+                == switches["aggregate_every_iteration"])
+
+    @pytest.mark.parametrize("name", sorted(TABLE))
+    def test_registry_builds_the_engine_with_exactly_that_row(
+            self, fast_config, name):
+        config = fast_config.replace(algorithm=name, kl_threshold=0.07)
+        components = build_components(config)
+        engine = ALGORITHMS.get(name)(components)
+        assert type(engine) is SplitTrainingEngine
+        assert engine.executor is components.executor
+        policy = engine.policy
+        assert type(policy) is ControlModule
+        assert {switch: getattr(policy, switch) for switch in SWITCHES} == {
+            **SWITCHES, **TABLE[name][0]
+        }
+        assert policy.kl_threshold == 0.07
+        if policy.select:
+            assert policy.solver is components.selection_solver()
+        else:
+            assert policy.solver is None
 
 
 class TestSplitTrainingEngine:
@@ -121,7 +176,7 @@ class TestSplitTrainingEngine:
         components = build_components(fast_config)
         algorithm = build_algorithm(components)
         algorithm.run()
-        model = algorithm.engine.global_model()
+        model = algorithm.global_model()
         out = model.forward(components.data.test.data[:4])
         assert out.shape == (4, components.data.num_classes)
 
@@ -157,18 +212,3 @@ class TestSplitTrainingEngine:
         algorithm.run()
         counts = [worker.participation_count for worker in components.workers]
         assert sum(counts) > 0
-
-
-class TestMergeSFLFacade:
-    def test_run_returns_history(self, fast_config):
-        components = build_components(fast_config)
-        mergesfl = MergeSFL(
-            config=fast_config,
-            split=components.split,
-            workers=components.workers,
-            cluster=components.cluster,
-            data=components.data,
-            bandwidth_budget_override=components.bandwidth_budget,
-        )
-        history = mergesfl.run(2)
-        assert len(history) == 2

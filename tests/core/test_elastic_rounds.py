@@ -220,7 +220,7 @@ class TestTotalDropout:
         config = _config(algorithm=algorithm, elastic=True, dropout_rate=1.0,
                          num_rounds=2)
         with Session.from_config(config) as session:
-            engine = session.algorithm.engine
+            engine = session.algorithm
             before = {
                 key: value.copy() for key, value in
                 engine.server.global_bottom.state_dict().items()
@@ -269,7 +269,7 @@ class TestRejoin:
         of a dropped worker is still a cache hit."""
         with Session.from_config(_lazy_config(num_rounds=1)) as session:
             session.run()
-            engine = session.algorithm.engine
+            engine = session.algorithm
             record = engine.history.records[0]
             assert record.dropped_ids
             for worker_id in record.dropped_ids:
@@ -314,7 +314,7 @@ class TestDeviceClassDropout:
             extras={"device_dropout_rates": {"jetson_tx2": 1.0}},
         )
         with Session.from_config(config) as session:
-            cluster = session.algorithm.engine.cluster
+            cluster = session.algorithm.cluster
             history = session.run()
         for record in history.records:
             doomed = [
@@ -330,7 +330,7 @@ class TestDeviceClassDropout:
 class TestDeathRecovery:
     @staticmethod
     def _kill_first_child(session) -> None:
-        executor = session.algorithm.engine.executor
+        executor = session.algorithm.executor
         child = executor._children[0]
         child.process.kill()
         child.process.join(timeout=5.0)
@@ -380,7 +380,7 @@ class TestDeathRecovery:
             session.run(1)
             self._kill_first_child(session)
             history = session.run()
-            workers = session.algorithm.engine.workers
+            workers = session.algorithm.workers
         assert history.records[1].dropped_ids
         for worker in workers:
             planned = sum(

@@ -21,7 +21,7 @@ def test_lr_scale_bounds_values():
 @pytest.fixture
 def engine(fast_config):
     session = Session.from_config(fast_config)
-    return session.algorithm.engine
+    return session.algorithm
 
 
 def test_worker_lr_clips_to_bounds(engine):
@@ -40,7 +40,7 @@ def test_top_lr_clips_to_bounds(fast_config):
     low, high = TOP_LR_SCALE_BOUNDS
     for requested, expected_scale in [(1.0, 1.0), (100.0, high), (0.001, low)]:
         config = fast_config.replace(extras={"top_lr_scale": requested})
-        engine = Session.from_config(config).algorithm.engine
+        engine = Session.from_config(config).algorithm
         plan_like = type("Plan", (), {})()
         assert engine.policy.merge_features
         assert engine._top_lr(plan_like) == pytest.approx(

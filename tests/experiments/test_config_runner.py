@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.config import KNOWN_ALGORITHMS, KNOWN_EXTRAS, ExperimentConfig
+from repro.api.registry import ALGORITHMS
+from repro.config import KNOWN_EXTRAS, ExperimentConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.reporting import format_comparison, format_table
 from repro.experiments.runner import (
@@ -135,7 +136,7 @@ class TestExperimentConfig:
         assert config.num_rounds != 99
 
     def test_all_known_algorithms_construct(self):
-        for algorithm in KNOWN_ALGORITHMS:
+        for algorithm in ALGORITHMS.names():
             ExperimentConfig(algorithm=algorithm)
 
 

@@ -265,7 +265,7 @@ class TestSyncCounter:
     def _pipeline_after_run(config):
         with Session.from_config(config) as session:
             session.run()
-            return session.algorithm.engine.pipeline
+            return session.algorithm.pipeline
 
     CASES = {
         "serial/sync": (dict(executor="serial"), BLOCKING),

@@ -80,7 +80,7 @@ def test_warm_resume_at_smaller_configured_capacity_is_bit_exact(caplog):
     with caplog.at_level("WARNING"):
         resumed.algorithm.load_state_dict(state["algorithm"])
     assert "capacity mismatch" in caplog.text
-    assert resumed.algorithm.engine.pool.cache.capacity == 8
+    assert resumed.algorithm.pool.cache.capacity == 8
     resumed.run()
     _assert_identical(resumed, reference)
 
@@ -109,7 +109,7 @@ def test_checkpoint_scales_with_participants_not_population():
                      extras={"population_sharding": "sampled"})
     session = Session.from_config(config)
     session.run()
-    state = session.algorithm.engine.pool.workers_state()
+    state = session.algorithm.pool.workers_state()
     assert state["format"] == "population"
     participants = state["registry"]["participation"]
     assert 0 < len(participants) <= 2 * 6
@@ -124,9 +124,9 @@ def test_lazy_checkpoint_rejects_eager_payload_and_vice_versa():
     eager = Session.from_config(_config(population="eager",
                                         population_cache=0, num_rounds=1))
     eager.run()
-    lazy_state = lazy.algorithm.engine.pool.workers_state()
-    eager_state = eager.algorithm.engine.pool.workers_state()
+    lazy_state = lazy.algorithm.pool.workers_state()
+    eager_state = eager.algorithm.pool.workers_state()
     with pytest.raises((ValueError, TypeError)):
-        lazy.algorithm.engine.pool.load_workers_state(eager_state)
+        lazy.algorithm.pool.load_workers_state(eager_state)
     with pytest.raises((ValueError, TypeError)):
-        eager.algorithm.engine.pool.load_workers_state(lazy_state)
+        eager.algorithm.pool.load_workers_state(lazy_state)

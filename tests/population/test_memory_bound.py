@@ -34,7 +34,7 @@ def _session(num_workers=200, candidates=8, rounds=3, **overrides) -> Session:
 def test_peak_live_bounded_by_cohort_and_released_at_round_end():
     session = _session()
     session.run()
-    pool = session.algorithm.engine.pool
+    pool = session.algorithm.pool
     stats = pool.stats()
     assert stats["registered"] == 200
     # Resident worker state never exceeds the candidate pool (which caps
@@ -48,7 +48,7 @@ def test_peak_live_bounded_by_cohort_and_released_at_round_end():
 def test_materializations_only_for_selected_workers():
     session = _session()
     session.run()
-    pool = session.algorithm.engine.pool
+    pool = session.algorithm.pool
     participation = participation_summary(session.history)
     assert pool.materializer.materializations == participation["total_selections"]
     assert participation["distinct_workers"] <= 8 * session.config.num_rounds
@@ -58,7 +58,7 @@ def test_cached_deltas_bounded_by_capacity():
     session = _session(num_workers=10, candidates=0, rounds=4,
                        population_cache=4)
     session.run()
-    pool = session.algorithm.engine.pool
+    pool = session.algorithm.pool
     assert pool.stats()["cached_deltas"] <= 4
     # A 10-worker population revisits workers, so the bounded cache serves
     # real hits and the summary reflects them.
@@ -71,7 +71,7 @@ def test_label_columns_materialise_only_touched_shards():
                                "auto_budget": False,
                                "population_live_devices": 256})
     session.run()
-    registry = session.algorithm.engine.pool.registry
+    registry = session.algorithm.pool.registry
     # 100k workers / shard_size 4096 ~ 25 shards; the rounds touch at most
     # one per candidate (plus none eagerly).
     assert registry.built_label_shards <= 8 * 2
@@ -79,7 +79,7 @@ def test_label_columns_materialise_only_touched_shards():
 
 def test_plan_candidates_is_pure_in_round_index():
     session = _session()
-    pool = session.algorithm.engine.pool
+    pool = session.algorithm.pool
     first = pool.plan_candidates(5)
     second = pool.plan_candidates(5)
     other = pool.plan_candidates(6)

@@ -104,6 +104,6 @@ def test_adaptive_load_restores_the_policy_internals(tmp_path):
         session.save_checkpoint(path)
         saved = session.state_dict()["algorithm"]["splitpoint"]
     with Session.load_checkpoint(path) as resumed:
-        policy = resumed.algorithm.engine._split_policy
+        policy = resumed.algorithm._split_policy
         assert policy.state_dict() == saved
         assert policy._slowdown  # learned, not the fresh-policy default

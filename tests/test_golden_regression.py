@@ -4,10 +4,10 @@ Each row of :data:`GOLDEN_CONFIGS` pins the full numeric trajectory
 (losses, accuracies, simulated clock, traffic, cohorts) of a small
 fixed-seed 3-round run, so a refactor that silently changes the training
 math -- a reordered reduction, a changed default, an off-by-one in batch
-regulation -- fails loudly even when every unit test still passes.  The
-rows cover both engines (``mergesfl``/``splitfed`` on the split engine,
-``fedavg``/``pyramidfl`` on the FL engine), per-iteration aggregation
-(``splitfed``) and elastic rounds.
+regulation -- fails loudly even when every unit test still passes.  Every
+built-in algorithm name has a row (the nine split rows of
+``repro.algorithms.BUILTIN_ALGORITHMS`` on the split engine,
+``fedavg``/``pyramidfl`` on the FL engine), plus elastic rounds.
 
 :data:`CHECKPOINT_FIXTURES` additionally pins the checkpoint *format*: a
 checkpoint file written after two rounds must keep loading, must equal
@@ -47,7 +47,18 @@ GOLDEN_CONFIGS: dict[str, dict] = {
     "mergesfl_elastic_blobs_seed3": {
         "elastic": True, "dropout_rate": 0.3, "over_select_factor": 1.25,
     },
+    **{
+        f"{algorithm}_blobs_seed3": {"algorithm": algorithm}
+        for algorithm in (
+            "locfedmix_sl", "adasfl", "sfl_t", "sfl_fm", "sfl_br",
+            "mergesfl_no_fm", "mergesfl_no_br",
+        )
+    },
 }
+
+#: Names the algorithm table builds from the same row: their goldens must
+#: agree record for record.
+SAME_ROW = [("sfl_t", "locfedmix_sl"), ("sfl_br", "adasfl")]
 
 #: Golden name -> rounds completed when its checkpoint fixture was saved.
 CHECKPOINT_FIXTURES: dict[str, int] = {
@@ -138,6 +149,15 @@ def test_history_matches_golden(name):
     )
     golden = json.loads(path.read_text())
     _assert_records_match(golden["records"], _run_history(name))
+
+
+@pytest.mark.parametrize("alias,name", SAME_ROW)
+def test_same_row_names_share_one_trajectory(alias, name):
+    first, second = (
+        json.loads(_golden_path(f"{algorithm}_blobs_seed3").read_text())["records"]
+        for algorithm in (alias, name)
+    )
+    assert first == second
 
 
 @pytest.mark.parametrize("name", sorted(CHECKPOINT_FIXTURES))
