@@ -7,7 +7,10 @@ math -- a reordered reduction, a changed default, an off-by-one in batch
 regulation -- fails loudly even when every unit test still passes.  Every
 built-in algorithm name has a row (the nine split rows of
 ``repro.algorithms.BUILTIN_ALGORITHMS`` on the split engine,
-``fedavg``/``pyramidfl`` on the FL engine), plus elastic rounds.
+``fedavg``/``pyramidfl`` on the FL engine), plus elastic rounds and three
+:data:`PER_DEPTH` rows whose adaptive split policy assigns mixed cut depths
+(merged mixed groups, per-worker updates through a bridge, per-iteration
+re-installs with bridges).
 
 :data:`CHECKPOINT_FIXTURES` additionally pins the checkpoint *format*: a
 checkpoint file written after two rounds must keep loading, must equal
@@ -54,7 +57,19 @@ GOLDEN_CONFIGS: dict[str, dict] = {
             "mergesfl_no_fm", "mergesfl_no_br",
         )
     },
+    **{
+        f"{algorithm}_har_adaptive_seed5": {
+            "algorithm": algorithm, "dataset": "har", "model": "cnn_h",
+            "model_width": 0.3, "split_policy": "adaptive", "seed": 5,
+        }
+        for algorithm in ("mergesfl", "sfl_t", "splitfed")
+    },
 }
+
+#: Rows that pin the per-depth data path: each must really see workers at
+#: two or more cut depths in some round, or it pins nothing the uniform
+#: rows do not.
+PER_DEPTH = sorted(name for name in GOLDEN_CONFIGS if "adaptive" in name)
 
 #: Names the algorithm table builds from the same row: their goldens must
 #: agree record for record.
@@ -96,10 +111,21 @@ def _golden_config(name: str):
     return ExperimentConfig(**{**base, **GOLDEN_CONFIGS[name]})
 
 
-def _run_history(name: str) -> list[dict]:
+def _run_history(name: str, depth_log: list | None = None) -> list[dict]:
+    """The run's records; ``depth_log`` collects each round's assigned depths."""
     from repro.api.session import Session
 
     with Session.from_config(_golden_config(name)) as session:
+        if depth_log is not None:
+            policy = session.algorithm._split_policy
+            assign = policy.assign_depths
+
+            def logged(round_index, worker_ids, context):
+                depths = assign(round_index, worker_ids, context)
+                depth_log.append(sorted(depths.values()))
+                return depths
+
+            policy.assign_depths = logged
         history = session.run()
     return history.to_dict()["records"]
 
@@ -148,7 +174,11 @@ def test_history_matches_golden(name):
         f"'PYTHONPATH=src python {pathlib.Path(__file__).name} --regenerate'"
     )
     golden = json.loads(path.read_text())
-    _assert_records_match(golden["records"], _run_history(name))
+    depth_log = [] if name in PER_DEPTH else None
+    _assert_records_match(golden["records"], _run_history(name, depth_log))
+    if depth_log is not None:
+        # A policy change must not silently turn the row degenerate.
+        assert any(len(set(depths)) >= 2 for depths in depth_log), depth_log
 
 
 @pytest.mark.parametrize("alias,name", SAME_ROW)
@@ -213,7 +243,8 @@ def _regenerate(names: list[str]) -> None:
         payload = {
             "description": (
                 f"Fixed-seed {config.num_rounds}-round {config.algorithm} "
-                f"history on blobs/mlp; see tests/test_golden_regression.py"
+                f"history on {config.dataset}/{config.model}; see "
+                f"tests/test_golden_regression.py"
             ),
             "config": config.to_dict(),
             "records": _run_history(name),
