@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
+
 #: Marker key identifying an encoded numpy array.
 ARRAY_KEY = "__ndarray__"
 
@@ -91,5 +93,22 @@ def dump_checkpoint(payload: dict, path: str | Path) -> None:
 
 
 def load_checkpoint_payload(path: str | Path) -> dict:
-    """Read a checkpoint file written by :func:`dump_checkpoint`."""
-    return decode_state(json.loads(Path(path).read_text()))
+    """Read a checkpoint file written by :func:`dump_checkpoint`.
+
+    Raises:
+        ConfigurationError: Naming ``path``, when the file does not hold a
+            JSON object -- truncated, overwritten or not a checkpoint.
+    """
+    try:
+        payload = decode_state(json.loads(Path(path).read_text()))
+    except ValueError as error:  # JSONDecodeError, bad unicode or base64
+        raise ConfigurationError(
+            f"checkpoint {path} is not valid JSON (truncated or not a "
+            f"checkpoint file): {error}"
+        ) from error
+    if not isinstance(payload, dict):
+        raise ConfigurationError(
+            f"checkpoint {path} holds a JSON {type(payload).__name__}, "
+            f"not an object"
+        )
+    return payload

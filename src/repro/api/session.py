@@ -53,6 +53,12 @@ logger = get_logger("api.session")
 #: Format version stamped into checkpoints.
 CHECKPOINT_VERSION = 1
 
+#: The keys :meth:`Session.state_dict` writes; a checkpoint has them all.
+CHECKPOINT_KEYS = (
+    "version", "config", "custom_wiring", "rounds_completed", "algorithm",
+    "callbacks",
+)
+
 
 class Session:
     """Drives one experiment incrementally, with hooks and checkpointing.
@@ -218,19 +224,23 @@ class Session:
         }
 
     @staticmethod
-    def _checkpoint_config(state: dict) -> ExperimentConfig:
-        """Validate the checkpoint version and parse its configuration."""
-        version = state.get("version")
+    def _checkpoint_config(state: dict, source: str) -> ExperimentConfig:
+        """Validate the keys and version of the checkpoint ``source`` names
+        (by path, in every error) and parse its configuration."""
+        missing = [key for key in CHECKPOINT_KEYS if key not in state]
+        if missing:
+            raise ConfigurationError(f"{source} is missing the keys {missing}")
+        version = state["version"]
         if version != CHECKPOINT_VERSION:
             raise ConfigurationError(
-                f"unsupported checkpoint version {version!r}; "
+                f"{source}: unsupported checkpoint version {version!r}; "
                 f"expected {CHECKPOINT_VERSION}"
             )
         return ExperimentConfig.from_dict(state["config"])
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a state dict captured from a session with the same config."""
-        saved_config = self._checkpoint_config(state)
+        saved_config = self._checkpoint_config(state, "state dict")
         # Compare through the checkpoint encoding so JSON-lossy values
         # (tuples decode as lists) do not fail the equality check.
         if encode_state(saved_config.to_dict()) != encode_state(self.config.to_dict()):
@@ -238,19 +248,25 @@ class Session:
                 "checkpoint was saved from a different configuration; "
                 "rebuild the session with Session.load_checkpoint instead"
             )
-        self._restore(state)
+        self._restore(state, "state dict")
 
-    def _restore(self, state: dict) -> None:
+    def _restore(self, state: dict, source: str) -> None:
         """Load the algorithm state and cross-check the round counter."""
-        self.algorithm.load_state_dict(state["algorithm"])
-        expected_rounds = state.get("rounds_completed")
-        if expected_rounds is not None and expected_rounds != self.rounds_completed:
+        try:
+            self.algorithm.load_state_dict(state["algorithm"])
+        except KeyError as error:
             raise ConfigurationError(
-                f"inconsistent checkpoint: rounds_completed says "
+                f"{source}: the algorithm state is missing the key "
+                f"{error.args[0]!r}"
+            ) from error
+        expected_rounds = state["rounds_completed"]
+        if expected_rounds != self.rounds_completed:
+            raise ConfigurationError(
+                f"{source} is inconsistent: rounds_completed says "
                 f"{expected_rounds} but the restored algorithm reports "
                 f"{self.rounds_completed}"
             )
-        self._restore_callbacks(state.get("callbacks", []))
+        self._restore_callbacks(state["callbacks"])
 
     def _restore_callbacks(self, saved: list) -> None:
         """Match saved callback states to the attached callbacks by position.
@@ -297,13 +313,14 @@ class Session:
         so the resumed run continues bit-exactly.
         """
         payload = load_checkpoint_payload(path)
+        source = f"checkpoint {path}"
         if payload.get("custom_wiring"):
             raise ConfigurationError(
-                "checkpoint was saved from a session with hand-wired "
+                f"{source} was saved from a session with hand-wired "
                 "components or algorithm, which the registry cannot "
                 "rebuild; reconstruct the wiring yourself and restore it "
                 "with Session(config, ...).load_state_dict(...)"
             )
-        session = cls.from_config(cls._checkpoint_config(payload))
-        session._restore(payload)
+        session = cls.from_config(cls._checkpoint_config(payload, source))
+        session._restore(payload, source)
         return session

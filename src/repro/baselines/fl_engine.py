@@ -141,10 +141,10 @@ class FLTrainingEngine(RoundEngine):
         self, round_index: int, candidates: np.ndarray | None
     ) -> RoundPlan:
         """Run the selection strategy over the candidates' round durations."""
-        ids = range(len(self.pool)) if candidates is None else candidates
+        scope = self._base_batch_plan(self._planning_ids(candidates))
         selected = self.selection.select(
             round_index,
-            self._worker_durations(self._base_batch_plan(ids)),
+            self._worker_durations(scope),
             self.pool.label_distributions(candidates),
             self.pool.participation_counts(candidates),
             spawned_rng(self._round_seed, round_index),

@@ -17,6 +17,13 @@ only what is specific to *split* training: the control-policy context, the
 split stage bodies, per-depth cost tables and the split-only checkpoint
 keys.
 
+Every worker cuts the bottom model at a depth and a round has one data
+path over those depths: bridges -> ``executor.install(..., depths)`` ->
+``update_top_*(..., depths)`` -> ``complete_bottom_states`` -> Eq. 17.  The
+paper's global cut is the plan without policy-assigned depths, which
+:meth:`SplitTrainingEngine._cut_depth` reads as the tail for every worker
+-- one merge group, no bridge, the tail row of the cost tables.
+
 A round is an explicit stage sequence (plan -> install -> bottom-forward ->
 merge -> top-update -> backward-dispatch -> local-step -> aggregate): the
 engine supplies the stage bodies as :class:`~repro.parallel.pipeline.SplitRoundOps`
@@ -49,7 +56,7 @@ from repro.exceptions import ConfigurationError
 from repro.nn.models import estimate_forward_flops
 from repro.nn.module import Sequential
 from repro.nn.serialization import model_size_bytes
-from repro.nn.split import SplitModel, candidate_split_depths
+from repro.nn.split import SplitModel, candidate_split_depths, carve_prefix
 from repro.parallel.base import Executor
 from repro.parallel.pipeline import PipelineScheduler, SplitRoundOps
 from repro.population.pool import WorkerPool
@@ -132,16 +139,15 @@ class SplitTrainingEngine(RoundEngine):
         # Delta-cache capture/reconstruction needs the round's global bottom.
         self.pool.bind_bottom_source(lambda: self.server.global_bottom)
 
-        # Static quantities of the split model.
-        input_shape = data.feature_shape
-        self.bottom_flops = estimate_forward_flops(self.server.global_bottom, input_shape)
-        sample_feature = self.server.global_bottom.forward(
-            np.zeros((1, *input_shape), dtype=np.float64)
-        )
-        self.feature_shape = tuple(sample_feature.shape[1:])
-        #: Bytes for one sample's feature upload plus gradient download.
-        self.feature_exchange_bytes = 2 * feature_bytes(self.feature_shape, 1)
-        self.bottom_model_bytes = model_size_bytes(self.server.global_bottom)
+        #: Per-worker split-point policy; ``None`` for trivial (uniform)
+        #: policies, whose plans carry no depths: every worker then cuts at
+        #: the tail, the one-group case of every code path below.
+        self._split_policy = build_split_policy(config)
+        self._build_depth_tables(data.feature_shape)
+        #: What the state estimator observes at: one sample's forward FLOPs
+        #: and feature-upload plus gradient-download bytes at the tail.
+        self.bottom_flops = self._depth_flops[self._tail]
+        self.feature_exchange_bytes = self._depth_exchange_bytes[self._tail]
 
         #: c in Eq. 10, expressed in megabits per sample.
         self.bandwidth_per_sample = self.feature_exchange_bytes * 8.0 / 1e6
@@ -152,14 +158,6 @@ class SplitTrainingEngine(RoundEngine):
         )
         self.bandwidth_estimator = BandwidthEstimator(initial_mbps=nominal)
         self._budget_scale = nominal / cluster.nominal_budget_mbps
-
-        #: Per-worker split-point policy; ``None`` for trivial (uniform)
-        #: policies, in which case none of the multi-depth machinery below
-        #: is built and every code path stays the historical global cut.
-        self._split_policy = build_split_policy(config)
-        self._depth_candidates: list[int] | None = None
-        if self._split_policy is not None:
-            self._build_depth_tables(input_shape)
 
         #: Depth-aware selection: hand the control policy a per-candidate
         #: ingress-cost vector priced at each worker's current split depth
@@ -202,28 +200,35 @@ class SplitTrainingEngine(RoundEngine):
         )
 
     def _build_depth_tables(self, input_shape: tuple[int, ...]) -> None:
-        """Per-depth cost tables for the split-point policy's context.
+        """Static per-depth costs of the split model, ``{depth: cost}``.
 
-        Probes a *clone* of the bottom so the forward passes (layer caches,
-        dropout RNG draws) cannot perturb the real global model.  Only runs
-        when a non-trivial policy is configured.
+        Accounting, planning and the split policy read these tables; without
+        a split policy the tail is their only row.  The tail row probes the
+        *live* global bottom, as the engine always has (a Dropout that
+        ``extras["split_index"]`` leaves in the bottom draws here);
+        shallower prefixes probe clones, which cannot perturb the real model.
         """
-        probe = self.server.global_bottom.clone()
-        candidates = candidate_split_depths(probe)
-        extras = self.config.extras
-        low = int(extras.get("split_depth_min", 1))
-        high = int(extras.get("split_depth_max", len(probe)))
-        bounded = [depth for depth in candidates if low <= depth <= high]
-        self._depth_candidates = bounded or [len(probe)]
+        bottom = self.server.global_bottom
+        self._tail = len(bottom)
+        self._depth_candidates = [self._tail]
+        if self._split_policy is not None:
+            low = int(self.config.extras.get("split_depth_min", 1))
+            high = int(self.config.extras.get("split_depth_max", self._tail))
+            self._depth_candidates = [
+                depth for depth in candidate_split_depths(bottom)
+                if low <= depth <= high
+            ] or [self._tail]
         self._depth_flops: dict[int, float] = {}
         self._depth_exchange_bytes: dict[int, int] = {}
         self._depth_model_bytes: dict[int, int] = {}
-        for depth in self._depth_candidates:
-            prefix = Sequential(probe.layers[:depth]).clone()
+        for depth in sorted({self._tail, *self._depth_candidates}):
+            prefix = bottom if depth == self._tail else carve_prefix(bottom, depth)
             self._depth_flops[depth] = estimate_forward_flops(prefix, input_shape)
             sample = prefix.forward(np.zeros((1, *input_shape), dtype=np.float64))
-            shape = tuple(sample.shape[1:])
-            self._depth_exchange_bytes[depth] = 2 * feature_bytes(shape, 1)
+            # One sample's feature upload plus gradient download.
+            self._depth_exchange_bytes[depth] = 2 * feature_bytes(
+                tuple(sample.shape[1:]), 1
+            )
             self._depth_model_bytes[depth] = model_size_bytes(prefix)
 
     # -- public API -----------------------------------------------------------
@@ -273,7 +278,7 @@ class SplitTrainingEngine(RoundEngine):
         return state
 
     def _load_engine_state(self, state: dict) -> None:
-        pending_plan = state.get("pending_plan")
+        pending_plan = state["pending_plan"]
         self._pending_plan = None
         if pending_plan is not None:
             self._pending_plan = (
@@ -295,41 +300,19 @@ class SplitTrainingEngine(RoundEngine):
             }
 
     # -- round mechanics ---------------------------------------------------------
-    def _observe_states(self, candidates: np.ndarray | None = None) -> None:
-        """Refresh the moving-average state estimates from the current devices.
-
-        With a candidate pool, only the round's candidates are observed --
-        the moving averages of untouched workers simply stay put, so the
-        per-round cost is the candidate count, not the population.
-        """
-        if candidates is None:
-            mus = self.cluster.compute_times(self.bottom_flops)
-            betas = self.cluster.comm_times(self.feature_exchange_bytes)
-            self.estimator.update_all(mus, betas)
-        else:
-            mus = self.cluster.compute_times_for(candidates, self.bottom_flops)
-            betas = self.cluster.comm_times_for(
-                candidates, self.feature_exchange_bytes
-            )
-            self.estimator.update_ids(candidates, mus, betas)
-
     def _make_context(
         self, round_index: int, candidates: np.ndarray | None = None
     ) -> ControlContext:
-        if candidates is None:
-            durations = self.estimator.per_sample_duration()
-        else:
-            durations = self.estimator.per_sample_duration_for(candidates)
-        budget = self.bandwidth_estimator.estimate()
+        ids = self._planning_ids(candidates)
         bandwidth: "float | np.ndarray" = self.bandwidth_per_sample
         if self._depth_aware:
-            bandwidth = self._depth_aware_bandwidth(candidates)
+            bandwidth = self._depth_aware_bandwidth(ids)
         return ControlContext(
             round_index=round_index,
-            per_sample_durations=durations,
+            per_sample_durations=self.estimator.per_sample_duration(ids),
             label_distributions=self.pool.label_distributions(candidates),
             participation_counts=self.pool.participation_counts(candidates),
-            bandwidth_budget=budget,
+            bandwidth_budget=self.bandwidth_estimator.estimate(),
             bandwidth_per_sample=bandwidth,
             max_batch_size=self.config.max_batch_size,
             base_batch_size=self.config.base_batch_size,
@@ -337,23 +320,18 @@ class SplitTrainingEngine(RoundEngine):
             worker_ids=candidates,
         )
 
-    def _depth_aware_bandwidth(self, candidates: np.ndarray | None) -> np.ndarray:
+    def _depth_aware_bandwidth(self, ids: np.ndarray) -> np.ndarray:
         """Per-candidate ingress cost (Mb/sample) at each worker's depth.
 
         Reads the depth the split-point policy assigned the worker the last
         time it participated; workers with no depth yet (round zero, or
-        never selected) price at the uniform global cut, so the vector
-        degenerates to the historical scalar until depths diverge.
+        never selected) price at the tail, so the vector degenerates to the
+        global-cut scalar until depths diverge.
         """
-        if candidates is None:
-            ids = range(len(self.pool))
-        else:
-            ids = [int(worker_id) for worker_id in candidates]
         costs = [
-            self._depth_exchange_bytes.get(
-                self._last_depths.get(int(worker_id), -1),
-                self.feature_exchange_bytes,
-            ) * 8.0 / 1e6
+            self._depth_exchange_bytes[
+                self._last_depths.get(int(worker_id), self._tail)
+            ] * 8.0 / 1e6
             for worker_id in ids
         ]
         return np.asarray(costs, dtype=np.float64)
@@ -385,8 +363,16 @@ class SplitTrainingEngine(RoundEngine):
     def _compute_plan(
         self, round_index: int, candidates: np.ndarray | None
     ) -> RoundPlan:
-        """Refresh the state estimates and run the control policy."""
-        self._observe_states(candidates)
+        """Refresh the state estimates and run the control policy.
+
+        Only the round's planning scope is observed -- the moving averages
+        of untouched workers simply stay put, so the per-round cost is the
+        candidate count, not the population.
+        """
+        ids = self._planning_ids(candidates)
+        mus = self.cluster.compute_times(ids, self.bottom_flops)
+        betas = self.cluster.comm_times(ids, self.feature_exchange_bytes)
+        self.estimator.update_ids(ids, mus, betas)
         return self.policy.plan_round(self._make_context(round_index, candidates))
 
     def _plan_round(self, round_index: int) -> RoundPlan:
@@ -464,93 +450,71 @@ class SplitTrainingEngine(RoundEngine):
         iterations of split training; end-of-round aggregation is Eq. 17.
         """
         worker_ids = [worker.worker_id for worker in selected_workers]
+        batch_sizes = [plan.batch_sizes[worker_id] for worker_id in worker_ids]
+        cuts = [self._cut_depth(plan, worker_id) for worker_id in worker_ids]
+        depths = dict(zip(worker_ids, cuts))
+        learning_rates = [self._scaled_lr(batch) for batch in batch_sizes]
+        update = (
+            self.server.update_top_merged if self.policy.merge_features
+            else self.server.update_top_per_worker
+        )
 
-        def update_top(features, labels):
+        def install(wait):
+            # INSTALL: distribute the global bottom, each worker's prefix of
+            # it.  Bridges are carved from that same bottom before any
+            # worker can step; there is none at the tail.
+            self.server.install_bridges(set(cuts))
+            self.executor.install(
+                selected_workers, self.server.global_bottom, learning_rates,
+                cuts, wait,
+            )
+
+        def top_update(features, labels):
             # MERGE + TOP_UPDATE: one update over the merged sequence
             # (Eq. 16), or one per worker for the no-merging variants; the
             # dispatched gradient segments are re-aligned with the workers.
-            # Heterogeneous cut depths route through the per-depth merge
-            # groups and server-side bridges.
-            if plan.depths is not None:
-                loss, gradients = self.server.update_top_multidepth(
-                    worker_ids, features, labels, plan.depths,
-                    self.policy.merge_features,
-                )
-            elif self.policy.merge_features:
-                loss, gradients = self.server.update_top_merged(
-                    worker_ids, features, labels
-                )
-            else:
-                loss, gradients = self.server.update_top_per_worker(
-                    worker_ids, features, labels
-                )
+            loss, gradients = update(worker_ids, features, labels, depths)
             return loss, [gradients[worker_id] for worker_id in worker_ids]
 
         ops = SplitRoundOps(
             executor=self.executor,
             workers=selected_workers,
-            batch_sizes=[plan.batch_sizes[worker_id] for worker_id in worker_ids],
-            install=lambda wait: self._install_bottoms(plan, selected_workers, wait),
-            update_top=update_top,
+            batch_sizes=batch_sizes,
+            install=install,
+            update_top=top_update,
             aggregate=lambda states: self._aggregate_states(
-                plan, selected_workers, states, elastic_state
+                selected_workers, depths, batch_sizes, states, elastic_state
             ),
             account=account,
             prefetch_plan=lambda: self._prefetch_plan(round_index + 1),
-            depths=None if plan.depths is None else [
-                plan.depths[worker_id] for worker_id in worker_ids
-            ],
         )
         return self.pipeline.run_split_round(
             ops, self.config.local_iterations,
             self.policy.aggregate_every_iteration,
         )
 
-    def _install_bottoms(
-        self,
-        plan: RoundPlan,
-        selected_workers: list[SplitWorker],
-        wait: bool = True,
-    ) -> None:
-        """Distribute the global bottom model with batch-size-scaled rates."""
-        learning_rates = [
-            self._scaled_lr(plan.batch_sizes[worker.worker_id])
-            for worker in selected_workers
-        ]
-        if plan.depths is not None:
-            depths = [
-                plan.depths[worker.worker_id] for worker in selected_workers
-            ]
-            # Bridges are carved from the same global bottom the workers
-            # receive, before any of them can step.
-            self.server.install_bridges(set(depths))
-            self.executor.install_multi(
-                selected_workers, self.server.global_bottom, learning_rates,
-                depths, wait=wait,
-            )
-            return
-        install = self.executor.install if wait else self.executor.install_nowait
-        install(selected_workers, self.server.global_bottom, learning_rates)
+    def _cut_depth(self, plan: RoundPlan, worker_id: int) -> int:
+        """The worker's cut depth: policy-assigned, else the tail -- the one
+        place a plan without depths (the paper's global cut, and how every
+        uniform plan is checkpointed) is read as "everyone at the tail"."""
+        return self._tail if plan.depths is None else plan.depths[worker_id]
 
     def _aggregate_states(
         self,
-        plan: RoundPlan,
         selected_workers: list[SplitWorker],
+        depths: dict[int, int],
+        batch_sizes: list[int],
         states: list[dict[str, np.ndarray]],
         elastic_state: "ElasticRound | None",
     ) -> None:
         """AGGREGATE the collected bottom states, batch-size weighted (Eq. 17)."""
-        weights = [float(plan.batch_sizes[w.worker_id]) for w in selected_workers]
-        if plan.depths is not None:
-            # Complete every prefix state with its bridge's server-trained
-            # tail so the states share the full bottom keyset; everything
-            # downstream (delta capture, elastic folding, averaging) then
-            # runs unchanged.
-            states = self.server.complete_bottom_states(
-                [worker.worker_id for worker in selected_workers],
-                states,
-                plan.depths,
-            )
+        worker_ids = list(depths)
+        weights = [float(batch_size) for batch_size in batch_sizes]
+        # Complete every prefix state with its bridge's server-trained tail
+        # so the states share the full bottom keyset (a state cut at the
+        # tail already does); everything downstream (delta capture, elastic
+        # folding, averaging) then runs on full states.
+        states = self.server.complete_bottom_states(worker_ids, states, depths)
         if self.pool.wants_bottom_states:
             # Capture each worker's delta against the round's install-time
             # global bottom (still unchanged here) for the lazy pool's
@@ -563,10 +527,7 @@ class SplitTrainingEngine(RoundEngine):
             )
         if elastic_state is not None:
             resolved = self._elastic.apply_aggregate(
-                elastic_state,
-                [worker.worker_id for worker in selected_workers],
-                states,
-                weights,
+                elastic_state, worker_ids, states, weights,
                 self.server.global_bottom.state_dict(),
             )
             if resolved is None:
@@ -608,22 +569,12 @@ class SplitTrainingEngine(RoundEngine):
     def _worker_costs(
         self, plan: RoundPlan, worker_id: int
     ) -> tuple[float, int, int]:
-        """``(forward flops, exchange bytes, model bytes)`` for one worker.
-
-        Reads the per-depth tables when the plan carries policy-assigned
-        depths; the uniform global-cut quantities otherwise.
-        """
-        if plan.depths is not None:
-            depth = plan.depths[worker_id]
-            return (
-                self._depth_flops[depth],
-                self._depth_exchange_bytes[depth],
-                self._depth_model_bytes[depth],
-            )
+        """``(forward flops, exchange bytes, model bytes)`` at the worker's cut."""
+        depth = self._cut_depth(plan, worker_id)
         return (
-            self.bottom_flops,
-            self.feature_exchange_bytes,
-            self.bottom_model_bytes,
+            self._depth_flops[depth],
+            self._depth_exchange_bytes[depth],
+            self._depth_model_bytes[depth],
         )
 
     def _evaluate(self) -> tuple[float, float]:

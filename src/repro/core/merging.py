@@ -113,13 +113,14 @@ class FeatureMerger:
         labels: list[np.ndarray],
         depths: dict[int, int],
     ) -> list[tuple[int, MergedBatch]]:
-        """Merge features into per-depth groups (heterogeneous cut layers).
+        """Merge features into per-depth groups, one :meth:`merge` each.
 
         Features uploaded from different cut depths have different shapes
         and cannot be concatenated directly; workers sharing a depth merge
         within their group exactly like :meth:`merge`.  Groups come back in
         ascending depth order; within a group, workers keep their original
-        (plan) order, so the grouping is deterministic.
+        (plan) order, so the grouping is deterministic -- and a cohort at
+        one depth (the global cut) is one group in plan order.
 
         Args:
             worker_ids: Ids of the contributing workers.
@@ -131,6 +132,8 @@ class FeatureMerger:
             ShapeError: On empty input, mismatched inputs, or a worker
                 without an assigned depth.
         """
+        if not worker_ids:
+            raise ShapeError("cannot merge an empty set of workers")
         if not (len(worker_ids) == len(features) == len(labels)):
             raise ShapeError("worker_ids, features and labels must align")
         grouped: dict[int, tuple[list, list, list]] = {}

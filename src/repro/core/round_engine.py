@@ -148,9 +148,11 @@ class RoundEngine(Algorithm):
         self.history = History.from_dict(state["history"])
         self.traffic.load_state_dict(state["traffic"])
         self.cluster.load_state_dict(state["cluster"])
-        if self._elastic is not None and state.get("elastic") is not None:
+        # Indexed, not ``.get``: a checkpoint has every key ``state_dict``
+        # writes, and a missing one is reported by name (``Session._restore``).
+        if state["elastic"] is not None and self._elastic is not None:
             self._elastic.load_state_dict(state["elastic"])
-        self.executor.load_codec_state(state.get("codec"))
+        self.executor.load_codec_state(state["codec"])
         self._load_engine_state(state)
 
     # -- variation points --------------------------------------------------------
@@ -264,6 +266,11 @@ class RoundEngine(Algorithm):
                 plan, self.pool, candidates, self.config.base_batch_size
             )
         return plan
+
+    def _planning_ids(self, candidates: np.ndarray | None) -> np.ndarray:
+        """The worker ids a plan is computed over: the pool's candidate
+        subset, else -- read here and nowhere else -- the whole population."""
+        return np.arange(len(self.pool)) if candidates is None else candidates
 
     def _next_plan(self, round_index: int) -> RoundPlan:
         """The plan the round starts from; engines that prefetch override."""

@@ -1,10 +1,20 @@
-"""Parameter-server side of split federated learning."""
+"""Parameter-server side of split federated learning.
+
+A split round has one data path: every worker cuts the bottom model at a
+depth, and the paper's global cut is the case where every depth is the tail
+(``len(global_bottom)``; what ``depths`` omitted means).  A worker cut above
+the tail uploads shallower features, which the server completes through
+that depth's *bridge* (``global_bottom.layers[depth:]``, trained
+server-side) before the shared top model.  The tail has no bridge:
+``install_bridges`` and ``complete_bottom_states`` then do nothing and the
+update is Eq. 16 as printed.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.merging import FeatureMerger, MergedBatch
+from repro.core.merging import FeatureMerger
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Sequential
 from repro.nn.optim import SGD
@@ -56,7 +66,7 @@ class SplitServer:
     """Hosts the top model, merges features and aggregates bottom models.
 
     The server provides two update paths that mirror the paper's SFL-FM and
-    SFL-T behaviours:
+    SFL-T behaviours, each taking the workers' cut depths:
 
     * :meth:`update_top_merged` -- one forward/backward pass of the top
       model over the merged feature sequence (Eq. 16), returning per-worker
@@ -86,12 +96,11 @@ class SplitServer:
             max_grad_norm=max_grad_norm,
         )
         self.merger = FeatureMerger()
-        # Per-depth server-side bridges (heterogeneous split points); carved
-        # from the current global bottom at every install, so the uniform
-        # path never allocates any.
+        # Per-depth server-side bridges, carved from the current global
+        # bottom at every install; empty while every worker cuts at the tail.
         self._bridges: dict[int, tuple[Sequential, SGD]] = {}
 
-    # -- per-depth bridges (heterogeneous split points) ------------------------
+    # -- per-depth bridges -------------------------------------------------------
     def install_bridges(self, depths: set[int]) -> None:
         """Carve a server-side bridge for every non-tail cut depth.
 
@@ -117,107 +126,6 @@ class SplitServer:
             )
             self._bridges[depth] = (bridge, optimizer)
 
-    def update_top_multidepth(
-        self,
-        worker_ids: list[int],
-        features: list[np.ndarray],
-        labels: list[np.ndarray],
-        depths: dict[int, int],
-        merge_features: bool,
-    ) -> tuple[float, dict[int, np.ndarray]]:
-        """Top-model update for features arriving from heterogeneous depths.
-
-        With merging, workers sharing a cut depth merge within their group,
-        every non-tail group is completed through its bridge, and the
-        completed groups concatenate into one mixed sequence for a single
-        top-model update (the multi-depth generalization of Eq. 16).  The
-        back-propagated gradient is sliced per group, pushed back through
-        each bridge (which then takes its SGD step), and dispatched to
-        workers rescaled to the mean over their own samples, exactly like
-        the uniform path.
-        """
-        tail = len(self.global_bottom)
-        if all(depths[worker_id] == tail for worker_id in worker_ids):
-            # Degenerate single tail group: identical to the global cut.
-            if merge_features:
-                return self.update_top_merged(worker_ids, features, labels)
-            return self.update_top_per_worker(worker_ids, features, labels)
-        if not merge_features:
-            return self._update_multidepth_per_worker(
-                worker_ids, features, labels, depths
-            )
-        groups = self.merger.merge_by_depth(worker_ids, features, labels, depths)
-        self.top_optimizer.zero_grad()
-        completed = []
-        for depth, merged in groups:
-            if depth == tail:
-                completed.append(merged.features)
-            else:
-                bridge, optimizer = self._bridges[depth]
-                optimizer.zero_grad()
-                completed.append(bridge.forward(merged.features))
-        mixed = np.concatenate(completed, axis=0)
-        mixed_labels = np.concatenate(
-            [merged.labels for _, merged in groups], axis=0
-        )
-        logits = self.top.forward(mixed)
-        loss = self.loss_fn.forward(logits, mixed_labels)
-        mixed_gradient = self.top.backward(self.loss_fn.backward())
-        self.top_optimizer.step()
-        total = int(mixed.shape[0])
-        gradients: dict[int, np.ndarray] = {}
-        offset = 0
-        for depth, merged in groups:
-            size = merged.total_samples
-            segment = mixed_gradient[offset:offset + size]
-            offset += size
-            if depth == tail:
-                group_gradient = segment
-            else:
-                bridge, optimizer = self._bridges[depth]
-                # Rescale to the mean over the group's own samples so the
-                # bridge trains like a depth-d cohort, then undo the factor
-                # for the dispatched worker segments below.
-                group_gradient = bridge.backward(segment * (total / size))
-                optimizer.step()
-                group_gradient = group_gradient * (size / total)
-            segments = self.merger.dispatch(merged, group_gradient)
-            for worker_id, worker_segment in segments.items():
-                gradients[worker_id] = worker_segment * (
-                    total / worker_segment.shape[0]
-                )
-        return loss, gradients
-
-    def _update_multidepth_per_worker(
-        self,
-        worker_ids: list[int],
-        features: list[np.ndarray],
-        labels: list[np.ndarray],
-        depths: dict[int, int],
-    ) -> tuple[float, dict[int, np.ndarray]]:
-        """Typical-SFL sequential updates with heterogeneous cut depths."""
-        tail = len(self.global_bottom)
-        gradients: dict[int, np.ndarray] = {}
-        losses = []
-        for worker_id, feats, labs in zip(worker_ids, features, labels):
-            depth = depths[worker_id]
-            bridge_pair = self._bridges.get(depth) if depth < tail else None
-            self.top_optimizer.zero_grad()
-            if bridge_pair is not None:
-                bridge, optimizer = bridge_pair
-                optimizer.zero_grad()
-                feats = bridge.forward(feats)
-            logits = self.top.forward(feats)
-            losses.append(self.loss_fn.forward(logits, labs))
-            gradient = self.top.backward(self.loss_fn.backward())
-            if bridge_pair is not None:
-                gradient = bridge.backward(gradient)
-                optimizer.step()
-            gradients[worker_id] = gradient
-            self.top_optimizer.step()
-        mean_loss = float(np.mean(losses)) if losses else 0.0
-        return mean_loss, gradients
-
     def complete_bottom_states(
         self,
         worker_ids: list[int],
@@ -236,13 +144,10 @@ class SplitServer:
         completed = []
         for worker_id, state in zip(worker_ids, states):
             depth = depths[worker_id]
-            if depth >= tail:
-                completed.append(state)
-                continue
-            bridge, _ = self._bridges[depth]
-            full = dict(state)
-            full.update(shift_state_keys(bridge.state_dict(), depth))
-            completed.append(full)
+            if depth < tail:
+                bridge, _ = self._bridges[depth]
+                state = {**state, **shift_state_keys(bridge.state_dict(), depth)}
+            completed.append(state)
         return completed
 
     # -- top-model updates ---------------------------------------------------
@@ -251,45 +156,105 @@ class SplitServer:
         worker_ids: list[int],
         features: list[np.ndarray],
         labels: list[np.ndarray],
+        depths: dict[int, int] | None = None,
     ) -> tuple[float, dict[int, np.ndarray]]:
         """Feature merging update (Eq. 16) followed by gradient dispatching.
+
+        Workers sharing a cut depth merge within their group, every non-tail
+        group is completed through its bridge, and the completed groups
+        form one mixed sequence for a single top-model update.  The
+        back-propagated gradient is sliced per group, pushed back through
+        each bridge (which then takes its SGD step) and dispatched.  The
+        global cut is the one-group case: one merge, no bridge.
 
         Returns:
             ``(loss, gradients)`` where ``gradients`` maps each worker id to
             the gradient segment of its features.
         """
-        merged: MergedBatch = self.merger.merge(worker_ids, features, labels)
+        if depths is None:
+            depths = dict.fromkeys(worker_ids, len(self.global_bottom))
+        tail = len(self.global_bottom)
+        groups = self.merger.merge_by_depth(worker_ids, features, labels, depths)
         self.top_optimizer.zero_grad()
-        logits = self.top.forward(merged.features)
-        loss = self.loss_fn.forward(logits, merged.labels)
-        merged_gradient = self.top.backward(self.loss_fn.backward())
+        completed = []
+        for depth, merged in groups:
+            if depth == tail:
+                completed.append(merged.features)
+            else:
+                bridge, optimizer = self._bridges[depth]
+                optimizer.zero_grad()
+                completed.append(bridge.forward(merged.features))
+        if len(groups) == 1:
+            mixed, mixed_labels = completed[0], groups[0][1].labels
+        else:
+            mixed = np.concatenate(completed, axis=0)
+            mixed_labels = np.concatenate(
+                [merged.labels for _, merged in groups], axis=0
+            )
+        logits = self.top.forward(mixed)
+        loss = self.loss_fn.forward(logits, mixed_labels)
+        mixed_gradient = self.top.backward(self.loss_fn.backward())
         self.top_optimizer.step()
-        segments = self.merger.dispatch(merged, merged_gradient)
-        # The merged loss is averaged over the whole mixed sequence, so each
-        # segment carries a 1/M scale.  Re-normalise every worker's segment to
-        # the mean gradient over its own d_i samples, so bottom models update
-        # with the same magnitude as in typical SFL (Eq. 15).
-        total = merged.total_samples
-        rescaled = {
-            worker_id: segment * (total / segment.shape[0])
-            for worker_id, segment in segments.items()
-        }
-        return loss, rescaled
+        total = int(mixed.shape[0])
+        gradients: dict[int, np.ndarray] = {}
+        offset = 0
+        for depth, merged in groups:
+            size = merged.total_samples
+            group_gradient = mixed_gradient[offset:offset + size]
+            offset += size
+            if depth != tail:
+                bridge, optimizer = self._bridges[depth]
+                # Rescale to the mean over the group's own samples so the
+                # bridge trains like a depth-d cohort, then undo the factor
+                # for the dispatched worker segments below.
+                group_gradient = bridge.backward(group_gradient * (total / size))
+                optimizer.step()
+                group_gradient = group_gradient * (size / total)
+            # The merged loss is averaged over the whole mixed sequence, so
+            # each segment carries a 1/M scale.  Re-normalise every worker's
+            # segment to the mean gradient over its own d_i samples, so
+            # bottom models update with the same magnitude as in typical
+            # SFL (Eq. 15).
+            for worker_id, segment in self.merger.dispatch(
+                merged, group_gradient
+            ).items():
+                gradients[worker_id] = segment * (total / segment.shape[0])
+        return loss, gradients
 
     def update_top_per_worker(
         self,
         worker_ids: list[int],
         features: list[np.ndarray],
         labels: list[np.ndarray],
+        depths: dict[int, int] | None = None,
     ) -> tuple[float, dict[int, np.ndarray]]:
-        """Typical-SFL update: the top model is updated once per worker, in turn."""
+        """Typical-SFL update: the top model is updated once per worker, in turn.
+
+        A worker cut above the tail goes through its depth's bridge, which
+        steps with it; at the tail (``depths`` omitted) there is none.
+        """
+        if depths is None:
+            depths = dict.fromkeys(worker_ids, len(self.global_bottom))
+        tail = len(self.global_bottom)
         gradients: dict[int, np.ndarray] = {}
         losses = []
         for worker_id, feats, labs in zip(worker_ids, features, labels):
+            bridge_pair = (
+                self._bridges[depths[worker_id]]
+                if depths[worker_id] < tail else None
+            )
             self.top_optimizer.zero_grad()
+            if bridge_pair is not None:
+                bridge, optimizer = bridge_pair
+                optimizer.zero_grad()
+                feats = bridge.forward(feats)
             logits = self.top.forward(feats)
             losses.append(self.loss_fn.forward(logits, labs))
-            gradients[worker_id] = self.top.backward(self.loss_fn.backward())
+            gradient = self.top.backward(self.loss_fn.backward())
+            if bridge_pair is not None:
+                gradient = bridge.backward(gradient)
+                optimizer.step()
+            gradients[worker_id] = gradient
             self.top_optimizer.step()
         mean_loss = float(np.mean(losses)) if losses else 0.0
         return mean_loss, gradients

@@ -57,21 +57,10 @@ class SplitWorker:
 
     def receive_bottom_model(self, bottom: Sequential, learning_rate: float) -> None:
         """Install a fresh copy of the global bottom model for this round."""
-        self.bottom = bottom.clone().without_input_grad()
-        self.bottom.train()
-        self.optimizer = SGD(
-            self.bottom.parameters(),
-            lr=learning_rate,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            max_grad_norm=self.max_grad_norm,
+        self.bottom, self.optimizer = local_training_copy(
+            bottom, learning_rate, self.momentum, self.weight_decay,
+            self.max_grad_norm,
         )
-
-    def set_learning_rate(self, learning_rate: float) -> None:
-        """Update the local learning rate (batch-size-proportional scaling)."""
-        if self.optimizer is None:
-            raise RuntimeError("worker has no bottom model installed")
-        self.optimizer.lr = learning_rate
 
     def state_dict(self) -> dict:
         """Round-persistent state for checkpointing.
@@ -172,6 +161,32 @@ class SplitWorker:
         )
 
 
+def local_training_copy(
+    model: Sequential,
+    learning_rate: float,
+    momentum: float,
+    weight_decay: float,
+    max_grad_norm: float | None,
+) -> tuple[Sequential, SGD]:
+    """A worker's private training copy of ``model`` and its fresh optimizer.
+
+    The single worker-side install recipe: a worker's bottom model, the
+    bottom a process-executor child hosts for it and the full model of the
+    FL path all start a round this way, so the three cannot drift.  The
+    copy skips the gradient w.r.t. its input, which is raw data.
+    """
+    local = model.clone().without_input_grad()
+    local.train()
+    optimizer = SGD(
+        local.parameters(),
+        lr=learning_rate,
+        momentum=momentum,
+        weight_decay=weight_decay,
+        max_grad_norm=max_grad_norm,
+    )
+    return local, optimizer
+
+
 def train_local_model(
     model: Sequential,
     loss_fn,
@@ -196,14 +211,8 @@ def train_local_model(
         The mean is a left-to-right running sum divided by the count, which
         the stacked kernels reproduce bit for bit.
     """
-    local = model.clone().without_input_grad()
-    local.train()
-    optimizer = SGD(
-        local.parameters(),
-        lr=learning_rate,
-        momentum=momentum,
-        weight_decay=weight_decay,
-        max_grad_norm=max_grad_norm,
+    local, optimizer = local_training_copy(
+        model, learning_rate, momentum, weight_decay, max_grad_norm
     )
     total, steps = 0.0, 0
     for data, labels in batches:

@@ -1,18 +1,10 @@
-"""Experiment assembly, per-figure reproduction entry points and reporting."""
+"""The one-shot runner, per-figure reproduction entry points and reporting."""
 
-from repro.experiments.runner import (
-    run_experiment,
-    build_components,
-    build_algorithm,
-    build_model_for,
-)
+from repro.experiments.runner import run_experiment
 from repro.experiments.reporting import format_table, format_comparison
 
 __all__ = [
     "run_experiment",
-    "build_components",
-    "build_algorithm",
-    "build_model_for",
     "format_table",
     "format_comparison",
 ]

@@ -1,28 +1,14 @@
-"""Backwards-compatible experiment entry point.
+"""The one-shot experiment entry point.
 
-Historically this module owned the whole pipeline: component assembly, an
-``if/elif`` chain over algorithm names and a one-shot ``run()``.  That
-machinery now lives in the :mod:`repro.api` layer -- components are
-assembled by :func:`repro.api.components.build_components`, algorithms are
-constructed through the :data:`repro.api.registry.ALGORITHMS` registry, and
-execution is driven by the steppable, checkpointable
-:class:`repro.api.session.Session`.
-
-:func:`run_experiment` remains as a thin compatibility wrapper, and the
-assembly helpers are re-exported here so existing imports keep working::
-
-    from repro.experiments.runner import build_components, build_algorithm
+:func:`run_experiment` runs a configuration to the end through a
+:class:`repro.api.session.Session`.  Component assembly
+(:func:`repro.api.components.build_components`), algorithm construction
+(the :data:`repro.api.registry.ALGORITHMS` registry) and incremental,
+checkpointable execution all live in :mod:`repro.api`.
 """
 
 from __future__ import annotations
 
-from repro.api.components import (  # noqa: F401  (re-exported for compatibility)
-    DEFAULT_BUDGET_UTILISATION,
-    ExperimentComponents,
-    build_algorithm,
-    build_components,
-    build_model_for,
-)
 from repro.api.session import Session
 from repro.config import ExperimentConfig
 from repro.metrics.history import History

@@ -14,13 +14,14 @@ All executors are *semantically interchangeable*: for a fixed seed they
 must produce bit-identical training trajectories.  The contract keeps every
 piece of checkpointed state (data loaders, participation counters, RNG
 streams) inside the engine/worker objects; executors only hold per-round
-scratch state that is rebuilt by :meth:`Executor.install`, which is why
-switching executors never invalidates a checkpoint.
+scratch state that is rebuilt by :meth:`Executor.install` (the one install:
+cut depths and the acknowledgement are arguments, the paper's global cut
+omits both), which is why switching executors never invalidates a checkpoint.
 
 Split-training call sequence, per round, as the scheduler's blocking body
 drives it (``SplitTrainingEngine._run_stages``)::
 
-    install(workers, bottom, lrs)          # distribute the global bottom
+    install(workers, bottom, lrs, depths)  # distribute the bottom prefixes
     repeat tau times:
         forward(workers, batch_sizes)      # features for the PS
         ... top-model update on the PS ...
@@ -31,7 +32,7 @@ Backends that set :attr:`Executor.supports_async_dispatch` also offer the
 same round as split-phase, non-blocking primitives, which the scheduler's
 graph body drives (:mod:`repro.parallel.pipeline`)::
 
-    install_nowait(workers, bottom, lrs)   # no acknowledgement
+    install(..., depths, wait=False)       # no acknowledgement
     repeat tau times, in graph order:
         stage_forward(workers, batch_sizes)    # draw + ship the batches
         launch_forward(workers)                # start the forward
@@ -65,7 +66,7 @@ class Executor(abc.ABC):
     name: str = "abstract"
 
     #: Whether the backend implements the asynchronous dispatch protocol
-    #: the scheduler's graph body drives (``install_nowait`` /
+    #: the scheduler's graph body drives (``install(wait=False)`` /
     #: ``stage_forward`` / ``launch_forward`` / ``collect_forward`` /
     #: ``backward_step_nowait`` / ``request_states`` / ``collect_states``).
     #: The contract is ordering, not timing: commands execute per-worker in
@@ -85,49 +86,22 @@ class Executor(abc.ABC):
         workers: "list[SplitWorker]",
         bottom: "Sequential",
         learning_rates: list[float],
-    ) -> None:
-        """Distribute a fresh copy of the global bottom model to ``workers``.
-
-        Equivalent to ``worker.receive_bottom_model(bottom, lr)`` for every
-        worker: each worker starts the round from identical parameters and a
-        freshly zeroed optimizer, with its own (batch-size-scaled) learning
-        rate.
-        """
-
-    def install_multi(
-        self,
-        workers: "list[SplitWorker]",
-        bottom: "Sequential",
-        learning_rates: list[float],
-        depths: list[int],
+        depths: list[int] | None = None,
         wait: bool = True,
     ) -> None:
-        """Distribute per-worker *prefixes* of the bottom model.
+        """Distribute fresh copies of the global bottom model to ``workers``.
 
-        Worker ``i`` receives ``bottom.layers[:depths[i]]`` -- the
-        heterogeneous-split-point generalization of :meth:`install`.  The
-        default groups workers by depth and issues one ordinary
-        :meth:`install` per group (``install_nowait`` when ``wait`` is
-        false, which only the graph body of a backend advertising
-        :attr:`supports_async_dispatch` asks for), which is correct for
-        any backend whose install state is per-worker; backends with
-        cohort-level install state (the batched executor's stacked
-        snapshot) override this.  Uniform runs never call it, so the
-        single-depth path is untouched.
+        Worker ``i`` receives the prefix ``bottom.layers[:depths[i]]``;
+        ``depths`` omitted puts every worker at ``len(bottom)``, the
+        paper's global cut.  Equivalent to
+        ``worker.receive_bottom_model(prefix, lr)`` for every worker: each
+        starts the round from the global parameters and a freshly zeroed
+        optimizer, with its own (batch-size-scaled) learning rate.
+
+        ``wait=False`` lets a backend with :attr:`supports_async_dispatch`
+        skip the acknowledgement (the scheduler's graph body asks for
+        that); every other backend ignores it.
         """
-        from repro.nn.module import Sequential
-
-        install = self.install if wait else self.install_nowait
-        for depth in sorted(set(depths)):
-            subset = [w for w, d in zip(workers, depths) if d == depth]
-            subset_lrs = [
-                lr for lr, d in zip(learning_rates, depths) if d == depth
-            ]
-            prefix = (
-                bottom if depth == len(bottom)
-                else Sequential(bottom.layers[:depth])
-            )
-            install(subset, prefix, subset_lrs)
 
     @abc.abstractmethod
     def forward(

@@ -6,7 +6,8 @@ and each local iteration runs one vectorized forward/backward (see
 :mod:`repro.parallel.kernels`) instead of one per worker.  Because batch
 size regulation assigns *different* batch sizes per worker, workers are
 grouped by their drawn mini-batch shape and each shape group is stacked
-into its own rectangular tensor.
+into its own rectangular tensor, within its cut depth
+(``install(..., depths)``; the global cut is one depth over the cohort).
 
 Sampling state never leaves the workers: mini-batches are drawn from every
 worker's own :class:`~repro.data.loader.BatchLoader` in the main process,
@@ -25,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.losses import CrossEntropyLoss
-from repro.nn.module import Sequential
+from repro.nn.split import carve_prefix
 from repro.parallel.base import Executor
 from repro.parallel.kernels import (
     BatchedModel,
@@ -147,19 +148,16 @@ class BatchedExecutor(Executor):
             logger.warning("batched executor falling back to serial: %s", reason)
 
     # -- split training -------------------------------------------------------
-    def install(self, workers, bottom, learning_rates) -> None:
-        self.install_multi(
-            workers, bottom, learning_rates, [len(bottom)] * len(workers)
-        )
-
-    def install_multi(self, workers, bottom, learning_rates, depths, wait=True) -> None:
-        """Stack workers *within* each cut-depth group (heterogeneous splits)."""
+    def install(self, workers, bottom, learning_rates, depths=None, wait=True) -> None:
+        """Stack workers *within* each cut-depth group; one group at the tail."""
+        if depths is None:
+            depths = [len(bottom)] * len(workers)
         self._worker_ids = None
         reason = self._fallback_reason(workers, bottom)
         self._fallback_active = reason is not None
         if reason is not None:
             self._warn_fallback(reason)
-            self._serial.install_multi(workers, bottom, learning_rates, depths)
+            self._serial.install(workers, bottom, learning_rates, depths)
             return
         hyperparams = uniform_worker_hyperparams(workers)
         self._depth_rounds = []
@@ -170,7 +168,7 @@ class BatchedExecutor(Executor):
             # cannot leak into this round's stacked parameters.
             self._depth_rounds.append(_DepthRound(
                 slots,
-                Sequential(bottom.layers[:depth]).clone().train(),
+                carve_prefix(bottom, depth).train(),
                 [learning_rates[slot] for slot in slots],
                 hyperparams,
             ))

@@ -28,7 +28,7 @@ There is one scheduler class with two parameters and two bodies:
   dispatch, a per-iteration re-install (SplitFed) or ``tau = 0`` can run.
 * the **graph body** walks ``relaxed_dispatch_order(round_stage_specs(tau),
   staleness)`` and drives the executor's asynchronous protocol
-  (``install_nowait`` / ``stage_forward`` + ``launch_forward`` /
+  (``install(wait=False)`` / ``stage_forward`` + ``launch_forward`` /
   ``collect_forward`` / ``backward_step_nowait`` / ``request_states`` +
   ``collect_states``).  Its only blocking points are the ``tau`` feature
   collections and the state collection, and the aggregate is a window:
@@ -294,12 +294,6 @@ class SplitRoundOps:
     on_stage: StageHook | None = None
     account: Callable[[], None] | None = None
     prefetch_plan: Callable[[], None] | None = None
-    #: Per-worker cut depths (aligned with ``workers``) when a split-point
-    #: policy is active; ``None`` under the uniform global cut.  Purely
-    #: informational for schedulers -- the install/update closures already
-    #: bind the depths -- but it makes per-worker stage shapes visible to
-    #: stage hooks and diagnostics.
-    depths: list[int] | None = None
 
     def note(self, stage: RoundStage, iteration: int | None = None) -> None:
         if self.on_stage is not None:

@@ -32,12 +32,16 @@ every call sends one replying message per child and waits:
     call             message                                     reply
     ===============  ==========================================  ============
     (first install)  ``load_shard`` a worker's shard, once/pool  ack
-    install[_multi]  ``install`` bottom + per-worker specs       ack
+    install          ``install`` bottom + per-worker specs       ack
     forward          ``forward`` drawn indices                   features
     backward_step    ``backward`` dispatched gradients           ack
     bottom_states    ``states`` worker ids                       state dicts
     train_full       ``train_full`` model + index sequences      states+losses
     ===============  ==========================================  ============
+
+An install spec is always ``(lr, momentum, weight_decay, max_grad_norm,
+depth)``: the child carves ``bottom.layers[:depth]`` for every worker, and
+the global cut is the spec whose depth is ``len(bottom)``.
 
 The **asynchronous** protocol (``supports_async_dispatch``; the graph body
 of :mod:`repro.parallel.pipeline` drives it at every staleness bound)
@@ -47,7 +51,7 @@ that block:
     ====================  ====================================  ============
     call                  message                               reply
     ====================  ====================================  ============
-    install_nowait        ``install``, ``wants_reply=False``    --
+    install(wait=False)   ``install``, ``wants_reply=False``    --
     stage_forward         ``stage`` the next batch's indices    --
     launch_forward        ``forward_staged`` worker ids         (queued)
     collect_forward       --                                    features
@@ -109,9 +113,7 @@ _UNCOUNTED_COMMANDS = frozenset({"load_shard", "codec_load", "codec_state"})
 
 def _child_main(connector: ChildConnector) -> None:
     """Child process loop: host bottom models / run local training on demand."""
-    from repro.core.worker import train_local_model
-    from repro.nn.module import Sequential
-    from repro.nn.optim import SGD
+    from repro.core.worker import local_training_copy, train_local_model
     from repro.parallel.staleness import InflightQueue
 
     endpoint = connector.connect()
@@ -141,24 +143,13 @@ def _child_main(connector: ChildConnector) -> None:
         bottom, specs = payload
         bottoms = {}
         staged.clear()
-        for worker_id, spec in specs.items():
-            lr, momentum, weight_decay, max_grad_norm = spec[:4]
-            source = bottom
-            if len(spec) == 5:
-                # Heterogeneous split points: the spec's fifth element is
-                # the worker's prefix depth into the shipped bottom.
-                source = Sequential(bottom.layers[:spec[4]])
-            model = source.clone().without_input_grad()
-            model.train()
+        for worker_id, (*hyperparams, depth) in specs.items():
+            # Exactly what ``SplitWorker.receive_bottom_model`` does with
+            # the prefix the serial executor hands it.
+            model, optimizer = local_training_copy(bottom[:depth], *hyperparams)
             bottoms[worker_id] = {
                 "model": model,
-                "optimizer": SGD(
-                    model.parameters(),
-                    lr=lr,
-                    momentum=momentum,
-                    weight_decay=weight_decay,
-                    max_grad_norm=max_grad_norm,
-                ),
+                "optimizer": optimizer,
                 "inflight": InflightQueue(),
             }
 
@@ -569,65 +560,43 @@ class ProcessExecutor(Executor):
         if messages:
             self._broadcast(messages)
 
-    def _install(self, workers, bottom, learning_rates, depths, wait: bool) -> None:
+    def install(self, workers, bottom, learning_rates, depths=None, wait=True) -> None:
         """Assign workers, ship fresh shards, send one install per child.
 
-        With ``depths``, every worker's spec carries its prefix depth as a
-        fifth element (the child carves ``bottom.layers[:depth]`` before
-        cloning); without it the specs keep their historical 4-tuple form,
-        so uniform runs put identical bytes on the wire.  Shard shipping
+        Every worker's spec is ``(lr, momentum, weight_decay, max_grad_norm,
+        depth)`` and the child carves ``bottom.layers[:depth]`` before
+        cloning.  One message per child keeps the install atomic there: a
+        child resets all its hosted bottoms on every install command, so
+        per-depth-group messages would wipe each other.  Shard shipping
         (first selection of a worker) always synchronises -- it happens
         once per pool lifetime -- but with ``wait`` false the install
         itself is fire-and-forget; errors defer to the next reply.
         """
+        if depths is None:
+            depths = [len(bottom)] * len(workers)
         self._consume_abandoned_replies()
         shards = self._assign(workers)
         self._ship_shards(shards)
         self._ship_codec_state(shards)
-        lr_of = {
-            worker.worker_id: lr for worker, lr in zip(workers, learning_rates)
+        specs = {
+            worker.worker_id: (
+                lr, worker.momentum, worker.weight_decay, worker.max_grad_norm,
+                depth,
+            )
+            for worker, lr, depth in zip(workers, learning_rates, depths)
         }
-        depth_of = None
-        if depths is not None:
-            depth_of = {
-                worker.worker_id: depth
-                for worker, depth in zip(workers, depths)
-            }
-        messages = {}
-        for index, shard in shards.items():
-            if not shard:
-                continue
-            specs = {}
-            for worker_id, worker in shard.items():
-                spec = (
-                    lr_of[worker_id],
-                    worker.momentum,
-                    worker.weight_decay,
-                    worker.max_grad_norm,
-                )
-                if depth_of is not None:
-                    spec = spec + (depth_of[worker_id],)
-                specs[worker_id] = spec
-            messages[index] = ("install", (bottom, specs))
+        messages = {
+            index: (
+                "install",
+                (bottom, {worker_id: specs[worker_id] for worker_id in shard}),
+            )
+            for index, shard in shards.items() if shard
+        }
         if wait:
             self._broadcast(messages)
         else:
             for index, message in messages.items():
                 self._send(index, message, expects_reply=False)
-
-    def install(self, workers, bottom, learning_rates) -> None:
-        self._install(workers, bottom, learning_rates, None, wait=True)
-
-    def install_multi(self, workers, bottom, learning_rates, depths, wait=True) -> None:
-        """Per-worker prefix install in one message per child.
-
-        The base class's per-depth-group loop would not work here: a child
-        hosting workers from two depth groups resets all its hosted bottoms
-        on every install command, so the second group's install would wipe
-        the first's.  One message carrying per-worker depths keeps install
-        atomic per child.
-        """
-        self._install(workers, bottom, learning_rates, depths, wait)
 
     def forward(self, workers, batch_sizes):
         drawn = {
@@ -656,10 +625,6 @@ class ProcessExecutor(Executor):
         return self.collect_states(workers)
 
     # -- asynchronous dispatch (see repro.parallel.pipeline) ------------------
-    def install_nowait(self, workers, bottom, learning_rates) -> None:
-        """Install without waiting for the acknowledgements."""
-        self._install(workers, bottom, learning_rates, None, wait=False)
-
     def stage_forward(self, workers, batch_sizes) -> None:
         """Draw and ship the next iteration's mini-batch indices (no reply).
 

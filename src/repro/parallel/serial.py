@@ -2,7 +2,9 @@
 
 This is the reference backend.  It delegates straight to the
 :class:`~repro.core.worker.SplitWorker` methods, so its behaviour *defines*
-what the other executors must reproduce bit-exactly.
+what the other executors must reproduce bit-exactly -- ``install``
+included: every worker receives ``bottom.layers[:depth]``, and at the
+global cut every depth is ``len(bottom)``.
 
 The backend also implements the asynchronous dispatch protocol of the
 scheduler's graph body (``supports_async_dispatch``): every primitive
@@ -20,7 +22,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.nn.module import Sequential
 from repro.parallel.base import Executor
 from repro.parallel.staleness import InflightQueue
 
@@ -41,23 +42,18 @@ class SerialExecutor(Executor):
         #: Completed-but-uncollected state collections, oldest first.
         self._states: deque[list] = deque()
 
-    def install(self, workers, bottom, learning_rates) -> None:
-        self.install_multi(
-            workers, bottom, learning_rates, [len(bottom)] * len(workers)
-        )
-
-    def install_multi(self, workers, bottom, learning_rates, depths, wait=True) -> None:
-        # A failed graph-order round may leave uncollected results behind;
-        # installing starts the round from a clean slate, mirroring the
-        # process executor's recovery drain.
+    def install(self, workers, bottom, learning_rates, depths=None, wait=True) -> None:
+        if depths is None:
+            depths = [len(bottom)] * len(workers)
+        # Runs immediately: in-process there is no acknowledgement for
+        # ``wait`` to skip.  A failed graph-order round may leave
+        # uncollected results behind; installing starts the round from a
+        # clean slate, mirroring the process executor's recovery drain.
         self._staged.clear()
         self._features.clear()
         self._states.clear()
-        prefixes = {
-            depth: Sequential(bottom.layers[:depth]) for depth in set(depths)
-        }
         for worker, lr, depth in zip(workers, learning_rates, depths):
-            worker.receive_bottom_model(prefixes[depth], lr)
+            worker.receive_bottom_model(bottom[:depth], lr)
         # Rebuilt, not updated: queues of workers outside this cohort would
         # otherwise pile up, one per distinct participant of a lazy population.
         self._inflight = {worker.worker_id: InflightQueue() for worker in workers}
@@ -88,9 +84,6 @@ class SerialExecutor(Executor):
         return [state for state, __ in trained], [loss for __, loss in trained]
 
     # -- asynchronous dispatch (see repro.parallel.pipeline) ------------------
-    #: Installs run immediately; in-process there is no ack to skip.
-    install_nowait = install
-
     def stage_forward(self, workers, batch_sizes) -> None:
         """Draw the next forward's mini-batches (in cohort order)."""
         self._staged.append([

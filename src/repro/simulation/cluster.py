@@ -19,7 +19,23 @@ from repro.simulation.worker_device import WorkerDevice
 from repro.utils.rng import get_rng_state, set_rng_state, spawn_rngs, spawned_rng
 
 
-class Cluster:
+class _DeviceTimes:
+    """Per-sample times of any worker subset, over ``self[worker_id]``."""
+
+    def compute_times(self, ids, forward_flops: float) -> np.ndarray:
+        """Per-sample compute time ``mu_i`` of workers ``ids`` (seconds)."""
+        return np.asarray(
+            [self[int(i)].compute_time_per_sample(forward_flops) for i in ids]
+        )
+
+    def comm_times(self, ids, bytes_per_sample: float) -> np.ndarray:
+        """Per-sample communication time ``beta_i`` of workers ``ids`` (seconds)."""
+        return np.asarray(
+            [self[int(i)].comm_time_per_sample(bytes_per_sample) for i in ids]
+        )
+
+
+class Cluster(_DeviceTimes):
     """A collection of simulated worker devices plus the PS ingress link."""
 
     def __init__(
@@ -75,32 +91,8 @@ class Cluster:
         for device, device_state in zip(self.devices, devices_state):
             device.load_state_dict(device_state)
 
-    def compute_times(self, forward_flops: float) -> np.ndarray:
-        """Per-sample compute time mu_i for every worker (seconds)."""
-        return np.asarray(
-            [d.compute_time_per_sample(forward_flops) for d in self.devices]
-        )
 
-    def comm_times(self, bytes_per_sample: float) -> np.ndarray:
-        """Per-sample communication time beta_i for every worker (seconds)."""
-        return np.asarray(
-            [d.comm_time_per_sample(bytes_per_sample) for d in self.devices]
-        )
-
-    def compute_times_for(self, ids: np.ndarray, forward_flops: float) -> np.ndarray:
-        """``mu_i`` for a subset of workers (candidate-scope planning)."""
-        return np.asarray(
-            [self[int(i)].compute_time_per_sample(forward_flops) for i in ids]
-        )
-
-    def comm_times_for(self, ids: np.ndarray, bytes_per_sample: float) -> np.ndarray:
-        """``beta_i`` for a subset of workers (candidate-scope planning)."""
-        return np.asarray(
-            [self[int(i)].comm_time_per_sample(bytes_per_sample) for i in ids]
-        )
-
-
-class LazyCluster:
+class LazyCluster(_DeviceTimes):
     """A cluster whose devices are derived on demand from their RNG streams.
 
     Device state is a pure function of ``(seed, worker_id, round)``: the
@@ -202,26 +194,6 @@ class LazyCluster:
             np.clip(self.nominal_budget_mbps * noise,
                     0.3 * self.nominal_budget_mbps,
                     2.0 * self.nominal_budget_mbps)
-        )
-
-    def compute_times(self, forward_flops: float) -> np.ndarray:
-        """Per-sample compute time mu_i for every worker (seconds)."""
-        return self.compute_times_for(range(self.num_workers), forward_flops)
-
-    def comm_times(self, bytes_per_sample: float) -> np.ndarray:
-        """Per-sample communication time beta_i for every worker (seconds)."""
-        return self.comm_times_for(range(self.num_workers), bytes_per_sample)
-
-    def compute_times_for(self, ids, forward_flops: float) -> np.ndarray:
-        """``mu_i`` for a subset of workers (candidate-scope planning)."""
-        return np.asarray(
-            [self[int(i)].compute_time_per_sample(forward_flops) for i in ids]
-        )
-
-    def comm_times_for(self, ids, bytes_per_sample: float) -> np.ndarray:
-        """``beta_i`` for a subset of workers (candidate-scope planning)."""
-        return np.asarray(
-            [self[int(i)].comm_time_per_sample(bytes_per_sample) for i in ids]
         )
 
     def state_dict(self) -> dict:

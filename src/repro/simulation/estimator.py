@@ -39,18 +39,13 @@ class WorkerStateEstimator:
         self._mu[worker_id] = moving_average(self._mu[worker_id], mu, self.alpha)
         self._beta[worker_id] = moving_average(self._beta[worker_id], beta, self.alpha)
 
-    def update_all(self, mus: np.ndarray, betas: np.ndarray) -> None:
-        """Update every worker in one call."""
-        for worker_id, (mu, beta) in enumerate(zip(mus, betas)):
-            self.update(worker_id, float(mu), float(beta))
-
     def update_ids(self, ids: np.ndarray, mus: np.ndarray, betas: np.ndarray) -> None:
-        """Fold observations for a subset of workers, vectorised.
+        """Fold one observation per worker in ``ids``, vectorised.
 
         Elementwise first-observation/moving-average updates are IEEE-
-        identical to the scalar :meth:`update` loop, so candidate-scope
-        planning (which only ever observes the round's candidates) costs
-        O(len(ids)) regardless of the registered population.
+        identical to a scalar :meth:`update` loop, and planning only ever
+        observes the round's scope (the candidates, or everyone), so the
+        cost is O(len(ids)) regardless of the registered population.
         """
         ids = np.asarray(ids, dtype=np.int64)
         mus = np.asarray(mus, dtype=np.float64)
@@ -70,16 +65,8 @@ class WorkerStateEstimator:
         """Current ``(mu, beta)`` estimates (copies)."""
         return self._mu.copy(), self._beta.copy()
 
-    def per_sample_duration(self) -> np.ndarray:
-        """Estimated ``mu_i + beta_i`` per worker (seconds per sample)."""
-        return self._mu + self._beta
-
-    def per_sample_duration_for(self, ids: np.ndarray) -> np.ndarray:
-        """``mu_i + beta_i`` for a subset of workers, in ``ids`` order.
-
-        Bit-identical to ``per_sample_duration()[ids]`` without touching
-        the full estimate arrays (candidate-scope planning).
-        """
+    def per_sample_duration(self, ids: np.ndarray) -> np.ndarray:
+        """Estimated ``mu_i + beta_i`` (seconds per sample), in ``ids`` order."""
         ids = np.asarray(ids, dtype=np.int64)
         return self._mu[ids] + self._beta[ids]
 

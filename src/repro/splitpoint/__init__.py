@@ -9,9 +9,10 @@ feature merger forms per-depth merge groups (:mod:`repro.core.merging`) and
 the server completes each group through its bridge before the shared top
 model (:mod:`repro.core.server`).
 
-The ``uniform`` policy reproduces today's global constant bit-exactly: it
-is *trivial*, so :func:`build_split_policy` returns ``None`` and the engine
-builds none of the multi-depth machinery.
+The paper's global cut is the one-group case of that path, not a second
+path: the ``uniform`` policy is *trivial*, so :func:`build_split_policy`
+returns ``None``, plans carry no depths and the engine reads every worker
+at the tail -- one merge group, no bridge.
 """
 
 from repro.splitpoint.policies import (

@@ -8,9 +8,9 @@ depths through installation, merging, aggregation and accounting.
 
 Policies:
 
-* ``uniform`` -- every worker cuts at the full bottom depth, i.e. today's
-  global constant.  Marked *trivial*: the engine short-circuits and builds
-  no multi-depth machinery, keeping the default path bit-exact.
+* ``uniform`` -- every worker cuts at the full bottom depth, the paper's
+  global constant.  Marked *trivial*: plans carry no depths and the engine
+  reads every worker at the tail, the one-group case of the same path.
 * ``profile`` -- a static per-worker depth from the device-class
   compute-vs-bandwidth profiles (Table II Jetson classes + WiFi distance
   groups).  Stateless and time-invariant: slow-compute/fast-link devices
@@ -73,9 +73,8 @@ class SplitPolicy:
     #: Registry name (also used in logs and checkpoints).
     name: str = "abstract"
 
-    #: Trivial policies always pick the full bottom depth; the engine skips
-    #: every piece of multi-depth machinery for them, so the default path
-    #: stays bit-exact with the pre-policy code.
+    #: Trivial policies always pick the full bottom depth; the engine never
+    #: asks them, and reads a plan without depths as "everyone at the tail".
     trivial: bool = False
 
     def assign_depths(
@@ -250,9 +249,8 @@ class AdaptiveSplitPolicy(SplitPolicy):
 def build_split_policy(config: "ExperimentConfig") -> SplitPolicy | None:
     """Resolve ``config.split_policy``; ``None`` when the policy is trivial.
 
-    ``None`` tells the engine to take the pre-policy global-cut path with
-    no multi-depth machinery at all, which is what keeps
-    ``split_policy="uniform"`` bit-exact by construction.
+    ``None`` means plans carry no depths -- the checkpoint encoding of the
+    global cut -- and every worker cuts at the tail.
     """
     policy = SPLIT_POLICIES.get(config.split_policy)(config)
     return None if policy.trivial else policy

@@ -5,15 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def normalize_distribution(vector: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def normalize_distribution(vector: np.ndarray) -> np.ndarray:
     """Normalise a non-negative vector so it sums to one.
 
-    Args:
-        vector: Non-negative array.
-        eps: Numerical floor added when the vector sums to zero.
-
-    Returns:
-        A probability vector of the same shape.
+    Returns a probability vector of the same shape; the uniform one when
+    ``vector`` sums to zero.
     """
     vec = np.asarray(vector, dtype=np.float64)
     if np.any(vec < 0):
@@ -21,7 +17,7 @@ def normalize_distribution(vector: np.ndarray, eps: float = 1e-12) -> np.ndarray
     total = vec.sum()
     if total <= 0:
         return np.full_like(vec, 1.0 / max(vec.size, 1))
-    return vec / (total + eps * 0)
+    return vec / total
 
 
 def safe_divide(numerator: float, denominator: float, default: float = 0.0) -> float:

@@ -250,6 +250,79 @@ class TestCheckpointResume:
             assert np.array_equal(batch_a, batch_b)
 
 
+class TestDamagedCheckpoint:
+    """A torn or mutated checkpoint fails with a ``ConfigurationError``
+    naming the file and what is wrong -- never a raw ``JSONDecodeError``,
+    ``AttributeError`` or ``KeyError``, and never a session that resumes
+    from half a state."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        from repro.config import ExperimentConfig
+
+        config = ExperimentConfig(
+            dataset="blobs", model="mlp", num_workers=4, num_rounds=3,
+            local_iterations=2, train_samples=160, test_samples=40, seed=2,
+        )
+        path = tmp_path_factory.mktemp("damaged") / "two_rounds.ckpt.json"
+        with Session.from_config(config) as session:
+            session.run(2)
+            session.save_checkpoint(path)
+        return path
+
+    @staticmethod
+    def _assert_named_failure(path, match):
+        with pytest.raises(ConfigurationError, match=match) as failure:
+            Session.load_checkpoint(path)
+        assert str(path) in str(failure.value)
+
+    def test_the_intact_checkpoint_resumes(self, checkpoint):
+        with Session.load_checkpoint(checkpoint) as resumed:
+            assert resumed.rounds_completed == 2
+
+    @pytest.mark.parametrize("fraction", [0.01, 0.5, 0.99])
+    def test_truncated_file(self, checkpoint, tmp_path, fraction):
+        data = checkpoint.read_bytes()
+        torn = tmp_path / "torn.ckpt.json"
+        torn.write_bytes(data[:int(len(data) * fraction)])
+        self._assert_named_failure(torn, "not valid JSON")
+
+    def test_payload_that_is_not_an_object(self, checkpoint, tmp_path):
+        path = tmp_path / "list.ckpt.json"
+        path.write_text("[]")
+        self._assert_named_failure(path, "not an object")
+
+    def test_every_missing_key_is_named(self, checkpoint, tmp_path):
+        import json
+
+        payload = json.loads(checkpoint.read_text())
+        cases = [(key, None) for key in payload]
+        cases += [("algorithm", key) for key in payload["algorithm"]]
+        assert {"version", "config", "algorithm"} <= set(payload)
+        assert {"server", "workers", "history"} <= set(payload["algorithm"])
+        for top, inner in cases:
+            damaged = dict(payload)
+            if inner is None:
+                del damaged[top]
+            else:
+                damaged[top] = {
+                    key: value for key, value in payload[top].items()
+                    if key != inner
+                }
+            path = tmp_path / "missing.ckpt.json"
+            path.write_text(json.dumps(damaged))
+            self._assert_named_failure(path, repr(inner or top))
+
+    def test_load_state_dict_names_a_missing_algorithm_key(self, checkpoint):
+        from repro.api.checkpoint import load_checkpoint_payload
+
+        payload = load_checkpoint_payload(checkpoint)
+        del payload["algorithm"]["server"]
+        with Session.load_checkpoint(checkpoint) as session:
+            with pytest.raises(ConfigurationError, match="'server'"):
+                session.load_state_dict(payload)
+
+
 class TestModuleExtraState:
     def test_dropout_rng_roundtrip(self):
         from repro.nn.layers.regularization import Dropout

@@ -7,9 +7,9 @@ The split baselines' control rows are pinned by
 import numpy as np
 import pytest
 
+from repro.api.components import build_algorithm, build_components
 from repro.baselines.fedavg import SelectAll
 from repro.baselines.pyramidfl import PyramidSelection
-from repro.experiments.runner import build_algorithm, build_components
 from repro.utils.rng import new_rng
 
 

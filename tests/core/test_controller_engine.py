@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.algorithms import BUILTIN_ALGORITHMS
+from repro.api.components import build_components, build_algorithm
 from repro.api.registry import ALGORITHMS
 from repro.baselines import PyramidSelection, SelectAll
 from repro.core.batching import regulate_batch_sizes
 from repro.core.controller import ControlContext, ControlModule, RoundPlan
 from repro.core.engine import SplitTrainingEngine
-from repro.experiments.runner import build_components, build_algorithm
 from repro.selection import GASolver, GreedySolver
 from repro.utils.rng import new_rng
 

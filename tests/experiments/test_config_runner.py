@@ -5,15 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.api.components import build_components, build_model_for
 from repro.api.registry import ALGORITHMS
 from repro.config import KNOWN_EXTRAS, ExperimentConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.reporting import format_comparison, format_table
-from repro.experiments.runner import (
-    build_components,
-    build_model_for,
-    run_experiment,
-)
+from repro.experiments.runner import run_experiment
 from repro.metrics.summary import compare_histories
 
 

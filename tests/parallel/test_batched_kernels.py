@@ -249,10 +249,7 @@ def test_forced_batched_on_alexnet_s_equals_serial_through_the_fallback(depths, 
             for i in range(3)
         ]
         with caplog.at_level("WARNING", logger="repro.parallel.batched"):
-            if depths is None:
-                executor.install(workers, bottom, [0.1, 0.05, 0.2])
-            else:
-                executor.install_multi(workers, bottom, [0.1, 0.05, 0.2], depths)
+            executor.install(workers, bottom, [0.1, 0.05, 0.2], depths)
         features, __ = executor.forward(workers, [6, 4, 6])
         executor.backward_step(workers, [0.1 * feats for feats in features])
         results[name] = (features, executor.bottom_states(workers))

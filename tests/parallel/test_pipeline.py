@@ -57,11 +57,7 @@ def _split_ops(executor, workers, bottom, trace=None) -> SplitRoundOps:
         return 0.5, [0.1 * feats for feats in features]
 
     def install(wait):
-        lrs = [0.1] * len(workers)
-        if wait:
-            executor.install(workers, bottom, lrs)
-        else:
-            executor.install_nowait(workers, bottom, lrs)
+        executor.install(workers, bottom, [0.1] * len(workers), wait=wait)
 
     return SplitRoundOps(
         executor=executor,

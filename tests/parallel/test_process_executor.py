@@ -53,8 +53,10 @@ def _bottom() -> Sequential:
     return Sequential([Linear(32, 16, rng=new_rng(1)), ReLU()])
 
 
-def _install_spec(worker_ids, lr=0.1):
-    return {wid: (lr, 0.0, 0.0, None) for wid in worker_ids}
+def _install_spec(worker_ids, lr=0.1, depth=2):
+    """``(lr, momentum, weight_decay, max_grad_norm, depth)`` per worker;
+    ``_bottom()`` has two layers, so the default depth is its tail."""
+    return {wid: (lr, 0.0, 0.0, None, depth) for wid in worker_ids}
 
 
 def _drive(script: list) -> _ScriptedEndpoint:
@@ -107,6 +109,26 @@ class TestChildLoop:
         ])
         expected = bottom.clone().train().forward(shard[0][indices])
         assert np.array_equal(endpoint.replies[2][1][0], expected)
+
+    def test_install_carves_the_prefix_at_the_spec_depth(self):
+        """A spec depth above the tail hosts ``bottom.layers[:depth]`` only."""
+        shard = _shard(seed=7)
+        indices = np.asarray([3, 1, 4, 1], dtype=np.int64)
+        bottom = Sequential([*_bottom().layers, Linear(16, 4, rng=new_rng(2))])
+        endpoint = _drive([
+            ("load_shard", {0: shard, 1: shard}),
+            ("install", (bottom, {**_install_spec([0]), **_install_spec([1], depth=3)})),
+            ("forward", {0: indices, 1: indices}),
+            ("states", [0, 1]),
+            ("close", None),
+        ])
+        features, states = endpoint.replies[2][1], endpoint.replies[3][1]
+        for worker_id, depth in ((0, 2), (1, 3)):
+            prefix = Sequential(bottom.layers[:depth]).clone().train()
+            assert np.array_equal(
+                features[worker_id], prefix.forward(shard[0][indices])
+            )
+            assert sorted(states[worker_id]) == sorted(prefix.state_dict())
 
     def test_staged_asynchronous_cycle(self):
         idx = lambda *values: np.asarray(values, dtype=np.int64)  # noqa: E731
@@ -279,7 +301,7 @@ def test_completion_queue_pairs_replies_with_two_forwards_in_flight():
     reference = ProcessExecutor(processes=1)
     try:
         workers, twins = _make_workers(), _make_workers()
-        executor.install_nowait(workers, bottom, [0.1, 0.1])
+        executor.install(workers, bottom, [0.1, 0.1], wait=False)
         for __ in range(2):
             executor.stage_forward(workers, [8, 8])
             executor.launch_forward(workers)

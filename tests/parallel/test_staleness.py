@@ -383,7 +383,7 @@ class TestSerialInflightQueues:
             executor.backward_step_nowait(selected, [0.1 * f for f in features])
         # Per-depth installs are one cohort, not one cohort per depth.
         selected = workers[:5]
-        executor.install_multi(
+        executor.install(
             selected, tiny_split.bottom, [0.1] * 5, [1, 2, 1, 2, 2], wait=False
         )
         assert sorted(executor._inflight) == [0, 1, 2, 3, 4]

@@ -24,14 +24,17 @@ class TestCluster:
 
     def test_compute_and_comm_time_vectors(self):
         cluster = build_cluster(num_workers=6, bandwidth_budget_mbps=100, seed=0)
-        mus = cluster.compute_times(1e6)
-        betas = cluster.comm_times(2048)
+        mus = cluster.compute_times(range(6), 1e6)
+        betas = cluster.comm_times(range(6), 2048)
         assert mus.shape == (6,) and betas.shape == (6,)
         assert np.all(mus > 0) and np.all(betas > 0)
+        # Any subset, in the order asked for.
+        assert np.array_equal(cluster.compute_times([4, 1], 1e6), mus[[4, 1]])
+        assert np.array_equal(cluster.comm_times([4, 1], 2048), betas[[4, 1]])
 
     def test_heterogeneity_present(self):
         cluster = build_cluster(num_workers=30, bandwidth_budget_mbps=100, seed=0)
-        mus = cluster.compute_times(1e6)
+        mus = cluster.compute_times(range(30), 1e6)
         assert mus.max() / mus.min() > 3.0
 
     def test_advance_round_refreshes_budget(self):
@@ -71,13 +74,29 @@ class TestWorkerStateEstimator:
     def test_per_sample_duration_is_sum(self):
         est = WorkerStateEstimator(num_workers=1, alpha=0.5)
         est.update(0, mu=0.4, beta=0.6)
-        assert est.per_sample_duration()[0] == pytest.approx(1.0)
+        assert est.per_sample_duration([0])[0] == pytest.approx(1.0)
 
-    def test_update_all_and_initialised(self):
+    def test_update_ids_and_initialised(self):
         est = WorkerStateEstimator(num_workers=3, alpha=0.5)
         assert not est.is_initialised()
-        est.update_all(np.ones(3), np.ones(3))
+        est.update_ids(np.arange(3), np.ones(3), np.ones(3))
         assert est.is_initialised()
+
+    def test_update_ids_is_the_scalar_update_loop_bit_for_bit(self, rng):
+        """First observation and moving average, everyone and a subset."""
+        vector = WorkerStateEstimator(num_workers=5, alpha=0.8)
+        scalar = WorkerStateEstimator(num_workers=5, alpha=0.8)
+        for ids in (np.arange(5), np.array([3, 0]), np.arange(5)):
+            mus, betas = rng.random(len(ids)), rng.random(len(ids))
+            vector.update_ids(ids, mus, betas)
+            for worker_id, mu, beta in zip(ids, mus, betas):
+                scalar.update(int(worker_id), float(mu), float(beta))
+        for got, want in zip(vector.estimates(), scalar.estimates()):
+            assert np.array_equal(got, want)
+        mus, betas = scalar.estimates()
+        assert np.array_equal(
+            vector.per_sample_duration([4, 2]), (mus + betas)[[4, 2]]
+        )
 
     def test_negative_observation_raises(self):
         est = WorkerStateEstimator(num_workers=1)

@@ -69,7 +69,10 @@ GOLDEN_CONFIGS: dict[str, dict] = {
 #: Rows that pin the per-depth data path: each must really see workers at
 #: two or more cut depths in some round, or it pins nothing the uniform
 #: rows do not.
-PER_DEPTH = sorted(name for name in GOLDEN_CONFIGS if "adaptive" in name)
+PER_DEPTH = sorted(
+    name for name, overrides in GOLDEN_CONFIGS.items()
+    if overrides.get("split_policy", "uniform") != "uniform"
+)
 
 #: Names the algorithm table builds from the same row: their goldens must
 #: agree record for record.
