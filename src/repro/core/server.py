@@ -36,11 +36,13 @@ def evaluate_classifier(
     """Accuracy and mean loss of a model over a test set, in batches.
 
     ``stages`` are applied one after another (bottom then top, or the one
-    full model).  They run in evaluation mode and come back in training
-    mode without the forward state of the last test batch, which would
-    otherwise sit on the global model -- tens of MB of im2col columns and
-    pool masks -- until the next evaluation.
+    full model), layer by layer: nothing runs a backward here, so each
+    layer's forward state is dropped as soon as the layer has produced its
+    output, and a test batch holds one layer's columns and masks at a time
+    instead of the whole model's.  The stages run in evaluation mode and
+    come back in training mode with no forward state left on them.
     """
+    layers = [layer for stage in stages for layer in stage.layers]
     for stage in stages:
         stage.eval()
     correct = 0
@@ -49,13 +51,13 @@ def evaluate_classifier(
         stop = start + batch_size
         labels = targets[start:stop]
         logits = data[start:stop]
-        for stage in stages:
-            logits = stage.forward(logits)
+        for layer in layers:
+            logits = layer.forward(logits)
+            layer.clear_forward_state()
         losses.append(loss_fn.forward(logits, labels) * labels.shape[0])
         correct += int((logits.argmax(axis=1) == labels).sum())
     for stage in stages:
         stage.train()
-        stage.clear_forward_state()
     total = data.shape[0]
     if total == 0:
         return 0.0, 0.0

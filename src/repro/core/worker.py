@@ -56,11 +56,16 @@ class SplitWorker:
         )
 
     def receive_bottom_model(self, bottom: Sequential, learning_rate: float) -> None:
-        """Install a fresh copy of the global bottom model for this round."""
+        """Install a fresh copy of the global bottom model for this round.
+
+        Its forward waits at the merge barrier, so its convolutions keep
+        no im2col columns (:meth:`~repro.nn.module.Sequential.without_kept_columns`).
+        """
         self.bottom, self.optimizer = local_training_copy(
             bottom, learning_rate, self.momentum, self.weight_decay,
             self.max_grad_norm,
         )
+        self.bottom.without_kept_columns()
 
     def state_dict(self) -> dict:
         """Round-persistent state for checkpointing.
@@ -123,7 +128,11 @@ class SplitWorker:
         return features, labels
 
     def backward_and_step(self, feature_gradient: np.ndarray) -> None:
-        """Back-propagate the dispatched gradient and take a local SGD step."""
+        """Back-propagate the dispatched gradient and take a local SGD step.
+
+        The forward state is dropped once the step is taken: from its step
+        to its next forward a worker holds its weights and optimizer only.
+        """
         if self.bottom is None or self.optimizer is None:
             raise RuntimeError("worker has no bottom model installed")
         if feature_gradient.shape[0] != self._pending_batch_size:
@@ -134,6 +143,7 @@ class SplitWorker:
         self.optimizer.zero_grad()
         self.bottom.backward(feature_gradient)
         self.optimizer.step()
+        self.bottom.clear_forward_state()
 
     # -- local (non-split) training for FL baselines -------------------------
     def train_full_model(
@@ -173,7 +183,10 @@ def local_training_copy(
     The single worker-side install recipe: a worker's bottom model, the
     bottom a process-executor child hosts for it and the full model of the
     FL path all start a round this way, so the three cannot drift.  The
-    copy skips the gradient w.r.t. its input, which is raw data.
+    copy skips the gradient w.r.t. its input, which is raw data.  The two
+    split bottoms then also stop keeping im2col columns
+    (:meth:`~repro.nn.module.Sequential.without_kept_columns`); the FL copy,
+    whose backward follows its forward at once, keeps them.
     """
     local = model.clone().without_input_grad()
     local.train()

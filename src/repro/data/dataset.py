@@ -50,13 +50,17 @@ class Dataset:
         return tuple(self.data.shape[1:])
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        """Return a new dataset restricted to ``indices`` (copies the slices)."""
+        """Return a new dataset restricted to ``indices``.
+
+        Its arrays are copies (fancy indexing copies once), so the subset
+        shares no memory with this dataset.
+        """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size and (indices.min() < 0 or indices.max() >= len(self)):
             raise DataError("subset indices out of range")
         return Dataset(
-            data=self.data[indices].copy(),
-            targets=self.targets[indices].copy(),
+            data=self.data[indices],
+            targets=self.targets[indices],
             num_classes=self.num_classes,
             name=self.name,
         )

@@ -7,6 +7,14 @@ column matrices, so the forward pass and both backward products are
 simulation fast enough for the benchmark harness.  (``np.matmul`` and not
 ``np.einsum``: einsum does not hand these contractions to BLAS and runs them
 about four times slower at the model zoo's sizes.)
+
+The columns are ``kh * kw`` times the size of the input.  A convolution
+keeps its input (a reference, like ``Linear``) and output size for
+``backward``, and its columns only while :attr:`~repro.nn.module.Module.keeps_columns`
+is on.  A worker's split bottom turns it off: its forward waits at the merge
+barrier for the whole cohort, so ``backward`` re-unfolds the input with the
+same ``im2col`` instead -- bit-identical gradients for a cohort that holds
+activations, not columns.
 """
 
 from __future__ import annotations
@@ -107,7 +115,13 @@ def col2im(
 
 
 class Conv2d(Module):
-    """2-D convolution over ``(batch, channels, height, width)`` inputs."""
+    """2-D convolution over ``(batch, channels, height, width)`` inputs.
+
+    Between forward and backward it holds its input, the output size and,
+    when :attr:`keeps_columns` is on, the im2col columns; otherwise
+    ``backward`` rebuilds the columns from the input.  Nothing may write
+    into the input in between.
+    """
 
     def __init__(
         self,
@@ -140,7 +154,7 @@ class Conv2d(Module):
                 f"Conv2d expects (batch, {self.in_channels}, H, W), got {inputs.shape}"
             )
         cols, out_size = im2col(inputs, self.kernel_size, self.stride, self.padding)
-        self._forward_state = (cols, inputs.shape, out_size)
+        self._forward_state = (inputs, cols if self.keeps_columns else None, out_size)
         out = np.matmul(self.weight.data, cols)
         if self.bias is not None:
             out += self.bias.data[:, None]
@@ -150,17 +164,19 @@ class Conv2d(Module):
     def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
         if self._forward_state is None:
             raise RuntimeError("backward called before forward")
-        cols, input_shape, out_size = self._forward_state
-        batch = input_shape[0]
-        grad = grad_output.reshape(batch, self.out_channels, -1)
+        inputs, cols, out_size = self._forward_state
+        if cols is None:
+            cols, __ = im2col(inputs, self.kernel_size, self.stride, self.padding)
+        grad = grad_output.reshape(inputs.shape[0], self.out_channels, -1)
         self.weight.grad += np.matmul(grad, cols.transpose(0, 2, 1)).sum(axis=0)
+        del cols  # a rebuilt copy goes before the column gradient arrives
         if self.bias is not None:
             self.bias.grad += grad.sum(axis=(0, 2))
         if not self.needs_input_grad:
             return None
         grad_cols = np.matmul(self.weight.data.T, grad)
         return col2im(
-            grad_cols, input_shape, self.kernel_size, self.stride, self.padding, out_size
+            grad_cols, inputs.shape, self.kernel_size, self.stride, self.padding, out_size
         )
 
     def parameters(self) -> list[Parameter]:
@@ -218,6 +234,7 @@ class Conv1d(Module):
             raise ShapeError(
                 f"Conv1d expects (batch, {self.in_channels}, L), got {inputs.shape}"
             )
+        self._conv.keeps_columns = self.keeps_columns
         out = self._conv.forward(inputs[:, :, None, :])
         return out[:, :, 0, :]
 

@@ -28,12 +28,21 @@ class Module:
     #: accumulate their parameter gradients only and return ``None``.
     needs_input_grad = True
 
+    #: ``False`` on a layer of a worker's split bottom, whose backward waits
+    #: at the merge barrier (see :meth:`Sequential.without_kept_columns`):
+    #: ``Conv2d`` and ``Conv1d`` then keep their input but not its im2col
+    #: columns, and rebuild the columns in ``backward``.
+    keeps_columns = True
+
     def __init__(self) -> None:
         self.training = True
-        #: Whatever ``forward`` keeps for ``backward`` (columns, masks,
-        #: shapes).  Every layer stores it here and nowhere else, so that
-        #: copying a module and :meth:`clear_forward_state` can skip or drop
-        #: it without knowing the layer.
+        #: Whatever ``forward`` keeps for ``backward``: inputs, masks,
+        #: shapes, and a convolution's im2col columns unless
+        #: :attr:`keeps_columns` is off.  A kept input is a reference, not a
+        #: copy, so nothing may write into it between forward and backward.
+        #: Every layer stores it here and nowhere else, so that copying a
+        #: module and :meth:`clear_forward_state` can skip or drop it
+        #: without knowing the layer.
         self._forward_state = None
 
     # -- computation ----------------------------------------------------
@@ -188,6 +197,22 @@ class Sequential(Module):
         gradient is what gets dispatched.  Returns ``self`` for chaining.
         """
         self.layers[0].needs_input_grad = False
+        return self
+
+    def without_kept_columns(self) -> "Sequential":
+        """Stop every convolution keeping its im2col columns for backward.
+
+        For a worker's split bottom, whose forward waits at the merge
+        barrier until the whole cohort has forwarded: it then holds its
+        activations, not columns ``kh * kw`` times their size, and
+        ``backward`` re-unfolds them (bit-identical gradients).  Never for a copy whose
+        backward follows its forward at once -- an FL local copy, the
+        server's top or bridges, the global model -- where the kept
+        columns are still in cache.  Clones inherit the choice.  Returns
+        ``self`` for chaining.
+        """
+        for layer in self.layers:
+            layer.keeps_columns = False
         return self
 
     # -- computation ----------------------------------------------------

@@ -148,7 +148,7 @@ def _child_main(connector: ChildConnector) -> None:
             # the prefix the serial executor hands it.
             model, optimizer = local_training_copy(bottom[:depth], *hyperparams)
             bottoms[worker_id] = {
-                "model": model,
+                "model": model.without_kept_columns(),
                 "optimizer": optimizer,
                 "inflight": InflightQueue(),
             }

@@ -63,7 +63,11 @@ class InflightForward:
 
 
 class InflightQueue:
-    """FIFO of forwards whose backwards have not been applied yet."""
+    """FIFO of forwards whose backwards have not been applied yet.
+
+    A stepped master holds no forward state: the direct path clears it
+    after the step, and a snapshot's state goes with its popped entry.
+    """
 
     def __init__(self) -> None:
         self._entries: deque[InflightForward] = deque()
@@ -105,6 +109,7 @@ class InflightQueue:
             optimizer.zero_grad()
             master.backward(gradient)
             optimizer.step()
+            master.clear_forward_state()
             return
         snapshot = entry.snapshot
         snapshot.zero_grad()

@@ -196,9 +196,12 @@ def test_one_round_forwards_each_trained_batch_once_and_clones_once_per_worker(
     """A FedAvg round runs exactly ``workers x local_iterations`` training
     forwards plus ``ceil(test_samples / eval_batch_size)`` evaluation
     forwards, and clones the global model once per trained worker -- no
-    probe pass over the returned states."""
+    probe pass over the returned states.  Training forwards run on clones
+    through ``Sequential.forward``; evaluation walks the global model layer
+    by layer, so its forwards are counted at the global model's first layer."""
     config = _config(executor="serial", test_samples=80, eval_batch_size=32)
     forwards: list[tuple[bool, int]] = []
+    evaluation: list[int] = []
     clones: list[Module] = []
     forward, clone = Sequential.forward, Module.clone
 
@@ -211,13 +214,23 @@ def test_one_round_forwards_each_trained_batch_once_and_clones_once_per_worker(
         return clone(self)
 
     with Session.from_config(config) as session:
+        first_layer = session.algorithm.model.layers[0]
+        layer_forward = type(first_layer).forward
+
+        def counting_layer_forward(self, inputs):
+            if self is first_layer:
+                assert not self.training
+                evaluation.append(inputs.shape[0])
+            return layer_forward(self, inputs)
+
         monkeypatch.setattr(Sequential, "forward", counting_forward)
+        monkeypatch.setattr(type(first_layer), "forward", counting_layer_forward)
         monkeypatch.setattr(Module, "clone", counting_clone)
         record = session.step()
         monkeypatch.undo()
 
     training = [batch for is_training, batch in forwards if is_training]
-    evaluation = [batch for is_training, batch in forwards if not is_training]
+    assert len(training) == len(forwards)
     assert len(training) == record.num_selected * config.local_iterations
     assert sum(training) == (
         record.num_selected * config.local_iterations * config.base_batch_size

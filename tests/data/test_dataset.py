@@ -38,6 +38,15 @@ class TestDataset:
         assert ds.data[0, 0] != 99.0
         assert len(sub) == 2
 
+    @pytest.mark.parametrize("indices", [[0, 1, 2], [7, 2, 2, 9], []])
+    def test_subset_shares_no_memory_and_holds_the_indexed_values(self, indices):
+        ds = _dataset()
+        indices = np.asarray(indices, dtype=np.int64)
+        sub = ds.subset(indices)
+        for ours, theirs in ((sub.data, ds.data), (sub.targets, ds.targets)):
+            assert not np.shares_memory(ours, theirs)
+            assert np.array_equal(ours, theirs[indices])
+
     def test_subset_out_of_range_raises(self):
         with pytest.raises(DataError):
             _dataset().subset(np.array([100]))
