@@ -19,7 +19,10 @@ slicing in the parent.  The flip side of that caching is residency: once
 every worker has been selected at least once, the children collectively
 hold a second copy of the training set for the pool's lifetime (mirroring
 a real deployment, where each device stores its own data); ``close()``
-releases it.
+releases it.  A forked child also maps every page resident in the parent,
+so the pool first hands the parent's free heap pages back to the OS
+(:func:`~repro.utils.mp.release_free_heap`): a child starts from the
+parent's live memory, not from whatever the allocator still keeps.
 
 Every message is ``(command, payload, wants_reply)``: whether a command is
 acknowledged is data in the message, so the executor speaks two protocols
@@ -87,7 +90,7 @@ from collections import deque
 import numpy as np
 
 from repro.exceptions import ExecutorDeathError, TransportError
-from repro.utils.mp import get_mp_context
+from repro.utils.mp import get_mp_context, release_free_heap
 from repro.parallel.base import Executor
 from repro.parallel.codec import FEATURES, GRADIENTS, WEIGHTS, decode_key
 from repro.parallel.transport import ChildConnector, PipeTransport, Transport
@@ -338,6 +341,8 @@ class ProcessExecutor(Executor):
     def _ensure_pool(self) -> list[_Child]:
         if self._children is None:
             context = get_mp_context(self._start_method)
+            if context.get_start_method() == "fork":
+                release_free_heap()
             children = []
             for __ in range(self._pool_size()):
                 endpoint, connector = self._transport.pair(context)

@@ -8,6 +8,8 @@ fails loudly instead of hanging.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,29 @@ def test_sticky_assignment_is_stable_and_round_balanced():
         assert sorted(second.values()) == [0, 1, 2, 3]
     finally:
         executor._children = None
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="only a forking pool inherits the parent's pages")
+def test_a_forking_pool_releases_free_heap_before_each_spawn(monkeypatch):
+    """Forked children map every page resident in the parent, so each pool
+    start first hands the parent's free heap back to the OS."""
+    from repro.parallel import process
+
+    executor = ProcessExecutor(processes=1, start_method="fork")
+    spawned_at_call: list[bool] = []
+    monkeypatch.setattr(process, "release_free_heap",
+                        lambda: spawned_at_call.append(executor._children is not None))
+    workers = _make_workers()
+    try:
+        executor.install(workers, _bottom(), [0.1, 0.1])
+        executor.install(workers, _bottom(), [0.1, 0.1])
+        assert spawned_at_call == [False]
+        executor.close()
+        executor.install(workers, _bottom(), [0.1, 0.1])
+        assert spawned_at_call == [False, False]
+    finally:
+        executor.close()
 
 
 def _make_workers(count: int = 2) -> list[SplitWorker]:
