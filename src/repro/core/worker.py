@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.dataset import Dataset
+from repro.data.dataset import Dataset, Shard, as_shard
 from repro.data.loader import BatchLoader
 from repro.data.partition import label_distribution
 from repro.nn.module import Sequential
@@ -18,13 +18,16 @@ class SplitWorker:
     propagation of the bottom model on a local mini-batch (producing the
     features sent to the PS) and backward propagation from the gradient the
     PS dispatches back, followed by a local SGD step whose learning rate is
-    scaled with the worker's batch size (Section IV-B).
+    scaled with the worker's batch size (Section IV-B).  Its shard
+    (``dataset``) is rows of the one training array, not a copy of them
+    (:class:`~repro.data.dataset.Shard`); a plain ``Dataset`` is taken as the
+    shard of all its rows.
     """
 
     def __init__(
         self,
         worker_id: int,
-        dataset: Dataset,
+        dataset: Dataset | Shard,
         num_classes: int,
         seed: int = 0,
         momentum: float = 0.0,
@@ -32,9 +35,9 @@ class SplitWorker:
         max_grad_norm: float | None = 5.0,
     ) -> None:
         self.worker_id = worker_id
-        self.dataset = dataset
+        self.dataset = as_shard(dataset)
         self.num_classes = num_classes
-        self.loader = BatchLoader(dataset, seed=seed)
+        self.loader = BatchLoader(self.dataset, seed=seed)
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.max_grad_norm = max_grad_norm
@@ -104,15 +107,17 @@ class SplitWorker:
         return data, labels
 
     def draw_batch_indices(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw the next mini-batch as ``(shard_indices, labels)``.
+        """Draw the next mini-batch as ``(rows, labels)``.
 
-        For executors that hold a copy of the (static) shard next to the
-        compute: only the drawn indices need to travel, the sampling RNG
+        ``rows`` index the shard's *source* (``dataset.source.data[rows]``
+        is the mini-batch :meth:`draw_batch` returns), not the shard's own
+        positions.  For executors that gather the samples next to the
+        compute: only the rows need to travel, and the sampling RNG
         advances exactly as in :meth:`draw_batch`.
         """
-        indices = self.loader.next_indices(batch_size)
-        self._pending_batch_size = indices.shape[0]
-        return indices, self.dataset.targets[indices]
+        rows = self.loader.next_indices(batch_size)
+        self._pending_batch_size = rows.shape[0]
+        return rows, self.dataset.source.targets[rows]
 
     def forward_batch(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Run the bottom model on the next local mini-batch.
@@ -212,11 +217,11 @@ def train_local_model(
     """One worker's local full-model training: SGD over ``batches``.
 
     The single local-training loop of the FL path -- a worker runs it on
-    mini-batches drawn from its loader, a process-executor child on slices
-    of its shard copy -- so the arithmetic and the reported loss cannot
-    drift between the two.  ``model`` is left untouched (a private copy is
-    trained); ``batches`` yields ``(data, labels)`` pairs and is consumed
-    lazily, one mini-batch per step.
+    mini-batches drawn from its loader, a process-executor child on the rows
+    it is sent, gathered from the source -- so the arithmetic and the
+    reported loss cannot drift between the two.  ``model`` is left
+    untouched (a private copy is trained); ``batches`` yields ``(data,
+    labels)`` pairs and is consumed lazily, one mini-batch per step.
 
     Returns:
         ``(state, loss)``: the trained copy's state dict and the mean of the

@@ -9,7 +9,7 @@ Dirichlet distribution whose concentration controls the non-IID level
 ``p = 1 / delta``.
 """
 
-from repro.data.dataset import Dataset, TrainTestSplit
+from repro.data.dataset import Dataset, Shard, TrainTestSplit
 from repro.data.synthetic import (
     make_dataset,
     make_har,
@@ -31,6 +31,7 @@ from repro.data.loader import BatchLoader
 
 __all__ = [
     "Dataset",
+    "Shard",
     "TrainTestSplit",
     "make_dataset",
     "make_har",

@@ -49,25 +49,52 @@ class Dataset:
         """Shape of a single input sample."""
         return tuple(self.data.shape[1:])
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        """Return a new dataset restricted to ``indices``.
+    def subset(self, indices: np.ndarray) -> "Shard":
+        """The rows ``indices`` of this dataset, as a :class:`Shard`.
 
-        Its arrays are copies (fancy indexing copies once), so the subset
-        shares no memory with this dataset.
+        No sample is copied: the shard reads this dataset's ``data`` by row.
         """
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and (indices.min() < 0 or indices.max() >= len(self)):
-            raise DataError("subset indices out of range")
-        return Dataset(
-            data=self.data[indices],
-            targets=self.targets[indices],
-            num_classes=self.num_classes,
-            name=self.name,
-        )
+        return Shard(self, indices)
 
     def class_counts(self) -> np.ndarray:
         """Number of samples per class, shape ``(num_classes,)``."""
         return np.bincount(self.targets, minlength=self.num_classes)
+
+
+class Shard:
+    """Some rows of a source :class:`Dataset`: a worker's local data.
+
+    A shard holds the int64 ``rows`` of ``source`` and its own labels
+    (``source.targets[rows]``), 16 bytes a sample, and no sample array:
+    every shard of a training set reads that one array.  Two index spaces
+    meet here.  *Positions* ``0 .. len(shard) - 1`` are the shard's own; a
+    :class:`~repro.data.loader.BatchLoader` shuffles and checkpoints them.
+    *Rows* ``rows[positions]`` index the source, and are what a loader hands
+    out: ``source.data[rows]`` is the mini-batch.
+    """
+
+    def __init__(self, source: Dataset, rows: np.ndarray) -> None:
+        rows = np.array(rows, dtype=np.int64)
+        if rows.size and (rows.min() < 0 or rows.max() >= len(source)):
+            raise DataError("subset indices out of range")
+        self.source = source
+        self.rows = rows
+        self.targets = source.targets[rows]
+
+    def __len__(self) -> int:
+        return int(self.rows.shape[0])
+
+    @property
+    def feature_shape(self) -> tuple[int, ...]:
+        """Shape of a single input sample."""
+        return self.source.feature_shape
+
+
+def as_shard(dataset: Dataset | Shard) -> Shard:
+    """``dataset`` if it is a shard, else every row of it as one."""
+    if isinstance(dataset, Shard):
+        return dataset
+    return dataset.subset(np.arange(len(dataset)))
 
 
 @dataclass

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.dataset import Dataset
+from repro.data.dataset import Dataset, Shard, as_shard
 from repro.utils.rng import get_rng_state, new_rng, set_rng_state
 
 
@@ -16,23 +16,29 @@ class BatchLoader:
     batches with replacement across rounds: it shuffles the shard, walks it
     sequentially, and reshuffles when exhausted.  Batch size may change
     between calls (batch size regulation reconfigures it every round).
+
+    The shuffle order and cursor -- the checkpointed state -- are shard
+    *positions*; every draw hands out the *source rows* at those positions
+    (:class:`~repro.data.dataset.Shard`).  A plain ``Dataset`` is loaded as
+    the shard of all its rows, whose positions and rows coincide.
     """
 
-    def __init__(self, dataset: Dataset, seed: int = 0) -> None:
-        self.dataset = dataset
+    def __init__(self, dataset: Dataset | Shard, seed: int = 0) -> None:
+        self.dataset = as_shard(dataset)
         self._rng = new_rng(seed)
-        self._order = self._rng.permutation(len(dataset))
+        self._order = self._rng.permutation(len(self.dataset))
         self._cursor = 0
 
     def __len__(self) -> int:
         return len(self.dataset)
 
     def next_indices(self, batch_size: int) -> np.ndarray:
-        """Draw the next mini-batch's shard indices without materialising it.
+        """Draw the next mini-batch's source rows without gathering it.
 
-        Used by executors that hold a copy of the shard elsewhere (worker
-        processes): the sampling state advances here, in the checkpointed
-        loader, and only the indices travel.
+        Used by executors that gather the samples elsewhere (stacked
+        kernels, worker processes reading the same source array): the
+        sampling state advances here, in the checkpointed loader, and only
+        the rows travel.
         """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -40,20 +46,23 @@ class BatchLoader:
         stop = self._cursor + size
         if stop <= len(self._order):
             # The whole draw lies inside the current shuffle: one slice.
-            indices = self._order[self._cursor:stop].astype(np.int64)
+            positions = self._order[self._cursor:stop]
             self._cursor = stop
-            return indices
-        # The draw crosses a reshuffle: what is left of the current order,
-        # then the head of the next (``size`` never exceeds one order).
-        tail = self._order[self._cursor:]
-        self._order = self._rng.permutation(len(self.dataset))
-        self._cursor = size - len(tail)
-        return np.concatenate((tail, self._order[:self._cursor]), dtype=np.int64)
+        else:
+            # The draw crosses a reshuffle: what is left of the current
+            # order, then the head of the next (``size`` never exceeds one
+            # order).
+            tail = self._order[self._cursor:]
+            self._order = self._rng.permutation(len(self.dataset))
+            self._cursor = size - len(tail)
+            positions = np.concatenate((tail, self._order[:self._cursor]))
+        return self.dataset.rows[positions]
 
     def next_batch(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Return the next ``(data, targets)`` mini-batch of the given size."""
-        indices = self.next_indices(batch_size)
-        return self.dataset.data[indices], self.dataset.targets[indices]
+        rows = self.next_indices(batch_size)
+        source = self.dataset.source
+        return source.data[rows], source.targets[rows]
 
     def state_dict(self) -> dict:
         """Sampling state (RNG, shuffle order, cursor) for checkpointing."""
@@ -64,21 +73,36 @@ class BatchLoader:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore sampling state captured by :meth:`state_dict`."""
+        """Restore sampling state captured by :meth:`state_dict`.
+
+        The order must be a permutation of the shard's positions and the
+        cursor must lie in ``[0, len(order)]``: anything else would draw
+        short batches or another worker's rows of the shared source.
+        """
+        size = len(self.dataset)
         order = np.asarray(state["order"], dtype=np.int64)
-        if order.shape != self._order.shape:
+        if order.shape != (size,):
             raise ValueError(
-                f"loader order length {order.shape[0]} does not match the "
-                f"dataset size {self._order.shape[0]}"
+                f"loader order length {order.shape[0] if order.ndim else 0} "
+                f"does not match the dataset size {size}"
             )
+        if size and (order.min() < 0 or order.max() >= size
+                     or not np.all(np.bincount(order, minlength=size) == 1)):
+            raise ValueError(
+                f"loader order is not a permutation of the {size} shard positions"
+            )
+        cursor = int(state["cursor"])
+        if not 0 <= cursor <= size:
+            raise ValueError(f"loader cursor {cursor} is outside [0, {size}]")
         set_rng_state(self._rng, state["rng"])
         self._order = order.copy()
-        self._cursor = int(state["cursor"])
+        self._cursor = cursor
 
     def iter_eval_batches(self, batch_size: int):
-        """Iterate once over the dataset in order (for evaluation)."""
+        """Iterate once over the shard in order (for evaluation)."""
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        for start in range(0, len(self.dataset), batch_size):
-            stop = start + batch_size
-            yield self.dataset.data[start:stop], self.dataset.targets[start:stop]
+        source, rows = self.dataset.source, self.dataset.rows
+        for start in range(0, len(rows), batch_size):
+            batch = rows[start:start + batch_size]
+            yield source.data[batch], source.targets[batch]

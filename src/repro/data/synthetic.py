@@ -48,6 +48,10 @@ DATASET_SPECS: dict[str, DatasetSpec] = {
 }
 
 
+#: Samples whose noise is drawn at once while a dataset is generated.
+NOISE_CHUNK = 128
+
+
 def _block_upsample(template: np.ndarray, factor: int) -> np.ndarray:
     """Upsample the trailing spatial axes of ``template`` by block repetition."""
     if template.ndim == 2:  # (channels, length)
@@ -113,7 +117,13 @@ def _class_conditional(
 
     def _sample(count: int) -> tuple[np.ndarray, np.ndarray]:
         labels = rng.integers(0, num_classes, size=count)
-        data = templates[labels] + rng.normal(0.0, noise, size=(count, *feature_shape))
+        # ``templates[labels] + noise`` without a full-size noise temporary:
+        # consecutive draws of the generator are one draw cut in pieces, and
+        # ``t + n == n + t`` bit for bit.
+        data = templates[labels]
+        for start in range(0, count, NOISE_CHUNK):
+            block = data[start:start + NOISE_CHUNK]
+            block += rng.normal(0.0, noise, size=block.shape)
         return data, labels
 
     train_data, train_labels = _sample(train_samples)

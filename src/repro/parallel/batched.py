@@ -104,16 +104,16 @@ def uniform_worker_hyperparams(workers) -> tuple | None:
 
 
 def _gather_batches(workers, drawn, slots) -> np.ndarray:
-    """The drawn mini-batches of ``slots``, copied from the shards into one
+    """The drawn mini-batches of ``slots``, gathered by source row into one
     ``(len(slots), batch, ...)`` array."""
-    data = workers[slots[0]].dataset.data
+    data = workers[slots[0]].dataset.source.data
     stacked = np.empty(
         (len(slots), len(drawn[slots[0]][0]), *data.shape[1:]), dtype=data.dtype
     )
     for position, slot in enumerate(slots):
-        # ``mode="clip"`` only skips ``take``'s bounce buffer: the indices
-        # come from the loader's permutation of this very shard.
-        workers[slot].dataset.data.take(
+        # ``mode="clip"`` only skips ``take``'s bounce buffer: the rows are
+        # the shard's, range-checked against this very source when it was cut.
+        workers[slot].dataset.source.data.take(
             drawn[slot][0], axis=0, out=stacked[position], mode="clip"
         )
     return stacked
@@ -203,7 +203,7 @@ class BatchedExecutor(Executor):
         for depth_round in depth_rounds:
             if depth_round.groups is None:
                 depth_round.build_groups([
-                    (len(drawn[slot][0]), *workers[slot].dataset.data.shape[1:])
+                    (len(drawn[slot][0]), *workers[slot].dataset.feature_shape)
                     for slot in depth_round.slots
                 ])
             for group in depth_round.groups:

@@ -25,9 +25,9 @@ codec     bits/value    semantics
                         accumulators, so dropped mass re-enters later messages
 ========  ============  ========================================================
 
-Codecs only touch floating-point arrays; integer payloads (drawn shard
-indices, worker ids) always pass through raw, as do the dataset shards
-shipped once per pool lifetime.  Which codec applies to which message is
+Codecs only touch floating-point arrays; integer payloads (drawn source
+rows, worker ids) always pass through raw, as does a dataset sent to a
+child once per pool lifetime.  Which codec applies to which message is
 decided per *payload class* -- ``features`` (child -> parent activations),
 ``gradients`` (parent -> child split-layer gradients) and ``weights``
 (collected bottom/full state dicts) -- by a :class:`CodecPolicy` negotiated

@@ -10,19 +10,18 @@ very same serial layer kernels, so the training trajectory is bit-identical
 to the serial executor.
 
 All checkpointed state stays in the parent: mini-batches are drawn from the
-workers' loaders in the parent process, which keeps sampling RNG streams
-out of the children entirely.  Each worker's (static) data shard is shipped
-to its hosting child once per pool lifetime, so per-iteration messages
-carry only the drawn shard *indices* -- 8 bytes per sample instead of the
-sample itself; the child slices its shard copy, which is bit-identical to
-slicing in the parent.  The flip side of that caching is residency: once
-every worker has been selected at least once, the children collectively
-hold a second copy of the training set for the pool's lifetime (mirroring
-a real deployment, where each device stores its own data); ``close()``
-releases it.  A forked child also maps every page resident in the parent,
-so the pool first hands the parent's free heap pages back to the OS
-(:func:`~repro.utils.mp.release_free_heap`): a child starts from the
-parent's live memory, not from whatever the allocator still keeps.
+workers' loaders there, which keeps sampling RNG streams out of the
+children.  A worker's shard is rows of a *source* dataset
+(:class:`~repro.data.dataset.Shard`); messages carry the drawn rows, 8
+bytes a sample, and the child gathers ``source.data[rows]`` itself,
+bit-identical to the parent.  The pool starts its children with the sources
+of its first install's workers as ``Process`` arguments: a forked child
+reads the parent's arrays copy-on-write and never writes them, a spawned one
+unpickles them once.  A source a child lacks -- a worker built on another
+dataset -- is sent to it once with the uncounted ``load_source`` command.
+A forked child maps every page resident in the parent, so the pool first
+returns the parent's free heap to the OS
+(:func:`~repro.utils.mp.release_free_heap`).
 
 Every message is ``(command, payload, wants_reply)``: whether a command is
 acknowledged is data in the message, so the executor speaks two protocols
@@ -34,12 +33,11 @@ every call sends one replying message per child and waits:
     ===============  ==========================================  ============
     call             message                                     reply
     ===============  ==========================================  ============
-    (first install)  ``load_shard`` a worker's shard, once/pool  ack
     install          ``install`` bottom + per-worker specs       ack
-    forward          ``forward`` drawn indices                   features
+    forward          ``forward`` drawn rows                      features
     backward_step    ``backward`` dispatched gradients           ack
     bottom_states    ``states`` worker ids                       state dicts
-    train_full       ``train_full`` model + index sequences      states+losses
+    train_full       ``train_full`` model + row sequences        states+losses
     ===============  ==========================================  ============
 
 An install spec is always ``(lr, momentum, weight_decay, max_grad_norm,
@@ -55,7 +53,7 @@ that block:
     call                  message                               reply
     ====================  ====================================  ============
     install(wait=False)   ``install``, ``wants_reply=False``    --
-    stage_forward         ``stage`` the next batch's indices    --
+    stage_forward         ``stage`` the next batch's rows       --
     launch_forward        ``forward_staged`` worker ids         (queued)
     collect_forward       --                                    features
     backward_step_nowait  ``backward``, ``wants_reply=False``   --
@@ -82,7 +80,6 @@ dirty children so checkpointing never races in-flight work.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import traceback
 from collections import deque
@@ -103,33 +100,36 @@ logger = get_logger("parallel.process")
 DEFAULT_MAX_PROCESSES = 8
 
 #: Payload class of each parent->child command's bulk arrays, for the
-#: transport codec policy.  Untagged commands (staged indices, installs,
-#: shard shipping) always travel raw.
+#: transport codec policy.  Untagged commands (staged rows, installs,
+#: sources) always travel raw.
 _SEND_CLASS = {"backward": GRADIENTS}
 
-#: Commands whose traffic is excluded from the wire-byte counters: shard
-#: shipping happens once per pool lifetime and codec-state exchanges only
-#: at checkpoints, so counting either would make per-round byte deltas
+#: Commands whose traffic is excluded from the wire-byte counters: a source
+#: reaches a child at most once per pool lifetime and codec-state exchanges
+#: only at checkpoints, so counting either would make per-round byte deltas
 #: depend on pool restarts and checkpoint cadence.
-_UNCOUNTED_COMMANDS = frozenset({"load_shard", "codec_load", "codec_state"})
+_UNCOUNTED_COMMANDS = frozenset({"load_source", "codec_load", "codec_state"})
 
 
-def _child_main(connector: ChildConnector) -> None:
-    """Child process loop: host bottom models / run local training on demand."""
+def _child_main(connector: ChildConnector, sources: dict) -> None:
+    """Child process loop: host bottom models / run local training on demand.
+
+    ``sources`` maps a source key to the dataset the parent's shards index;
+    the parent names the key beside every batch of rows it sends.
+    """
     from repro.core.worker import local_training_copy, train_local_model
     from repro.parallel.staleness import InflightQueue
 
     endpoint = connector.connect()
     bottoms: dict[int, dict] = {}
-    #: Worker id -> (data, targets) shard copies; shipped once per pool.
-    shards: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    #: Worker id -> indices of the staged (not yet forwarded) mini-batch.
-    staged: dict[int, np.ndarray] = {}
+    #: Worker id -> ``(source key, rows)`` of the staged (not yet
+    #: forwarded) mini-batch.
+    staged: dict[int, tuple[int, np.ndarray]] = {}
 
     def run_forward(worker_id: int) -> np.ndarray:
         held = bottoms[worker_id]
-        indices = staged.pop(worker_id)
-        data = shards[worker_id][0][indices]
+        key, rows = staged.pop(worker_id)
+        data = sources[key].data[rows]
         # All forwards route through the in-flight queue: with no pending
         # backward this is a plain forward on the hosted model (bit-exact
         # with the blocking path); under asynchronous dispatch a forward that
@@ -177,8 +177,8 @@ def _child_main(connector: ChildConnector) -> None:
                 continue
             try:
                 reply, klass, count = None, None, True
-                if command == "load_shard":
-                    shards.update(payload)
+                if command == "load_source":
+                    sources.update(payload)
                 elif command == "install":
                     run_install(payload)
                 elif command == "forward":
@@ -214,13 +214,13 @@ def _child_main(connector: ChildConnector) -> None:
                     # ``(state, mean training loss)``.
                     model, loss_fn, __, tasks = payload
                     reply = {}
-                    for worker_id, (index_batches, *hyperparams) in tasks.items():
-                        shard_data, shard_targets = shards[worker_id]
+                    for worker_id, (key, row_batches, *hyperparams) in tasks.items():
+                        source = sources[key]
                         reply[worker_id] = train_local_model(
                             model,
                             loss_fn,
-                            ((shard_data[indices], shard_targets[indices])
-                             for indices in index_batches),
+                            ((source.data[rows], source.targets[rows])
+                             for rows in row_batches),
                             *hyperparams,
                         )
                     klass = WEIGHTS
@@ -237,6 +237,20 @@ def _child_main(connector: ChildConnector) -> None:
         endpoint.close()
 
 
+def _sources_of(workers) -> dict:
+    """``{source key: dataset}`` of the datasets ``workers``' shards index."""
+    return {id(worker.dataset.source): worker.dataset.source for worker in workers}
+
+
+def _aligned(replies, workers) -> list:
+    """Per-child ``{worker_id: value}`` replies, as a list aligned with
+    ``workers``."""
+    merged: dict[int, object] = {}
+    for reply in replies:
+        merged.update(reply)
+    return [merged[worker.worker_id] for worker in workers]
+
+
 class _Child:
     """Parent-side handle of one pool process.
 
@@ -248,12 +262,15 @@ class _Child:
     prefix.
     """
 
-    __slots__ = ("process", "endpoint", "noreply_sent", "noreply_acked",
-                 "_request_snapshots", "dead")
+    __slots__ = ("process", "endpoint", "sources", "noreply_sent",
+                 "noreply_acked", "_request_snapshots", "dead")
 
-    def __init__(self, process, endpoint) -> None:
+    def __init__(self, process, endpoint, sources: dict) -> None:
         self.process = process
         self.endpoint = endpoint
+        #: Source key -> dataset the child holds.  The references keep each
+        #: key (the dataset's ``id``) unique for the child's lifetime.
+        self.sources = sources
         self.noreply_sent = 0
         self.noreply_acked = 0
         self._request_snapshots: deque[int] = deque()
@@ -297,10 +314,9 @@ class ProcessExecutor(Executor):
         self._children: list[_Child] | None = None
         self._assignment: dict[int, int] = {}
         #: Sticky worker-to-child homes: chosen least-loaded when a worker
-        #: id is first seen, stable afterwards (the shard lives there).
+        #: id is first seen, stable afterwards (the worker's codec residuals
+        #: live there).
         self._home: dict[int, int] = {}
-        #: Workers whose shard the hosting child already holds.
-        self._shard_shipped: set[int] = set()
         #: Completion queue: reply-bearing asynchronous requests in dispatch
         #: order, each a ``(kind, child indices)`` pair.  Channels are FIFO
         #: per child, so receiving one reply per involved child of the
@@ -338,21 +354,23 @@ class ProcessExecutor(Executor):
             return self._requested
         return max(1, min(os.cpu_count() or 1, DEFAULT_MAX_PROCESSES))
 
-    def _ensure_pool(self) -> list[_Child]:
+    def _ensure_pool(self, workers) -> list[_Child]:
+        """The pool; started, if it is not running, holding ``workers``' sources."""
         if self._children is None:
             context = get_mp_context(self._start_method)
             if context.get_start_method() == "fork":
                 release_free_heap()
+            sources = _sources_of(workers)
             children = []
             for __ in range(self._pool_size()):
                 endpoint, connector = self._transport.pair(context)
                 process = context.Process(
-                    target=_child_main, args=(connector,), daemon=True
+                    target=_child_main, args=(connector, sources), daemon=True
                 )
                 process.start()
                 connector.conn.close()
                 endpoint.peer_check = self._make_peer_check(process)
-                children.append(_Child(process, endpoint))
+                children.append(_Child(process, endpoint, dict(sources)))
             self._children = children
             logger.debug(
                 "started %d executor processes (start method %s, transport %s)",
@@ -400,7 +418,6 @@ class ProcessExecutor(Executor):
         self._children = None
         self._assignment = {}
         self._home.clear()
-        self._shard_shipped.clear()
         self._completions.clear()
         self._staged_labels.clear()
 
@@ -414,23 +431,23 @@ class ProcessExecutor(Executor):
     def _assign(self, workers) -> dict[int, dict]:
         """Distribute the workers over the pool; returns per-child id sets.
 
-        A worker's home child is sticky (its shard is shipped there once)
+        A worker's home child is sticky (its codec residuals live there)
         but chosen least-loaded *within the round that first selects it*:
         already-homed workers are placed first, then each new worker goes
         to the child with the fewest workers in this round -- so fresh
         workers fill children the current selection would otherwise leave
         idle.  A selection consisting solely of workers homed on the same
-        child still serializes there; that is the price of shard residency.
+        child still serializes there.
         """
-        children = self._ensure_pool()
+        children = self._ensure_pool(workers)
         pool_size = len(children)
         self._assignment = {}
-        shards: dict[int, dict] = {index: {} for index in range(pool_size)}
+        placed: dict[int, dict] = {index: {} for index in range(pool_size)}
         loads = [0] * pool_size
 
         def place(worker, child: int) -> None:
             self._assignment[worker.worker_id] = child
-            shards[child][worker.worker_id] = worker
+            placed[child][worker.worker_id] = worker
             loads[child] += 1
 
         fresh = []
@@ -444,20 +461,21 @@ class ProcessExecutor(Executor):
             home = loads.index(min(loads))
             self._home[worker.worker_id] = home
             place(worker, home)
-        return shards
+        return placed
 
-    def _ship_shards(self, shards: dict[int, dict]) -> None:
-        """Send each new worker's shard arrays to its hosting child, once."""
+    def _ship_sources(self, placed: dict[int, dict]) -> None:
+        """Send each child the sources of its workers it does not hold yet
+        (the pool starts with its first install's): once per child and source."""
         messages = {}
-        for index, shard in shards.items():
-            payload = {
-                worker_id: (worker.dataset.data, worker.dataset.targets)
-                for worker_id, worker in shard.items()
-                if worker_id not in self._shard_shipped
+        for index, hosted in placed.items():
+            held = self._children[index].sources
+            missing = {
+                key: source for key, source in _sources_of(hosted.values()).items()
+                if key not in held
             }
-            if payload:
-                messages[index] = ("load_shard", payload)
-                self._shard_shipped.update(payload)
+            if missing:
+                messages[index] = ("load_source", missing)
+                held.update(missing)
         if messages:
             self._broadcast(messages)
 
@@ -469,8 +487,7 @@ class ProcessExecutor(Executor):
         )
 
     def _send(self, index: int, message: tuple, expects_reply: bool) -> None:
-        children = self._ensure_pool()
-        child = children[index]
+        child = self._children[index]
         command = message[0]
         try:
             child.endpoint.send(
@@ -487,8 +504,7 @@ class ProcessExecutor(Executor):
         child.record_send(expects_reply)
 
     def _recv(self, index: int, count: bool = True):
-        children = self._ensure_pool()
-        child = children[index]
+        child = self._children[index]
         try:
             status, payload = child.endpoint.recv(count=count)
         except (EOFError, OSError, TransportError) as error:
@@ -509,13 +525,24 @@ class ProcessExecutor(Executor):
         return {index: self._recv(index) for index in messages}
 
     def _by_child(self, workers, values) -> dict[int, dict[int, object]]:
-        """Group ``{worker_id: value}`` shards by the child hosting each worker."""
-        shards: dict[int, dict[int, object]] = {}
+        """Group ``{worker_id: value}`` by the child hosting each worker."""
+        grouped: dict[int, dict[int, object]] = {}
         for worker, value in zip(workers, values):
-            shards.setdefault(
+            grouped.setdefault(
                 self._assignment[worker.worker_id], {}
             )[worker.worker_id] = value
-        return shards
+        return grouped
+
+    def _draw(self, workers, batch_sizes):
+        """Draw the next mini-batches: per-child ``{worker_id: (source key,
+        rows)}`` payloads and ``{worker_id: labels}``."""
+        drawn = [
+            worker.draw_batch_indices(batch_size)
+            for worker, batch_size in zip(workers, batch_sizes)
+        ]
+        keyed = [(id(w.dataset.source), rows) for w, (rows, __) in zip(workers, drawn)]
+        labels = {w.worker_id: batch for w, (__, batch) in zip(workers, drawn)}
+        return self._by_child(workers, keyed), labels
 
     # -- split training -------------------------------------------------------
     def _consume_abandoned_replies(self, tolerate_death: bool = False) -> None:
@@ -544,7 +571,7 @@ class ProcessExecutor(Executor):
                     if not tolerate_death:
                         raise
 
-    def _ship_codec_state(self, shards: dict[int, dict]) -> None:
+    def _ship_codec_state(self, placed: dict[int, dict]) -> None:
         """Deliver restored codec residuals to the children hosting them.
 
         Residual keys carry the worker id as their second segment, so each
@@ -554,11 +581,11 @@ class ProcessExecutor(Executor):
         if not self._pending_codec:
             return
         messages = {}
-        for index, shard in shards.items():
+        for index, hosted in placed.items():
             payload = {}
             for key in list(self._pending_codec):
                 parts = decode_key(key)
-                if len(parts) > 1 and parts[1] in shard:
+                if len(parts) > 1 and parts[1] in hosted:
                     payload[key] = self._pending_codec.pop(key)
             if payload:
                 messages[index] = ("codec_load", payload)
@@ -566,23 +593,23 @@ class ProcessExecutor(Executor):
             self._broadcast(messages)
 
     def install(self, workers, bottom, learning_rates, depths=None, wait=True) -> None:
-        """Assign workers, ship fresh shards, send one install per child.
+        """Assign workers, send unseen sources, send one install per child.
 
         Every worker's spec is ``(lr, momentum, weight_decay, max_grad_norm,
         depth)`` and the child carves ``bottom.layers[:depth]`` before
         cloning.  One message per child keeps the install atomic there: a
         child resets all its hosted bottoms on every install command, so
-        per-depth-group messages would wipe each other.  Shard shipping
-        (first selection of a worker) always synchronises -- it happens
-        once per pool lifetime -- but with ``wait`` false the install
-        itself is fire-and-forget; errors defer to the next reply.
+        per-depth-group messages would wipe each other.  Sending a source
+        always synchronises -- it happens at most once per child and
+        source -- but with ``wait`` false the install itself is
+        fire-and-forget; errors defer to the next reply.
         """
         if depths is None:
             depths = [len(bottom)] * len(workers)
         self._consume_abandoned_replies()
-        shards = self._assign(workers)
-        self._ship_shards(shards)
-        self._ship_codec_state(shards)
+        placed = self._assign(workers)
+        self._ship_sources(placed)
+        self._ship_codec_state(placed)
         specs = {
             worker.worker_id: (
                 lr, worker.momentum, worker.weight_decay, worker.max_grad_norm,
@@ -593,9 +620,9 @@ class ProcessExecutor(Executor):
         messages = {
             index: (
                 "install",
-                (bottom, {worker_id: specs[worker_id] for worker_id in shard}),
+                (bottom, {worker_id: specs[worker_id] for worker_id in hosted}),
             )
-            for index, shard in shards.items() if shard
+            for index, hosted in placed.items() if hosted
         }
         if wait:
             self._broadcast(messages)
@@ -604,20 +631,12 @@ class ProcessExecutor(Executor):
                 self._send(index, message, expects_reply=False)
 
     def forward(self, workers, batch_sizes):
-        drawn = {
-            worker.worker_id: worker.draw_batch_indices(batch_size)
-            for worker, batch_size in zip(workers, batch_sizes)
-        }
-        by_child = self._by_child(workers, [drawn[w.worker_id][0] for w in workers])
+        by_child, labels = self._draw(workers, batch_sizes)
         replies = self._broadcast(
-            {index: ("forward", shard) for index, shard in by_child.items()}
+            {index: ("forward", rows) for index, rows in by_child.items()}
         )
-        features_of: dict[int, np.ndarray] = {}
-        for payload in replies.values():
-            features_of.update(payload)
-        features = [features_of[worker.worker_id] for worker in workers]
-        labels = [drawn[worker.worker_id][1] for worker in workers]
-        return features, labels
+        features = _aligned(replies.values(), workers)
+        return features, [labels[worker.worker_id] for worker in workers]
 
     def backward_step(self, workers, gradients) -> None:
         self._broadcast({
@@ -631,22 +650,15 @@ class ProcessExecutor(Executor):
 
     # -- asynchronous dispatch (see repro.parallel.pipeline) ------------------
     def stage_forward(self, workers, batch_sizes) -> None:
-        """Draw and ship the next iteration's mini-batch indices (no reply).
+        """Draw and ship the next iteration's mini-batch rows (no reply).
 
         The draw happens in the parent (sampling state stays checkpointable)
         and the transfer overlaps whatever the children are computing.
         """
-        drawn = {
-            worker.worker_id: worker.draw_batch_indices(batch_size)
-            for worker, batch_size in zip(workers, batch_sizes)
-        }
-        self._staged_labels.append(
-            {wid: labels for wid, (__, labels) in drawn.items()}
-        )
-        for index, shard in self._by_child(
-            workers, [drawn[w.worker_id][0] for w in workers]
-        ).items():
-            self._send(index, ("stage", shard), expects_reply=False)
+        by_child, labels = self._draw(workers, batch_sizes)
+        self._staged_labels.append(labels)
+        for index, rows in by_child.items():
+            self._send(index, ("stage", rows), expects_reply=False)
 
     def launch_forward(self, workers) -> None:
         """Start the bottom forward on staged data; reply collected later.
@@ -674,13 +686,9 @@ class ProcessExecutor(Executor):
         # queued would make install()'s recovery drain block on replies
         # that will never come.
         self._completions.popleft()
-        features_of: dict[int, np.ndarray] = {}
-        for index in indices:
-            features_of.update(self._recv(index))
-        labels_of = self._staged_labels.popleft()
-        features = [features_of[worker.worker_id] for worker in workers]
-        labels = [labels_of[worker.worker_id] for worker in workers]
-        return features, labels
+        features = _aligned((self._recv(index) for index in indices), workers)
+        labels = self._staged_labels.popleft()
+        return features, [labels[worker.worker_id] for worker in workers]
 
     def backward_step_nowait(self, workers, gradients) -> None:
         """Dispatch gradients without waiting for the acknowledgement."""
@@ -709,10 +717,7 @@ class ProcessExecutor(Executor):
         if kind != "states":  # pragma: no cover - scheduler orders collects
             raise RuntimeError(f"oldest in-flight request is {kind!r}, not states")
         self._completions.popleft()
-        states_of: dict[int, dict] = {}
-        for index in indices:
-            states_of.update(self._recv(index))
-        return [states_of[worker.worker_id] for worker in workers]
+        return _aligned((self._recv(index) for index in indices), workers)
 
     def drain(self) -> None:
         """Wait until every child has processed all in-flight commands.
@@ -742,7 +747,7 @@ class ProcessExecutor(Executor):
 
         Sums both directions over every channel of the pool, including
         channels already retired by a pool restart, so engines can take
-        per-round deltas.  One-time shard shipping and checkpoint codec
+        per-round deltas.  Sources sent to a child and checkpoint codec
         exchanges are excluded (see ``_UNCOUNTED_COMMANDS``), which keeps
         the deltas identical across pool sizes, transports and
         checkpoint/resume.
@@ -805,29 +810,22 @@ class ProcessExecutor(Executor):
 
     # -- full-model (FL) training ---------------------------------------------
     def train_full(self, workers, model, loss_fn, iterations, batch_size, learning_rate):
-        shards = self._assign(workers)
-        self._ship_shards(shards)
+        placed = self._assign(workers)
+        self._ship_sources(placed)
         messages = {}
-        for index, shard in shards.items():
-            if not shard:
+        for index, hosted in placed.items():
+            if not hosted:
                 continue
-            tasks = {}
-            for worker_id, worker in shard.items():
-                index_batches = [
-                    worker.loader.next_indices(batch_size)
-                    for __ in range(iterations)
-                ]
-                tasks[worker_id] = (
-                    index_batches,
-                    learning_rate,
-                    worker.momentum,
-                    worker.weight_decay,
+            tasks = {
+                worker_id: (
+                    id(worker.dataset.source),
+                    [worker.loader.next_indices(batch_size)
+                     for __ in range(iterations)],
+                    learning_rate, worker.momentum, worker.weight_decay,
                     worker.max_grad_norm,
                 )
+                for worker_id, worker in hosted.items()
+            }
             messages[index] = ("train_full", (model, loss_fn, iterations, tasks))
-        replies = self._broadcast(messages)
-        trained_of: dict[int, tuple[dict, float]] = {}
-        for payload in replies.values():
-            trained_of.update(payload)
-        trained = [trained_of[worker.worker_id] for worker in workers]
+        trained = _aligned(self._broadcast(messages).values(), workers)
         return [state for state, __ in trained], [loss for __, loss in trained]

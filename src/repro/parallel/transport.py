@@ -386,7 +386,7 @@ class Endpoint:
 
     Every endpoint tallies ``bytes_on_wire`` / ``logical_bytes`` over the
     array payloads it sends *and* receives (``count=False`` exempts
-    one-time traffic such as shard shipping, keeping per-round deltas
+    one-time traffic such as sending a dataset, keeping per-round deltas
     comparable across pool restarts).  Pickle framing overhead of the
     control messages is not counted on either transport.
     """

@@ -15,7 +15,7 @@ WORKER_SEED_OFFSET = 1000
 class Materializer:
     """Rebuilds a live :class:`SplitWorker` from its registry row.
 
-    Construction mirrors the eager path exactly -- same dataset subset,
+    Construction mirrors the eager path exactly -- same shard rows,
     same ``seed + 1000 + worker_id`` RNG stream, same optimiser
     hyper-parameters -- then restores the row's mutable state (participation
     count and, when the worker has trained before, its sampling state).

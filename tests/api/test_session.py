@@ -323,6 +323,64 @@ class TestDamagedCheckpoint:
                 session.load_state_dict(payload)
 
 
+class TestDamagedLoaderState:
+    """A worker's sampling state whose order is not a permutation of its
+    shard positions, or whose cursor lies outside the order, fails with a
+    ``ValueError`` naming what is wrong: positions index rows of the one
+    shared training array, so a bad one would draw another worker's rows."""
+
+    @staticmethod
+    def _loader():
+        from repro.data.loader import BatchLoader
+        from repro.data.synthetic import make_blobs
+
+        source = make_blobs(train_samples=40, test_samples=4, seed=1).train
+        return BatchLoader(source.subset(np.arange(3, 13)), seed=2)
+
+    @pytest.mark.parametrize("order,match", [
+        ([0, 1, 2, 3, 4, 5, 6, 7, 8, 8], "not a permutation"),
+        ([0, 1, 2, 3, 4, 5, 6, 7, 8, 10], "not a permutation"),
+        ([-1, 1, 2, 3, 4, 5, 6, 7, 8, 9], "not a permutation"),
+        ([0, 1, 2], "does not match the dataset size 10"),
+    ], ids=["repeated", "past-the-end", "negative", "short"])
+    def test_bad_order(self, order, match):
+        loader = self._loader()
+        state = dict(loader.state_dict(), order=np.asarray(order))
+        with pytest.raises(ValueError, match=match):
+            loader.load_state_dict(state)
+
+    @pytest.mark.parametrize("cursor", [-1, 11])
+    def test_cursor_outside_the_order(self, cursor):
+        loader = self._loader()
+        with pytest.raises(ValueError, match=rf"cursor {cursor} is outside \[0, 10\]"):
+            loader.load_state_dict(dict(loader.state_dict(), cursor=cursor))
+
+    @pytest.mark.parametrize("cursor", [0, 10])
+    def test_cursor_at_either_end_is_accepted(self, cursor):
+        loader = self._loader()
+        loader.load_state_dict(dict(loader.state_dict(), cursor=cursor))
+        assert loader.next_indices(4).shape == (4,)
+
+    def test_a_checkpoint_with_a_damaged_order_does_not_resume(self, tmp_path):
+        from repro.api.checkpoint import dump_checkpoint, load_checkpoint_payload
+        from repro.config import ExperimentConfig
+
+        config = ExperimentConfig(
+            dataset="blobs", model="mlp", num_workers=3, num_rounds=2,
+            local_iterations=2, train_samples=90, test_samples=20, seed=2,
+        )
+        path = tmp_path / "one_round.ckpt.json"
+        with Session.from_config(config) as session:
+            session.run(1)
+            session.save_checkpoint(path)
+        payload = load_checkpoint_payload(path)
+        order = payload["algorithm"]["workers"][1]["loader"]["order"]
+        order[0] = order[1]
+        dump_checkpoint(payload, path)
+        with pytest.raises(ValueError, match="not a permutation"):
+            Session.load_checkpoint(path)
+
+
 class TestModuleExtraState:
     def test_dropout_rng_roundtrip(self):
         from repro.nn.layers.regularization import Dropout

@@ -1,11 +1,15 @@
 """Tests for the synthetic dataset generators."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.api.registry import DATASETS
+from repro.data import synthetic
 from repro.data.synthetic import (
     DATASET_SPECS,
+    NOISE_CHUNK,
     make_blobs,
     make_cifar10,
     make_dataset,
@@ -72,3 +76,48 @@ class TestGenerators:
     def test_unknown_dataset_raises(self):
         with pytest.raises(ConfigurationError):
             make_dataset("mnist")
+
+
+def _one_shot(feature_shape, num_classes, train_samples, test_samples, noise,
+              signal, rng, name, smooth=True):
+    """The reference formula: each split is ``templates[labels]`` plus one
+    full-size noise draw."""
+    if smooth:
+        templates = synthetic._make_templates(feature_shape, num_classes, rng)
+    else:
+        templates = rng.normal(0.0, 1.0, size=(num_classes, *feature_shape))
+    templates = templates * signal
+
+    def sample(count):
+        labels = rng.integers(0, num_classes, size=count)
+        noise_draw = rng.normal(0.0, noise, size=(count, *feature_shape))
+        return templates[labels] + noise_draw, labels
+
+    return sample(train_samples), sample(test_samples)
+
+
+class TestChunkedNoise:
+    """The generator adds its noise chunk by chunk into the templates it
+    gathered; that is the one-shot formula bit for bit, with the RNG left
+    in the same state."""
+
+    @pytest.mark.parametrize(
+        "train_samples", [1, NOISE_CHUNK - 1, NOISE_CHUNK, NOISE_CHUNK + 1, 1280]
+    )
+    @pytest.mark.parametrize("name", sorted(DATASETS.names()))
+    def test_bit_equal_to_the_one_shot_formula(self, monkeypatch, name, train_samples):
+        generate = synthetic._class_conditional
+        calls = []
+        monkeypatch.setattr(
+            synthetic, "_class_conditional",
+            lambda *args, **kwargs: calls.append((args, kwargs)),
+        )
+        make_dataset(name, train_samples=train_samples, test_samples=3, seed=11)
+        (args, kwargs), = calls
+        reference_rng = copy.deepcopy(kwargs["rng"])
+        split = generate(*args, **kwargs)
+        expected = _one_shot(*args, **{**kwargs, "rng": reference_rng})
+        for dataset, (data, labels) in zip((split.train, split.test), expected):
+            assert dataset.data.tobytes() == data.tobytes()
+            assert np.array_equal(dataset.targets, labels)
+        assert kwargs["rng"].bit_generator.state == reference_rng.bit_generator.state

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.worker import SplitWorker
+from repro.data.dataset import Dataset
 from repro.data.synthetic import make_blobs
 from repro.nn.layers import Linear, ReLU
 from repro.nn.losses import CrossEntropyLoss
@@ -61,107 +62,123 @@ def _install_spec(worker_ids, lr=0.1, depth=2):
     return {wid: (lr, 0.0, 0.0, None, depth) for wid in worker_ids}
 
 
-def _drive(script: list) -> _ScriptedEndpoint:
-    """Run the child loop over ``(command, payload[, wants_reply])`` messages;
-    the reply flag defaults to true."""
+def _drive(script: list, sources: dict | None = None) -> _ScriptedEndpoint:
+    """Run the child loop over ``(command, payload[, wants_reply])`` messages,
+    holding ``sources`` as a pool child inherits them; the reply flag
+    defaults to true."""
     endpoint = _ScriptedEndpoint(
         [message if len(message) == 3 else (*message, True) for message in script]
     )
-    _child_main(_ScriptedConnector(endpoint))
+    _child_main(_ScriptedConnector(endpoint), {} if sources is None else sources)
     assert endpoint.closed
     return endpoint
 
 
-def _shard(num_samples=16, features=32, classes=3, seed=0):
+def _source(num_samples=16, features=32, classes=3, seed=0) -> Dataset:
     rng = np.random.default_rng(seed)
-    return (
+    return Dataset(
         rng.normal(size=(num_samples, features)),
         rng.integers(0, classes, size=num_samples),
+        classes,
     )
+
+
+def _rows(*values, key=0) -> tuple[int, np.ndarray]:
+    """A drawn mini-batch as the parent sends it: ``(source key, rows)``."""
+    return key, np.asarray(values, dtype=np.int64)
 
 
 class TestChildLoop:
     def test_install_forward_backward_states_cycle(self):
         endpoint = _drive([
-            ("load_shard", {0: _shard()}),
             ("install", (_bottom(), _install_spec([0]))),
-            ("forward", {0: np.arange(8, dtype=np.int64)}),
+            ("forward", {0: _rows(*range(8))}),
             ("backward", {0: 0.1 * np.ones((8, 16))}),
             ("states", [0]),
             ("close", None),
-        ])
+        ], sources={0: _source()})
         statuses = [status for status, __ in endpoint.replies]
-        assert statuses == ["ok", "ok", "ok", "ok", "ok"]
-        features = endpoint.replies[2][1][0]
+        assert statuses == ["ok", "ok", "ok", "ok"]
+        features = endpoint.replies[1][1][0]
         assert features.shape == (8, 16)
-        states = endpoint.replies[4][1][0]
+        states = endpoint.replies[3][1][0]
         assert set(states) == {"layer0.weight", "layer0.bias"}
 
     def test_forward_slices_the_held_shard(self):
-        """The child's forward on shipped indices equals forwarding the
-        parent-side slice of the same shard."""
-        shard = _shard(seed=7)
-        indices = np.asarray([3, 1, 4, 1], dtype=np.int64)
+        """The child's forward on sent rows equals forwarding the
+        parent-side gather of the same rows of the source."""
+        source = _source(seed=7)
+        key, rows = _rows(3, 1, 4, 1)
         bottom = _bottom()
         endpoint = _drive([
-            ("load_shard", {0: shard}),
             ("install", (bottom, _install_spec([0]))),
-            ("forward", {0: indices}),
+            ("forward", {0: (key, rows)}),
             ("close", None),
-        ])
-        expected = bottom.clone().train().forward(shard[0][indices])
+        ], sources={key: source})
+        expected = bottom.clone().train().forward(source.data[rows])
+        assert np.array_equal(endpoint.replies[1][1][0], expected)
+
+    def test_load_source_adds_a_source_the_child_did_not_inherit(self):
+        source = _source(seed=3)
+        key, rows = _rows(2, 0, 5, key=9)
+        bottom = _bottom()
+        endpoint = _drive([
+            ("load_source", {key: source}),
+            ("install", (bottom, _install_spec([0]))),
+            ("forward", {0: (key, rows)}),
+            ("close", None),
+        ], sources={0: _source()})
+        assert [status for status, __ in endpoint.replies] == ["ok", "ok", "ok"]
+        expected = bottom.clone().train().forward(source.data[rows])
         assert np.array_equal(endpoint.replies[2][1][0], expected)
 
     def test_install_carves_the_prefix_at_the_spec_depth(self):
         """A spec depth above the tail hosts ``bottom.layers[:depth]`` only."""
-        shard = _shard(seed=7)
-        indices = np.asarray([3, 1, 4, 1], dtype=np.int64)
+        source = _source(seed=7)
+        key, rows = _rows(3, 1, 4, 1)
         bottom = Sequential([*_bottom().layers, Linear(16, 4, rng=new_rng(2))])
         endpoint = _drive([
-            ("load_shard", {0: shard, 1: shard}),
             ("install", (bottom, {**_install_spec([0]), **_install_spec([1], depth=3)})),
-            ("forward", {0: indices, 1: indices}),
+            ("forward", {0: (key, rows), 1: (key, rows)}),
             ("states", [0, 1]),
             ("close", None),
-        ])
-        features, states = endpoint.replies[2][1], endpoint.replies[3][1]
+        ], sources={key: source})
+        features, states = endpoint.replies[1][1], endpoint.replies[2][1]
         for worker_id, depth in ((0, 2), (1, 3)):
             prefix = Sequential(bottom.layers[:depth]).clone().train()
             assert np.array_equal(
-                features[worker_id], prefix.forward(shard[0][indices])
+                features[worker_id], prefix.forward(source.data[rows])
             )
             assert sorted(states[worker_id]) == sorted(prefix.state_dict())
 
     def test_staged_asynchronous_cycle(self):
-        idx = lambda *values: np.asarray(values, dtype=np.int64)  # noqa: E731
         zeros = {0: np.zeros((4, 16)), 1: np.zeros((4, 16))}
         endpoint = _drive([
-            ("load_shard", {0: _shard(), 1: _shard(seed=1)}),
             ("install", (_bottom(), _install_spec([0, 1])), False),
-            ("stage", {0: idx(0, 1, 2, 3), 1: idx(4, 5, 6, 7)}, False),
+            ("stage", {0: _rows(0, 1, 2, 3), 1: _rows(4, 5, 6, 7, key=1)}, False),
             ("forward_staged", [0, 1]),
             ("backward", zeros, False),
-            ("stage", {0: idx(8, 9, 10, 11), 1: idx(12, 13, 14, 15)}, False),
+            ("stage", {0: _rows(8, 9, 10, 11), 1: _rows(12, 13, 14, 15, key=1)},
+             False),
             ("forward_staged", [0, 1]),
             ("backward", zeros, False),
             ("ping", None),
             ("close", None),
-        ])
+        ], sources={0: _source(), 1: _source(seed=1)})
         statuses = [status for status, __ in endpoint.replies]
         # install, stage and backward were sent without wants_reply: only
-        # load_shard, the two forwards and the ping answer.
-        assert statuses == ["ok", "ok", "ok", "ok"]
-        assert set(endpoint.replies[1][1]) == {0, 1}   # first forward's features
-        assert set(endpoint.replies[2][1]) == {0, 1}   # second forward's features
+        # the two forwards and the ping answer.
+        assert statuses == ["ok", "ok", "ok"]
+        assert set(endpoint.replies[0][1]) == {0, 1}   # first forward's features
+        assert set(endpoint.replies[1][1]) == {0, 1}   # second forward's features
 
     def test_gradient_batch_mismatch_reported(self):
         endpoint = _drive([
-            ("load_shard", {0: _shard()}),
             ("install", (_bottom(), _install_spec([0]))),
-            ("forward", {0: np.arange(8, dtype=np.int64)}),
+            ("forward", {0: _rows(*range(8))}),
             ("backward", {0: np.zeros((3, 16))}),
             ("close", None),
-        ])
+        ], sources={0: _source()})
         status, payload = endpoint.replies[-1]
         assert status == "error"
         assert "does not match the pending forward batch" in payload
@@ -179,11 +196,10 @@ class TestChildLoop:
             np.asarray([4, 5, 6, 7], dtype=np.int64),
         ]
         endpoint = _drive([
-            ("load_shard", {5: _shard(num_samples=8, features=8)}),
             ("train_full", (model, CrossEntropyLoss(), 2,
-                            {5: (index_batches, 0.05, 0.0, 0.0, None)})),
+                            {5: (0, index_batches, 0.05, 0.0, 0.0, None)})),
             ("close", None),
-        ])
+        ], sources={0: _source(num_samples=8, features=8)})
         status, trained = endpoint.replies[-1]
         assert status == "ok"
         # One reply carries the worker's state and its mean training loss.
@@ -197,29 +213,27 @@ class TestChildLoop:
         """A failing fire-and-forget command must not emit an unpaired reply;
         its error surfaces in the next replying command's slot."""
         endpoint = _drive([
-            ("load_shard", {0: _shard()}),
             ("install", (_bottom(), _install_spec([0]))),
-            ("forward", {0: np.arange(8, dtype=np.int64)}),
+            ("forward", {0: _rows(*range(8))}),
             ("backward", {0: np.zeros((3, 16))}, False),  # wrong batch: fails
             ("ping", None),
             ("states", [0]),
             ("close", None),
-        ])
+        ], sources={0: _source()})
         statuses = [status for status, __ in endpoint.replies]
         # Exactly one reply per replying command: the ping slot carries the
         # deferred error, and states still answers afterwards.
-        assert statuses == ["ok", "ok", "ok", "error", "ok"]
-        assert "does not match the pending forward batch" in endpoint.replies[3][1]
+        assert statuses == ["ok", "ok", "error", "ok"]
+        assert "does not match the pending forward batch" in endpoint.replies[2][1]
 
     def test_install_resets_staged_data(self):
         endpoint = _drive([
-            ("load_shard", {0: _shard()}),
             ("install", (_bottom(), _install_spec([0]))),
-            ("stage", {0: np.arange(4, dtype=np.int64)}, False),
+            ("stage", {0: _rows(0, 1, 2, 3)}, False),
             ("install", (_bottom(), _install_spec([0]))),
-            ("forward_staged", [0]),   # staged indices were dropped -> error
+            ("forward_staged", [0]),   # staged rows were dropped -> error
             ("close", None),
-        ])
+        ], sources={0: _source()})
         status, payload = endpoint.replies[-1]
         assert status == "error"
         assert "KeyError" in payload
