@@ -40,6 +40,7 @@ Transports are registered in :data:`repro.api.registry.TRANSPORTS`
 from __future__ import annotations
 
 import abc
+import mmap
 import struct
 import time
 from dataclasses import dataclass
@@ -86,6 +87,9 @@ class RingBuffer:
     counter gets its own cache line (and the data region starts on a
     third), so the producer's head stores, the consumer's tail stores and
     the payload copies never false-share a line across the two processes.
+
+    Both ends map every page of the block when they open it
+    (:meth:`_map_pages`), not when the traffic first reaches it.
     """
 
     _COUNTERS = 128
@@ -112,7 +116,9 @@ class RingBuffer:
             create=True, size=cls._COUNTERS + capacity
         )
         shm.buf[: cls._COUNTERS] = bytes(cls._COUNTERS)
-        return cls(shm, capacity)
+        ring = cls(shm, capacity)
+        ring._map_pages(write=True)
+        return ring
 
     @classmethod
     def attach(cls, name: str, capacity: int) -> "RingBuffer":
@@ -140,7 +146,28 @@ class RingBuffer:
                 shm = shared_memory.SharedMemory(name=name)
             finally:
                 resource_tracker.register = original
-        return cls(shm, capacity)
+        ring = cls(shm, capacity)
+        ring._map_pages(write=False)
+        return ring
+
+    def _map_pages(self, write: bool) -> None:
+        """Touch one byte of every page of the block, mapping it in now.
+
+        A shared-memory page is allocated the first time any process
+        touches it, and mapped into each process the first time that one
+        does.  Left to the traffic, that would happen a few hundred pages a
+        round until the head first wraps -- tens of rounds for a 16 MiB
+        ring -- and the early rounds would pay page faults the later ones
+        do not.  The
+        creator writes the (already zero) byte, which allocates the page;
+        the attaching peer only reads, since the producer may already have
+        written frames.
+        """
+        pages = np.frombuffer(self._shm.buf, dtype=np.uint8)[::mmap.PAGESIZE]
+        if write:
+            pages[:] = 0
+        else:
+            pages.max()
 
     @property
     def name(self) -> str:

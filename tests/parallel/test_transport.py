@@ -27,6 +27,19 @@ def ring():
     buffer.close(unlink=True)
 
 
+def _shmem_resident_kib() -> int | None:
+    """Shared-memory pages mapped into this process (KiB), where Linux
+    reports them."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("RssShmem:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
 def _loopback(capacity: int = 1 << 16) -> tuple[Endpoint, Endpoint]:
     """Parent and child endpoints of one shm channel, both in-process."""
     transport = SharedMemoryTransport(capacity=capacity)
@@ -91,6 +104,30 @@ class TestRingBuffer:
             assert attached.read(6).tobytes() == b"shared"
         finally:
             attached.close()
+
+    @pytest.mark.skipif(
+        _shmem_resident_kib() is None, reason="needs Linux /proc/self/status"
+    )
+    def test_both_ends_map_every_page_when_opened(self):
+        """A ring is resident in the creator and in a peer from the moment
+        each opens it, so no round pays for pages the traffic reaches late;
+        the peer's pass only reads, leaving frames already written intact."""
+        capacity = 4 << 20
+        before = _shmem_resident_kib()
+        ring = RingBuffer.create(capacity)
+        try:
+            assert _shmem_resident_kib() - before >= capacity // 1024
+            ring.write(np.frombuffer(b"early", dtype=np.uint8))
+            created = _shmem_resident_kib()
+            attached = RingBuffer.attach(ring.name, capacity)
+            try:
+                assert _shmem_resident_kib() - created >= capacity // 1024
+                assert attached.free() == capacity - 5
+                assert attached.read(5).tobytes() == b"early"
+            finally:
+                attached.close()
+        finally:
+            ring.close(unlink=True)
 
 
 class TestSharedMemoryEndpoint:
