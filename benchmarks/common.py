@@ -23,13 +23,8 @@ each other through a shared dict):
 * ``BENCH_TRANSPORT=pipe|shm`` -- select the process executor's feature
   transport (see :mod:`repro.parallel.transport`); ignored by in-process
   executors.
-* ``BENCH_PIPELINE=sync|pipelined|staleness`` -- select the round scheduler
-  (see :mod:`repro.parallel.pipeline`).  Also bit-exact (``staleness``
-  without a bound behaves as staleness 0).
-* ``BENCH_STALENESS=s`` -- run under the bounded-staleness scheduler with
-  bound ``s`` (implies ``BENCH_PIPELINE=staleness`` unless one is set
-  explicitly).  ``s >= 1`` is the one knob that is *not* bit-exact: it is
-  the measured relaxation, deterministic but a different trajectory.
+* ``BENCH_PIPELINE=sync|pipelined`` -- select the round scheduler (see
+  :mod:`repro.parallel.pipeline`).  Also bit-exact.
 * ``BENCH_N_JOBS=k`` -- run the trials of study-backed benchmarks in ``k``
   parallel worker processes (see :mod:`repro.study`).  Bit-exact as well:
   trial-level parallelism only reorders wall-clock, never results.
@@ -41,7 +36,7 @@ each other through a shared dict):
   (see :mod:`repro.parallel.codec`) compressing features and gradients on
   the wire.  Only meaningful with ``BENCH_EXECUTOR=process`` (in-process
   executors have no wire).  ``none`` is bit-exact; the lossy codecs are
-  deterministic but measured relaxations, like ``BENCH_STALENESS``.
+  deterministic but measured relaxations.
 * ``BENCH_SPLITPOINT=uniform|profile|adaptive`` -- select the per-worker
   split-point policy (see :mod:`repro.splitpoint`).  ``uniform`` is the
   bit-exact global-cut anchor; ``profile`` and ``adaptive`` assign
@@ -58,7 +53,7 @@ each other through a shared dict):
   paper's 100/200/400-worker axis) instead of the scaled-down default.
 * ``BENCH_CHURN=rate`` -- run every benchmark under elastic rounds (see
   :mod:`repro.core.elastic`) with that per-round dropout probability and
-  over-selection 1.25.  Like ``BENCH_STALENESS``, this is a measured
+  over-selection 1.25.  Like the lossy codecs, this is a measured
   relaxation: deterministic for a fixed seed, but a different trajectory
   than the exact synchronous runs (``BENCH_CHURN=0`` keeps elasticity on
   with zero churn, which *is* bit-exact).
@@ -110,11 +105,6 @@ def bench_n_jobs() -> int:
     return int(os.environ.get("BENCH_N_JOBS") or "1")
 
 
-def bench_staleness() -> int:
-    """Staleness bound requested through ``BENCH_STALENESS`` (0 = exact)."""
-    return int(os.environ.get("BENCH_STALENESS") or "0")
-
-
 def bench_preset() -> str | None:
     """Preset study name requested through ``BENCH_PRESET`` (or ``None``)."""
     return os.environ.get("BENCH_PRESET") or None
@@ -152,12 +142,6 @@ def bench_overrides() -> dict:
         value = os.environ.get(env)
         if value:
             overrides[key] = value
-    staleness = bench_staleness()
-    if staleness:
-        overrides["staleness"] = staleness
-        # An explicit BENCH_PIPELINE wins; otherwise a bound implies the
-        # staleness scheduler (a bound under sync/pipelined is inert).
-        overrides.setdefault("pipeline", "staleness")
     churn = bench_churn_rate()
     if churn is not None:
         overrides["elastic"] = True

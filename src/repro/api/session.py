@@ -202,13 +202,12 @@ class Session:
     def state_dict(self) -> dict:
         """Configuration plus full mutable algorithm state.
 
-        Drains the algorithm first: a pipelined or bounded-staleness round
-        (see :mod:`repro.parallel.pipeline`) may have asynchronously
-        dispatched work still in flight on the executor, and the capture
-        must not race it.  Cross-round artifacts that survive the drain --
-        the scheduler's prefetched next-round plan -- are
-        *serialized* by the engine's ``state_dict`` instead, so resume is
-        exact at any staleness.
+        Drains the algorithm first: a pipelined round (see
+        :mod:`repro.parallel.pipeline`) may have asynchronously dispatched
+        work still in flight on the executor, and the capture must not race
+        it.  Cross-round artifacts that survive the drain -- the
+        scheduler's prefetched next-round plan -- are *serialized* by the
+        engine's ``state_dict`` instead, so resume is exact.
         """
         self.algorithm.drain()
         return {

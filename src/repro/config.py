@@ -142,33 +142,23 @@ class ExperimentConfig:
     #: the default ``"auto"`` lets the code pick: it is resolved once, when
     #: the components are built, to ``"batched"`` (every worker stacked into
     #: one numpy kernel per layer) when every layer of the model has a
-    #: stacked kernel (the dense layers) and the pipeline is not
-    #: ``"staleness"``, and to ``"serial"`` (the per-worker reference)
-    #: otherwise -- exactly where a forced ``"batched"`` would fall back; see
+    #: stacked kernel (the dense layers), and to ``"serial"`` (the
+    #: per-worker reference) otherwise -- exactly where a forced
+    #: ``"batched"`` would fall back; see
     #: :func:`repro.parallel.resolve_executor`.  Naming a backend --
     #: ``"serial"``, ``"batched"`` or ``"process"`` (multiprocessing pool) --
     #: forces it and is never re-resolved: force ``"process"`` for conv
     #: models on a multi-core host, ``"serial"`` to run the reference.
     executor: str = AUTO_EXECUTOR
-    #: How the stages of each round are scheduled -- three constructions
-    #: of the one scheduler in :mod:`repro.parallel.pipeline`: ``"sync"``
-    #: (the blocking reference order), ``"pipelined"`` (the order derived
-    #: from the round's artifact graph, dispatched asynchronously on
-    #: executors that support it: fewer blocking points, and the round's
-    #: accounting plus the next round's plan overlap the executor's tail
-    #: compute) or ``"staleness"`` (that graph order under the
-    #: ``staleness`` bound below).  ``sync`` and ``pipelined`` are
-    #: bit-exact with each other; ``staleness`` is bit-exact at
-    #: ``staleness=0`` and a measured relaxation otherwise.  Executors
-    #: without asynchronous dispatch run the blocking order under every
-    #: name.
+    #: Where the parent waits in each round -- two constructions of the
+    #: one scheduler in :mod:`repro.parallel.pipeline`: ``"sync"`` (every
+    #: install and backward acknowledged) or ``"pipelined"`` (the aggregate
+    #: window on executors that support it: fewer blocking points, and the
+    #: round's accounting plus the next round's plan overlap the
+    #: executor's tail compute).  The two are bit-exact with each other;
+    #: executors without asynchronous dispatch run the blocking order
+    #: under both names.
     pipeline: str = "sync"
-    #: Staleness bound of ``pipeline="staleness"``: how many local updates
-    #: a bottom forward may lag behind the strict schedule.  ``0`` is the
-    #: ``"pipelined"`` schedule; ``>= 1`` relaxes the forward/backward
-    #: dependency (deterministic, executor-independent, but a different --
-    #: measured -- trajectory).  Ignored under the other two names.
-    staleness: int = 0
     #: How feature/gradient/mini-batch arrays cross the process executor's
     #: process boundary: ``"pipe"`` (pickle over a pipe) or ``"shm"``
     #: (shared-memory ring buffers, headers only over the pipe); see
@@ -245,6 +235,11 @@ class ExperimentConfig:
             raise ConfigurationError(MODELS.unknown_message(self.model))
         if self.executor != AUTO_EXECUTOR and self.executor not in EXECUTORS:
             raise ConfigurationError(EXECUTORS.unknown_message(self.executor))
+        if self.pipeline == "staleness":
+            raise ConfigurationError(
+                "pipeline 'staleness' (bounded staleness) was removed; "
+                "'pipelined' runs its exact schedule"
+            )
         if self.pipeline not in PIPELINES:
             raise ConfigurationError(PIPELINES.unknown_message(self.pipeline))
         if self.transport not in TRANSPORTS:
@@ -315,10 +310,6 @@ class ExperimentConfig:
                 f"max_batch_size ({self.max_batch_size}) must be >= "
                 f"base_batch_size ({self.base_batch_size}): the regulated "
                 f"range [base, max] would be empty"
-            )
-        if self.staleness < 0 or self.staleness != int(self.staleness):
-            raise ConfigurationError(
-                f"staleness must be a non-negative integer, got {self.staleness}"
             )
         if self.momentum < 0:
             raise ConfigurationError(
@@ -498,7 +489,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        """Inverse of :meth:`to_dict`; unknown keys go into ``extras``."""
+        """Inverse of :meth:`to_dict`; unknown keys go into ``extras``.
+
+        ``staleness``, the bound of the retired bounded-staleness scheduler,
+        is dropped at its exact value 0 and fails by name otherwise.
+        """
+        payload = dict(payload)
+        staleness = payload.pop("staleness", 0)
+        if staleness != 0:
+            raise ConfigurationError(
+                f"staleness={staleness}: bounded staleness was removed, only "
+                f"the exact schedule (staleness 0) loads"
+            )
         known = {f for f in cls.__dataclass_fields__}
         kwargs = {key: value for key, value in payload.items() if key in known}
         extras = {key: value for key, value in payload.items() if key not in known}

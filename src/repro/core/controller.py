@@ -118,8 +118,8 @@ class RoundPlan:
     def to_dict(self) -> dict:
         """JSON-safe representation (batch-size keys become strings).
 
-        Plans are normally transient, but the scheduler's graph body prefetches
-        the *next* round's plan during the current round's aggregate window
+        Plans are normally transient, but the scheduler prefetches the
+        *next* round's plan during the current round's aggregate window
         (cross-round pipelining); the engine then serialises it into the
         checkpoint so resume stays exact.  ``depths`` appears only when a
         split-point policy assigned them, so uniform checkpoints keep the

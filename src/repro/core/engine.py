@@ -28,15 +28,12 @@ A round is an explicit stage sequence (plan -> install -> bottom-forward ->
 merge -> top-update -> backward-dispatch -> local-step -> aggregate): the
 engine supplies the stage bodies as :class:`~repro.parallel.pipeline.SplitRoundOps`
 and a :class:`~repro.parallel.pipeline.PipelineScheduler` (picked by
-``config.pipeline``) decides the execution order -- its blocking
-reference order, or the order derived from the artifact graph (exact, or
-relaxed under a bounded staleness) on executors with asynchronous
-dispatch.  The stage bodies bind *artifact versions*, not an implicit
-order: the engine's parent-side accounting and even the next round's PLAN
-are handed to the scheduler as callables its graph body runs inside the
-aggregate window (cross-round pipelining), and a plan prefetched that way
-is serialised into ``state_dict`` so checkpoint/resume stays exact under
-either body and at any staleness.
+``config.pipeline``) decides where the parent waits.  The engine's
+parent-side accounting and even the next round's PLAN are handed to the
+scheduler as callables it runs inside the aggregate window (cross-round
+pipelining) on executors with asynchronous dispatch, and a plan
+prefetched that way is serialised into ``state_dict`` so checkpoint/resume
+stays exact whichever order ran.
 """
 
 from __future__ import annotations
@@ -172,8 +169,8 @@ class SplitTrainingEngine(RoundEngine):
             )
         self._last_depths: dict[int, int] = {}
 
-        #: A plan prefetched by the scheduler's graph body during the previous
-        #: round's aggregate window: ``(round_index, plan)`` or ``None``.
+        #: A plan prefetched during the previous round's aggregate window:
+        #: ``(round_index, plan)`` or ``None``.
         #: Planning mutates the simulated cluster and the state estimator,
         #: so the prefetched plan is part of the checkpointed state.
         self._pending_plan: tuple[int, RoundPlan] | None = None
@@ -246,8 +243,8 @@ class SplitTrainingEngine(RoundEngine):
         """The split-only checkpoint keys.
 
         Includes the one cross-round in-flight artifact the scheduler's
-        graph body leaves behind -- the prefetched next-round plan -- so
-        resume is exact at any staleness.
+        aggregate window leaves behind -- the prefetched next-round plan --
+        so resume is exact.
         """
         pending_plan = None
         if self._pending_plan is not None:
@@ -416,9 +413,8 @@ class SplitTrainingEngine(RoundEngine):
     def _prefetch_plan(self, round_index: int) -> None:
         """Plan ``round_index`` early, inside the previous aggregate window.
 
-        Called by the scheduler's graph body after the previous round's
-        accounting;
-        the computed plan (and the cluster/estimator mutations planning
+        Called by the scheduler after the previous round's accounting; the
+        computed plan (and the cluster/estimator mutations planning
         entails) is exactly what :meth:`_next_plan` would have produced at
         the start of the round, so trajectories are unchanged -- only the
         round-end drain disappears.

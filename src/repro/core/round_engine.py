@@ -38,7 +38,7 @@ from repro.data.dataset import TrainTestSplit
 from repro.exceptions import ExecutorDeathError
 from repro.metrics.history import History, RoundRecord, wire_round_delta
 from repro.parallel.base import Executor
-from repro.parallel.pipeline import PipelineScheduler, RoundReport, build_pipeline
+from repro.parallel.pipeline import PipelineScheduler, build_pipeline
 from repro.parallel.serial import SerialExecutor
 from repro.population.pool import WorkerPool, as_worker_pool
 from repro.simulation.cluster import Cluster, LazyCluster
@@ -108,7 +108,7 @@ class RoundEngine(Algorithm):
         return self._round_index
 
     def drain(self) -> None:
-        """Wait for in-flight asynchronous dispatch (graph-order rounds)."""
+        """Wait for in-flight asynchronous dispatch (aggregate-window rounds)."""
         self.executor.drain()
 
     def close(self) -> None:
@@ -187,7 +187,7 @@ class RoundEngine(Algorithm):
         """Run the round's stages under the scheduler; return its losses.
 
         ``account`` is the driver's idempotent parent-side accounting; the
-        scheduler's graph body invokes it early, inside the aggregate window.
+        scheduler invokes it early, inside the aggregate window.
         """
 
     @abc.abstractmethod
@@ -216,7 +216,7 @@ class RoundEngine(Algorithm):
         """Feed the accounted round to the engine's estimators (optional).
 
         Runs at the end of ``account()``, i.e. before any next-round
-        planning the scheduler's graph body prefetches.
+        planning the scheduler's aggregate window prefetches.
         """
 
     # -- simulated cost model ----------------------------------------------------
@@ -295,10 +295,10 @@ class RoundEngine(Algorithm):
         def account() -> None:
             # ACCOUNT: participation, simulated time/traffic and the
             # estimator observations.  Reads the plan and the *round-r*
-            # cluster state only, so the scheduler's graph body may run it
-            # inside the aggregate window (before any next-round planning
-            # advances the cluster); idempotent because the driver invokes
-            # it unconditionally afterwards for the blocking body.  The
+            # cluster state only, so the scheduler may run it inside the
+            # aggregate window (before any next-round planning advances the
+            # cluster); idempotent because the driver invokes it
+            # unconditionally afterwards for the blocking order.  The
             # whole planned cohort counts as having participated, also
             # when an executor death shrinks the cohort that re-runs.
             if accounting:
@@ -330,9 +330,6 @@ class RoundEngine(Algorithm):
         # Round over: fold the cohort's mutable state back into the pool
         # (a no-op for eager populations, the release point for lazy ones).
         self.pool.release(selected_workers)
-        # Third-party schedulers registered via register_pipeline may not
-        # subclass PipelineScheduler; treat the report as optional.
-        report = getattr(self.pipeline, "last_report", None) or RoundReport()
         population_stats = self.pool.collect_round_stats()
 
         accuracy, test_loss = self._evaluate()
@@ -362,7 +359,6 @@ class RoundEngine(Algorithm):
                 num_selected=len(plan.selected),
                 total_batch=plan.total_batch,
                 merged_kl=plan.merged_kl,
-                effective_staleness=report.effective_staleness,
                 selected_ids=[int(w) for w in plan.selected],
                 cache_hits=int(population_stats.get("cache_hits", 0)),
                 cache_misses=int(population_stats.get("cache_misses", 0)),

@@ -97,10 +97,8 @@ class SplitWorker:
     def draw_batch(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw the next local mini-batch without running the bottom model.
 
-        Used by executors that carry out the bottom-model compute elsewhere
-        (stacked kernels, worker processes): the sampling state stays on the
-        worker, where it is checkpointed, regardless of where the arithmetic
-        happens.
+        The sampling state stays on the worker, where it is checkpointed,
+        regardless of where the arithmetic happens.
         """
         data, labels = self.loader.next_batch(batch_size)
         self._pending_batch_size = data.shape[0]
@@ -133,22 +131,13 @@ class SplitWorker:
         return features, labels
 
     def backward_and_step(self, feature_gradient: np.ndarray) -> None:
-        """Back-propagate the dispatched gradient and take a local SGD step.
-
-        The forward state is dropped once the step is taken: from its step
-        to its next forward a worker holds its weights and optimizer only.
-        """
+        """Back-propagate the dispatched gradient and take a local SGD step
+        (:func:`local_step`)."""
         if self.bottom is None or self.optimizer is None:
             raise RuntimeError("worker has no bottom model installed")
-        if feature_gradient.shape[0] != self._pending_batch_size:
-            raise ValueError(
-                f"gradient batch {feature_gradient.shape[0]} does not match the "
-                f"pending forward batch {self._pending_batch_size}"
-            )
-        self.optimizer.zero_grad()
-        self.bottom.backward(feature_gradient)
-        self.optimizer.step()
-        self.bottom.clear_forward_state()
+        local_step(
+            self.bottom, self.optimizer, feature_gradient, self._pending_batch_size
+        )
 
     # -- local (non-split) training for FL baselines -------------------------
     def train_full_model(
@@ -203,6 +192,32 @@ def local_training_copy(
         max_grad_norm=max_grad_norm,
     )
     return local, optimizer
+
+
+def local_step(
+    model: Sequential,
+    optimizer: SGD,
+    feature_gradient: np.ndarray,
+    batch_size: int,
+) -> None:
+    """Back-propagate a dispatched gradient and take the local SGD step.
+
+    The single worker-side step recipe, shared like
+    :func:`local_training_copy`: a worker and the bottom a process-executor
+    child hosts for it both step this way.  ``batch_size`` is that of the
+    forward the gradient answers.  The forward state is dropped once the
+    step is taken, so from its step to its next forward a bottom holds its
+    weights and optimizer only.
+    """
+    if feature_gradient.shape[0] != batch_size:
+        raise ValueError(
+            f"gradient batch {feature_gradient.shape[0]} does not match the "
+            f"pending forward batch {batch_size}"
+        )
+    optimizer.zero_grad()
+    model.backward(feature_gradient)
+    optimizer.step()
+    model.clear_forward_state()
 
 
 def train_local_model(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 
+from repro.exceptions import ConfigurationError
+
 
 @dataclass
 class RoundRecord:
@@ -28,12 +30,6 @@ class RoundRecord:
         num_selected: Number of workers in the round's worker set.
         total_batch: Total merged batch size.
         merged_kl: KL divergence of the merged label distribution.
-        effective_staleness: Mean realized staleness of the round's bottom
-            forwards -- how many local updates behind the strict schedule
-            they ran.  ``0.0`` under any exact schedule (sync, pipelined,
-            staleness bound 0, or a relaxation that fell back); positive
-            only when a bounded-staleness schedule actually relaxed the
-            round, which makes the relaxation measurable per round.
         selected_ids: Global ids of the round's selected cohort, in plan
             order -- the participation history churn scenarios build on.
         cache_hits: Worker materialisations served from the population's
@@ -72,7 +68,6 @@ class RoundRecord:
     num_selected: int
     total_batch: int
     merged_kl: float = 0.0
-    effective_staleness: float = 0.0
     selected_ids: list[int] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
@@ -158,8 +153,22 @@ class History:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "History":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Records of earlier versions carry ``effective_staleness``, the
+        realized lag of the retired bounded-staleness scheduler: 0.0 (every
+        exact run) is dropped, anything else fails by name -- that
+        trajectory can no longer be produced.
+        """
         history = cls(algorithm=payload.get("algorithm", ""))
         for record in payload.get("records", []):
+            record = dict(record)
+            lag = record.pop("effective_staleness", 0.0)
+            if lag != 0.0:
+                raise ConfigurationError(
+                    f"round {record.get('round_index')} has effective_staleness "
+                    f"{lag}: bounded staleness was removed, only exact "
+                    f"histories load"
+                )
             history.append(RoundRecord(**record))
         return history

@@ -99,13 +99,6 @@ def cache_hit_rate(history: History) -> float:
     return hits / (hits + misses)
 
 
-def mean_effective_staleness(history: History) -> float:
-    """Average realized staleness across the run's rounds (0.0 when exact)."""
-    if not history.records:
-        return 0.0
-    return float(np.mean([r.effective_staleness for r in history.records]))
-
-
 def mean_dropout_rate(history: History) -> float:
     """Average per-round dropout rate (0.0 for non-elastic runs)."""
     if not history.records:
@@ -155,17 +148,16 @@ def mean_compression_ratio(history: History) -> float:
 
 
 def schedule_divergence(relaxed: History, exact: History) -> dict:
-    """Convergence delta of a relaxed schedule against its exact reference.
+    """Convergence delta of a relaxed run against its exact reference.
 
-    Compares per-round test accuracy of a bounded-staleness run against the
-    exact (sync/pipelined/staleness-0) run of the same configuration, so
-    the relaxation's cost is a measured number rather than a hope.
+    Compares per-round test accuracy of a run under a relaxation (a lossy
+    codec, churn) against the exact run of the same configuration, so the
+    relaxation's cost is a measured number rather than a hope.
 
     Returns:
         ``per_round`` (absolute accuracy deltas over the common prefix),
-        ``max`` (worst per-round delta), ``final`` (absolute delta of the
-        final accuracies) and ``mean_staleness`` (the relaxed run's average
-        realized staleness).
+        ``max`` (worst per-round delta) and ``final`` (absolute delta of the
+        final accuracies).
     """
     rounds = min(len(relaxed.records), len(exact.records))
     per_round = [
@@ -176,7 +168,6 @@ def schedule_divergence(relaxed: History, exact: History) -> dict:
         "per_round": per_round,
         "max": max(per_round) if per_round else 0.0,
         "final": abs(final_accuracy(relaxed) - final_accuracy(exact)),
-        "mean_staleness": mean_effective_staleness(relaxed),
     }
 
 

@@ -21,13 +21,10 @@ Three further axes compose with the executor choice:
 
 * the **round pipeline** (``config.pipeline``, :mod:`repro.parallel.pipeline`)
   schedules the stages of each round with one scheduler class -- ``sync``
-  runs its blocking reference order, ``pipelined`` runs the order derived
-  from the declared artifact dependencies through the asynchronous
-  dispatch protocol of capable executors (``serial``, ``process`` over
-  ``shm``), overlapping the round's accounting and the next round's plan
-  with the executor's tail compute, and ``staleness`` runs that same order
-  with a bounded staleness (``config.staleness``; 0 is bit-exact, ``>= 1``
-  is a deterministic measured relaxation);
+  waits for every install and backward, ``pipelined`` adds the aggregate
+  window on capable executors (``process`` over ``shm``): no
+  acknowledgements, and the round's accounting and the next round's plan
+  overlap the executor's tail compute;
 * the **feature transport** (``config.transport``,
   :mod:`repro.parallel.transport`) moves tensors across the process
   executor's process boundary -- ``pipe`` pickles them, ``shm`` ships them
@@ -61,21 +58,15 @@ from repro.parallel.codec import (
 )
 from repro.parallel.kernels import unsupported_layers
 from repro.parallel.pipeline import (
-    ArtifactKind,
-    ArtifactRef,
     FullRoundOps,
     PipelineScheduler,
     RoundReport,
     RoundStage,
     SplitRoundOps,
-    StageSpec,
     build_pipeline,
-    relaxed_dispatch_order,
-    round_stage_specs,
 )
 from repro.parallel.process import ProcessExecutor
 from repro.parallel.serial import SerialExecutor
-from repro.parallel.staleness import InflightQueue
 from repro.parallel.transport import (
     DEFAULT_RING_CAPACITY,
     PipeTransport,
@@ -84,15 +75,12 @@ from repro.parallel.transport import (
 )
 
 __all__ = [
-    "ArtifactKind",
-    "ArtifactRef",
     "BatchedExecutor",
     "CODECS",
     "Codec",
     "CodecPolicy",
     "Executor",
     "FullRoundOps",
-    "InflightQueue",
     "PipeTransport",
     "PipelineScheduler",
     "ProcessExecutor",
@@ -101,15 +89,12 @@ __all__ = [
     "SerialExecutor",
     "SharedMemoryTransport",
     "SplitRoundOps",
-    "StageSpec",
     "Transport",
     "build_codec_policy",
     "build_executor",
     "build_pipeline",
     "build_transport",
-    "relaxed_dispatch_order",
     "resolve_executor",
-    "round_stage_specs",
 ]
 
 
@@ -153,20 +138,10 @@ def _build_sync_pipeline(config) -> PipelineScheduler:
 
 
 @register_pipeline(
-    "pipelined", description="graph order, dispatched asynchronously (exact)"
+    "pipelined", description="the aggregate window on capable executors (exact)"
 )
 def _build_pipelined_pipeline(config) -> PipelineScheduler:
     return PipelineScheduler(asynchronous=True)
-
-
-@register_pipeline(
-    "staleness",
-    description="graph order with bounded staleness (config.staleness; 0 = exact)",
-)
-def _build_staleness_pipeline(config) -> PipelineScheduler:
-    return PipelineScheduler(
-        asynchronous=True, staleness=int(getattr(config, "staleness", 0))
-    )
 
 
 def resolve_executor(config, model=None, workers=()) -> str:
@@ -179,18 +154,16 @@ def resolve_executor(config, model=None, workers=()) -> str:
     has a stacked kernel (:func:`~repro.parallel.kernels.unsupported_layers`
     is empty: the dense layers, where one numpy call per layer replaces
     per-worker Python) and the workers share their optimizer
-    hyper-parameters -- and ``"serial"`` otherwise: conv/pool models and
-    third-party layers, ``pipeline="staleness"``, whose asynchronous
-    dispatch only the per-worker backend implements, and no ``model`` to
-    look at.  ``model`` is the full model: every worker-side model (the
-    bottom, a per-depth prefix, FedAvg's whole model) is a slice of it.
+    hyper-parameters -- and ``"serial"`` otherwise: conv/pool models,
+    third-party layers and no ``model`` to look at.  ``model`` is the full
+    model: every worker-side model (the bottom, a per-depth prefix,
+    FedAvg's whole model) is a slice of it.
     """
     if config.executor != AUTO_EXECUTOR:
         return config.executor
     if (
         model is None
         or unsupported_layers(model)
-        or config.pipeline == "staleness"
         or (workers and uniform_worker_hyperparams(workers) is None)
     ):
         return "serial"

@@ -18,8 +18,8 @@ scratch state that is rebuilt by :meth:`Executor.install` (the one install:
 cut depths and the acknowledgement are arguments, the paper's global cut
 omits both), which is why switching executors never invalidates a checkpoint.
 
-Split-training call sequence, per round, as the scheduler's blocking body
-drives it (``SplitTrainingEngine._run_stages``)::
+Split-training call sequence, per round, as the scheduler drives it
+(``SplitTrainingEngine._run_stages``)::
 
     install(workers, bottom, lrs, depths)  # distribute the bottom prefixes
     repeat tau times:
@@ -28,16 +28,15 @@ drives it (``SplitTrainingEngine._run_stages``)::
         backward_step(workers, gradients)  # dispatched gradients + SGD step
     bottom_states(workers)                 # collect for aggregation
 
-Backends that set :attr:`Executor.supports_async_dispatch` also offer the
-same round as split-phase, non-blocking primitives, which the scheduler's
-graph body drives (:mod:`repro.parallel.pipeline`)::
+Backends that set :attr:`Executor.supports_async_dispatch` also run the
+scheduler's aggregate window (:mod:`repro.parallel.pipeline`), the same
+sequence with fewer waits::
 
     install(..., depths, wait=False)       # no acknowledgement
-    repeat tau times, in graph order:
-        stage_forward(workers, batch_sizes)    # draw + ship the batches
-        launch_forward(workers)                # start the forward
-        collect_forward(workers)               # block for its features
-        backward_step_nowait(workers, grads)   # no acknowledgement
+    repeat tau times:
+        launch_forward(workers, batch_sizes)   # forward, in two halves
+        collect_forward(workers)
+        backward_step(workers, gradients, wait=False)
     request_states(workers)                # ask for the bottom states ...
     collect_states(workers)                # ... block for them later
 
@@ -65,18 +64,14 @@ class Executor(abc.ABC):
     #: Registry name of the backend (also used in logs and error messages).
     name: str = "abstract"
 
-    #: Whether the backend implements the asynchronous dispatch protocol
-    #: the scheduler's graph body drives (``install(wait=False)`` /
-    #: ``stage_forward`` / ``launch_forward`` / ``collect_forward`` /
-    #: ``backward_step_nowait`` / ``request_states`` / ``collect_states``).
-    #: The contract is ordering, not timing: commands execute per-worker in
-    #: dispatch order, so a forward launched before a pending backward runs
-    #: on weights that miss that update -- the backend keeps delayed
-    #: backwards well-defined with in-flight snapshots
-    #: (:mod:`repro.parallel.staleness`) and the trajectory stays
-    #: deterministic and backend-independent at every staleness bound.
-    #: Backends without the capability leave this ``False``; the scheduler
-    #: then runs its blocking body.
+    #: Whether the backend implements the asynchronous protocol of the
+    #: scheduler's aggregate window: ``install(wait=False)``,
+    #: ``launch_forward`` + ``collect_forward``,
+    #: ``backward_step(..., wait=False)`` and ``request_states`` +
+    #: ``collect_states``.  The contract is ordering, not timing: commands
+    #: execute per worker in dispatch order, so skipping an acknowledgement
+    #: never changes the numbers.  Backends without the capability leave
+    #: this ``False``; the scheduler then runs its blocking order.
     supports_async_dispatch: bool = False
 
     # -- split training -------------------------------------------------------
@@ -99,7 +94,7 @@ class Executor(abc.ABC):
         optimizer, with its own (batch-size-scaled) learning rate.
 
         ``wait=False`` lets a backend with :attr:`supports_async_dispatch`
-        skip the acknowledgement (the scheduler's graph body asks for
+        skip the acknowledgement (the scheduler's aggregate window asks for
         that); every other backend ignores it.
         """
 
@@ -116,9 +111,15 @@ class Executor(abc.ABC):
 
     @abc.abstractmethod
     def backward_step(
-        self, workers: "list[SplitWorker]", gradients: list[np.ndarray]
+        self,
+        workers: "list[SplitWorker]",
+        gradients: list[np.ndarray],
+        wait: bool = True,
     ) -> None:
-        """Back-propagate dispatched gradients and take the local SGD steps."""
+        """Back-propagate dispatched gradients and take the local SGD steps.
+
+        ``wait`` means what it means for :meth:`install`.
+        """
 
     @abc.abstractmethod
     def bottom_states(

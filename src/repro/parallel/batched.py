@@ -213,7 +213,7 @@ class BatchedExecutor(Executor):
                     features[slot] = out
         return features, [labels for __, labels in drawn]
 
-    def backward_step(self, workers, gradients) -> None:
+    def backward_step(self, workers, gradients, wait=True) -> None:
         if self._fallback_active:
             self._serial.backward_step(workers, gradients)
             return

@@ -24,11 +24,8 @@ returns the parent's free heap to the OS
 (:func:`~repro.utils.mp.release_free_heap`).
 
 Every message is ``(command, payload, wants_reply)``: whether a command is
-acknowledged is data in the message, so the executor speaks two protocols
-over one set of child commands.
-
-The **blocking** protocol mirrors :class:`~repro.parallel.base.Executor`;
-every call sends one replying message per child and waits:
+acknowledged is data in the message.  A split round is four child
+commands, one message per child each:
 
     ===============  ==========================================  ============
     call             message                                     reply
@@ -42,38 +39,21 @@ every call sends one replying message per child and waits:
 
 An install spec is always ``(lr, momentum, weight_decay, max_grad_norm,
 depth)``: the child carves ``bottom.layers[:depth]`` for every worker, and
-the global cut is the spec whose depth is ``len(bottom)``.
+the global cut is the spec whose depth is ``len(bottom)``.  A hosted bottom
+steps exactly as a :class:`~repro.core.worker.SplitWorker` does
+(:func:`~repro.core.worker.local_step`).
 
-The **asynchronous** protocol (``supports_async_dispatch``; the graph body
-of :mod:`repro.parallel.pipeline` drives it at every staleness bound)
-splits the same round into dispatches that return at once and collections
-that block:
-
-    ====================  ====================================  ============
-    call                  message                               reply
-    ====================  ====================================  ============
-    install(wait=False)   ``install``, ``wants_reply=False``    --
-    stage_forward         ``stage`` the next batch's rows       --
-    launch_forward        ``forward_staged`` worker ids         (queued)
-    collect_forward       --                                    features
-    backward_step_nowait  ``backward``, ``wants_reply=False``   --
-    request_states        ``states`` worker ids                 (queued)
-    collect_states        --                                    state dicts
-    ====================  ====================================  ============
-
-A forward launched *before* a pending backward runs in the child on an
-in-flight snapshot (:mod:`repro.parallel.staleness`), so the delayed
-backward keeps its own weights and activations; with no backward pending
-it is the plain forward, which is why both protocols share the child's
-code path bit for bit.
-
-Reply-bearing asynchronous requests (launched forwards, state
-collections) are tracked in a FIFO *completion queue*: per-child channels
-are ordered, so popping the oldest entry and receiving one reply per
-involved child always pairs replies with the right request, no matter how
-many are in flight.  A command sent without ``wants_reply`` defers any
-error it raises to the next replying command's reply slot, and leaves the
-channel "dirty" until the next reply from that child;
+The scheduler's aggregate window (``supports_async_dispatch``; see
+:mod:`repro.parallel.pipeline`) sends ``install`` and ``backward`` with
+``wait=False`` -- no reply -- and calls ``forward`` and ``bottom_states``
+as their two halves: ``launch_forward`` / ``request_states`` send
+``forward`` / ``states`` and return, ``collect_forward`` /
+``collect_states`` block for the reply.  Sent-but-uncollected requests are
+tracked in a FIFO *completion queue*: per-child channels are ordered, so
+popping the oldest entry and receiving one reply per involved child always
+pairs replies with the right request.  A command sent without ``wants_reply``
+defers any error it raises to the next replying command's reply slot, and
+leaves the channel "dirty" until the next reply from that child;
 :meth:`ProcessExecutor.drain` consumes the completion queue and pings
 dirty children so checkpointing never races in-flight work.
 """
@@ -100,7 +80,7 @@ logger = get_logger("parallel.process")
 DEFAULT_MAX_PROCESSES = 8
 
 #: Payload class of each parent->child command's bulk arrays, for the
-#: transport codec policy.  Untagged commands (staged rows, installs,
+#: transport codec policy.  Untagged commands (drawn rows, installs,
 #: sources) always travel raw.
 _SEND_CLASS = {"backward": GRADIENTS}
 
@@ -117,44 +97,27 @@ def _child_main(connector: ChildConnector, sources: dict) -> None:
     ``sources`` maps a source key to the dataset the parent's shards index;
     the parent names the key beside every batch of rows it sends.
     """
-    from repro.core.worker import local_training_copy, train_local_model
-    from repro.parallel.staleness import InflightQueue
+    from repro.core.worker import local_step, local_training_copy, train_local_model
 
     endpoint = connector.connect()
-    bottoms: dict[int, dict] = {}
-    #: Worker id -> ``(source key, rows)`` of the staged (not yet
-    #: forwarded) mini-batch.
-    staged: dict[int, tuple[int, np.ndarray]] = {}
-
-    def run_forward(worker_id: int) -> np.ndarray:
-        held = bottoms[worker_id]
-        key, rows = staged.pop(worker_id)
-        data = sources[key].data[rows]
-        # All forwards route through the in-flight queue: with no pending
-        # backward this is a plain forward on the hosted model (bit-exact
-        # with the blocking path); under asynchronous dispatch a forward that
-        # overtakes a backward runs on a snapshot so the delayed gradient
-        # stays well-defined.
-        return held["inflight"].forward(held["model"], data)
-
-    def run_backward(worker_id: int, gradient: np.ndarray) -> None:
-        held = bottoms[worker_id]
-        held["inflight"].backward(held["model"], held["optimizer"], gradient)
+    #: Worker id -> ``(model, optimizer)`` of the hosted bottoms.
+    bottoms: dict[int, tuple] = {}
+    #: Worker id -> batch size of the forward awaiting its backward.
+    pending: dict[int, int] = {}
 
     def run_install(payload) -> None:
-        nonlocal bottoms
         bottom, specs = payload
-        bottoms = {}
-        staged.clear()
+        bottoms.clear()
+        pending.clear()
         for worker_id, (*hyperparams, depth) in specs.items():
             # Exactly what ``SplitWorker.receive_bottom_model`` does with
             # the prefix the serial executor hands it.
             model, optimizer = local_training_copy(bottom[:depth], *hyperparams)
-            bottoms[worker_id] = {
-                "model": model.without_kept_columns(),
-                "optimizer": optimizer,
-                "inflight": InflightQueue(),
-            }
+            bottoms[worker_id] = (model.without_kept_columns(), optimizer)
+
+    def run_forward(worker_id: int, key: int, rows: np.ndarray) -> np.ndarray:
+        pending[worker_id] = rows.shape[0]
+        return bottoms[worker_id][0].forward(sources[key].data[rows])
 
     #: Traceback of a failed no-reply command, delivered with the next
     #: replying command so reply pairing stays one-to-one.
@@ -182,21 +145,19 @@ def _child_main(connector: ChildConnector, sources: dict) -> None:
                 elif command == "install":
                     run_install(payload)
                 elif command == "forward":
-                    staged.update(payload)
-                    reply = {wid: run_forward(wid) for wid in payload}
-                    klass = FEATURES
-                elif command == "stage":
-                    # Mini-batches for the *next* forward.
-                    staged.update(payload)
-                elif command == "forward_staged":
-                    reply = {wid: run_forward(wid) for wid in payload}
+                    reply = {
+                        worker_id: run_forward(worker_id, *drawn)
+                        for worker_id, drawn in payload.items()
+                    }
                     klass = FEATURES
                 elif command == "backward":
                     for worker_id, gradient in payload.items():
-                        run_backward(worker_id, gradient)
+                        local_step(
+                            *bottoms[worker_id], gradient, pending.pop(worker_id, 0)
+                        )
                 elif command == "states":
                     reply = {
-                        worker_id: bottoms[worker_id]["model"].state_dict()
+                        worker_id: bottoms[worker_id][0].state_dict()
                         for worker_id in payload
                     }
                     klass = WEIGHTS
@@ -317,15 +278,10 @@ class ProcessExecutor(Executor):
         #: id is first seen, stable afterwards (the worker's codec residuals
         #: live there).
         self._home: dict[int, int] = {}
-        #: Completion queue: reply-bearing asynchronous requests in dispatch
-        #: order, each a ``(kind, child indices)`` pair.  Channels are FIFO
-        #: per child, so receiving one reply per involved child of the
-        #: oldest entry always pairs replies with the right request --
-        #: which is what lets several forwards (and a state collection) be
-        #: in flight at once under asynchronous dispatch.
-        self._completions: deque[tuple[str, tuple[int, ...]]] = deque()
-        #: Labels of staged mini-batches, one entry per stage_forward call.
-        self._staged_labels: deque[dict[int, np.ndarray]] = deque()
+        #: Completion queue: each launched forward or requested state
+        #: collection not collected yet, oldest first, as ``(command, child
+        #: indices, labels)``; only a forward has labels.
+        self._completions: deque[tuple[str, tuple[int, ...], dict | None]] = deque()
         #: Wire/logical byte totals of endpoints already closed, so
         #: :meth:`transport_stats` stays monotonic across pool restarts.
         self._retired_wire = 0
@@ -337,14 +293,12 @@ class ProcessExecutor(Executor):
 
     @property
     def supports_async_dispatch(self) -> bool:
-        """Asynchronous dispatch needs out-of-band bulk transfer (see ``Transport``).
+        """The aggregate window runs over out-of-band bulk transfer only.
 
-        Its schedules stage mini-batches and send gradients while a
-        features reply is still outstanding the other way; over a plain
-        pipe that would mutually write-block parent and child once
-        payloads exceed the OS pipe buffer.  The shared-memory transport
-        moves bulk through its rings, so only it can back the protocol; on
-        other transports the scheduler runs its blocking body.
+        Over shared memory a no-reply install or gradient lands in a ring
+        and the parent moves on; over a plain pipe a payload beyond the OS
+        pipe buffer holds the parent until the child has read it.  On
+        other transports the scheduler runs its blocking order.
         """
         return self._transport.supports_async_bulk
 
@@ -419,7 +373,6 @@ class ProcessExecutor(Executor):
         self._assignment = {}
         self._home.clear()
         self._completions.clear()
-        self._staged_labels.clear()
 
     def __del__(self) -> None:  # pragma: no cover - interpreter shutdown order
         try:
@@ -522,7 +475,34 @@ class ProcessExecutor(Executor):
         """Send one message per child, then collect every reply."""
         for index, message in messages.items():
             self._send(index, message, expects_reply=True)
-        return {index: self._recv(index) for index in messages}
+        return self._gather(messages)
+
+    def _gather(self, indices) -> dict[int, object]:
+        """One reply from each child of ``indices``.
+
+        Every reply slot is consumed before the first failure is raised, so
+        a failed exchange (a deferred error, a dead child) leaves no reply
+        behind to pair with a later request.
+        """
+        replies: dict[int, object] = {}
+        failure: RuntimeError | None = None
+        for index in indices:
+            try:
+                replies[index] = self._recv(index)
+            except RuntimeError as error:
+                failure = failure or error
+        if failure is not None:
+            raise failure
+        return replies
+
+    def _dispatch(self, messages: dict[int, tuple], wait: bool) -> None:
+        """Send one message per child; block for the acknowledgements only
+        when ``wait`` (without, errors defer to the next reply)."""
+        if wait:
+            self._broadcast(messages)
+            return
+        for index, message in messages.items():
+            self._send(index, message, expects_reply=False)
 
     def _by_child(self, workers, values) -> dict[int, dict[int, object]]:
         """Group ``{worker_id: value}`` by the child hosting each worker."""
@@ -550,7 +530,7 @@ class ProcessExecutor(Executor):
 
         The completion queue's replies must be consumed before any new
         request, or every later reply would pair with the wrong command.
-        As in collect_forward, each entry is popped before receiving: the
+        As in collect_states, each entry is popped before receiving: the
         reply slots are spent even when _recv raises.
 
         With ``tolerate_death`` the drain keeps going past dead children
@@ -559,9 +539,8 @@ class ProcessExecutor(Executor):
         replies that cannot arrive.  Genuine remote errors ("error"-status
         replies from live children) still raise either way.
         """
-        self._staged_labels.clear()
         while self._completions:
-            __, indices = self._completions.popleft()
+            __, indices, __ = self._completions.popleft()
             for index in indices:
                 if tolerate_death and self._children[index].dead:
                     continue
@@ -624,76 +603,37 @@ class ProcessExecutor(Executor):
             )
             for index, hosted in placed.items() if hosted
         }
-        if wait:
-            self._broadcast(messages)
-        else:
-            for index, message in messages.items():
-                self._send(index, message, expects_reply=False)
+        self._dispatch(messages, wait)
 
     def forward(self, workers, batch_sizes):
-        by_child, labels = self._draw(workers, batch_sizes)
-        replies = self._broadcast(
-            {index: ("forward", rows) for index, rows in by_child.items()}
-        )
-        features = _aligned(replies.values(), workers)
-        return features, [labels[worker.worker_id] for worker in workers]
+        self.launch_forward(workers, batch_sizes)
+        return self.collect_forward(workers)
 
-    def backward_step(self, workers, gradients) -> None:
-        self._broadcast({
+    def backward_step(self, workers, gradients, wait=True) -> None:
+        self._dispatch({
             index: ("backward", shard)
             for index, shard in self._by_child(workers, gradients).items()
-        })
+        }, wait)
 
     def bottom_states(self, workers):
         self.request_states(workers)
         return self.collect_states(workers)
 
-    # -- asynchronous dispatch (see repro.parallel.pipeline) ------------------
-    def stage_forward(self, workers, batch_sizes) -> None:
-        """Draw and ship the next iteration's mini-batch rows (no reply).
+    # -- the aggregate window's halves (see repro.parallel.pipeline) ---------
+    def launch_forward(self, workers, batch_sizes) -> None:
+        """Draw the next mini-batches and start the bottom forward.
 
-        The draw happens in the parent (sampling state stays checkpointable)
-        and the transfer overlaps whatever the children are computing.
+        :meth:`collect_forward` blocks for the features.  The scheduler's
+        aggregate window calls the two halves itself, so the parent's wait
+        on the children is a call of its own.
         """
         by_child, labels = self._draw(workers, batch_sizes)
-        self._staged_labels.append(labels)
-        for index, rows in by_child.items():
-            self._send(index, ("stage", rows), expects_reply=False)
-
-    def launch_forward(self, workers) -> None:
-        """Start the bottom forward on staged data; reply collected later.
-
-        It may be launched before a pending backward, in which case the
-        child runs it on an in-flight snapshot.
-        """
-        by_child = self._by_child(workers, [w.worker_id for w in workers])
-        indices = tuple(sorted(by_child))
-        for index in indices:
-            self._send(
-                index, ("forward_staged", list(by_child[index])), expects_reply=True
-            )
-        self._completions.append(("forward", indices))
+        self._request("forward", by_child, labels)
 
     def collect_forward(self, workers):
-        """Block for the oldest in-flight forward's features (and labels)."""
-        if not any(kind == "forward" for kind, __ in self._completions):
-            raise RuntimeError("collect_forward called with no forward in flight")
-        kind, indices = self._completions[0]
-        if kind != "forward":  # pragma: no cover - scheduler orders collects
-            raise RuntimeError(f"oldest in-flight request is {kind!r}, not a forward")
-        # Pop before receiving: whether the reply is features, an error, or
-        # the child died, these reply slots are spent -- leaving the entry
-        # queued would make install()'s recovery drain block on replies
-        # that will never come.
-        self._completions.popleft()
-        features = _aligned((self._recv(index) for index in indices), workers)
-        labels = self._staged_labels.popleft()
+        """Block for the launched forward's features (and labels)."""
+        labels, features = self._collect("forward", workers)
         return features, [labels[worker.worker_id] for worker in workers]
-
-    def backward_step_nowait(self, workers, gradients) -> None:
-        """Dispatch gradients without waiting for the acknowledgement."""
-        for index, shard in self._by_child(workers, gradients).items():
-            self._send(index, ("backward", shard), expects_reply=False)
 
     def request_states(self, workers) -> None:
         """Ask for the bottom states; the reply is collected later.
@@ -704,20 +644,30 @@ class ProcessExecutor(Executor):
         blocking in :meth:`collect_states`.
         """
         by_child = self._by_child(workers, [w.worker_id for w in workers])
-        indices = tuple(sorted(by_child))
-        for index in indices:
-            self._send(index, ("states", list(by_child[index])), expects_reply=True)
-        self._completions.append(("states", indices))
+        self._request("states", {index: list(ids) for index, ids in by_child.items()})
 
     def collect_states(self, workers):
         """Block for the oldest in-flight state collection."""
-        if not self._completions:
-            raise RuntimeError("collect_states called with no request in flight")
-        kind, indices = self._completions[0]
-        if kind != "states":  # pragma: no cover - scheduler orders collects
-            raise RuntimeError(f"oldest in-flight request is {kind!r}, not states")
-        self._completions.popleft()
-        return _aligned((self._recv(index) for index in indices), workers)
+        return self._collect("states", workers)[1]
+
+    def _request(self, command: str, payloads: dict[int, object], labels=None) -> None:
+        """Send ``command`` to each child of ``payloads``; its replies wait in
+        the completion queue."""
+        indices = tuple(sorted(payloads))
+        for index in indices:
+            self._send(index, (command, payloads[index]), expects_reply=True)
+        self._completions.append((command, indices, labels))
+
+    def _collect(self, command: str, workers) -> tuple[dict | None, list]:
+        """``(labels, replies aligned with workers)`` of the oldest request,
+        which must be a ``command``."""
+        if not self._completions or self._completions[0][0] != command:
+            raise RuntimeError(f"collect called with no {command} request in flight")
+        # Pop before receiving: whatever the replies are, these slots are
+        # spent -- leaving the entry queued would make install()'s recovery
+        # drain block on replies that will never come.
+        __, indices, labels = self._completions.popleft()
+        return labels, _aligned(self._gather(indices).values(), workers)
 
     def drain(self) -> None:
         """Wait until every child has processed all in-flight commands.

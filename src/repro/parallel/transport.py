@@ -594,11 +594,9 @@ class Transport(abc.ABC):
     name: str = "abstract"
 
     #: Whether bulk array payloads travel out-of-band (rings) rather than
-    #: through the pipe.  Asynchronous dispatch sends bulk *while replies
-    #: are outstanding*; over a plain OS pipe (64 KiB buffer) that can
-    #: mutually write-block parent and child at realistic payload sizes, so
-    #: the process executor only advertises ``supports_async_dispatch``
-    #: when this is ``True``.
+    #: through the pipe.  The process executor offers the scheduler's
+    #: aggregate window (``supports_async_dispatch``) only when this is
+    #: ``True``.
     supports_async_bulk: bool = False
 
     #: Codec policy applied to every channel this transport creates.  One

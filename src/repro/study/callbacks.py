@@ -171,9 +171,9 @@ class Timing(Callback):
     what executor/transport benchmarking wants.  It is the benchmark
     suite's single wall-clock source: round windows are contiguous
     (``round_start`` fires immediately after the previous ``round_end``),
-    so under a pipelined or bounded-staleness schedule any work still in
-    flight at a round boundary lands in exactly one round's window and
-    ``total`` never double-counts overlapped stages.
+    so under a pipelined schedule any work still in flight at a round
+    boundary lands in exactly one round's window and ``total`` never
+    double-counts overlapped stages.
     """
 
     def __init__(self) -> None:

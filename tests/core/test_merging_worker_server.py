@@ -99,6 +99,14 @@ class TestSplitWorker:
         with pytest.raises(ValueError):
             worker.backward_and_step(np.ones((4, features.shape[1])))
 
+    def test_a_step_drops_the_forward_state(self, tiny_mlp):
+        worker, __ = _worker()
+        worker.receive_bottom_model(split_model(tiny_mlp, 2).bottom, learning_rate=0.1)
+        features, __ = worker.forward_batch(8)
+        assert any(layer._forward_state is not None for layer in worker.bottom.layers)
+        worker.backward_and_step(np.ones_like(features))
+        assert all(layer._forward_state is None for layer in worker.bottom.layers)
+
     def test_receive_bottom_model_is_a_copy(self, tiny_mlp):
         worker, __ = _worker()
         split = split_model(tiny_mlp, 2)

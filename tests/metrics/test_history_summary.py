@@ -8,6 +8,7 @@ from repro.metrics.summary import (
     compare_histories,
     final_accuracy,
     mean_waiting_time,
+    schedule_divergence,
     speedup,
     time_to_accuracy,
     traffic_to_accuracy,
@@ -51,6 +52,17 @@ class TestHistory:
         clone = History.from_dict(history.to_dict())
         assert clone.algorithm == "mergesfl"
         assert clone.accuracies == history.accuracies
+
+    def test_a_relaxed_record_fails_by_name(self):
+        """An exact ``effective_staleness`` (0.0) is dropped on load; any other
+        value is a bounded-staleness trajectory, which no longer exists."""
+        from repro.exceptions import ConfigurationError
+
+        payload = _history([0.3, 0.6]).to_dict()
+        payload["records"][0]["effective_staleness"] = 0.0
+        payload["records"][1]["effective_staleness"] = 0.5
+        with pytest.raises(ConfigurationError, match="effective_staleness 0.5"):
+            History.from_dict(payload)
 
 
 class TestSummary:
@@ -96,3 +108,12 @@ class TestSummary:
     def test_compare_histories_explicit_target(self):
         table = compare_histories({"a": _history([0.3, 0.6])}, target=0.5)
         assert table["a"]["time_to_target_s"] == 20.0
+
+    def test_schedule_divergence_over_the_common_rounds(self):
+        divergence = schedule_divergence(
+            _history([0.3, 0.6, 0.7]), _history([0.2, 0.8])
+        )
+        assert set(divergence) == {"per_round", "max", "final"}
+        assert divergence["per_round"] == pytest.approx([0.1, 0.2])
+        assert divergence["max"] == pytest.approx(0.2)
+        assert divergence["final"] == pytest.approx(0.1)

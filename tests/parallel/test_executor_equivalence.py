@@ -14,7 +14,7 @@ tests pin that contract for every engine code path:
 * a convolutional model -- the stacked im2col/einsum kernels;
 * a normalised model -- the stacked BatchNorm kernels;
 * ``process`` x {``pipe``, ``shm``} x {``sync``, ``pipelined``} -- the
-  transport framing and the double-buffered iteration overlap.
+  transport framing and the aggregate window.
 """
 
 from __future__ import annotations
@@ -31,18 +31,12 @@ from repro.metrics.history import WIRE_FIELDS
 EXECUTORS = ("serial", "batched", "process")
 
 #: (executor, transport, pipeline) variants that must match serial/sync.
-#: The ``staleness`` rows run the bounded-staleness scheduler at its
-#: default bound of 0, pinning that the dependency-tracked schedule is
-#: bit-identical to the exact ones (the relaxed ``staleness>=1`` rows have
-#: their own reference semantics in test_staleness.py).
 VARIANTS = (
     ("batched", "pipe", "sync"),
     ("process", "pipe", "sync"),
     ("process", "shm", "sync"),
     ("process", "pipe", "pipelined"),
     ("process", "shm", "pipelined"),
-    ("serial", "pipe", "staleness"),
-    ("process", "shm", "staleness"),
 )
 
 

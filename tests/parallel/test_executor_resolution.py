@@ -95,11 +95,10 @@ def test_auto_picks_batched_exactly_where_batched_does_not_fall_back(model, capl
     (dict(dataset="blobs", model="mlp", algorithm="fedavg"), "batched"),
     (dict(dataset="blobs", model="mlp", pipeline="pipelined"), "batched"),
     (dict(dataset="blobs", model="mlp", population="lazy"), "batched"),
-    (dict(dataset="blobs", model="mlp", pipeline="staleness"), "serial"),
     (dict(dataset="cifar10", model="alexnet_s", model_width=0.25), "serial"),
     (dict(dataset="har", model="cnn_h", model_width=0.25), "serial"),
-], ids=["mlp", "mlp-fedavg", "mlp-pipelined", "mlp-lazy", "mlp-staleness",
-        "alexnet_s", "cnn_h"])
+], ids=["mlp", "mlp-fedavg", "mlp-pipelined", "mlp-lazy", "alexnet_s",
+        "cnn_h"])
 def test_default_resolution_table(overrides, backend):
     """The resolved backend is readable from the session's components."""
     assert ExperimentConfig(**overrides).executor == "auto"
@@ -137,7 +136,9 @@ def test_nothing_to_observe_resolves_to_the_reference():
 @pytest.mark.parametrize("name,overrides", [
     ("serial", dict(dataset="blobs", model="mlp")),
     ("batched", dict(dataset="cifar10", model="alexnet_s", model_width=0.25)),
-    ("batched", dict(dataset="blobs", model="mlp", pipeline="staleness")),
+    ("batched", dict(dataset="har", model="cnn_h", model_width=0.25)),
+    ("serial", dict(dataset="blobs", model="mlp", pipeline="pipelined")),
+    ("process", dict(dataset="blobs", model="mlp")),
 ])
 def test_explicit_names_are_never_re_resolved(name, overrides):
     assert _session_backend(executor=name, **overrides) == name
@@ -177,13 +178,14 @@ def test_default_matches_serial(algorithm):
 
 
 @pytest.mark.parametrize("overrides", [
-    dict(pipeline="staleness", staleness=1),
     dict(dataset="cifar10", model="alexnet_s", model_width=0.25,
          train_samples=80, test_samples=20, num_rounds=2),
-], ids=["staleness", "conv"])
+    dict(dataset="har", model="cnn_h", model_width=0.25,
+         train_samples=80, test_samples=20, num_rounds=2),
+], ids=["conv", "conv1d"])
 def test_default_on_the_per_worker_side_matches_serial(overrides):
-    """Relaxed dispatch and conv bottoms keep the records they had when the
-    default was ``serial``."""
+    """Conv bottoms keep the records they had when the default was
+    ``serial``."""
     _assert_bit_equal(
         _run(_config("serial", "mergesfl", **overrides)),
         _run(_config("auto", "mergesfl", **overrides)),

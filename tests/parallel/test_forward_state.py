@@ -2,10 +2,9 @@
 
 A worker's bottom forwards at the merge barrier, so its convolutions keep
 their inputs, not im2col columns, and its forward state goes as soon as it
-has taken its local step -- on every executor path: the serial blocking
-loop, the serial in-flight queue at staleness 1, the process children over
-pipe and shared memory (probed in the child), and the batched executor's
-serial fallback for conv models.  Copies whose backward follows their
+has taken its local step -- on every executor path: the serial loop, the
+process children over pipe and shared memory (probed in the child), and the
+batched executor's serial fallback for conv models.  Copies whose backward follows their
 forward at once -- an FL local copy, a server bridge -- keep their columns.
 A ``tracemalloc`` budget on one ``conv_serial`` round pins the effect.
 """
@@ -20,11 +19,10 @@ import pytest
 
 from repro.api.session import Session
 from repro.config import ExperimentConfig
+from repro.core import worker
 from repro.core.server import SplitServer
-from repro.core.worker import SplitWorker
 from repro.nn.layers import Conv1d, Conv2d, Flatten, Linear, ReLU
 from repro.nn.module import Module, Sequential
-from repro.parallel.staleness import InflightQueue
 from repro.utils.rng import new_rng
 
 
@@ -59,28 +57,21 @@ def _marked(model: Sequential) -> bool:
 def stepped_bottoms(tmp_path, monkeypatch):
     """Probe every worker-side local step; returns a reader of the probes.
 
-    Each probe appends ``pid holders marked`` to a file, so probes that run
-    in forked executor children are seen by this process too.
+    Workers and executor children share ``local_step``, and a forked child
+    inherits the probe.  Each probe appends ``pid holders marked`` to a
+    file, so probes that run in executor children are seen by this process
+    too.
     """
     log = tmp_path / "probes.txt"
+    step = worker.local_step
 
-    def record(model: Sequential) -> None:
+    def probed_step(model, *args):
+        step(model, *args)
         holders = ",".join(_holders(model)) or "-"
         with open(log, "a") as handle:
             handle.write(f"{os.getpid()} {holders} {_marked(model)}\n")
 
-    step, queue_backward = SplitWorker.backward_and_step, InflightQueue.backward
-
-    def probed_step(self, gradient):
-        step(self, gradient)
-        record(self.bottom)
-
-    def probed_queue_backward(self, master, optimizer, gradient):
-        queue_backward(self, master, optimizer, gradient)
-        record(master)
-
-    monkeypatch.setattr(SplitWorker, "backward_and_step", probed_step)
-    monkeypatch.setattr(InflightQueue, "backward", probed_queue_backward)
+    monkeypatch.setattr(worker, "local_step", probed_step)
 
     def read() -> list[tuple[str, str, str]]:
         return [tuple(line.split()) for line in log.read_text().splitlines()]
@@ -96,8 +87,8 @@ needs_fork = pytest.mark.skipif(
 
 @pytest.mark.parametrize("overrides,in_child", [
     pytest.param(dict(executor="serial"), False, id="serial"),
-    pytest.param(dict(executor="serial", pipeline="staleness", staleness=1),
-                 False, id="serial-staleness1"),
+    pytest.param(dict(executor="serial", dataset="har", model="cnn_h"), False,
+                 id="serial-conv1d"),
     pytest.param(dict(executor="process", transport="pipe"), True,
                  id="process-pipe", marks=needs_fork),
     pytest.param(dict(executor="process", transport="shm", pipeline="pipelined"),

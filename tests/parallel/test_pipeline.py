@@ -1,4 +1,4 @@
-"""The round scheduler: one class, two bodies, and the schedule is the graph."""
+"""The round scheduler: one split-round loop, with or without the aggregate window."""
 
 from __future__ import annotations
 
@@ -23,8 +23,6 @@ from repro.parallel.pipeline import (
     RoundStage,
     SplitRoundOps,
     build_pipeline,
-    relaxed_dispatch_order,
-    round_stage_specs,
 )
 from repro.parallel.process import ProcessExecutor
 from repro.parallel.serial import SerialExecutor
@@ -75,86 +73,86 @@ def _shm_executor() -> ProcessExecutor:
     return ProcessExecutor(processes=1, transport=SharedMemoryTransport())
 
 
+#: Transport factories by name; ``None`` is the process executor's pipe.
+TRANSPORTS = {
+    "pipe": lambda: None,
+    "shm": lambda: SharedMemoryTransport(capacity=1 << 20),
+}
+
+
 #: Executor factories by name, with whether they offer asynchronous dispatch.
 EXECUTORS = {
-    "serial": (SerialExecutor, True),
+    "serial": (SerialExecutor, False),
     "process-shm": (_shm_executor, True),
     "batched": (BatchedExecutor, False),
     "process-pipe": (lambda: ProcessExecutor(processes=1), False),
 }
 
 
-def _graph_order(tau: int, staleness: int) -> list:
-    return [
-        (slot.spec.stage, slot.spec.iteration)
-        for slot in relaxed_dispatch_order(round_stage_specs(tau), staleness)
-    ]
+def _round_order(tau: int) -> list:
+    """INSTALL, then (forward, top update, backward) x tau, then AGGREGATE."""
+    order = [(RoundStage.INSTALL, None)]
+    for k in range(tau):
+        order += [
+            (RoundStage.BOTTOM_FORWARD, k),
+            (RoundStage.TOP_UPDATE, k),
+            (RoundStage.BACKWARD_DISPATCH, k),
+        ]
+    return order + [(RoundStage.AGGREGATE, None)]
 
 
-class TestScheduleIsTheGraph:
-    """What the scheduler emits is what ``relaxed_dispatch_order`` derives."""
+class TestOneLoop:
+    """Both orders emit the same stages; only the blocking points differ."""
 
     @pytest.mark.parametrize("tau", [1, 3])
-    @pytest.mark.parametrize("staleness", [0, 1, 2])
+    @pytest.mark.parametrize("asynchronous", [False, True], ids=["sync", "window"])
     @pytest.mark.parametrize("name", sorted(EXECUTORS))
-    def test_emitted_stages_equal_the_derived_order(self, name, staleness, tau):
+    def test_emitted_stages_are_the_round_order(self, name, asynchronous, tau):
+        """The window runs only for an asynchronous scheduler on a capable
+        executor; ``PipelineScheduler()`` is the blocking order."""
         make_executor, capable = EXECUTORS[name]
         trace: list = []
-        scheduler = PipelineScheduler(asynchronous=True, staleness=staleness)
+        scheduler = (
+            PipelineScheduler(asynchronous=True) if asynchronous
+            else PipelineScheduler()
+        )
         executor = make_executor()
         try:
             assert executor.supports_async_dispatch is capable
             losses = scheduler.run_split_round(
                 _split_ops(executor, _make_workers(), _bottom(), trace), tau, False
             )
+            # No uncollected request is left behind by either order.
+            assert not getattr(executor, "_completions", ())
         finally:
             executor.close()
         assert losses == [0.5] * tau
-        # Without the capability the blocking body runs: the exact order.
-        assert trace == _graph_order(tau, staleness if capable else 0)
-        # Blocking: install + 2 per iteration + states; graph: one per
-        # feature collection + states, at every staleness.
+        assert trace == _round_order(tau)
+        # Blocking: install + forward and backward per iteration + states;
+        # window: one per forward + states.
+        window = asynchronous and capable
         assert scheduler.last_report.sync_points == (
-            tau + 1 if capable else 2 * tau + 2
+            tau + 1 if window else 2 * tau + 2
         )
 
-    @pytest.mark.parametrize("name", ["serial", "process-shm"])
-    def test_sync_construction_takes_the_blocking_body(self, name):
-        make_executor, __ = EXECUTORS[name]
-        trace: list = []
-        scheduler = PipelineScheduler()
-        executor = make_executor()
-        try:
-            scheduler.run_split_round(
-                _split_ops(executor, _make_workers(), _bottom(), trace), 2, False
-            )
-        finally:
-            executor.close()
-        assert trace == _graph_order(2, 0)
+    def test_an_incapable_executor_runs_the_blocking_order_silently(self, caplog):
+        """Both orders yield the same trajectory, so there is nothing to warn
+        about when ``pipelined`` meets an executor without the window."""
+        with caplog.at_level(logging.WARNING, logger="repro.parallel.pipeline"):
+            scheduler = PipelineScheduler(asynchronous=True)
+            executor = BatchedExecutor()
+            for __ in range(2):
+                scheduler.run_split_round(
+                    _split_ops(executor, _make_workers(), _bottom()), 2, False
+                )
+        assert not caplog.records
         assert scheduler.last_report.sync_points == 6
 
-    def test_staleness_one_launches_the_forward_ahead(self):
-        """At staleness 1, iteration k+1's forward is launched before
-        iteration k's gradients are dispatched."""
-        trace: list = []
-        executor = _shm_executor()
-        try:
-            PipelineScheduler(asynchronous=True, staleness=1).run_split_round(
-                _split_ops(executor, _make_workers(), _bottom(), trace), 3, False
-            )
-            assert not executor._completions   # no uncollected forward left
-        finally:
-            executor.close()
-        for k in (0, 1):
-            assert trace.index((RoundStage.BOTTOM_FORWARD, k + 1)) < trace.index(
-                (RoundStage.BACKWARD_DISPATCH, k)
-            )
 
-
-class TestBlockingBody:
+class TestBlockingOrder:
     @pytest.mark.parametrize("make_executor", [SerialExecutor, _shm_executor],
                              ids=["serial", "process-shm"])
-    def test_per_iteration_aggregation_takes_the_blocking_body(self, make_executor):
+    def test_per_iteration_aggregation_takes_the_blocking_order(self, make_executor):
         """SplitFed re-installs after every iteration: aggregate + re-install
         after *every* iteration, no trailing aggregate, blocking order."""
         trace: list = []
@@ -172,43 +170,29 @@ class TestBlockingBody:
         assert stages[-2:] == [RoundStage.AGGREGATE, RoundStage.INSTALL]
         assert scheduler.last_report.sync_points == 1 + 2 * 4
 
-    def test_zero_iterations_take_the_blocking_body(self):
-        """tau = 0 has nothing to dispatch ahead: install, aggregate, and no
-        uncollected forward left behind."""
+    @pytest.mark.parametrize("name", ["serial", "process-pipe", "process-shm"])
+    def test_zero_iterations_take_the_blocking_order(self, name):
+        """tau = 0 has no tail to overlap: install, aggregate, and no
+        uncollected request left behind."""
+        make_executor, __ = EXECUTORS[name]
         trace: list = []
-        executor = _shm_executor()
+        scheduler = PipelineScheduler(asynchronous=True)
+        executor = make_executor()
         try:
-            losses = PipelineScheduler(asynchronous=True, staleness=1).run_split_round(
+            losses = scheduler.run_split_round(
                 _split_ops(executor, _make_workers(), _bottom(), trace), 0, False
             )
-            assert not executor._completions
+            assert not getattr(executor, "_completions", ())
         finally:
             executor.close()
         assert losses == []
-        assert trace == [(RoundStage.INSTALL, None), (RoundStage.AGGREGATE, None)]
-
-    def test_only_a_relaxation_that_cannot_run_is_logged(self, caplog):
-        """Exact graph order on an incapable executor is the same trajectory
-        (silent); staleness >= 1 running exact changes semantics (loud, once)."""
-        with caplog.at_level(logging.WARNING, logger="repro.parallel.pipeline"):
-            exact = PipelineScheduler(asynchronous=True)
-            relaxed = PipelineScheduler(asynchronous=True, staleness=1)
-            executor = BatchedExecutor()
-            for scheduler in (exact, relaxed, relaxed):
-                scheduler.run_split_round(
-                    _split_ops(executor, _make_workers(), _bottom()), 2, False
-                )
-        messages = [record.getMessage() for record in caplog.records]
-        assert len(messages) == 1
-        assert "staleness=1 requested but running the EXACT schedule" in messages[0]
-        assert "'batched' has no asynchronous dispatch" in messages[0]
-
-
-class TestPipelineConfig:
+        assert trace == _round_order(0)
+        assert scheduler.last_report.sync_points == 2
     def test_registry_lists_pipelines(self):
         from repro.api.registry import PIPELINES
 
-        assert {"sync", "pipelined", "staleness"} <= set(PIPELINES.names())
+        assert {"sync", "pipelined"} <= set(PIPELINES.names())
+        assert "staleness" not in PIPELINES.names()
 
     def test_unknown_pipeline_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown pipeline"):
@@ -216,17 +200,36 @@ class TestPipelineConfig:
 
     def test_registry_names_are_parameterisations_of_one_class(self):
         built = {
-            name: build_pipeline(ExperimentConfig(pipeline=name, staleness=2))
-            for name in ("sync", "pipelined", "staleness")
+            name: build_pipeline(ExperimentConfig(pipeline=name))
+            for name in ("sync", "pipelined")
         }
         assert all(type(s) is PipelineScheduler for s in built.values())
-        assert [(s.asynchronous, s.staleness) for s in built.values()] == [
-            (False, 0), (True, 0), (True, 2),
-        ]
+        assert [s.asynchronous for s in built.values()] == [False, True]
 
-    def test_staleness_needs_the_graph_body(self):
-        with pytest.raises(ValueError, match="asynchronous=True"):
-            PipelineScheduler(staleness=1)
+
+class TestRetiredStaleness:
+    """Bounded staleness is gone; its spellings load at their exact value or
+    fail by name."""
+
+    def test_the_staleness_pipeline_names_its_replacement(self):
+        with pytest.raises(ConfigurationError, match="'pipelined'"):
+            ExperimentConfig(pipeline="staleness")
+
+    def test_a_zero_bound_is_dropped_on_load(self):
+        payload = dict(ExperimentConfig().to_dict(), staleness=0)
+        assert ExperimentConfig.from_dict(payload) == ExperimentConfig()
+
+    def test_a_config_writes_no_bound(self):
+        assert "staleness" not in ExperimentConfig().to_dict()
+        assert "staleness" not in {
+            field.name for field in dataclasses.fields(ExperimentConfig)
+        }
+
+    @pytest.mark.parametrize("bound", [1, 2, -1])
+    def test_a_relaxing_bound_fails_by_name(self, bound):
+        payload = dict(ExperimentConfig().to_dict(), staleness=bound)
+        with pytest.raises(ConfigurationError, match=f"staleness={bound}"):
+            ExperimentConfig.from_dict(payload)
 
 
 def _records(session) -> tuple[list, dict]:
@@ -273,17 +276,63 @@ def _assert_same_run(candidate, reference) -> None:
         assert np.array_equal(candidate[1][key], reference[1][key]), key
 
 
-GRAPH = dict(executor="process", transport="shm", pipeline="pipelined")
+WINDOW = dict(executor="process", transport="shm", pipeline="pipelined")
 BLOCKING = dict(executor="serial", pipeline="sync")
+
+
+class TestSyncCounter:
+    """Exact per-round counts at tau=3 over whole sessions: the blocking
+    order blocks 2*tau+2 times (install, forward + backward per iteration,
+    states), the aggregate window tau+1 times (one per forward, states).
+    SplitFed's per-iteration re-install blocks 1 + 4*tau times (install,
+    then forward, backward, states and install per iteration) under
+    either order."""
+
+    BLOCKING_SYNCS, WINDOW_SYNCS, PER_ITERATION_SYNCS = 8, 4, 13
+
+    CASES = {
+        "serial/sync": (dict(executor="serial"), BLOCKING_SYNCS),
+        "serial/pipelined": (
+            dict(executor="serial", pipeline="pipelined"), BLOCKING_SYNCS),
+        "batched/sync": (dict(executor="batched"), BLOCKING_SYNCS),
+        "batched/pipelined": (
+            dict(executor="batched", pipeline="pipelined"), BLOCKING_SYNCS),
+        "process-pipe/sync": (
+            dict(executor="process", transport="pipe"), BLOCKING_SYNCS),
+        "process-pipe/pipelined": (
+            dict(executor="process", transport="pipe", pipeline="pipelined"),
+            BLOCKING_SYNCS),
+        "process-shm/sync": (
+            dict(executor="process", transport="shm", pipeline="sync"),
+            BLOCKING_SYNCS),
+        "process-shm/pipelined": (WINDOW, WINDOW_SYNCS),
+        "splitfed/serial/sync": (
+            dict(algorithm="splitfed", executor="serial"), PER_ITERATION_SYNCS),
+        "splitfed/process-shm/pipelined": (
+            dict(algorithm="splitfed", **WINDOW), PER_ITERATION_SYNCS),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sync_points_per_round(self, case):
+        overrides, per_round = self.CASES[case]
+        config = _config(**overrides)
+        with Session.from_config(config) as session:
+            session.run()
+            pipeline = session.algorithm.pipeline
+        assert pipeline.last_report.sync_points == per_round
+        assert pipeline.sync_points == per_round * config.num_rounds
 
 
 class TestPipelinedSessions:
     def test_checkpoint_mid_run_drains_and_resumes_bit_exact(self, tmp_path):
         """Saving between rounds of a pipelined process run drains in-flight
-        dispatch; the resumed run matches a straight serial run bit for bit."""
+        dispatch and serialises the prefetched plan; the resumed run matches
+        a straight serial run bit for bit."""
         path = tmp_path / "pipelined.ckpt.json"
-        with Session.from_config(_config(**GRAPH)) as session:
+        with Session.from_config(_config(**WINDOW)) as session:
             session.run(1)
+            # The cross-round in-flight artifact is serialised, not dropped.
+            assert session.state_dict()["algorithm"]["pending_plan"] is not None
             session.save_checkpoint(path)
         with Session.load_checkpoint(path) as resumed:
             assert resumed.config.pipeline == "pipelined"
@@ -292,18 +341,18 @@ class TestPipelinedSessions:
             candidate = _records(resumed)
         _assert_same_run(candidate, _run(_config(**BLOCKING)))
 
-    @pytest.mark.parametrize("writer, reader", [(GRAPH, BLOCKING), (BLOCKING, GRAPH)],
-                             ids=["graph-to-blocking", "blocking-to-graph"])
-    def test_checkpoint_resumes_under_the_other_body(self, tmp_path, writer, reader):
-        """The graph body's checkpoint carries a prefetched plan, the
-        blocking body's does not; either resumes under the other topology
-        to the records of the uninterrupted serial run."""
+    @pytest.mark.parametrize("writer, reader", [(WINDOW, BLOCKING), (BLOCKING, WINDOW)],
+                             ids=["window-to-blocking", "blocking-to-window"])
+    def test_checkpoint_resumes_under_the_other_order(self, tmp_path, writer, reader):
+        """The window's checkpoint carries a prefetched plan, the blocking
+        order's does not; either resumes under the other topology to the
+        records of the uninterrupted serial run."""
         path = tmp_path / "writer.ckpt.json"
         with Session.from_config(_config(**writer)) as session:
             session.run(2)
             state = session.state_dict()
             assert (state["algorithm"]["pending_plan"] is not None) == (
-                writer is GRAPH
+                writer is WINDOW
             )
             session.save_checkpoint(path)
         payload = json.loads(path.read_text())
@@ -316,6 +365,29 @@ class TestPipelinedSessions:
             candidate = _records(resumed)
         _assert_same_run(candidate, _run(_config(**BLOCKING)))
 
+    @pytest.mark.parametrize("executor_kw", [
+        dict(executor="serial"),
+        dict(executor="batched"),
+        dict(executor="process", transport="pipe"),
+    ], ids=["serial", "batched", "process-pipe"])
+    def test_pipelined_without_the_window_resumes_bit_exact(
+        self, tmp_path, executor_kw
+    ):
+        """``pipelined`` on an executor without asynchronous dispatch runs
+        the blocking order: nothing is prefetched, and a mid-run checkpoint
+        resumes to the uninterrupted run."""
+        config = _config(pipeline="pipelined", **executor_kw)
+        path = tmp_path / "pipelined.ckpt.json"
+        with Session.from_config(config) as session:
+            session.run(1)
+            assert session.state_dict()["algorithm"]["pending_plan"] is None
+            session.save_checkpoint(path)
+        with Session.load_checkpoint(path) as resumed:
+            assert resumed.config.pipeline == "pipelined"
+            resumed.run()
+            candidate = _records(resumed)
+        _assert_same_run(candidate, _run(config))
+
     @pytest.mark.parametrize("knobs", [
         dict(elastic=True, dropout_rate=0.3, over_select_factor=1.5,
              rejoin_staleness_bound=2, min_cohort_fraction=0.5),
@@ -325,15 +397,13 @@ class TestPipelinedSessions:
         dict(split_policy="adaptive"),
     ], ids=["elastic", "lazy-elastic", "adaptive-split"])
     def test_aggregate_window_composes_with_the_round_knobs(self, knobs):
-        """The graph body accounts the round and plans the next one *before*
+        """The window accounts the round and plans the next one *before*
         the aggregate folds churn, rejoins and deltas in; under every knob
         that hooks into that window the records still equal the blocking
         order's."""
-        reference = _run(_config(**BLOCKING, **knobs))
         _assert_same_run(
-            _run(_config(executor="serial", pipeline="pipelined", **knobs)), reference
+            _run(_config(**WINDOW, **knobs)), _run(_config(**BLOCKING, **knobs))
         )
-        _assert_same_run(_run(_config(**GRAPH, **knobs)), reference)
 
     def test_drain_is_noop_for_serial_sessions(self):
         with Session.from_config(_config(executor="serial")) as session:
@@ -341,12 +411,28 @@ class TestPipelinedSessions:
             session.algorithm.drain()  # must not raise
 
 
+def test_prefetched_plan_round_trips_through_json():
+    from repro.core.controller import RoundPlan
+
+    plan = RoundPlan(
+        selected=[2, 0], batch_sizes={2: 8, 0: 16},
+        merged_kl=0.125, info={"feasible": True},
+    )
+    restored = RoundPlan.from_dict(plan.to_dict())
+    assert restored.selected == plan.selected
+    assert restored.batch_sizes == plan.batch_sizes
+    assert restored.merged_kl == plan.merged_kl
+    assert restored.info == plan.info
+
+
 class TestProcessExecutorPipelineProtocol:
     def test_collect_without_launch_raises(self):
         executor = ProcessExecutor(processes=1)
         try:
-            with pytest.raises(RuntimeError, match="no forward in flight"):
+            with pytest.raises(RuntimeError, match="no forward request in flight"):
                 executor.collect_forward(_make_workers())
+            with pytest.raises(RuntimeError, match="no states request in flight"):
+                executor.collect_states(_make_workers())
         finally:
             executor.close()
 
@@ -361,8 +447,7 @@ class TestProcessExecutorPipelineProtocol:
         )
         try:
             executor.install(workers, bottom, [0.1, 0.1])
-            executor.stage_forward(workers, [8, 8])
-            executor.launch_forward(workers)
+            executor.launch_forward(workers, [8, 8])
             executor.drain()
             assert not executor._completions
             executor.install(workers, bottom, [0.1, 0.1])
@@ -380,13 +465,51 @@ class TestProcessExecutorPipelineProtocol:
         executor = ProcessExecutor(processes=1)
         try:
             executor.install(workers, bottom, [0.1, 0.1])
-            executor.stage_forward(workers, [8, 8])
-            executor.launch_forward(workers)          # replying request pending
-            executor.stage_forward(workers, [8, 8])   # no-reply sent after it
-            executor.collect_forward(workers)
-            assert executor._children[0].dirty        # later stage unacked
+            features, __ = executor.forward(workers, [8, 8])
+            executor.request_states(workers)              # reply pending
+            executor.backward_step(workers, [0.1 * f for f in features], wait=False)
+            executor.collect_states(workers)
+            assert executor._children[0].dirty            # backward unacked
             executor.drain()
             assert not executor._children[0].dirty
+        finally:
+            executor.close()
+
+    @pytest.mark.parametrize("transport", ["pipe", "shm"])
+    def test_the_first_forward_acknowledges_an_unwaited_install(self, transport):
+        """The window sends its install without waiting for it; the next
+        forward's reply proves the child processed it, so the channel is
+        clean again without a ping."""
+        workers = _make_workers()
+        executor = ProcessExecutor(processes=1, transport=TRANSPORTS[transport]())
+        try:
+            executor.install(workers, _bottom(), [0.1, 0.1], wait=False)
+            assert executor._children[0].dirty
+            executor.forward(workers, [8, 8])
+            assert not executor._children[0].dirty
+        finally:
+            executor.close()
+
+    @pytest.mark.parametrize("transport", ["pipe", "shm"])
+    def test_drain_discards_an_abandoned_state_request(self, transport):
+        """A round that failed inside the window -- after the states were
+        requested, before they were collected -- leaves their reply queued;
+        draining consumes it and the next round's replies pair correctly."""
+        workers = _make_workers()
+        bottom = _bottom()
+        executor = ProcessExecutor(processes=1, transport=TRANSPORTS[transport]())
+        try:
+            executor.install(workers, bottom, [0.1, 0.1], wait=False)
+            features, __ = executor.forward(workers, [8, 8])
+            executor.backward_step(workers, [0.1 * f for f in features], wait=False)
+            executor.request_states(workers)
+            executor.drain()
+            assert not executor._completions
+            assert not executor._children[0].dirty
+            executor.install(workers, bottom, [0.1, 0.1])
+            features, __ = executor.forward(workers, [8, 8])
+            assert features[0].shape == (8, 16)
+            assert len(executor.bottom_states(workers)) == 2
         finally:
             executor.close()
 
@@ -397,7 +520,7 @@ class TestProcessExecutorPipelineProtocol:
         try:
             executor.install(workers, bottom, [0.1, 0.1])
             features, __ = executor.forward(workers, [8, 8])
-            executor.backward_step_nowait(workers, [0.1 * f for f in features])
+            executor.backward_step(workers, [0.1 * f for f in features], wait=False)
             executor.drain()  # pings the dirty children
             states = executor.bottom_states(workers)
             assert len(states) == 2

@@ -151,26 +151,24 @@ class TestChildLoop:
             )
             assert sorted(states[worker_id]) == sorted(prefix.state_dict())
 
-    def test_staged_asynchronous_cycle(self):
+    def test_aggregate_window_cycle(self):
         zeros = {0: np.zeros((4, 16)), 1: np.zeros((4, 16))}
         endpoint = _drive([
             ("install", (_bottom(), _install_spec([0, 1])), False),
-            ("stage", {0: _rows(0, 1, 2, 3), 1: _rows(4, 5, 6, 7, key=1)}, False),
-            ("forward_staged", [0, 1]),
+            ("forward", {0: _rows(0, 1, 2, 3), 1: _rows(4, 5, 6, 7, key=1)}),
             ("backward", zeros, False),
-            ("stage", {0: _rows(8, 9, 10, 11), 1: _rows(12, 13, 14, 15, key=1)},
-             False),
-            ("forward_staged", [0, 1]),
+            ("forward", {0: _rows(8, 9, 10, 11), 1: _rows(12, 13, 14, 15, key=1)}),
             ("backward", zeros, False),
-            ("ping", None),
+            ("states", [0, 1]),
             ("close", None),
         ], sources={0: _source(), 1: _source(seed=1)})
         statuses = [status for status, __ in endpoint.replies]
-        # install, stage and backward were sent without wants_reply: only
-        # the two forwards and the ping answer.
+        # install and backward were sent without wants_reply: only the two
+        # forwards and the states answer.
         assert statuses == ["ok", "ok", "ok"]
         assert set(endpoint.replies[0][1]) == {0, 1}   # first forward's features
         assert set(endpoint.replies[1][1]) == {0, 1}   # second forward's features
+        assert set(endpoint.replies[2][1]) == {0, 1}   # both stepped states
 
     def test_gradient_batch_mismatch_reported(self):
         endpoint = _drive([
@@ -188,6 +186,48 @@ class TestChildLoop:
         status, payload = endpoint.replies[-1]
         assert status == "error"
         assert "unknown executor command" in payload
+
+    def test_a_hosted_bottom_steps_like_its_worker(self):
+        """The child installs and steps a bottom with its worker's recipe
+        (``local_training_copy``, ``local_step``): same rows and gradients,
+        same features and weights."""
+        source = _source(seed=5)
+        bottom = _bottom()
+        worker = SplitWorker(0, source, num_classes=3, momentum=0.9,
+                             weight_decay=1e-3)
+        worker.receive_bottom_model(bottom, 0.1)
+        spec = {0: (0.1, 0.9, 1e-3, worker.max_grad_norm, 2)}
+        script, features = [("install", (bottom, spec))], []
+        rng = np.random.default_rng(2)
+        for __ in range(2):
+            rows, __ = worker.draw_batch_indices(4)
+            features.append(worker.bottom.forward(source.data[rows]))
+            gradient = rng.normal(size=features[-1].shape)
+            worker.backward_and_step(gradient)
+            script += [("forward", {0: (0, rows)}), ("backward", {0: gradient})]
+        endpoint = _drive([*script, ("states", [0]), ("close", None)],
+                          sources={0: source})
+        replies = [payload for __, payload in endpoint.replies]
+        for expected, reply in zip(features, replies[1:5:2]):
+            assert np.array_equal(reply[0], expected)
+        hosted, expected = replies[-1][0], worker.bottom_state()
+        assert sorted(hosted) == sorted(expected)
+        for key in expected:
+            assert np.array_equal(hosted[key], expected[key]), key
+
+    @pytest.mark.parametrize("command", ["stage", "forward_staged"])
+    def test_a_retired_round_command_is_unknown(self, command):
+        """A round is ``install``, ``forward``, ``backward`` and ``states``;
+        the staged forward of the retired bounded-staleness dispatch is no
+        command at all."""
+        endpoint = _drive([
+            ("install", (_bottom(), _install_spec([0]))),
+            (command, {0: _rows(0, 1, 2, 3)}),
+            ("close", None),
+        ], sources={0: _source()})
+        status, payload = endpoint.replies[-1]
+        assert status == "error"
+        assert f"unknown executor command {command!r}" in payload
 
     def test_train_full_runs_local_iterations(self):
         model = Sequential([Linear(8, 3, rng=new_rng(4))])
@@ -226,17 +266,17 @@ class TestChildLoop:
         assert statuses == ["ok", "ok", "error", "ok"]
         assert "does not match the pending forward batch" in endpoint.replies[2][1]
 
-    def test_install_resets_staged_data(self):
+    def test_install_resets_the_pending_forward(self):
         endpoint = _drive([
             ("install", (_bottom(), _install_spec([0]))),
-            ("stage", {0: _rows(0, 1, 2, 3)}, False),
+            ("forward", {0: _rows(0, 1, 2, 3)}),
             ("install", (_bottom(), _install_spec([0]))),
-            ("forward_staged", [0]),   # staged rows were dropped -> error
+            ("backward", {0: np.zeros((4, 16))}),   # nothing pending -> error
             ("close", None),
         ], sources={0: _source()})
         status, payload = endpoint.replies[-1]
         assert status == "error"
-        assert "KeyError" in payload
+        assert "does not match the pending forward batch 0" in payload
 
 
 def test_sticky_assignment_is_stable_and_round_balanced():
@@ -304,22 +344,18 @@ def _make_workers(count: int = 2) -> list[SplitWorker]:
 
 def test_child_error_in_asynchronous_round_is_recoverable():
     """A child-side error of a no-reply command surfaces through the next
-    collect_forward and must not leave a phantom pending forward: the next
-    install recovers without blocking."""
+    forward -- on every child, with every reply slot consumed -- and the
+    next install recovers without blocking."""
     workers = _make_workers()
     bottom = _bottom()
-    executor = ProcessExecutor(processes=1)
+    executor = ProcessExecutor(processes=2)
     try:
-        executor.install(workers, bottom, [0.1, 0.1])
-        executor.stage_forward(workers, [8, 8])
-        executor.launch_forward(workers)
-        executor.collect_forward(workers)
+        executor.install(workers, bottom, [0.1, 0.1], wait=False)
+        executor.forward(workers, [8, 8])
         bad = [np.zeros((3, 16)), np.zeros((3, 16))]   # wrong batch size
-        executor.backward_step_nowait(workers, bad)
-        executor.stage_forward(workers, [8, 8])
-        executor.launch_forward(workers)
+        executor.backward_step(workers, bad, wait=False)
         with pytest.raises(RuntimeError, match="does not match the pending"):
-            executor.collect_forward(workers)
+            executor.forward(workers, [8, 8])
         assert not executor._completions
         executor.install(workers, bottom, [0.1, 0.1])  # must not hang
         features, __ = executor.forward(workers, [8, 8])
@@ -342,10 +378,9 @@ def test_completion_queue_pairs_replies_with_two_forwards_in_flight():
         workers, twins = _make_workers(), _make_workers()
         executor.install(workers, bottom, [0.1, 0.1], wait=False)
         for __ in range(2):
-            executor.stage_forward(workers, [8, 8])
-            executor.launch_forward(workers)
+            executor.launch_forward(workers, [8, 8])
         executor.request_states(workers)
-        assert [kind for kind, __ in executor._completions] == [
+        assert [entry[0] for entry in executor._completions] == [
             "forward", "forward", "states"
         ]
         first = executor.collect_forward(workers)
@@ -374,8 +409,10 @@ def test_install_recovery_survives_an_errored_abandoned_forward():
     executor = ProcessExecutor(processes=1)
     try:
         executor.install(workers, bottom, [0.1, 0.1])
-        executor.launch_forward(workers)   # nothing staged: child KeyErrors
-        with pytest.raises(RuntimeError, match="KeyError"):
+        bad = [np.zeros((3, 16)), np.zeros((3, 16))]   # nothing to step: fails
+        executor.backward_step(workers, bad, wait=False)
+        executor.launch_forward(workers, [8, 8])   # its reply slot: the error
+        with pytest.raises(RuntimeError, match="does not match the pending"):
             executor.install(workers, bottom, [0.1, 0.1])
         assert not executor._completions
         executor.install(workers, bottom, [0.1, 0.1])  # must not hang
@@ -394,8 +431,7 @@ def test_install_reconciles_abandoned_forward():
     executor = ProcessExecutor(processes=1)
     try:
         executor.install(workers, bottom, [0.1, 0.1])
-        executor.stage_forward(workers, [8, 8])
-        executor.launch_forward(workers)
+        executor.launch_forward(workers, [8, 8])
         # Parent-side failure here; collect_forward never happens.
         executor.install(workers, bottom, [0.1, 0.1])
         features, labels = executor.forward(workers, [8, 8])
@@ -430,16 +466,14 @@ class TestWorkerDeath:
         workers = _make_workers()
         executor = ProcessExecutor(processes=1, transport=transport)
         try:
-            executor.install(workers, _bottom(), [0.1, 0.1])
-            executor.stage_forward(workers, [8, 8])
-            executor.launch_forward(workers)
-            executor.collect_forward(workers)
-            executor.stage_forward(workers, [8, 8])
+            executor.install(workers, _bottom(), [0.1, 0.1], wait=False)
+            features, __ = executor.forward(workers, [8, 8])
+            executor.backward_step(workers, [0.1 * f for f in features], wait=False)
             child = executor._children[0]
             child.process.terminate()
             child.process.join(timeout=5.0)
             with pytest.raises(RuntimeError, match="died"):
-                executor.launch_forward(workers)
+                executor.launch_forward(workers, [8, 8])
                 executor.collect_forward(workers)
         finally:
             executor.close()
@@ -469,8 +503,7 @@ class TestWorkerDeath:
         executor = ProcessExecutor(processes=1, transport=transport)
         try:
             executor.install(workers, _bottom(), [0.1, 0.1])
-            executor.stage_forward(workers, [8, 8])
-            executor.launch_forward(workers)   # replies now in flight
+            executor.launch_forward(workers, [8, 8])   # replies now in flight
             child = executor._children[0]
             child.process.kill()
             child.process.join(timeout=5.0)
@@ -483,9 +516,8 @@ class TestWorkerDeath:
     def test_close_terminates_a_dirty_dead_pool_promptly(self, transport):
         workers = _make_workers()
         executor = ProcessExecutor(processes=2, transport=transport)
-        executor.install(workers, _bottom(), [0.1, 0.1])
-        executor.stage_forward(workers, [8, 8])
-        executor.launch_forward(workers)
+        executor.install(workers, _bottom(), [0.1, 0.1], wait=False)
+        executor.launch_forward(workers, [8, 8])
         executor._children[0].process.kill()
         executor._children[0].process.join(timeout=5.0)
         executor.close()

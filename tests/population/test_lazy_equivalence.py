@@ -27,8 +27,8 @@ OBSERVATIONAL_FIELDS = {"cache_hits", "cache_misses", *WIRE_FIELDS}
 VARIANTS = (
     ("serial", "pipe", "sync"),
     ("batched", "pipe", "sync"),
+    ("process", "pipe", "sync"),
     ("process", "shm", "pipelined"),
-    ("serial", "pipe", "staleness"),
 )
 
 

@@ -62,6 +62,25 @@ class TestStudyStore:
         completed = store.completed("s")
         assert sorted(completed) == ["a"]
 
+    def test_a_row_written_with_bounded_staleness_loads(self, tmp_path):
+        """Rows written while bounded staleness existed carry ``staleness``
+        in the config and ``effective_staleness`` in every record, both at
+        their exact value."""
+        from repro.config import ExperimentConfig
+
+        config = ExperimentConfig(dataset="blobs", model="mlp")
+        row = dict(_result("a").to_dict(), config=config.to_dict())
+        row["config"]["staleness"] = 0
+        for record in row["history"]["records"]:
+            record["effective_staleness"] = 0.0
+        store = StudyStore(tmp_path)
+        path = store.records_path("s")
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(row) + "\n")
+        loaded = store.completed("s")["a"]
+        assert loaded.history.to_dict() == _result("a").history.to_dict()
+        assert ExperimentConfig.from_dict(loaded.config) == config
+
     def test_checkpoint_path_and_clear(self, tmp_path):
         store = StudyStore(tmp_path)
         path = store.checkpoint_path("s", "trial=1")

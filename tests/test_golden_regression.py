@@ -237,6 +237,53 @@ def test_checkpoint_echoing_serial_still_resumes_to_golden(name, tmp_path):
     )
 
 
+@pytest.mark.parametrize("name", sorted(CHECKPOINT_FIXTURES))
+def test_checkpoint_with_the_retired_staleness_keys_still_resumes_to_golden(
+    name, tmp_path
+):
+    """Checkpoints written while bounded staleness existed carry
+    ``config.staleness`` and every record's ``effective_staleness``, both at
+    their exact value; they are the fixture with those keys put back."""
+    from repro.api.session import Session
+
+    payload = json.loads(_checkpoint_path(name).read_text())
+    payload["config"]["staleness"] = 0
+    records = payload["algorithm"]["history"]["records"]
+    assert records
+    for record in records:
+        record["effective_staleness"] = 0.0
+    legacy = tmp_path / "staleness.ckpt.json"
+    legacy.write_text(json.dumps(payload))
+    with Session.load_checkpoint(legacy) as resumed:
+        history = resumed.run()
+    _assert_records_match(
+        json.loads(_golden_path(name).read_text())["records"],
+        history.to_dict()["records"],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_a_golden_with_the_retired_staleness_keys_loads_unchanged(name):
+    """Goldens written while bounded staleness existed carry
+    ``config.staleness`` and every record's ``effective_staleness``, both at
+    their exact value; with those keys put back each still loads to its own
+    config and records."""
+    from repro.config import ExperimentConfig
+    from repro.metrics.history import History
+
+    golden = json.loads(_golden_path(name).read_text())
+    legacy = json.loads(json.dumps(golden))
+    legacy["config"]["staleness"] = 0
+    for record in legacy["records"]:
+        record["effective_staleness"] = 0.0
+    assert ExperimentConfig.from_dict(legacy["config"]) == ExperimentConfig.from_dict(
+        golden["config"]
+    )
+    _assert_records_match(
+        golden["records"], History.from_dict(legacy).to_dict()["records"]
+    )
+
+
 def _regenerate(names: list[str]) -> None:
     from repro.api.session import Session
 
