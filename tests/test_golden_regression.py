@@ -64,6 +64,20 @@ GOLDEN_CONFIGS: dict[str, dict] = {
         }
         for algorithm in ("mergesfl", "sfl_t", "splitfed")
     },
+    # Lossy links, recorded on two processes over shared memory.
+    "mergesfl_int8_blobs_seed3": {
+        "executor": "process", "transport": "shm", "codec": "int8",
+        "extras": {"executor_processes": 2},
+    },
+    "sfl_t_topk_blobs_seed3": {
+        "algorithm": "sfl_t", "executor": "process", "transport": "shm",
+        "codec": "topk",
+        "extras": {"executor_processes": 2, "codec_topk_ratio": 0.3},
+    },
+    "fedavg_fp16_weights_blobs_seed3": {
+        "algorithm": "fedavg", "executor": "process", "transport": "shm",
+        "extras": {"executor_processes": 2, "codec_policy": {"weights": "fp16"}},
+    },
 }
 
 #: Rows that pin the per-depth data path: each must really see workers at
@@ -73,6 +87,25 @@ PER_DEPTH = sorted(
     name for name, overrides in GOLDEN_CONFIGS.items()
     if overrides.get("split_policy", "uniform") != "uniform"
 )
+
+#: Rows with a lossy codec.  Their goldens carry no wire fields
+#: (``WIRE_FIELDS``): host bytes depend on the executor, the trajectory
+#: must not.
+LOSSY = sorted(
+    name for name, overrides in GOLDEN_CONFIGS.items()
+    if overrides.get("codec", "none") != "none"
+    or "codec_policy" in overrides.get("extras", {})
+)
+
+#: A two-round checkpoint of ``sfl_t_topk_blobs_seed3`` saved by the process
+#: executor over shared memory, its top-k residuals gathered from the
+#: children (``features|<worker>``) and the parent (``gradients|<worker>``).
+#: Never regenerated: it pins that such a checkpoint keeps loading.
+TOPK_PROCESS_CHECKPOINT = GOLDEN_DIR / "sfl_t_topk_blobs_seed3.round2.process.ckpt.json"
+
+#: What a round costs on the simulated network; a run resumed from
+#: :data:`TOPK_PROCESS_CHECKPOINT` is compared on every other field.
+COST_FIELDS = ("sim_time", "duration", "waiting_time", "traffic_mb")
 
 #: Names the algorithm table builds from the same row: their goldens must
 #: agree record for record.
@@ -284,12 +317,43 @@ def test_a_golden_with_the_retired_staleness_keys_loads_unchanged(name):
     )
 
 
+@pytest.mark.parametrize("executor", ["process"])
+def test_topk_process_checkpoint_resumes_to_golden(executor, tmp_path):
+    """The fixture carries per-worker feature and gradient residuals and
+    resumes, on ``executor``, to the golden's trajectory."""
+    from repro.api.session import Session
+
+    payload = json.loads(TOPK_PROCESS_CHECKPOINT.read_text())
+    residual_keys = payload["algorithm"]["codec"]
+    assert {key.split("|")[0] for key in residual_keys} == {"features", "gradients"}
+    payload["config"]["executor"] = executor
+    path = tmp_path / "topk.ckpt.json"
+    path.write_text(json.dumps(payload))
+    with Session.load_checkpoint(path) as resumed:
+        records = resumed.run().to_dict()["records"]
+    golden = json.loads(_golden_path("sfl_t_topk_blobs_seed3").read_text())
+    _assert_records_match(
+        [
+            {k: v for k, v in record.items() if k not in COST_FIELDS}
+            for record in golden["records"]
+        ],
+        records,
+    )
+
+
 def _regenerate(names: list[str]) -> None:
     from repro.api.session import Session
+    from repro.metrics.history import WIRE_FIELDS
 
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name in names:
         config = _golden_config(name)
+        records = _run_history(name)
+        if name in LOSSY:
+            records = [
+                {k: v for k, v in record.items() if k not in WIRE_FIELDS}
+                for record in records
+            ]
         payload = {
             "description": (
                 f"Fixed-seed {config.num_rounds}-round {config.algorithm} "
@@ -297,7 +361,7 @@ def _regenerate(names: list[str]) -> None:
                 f"tests/test_golden_regression.py"
             ),
             "config": config.to_dict(),
-            "records": _run_history(name),
+            "records": records,
         }
         _golden_path(name).write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
