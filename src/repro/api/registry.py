@@ -246,7 +246,7 @@ PIPELINES = Registry("pipeline", populate=_load_builtins)
 #: Inter-process feature transports: factories ``(config) -> Transport``
 #: (see ``repro.parallel.transport``).
 TRANSPORTS = Registry("transport", populate=_load_builtins)
-#: Payload codecs for the feature transport: :class:`~repro.parallel.codec.Codec`
+#: Payload codecs of the simulated link: :class:`~repro.parallel.codec.Codec`
 #: subclasses keyed by name (see ``repro.parallel.codec``).
 CODECS = Registry("codec", populate=_load_builtins)
 #: Split-point policies: per-worker cut-depth selectors

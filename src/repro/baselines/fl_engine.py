@@ -45,6 +45,7 @@ from repro.nn.serialization import (
     module_extra_state,
 )
 from repro.parallel.base import Executor
+from repro.parallel.codec import WEIGHTS
 from repro.parallel.pipeline import FullRoundOps, PipelineScheduler
 from repro.population.pool import WorkerPool
 from repro.simulation.cluster import Cluster, LazyCluster
@@ -192,7 +193,9 @@ class FLTrainingEngine(RoundEngine):
                     "the locally updated state dicts and each worker's mean "
                     f"training loss; got {type(trained).__name__}"
                 )
-            return trained
+            states, losses = trained
+            # The trained states reach the PS over the simulated link.
+            return self._delivered(WEIGHTS, plan.selected, states), losses
 
         def aggregate(trained) -> None:
             states, losses = trained

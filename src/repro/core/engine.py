@@ -55,6 +55,7 @@ from repro.nn.module import Sequential
 from repro.nn.serialization import model_size_bytes
 from repro.nn.split import SplitModel, candidate_split_depths, carve_prefix
 from repro.parallel.base import Executor
+from repro.parallel.codec import FEATURES, GRADIENTS, WEIGHTS
 from repro.parallel.pipeline import PipelineScheduler, SplitRoundOps
 from repro.population.pool import WorkerPool
 from repro.simulation.cluster import Cluster, LazyCluster
@@ -333,14 +334,6 @@ class SplitTrainingEngine(RoundEngine):
         ]
         return np.asarray(costs, dtype=np.float64)
 
-    def _run_round(self, round_index: int) -> None:
-        super()._run_round(round_index)
-        if self._split_policy is not None:
-            record = self.history.records[-1]
-            self._split_policy.observe_traffic(
-                record.bytes_on_wire, record.logical_bytes
-            )
-
     def _observe_round(
         self, round_index: int, plan: RoundPlan, durations: np.ndarray
     ) -> None:
@@ -469,8 +462,13 @@ class SplitTrainingEngine(RoundEngine):
             # MERGE + TOP_UPDATE: one update over the merged sequence
             # (Eq. 16), or one per worker for the no-merging variants; the
             # dispatched gradient segments are re-aligned with the workers.
+            # Features arrive and gradients leave over the simulated link.
+            features = self._delivered(FEATURES, worker_ids, features)
             loss, gradients = update(worker_ids, features, labels, depths)
-            return loss, [gradients[worker_id] for worker_id in worker_ids]
+            return loss, self._delivered(
+                GRADIENTS, worker_ids,
+                [gradients[worker_id] for worker_id in worker_ids],
+            )
 
         ops = SplitRoundOps(
             executor=self.executor,
@@ -506,6 +504,7 @@ class SplitTrainingEngine(RoundEngine):
         """AGGREGATE the collected bottom states, batch-size weighted (Eq. 17)."""
         worker_ids = list(depths)
         weights = [float(batch_size) for batch_size in batch_sizes]
+        states = self._delivered(WEIGHTS, worker_ids, states)
         # Complete every prefix state with its bridge's server-trained tail
         # so the states share the full bottom keyset (a state cut at the
         # tail already does); everything downstream (delta capture, elastic

@@ -38,6 +38,7 @@ from repro.data.dataset import TrainTestSplit
 from repro.exceptions import ExecutorDeathError
 from repro.metrics.history import History, RoundRecord, wire_round_delta
 from repro.parallel.base import Executor
+from repro.parallel.codec import CodecPolicy, build_codec_policy
 from repro.parallel.pipeline import PipelineScheduler, build_pipeline
 from repro.parallel.serial import SerialExecutor
 from repro.population.pool import WorkerPool, as_worker_pool
@@ -81,6 +82,10 @@ class RoundEngine(Algorithm):
             elastic if elastic is not None
             else build_elastic_controller(config, cluster)
         )
+        #: The simulated link's codecs (``None`` at ``codec="none"``): the
+        #: round passes what crosses the link through them, on every
+        #: executor, and holds every error-feedback residual.
+        self.codec: CodecPolicy | None = build_codec_policy(config)
         self.traffic = TrafficMeter()
         self.history = History(algorithm=config.algorithm)
         #: Root seed of the per-round RNG streams; generators are derived
@@ -135,7 +140,10 @@ class RoundEngine(Algorithm):
             "elastic": (
                 self._elastic.state_dict() if self._elastic is not None else None
             ),
-            "codec": self.executor.codec_state(),
+            "codec": (
+                self.codec.state_dict()
+                if self.codec is not None and self.codec.stateful else None
+            ),
             **self._engine_state(),
         }
 
@@ -152,7 +160,9 @@ class RoundEngine(Algorithm):
         # writes, and a missing one is reported by name (``Session._restore``).
         if state["elastic"] is not None and self._elastic is not None:
             self._elastic.load_state_dict(state["elastic"])
-        self.executor.load_codec_state(state["codec"])
+        residuals = state["codec"]
+        if self.codec is not None:
+            self.codec.load_state_dict(residuals or {})
         self._load_engine_state(state)
 
     # -- variation points --------------------------------------------------------
@@ -218,6 +228,21 @@ class RoundEngine(Algorithm):
         Runs at the end of ``account()``, i.e. before any next-round
         planning the scheduler's aggregate window prefetches.
         """
+
+    # -- the simulated link -------------------------------------------------------
+    def _delivered(self, klass: str, worker_ids, values: list) -> list:
+        """``values``, one per worker, as the simulated link delivers them.
+
+        Each passes through its payload class's codec (see
+        :meth:`CodecPolicy.apply <repro.parallel.codec.CodecPolicy.apply>`);
+        without a codec the list comes back untouched.
+        """
+        if self.codec is None:
+            return values
+        return [
+            self.codec.apply(klass, worker_id, value)
+            for worker_id, value in zip(worker_ids, values)
+        ]
 
     # -- simulated cost model ----------------------------------------------------
     def _worker_durations(self, plan: RoundPlan) -> np.ndarray:

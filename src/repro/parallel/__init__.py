@@ -17,7 +17,7 @@ receive the full :class:`~repro.config.ExperimentConfig` so backends can
 read tuning knobs from ``config.extras`` (the process pool size, for
 example, comes from ``extras["executor_processes"]``).
 
-Three further axes compose with the executor choice:
+Two further axes compose with the executor choice:
 
 * the **round pipeline** (``config.pipeline``, :mod:`repro.parallel.pipeline`)
   schedules the stages of each round with one scheduler class -- ``sync``
@@ -26,20 +26,15 @@ Three further axes compose with the executor choice:
   acknowledgements, and the round's accounting and the next round's plan
   overlap the executor's tail compute;
 * the **feature transport** (``config.transport``,
-  :mod:`repro.parallel.transport`) moves tensors across the process
+  :mod:`repro.parallel.transport`) moves tensors, raw, across the process
   executor's process boundary -- ``pipe`` pickles them, ``shm`` ships them
   through shared-memory ring buffers (``extras["transport_capacity"]``
-  tunes the per-direction ring size);
-* the **transport codec** (``config.codec``, :mod:`repro.parallel.codec`)
-  compresses the feature/gradient arrays crossing either transport --
-  ``none`` (the default) is a bit-exact passthrough, ``fp16``/``bf16``/
-  ``int8``/``topk`` trade precision for wire bytes, with
-  ``extras["codec_policy"]`` assigning different codecs per payload class
-  and ``extras["codec_topk_ratio"]`` tuning sparsification.
+  tunes the per-direction ring size).
 
-Every combination at ``codec="none"`` is bit-exact with every other; lossy
-codecs are deterministic, transport-independent relaxations pinned by
-convergence-tolerance regressions.
+Every combination is bit-exact with every other.  The link codec
+(``config.codec``, :mod:`repro.parallel.codec`) is not an execution axis:
+the round applies it, identically on every executor, so a lossy run is
+the same trajectory on all of them.
 """
 
 from repro.api.registry import (
@@ -120,7 +115,7 @@ def _build_process(config) -> ProcessExecutor:
 
 @register_transport("pipe", description="pickle whole messages over a pipe")
 def _build_pipe_transport(config) -> PipeTransport:
-    return PipeTransport(codec=build_codec_policy(config))
+    return PipeTransport()
 
 
 @register_transport("shm", description="arrays via shared-memory ring buffers")
@@ -128,7 +123,6 @@ def _build_shm_transport(config) -> SharedMemoryTransport:
     capacity = config.extras.get("transport_capacity")
     return SharedMemoryTransport(
         capacity=int(capacity) if capacity is not None else DEFAULT_RING_CAPACITY,
-        codec=build_codec_policy(config),
     )
 
 

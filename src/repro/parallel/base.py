@@ -162,7 +162,7 @@ class Executor(abc.ABC):
     def close(self) -> None:
         """Release backend resources (worker processes, pools); idempotent."""
 
-    # -- transport accounting and codec state ---------------------------------
+    # -- transport accounting -------------------------------------------------
     def transport_stats(self) -> dict[str, int] | None:
         """Cumulative wire traffic, or ``None`` for in-process backends.
 
@@ -172,17 +172,6 @@ class Executor(abc.ABC):
         :class:`~repro.metrics.history.RoundRecord`.
         """
         return None
-
-    def codec_state(self) -> dict | None:
-        """Checkpointable codec state (error-feedback residuals), if any.
-
-        ``None`` means the backend carries no stateful transport codec and
-        the engine checkpoint stays unchanged.
-        """
-        return None
-
-    def load_codec_state(self, state: dict | None) -> None:
-        """Restore :meth:`codec_state`; a no-op for backends without one."""
 
     def __enter__(self) -> "Executor":
         return self

@@ -1,54 +1,58 @@
-"""Payload codecs for the feature transport.
+"""Payload codecs: the compression of the simulated worker <-> PS link.
 
 MergeSFL's workers ship split-layer features up and gradients down on
 every iteration, so in a real deployment the link -- not compute -- is the
-bottleneck.  A :class:`Codec` compresses the float arrays crossing a
-:class:`~repro.parallel.transport.Endpoint` before they are framed into
-the shared-memory rings (or pickled over the pipe) and decompresses them
-on the far side, trading numerical precision for wire bytes:
+bottleneck.  A :class:`Codec` models a compressed link: the round passes
+every payload that crosses it through ``decode(encode(x))``, trading
+numerical precision for link bytes.  This happens in the round itself
+(:class:`~repro.core.round_engine.RoundEngine`), identically on every
+executor, and the simulated network charges each payload class its
+encoded size:
 
-========  ============  ========================================================
-codec     bits/value    semantics
-========  ============  ========================================================
-``none``  64            bit-exact passthrough (the default; no codec object is
-                        even constructed, so the hot path is untouched)
-``fp16``  16            IEEE half-precision cast; exact for fp16-representable
-                        values, relative error <= 2^-11 inside +/-65504
-``bf16``  16            bfloat16 emulation (upper half of float32 with
-                        round-to-nearest-even); fp32's range at ~3 significant
-                        digits
-``int8``  8             per-tensor affine quantization; minimum and scale
-                        travel in the frame metadata, absolute error <=
-                        (max-min)/510 per tensor
-``topk``  ~1.2 at 10%   magnitude top-k sparsification (int32 indices +
-                        float64 values) with per-key error-feedback residual
-                        accumulators, so dropped mass re-enters later messages
-========  ============  ========================================================
+========  ===================  ================================================
+codec     bits/value           semantics
+========  ===================  ================================================
+``none``  32                   bit-exact passthrough (the default; no codec
+                               object is even constructed, so the round is
+                               untouched)
+``fp16``  16                   IEEE half-precision cast; exact for
+                               fp16-representable values, relative error <=
+                               2^-11 inside +/-65504
+``bf16``  16                   bfloat16 emulation (upper half of float32 with
+                               round-to-nearest-even); fp32's range at ~3
+                               significant digits
+``int8``  8                    per-tensor affine quantization; minimum and
+                               scale travel beside the payload, absolute error
+                               <= (max-min)/510 per tensor
+``topk``  96 x ratio (9.6 at   magnitude top-k sparsification (int32 index +
+          the default 10%)     float64 value per kept coefficient) with
+                               per-key error-feedback residual accumulators,
+                               so dropped mass re-enters later messages
+========  ===================  ================================================
 
-Codecs only touch floating-point arrays; integer payloads (drawn source
-rows, worker ids) always pass through raw, as does a dataset sent to a
-child once per pool lifetime.  Which codec applies to which message is
-decided per *payload class* -- ``features`` (child -> parent activations),
-``gradients`` (parent -> child split-layer gradients) and ``weights``
-(collected bottom/full state dicts) -- by a :class:`CodecPolicy` negotiated
-per :data:`~repro.api.registry.TRANSPORTS` endpoint: ``config.codec`` sets
-the default for features and gradients (weights stay ``none`` unless asked)
-and ``config.extras["codec_policy"]`` overrides individual classes, e.g.
+Bits per value are those of a float32 tensor, the element the simulated
+network moves (:data:`~repro.simulation.traffic.BYTES_PER_ELEMENT`).
+
+Codecs only touch floating-point arrays.  Which codec applies to which
+payload is decided per *payload class* -- ``features`` (bottom -> PS
+activations), ``gradients`` (PS -> bottom split-layer gradients) and
+``weights`` (collected bottom/full state dicts) -- by a
+:class:`CodecPolicy`: ``config.codec`` sets the default for features and
+gradients (weights stay ``none`` unless asked) and
+``config.extras["codec_policy"]`` overrides individual classes, e.g.
 ``{"features": "topk", "weights": "fp16"}``.
 
 The ``topk`` codec is *stateful*: every encoded tensor keeps a residual of
-the mass it dropped, keyed by payload class and worker id, and adds it back
-before the next top-k selection (error feedback).  Residuals serialize
-through ``state_dict()`` / ``load_state_dict()`` -- the process executor
-collects them from its children at checkpoint time and re-ships them on
-resume -- so a checkpoint/resume cycle reproduces the lossy trajectory
-bit-exactly.  Residuals held by a child that dies are reset (the lossy
-trajectory after an executor death is deterministic given the death).
+the mass it dropped, keyed by payload class and worker id (and parameter
+name, for weights), and adds it back before the next top-k selection
+(error feedback).  The round's one policy holds every residual, in the
+parent process; they serialize through ``state_dict()`` /
+``load_state_dict()`` under the engine checkpoint's ``"codec"`` key, so a
+checkpoint/resume cycle reproduces the lossy trajectory bit-exactly.
 
 Register additional codecs with
 :func:`~repro.api.registry.register_codec`; entries are :class:`Codec`
-subclasses, looked up both to build policies and to decode self-describing
-frames on the receiving side.
+subclasses.
 """
 
 from __future__ import annotations
@@ -95,31 +99,27 @@ def decode_key(text: str) -> tuple:
 
 
 class Codec(abc.ABC):
-    """One compression scheme for float arrays crossing a transport.
+    """One compression scheme for the float arrays crossing the link.
 
     ``encode`` turns an array into a flat ``uint8`` payload plus a small
-    picklable ``meta`` object that travels in the frame header (the control
-    message); ``decode`` is a *static* inverse so the receiving side can
-    reconstruct any frame from its codec name alone -- frames are
-    self-describing and no receiver-side state is needed.
+    ``meta`` object (e.g. the int8 scale); ``decode`` is a *static*
+    inverse that needs nothing but the payload, the array's shape and
+    dtype, and ``meta``.
     """
 
-    #: Registry name (also stamped into every encoded frame).
+    #: Registry name.
     name: str = "abstract"
     #: Whether ``decode(encode(x)) == x`` bit for bit.
     lossless: bool = False
-    #: Nominal payload bits per encoded value (documentation/benchmarks).
-    bits_per_value: float = 64.0
+    #: Payload bits per value of an encoded float32 tensor; the simulated
+    #: link charges a payload class ``bits_per_value / 32`` of its bytes.
+    bits_per_value: float = 32.0
     #: Whether the codec carries cross-message state (error feedback).
     stateful: bool = False
 
     def applies_to(self, array: np.ndarray) -> bool:
         """Whether this codec should encode ``array`` (floats only)."""
         return array.dtype.kind == "f" and array.size > 0
-
-    def params(self) -> dict:
-        """Constructor kwargs that rebuild this codec in a child process."""
-        return {}
 
     @abc.abstractmethod
     def encode(self, array: np.ndarray, key: tuple | None = None
@@ -142,28 +142,25 @@ class Codec(abc.ABC):
         """Residual accumulators keyed by raw tuple keys (empty if stateless)."""
         return {}
 
-    def load_state_dict(self, state: dict, merge: bool = False) -> None:
-        """Restore residuals; ``merge`` keeps accumulators not in ``state``."""
+    def load_state_dict(self, state: dict) -> None:
+        """Replace the residuals with ``state``."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
 
 
-@register_codec("none", description="bit-exact passthrough (no codec)",
-                bits_per_value=64, lossless=True)
+@register_codec("none", description="bit-exact passthrough (no codec)")
 class NoneCodec(Codec):
     """Identity codec.
 
     Registered so ``codec="none"`` validates and lists like every other
     name, but :func:`build_codec_policy` resolves ``"none"`` to *no codec
-    at all* -- the transport's historical raw-array path -- so this class
-    never runs in the hot path.  It still round-trips correctly for
-    uniformity in property tests.
+    at all*, so this class never runs in the round.  It still round-trips
+    correctly for uniformity in property tests.
     """
 
     name = "none"
     lossless = True
-    bits_per_value = 64.0
 
     def encode(self, array, key=None):
         flat = np.ascontiguousarray(array)
@@ -174,10 +171,9 @@ class NoneCodec(Codec):
         return payload.view(np.dtype(dtype)).reshape(shape).copy()
 
 
-@register_codec("fp16", description="IEEE half-precision cast",
-                bits_per_value=16, lossless=False)
+@register_codec("fp16", description="IEEE half-precision cast")
 class Fp16Codec(Codec):
-    """Cast to float16 on the wire; exact for fp16-representable inputs."""
+    """Cast to float16 on the link; exact for fp16-representable inputs."""
 
     name = "fp16"
     bits_per_value = 16.0
@@ -193,8 +189,7 @@ class Fp16Codec(Codec):
 
 
 @register_codec("bf16", description="bfloat16 (upper half of float32), "
-                                    "round-to-nearest-even",
-                bits_per_value=16, lossless=False)
+                                    "round-to-nearest-even")
 class Bf16Codec(Codec):
     """bfloat16 emulation: float32's exponent range at 8 significand bits.
 
@@ -218,14 +213,13 @@ class Bf16Codec(Codec):
         return bits.view(np.float32).reshape(shape).astype(np.dtype(dtype))
 
 
-@register_codec("int8", description="per-tensor affine uint8 quantization",
-                bits_per_value=8, lossless=False)
+@register_codec("int8", description="per-tensor affine uint8 quantization")
 class Int8Codec(Codec):
     """Per-tensor affine quantization to 256 levels.
 
-    The tensor's minimum and scale ``(max - min) / 255`` travel in the
-    frame metadata; absolute reconstruction error is at most half a
-    quantization step, i.e. ``(max - min) / 510``.
+    The tensor's minimum and scale ``(max - min) / 255`` travel as the
+    metadata; absolute reconstruction error is at most half a quantization
+    step, i.e. ``(max - min) / 510``.
     """
 
     name = "int8"
@@ -250,22 +244,20 @@ class Int8Codec(Codec):
 
 
 @register_codec("topk", description="top-k magnitude sparsification with "
-                                    "error-feedback residuals",
-                bits_per_value=1.2, lossless=False)
+                                    "error-feedback residuals")
 class TopKCodec(Codec):
     """Keep the ``ratio`` largest-magnitude coefficients of each tensor.
 
     The payload is ``k`` int32 flat indices followed by ``k`` float64
-    values (~12 bytes per kept coefficient, i.e. ~1.2 bits/value at the
-    default 10% ratio on float64 tensors).  With ``error_feedback`` (the
-    default, EF-SGD style) the dropped mass accumulates in a per-key
-    residual that is added back before the next selection, so no signal is
-    permanently lost -- only delayed.  Residuals are the codec's
-    checkpointable state; see :meth:`state_dict`.
+    values: 96 bits per kept coefficient, so ``96 * ratio`` bits per value
+    (9.6 at the default 10%).  With ``error_feedback`` (the default, EF-SGD
+    style) the dropped mass accumulates in a per-key residual that is added
+    back before the next selection, so no signal is permanently lost --
+    only delayed.  Residuals are the codec's checkpointable state; see
+    :meth:`state_dict`.
     """
 
     name = "topk"
-    bits_per_value = 1.2
     stateful = True
 
     def __init__(self, ratio: float = DEFAULT_TOPK_RATIO,
@@ -275,11 +267,9 @@ class TopKCodec(Codec):
                 f"topk codec ratio must be in (0, 1], got {ratio}"
             )
         self.ratio = float(ratio)
+        self.bits_per_value = 96.0 * self.ratio
         self.error_feedback = bool(error_feedback)
         self._residuals: dict[tuple, np.ndarray] = {}
-
-    def params(self) -> dict:
-        return {"ratio": self.ratio, "error_feedback": self.error_feedback}
 
     def encode(self, array, key=None):
         flat = np.ascontiguousarray(array, dtype=np.float64).reshape(-1)
@@ -317,26 +307,19 @@ class TopKCodec(Codec):
     def state_dict(self) -> dict:
         return {key: value.copy() for key, value in self._residuals.items()}
 
-    def load_state_dict(self, state: dict, merge: bool = False) -> None:
-        if not merge:
-            self._residuals.clear()
-        for key, value in state.items():
-            self._residuals[tuple(key)] = np.asarray(value, dtype=np.float64)
-
-
-def decode_array(name: str, payload: np.ndarray, shape: tuple, dtype: str,
-                 meta) -> np.ndarray:
-    """Decode one self-describing frame via the codec registry."""
-    return CODECS.get(name).decode(payload, shape, dtype, meta)
+    def load_state_dict(self, state: dict) -> None:
+        self._residuals = {
+            tuple(key): np.asarray(value, dtype=np.float64)
+            for key, value in state.items()
+        }
 
 
 class CodecPolicy:
-    """Which codec (if any) encodes each payload class of one transport.
+    """Which codec (if any) encodes each payload class of the link.
 
-    One policy instance is shared by every parent-side endpoint of an
-    executor (so a stateful codec keys residuals across all children) and
-    one fresh instance is rebuilt from :meth:`spec` inside each child.
-    Classes without an entry pass through raw.
+    The round holds one policy for the whole run, so a stateful codec
+    keeps every worker's residuals in one place.  Classes without an entry
+    pass through untouched.
     """
 
     def __init__(self, codecs: dict[str, Codec]) -> None:
@@ -348,10 +331,8 @@ class CodecPolicy:
                 )
         self._codecs = dict(codecs)
 
-    def codec_for(self, klass: str | None) -> Codec | None:
-        """The codec encoding one payload class (``None`` = raw)."""
-        if klass is None:
-            return None
+    def codec_for(self, klass: str) -> Codec | None:
+        """The codec encoding one payload class (``None`` = untouched)."""
         return self._codecs.get(klass)
 
     @property
@@ -359,24 +340,24 @@ class CodecPolicy:
         """Whether any class's codec carries checkpointable state."""
         return any(codec.stateful for codec in self._codecs.values())
 
-    def spec(self) -> dict:
-        """Picklable recipe a child process rebuilds the policy from."""
-        return {
-            klass: (codec.name, codec.params())
-            for klass, codec in self._codecs.items()
-        }
+    def apply(self, klass: str, worker_id: int, value):
+        """``value`` as one worker's link delivers it: ``decode(encode(.))``.
 
-    @classmethod
-    def from_spec(cls, spec: dict) -> "CodecPolicy":
-        """Inverse of :meth:`spec` (fresh codec instances, empty state)."""
-        return cls({
-            klass: CODECS.get(name)(**params)
-            for klass, (name, params) in spec.items()
-        })
-
-    def describe(self) -> dict[str, str]:
-        """Class -> codec-name mapping, for logs and round metadata."""
-        return {klass: codec.name for klass, codec in self._codecs.items()}
+        ``value`` is an array or a state dict; in a state dict every float
+        array is encoded on its own.  Residual keys are ``(klass,
+        worker_id)`` for an array and ``(klass, worker_id, parameter name)``
+        for a state-dict entry.  A class without a codec, and a non-float
+        array, come back as they are.
+        """
+        codec = self._codecs.get(klass)
+        if codec is None:
+            return value
+        if isinstance(value, dict):
+            return {
+                name: _roundtrip(codec, array, (klass, worker_id, name))
+                for name, array in value.items()
+            }
+        return _roundtrip(codec, value, (klass, worker_id))
 
     # -- error-feedback state --------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -391,7 +372,7 @@ class CodecPolicy:
                 state[encode_key(key)] = value
         return state
 
-    def load_state_dict(self, state: dict, merge: bool = False) -> None:
+    def load_state_dict(self, state: dict) -> None:
         """Route serialized residuals back to each class's codec.
 
         Keys whose class has no stateful codec here (the policy changed
@@ -404,15 +385,23 @@ class CodecPolicy:
             grouped.setdefault(str(key[0]), {})[key] = value
         for klass, codec in self._codecs.items():
             if codec.stateful:
-                codec.load_state_dict(grouped.get(klass, {}), merge=merge)
+                codec.load_state_dict(grouped.get(klass, {}))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{k}={c.name}" for k, c in self._codecs.items())
         return f"CodecPolicy({inner})"
 
 
+def _roundtrip(codec: Codec, array: np.ndarray, key: tuple) -> np.ndarray:
+    """``decode(encode(array))``, keyed for error feedback."""
+    if not codec.applies_to(array):
+        return array
+    payload, meta = codec.encode(array, key=key)
+    return codec.decode(payload, array.shape, array.dtype.str, meta)
+
+
 def build_codec_policy(config) -> CodecPolicy | None:
-    """Build the transport codec policy an ``ExperimentConfig`` describes.
+    """Build the link codec policy an ``ExperimentConfig`` describes.
 
     ``config.codec`` applies to features and gradients; weight state dicts
     default to ``none``.  ``extras["codec_policy"]`` overrides individual

@@ -11,7 +11,10 @@ to the serial executor.
 
 All checkpointed state stays in the parent: mini-batches are drawn from the
 workers' loaders there, which keeps sampling RNG streams out of the
-children.  A worker's shard is rows of a *source* dataset
+children.  Every payload crosses as it is -- a lossy link is simulated by
+the round, in the parent -- and a child keeps nothing across rounds but the
+datasets it was sent, so each round deals its workers out over the
+children afresh.  A worker's shard is rows of a *source* dataset
 (:class:`~repro.data.dataset.Shard`); messages carry the drawn rows, 8
 bytes a sample, and the child gathers ``source.data[rows]`` itself,
 bit-identical to the parent.  The pool starts its children with the sources
@@ -69,7 +72,6 @@ import numpy as np
 from repro.exceptions import ExecutorDeathError, TransportError
 from repro.utils.mp import get_mp_context, release_free_heap
 from repro.parallel.base import Executor
-from repro.parallel.codec import FEATURES, GRADIENTS, WEIGHTS, decode_key
 from repro.parallel.transport import ChildConnector, PipeTransport, Transport
 from repro.utils.logging import get_logger
 
@@ -79,16 +81,10 @@ logger = get_logger("parallel.process")
 #: overhead outweighs any parallelism at simulation scale.
 DEFAULT_MAX_PROCESSES = 8
 
-#: Payload class of each parent->child command's bulk arrays, for the
-#: transport codec policy.  Untagged commands (drawn rows, installs,
-#: sources) always travel raw.
-_SEND_CLASS = {"backward": GRADIENTS}
-
-#: Commands whose traffic is excluded from the wire-byte counters: a source
-#: reaches a child at most once per pool lifetime and codec-state exchanges
-#: only at checkpoints, so counting either would make per-round byte deltas
-#: depend on pool restarts and checkpoint cadence.
-_UNCOUNTED_COMMANDS = frozenset({"load_source", "codec_load", "codec_state"})
+#: The command whose traffic is excluded from the wire-byte counters: a
+#: source reaches a child at most once per pool lifetime, so counting it
+#: would make per-round byte deltas depend on pool restarts.
+_UNCOUNTED_COMMAND = "load_source"
 
 
 def _child_main(connector: ChildConnector, sources: dict) -> None:
@@ -139,7 +135,7 @@ def _child_main(connector: ChildConnector, sources: dict) -> None:
                 deferred_errors.clear()
                 continue
             try:
-                reply, klass, count = None, None, True
+                reply = None
                 if command == "load_source":
                     sources.update(payload)
                 elif command == "install":
@@ -149,7 +145,6 @@ def _child_main(connector: ChildConnector, sources: dict) -> None:
                         worker_id: run_forward(worker_id, *drawn)
                         for worker_id, drawn in payload.items()
                     }
-                    klass = FEATURES
                 elif command == "backward":
                     for worker_id, gradient in payload.items():
                         local_step(
@@ -160,16 +155,8 @@ def _child_main(connector: ChildConnector, sources: dict) -> None:
                         worker_id: bottoms[worker_id][0].state_dict()
                         for worker_id in payload
                     }
-                    klass = WEIGHTS
                 elif command == "ping":
                     pass
-                elif command == "codec_state":
-                    # Error-feedback residuals of this child's codecs, for
-                    # checkpointing; uncounted so per-round byte deltas do
-                    # not depend on checkpoint cadence.
-                    reply, count = endpoint.codec_state_dict(), False
-                elif command == "codec_load":
-                    endpoint.codec_load(payload)
                 elif command == "train_full":
                     # One reply frame: every hosted worker's
                     # ``(state, mean training loss)``.
@@ -184,11 +171,10 @@ def _child_main(connector: ChildConnector, sources: dict) -> None:
                              for rows in row_batches),
                             *hyperparams,
                         )
-                    klass = WEIGHTS
                 else:
                     raise RuntimeError(f"unknown executor command {command!r}")
                 if wants_reply:
-                    endpoint.send(("ok", reply), klass=klass, count=count)
+                    endpoint.send(("ok", reply))
             except Exception:  # noqa: BLE001 - forwarded to the parent
                 if wants_reply:
                     endpoint.send(("error", traceback.format_exc()))
@@ -274,22 +260,13 @@ class ProcessExecutor(Executor):
         self._transport = transport if transport is not None else PipeTransport()
         self._children: list[_Child] | None = None
         self._assignment: dict[int, int] = {}
-        #: Sticky worker-to-child homes: chosen least-loaded when a worker
-        #: id is first seen, stable afterwards (the worker's codec residuals
-        #: live there).
-        self._home: dict[int, int] = {}
         #: Completion queue: each launched forward or requested state
         #: collection not collected yet, oldest first, as ``(command, child
         #: indices, labels)``; only a forward has labels.
         self._completions: deque[tuple[str, tuple[int, ...], dict | None]] = deque()
-        #: Wire/logical byte totals of endpoints already closed, so
+        #: Wire byte total of endpoints already closed, so
         #: :meth:`transport_stats` stays monotonic across pool restarts.
         self._retired_wire = 0
-        self._retired_logical = 0
-        #: Codec residuals restored from a checkpoint but not yet shipped
-        #: to the child that will host their worker (serialized keys; see
-        #: :meth:`load_codec_state`).
-        self._pending_codec: dict[str, np.ndarray] = {}
 
     @property
     def supports_async_dispatch(self) -> bool:
@@ -367,11 +344,9 @@ class ProcessExecutor(Executor):
                 child.process.terminate()
                 child.process.join(timeout=5.0)
             self._retired_wire += child.endpoint.bytes_on_wire
-            self._retired_logical += child.endpoint.logical_bytes
             child.endpoint.close(unlink=True)
         self._children = None
         self._assignment = {}
-        self._home.clear()
         self._completions.clear()
 
     def __del__(self) -> None:  # pragma: no cover - interpreter shutdown order
@@ -382,38 +357,21 @@ class ProcessExecutor(Executor):
 
     # -- messaging ------------------------------------------------------------
     def _assign(self, workers) -> dict[int, dict]:
-        """Distribute the workers over the pool; returns per-child id sets.
+        """Distribute the round's workers over the pool; returns per-child
+        ``{worker_id: worker}``.
 
-        A worker's home child is sticky (its codec residuals live there)
-        but chosen least-loaded *within the round that first selects it*:
-        already-homed workers are placed first, then each new worker goes
-        to the child with the fewest workers in this round -- so fresh
-        workers fill children the current selection would otherwise leave
-        idle.  A selection consisting solely of workers homed on the same
-        child still serializes there.
+        Each worker goes to the child with the fewest workers so far this
+        round, which deals them out in turn.  Nothing a child holds outlives
+        the round but the sources it was sent, so placement needs no memory
+        across rounds.
         """
         children = self._ensure_pool(workers)
-        pool_size = len(children)
+        placed: dict[int, dict] = {index: {} for index in range(len(children))}
         self._assignment = {}
-        placed: dict[int, dict] = {index: {} for index in range(pool_size)}
-        loads = [0] * pool_size
-
-        def place(worker, child: int) -> None:
+        for position, worker in enumerate(workers):
+            child = position % len(children)
             self._assignment[worker.worker_id] = child
             placed[child][worker.worker_id] = worker
-            loads[child] += 1
-
-        fresh = []
-        for worker in workers:
-            home = self._home.get(worker.worker_id)
-            if home is None:
-                fresh.append(worker)
-            else:
-                place(worker, home)
-        for worker in fresh:
-            home = loads.index(min(loads))
-            self._home[worker.worker_id] = home
-            place(worker, home)
         return placed
 
     def _ship_sources(self, placed: dict[int, dict]) -> None:
@@ -444,9 +402,7 @@ class ProcessExecutor(Executor):
         command = message[0]
         try:
             child.endpoint.send(
-                (*message, expects_reply),
-                klass=_SEND_CLASS.get(command),
-                count=command not in _UNCOUNTED_COMMANDS,
+                (*message, expects_reply), count=command != _UNCOUNTED_COMMAND
             )
         except (BrokenPipeError, OSError, TransportError) as error:
             child.dead = True
@@ -550,27 +506,6 @@ class ProcessExecutor(Executor):
                     if not tolerate_death:
                         raise
 
-    def _ship_codec_state(self, placed: dict[int, dict]) -> None:
-        """Deliver restored codec residuals to the children hosting them.
-
-        Residual keys carry the worker id as their second segment, so each
-        pending entry is shipped exactly once, to the child its worker was
-        just assigned to, before that child's first post-resume encode.
-        """
-        if not self._pending_codec:
-            return
-        messages = {}
-        for index, hosted in placed.items():
-            payload = {}
-            for key in list(self._pending_codec):
-                parts = decode_key(key)
-                if len(parts) > 1 and parts[1] in hosted:
-                    payload[key] = self._pending_codec.pop(key)
-            if payload:
-                messages[index] = ("codec_load", payload)
-        if messages:
-            self._broadcast(messages)
-
     def install(self, workers, bottom, learning_rates, depths=None, wait=True) -> None:
         """Assign workers, send unseen sources, send one install per child.
 
@@ -588,7 +523,6 @@ class ProcessExecutor(Executor):
         self._consume_abandoned_replies()
         placed = self._assign(workers)
         self._ship_sources(placed)
-        self._ship_codec_state(placed)
         specs = {
             worker.worker_id: (
                 lr, worker.momentum, worker.weight_decay, worker.max_grad_norm,
@@ -691,72 +625,21 @@ class ProcessExecutor(Executor):
                     # parent-side, so draining the survivors suffices.
                     continue
 
-    # -- transport accounting and codec state ---------------------------------
+    # -- transport accounting -------------------------------------------------
     def transport_stats(self) -> dict[str, int]:
         """Cumulative array-payload bytes moved across the process boundary.
 
         Sums both directions over every channel of the pool, including
         channels already retired by a pool restart, so engines can take
-        per-round deltas.  Sources sent to a child and checkpoint codec
-        exchanges are excluded (see ``_UNCOUNTED_COMMANDS``), which keeps
-        the deltas identical across pool sizes, transports and
-        checkpoint/resume.
+        per-round deltas.  Sources sent to a child are excluded (see
+        ``_UNCOUNTED_COMMAND``), which keeps the deltas identical across
+        pool sizes, transports and checkpoint/resume.  Arrays cross raw, so
+        the logical bytes are the wire bytes.
         """
         wire = self._retired_wire
-        logical = self._retired_logical
         if self._children is not None:
-            for child in self._children:
-                wire += child.endpoint.bytes_on_wire
-                logical += child.endpoint.logical_bytes
-        return {"bytes_on_wire": wire, "logical_bytes": logical}
-
-    def codec_state(self) -> dict | None:
-        """Collect every error-feedback residual for checkpointing.
-
-        Merges the parent policy's residuals (gradient-side keys), the
-        children's (feature/weight-side keys, disjoint because worker
-        homes are sticky) and any restored-but-unshipped entries.  Returns
-        ``None`` when the transport has no stateful codec, so checkpoints
-        stay unchanged for every other configuration.  Residuals held by a
-        child that died are necessarily absent (reset), matching the
-        engine's recovery semantics.
-        """
-        policy = self._transport.codec
-        if policy is None or not policy.stateful:
-            return None
-        self.drain()
-        state: dict[str, np.ndarray] = dict(self._pending_codec)
-        state.update(policy.state_dict())
-        if self._children is not None:
-            for index, child in enumerate(self._children):
-                if child.dead:
-                    continue
-                try:
-                    self._send(index, ("codec_state", None), expects_reply=True)
-                    state.update(self._recv(index, count=False))
-                except ExecutorDeathError:
-                    continue
-        return state
-
-    def load_codec_state(self, state: dict | None) -> None:
-        """Restore checkpointed codec residuals (inverse of :meth:`codec_state`).
-
-        Gradient-side keys go straight into the shared parent policy;
-        feature/weight-side keys are parked in ``_pending_codec`` and
-        shipped to each worker's hosting child at the next install, before
-        that child's first post-resume encode.
-        """
-        policy = self._transport.codec
-        if policy is None or not policy.stateful:
-            return
-        parent_state: dict[str, np.ndarray] = {}
-        self._pending_codec = {}
-        for key, value in (state or {}).items():
-            if decode_key(key)[0] == GRADIENTS:
-                parent_state[key] = value
-            else:
-                self._pending_codec[key] = value
-        policy.load_state_dict(parent_state, merge=False)
+            wire += sum(child.endpoint.bytes_on_wire for child in self._children)
+        return {"bytes_on_wire": wire, "logical_bytes": wire}
 
     # -- full-model (FL) training ---------------------------------------------
     def train_full(self, workers, model, loss_fn, iterations, batch_size, learning_rate):

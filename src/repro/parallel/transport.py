@@ -23,14 +23,11 @@ control message, so a desynchronised or corrupted ring fails loudly with
 :class:`~repro.exceptions.TransportError` instead of silently reading
 garbage into the training state.
 
-Either transport may additionally carry a
-:class:`~repro.parallel.codec.CodecPolicy`: senders tag messages with a
-payload class (``features`` / ``gradients`` / ``weights``) and the policy's
-codec compresses each eligible array before it is framed (ring) or pickled
-(pipe), with the codec name and metadata travelling in the frame header so
-the receiver can decode without shared state.  Both endpoints also keep
-``bytes_on_wire`` / ``logical_bytes`` counters -- on the pipe transport
-too -- so pipe-vs-shm comparisons report wire volume on both backends.
+Arrays cross raw on both transports: compressing the simulated link is
+the round's business (:class:`~repro.core.round_engine.RoundEngine`), not
+the process boundary's.  Both endpoints keep a ``bytes_on_wire`` counter -- on the
+pipe transport too -- so pipe-vs-shm comparisons report wire volume on
+both backends.
 
 Transports are registered in :data:`repro.api.registry.TRANSPORTS`
 (``"pipe"`` and ``"shm"``) and selected with
@@ -49,7 +46,6 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.exceptions import TransportError
-from repro.parallel.codec import CodecPolicy, decode_array
 from repro.utils.logging import get_logger
 
 logger = get_logger("parallel.transport")
@@ -255,45 +251,14 @@ class RingBuffer:
 
 @dataclass
 class _RingRef:
-    """Placeholder left in the control message for an array in the ring.
-
-    ``shape``/``dtype`` always describe the *logical* array; ``nbytes`` is
-    what actually sits in the ring (the encoded payload size when ``codec``
-    is set), and ``meta`` carries the codec's frame metadata (e.g. the int8
-    scale/zero-point), so every frame is self-describing.
-    """
+    """Placeholder left in the control message for an array in the ring."""
 
     index: int
     shape: tuple
     dtype: str
-    nbytes: int
-    codec: str | None = None
-    meta: object = None
 
 
-@dataclass
-class _EncodedInline:
-    """A codec-encoded array small enough to stay in the control message.
-
-    The inline-fallback threshold applies to the *encoded* size: a large
-    tensor that a codec shrinks under :data:`INLINE_FLOOR_BYTES` (top-k
-    typically does) takes the cheap inline path instead of burning ring
-    capacity on framing.
-    """
-
-    codec: str
-    payload: np.ndarray
-    shape: tuple
-    dtype: str
-    meta: object = None
-
-
-def _logical_nbytes(shape, dtype: str) -> int:
-    """Byte count of the dense logical array a frame reconstructs."""
-    return int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-
-
-def _pack(obj, arrays: list, budget: list, codec=None, stats=None, key=()):
+def _pack(obj, arrays: list, budget: list):
     """Replace ring-eligible arrays in ``obj`` with :class:`_RingRef` markers.
 
     Walks dicts/lists/tuples (the executor's payload containers); anything
@@ -303,96 +268,47 @@ def _pack(obj, arrays: list, budget: list, codec=None, stats=None, key=()):
     control message.  Capping one message's framed bytes at the ring
     capacity is what lets :meth:`Endpoint.send` always write the payload
     *before* the control message.
-
-    When ``codec`` (a :class:`~repro.parallel.codec.Codec`) is given, each
-    eligible float array is encoded first; the inline-vs-ring decision then
-    applies to the encoded size, and arrays the codec shrinks below the
-    inline floor travel as :class:`_EncodedInline`.  ``key`` accumulates
-    the dict-key path (prefixed with the payload class) that stateful
-    codecs key their error-feedback residuals by.  ``stats`` (an object
-    with ``count_bytes(wire, logical)``) tallies payload bytes.
     """
     if isinstance(obj, np.ndarray):
-        if obj.dtype.hasobject:
-            return obj
-        if codec is not None and codec.applies_to(obj):
-            payload, meta = codec.encode(obj, key=key)
-            if stats is not None:
-                stats.count_bytes(payload.nbytes, obj.nbytes)
-            framed = payload.nbytes + _FRAME.size
-            if payload.nbytes <= INLINE_FLOOR_BYTES or framed > budget[0]:
-                return _EncodedInline(
-                    codec.name, payload, obj.shape, obj.dtype.str, meta
-                )
-            budget[0] -= framed
-            ref = _RingRef(
-                len(arrays), obj.shape, obj.dtype.str, payload.nbytes,
-                codec.name, meta,
-            )
-            arrays.append(payload)
-            return ref
-        if stats is not None:
-            stats.count_bytes(obj.nbytes, obj.nbytes)
         framed = obj.nbytes + _FRAME.size
-        if obj.nbytes <= INLINE_FLOOR_BYTES or framed > budget[0]:
+        if (obj.dtype.hasobject or obj.nbytes <= INLINE_FLOOR_BYTES
+                or framed > budget[0]):
             return obj
         budget[0] -= framed
         flat = np.ascontiguousarray(obj)
-        ref = _RingRef(len(arrays), obj.shape, flat.dtype.str, flat.nbytes)
         arrays.append(flat.reshape(-1).view(np.uint8))
-        return ref
+        return _RingRef(len(arrays) - 1, obj.shape, flat.dtype.str)
     if isinstance(obj, dict):
-        return {
-            k: _pack(v, arrays, budget, codec, stats, key + (k,))
-            for k, v in obj.items()
-        }
+        return {key: _pack(value, arrays, budget) for key, value in obj.items()}
     if isinstance(obj, tuple):
-        return tuple(_pack(v, arrays, budget, codec, stats, key) for v in obj)
+        return tuple(_pack(value, arrays, budget) for value in obj)
     if isinstance(obj, list):
-        return [_pack(v, arrays, budget, codec, stats, key) for v in obj]
+        return [_pack(value, arrays, budget) for value in obj]
     return obj
 
 
-def _measure(obj, stats) -> None:
-    """Count-only walk for paths that move the message as-is (pipe, raw)."""
-    if isinstance(obj, np.ndarray):
-        if not obj.dtype.hasobject:
-            stats.count_bytes(obj.nbytes, obj.nbytes)
-    elif isinstance(obj, dict):
-        for value in obj.values():
-            _measure(value, stats)
-    elif isinstance(obj, (list, tuple)):
-        for value in obj:
-            _measure(value, stats)
-
-
-def _unpack(obj, arrays: list, stats=None):
-    """Inverse of :func:`_pack`: splice ring arrays back into the payload,
-    decode inline-encoded frames, and tally received payload bytes."""
+def _unpack(obj, arrays: list):
+    """Inverse of :func:`_pack`: splice the ring's arrays back into place."""
     if isinstance(obj, _RingRef):
-        if stats is not None:
-            logical = (_logical_nbytes(obj.shape, obj.dtype)
-                       if obj.codec is not None else obj.nbytes)
-            stats.count_bytes(obj.nbytes, logical)
-        return arrays[obj.index]
-    if isinstance(obj, _EncodedInline):
-        if stats is not None:
-            stats.count_bytes(
-                obj.payload.nbytes, _logical_nbytes(obj.shape, obj.dtype)
-            )
-        return decode_array(obj.codec, obj.payload, obj.shape, obj.dtype,
-                            obj.meta)
-    if isinstance(obj, np.ndarray):
-        if stats is not None and not obj.dtype.hasobject:
-            stats.count_bytes(obj.nbytes, obj.nbytes)
-        return obj
+        return arrays[obj.index].view(np.dtype(obj.dtype)).reshape(obj.shape)
     if isinstance(obj, dict):
-        return {key: _unpack(value, arrays, stats) for key, value in obj.items()}
+        return {key: _unpack(value, arrays) for key, value in obj.items()}
     if isinstance(obj, tuple):
-        return tuple(_unpack(value, arrays, stats) for value in obj)
+        return tuple(_unpack(value, arrays) for value in obj)
     if isinstance(obj, list):
-        return [_unpack(value, arrays, stats) for value in obj]
+        return [_unpack(value, arrays) for value in obj]
     return obj
+
+
+def _array_bytes(obj) -> int:
+    """Bytes of the numeric arrays in a message (what the counters tally)."""
+    if isinstance(obj, np.ndarray):
+        return 0 if obj.dtype.hasobject else int(obj.nbytes)
+    if isinstance(obj, dict):
+        return sum(_array_bytes(value) for value in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_array_bytes(value) for value in obj)
+    return 0
 
 
 class Endpoint:
@@ -405,76 +321,41 @@ class Endpoint:
     callable that raises when the peer is known dead, so blocked ring
     operations fail fast instead of timing out.
 
-    ``codec`` attaches a :class:`~repro.parallel.codec.CodecPolicy`: senders
-    tag each message with its payload class (``send(msg, klass="features")``)
-    and the class's codec encodes eligible arrays before framing or
-    pickling; the receiver decodes from the self-describing frames.  With no
-    policy the wire format is byte-identical to the historical one.
-
-    Every endpoint tallies ``bytes_on_wire`` / ``logical_bytes`` over the
-    array payloads it sends *and* receives (``count=False`` exempts
-    one-time traffic such as sending a dataset, keeping per-round deltas
-    comparable across pool restarts).  Pickle framing overhead of the
-    control messages is not counted on either transport.
+    Every endpoint tallies ``bytes_on_wire`` over the array payloads it
+    sends *and* receives (``count=False`` exempts one-time traffic such as
+    sending a dataset, keeping per-round deltas comparable across pool
+    restarts).  Arrays cross raw, so those are also the bytes the arrays
+    hold.  Pickle framing overhead of the control messages is not counted
+    on either transport.
     """
 
     def __init__(self, conn, ring_out: RingBuffer | None = None,
-                 ring_in: RingBuffer | None = None,
-                 codec: CodecPolicy | None = None) -> None:
+                 ring_in: RingBuffer | None = None) -> None:
         self._conn = conn
         self._ring_out = ring_out
         self._ring_in = ring_in
-        self._codec = codec
         self._seq_out = 0
         self._seq_in = 0
-        #: Array payload bytes that actually crossed the process boundary.
+        #: Array payload bytes that crossed the process boundary.
         self.bytes_on_wire = 0
-        #: Dense float/int bytes those payloads represent.
-        self.logical_bytes = 0
         #: Optional liveness probe, polled while ring operations block.
         self.peer_check = None
 
-    @property
-    def codec_policy(self) -> CodecPolicy | None:
-        """The negotiated codec policy (``None`` = raw passthrough)."""
-        return self._codec
-
-    def count_bytes(self, wire: int, logical: int) -> None:
-        """Tally one payload (called by the pack/unpack walks)."""
-        self.bytes_on_wire += int(wire)
-        self.logical_bytes += int(logical)
-
-    # -- error-feedback state --------------------------------------------------
-    def codec_state_dict(self) -> dict:
-        """Residual state of this endpoint's stateful codecs (may be empty)."""
-        if self._codec is None:
-            return {}
-        return self._codec.state_dict()
-
-    def codec_load(self, state: dict, merge: bool = True) -> None:
-        """Restore codec residuals (no-op without a policy)."""
-        if self._codec is not None and state:
-            self._codec.load_state_dict(state, merge=merge)
-
     # -- messaging ------------------------------------------------------------
-    def send(self, message, klass: str | None = None, count: bool = True) -> None:
-        stats = self if count else None
-        codec = self._codec.codec_for(klass) if self._codec is not None else None
-        root_key = (klass,) if klass is not None else ()
+    def send(self, message, count: bool = True, **tags) -> None:
+        """Send one message.
+
+        ``tags`` are accepted and ignored: callers written against the
+        earlier signature still label messages with a payload class, and
+        every payload now crosses as it is.
+        """
+        if count:
+            self.bytes_on_wire += _array_bytes(message)
         if self._ring_out is None:
-            if codec is None:
-                if stats is not None:
-                    _measure(message, stats)
-                self._conn.send(message)
-                return
-            # Encode in place: a zero ring budget routes every encoded
-            # array through the inline (_EncodedInline) path.
-            packed = _pack(message, [], [0], codec, stats, root_key)
-            self._conn.send(packed)
+            self._conn.send(message)
             return
         arrays: list[np.ndarray] = []
-        budget = [self._ring_out.capacity]
-        packed = _pack(message, arrays, budget, codec, stats, root_key)
+        packed = _pack(message, arrays, [self._ring_out.capacity])
         # The payload is always written to the ring *before* the control
         # message goes through the pipe.  This is load-bearing on two
         # counts: the receiver finds the frames ready the moment the
@@ -497,36 +378,26 @@ class Endpoint:
         self._conn.send((packed, [data.nbytes for data in arrays]))
 
     def recv(self, count: bool = True):
-        stats = self if count else None
         if self._ring_in is None:
             message = self._conn.recv()
-            if self._codec is None:
-                if stats is not None:
-                    _measure(message, stats)
-                return message
-            # The peer may have inlined encoded frames; decode (and count)
-            # them on the way out.
-            return _unpack(message, [], stats)
-        packed, sizes = self._conn.recv()
-        arrays = []
-        for expected in sizes:
-            self._seq_in = (self._seq_in + 1) & 0xFFFFFFFF
-            raw = self._ring_in.read(_FRAME.size, self.peer_check)
-            magic, seq, nbytes = _FRAME.unpack(raw.tobytes())
-            if magic != _MAGIC or seq != self._seq_in or nbytes != expected:
-                raise TransportError(
-                    f"corrupt ring frame: magic={magic!r} seq={seq} "
-                    f"(expected {self._seq_in}) nbytes={nbytes} "
-                    f"(expected {expected})"
-                )
-            arrays.append(self._ring_in.read(nbytes, self.peer_check))
-        hydrated = [
-            decode_array(ref.codec, raw, ref.shape, ref.dtype, ref.meta)
-            if ref.codec is not None
-            else raw.view(np.dtype(ref.dtype)).reshape(ref.shape)
-            for raw, ref in zip(arrays, _iter_refs(packed))
-        ]
-        return _unpack(packed, hydrated, stats)
+        else:
+            packed, sizes = self._conn.recv()
+            arrays = []
+            for expected in sizes:
+                self._seq_in = (self._seq_in + 1) & 0xFFFFFFFF
+                raw = self._ring_in.read(_FRAME.size, self.peer_check)
+                magic, seq, nbytes = _FRAME.unpack(raw.tobytes())
+                if magic != _MAGIC or seq != self._seq_in or nbytes != expected:
+                    raise TransportError(
+                        f"corrupt ring frame: magic={magic!r} seq={seq} "
+                        f"(expected {self._seq_in}) nbytes={nbytes} "
+                        f"(expected {expected})"
+                    )
+                arrays.append(self._ring_in.read(nbytes, self.peer_check))
+            message = _unpack(packed, arrays)
+        if count:
+            self.bytes_on_wire += _array_bytes(message)
+        return message
 
     # -- lifecycle ------------------------------------------------------------
     def close(self, unlink: bool = False) -> None:
@@ -541,25 +412,6 @@ class Endpoint:
         self._ring_out = self._ring_in = None
 
 
-def _iter_refs(packed):
-    """Yield the :class:`_RingRef` markers of a packed message, in order."""
-    refs: list[_RingRef] = []
-
-    def walk(obj):
-        if isinstance(obj, _RingRef):
-            refs.append(obj)
-        elif isinstance(obj, dict):
-            for value in obj.values():
-                walk(value)
-        elif isinstance(obj, (list, tuple)):
-            for value in obj:
-                walk(value)
-
-    walk(packed)
-    refs.sort(key=lambda ref: ref.index)
-    return refs
-
-
 @dataclass
 class ChildConnector:
     """Picklable recipe the child process uses to build its endpoint.
@@ -572,7 +424,6 @@ class ChildConnector:
     ring_in_name: str | None = None
     ring_out_name: str | None = None
     capacity: int = DEFAULT_RING_CAPACITY
-    codec_spec: dict | None = None
 
     def connect(self) -> Endpoint:
         """Open the child side of the channel (call inside the child)."""
@@ -581,10 +432,7 @@ class ChildConnector:
             ring_in = RingBuffer.attach(self.ring_in_name, self.capacity)
         if self.ring_out_name is not None:
             ring_out = RingBuffer.attach(self.ring_out_name, self.capacity)
-        codec = (CodecPolicy.from_spec(self.codec_spec)
-                 if self.codec_spec else None)
-        return Endpoint(self.conn, ring_out=ring_out, ring_in=ring_in,
-                        codec=codec)
+        return Endpoint(self.conn, ring_out=ring_out, ring_in=ring_in)
 
 
 class Transport(abc.ABC):
@@ -598,16 +446,6 @@ class Transport(abc.ABC):
     #: aggregate window (``supports_async_dispatch``) only when this is
     #: ``True``.
     supports_async_bulk: bool = False
-
-    #: Codec policy applied to every channel this transport creates.  One
-    #: policy instance is shared across all parent endpoints (so a stateful
-    #: codec sees a single residual store keyed by worker id); each child
-    #: rebuilds a fresh instance from the policy's spec.
-    codec: CodecPolicy | None = None
-
-    def _codec_spec(self) -> dict | None:
-        """Child-side recipe of the policy (``None`` without one)."""
-        return self.codec.spec() if self.codec is not None else None
 
     @abc.abstractmethod
     def pair(self, context) -> tuple[Endpoint, ChildConnector]:
@@ -627,15 +465,9 @@ class PipeTransport(Transport):
 
     name = "pipe"
 
-    def __init__(self, codec: CodecPolicy | None = None) -> None:
-        self.codec = codec
-
     def pair(self, context) -> tuple[Endpoint, ChildConnector]:
         parent_conn, child_conn = context.Pipe()
-        parent = Endpoint(parent_conn, codec=self.codec)
-        connector = ChildConnector(conn=child_conn,
-                                   codec_spec=self._codec_spec())
-        return parent, connector
+        return Endpoint(parent_conn), ChildConnector(conn=child_conn)
 
 
 class SharedMemoryTransport(Transport):
@@ -644,25 +476,21 @@ class SharedMemoryTransport(Transport):
     name = "shm"
     supports_async_bulk = True
 
-    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY,
-                 codec: CodecPolicy | None = None) -> None:
+    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError(f"ring capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.codec = codec
 
     def pair(self, context) -> tuple[Endpoint, ChildConnector]:
         parent_conn, child_conn = context.Pipe()
         to_child = RingBuffer.create(self.capacity)
         to_parent = RingBuffer.create(self.capacity)
-        parent = Endpoint(parent_conn, ring_out=to_child, ring_in=to_parent,
-                          codec=self.codec)
+        parent = Endpoint(parent_conn, ring_out=to_child, ring_in=to_parent)
         connector = ChildConnector(
             conn=child_conn,
             ring_in_name=to_child.name,
             ring_out_name=to_parent.name,
             capacity=self.capacity,
-            codec_spec=self._codec_spec(),
         )
         logger.debug(
             "shared-memory channel: rings %s/%s, %d bytes each",

@@ -16,9 +16,14 @@ Policies:
   groups).  Stateless and time-invariant: slow-compute/fast-link devices
   get shallow cuts, fast devices keep deep cuts.
 * ``adaptive`` -- re-selects depths every round from the device's current
-  state, an EMA straggler factor learned from recorded per-round durations
-  and a wire-cost scale learned from ``bytes_on_wire``, co-optimizing with
-  the regulated per-worker batch sizes of the round plan.
+  state and an EMA straggler factor learned from recorded per-round
+  durations, co-optimizing with the regulated per-worker batch sizes of the
+  round plan.
+
+Both cost models read the engine's per-depth tables, whose exchange and
+model bytes are what the simulated link carries: under a compressing codec
+they are the encoded sizes, so communication-heavy shallow cuts get
+cheaper.
 """
 
 from __future__ import annotations
@@ -44,8 +49,9 @@ class SplitContext:
             the last entry is the full bottom (the global cut).
         flops: Forward FLOPs of the depth-``d`` prefix, per sample.
         exchange_bytes: Feature-up + gradient-down bytes per sample at
-            depth ``d``.
-        model_bytes: Size of the depth-``d`` prefix model in bytes.
+            depth ``d``, as the simulated link carries them.
+        model_bytes: Size of the depth-``d`` prefix model in bytes, as
+            the simulated link carries it.
         cluster: The device cluster; ``cluster[worker_id]`` is the
             worker's :class:`~repro.simulation.worker_device.WorkerDevice`.
         batch_sizes: The round plan's regulated per-worker batch sizes.
@@ -87,9 +93,6 @@ class SplitPolicy:
         self, round_index: int, durations: dict[int, float]
     ) -> None:
         """Record the round's simulated per-worker durations (seconds)."""
-
-    def observe_traffic(self, bytes_on_wire: int, logical_bytes: int) -> None:
-        """Record the round's wire traffic against its logical payload."""
 
     def state_dict(self) -> dict:
         """JSON-serializable policy state; ``{}`` for stateless policies."""
@@ -168,26 +171,23 @@ class ProfileSplitPolicy(SplitPolicy):
 
 @register_split_policy("adaptive")
 class AdaptiveSplitPolicy(SplitPolicy):
-    """Re-selects depths each round from recorded durations and wire bytes.
+    """Re-selects depths each round from recorded durations.
 
-    Keeps two learned signals: a per-worker *slowdown* EMA (the worker's
+    Keeps one learned signal: a per-worker *slowdown* EMA (the worker's
     recorded round duration relative to the cohort mean -- persistent
-    stragglers get shallower cuts than their nominal profile suggests) and
-    a *wire scale* EMA (``bytes_on_wire`` relative to the logical payload,
-    so a compressing codec cheapens communication-heavy shallow cuts).
+    stragglers get shallower cuts than their nominal profile suggests).
     Costs use the round plan's regulated batch sizes, co-optimizing the
     depth choice with the batch-size regulation that produced the plan.
     """
 
     name = "adaptive"
 
-    #: EMA smoothing for both learned signals.
+    #: EMA smoothing of the slowdown signal.
     decay: float = 0.5
 
     def __init__(self, config: "ExperimentConfig | None" = None) -> None:
         self.config = config
         self._slowdown: dict[int, float] = {}
-        self._wire_scale: float = 1.0
 
     def assign_depths(self, round_index, worker_ids, ctx):
         return {
@@ -205,11 +205,9 @@ class AdaptiveSplitPolicy(SplitPolicy):
             # nominal profile, which shifts the compute/communication
             # trade-off toward a shallower cut.  (Scaling the whole cost
             # would be a per-worker constant and could never change the
-            # argmin.)  Communication terms track the wire-scale EMA.
+            # argmin.)
             mu = slowdown * device.compute_time_per_sample(ctx.flops[depth])
-            beta = self._wire_scale * device.comm_time_per_sample(
-                ctx.exchange_bytes[depth]
-            )
+            beta = device.comm_time_per_sample(ctx.exchange_bytes[depth])
             move = device.model_transfer_time(ctx.model_bytes[depth])
             cost = _round_cost(mu + beta, move, batch, ctx)
             if cost <= best_cost:
@@ -229,21 +227,13 @@ class AdaptiveSplitPolicy(SplitPolicy):
                 (1.0 - self.decay) * previous + self.decay * relative
             )
 
-    def observe_traffic(self, bytes_on_wire, logical_bytes):
-        if logical_bytes <= 0:
-            return
-        ratio = float(bytes_on_wire) / float(logical_bytes)
-        self._wire_scale = (1.0 - self.decay) * self._wire_scale + self.decay * ratio
-
     def state_dict(self):
-        return {
-            "slowdown": {str(k): v for k, v in self._slowdown.items()},
-            "wire_scale": self._wire_scale,
-        }
+        return {"slowdown": {str(k): v for k, v in self._slowdown.items()}}
 
     def load_state_dict(self, state):
+        # Checkpoints from before the link codec moved into the round also
+        # carry a ``wire_scale``; with raw host bytes it could only be 1.0.
         self._slowdown = {int(k): float(v) for k, v in state["slowdown"].items()}
-        self._wire_scale = float(state["wire_scale"])
 
 
 def build_split_policy(config: "ExperimentConfig") -> SplitPolicy | None:

@@ -55,7 +55,7 @@ PAPER_CHURN_RATES = (0.0, 0.1, 0.3)
 #: A shorter axis for dry-running the churn preset plumbing.
 SMOKE_CHURN_RATES = (0.0, 0.3)
 
-#: Transport-codec axis of the codec sweeps (``none`` is the exact anchor).
+#: Link-codec axis of the codec sweeps (``none`` is the exact anchor).
 PAPER_CODECS = ("none", "fp16", "bf16", "int8", "topk")
 
 #: A shorter codec axis for dry-running the preset plumbing.
@@ -169,21 +169,19 @@ def codec_study(
     name: str | None = None,
     **overrides,
 ) -> Study:
-    """A ``codec`` x ``algorithm`` grid over the feature transport.
+    """A ``codec`` x ``algorithm`` grid over the simulated link.
 
-    Every trial runs on the process executor (an in-process executor has no
-    wire, so codecs would be inert) and sweeps the transport codec
-    (:mod:`repro.parallel.codec`) against the split algorithms, measuring
-    accuracy cost versus wire compression: the ``none`` column is the exact
-    anchor, and each history carries per-round ``bytes_on_wire`` /
-    ``compression_ratio`` so the trade-off is read straight off the records.
+    Sweeps the link codec (:mod:`repro.parallel.codec`) against the split
+    algorithms, measuring accuracy cost versus link compression: the
+    ``none`` column is the exact anchor.  The round applies the codec on
+    every executor, and the simulated network charges its encoded sizes, so
+    each history's ``traffic_mb`` / ``sim_time`` / ``waiting_time`` read the
+    trade-off straight off the records.
     """
     from repro.experiments.figures import figure_config
 
     overrides = {k: v for k, v in overrides.items()
                  if k not in ("codec", "algorithm")}
-    overrides.setdefault("executor", "process")
-    overrides.setdefault("transport", "shm")
     base = figure_config(
         dataset, algorithms[0], non_iid_level, codec=codecs[0], **overrides
     )

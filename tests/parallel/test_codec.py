@@ -2,7 +2,8 @@
 
 Every codec must honour its documented tolerance on arbitrary float
 tensors (hypothesis drives the shapes and values), ``none`` must be
-bit-exact, and the ``topk`` error-feedback residual must conserve mass
+bit-exact, every codec's ``bits_per_value`` must be what its payload
+really holds, and the ``topk`` error-feedback residual must conserve mass
 exactly and survive a ``state_dict`` round-trip -- that invariant is what
 makes lossy checkpoint/resume reproducible.
 """
@@ -25,7 +26,6 @@ from repro.parallel.codec import (
     CodecPolicy,
     TopKCodec,
     build_codec_policy,
-    decode_array,
     decode_key,
     encode_key,
 )
@@ -57,7 +57,16 @@ def _roundtrip(name: str, array: np.ndarray, codec=None) -> np.ndarray:
     codec = codec if codec is not None else CODECS.get(name)()
     payload, meta = codec.encode(array)
     assert payload.dtype == np.uint8 and payload.ndim == 1
-    return decode_array(name, payload, array.shape, str(array.dtype), meta)
+    return type(codec).decode(payload, array.shape, str(array.dtype), meta)
+
+
+def _names(policy: CodecPolicy) -> dict:
+    """Payload class -> codec name of the classes a policy encodes."""
+    return {
+        klass: policy.codec_for(klass).name
+        for klass in (FEATURES, GRADIENTS, WEIGHTS)
+        if policy.codec_for(klass) is not None
+    }
 
 
 class TestRoundTripTolerances:
@@ -111,6 +120,21 @@ class TestRoundTripTolerances:
         array = np.random.default_rng(0).normal(size=(32, 16))
         payload, __ = CODECS.get("int8")().encode(array)
         assert payload.nbytes == array.size
+
+    @pytest.mark.parametrize("name", sorted(CODECS.names()))
+    def test_bits_per_value_is_what_a_float32_payload_holds(self, name):
+        """The simulated link charges ``bits_per_value`` per float32 value,
+        so it must match the payload ``encode`` really emits."""
+        array = np.random.default_rng(2).normal(size=(8, 125)).astype(np.float32)
+        codec = CODECS.get(name)()
+        payload, __ = codec.encode(array)
+        assert codec.bits_per_value * array.size == pytest.approx(
+            8 * payload.nbytes
+        )
+
+    def test_topk_bits_follow_the_ratio(self):
+        for ratio in (0.1, 0.3, 1.0):
+            assert TopKCodec(ratio=ratio).bits_per_value == pytest.approx(96 * ratio)
 
     def test_float32_inputs_keep_their_dtype(self):
         array = np.random.default_rng(1).normal(size=(6, 4)).astype(np.float32)
@@ -169,13 +193,11 @@ class TestTopK:
         codec = TopKCodec(ratio=0.25)
         codec.encode(np.arange(16.0), key=(FEATURES, 0))
         codec.encode(-np.arange(16.0), key=(FEATURES, 1))
-        clone = TopKCodec(**codec.params())
+        clone = TopKCodec(ratio=codec.ratio)
         clone.load_state_dict(codec.state_dict())
         for key, residual in codec._residuals.items():
             assert np.array_equal(clone._residuals[key], residual)
-        # merge=False replaces; merge=True keeps unrelated accumulators.
-        clone.load_state_dict({(FEATURES, 7): np.ones(4)}, merge=True)
-        assert (FEATURES, 0) in clone._residuals
+        # Loading replaces every accumulator.
         clone.load_state_dict({(FEATURES, 8): np.ones(4)})
         assert set(clone._residuals) == {(FEATURES, 8)}
 
@@ -199,16 +221,29 @@ class TestKeyCodec:
 
 
 class TestCodecPolicy:
-    def test_spec_roundtrip(self):
+    def test_apply_keys_residuals_by_class_worker_and_parameter(self):
+        """``apply`` keeps every shape and dtype, keys an array's residual
+        ``(class, worker)`` and a state-dict entry's ``(class, worker,
+        parameter)``, and leaves uncoded classes and integers alone."""
         policy = CodecPolicy({
-            FEATURES: TopKCodec(ratio=0.2),
-            GRADIENTS: CODECS.get("int8")(),
+            FEATURES: TopKCodec(ratio=0.25), WEIGHTS: TopKCodec(ratio=0.25),
         })
-        rebuilt = CodecPolicy.from_spec(policy.spec())
-        assert rebuilt.describe() == {FEATURES: "topk", GRADIENTS: "int8"}
-        assert rebuilt.codec_for(FEATURES).ratio == 0.2
-        assert rebuilt.codec_for(WEIGHTS) is None
-        assert rebuilt.codec_for(None) is None
+        rng = np.random.default_rng(5)
+        features = rng.normal(size=(4, 6))
+        decoded = policy.apply(FEATURES, 3, features)
+        assert decoded.shape == features.shape and decoded.dtype == features.dtype
+        assert np.count_nonzero(decoded) == 6 and not np.array_equal(decoded, features)
+        state = {
+            "layer0.weight": rng.normal(size=(3, 4)).astype(np.float32),
+            "steps": np.arange(4),
+        }
+        delivered = policy.apply(WEIGHTS, 7, state)
+        assert delivered["layer0.weight"].dtype == np.float32
+        assert delivered["layer0.weight"].shape == (3, 4)
+        assert delivered["steps"] is state["steps"]
+        assert set(policy.state_dict()) == {"features|3", "weights|7|layer0.weight"}
+        gradients = rng.normal(size=(4, 6))
+        assert policy.apply(GRADIENTS, 3, gradients) is gradients
         assert policy.stateful and not CodecPolicy(
             {FEATURES: CODECS.get("fp16")()}
         ).stateful
@@ -224,7 +259,7 @@ class TestCodecPolicy:
         )
         state = policy.state_dict()
         assert set(state) == {"features|2|layer0.weight"}
-        restored = CodecPolicy.from_spec(policy.spec())
+        restored = CodecPolicy({FEATURES: TopKCodec(ratio=0.5)})
         restored.load_state_dict(state)
         assert np.array_equal(
             restored.codec_for(FEATURES)._residuals[(FEATURES, 2, "layer0.weight")],
@@ -244,7 +279,7 @@ class TestBuildCodecPolicy:
 
     def test_default_classes_are_features_and_gradients(self):
         policy = build_codec_policy(ExperimentConfig(codec="int8"))
-        assert policy.describe() == {FEATURES: "int8", GRADIENTS: "int8"}
+        assert _names(policy) == {FEATURES: "int8", GRADIENTS: "int8"}
 
     def test_policy_extras_override_classes(self):
         config = ExperimentConfig(
@@ -252,7 +287,7 @@ class TestBuildCodecPolicy:
             extras={"codec_policy": {GRADIENTS: "none", WEIGHTS: "int8"}},
         )
         policy = build_codec_policy(config)
-        assert policy.describe() == {FEATURES: "fp16", WEIGHTS: "int8"}
+        assert _names(policy) == {FEATURES: "fp16", WEIGHTS: "int8"}
 
     def test_topk_ratio_extra(self):
         config = ExperimentConfig(

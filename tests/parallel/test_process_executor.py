@@ -37,7 +37,7 @@ class _ScriptedEndpoint:
             raise EOFError
         return self.script.pop(0)
 
-    def send(self, message, klass=None, count=True) -> None:
+    def send(self, message, count=True) -> None:
         self.replies.append(message)
 
     def close(self, unlink: bool = False) -> None:
@@ -279,28 +279,22 @@ class TestChildLoop:
         assert "does not match the pending forward batch 0" in payload
 
 
-def test_sticky_assignment_is_stable_and_round_balanced():
-    """Worker-to-child homes spread each round's *new* workers over the
-    children the selection leaves least loaded, and stay sticky afterwards
-    so shipped shards never move."""
+def test_assignment_deals_each_round_out_by_count():
+    """Each round's workers go to the least-loaded child in turn, whatever
+    ids they carry and wherever they computed before."""
     from types import SimpleNamespace
 
     executor = ProcessExecutor(processes=4)
     executor._children = [SimpleNamespace() for __ in range(4)]  # no spawn
     try:
         def assign(ids):
-            shards = executor._assign([SimpleNamespace(worker_id=i) for i in ids])
-            return {wid: executor._assignment[wid] for wid in ids}
+            executor._assign([SimpleNamespace(worker_id=i) for i in ids])
+            return [executor._assignment[wid] for wid in ids]
 
-        first = assign([0, 8, 16, 24])               # all congruent mod 4
-        assert sorted(first.values()) == [0, 1, 2, 3]  # perfectly spread
-        # Stability: a later round with the same workers keeps the homes.
-        assert assign([0, 8, 16, 24]) == first
-        # A round mixing known and new workers balances the new ones onto
-        # the children this round leaves idle.
-        second = assign([0, 8, 100, 101])
-        assert second[0] == first[0] and second[8] == first[8]
-        assert sorted(second.values()) == [0, 1, 2, 3]
+        assert assign([0, 8, 16, 24]) == [0, 1, 2, 3]   # all congruent mod 4
+        assert assign([24, 16, 8, 0]) == [0, 1, 2, 3]   # no memory of homes
+        assert assign([5, 6, 7, 8, 9, 10]) == [0, 1, 2, 3, 0, 1]
+        assert set(executor._assignment) == {5, 6, 7, 8, 9, 10}
     finally:
         executor._children = None
 

@@ -240,102 +240,10 @@ class TestSharedMemoryEndpoint:
             child.close()
 
 
-def _policy(name: str = "int8", klass: str = "features") -> "CodecPolicy":
-    from repro.api.registry import CODECS
-    from repro.parallel.codec import CodecPolicy
-
-    return CodecPolicy({klass: CODECS.get(name)()})
-
-
-def _codec_loopback(policy, capacity: int = 1 << 16):
-    transport = SharedMemoryTransport(capacity=capacity, codec=policy)
-    parent, connector = transport.pair(multiprocessing.get_context())
-    return parent, connector.connect()
-
-
-class TestCodecEndpoints:
-    def test_shm_int8_frames_compress_the_wire(self):
-        parent, child = _codec_loopback(_policy("int8"))
-        try:
-            array = np.random.default_rng(0).normal(size=(64, 128))
-            parent.send(("forward", {3: array}), klass="features")
-            __, payload = child.recv()
-            span = float(array.max() - array.min())
-            assert payload[3].shape == array.shape
-            assert np.all(np.abs(payload[3] - array) <= span / 510 + 1e-12)
-            # 8 bytes/value on the logical side, 1 byte/value on the wire;
-            # both directions of the channel agree on the tally.
-            assert parent.logical_bytes == array.nbytes
-            assert parent.bytes_on_wire == array.size
-            assert (child.bytes_on_wire, child.logical_bytes) == (
-                parent.bytes_on_wire, parent.logical_bytes
-            )
-        finally:
-            parent.close(unlink=True)
-            child.close()
-
-    def test_unlisted_class_passes_through_bit_exact(self):
-        parent, child = _codec_loopback(_policy("int8", klass="features"))
-        try:
-            array = np.random.default_rng(1).normal(size=(32, 16))
-            parent.send(("backward", {0: array}), klass="gradients")
-            __, payload = child.recv()
-            assert np.array_equal(payload[0], array)
-            assert parent.bytes_on_wire == parent.logical_bytes == array.nbytes
-        finally:
-            parent.close(unlink=True)
-            child.close()
-
-    def test_integer_arrays_never_encoded(self):
-        parent, child = _codec_loopback(_policy("int8"))
-        try:
-            indices = np.arange(700, dtype=np.int64)
-            parent.send(("forward", {0: indices}), klass="features")
-            __, payload = child.recv()
-            assert np.array_equal(payload[0], indices)
-            assert payload[0].dtype == np.int64
-        finally:
-            parent.close(unlink=True)
-            child.close()
-
-    def test_inline_threshold_applies_post_encoding(self):
-        """A tensor whose *encoded* payload fits under the inline floor
-        bypasses the ring entirely even though its raw bytes exceed it."""
-        parent, child = _codec_loopback(_policy("int8"))
-        try:
-            array = np.random.default_rng(2).normal(size=(2000,))  # 16 KiB raw
-            head_before = int(parent._ring_out._head[0])
-            parent.send(("forward", {0: array}), klass="features")
-            __, payload = child.recv()
-            assert int(parent._ring_out._head[0]) == head_before  # no frame
-            assert payload[0].shape == array.shape
-            assert parent.bytes_on_wire == 2000  # 1 byte/value, inline
-            assert parent.logical_bytes == array.nbytes
-        finally:
-            parent.close(unlink=True)
-            child.close()
-
-    def test_pipe_codec_roundtrip_and_counters(self):
-        transport = PipeTransport(codec=_policy("fp16"))
-        parent, connector = transport.pair(multiprocessing.get_context())
-        child = connector.connect()
-        try:
-            array = np.random.default_rng(3).normal(size=(16, 8))
-            parent.send(("forward", {0: array}), klass="features")
-            __, payload = child.recv()
-            assert np.allclose(payload[0], array, rtol=2 ** -11, atol=2 ** -24)
-            assert parent.bytes_on_wire == 2 * array.size
-            assert parent.logical_bytes == array.nbytes
-            assert (child.bytes_on_wire, child.logical_bytes) == (
-                parent.bytes_on_wire, parent.logical_bytes
-            )
-        finally:
-            parent.close()
-            child.close()
-
-    def test_plain_pipe_counts_wire_equal_logical(self):
-        """Without a codec the pipe endpoint still tallies array traffic
-        (measured, not intercepted -- the pickle stream is unchanged)."""
+class TestCounters:
+    def test_plain_pipe_counts_the_array_bytes(self):
+        """The pipe endpoint tallies array traffic too (measured, not
+        intercepted -- the pickle stream is unchanged)."""
         transport = PipeTransport()
         parent, connector = transport.pair(multiprocessing.get_context())
         child = connector.connect()
@@ -344,7 +252,7 @@ class TestCodecEndpoints:
             parent.send(("cmd", {"x": array}))
             child.recv()
             for end in (parent, child):
-                assert end.bytes_on_wire == end.logical_bytes == array.nbytes
+                assert end.bytes_on_wire == array.nbytes
         finally:
             parent.close()
             child.close()
@@ -354,25 +262,21 @@ class TestCodecEndpoints:
         try:
             parent.send(("load_shard", np.arange(256.0)), count=False)
             child.recv(count=False)
-            assert parent.bytes_on_wire == parent.logical_bytes == 0
-            assert child.bytes_on_wire == child.logical_bytes == 0
+            assert parent.bytes_on_wire == child.bytes_on_wire == 0
         finally:
             parent.close(unlink=True)
             child.close()
 
-    def test_topk_residuals_live_on_the_sending_policy(self):
-        from repro.parallel.codec import CodecPolicy, TopKCodec
-
-        policy = CodecPolicy({"features": TopKCodec(ratio=0.25)})
-        parent, child = _codec_loopback(policy)
+    def test_a_payload_class_tag_is_ignored(self):
+        """Senders written against the earlier signature still tag messages
+        with a payload class; the arrays cross raw either way."""
+        parent, child = _loopback()
         try:
-            array = np.random.default_rng(4).normal(size=(40,))
-            parent.send(("forward", {5: array}), klass="features")
-            child.recv()
-            state = parent.codec_state_dict()
-            assert list(state) == ["features|5"]
-            # The receiving side decodes statelessly: no residuals there.
-            assert child.codec_state_dict() == {}
+            array = np.random.default_rng(4).normal(size=(64, 128))
+            parent.send(("forward", {3: array}), klass="features")
+            __, payload = child.recv()
+            assert np.array_equal(payload[3], array)
+            assert parent.bytes_on_wire == child.bytes_on_wire == array.nbytes
         finally:
             parent.close(unlink=True)
             child.close()

@@ -156,13 +156,6 @@ class TestAdaptive:
             0.5 * (0.5 + 0.5 * 4 / 3) + 0.5
         )
 
-    def test_wire_ema_tracks_compression(self):
-        policy = AdaptiveSplitPolicy()
-        policy.observe_traffic(50, 100)
-        assert policy._wire_scale == pytest.approx(0.75)
-        policy.observe_traffic(0, 0)  # no logical payload: no update
-        assert policy._wire_scale == pytest.approx(0.75)
-
     def test_slowdown_shifts_a_straggler_shallow(self):
         # A device just past the compute/comm break-even point: nominally
         # it keeps the deep cut, but once the EMA has learned it runs 2x
@@ -173,17 +166,6 @@ class TestAdaptive:
         for round_index in range(6):
             policy.observe_durations(round_index, {0: 4.0, 1: 1.0, 2: 1.0})
         assert policy.assign_depths(6, [0], _ctx(cluster)) == {0: 1}
-
-    def test_wire_scale_cheapens_shallow_cuts(self):
-        # A compute-heavy device that nominally avoids the feature-heavy
-        # shallow cut; a strongly compressing codec (wire 10% of logical)
-        # shrinks the exchange term until shallow wins.
-        cluster = {0: _Device(50.0, 100.0)}
-        policy = AdaptiveSplitPolicy()
-        assert policy.assign_depths(0, [0], _ctx(cluster)) == {0: 4}
-        for _ in range(8):
-            policy.observe_traffic(10, 100)
-        assert policy.assign_depths(1, [0], _ctx(cluster)) == {0: 1}
 
     def test_regulated_batch_sizes_enter_the_cost(self):
         # The round plan's regulated batch size scales the per-sample terms
@@ -206,12 +188,28 @@ class TestAdaptive:
     def test_state_round_trips_through_json(self):
         policy = AdaptiveSplitPolicy()
         policy.observe_durations(0, {3: 2.0, 7: 0.5})
-        policy.observe_traffic(60, 100)
         state = json.loads(json.dumps(policy.state_dict()))
         restored = AdaptiveSplitPolicy()
         restored.load_state_dict(state)
         assert restored._slowdown == policy._slowdown
-        assert restored._wire_scale == policy._wire_scale
+        # Older checkpoints also carry the retired wire-scale EMA.
+        legacy = AdaptiveSplitPolicy()
+        legacy.load_state_dict({**state, "wire_scale": 0.5})
+        assert legacy.state_dict() == policy.state_dict()
+
+
+@pytest.mark.parametrize("policy_type", [ProfileSplitPolicy, AdaptiveSplitPolicy])
+def test_a_compressed_exchange_table_moves_the_cut_shallower(policy_type):
+    """A compute-heavy device nominally avoids the feature-heavy shallow
+    cut; the engine's tables under a codec that puts 10% of the bytes on
+    the link shrink the exchange term until shallow wins."""
+    cluster = {0: _Device(50.0, 100.0)}
+    raw = _ctx(cluster)
+    compressed = _ctx(cluster, exchange_bytes={
+        depth: nbytes * 0.1 for depth, nbytes in raw.exchange_bytes.items()
+    })
+    assert policy_type().assign_depths(0, [0], raw) == {0: 4}
+    assert policy_type().assign_depths(0, [0], compressed) == {0: 1}
 
 
 class TestEngineValidation:

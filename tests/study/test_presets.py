@@ -78,6 +78,7 @@ class TestChurnStudy:
 
 class TestCodecStudy:
     def test_paper_preset_crosses_codec_and_algorithm(self):
+        from repro.config import AUTO_EXECUTOR
         from repro.study.presets import PAPER_CODEC_ALGORITHMS, PAPER_CODECS
 
         study = get_preset("paper-codec")
@@ -89,8 +90,8 @@ class TestCodecStudy:
             for codec in PAPER_CODECS
         }
         for trial in study:
-            # Codecs only matter across a process boundary.
-            assert trial.config.executor == "process"
+            # The round applies the codec on every executor: none is forced.
+            assert trial.config.executor == AUTO_EXECUTOR
             assert trial.tags["codec"] == trial.config.codec
 
     def test_smoke_preset_runs_end_to_end(self):
@@ -102,14 +103,15 @@ class TestCodecStudy:
             algorithms=("mergesfl",), num_workers=4, num_rounds=2,
             local_iterations=1, train_samples=60, test_samples=30,
             max_batch_size=8, base_batch_size=4,
-            extras={"executor_processes": 2},
         )
         histories = StudyRunner(study).histories()
         assert len(histories) == 2
         exact = histories["algorithm=mergesfl,codec=none"]
         lossy = histories["algorithm=mergesfl,codec=int8"]
-        assert all(r.compression_ratio == 1.0 for r in exact.records)
-        assert all(r.compression_ratio > 1.0 for r in lossy.records)
+        assert any(
+            r.train_loss != e.train_loss
+            for r, e in zip(lossy.records, exact.records)
+        )
 
 
 class TestPresetExecution:

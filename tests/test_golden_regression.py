@@ -126,7 +126,7 @@ def _checkpoint_path(name: str) -> pathlib.Path:
     return GOLDEN_DIR / f"{name}.round{CHECKPOINT_FIXTURES[name]}.ckpt.json"
 
 
-def _golden_config(name: str):
+def _golden_config(name: str, **changes):
     from repro.config import ExperimentConfig
 
     base = dict(
@@ -144,14 +144,15 @@ def _golden_config(name: str):
         learning_rate=0.1,
         seed=3,
     )
-    return ExperimentConfig(**{**base, **GOLDEN_CONFIGS[name]})
+    return ExperimentConfig(**{**base, **GOLDEN_CONFIGS[name], **changes})
 
 
-def _run_history(name: str, depth_log: list | None = None) -> list[dict]:
-    """The run's records; ``depth_log`` collects each round's assigned depths."""
+def _run_history(name: str, depth_log: list | None = None, **changes) -> list[dict]:
+    """The run's records; ``depth_log`` collects each round's assigned depths
+    and ``changes`` override the row's configuration."""
     from repro.api.session import Session
 
-    with Session.from_config(_golden_config(name)) as session:
+    with Session.from_config(_golden_config(name, **changes)) as session:
         if depth_log is not None:
             policy = session.algorithm._split_policy
             assign = policy.assign_depths
@@ -215,6 +216,15 @@ def test_history_matches_golden(name):
     if depth_log is not None:
         # A policy change must not silently turn the row degenerate.
         assert any(len(set(depths)) >= 2 for depths in depth_log), depth_log
+
+
+@pytest.mark.parametrize("executor", ["serial", "batched"])
+@pytest.mark.parametrize("name", LOSSY)
+def test_a_lossy_golden_holds_on_every_executor(name, executor):
+    """The round applies the codec, so a lossy trajectory does not depend
+    on where the workers compute."""
+    golden = json.loads(_golden_path(name).read_text())
+    _assert_records_match(golden["records"], _run_history(name, executor=executor))
 
 
 @pytest.mark.parametrize("alias,name", SAME_ROW)
@@ -317,7 +327,7 @@ def test_a_golden_with_the_retired_staleness_keys_loads_unchanged(name):
     )
 
 
-@pytest.mark.parametrize("executor", ["process"])
+@pytest.mark.parametrize("executor", ["serial", "batched", "process"])
 def test_topk_process_checkpoint_resumes_to_golden(executor, tmp_path):
     """The fixture carries per-worker feature and gradient residuals and
     resumes, on ``executor``, to the golden's trajectory."""
