@@ -91,7 +91,8 @@ class FLTrainingEngine(RoundEngine):
         self.model = model.clone()
         self.selection = selection
         self.loss_fn = CrossEntropyLoss()
-        self.model_bytes = model_size_bytes(self.model)
+        #: The model as the simulated link carries it.
+        self.model_bytes = self._link_bytes(WEIGHTS, model_size_bytes(self.model))
         self.full_flops = estimate_forward_flops(self.model, data.feature_shape)
 
     @classmethod

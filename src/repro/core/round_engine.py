@@ -47,7 +47,7 @@ from repro.simulation.timing import (
     average_waiting_time,
     elastic_round_duration,
 )
-from repro.simulation.traffic import TrafficMeter
+from repro.simulation.traffic import BYTES_PER_ELEMENT, TrafficMeter
 from repro.utils.logging import get_logger
 
 logger = get_logger("core.round_engine")
@@ -243,6 +243,19 @@ class RoundEngine(Algorithm):
             self.codec.apply(klass, worker_id, value)
             for worker_id, value in zip(worker_ids, values)
         ]
+
+    def _link_bytes(self, klass: str, nbytes: int) -> "int | float":
+        """What ``nbytes`` of one payload class cost on the simulated link.
+
+        The simulated element is float32 (``BYTES_PER_ELEMENT``); a class
+        with a codec pays its ``bits_per_value`` per element instead.  A
+        class without one -- every class at ``codec="none"`` -- is not
+        multiplied at all.
+        """
+        codec = self.codec.codec_for(klass) if self.codec is not None else None
+        if codec is None:
+            return nbytes
+        return nbytes * codec.bits_per_value / (8 * BYTES_PER_ELEMENT)
 
     # -- simulated cost model ----------------------------------------------------
     def _worker_durations(self, plan: RoundPlan) -> np.ndarray:

@@ -4,8 +4,9 @@ bounded loss, checkpoint/resume.
 ``codec="none"`` must leave every executor bit-exact (it builds no codec
 machinery at all).  The round applies a lossy codec in the parent, so a
 lossy run must be the same trajectory on every executor, transport and
-scheduler; it must stay within a measured accuracy epsilon of the exact
-run; and the ``topk`` error-feedback residuals must survive a mid-run
+scheduler; the simulated network must charge each payload class its
+encoded size; the run must stay within a measured accuracy epsilon of the
+exact run; and the ``topk`` error-feedback residuals must survive a mid-run
 checkpoint so a resumed lossy run reproduces the uninterrupted one bit for
 bit.
 """
@@ -88,6 +89,15 @@ def _run(config: ExperimentConfig):
         return history, session.global_model().state_dict()
 
 
+def _traffic_per_sample(config: ExperimentConfig) -> tuple[dict, int]:
+    """Per-category simulated bytes per trained sample, and the samples."""
+    with Session.from_config(config) as session:
+        history = session.run()
+        traffic = session.algorithm.traffic.breakdown()
+    samples = config.local_iterations * sum(r.total_batch for r in history.records)
+    return {category: value / samples for category, value in traffic.items()}, samples
+
+
 def _records(history, ignore=()):
     return [
         {k: v for k, v in dataclasses.asdict(r).items() if k not in ignore}
@@ -152,6 +162,35 @@ class TestLossyTrajectory:
         for record in history.records:
             assert record.bytes_on_wire == record.logical_bytes > 0
             assert record.compression_ratio == 1.0
+
+
+class TestSimulatedTraffic:
+    """The simulated element is float32: a class's link bytes scale by its
+    codec's ``bits_per_value / 32``."""
+
+    def test_int8_exchange_costs_a_quarter_per_sample(self):
+        exact, exact_samples = _traffic_per_sample(_config())
+        lossy, lossy_samples = _traffic_per_sample(_config(LOSSY_CASES["int8"]))
+        for category in ("feature", "gradient"):
+            assert lossy[category] == exact[category] / 4
+        # Eq. 9 sees the cheaper link: bandwidth-bound workers are
+        # regulated to larger batches.
+        assert lossy_samples > exact_samples
+
+    def test_topk_exchange_costs_its_ratio_per_sample(self):
+        exact, __ = _traffic_per_sample(_config({"algorithm": "sfl_t"}))
+        lossy, __ = _traffic_per_sample(
+            _config({"algorithm": "sfl_t"}, LOSSY_CASES["topk"])
+        )
+        for category in ("feature", "gradient"):
+            assert lossy[category] == pytest.approx(exact[category] * 96 * 0.3 / 32)
+        assert lossy["model"] == exact["model"]
+
+    def test_fp16_weights_halve_the_model_traffic(self):
+        exact, __ = _traffic_per_sample(_config({"algorithm": "fedavg"}))
+        lossy, __ = _traffic_per_sample(_config(LOSSY_CASES["fedavg-fp16-weights"]))
+        assert lossy["model"] == exact["model"] / 2
+        assert lossy["feature"] == exact["feature"] == 0
 
 
 class TestTopKCheckpoint:

@@ -113,6 +113,13 @@ class TestCodecStudy:
             for r, e in zip(lossy.records, exact.records)
         )
 
+        def traffic_per_sample(history):
+            samples = sum(record.total_batch for record in history.records)
+            return history.records[-1].traffic_mb / samples
+
+        # The simulated link carries int8 features and gradients.
+        assert traffic_per_sample(lossy) < traffic_per_sample(exact)
+
 
 class TestPresetExecution:
     def test_preset_study_runs_through_figure12(self):
