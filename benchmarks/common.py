@@ -32,11 +32,12 @@ each other through a shared dict):
   (see :mod:`repro.population`).  ``lazy`` registers workers as metadata
   rows and materialises only each round's cohort; bit-exact against
   ``eager``, so this only changes memory and wall-clock.
-* ``BENCH_CODEC=none|fp16|bf16|int8|topk`` -- select the transport codec
-  (see :mod:`repro.parallel.codec`) compressing features and gradients on
-  the wire.  Only meaningful with ``BENCH_EXECUTOR=process`` (in-process
-  executors have no wire).  ``none`` is bit-exact; the lossy codecs are
-  deterministic but measured relaxations.
+* ``BENCH_CODEC=none|fp16|bf16|int8|topk`` -- select the codec of the
+  simulated worker <-> PS link (see :mod:`repro.parallel.codec`): the round
+  passes features and gradients through it on every executor, and the
+  simulated network charges their encoded size.  ``none`` is bit-exact;
+  the lossy codecs are deterministic but measured relaxations, one
+  trajectory whatever ``BENCH_EXECUTOR`` says.
 * ``BENCH_SPLITPOINT=uniform|profile|adaptive`` -- select the per-worker
   split-point policy (see :mod:`repro.splitpoint`).  ``uniform`` is the
   bit-exact global-cut anchor; ``profile`` and ``adaptive`` assign

@@ -1,8 +1,8 @@
 """Name-based plugin registries.
 
 Every extensible axis of the system -- algorithms, datasets, models and
-the execution axes (executor, pipeline, transport, codec, split policy,
-selection solver) -- is backed by a :class:`Registry`.  Built-in components
+the execution axes (executor, pipeline, transport), link codecs, split
+policies and selection solvers -- is backed by a :class:`Registry`.  Built-in components
 register themselves with the decorators below in the module that defines
 them (the eleven algorithms in one loop over
 :data:`repro.algorithms.BUILTIN_ALGORITHMS`); third-party code registers

@@ -164,16 +164,17 @@ class ExperimentConfig:
     #: (shared-memory ring buffers, headers only over the pipe); see
     #: :mod:`repro.parallel.transport`.  Ignored by in-process executors.
     transport: str = "pipe"
-    #: Transport payload codec for the feature/gradient arrays crossing the
-    #: process boundary: ``"none"`` (bit-exact passthrough, the default),
+    #: Codec of the simulated worker <-> PS link for the feature/gradient
+    #: payloads: ``"none"`` (bit-exact passthrough, the default),
     #: ``"fp16"``/``"bf16"`` (half-precision casts), ``"int8"`` (per-tensor
     #: affine quantization) or ``"topk"`` (sparsification with error
     #: feedback); see :mod:`repro.parallel.codec`.
     #: ``extras["codec_policy"]`` assigns codecs per payload class
     #: (``features``/``gradients``/``weights``) and
-    #: ``extras["codec_topk_ratio"]`` tunes the top-k kept fraction.
-    #: Ignored by in-process executors.  Lossy codecs are deterministic,
-    #: transport-independent relaxations of the exact trajectory.
+    #: ``extras["codec_topk_ratio"]`` tunes the top-k kept fraction.  The
+    #: round applies it on every executor, and the simulated network
+    #: (traffic, Eq. 9 regulation, split policies) charges the encoded
+    #: size, so a lossy codec is one deterministic trajectory everywhere.
     codec: str = "none"
     #: How per-worker split points (cut depths into the bottom model) are
     #: chosen each round: ``"uniform"`` (every worker cuts at the global

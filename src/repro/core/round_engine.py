@@ -17,6 +17,13 @@ compute (:meth:`RoundEngine._run_stages`), what a worker's round costs in
 simulated compute and bytes (:meth:`RoundEngine._worker_costs`), how the
 global model is evaluated (:meth:`RoundEngine._evaluate`) and which extra
 state they checkpoint.
+
+The round also owns the simulated worker <-> PS link.  One
+:class:`~repro.parallel.codec.CodecPolicy` (none at ``codec="none"``)
+passes every payload that crosses it through ``decode(encode(.))``
+(:meth:`RoundEngine._delivered`), on whatever executor the workers compute,
+and the cost model charges each payload class its encoded size
+(:meth:`RoundEngine._link_bytes`).
 """
 
 from __future__ import annotations

@@ -48,11 +48,12 @@ class RoundRecord:
         effective_cohort: Number of updates in the round's aggregate
             (completed + rejoined; equals ``num_selected`` when
             elasticity is off).
-        bytes_on_wire: Array-payload bytes that actually crossed the
-            executor's process boundary this round (both directions,
-            post-codec; ``0`` for in-process executors).
-        logical_bytes: Dense bytes those payloads represent pre-codec;
-            equals ``bytes_on_wire`` at ``codec="none"``.
+        bytes_on_wire: Array-payload bytes that crossed the executor's
+            process boundary this round (both directions; ``0`` for
+            in-process executors).  Host bytes, not the simulated link's:
+            a link codec shows in ``traffic_mb``.
+        logical_bytes: Dense bytes those payloads represent; arrays cross
+            raw, so this equals ``bytes_on_wire``.
         compression_ratio: ``logical_bytes / bytes_on_wire`` for the round
             (``0.0`` when nothing crossed a process boundary).
     """

@@ -130,16 +130,16 @@ def total_bytes_on_wire(history: History) -> int:
 
 
 def total_logical_bytes(history: History) -> int:
-    """Dense pre-codec bytes those wire payloads represent over the run."""
+    """Dense bytes those wire payloads represent over the run."""
     return int(sum(record.logical_bytes for record in history.records))
 
 
 def mean_compression_ratio(history: History) -> float:
     """Logical-to-wire byte ratio over the whole run.
 
-    ``1.0`` at ``codec="none"`` on a process executor, ``> 1`` under a
-    compressing codec, and ``0.0`` when nothing crossed a process boundary
-    (in-process executors, empty histories).
+    ``1.0`` on a process executor (arrays cross raw; a link codec shows in
+    the simulated traffic instead), and ``0.0`` when nothing crossed a
+    process boundary (in-process executors, empty histories).
     """
     wire = total_bytes_on_wire(history)
     if wire == 0:

@@ -46,7 +46,8 @@ The ``topk`` codec is *stateful*: every encoded tensor keeps a residual of
 the mass it dropped, keyed by payload class and worker id (and parameter
 name, for weights), and adds it back before the next top-k selection
 (error feedback).  The round's one policy holds every residual, in the
-parent process; they serialize through ``state_dict()`` /
+parent process, so the death of a process executor's child loses none of
+them; they serialize through ``state_dict()`` /
 ``load_state_dict()`` under the engine checkpoint's ``"codec"`` key, so a
 checkpoint/resume cycle reproduces the lossy trajectory bit-exactly.
 

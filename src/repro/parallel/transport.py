@@ -25,9 +25,9 @@ garbage into the training state.
 
 Arrays cross raw on both transports: compressing the simulated link is
 the round's business (:class:`~repro.core.round_engine.RoundEngine`), not
-the process boundary's.  Both endpoints keep a ``bytes_on_wire`` counter -- on the
-pipe transport too -- so pipe-vs-shm comparisons report wire volume on
-both backends.
+the process boundary's.  Both endpoints keep a ``bytes_on_wire`` counter
+-- on the pipe transport too -- so pipe-vs-shm comparisons report wire
+volume on both backends.
 
 Transports are registered in :data:`repro.api.registry.TRANSPORTS`
 (``"pipe"`` and ``"shm"``) and selected with
@@ -345,9 +345,9 @@ class Endpoint:
     def send(self, message, count: bool = True, **tags) -> None:
         """Send one message.
 
-        ``tags`` are accepted and ignored: callers written against the
-        earlier signature still label messages with a payload class, and
-        every payload now crosses as it is.
+        ``tags`` are accepted and ignored: the echo probe in
+        ``perfbench/probes.py`` still labels its messages with a payload
+        class, and every payload crosses as it is.
         """
         if count:
             self.bytes_on_wire += _array_bytes(message)

@@ -231,8 +231,9 @@ class AdaptiveSplitPolicy(SplitPolicy):
         return {"slowdown": {str(k): v for k, v in self._slowdown.items()}}
 
     def load_state_dict(self, state):
-        # Checkpoints from before the link codec moved into the round also
-        # carry a ``wire_scale``; with raw host bytes it could only be 1.0.
+        # Checkpoints written while host wire bytes fed the policy also
+        # carry a ``wire_scale``; a codec's saving is in the cost tables
+        # now, so it is ignored.
         self._slowdown = {int(k): float(v) for k, v in state["slowdown"].items()}
 
 

@@ -7,15 +7,18 @@ math -- a reordered reduction, a changed default, an off-by-one in batch
 regulation -- fails loudly even when every unit test still passes.  Every
 built-in algorithm name has a row (the nine split rows of
 ``repro.algorithms.BUILTIN_ALGORITHMS`` on the split engine,
-``fedavg``/``pyramidfl`` on the FL engine), plus elastic rounds and three
+``fedavg``/``pyramidfl`` on the FL engine), plus elastic rounds, three
 :data:`PER_DEPTH` rows whose adaptive split policy assigns mixed cut depths
 (merged mixed groups, per-worker updates through a bridge, per-iteration
-re-installs with bridges).
+re-installs with bridges) and three :data:`LOSSY` rows whose link codec
+the round applies, so each must hold on every executor.
 
 :data:`CHECKPOINT_FIXTURES` additionally pins the checkpoint *format*: a
 checkpoint file written after two rounds must keep loading, must equal
 (same keys, same values) what a fresh two-round run saves today, and must
-continue to the golden's remaining records.
+continue to the golden's remaining records.  :data:`TOPK_PROCESS_CHECKPOINT`
+pins that a checkpoint whose residuals the process executor gathered from
+its children still resumes, on any executor.
 
 Float fields are compared at 1e-9 relative tolerance (bit-exactness across
 BLAS builds and numpy versions is not guaranteed); everything else exactly.
