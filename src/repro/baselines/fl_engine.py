@@ -91,8 +91,8 @@ class FLTrainingEngine(RoundEngine):
         self.model = model.clone()
         self.selection = selection
         self.loss_fn = CrossEntropyLoss()
-        #: The model as the simulated link carries it.
-        self.model_bytes = self._link_bytes(WEIGHTS, model_size_bytes(self.model))
+        #: One model move as the simulated link charges it.
+        self.model_bytes = self._model_move_bytes(model_size_bytes(self.model))
         self.full_flops = estimate_forward_flops(self.model, data.feature_shape)
 
     @classmethod

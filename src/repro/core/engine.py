@@ -223,14 +223,14 @@ class SplitTrainingEngine(RoundEngine):
             prefix = bottom if depth == self._tail else carve_prefix(bottom, depth)
             self._depth_flops[depth] = estimate_forward_flops(prefix, input_shape)
             sample = prefix.forward(np.zeros((1, *input_shape), dtype=np.float64))
-            # One sample's feature upload plus gradient download, and the
-            # prefix model, as the simulated link carries them.
+            # One sample's feature upload plus gradient download, and one
+            # move of the prefix model, as the simulated link charges them.
             sample_bytes = feature_bytes(tuple(sample.shape[1:]), 1)
             self._depth_exchange_bytes[depth] = self._link_bytes(
                 FEATURES, sample_bytes
             ) + self._link_bytes(GRADIENTS, sample_bytes)
-            self._depth_model_bytes[depth] = self._link_bytes(
-                WEIGHTS, model_size_bytes(prefix)
+            self._depth_model_bytes[depth] = self._model_move_bytes(
+                model_size_bytes(prefix)
             )
 
     # -- public API -----------------------------------------------------------

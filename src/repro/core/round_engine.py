@@ -20,10 +20,11 @@ state they checkpoint.
 
 The round also owns the simulated worker <-> PS link.  One
 :class:`~repro.parallel.codec.CodecPolicy` (none at ``codec="none"``)
-passes every payload that crosses it through ``decode(encode(.))``
-(:meth:`RoundEngine._delivered`), on whatever executor the workers compute,
-and the cost model charges each payload class its encoded size
-(:meth:`RoundEngine._link_bytes`).
+passes the features, gradients and uploaded model states that cross it
+through ``decode(encode(.))`` (:meth:`RoundEngine._delivered`), on whatever
+executor the workers compute; the installed global model goes down raw.
+The cost model charges each payload class its encoded size
+(:meth:`RoundEngine._link_bytes`, :meth:`RoundEngine._model_move_bytes`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.data.dataset import TrainTestSplit
 from repro.exceptions import ExecutorDeathError
 from repro.metrics.history import History, RoundRecord, wire_round_delta
 from repro.parallel.base import Executor
-from repro.parallel.codec import CodecPolicy, build_codec_policy
+from repro.parallel.codec import WEIGHTS, CodecPolicy, build_codec_policy
 from repro.parallel.pipeline import PipelineScheduler, build_pipeline
 from repro.parallel.serial import SerialExecutor
 from repro.population.pool import WorkerPool, as_worker_pool
@@ -263,6 +264,19 @@ class RoundEngine(Algorithm):
         if codec is None:
             return nbytes
         return nbytes * codec.bits_per_value / (8 * BYTES_PER_ELEMENT)
+
+    def _model_move_bytes(self, nbytes: int) -> "int | float":
+        """What one move of an ``nbytes`` model costs on the simulated link.
+
+        The cost model charges two moves per aggregation: the global model
+        goes down raw (the executor installs it exact), and only the
+        trained state coming back passes the weights codec.  A move is
+        charged the mean of the two, so the pair costs exactly one raw and
+        one encoded model.
+        """
+        if self.codec is None or self.codec.codec_for(WEIGHTS) is None:
+            return nbytes
+        return (nbytes + self._link_bytes(WEIGHTS, nbytes)) / 2
 
     # -- simulated cost model ----------------------------------------------------
     def _worker_durations(self, plan: RoundPlan) -> np.ndarray:

@@ -124,29 +124,6 @@ def mean_effective_cohort(history: History) -> float:
     )
 
 
-def total_bytes_on_wire(history: History) -> int:
-    """Array-payload bytes that crossed process boundaries over the run."""
-    return int(sum(record.bytes_on_wire for record in history.records))
-
-
-def total_logical_bytes(history: History) -> int:
-    """Dense bytes those wire payloads represent over the run."""
-    return int(sum(record.logical_bytes for record in history.records))
-
-
-def mean_compression_ratio(history: History) -> float:
-    """Logical-to-wire byte ratio over the whole run.
-
-    ``1.0`` on a process executor (arrays cross raw; a link codec shows in
-    the simulated traffic instead), and ``0.0`` when nothing crossed a
-    process boundary (in-process executors, empty histories).
-    """
-    wire = total_bytes_on_wire(history)
-    if wire == 0:
-        return 0.0
-    return total_logical_bytes(history) / wire
-
-
 def schedule_divergence(relaxed: History, exact: History) -> dict:
     """Convergence delta of a relaxed run against its exact reference.
 

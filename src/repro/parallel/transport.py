@@ -342,10 +342,10 @@ class Endpoint:
         self.peer_check = None
 
     # -- messaging ------------------------------------------------------------
-    def send(self, message, count: bool = True, **tags) -> None:
+    def send(self, message, count: bool = True, klass: str | None = None) -> None:
         """Send one message.
 
-        ``tags`` are accepted and ignored: the echo probe in
+        ``klass`` is accepted and ignored: the echo probe in
         ``perfbench/probes.py`` still labels its messages with a payload
         class, and every payload crosses as it is.
         """

@@ -50,8 +50,9 @@ class SplitContext:
         flops: Forward FLOPs of the depth-``d`` prefix, per sample.
         exchange_bytes: Feature-up + gradient-down bytes per sample at
             depth ``d``, as the simulated link carries them.
-        model_bytes: Size of the depth-``d`` prefix model in bytes, as
-            the simulated link carries it.
+        model_bytes: Bytes of one move of the depth-``d`` prefix model, as
+            the simulated link charges it (the mean of the raw download
+            and the upload at the weights codec's size).
         cluster: The device cluster; ``cluster[worker_id]`` is the
             worker's :class:`~repro.simulation.worker_device.WorkerDevice`.
         batch_sizes: The round plan's regulated per-worker batch sizes.

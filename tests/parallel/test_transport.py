@@ -281,6 +281,18 @@ class TestCounters:
             parent.close(unlink=True)
             child.close()
 
+    def test_a_misspelt_keyword_is_rejected(self):
+        """Only ``klass`` is ignored: a typo of ``count`` must not silently
+        count bytes that were meant to be exempt."""
+        parent, child = _loopback()
+        try:
+            with pytest.raises(TypeError):
+                parent.send(("load_source", np.arange(8.0)), cout=False)
+            assert parent.bytes_on_wire == 0
+        finally:
+            parent.close(unlink=True)
+            child.close()
+
 
 class TestTransportConfig:
     def test_registry_lists_transports(self):
