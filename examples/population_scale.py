@@ -3,9 +3,9 @@
 With ``population="lazy"`` the experiment registers every worker as a
 compact metadata row in a sharded registry (:mod:`repro.population`) and
 materialises live worker objects only for each round's selected cohort:
-bottom weights are rebuilt from the global model plus a bounded delta
-cache, data shards are drawn lazily from per-worker RNG streams, and the
-cohort is released at round end.  Peak memory tracks the cohort size --
+data shards are drawn lazily from per-worker RNG streams, every worker
+starts the round from the installed global model, and the cohort is
+released at round end.  Peak memory tracks the cohort size --
 here a 64-worker candidate pool -- not the registered population, and the
 trajectory is bit-exact against the eager path at any size where eager
 still fits in memory.
@@ -22,7 +22,7 @@ import time
 from repro import ExperimentConfig
 from repro.api.session import Session
 from repro.experiments.reporting import format_table
-from repro.metrics.summary import cache_hit_rate, participation_summary
+from repro.metrics.summary import participation_summary
 
 
 def main() -> None:
@@ -38,11 +38,10 @@ def main() -> None:
         base_batch_size=16,
         selection_fraction=0.25,
         bandwidth_budget_mbps=40.0,
-        # The population knobs: lazy materialisation, a 64-worker candidate
-        # pool per round and a 32-entry delta cache for returning workers.
+        # The population knobs: lazy materialisation and a 64-worker
+        # candidate pool per round.
         population="lazy",
         population_candidates=64,
-        population_cache=32,
         seed=7,
         extras={
             # Shards are sampled from per-worker RNG streams (O(1) in the
@@ -75,7 +74,6 @@ def main() -> None:
         ["live after run", str(stats["live"])],
         ["distinct participants", str(participation["distinct_workers"])],
         ["mean cohort", f"{participation['mean_cohort']:.1f}"],
-        ["delta-cache hit rate", f"{cache_hit_rate(session.history):.2f}"],
         ["final accuracy", f"{session.history.records[-1].test_accuracy:.3f}"],
     ]
     print()

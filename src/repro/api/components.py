@@ -31,7 +31,6 @@ from repro.nn.models import build_model, default_split_layer, has_default_split
 from repro.nn.module import Sequential
 from repro.nn.split import SplitModel, split_model
 from repro.parallel import build_executor
-from repro.population.cache import DeltaCache
 from repro.population.materializer import Materializer
 from repro.population.pool import EagerWorkerPool, LazyWorkerPool, WorkerPool
 from repro.population.registry import (
@@ -172,7 +171,7 @@ def _default_bandwidth_budget(
 def _build_lazy_population(
     config: ExperimentConfig, data: TrainTestSplit
 ) -> LazyWorkerPool:
-    """Registry + materializer + delta cache for ``population="lazy"``.
+    """Registry + materializer for ``population="lazy"``.
 
     ``extras['population_sharding']`` picks the shard source: ``"partition"``
     (default) reuses :func:`partition_dataset` verbatim, which keeps the lazy
@@ -221,11 +220,9 @@ def _build_lazy_population(
         weight_decay=config.weight_decay,
         max_grad_norm=config.max_grad_norm,
     )
-    cache = DeltaCache(config.population_cache) if config.population_cache else None
     return LazyWorkerPool(
         registry=registry,
         materializer=materializer,
-        cache=cache,
         candidates_per_round=config.population_candidates,
         seed=config.seed,
     )

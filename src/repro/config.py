@@ -106,10 +106,6 @@ class ExperimentConfig:
     #: positive value plans each round over that many deterministically
     #: sampled candidates, keeping planning cost flat as registrations grow.
     population_candidates: int = 0
-    #: Capacity of the lazy pool's per-worker bottom-model
-    #: :class:`~repro.population.cache.DeltaCache` (LRU over recent
-    #: participants); ``0`` disables delta caching.
-    population_cache: int = 64
 
     # Elastic rounds ---------------------------------------------------------
     #: Master switch for elastic fault-tolerant rounds (see
@@ -358,11 +354,6 @@ class ExperimentConfig:
                 f"population_candidates must be non-negative, "
                 f"got {self.population_candidates}"
             )
-        if self.population_cache < 0:
-            raise ConfigurationError(
-                f"population_cache must be non-negative, "
-                f"got {self.population_cache}"
-            )
         if not 0.0 <= self.dropout_rate <= 1.0:
             raise ConfigurationError(
                 f"dropout_rate must be in [0, 1], got {self.dropout_rate}"
@@ -494,8 +485,12 @@ class ExperimentConfig:
 
         ``staleness``, the bound of the retired bounded-staleness scheduler,
         is dropped at its exact value 0 and fails by name otherwise.
+        ``population_cache``, the capacity of the retired delta caches, is
+        dropped: the lazy pool's cache was never read, and a pending rejoin
+        now carries its own delta.
         """
         payload = dict(payload)
+        payload.pop("population_cache", None)
         staleness = payload.pop("staleness", 0)
         if staleness != 0:
             raise ConfigurationError(

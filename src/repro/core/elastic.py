@@ -12,9 +12,10 @@ rounds *elastic* instead:
   whatever arrived; a round only yields no update when fewer than
   ``min_cohort_fraction`` of the planned cohort completed;
 * **rejoin** -- a missing worker's late update is folded into a later
-  round's aggregate (as ``current_global + cached_delta``, via a
-  :class:`~repro.population.cache.DeltaCache`) as long as its staleness
-  stays within ``rejoin_staleness_bound`` rounds.
+  round's aggregate, as ``current_global + delta``, as long as its
+  staleness stays within ``rejoin_staleness_bound`` rounds.  The pending
+  rejoin carries that delta (the update against the global model the
+  worker started from), so nothing else can evict or overwrite it.
 
 Which workers drop or straggle each round comes from the deterministic
 :class:`~repro.simulation.churn.ChurnModel`; engine-level recovery from a
@@ -33,12 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.population.cache import DeltaCache
 from repro.simulation.churn import ChurnModel, RoundChurn
-
-#: Delta-cache capacity used for rejoin folding when the experiment does
-#: not configure a population cache (``population_cache == 0``).
-DEFAULT_REJOIN_CACHE = 64
 
 
 @dataclass
@@ -108,19 +104,11 @@ class ElasticController:
             rejoin_staleness_bound=config.rejoin_staleness_bound,
             seed=config.seed,
         )
-        capacity = (
-            config.population_cache
-            if config.population_cache > 0
-            else DEFAULT_REJOIN_CACHE
-        )
-        #: Deltas of every cohort member against the round's install-time
-        #: global model; this is what reconstructs a rejoining worker's
-        #: late update against the *current* global.  Separate from any
-        #: lazy-population cache so population hit/miss metrics stay put.
-        self.cache = DeltaCache(capacity)
         #: Missing workers awaiting rejoin:
-        #: ``{worker_id: {"origin", "arrival", "weight"}}``.
-        self.pending: dict[int, dict[str, float]] = {}
+        #: ``{worker_id: {"origin", "arrival", "weight", "delta"}}``, where
+        #: ``delta`` is the late update minus the global model of round
+        #: ``origin``; folding adds it to the *current* global.
+        self.pending: dict[int, dict] = {}
 
     # -- planning -------------------------------------------------------------
     def min_cohort(self, planned_count: int) -> int:
@@ -211,32 +199,32 @@ class ElasticController:
         Returns the ``(states, weights)`` actually entering the aggregate,
         or ``None`` when the completed cohort misses the quorum (the round
         then leaves the global model unchanged; pending rejoins are kept
-        for a later round).  Every cohort member's state -- including the
-        missing ones, whose local compute still happened in simulation --
-        is cached as a delta so a later rejoin can be reconstructed.
+        for a later round).  A missing worker with a rejoin delay -- its
+        local compute still happened in simulation -- becomes a pending
+        rejoin holding its update as a delta against ``reference``.
         """
         worker_ids = [int(worker_id) for worker_id in worker_ids]
         dropped = set(round_state.dropped)
+        delays = round_state.churn.rejoin_delays
         completed, kept_states, kept_weights = [], [], []
         for worker_id, state, weight in zip(worker_ids, states, weights):
-            self.cache.put(worker_id, state, reference)
-            if worker_id in dropped:
-                continue
-            completed.append(worker_id)
-            kept_states.append(state)
-            kept_weights.append(weight)
-        round_state.completed = completed
-        # A completed update supersedes any older pending rejoin.
-        for worker_id in completed:
-            self.pending.pop(worker_id, None)
-        delays = round_state.churn.rejoin_delays
-        for worker_id, weight in zip(worker_ids, weights):
-            if worker_id in dropped and worker_id in delays:
+            if worker_id not in dropped:
+                # A completed update supersedes any older pending rejoin.
+                self.pending.pop(worker_id, None)
+                completed.append(worker_id)
+                kept_states.append(state)
+                kept_weights.append(weight)
+            elif worker_id in delays:
                 self.pending[worker_id] = {
                     "origin": round_state.round_index,
                     "arrival": round_state.round_index + delays[worker_id],
                     "weight": float(weight),
+                    "delta": {
+                        key: np.asarray(state[key]) - np.asarray(reference[key])
+                        for key in state
+                    },
                 }
+        round_state.completed = completed
         if len(completed) < self.min_cohort(len(round_state.planned)):
             round_state.no_update = True
             return None
@@ -257,12 +245,10 @@ class ElasticController:
             staleness = round_state.round_index - entry["origin"]
             if staleness > self.rejoin_staleness_bound:
                 continue
-            state = self.cache.reconstruct(worker_id, reference)
-            if state is None:
-                # The delta was evicted before the worker rejoined; there
-                # is nothing meaningful left to fold in.
-                continue
-            states.append(state)
+            states.append({
+                key: np.asarray(reference[key]) + delta
+                for key, delta in entry["delta"].items()
+            })
             weights.append(float(entry["weight"]))
             rejoined.append(worker_id)
         round_state.rejoined = rejoined
@@ -270,7 +256,7 @@ class ElasticController:
 
     # -- checkpointing --------------------------------------------------------
     def state_dict(self) -> dict:
-        """Pending rejoins plus the rejoin delta cache."""
+        """Pending rejoins, each with its delta."""
         return {
             "pending": [
                 [
@@ -278,24 +264,35 @@ class ElasticController:
                     int(entry["origin"]),
                     int(entry["arrival"]),
                     float(entry["weight"]),
+                    dict(entry["delta"]),
                 ]
                 for worker_id, entry in sorted(self.pending.items())
             ],
-            "cache": self.cache.state_dict(),
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`."""
-        self.pending = {
-            int(worker_id): {
+        """Restore state captured by :meth:`state_dict`.
+
+        Earlier checkpoints kept the deltas in a ``"cache"`` of every cohort
+        member's ``[worker_id, delta]``; a pending rejoin takes its delta
+        from there, and one whose delta is missing (it was evicted) is
+        dropped, since it could never have been folded in.
+        """
+        cached = {
+            int(worker_id): delta
+            for worker_id, delta in (state.get("cache") or {}).get("entries", [])
+        }
+        self.pending = {}
+        for worker_id, origin, arrival, weight, *delta in state.get("pending", []):
+            delta = delta[0] if delta else cached.get(int(worker_id))
+            if delta is None:
+                continue
+            self.pending[int(worker_id)] = {
                 "origin": int(origin),
                 "arrival": int(arrival),
                 "weight": float(weight),
+                "delta": {key: np.asarray(value) for key, value in delta.items()},
             }
-            for worker_id, origin, arrival, weight in state.get("pending", [])
-        }
-        if state.get("cache") is not None:
-            self.cache.load_state_dict(state["cache"])
 
 
 def build_elastic_controller(config, cluster=None) -> ElasticController | None:

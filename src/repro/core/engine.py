@@ -134,8 +134,6 @@ class SplitTrainingEngine(RoundEngine):
         self.estimator = WorkerStateEstimator(
             num_workers=len(self.pool), alpha=config.estimator_alpha
         )
-        # Delta-cache capture/reconstruction needs the round's global bottom.
-        self.pool.bind_bottom_source(lambda: self.server.global_bottom)
 
         #: Per-worker split-point policy; ``None`` for trivial (uniform)
         #: policies, whose plans carry no depths: every worker then cuts at
@@ -401,7 +399,6 @@ class SplitTrainingEngine(RoundEngine):
                     f"depth {depths.get(worker_id)!r} to worker {worker_id}; "
                     f"candidates are {sorted(valid)}"
                 )
-        self.pool.record_depths(list(plan.selected), depths)
         if self._depth_aware:
             for worker_id in plan.selected:
                 self._last_depths[int(worker_id)] = int(depths[worker_id])
@@ -481,7 +478,7 @@ class SplitTrainingEngine(RoundEngine):
             install=install,
             update_top=top_update,
             aggregate=lambda states: self._aggregate_states(
-                selected_workers, depths, batch_sizes, states, elastic_state
+                depths, batch_sizes, states, elastic_state
             ),
             account=account,
             prefetch_plan=lambda: self._prefetch_plan(round_index + 1),
@@ -499,7 +496,6 @@ class SplitTrainingEngine(RoundEngine):
 
     def _aggregate_states(
         self,
-        selected_workers: list[SplitWorker],
         depths: dict[int, int],
         batch_sizes: list[int],
         states: list[dict[str, np.ndarray]],
@@ -511,19 +507,9 @@ class SplitTrainingEngine(RoundEngine):
         states = self._delivered(WEIGHTS, worker_ids, states)
         # Complete every prefix state with its bridge's server-trained tail
         # so the states share the full bottom keyset (a state cut at the
-        # tail already does); everything downstream (delta capture, elastic
-        # folding, averaging) then runs on full states.
+        # tail already does); everything downstream (elastic folding,
+        # averaging) then runs on full states.
         states = self.server.complete_bottom_states(worker_ids, states, depths)
-        if self.pool.wants_bottom_states:
-            # Capture each worker's delta against the round's install-time
-            # global bottom (still unchanged here) for the lazy pool's
-            # DeltaCache.  Observation only: the next install overwrites
-            # worker bottoms with the global model either way.  The full
-            # cohort is observed even under churn -- a dropped worker's
-            # local compute happened; only its upload missed the round.
-            self.pool.observe_bottom_states(
-                selected_workers, states, self.server.global_bottom.state_dict()
-            )
         if elastic_state is not None:
             resolved = self._elastic.apply_aggregate(
                 elastic_state, worker_ids, states, weights,

@@ -389,7 +389,6 @@ class RoundEngine(Algorithm):
         # Round over: fold the cohort's mutable state back into the pool
         # (a no-op for eager populations, the release point for lazy ones).
         self.pool.release(selected_workers)
-        population_stats = self.pool.collect_round_stats()
 
         accuracy, test_loss = self._evaluate()
         if elastic_state is not None:
@@ -419,8 +418,6 @@ class RoundEngine(Algorithm):
                 total_batch=plan.total_batch,
                 merged_kl=plan.merged_kl,
                 selected_ids=[int(w) for w in plan.selected],
-                cache_hits=int(population_stats.get("cache_hits", 0)),
-                cache_misses=int(population_stats.get("cache_misses", 0)),
                 bytes_on_wire=wire,
                 logical_bytes=logical,
                 compression_ratio=ratio,

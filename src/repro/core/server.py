@@ -139,8 +139,8 @@ class SplitServer:
         A depth-``d`` worker returns parameters for layers ``0..d-1`` only;
         its bridge holds the server-trained layers ``d..`` (named from
         ``layer0``, hence the key shift).  Completing every state to the
-        full keyset lets the existing weighted aggregation, delta caches
-        and elastic folding run unchanged.
+        full keyset lets the existing weighted aggregation and elastic
+        folding (rejoin deltas) run unchanged.
         """
         tail = len(self.global_bottom)
         completed = []

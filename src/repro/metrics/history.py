@@ -32,11 +32,6 @@ class RoundRecord:
         merged_kl: KL divergence of the merged label distribution.
         selected_ids: Global ids of the round's selected cohort, in plan
             order -- the participation history churn scenarios build on.
-        cache_hits: Worker materialisations served from the population's
-            :class:`~repro.population.cache.DeltaCache` this round
-            (``0`` for eager populations and disabled caches).
-        cache_misses: Materialisations that fell back to the plain global
-            model this round (FedAvg-install semantics).
         dropped_ids: Workers whose update missed the round -- simulated
             dropouts and stragglers plus any real executor deaths
             (empty when elasticity is off).
@@ -70,8 +65,6 @@ class RoundRecord:
     total_batch: int
     merged_kl: float = 0.0
     selected_ids: list[int] = field(default_factory=list)
-    cache_hits: int = 0
-    cache_misses: int = 0
     dropped_ids: list[int] = field(default_factory=list)
     completed_ids: list[int] = field(default_factory=list)
     rejoined_ids: list[int] = field(default_factory=list)
@@ -87,6 +80,12 @@ class RoundRecord:
 #: on the training trajectory, so cross-topology equivalence checks compare
 #: records with these stripped while everything else stays bit-exact.
 WIRE_FIELDS = ("bytes_on_wire", "logical_bytes", "compression_ratio")
+
+#: Fields earlier versions recorded that no longer exist: the lazy pool's
+#: delta-cache hit/miss counters.  The cache rebuilt bottoms that every
+#: install overwrote, so they observed nothing of the trajectory, and
+#: :meth:`History.from_dict` drops them whatever their value.
+RETIRED_FIELDS = ("cache_hits", "cache_misses")
 
 
 def wire_round_delta(before: dict | None, after: dict | None
@@ -159,11 +158,15 @@ class History:
         Records of earlier versions carry ``effective_staleness``, the
         realized lag of the retired bounded-staleness scheduler: 0.0 (every
         exact run) is dropped, anything else fails by name -- that
-        trajectory can no longer be produced.
+        trajectory can no longer be produced.  :data:`RETIRED_FIELDS` are
+        dropped.
         """
         history = cls(algorithm=payload.get("algorithm", ""))
         for record in payload.get("records", []):
-            record = dict(record)
+            record = {
+                key: value for key, value in record.items()
+                if key not in RETIRED_FIELDS
+            }
             lag = record.pop("effective_staleness", 0.0)
             if lag != 0.0:
                 raise ConfigurationError(

@@ -86,19 +86,6 @@ def participation_summary(history: History) -> dict:
     }
 
 
-def cache_hit_rate(history: History) -> float:
-    """Fraction of worker materialisations served by the delta cache.
-
-    ``0.0`` when the run recorded no cache events (eager populations,
-    disabled caches, or an empty history).
-    """
-    hits = sum(record.cache_hits for record in history.records)
-    misses = sum(record.cache_misses for record in history.records)
-    if hits + misses == 0:
-        return 0.0
-    return hits / (hits + misses)
-
-
 def mean_dropout_rate(history: History) -> float:
     """Average per-round dropout rate (0.0 for non-elastic runs)."""
     if not history.records:

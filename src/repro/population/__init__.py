@@ -11,7 +11,6 @@ selects ``"eager"`` (today's worker list, the default) or ``"lazy"``
 registered workers).
 """
 
-from repro.population.cache import DeltaCache
 from repro.population.materializer import Materializer, WORKER_SEED_OFFSET
 from repro.population.pool import (
     CANDIDATE_SEED_OFFSET,
@@ -30,7 +29,6 @@ from repro.population.registry import (
 
 __all__ = [
     "CANDIDATE_SEED_OFFSET",
-    "DeltaCache",
     "EagerWorkerPool",
     "LazyWorkerPool",
     "Materializer",

@@ -19,12 +19,11 @@ population.
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 
 import numpy as np
 
 from repro.core.worker import SplitWorker
-from repro.population.cache import DeltaCache
 from repro.population.materializer import Materializer
 from repro.population.registry import WorkerRegistry, sample_distinct
 from repro.utils.rng import spawned_rng
@@ -36,10 +35,6 @@ CANDIDATE_SEED_OFFSET = 77003
 
 class WorkerPool(abc.ABC):
     """Engine-facing interface over a registered worker population."""
-
-    #: Whether the split engine should hand aggregated bottom states to
-    #: :meth:`observe_bottom_states` (delta-cache capture).
-    wants_bottom_states: bool = False
 
     @abc.abstractmethod
     def __len__(self) -> int:
@@ -65,31 +60,6 @@ class WorkerPool(abc.ABC):
 
     def release(self, workers: list[SplitWorker]) -> None:
         """Return a cohort at round end (persist mutable state)."""
-
-    def bind_bottom_source(
-        self, source: Callable[[], "object"]
-    ) -> None:
-        """Give the pool access to the current global bottom model."""
-
-    def observe_bottom_states(
-        self,
-        workers: list[SplitWorker],
-        states: list[dict[str, np.ndarray]],
-        reference: dict[str, np.ndarray],
-    ) -> None:
-        """Record the cohort's aggregated bottom states (delta capture)."""
-
-    def collect_round_stats(self) -> dict:
-        """Per-round population counters (cache hits/misses); resets them."""
-        return {"cache_hits": 0, "cache_misses": 0}
-
-    def record_depths(self, ids: Iterable[int], depths: dict[int, int]) -> None:
-        """Note the cohort's policy-assigned cut depths (metadata only).
-
-        Eager pools keep no metadata columns, so the default is a no-op;
-        the lazy pool persists depths as a registry column so population
-        snapshots can answer "which depth does worker i run at".
-        """
 
     # -- introspection + checkpointing ---------------------------------------
     def live_worker_count(self) -> int:
@@ -181,11 +151,10 @@ class LazyWorkerPool(WorkerPool):
 
     Live state is bounded by the checked-out cohort: ``checkout`` rebuilds
     workers through the :class:`Materializer` (restoring sampling state and
-    participation from their registry rows, and -- when a delta cache is
-    attached and a global bottom model is bound -- reconstructing the bottom
-    weights as ``global + delta``, falling back to the plain global on a
-    cache miss), and ``release`` folds the mutable state back into the rows
-    and drops the live objects.
+    participation from their registry rows), and ``release`` folds the
+    mutable state back into the rows and drops the live objects.  A worker
+    carries no bottom model between rounds: the engine's install gives every
+    checked-out worker the global one before it computes anything.
 
     When ``candidates_per_round`` is positive, planning happens over a
     deterministic per-round candidate subset drawn from
@@ -197,7 +166,6 @@ class LazyWorkerPool(WorkerPool):
         self,
         registry: WorkerRegistry,
         materializer: Materializer,
-        cache: DeltaCache | None = None,
         candidates_per_round: int = 0,
         seed: int = 0,
     ) -> None:
@@ -205,11 +173,9 @@ class LazyWorkerPool(WorkerPool):
             raise ValueError("candidates_per_round must be non-negative")
         self.registry = registry
         self.materializer = materializer
-        self.cache = cache
         self.candidates_per_round = candidates_per_round
         self._candidate_seed = seed + CANDIDATE_SEED_OFFSET
         self._live: dict[int, SplitWorker] = {}
-        self._bottom_source: Callable[[], "object"] | None = None
         self.peak_live_workers = 0
 
     def __len__(self) -> int:
@@ -253,55 +219,15 @@ class LazyWorkerPool(WorkerPool):
             worker = self._live.get(worker_id)
             if worker is None:
                 worker = self.materializer.materialize(worker_id)
-                self._reconstruct_bottom(worker)
                 self._live[worker_id] = worker
             workers.append(worker)
         self.peak_live_workers = max(self.peak_live_workers, len(self._live))
         return workers
 
-    def _reconstruct_bottom(self, worker: SplitWorker) -> None:
-        if self.cache is None or self._bottom_source is None:
-            return
-        bottom = self._bottom_source()
-        state = self.cache.reconstruct(worker.worker_id, bottom.state_dict())
-        # A miss leaves worker.bottom unset: the engine's install stage
-        # pushes a fresh clone of the global model, i.e. FedAvg semantics.
-        if state is not None:
-            rebuilt = bottom.clone()
-            rebuilt.load_state_dict(state)
-            worker.bottom = rebuilt
-
     def release(self, workers: list[SplitWorker]) -> None:
         for worker in workers:
             self.materializer.release(worker)
             self._live.pop(worker.worker_id, None)
-
-    def bind_bottom_source(self, source: Callable[[], "object"]) -> None:
-        self._bottom_source = source
-
-    @property
-    def wants_bottom_states(self) -> bool:  # type: ignore[override]
-        return self.cache is not None and self._bottom_source is not None
-
-    def observe_bottom_states(
-        self,
-        workers: list[SplitWorker],
-        states: list[dict[str, np.ndarray]],
-        reference: dict[str, np.ndarray],
-    ) -> None:
-        if self.cache is None:
-            return
-        for worker, state in zip(workers, states):
-            self.cache.put(worker.worker_id, state, reference)
-
-    def collect_round_stats(self) -> dict:
-        if self.cache is None:
-            return {"cache_hits": 0, "cache_misses": 0}
-        hits, misses = self.cache.take_round_counts()
-        return {"cache_hits": hits, "cache_misses": misses}
-
-    def record_depths(self, ids: Iterable[int], depths: dict[int, int]) -> None:
-        self.registry.record_depths(ids, depths)
 
     # -- introspection + checkpointing ---------------------------------------
     def live_worker_count(self) -> int:
@@ -314,7 +240,6 @@ class LazyWorkerPool(WorkerPool):
             "peak_live": self.peak_live_workers,
             "materializations": self.materializer.materializations,
             "label_shards_built": self.registry.built_label_shards,
-            "cached_deltas": len(self.cache) if self.cache is not None else 0,
         }
 
     def workers_state(self) -> dict:
@@ -323,19 +248,15 @@ class LazyWorkerPool(WorkerPool):
         # the rows without dropping the live objects.
         for worker in self._live.values():
             self.materializer.release(worker)
-        return {
-            "format": "population",
-            "registry": self.registry.state_dict(),
-            "cache": self.cache.state_dict() if self.cache is not None else None,
-        }
+        return {"format": "population", "registry": self.registry.state_dict()}
 
     def load_workers_state(self, state) -> None:
+        """Restore the registry rows; the ``"cache"`` key of earlier
+        checkpoints (a delta cache nothing read) is ignored."""
         if not isinstance(state, dict) or state.get("format") != "population":
             raise ValueError(
                 "checkpoint holds an eager worker list but the engine runs "
                 "with population='lazy'"
             )
         self.registry.load_state_dict(state["registry"])
-        if self.cache is not None and state.get("cache") is not None:
-            self.cache.load_state_dict(state["cache"])
         self._live.clear()

@@ -157,7 +157,6 @@ class WorkerRegistry:
         self.source = source
         self._targets = np.asarray(targets)
         self._participation = np.zeros(num_workers, dtype=np.int64)
-        self._depths = np.zeros(num_workers, dtype=np.int64)
         self._loader_states: dict[int, dict] = {}
         self._label_shards: dict[int, np.ndarray] = {}
         self._label_built: dict[int, np.ndarray] = {}
@@ -247,27 +246,11 @@ class WorkerRegistry:
         self._participation[worker_id] = int(participation_count)
         self._loader_states[worker_id] = loader_state
 
-    # -- split depths ---------------------------------------------------------
-    def record_depths(self, ids, depths: dict[int, int]) -> None:
-        """Store policy-assigned cut depths as a metadata column.
-
-        Zero means "never assigned" (the uniform global cut); the column
-        stays all-zero -- and absent from checkpoints -- unless a
-        split-point policy actually assigns depths.
-        """
-        for worker_id in ids:
-            worker_id = self._check_id(worker_id)
-            self._depths[worker_id] = int(depths[worker_id])
-
-    def depth_of(self, worker_id: int) -> int:
-        """Last recorded cut depth of one worker (0 if never assigned)."""
-        return int(self._depths[self._check_id(worker_id)])
-
     # -- checkpointing -------------------------------------------------------
     def state_dict(self) -> dict:
         """Sparse row state: participants only, not the registered population."""
         nonzero = np.flatnonzero(self._participation)
-        state = {
+        return {
             "num_workers": self.num_workers,
             "source_kind": self.source.kind,
             "participation": {
@@ -277,17 +260,13 @@ class WorkerRegistry:
                 str(wid): state for wid, state in self._loader_states.items()
             },
         }
-        assigned = np.flatnonzero(self._depths)
-        if assigned.shape[0]:
-            # Only present when a split-point policy ran, so uniform-cut
-            # checkpoints keep the historical format byte for byte.
-            state["depths"] = {
-                str(int(wid)): int(self._depths[wid]) for wid in assigned
-            }
-        return state
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore rows captured by :meth:`state_dict`."""
+        """Restore rows captured by :meth:`state_dict`.
+
+        The ``"depths"`` column of earlier checkpoints (each worker's last
+        policy-assigned cut, which nothing read) is ignored.
+        """
         if int(state["num_workers"]) != self.num_workers:
             raise ValueError(
                 f"checkpoint registry has {state['num_workers']} workers, "
@@ -300,6 +279,3 @@ class WorkerRegistry:
             self._check_id(int(wid)): loader_state
             for wid, loader_state in state.get("loaders", {}).items()
         }
-        self._depths[:] = 0
-        for wid, depth in state.get("depths", {}).items():
-            self._depths[self._check_id(int(wid))] = int(depth)

@@ -121,7 +121,6 @@ def population_study(
     extras.setdefault("population_live_devices", 4096)
     overrides.setdefault("population", "lazy")
     overrides.setdefault("population_candidates", 64)
-    overrides.setdefault("population_cache", 32)
     base = figure_config(
         dataset, algorithm, non_iid_level,
         num_workers=scales[0], extras=extras, **overrides,

@@ -7,11 +7,7 @@ import pytest
 
 from repro.config import ExperimentConfig
 from repro.core.controller import RoundPlan
-from repro.core.elastic import (
-    DEFAULT_REJOIN_CACHE,
-    ElasticController,
-    build_elastic_controller,
-)
+from repro.core.elastic import ElasticController, build_elastic_controller
 
 
 def _controller(**overrides) -> ElasticController:
@@ -52,10 +48,6 @@ class TestBuild:
         )
         assert isinstance(controller, ElasticController)
         assert controller.churn.dropout_rate == 0.25
-
-    def test_cache_capacity_follows_population_cache(self):
-        assert _controller().cache.capacity == DEFAULT_REJOIN_CACHE
-        assert _controller(population_cache=5).cache.capacity == 5
 
 
 class TestOverSelection:
@@ -132,15 +124,19 @@ class TestApplyAggregate:
         assert round_state.no_update
         assert round_state.effective_cohort == 2  # completed, not aggregated
 
-    def test_every_cohort_member_is_cached(self):
-        controller = _controller(dropout_rate=0.5)
-        round_state = controller.begin_round(0, [0, 1], np.ones(2))
-        round_state.dropped = [1]
+    def test_only_a_missing_worker_with_a_delay_becomes_pending(self):
+        controller = _controller(dropout_rate=0.5, rejoin_staleness_bound=2)
+        round_state = controller.begin_round(0, [0, 1, 2], np.ones(3))
+        round_state.dropped = [1, 2]
+        round_state.churn.rejoin_delays = {1: 2}  # 2 never rejoins
         controller.apply_aggregate(
-            round_state, [0, 1], [_state(1.0), _state(2.0)], [8.0, 8.0],
-            REFERENCE,
+            round_state, [0, 1, 2], [_state(1.0), _state(2.0), _state(3.0)],
+            [8.0, 4.0, 8.0], _state(0.5),
         )
-        assert 0 in controller.cache and 1 in controller.cache
+        assert list(controller.pending) == [1]
+        entry = controller.pending[1]
+        assert (entry["origin"], entry["arrival"], entry["weight"]) == (0, 2, 4.0)
+        assert np.array_equal(entry["delta"]["w"], np.full(2, 1.5))
 
     def _drop_and_aggregate(self, controller, round_index, delay):
         """One round where worker 9 (of [8, 9]) drops with a rejoin delay."""
@@ -207,14 +203,27 @@ class TestApplyAggregate:
         later, __ = self._healthy_round(controller, 2)
         assert later.rejoined == []
 
-    def test_evicted_delta_cannot_rejoin(self):
-        controller = _controller(
-            dropout_rate=0.5, rejoin_staleness_bound=3, population_cache=1,
+    def test_a_pending_rejoin_keeps_its_own_delta(self):
+        # Many other updates aggregate before worker 9's arrives, and 9
+        # itself dies (no rejoin delay) in between: its round-0 update
+        # still folds in, against the current reference.
+        controller = _controller(dropout_rate=0.5, rejoin_staleness_bound=3)
+        self._drop_and_aggregate(controller, 0, delay=3)
+        self._healthy_round(controller, 1, ids=range(100, 200))
+        round_state = controller.begin_round(2, [8, 9], np.ones(2))
+        round_state.dropped = [9]
+        controller.apply_aggregate(
+            round_state, [8, 9], [_state(1.0), _state(7.0)], [8.0, 8.0],
+            REFERENCE,
         )
-        self._drop_and_aggregate(controller, 0, delay=1)  # evicts 9's delta
-        round_state, resolved = self._healthy_round(controller, 1)
-        assert round_state.rejoined == []
-        assert len(resolved[0]) == 1
+        round_state = controller.begin_round(3, [8], np.ones(1))
+        round_state.dropped = []
+        states, weights = controller.apply_aggregate(
+            round_state, [8], [_state(1.0)], [8.0], _state(10.0)
+        )
+        assert round_state.rejoined == [9]
+        assert states[-1]["w"][0] == pytest.approx(14.0)
+        assert weights[-1] == 2.0
 
     def test_folding_runs_once_per_round(self):
         # SplitFed aggregates every local iteration; the rejoin must fold
@@ -259,10 +268,26 @@ class TestCheckpointing:
         )
         restored = _controller(dropout_rate=0.5, rejoin_staleness_bound=3)
         restored.load_state_dict(controller.state_dict())
-        assert restored.pending == controller.pending
-        assert len(restored.cache) == len(controller.cache)
-        rebuilt = restored.cache.reconstruct(1, REFERENCE)
-        assert rebuilt["w"][0] == pytest.approx(2.0)
+        assert list(restored.pending) == [1]
+        entry = restored.pending[1]
+        assert (entry["origin"], entry["arrival"], entry["weight"]) == (0, 2, 4.0)
+        assert np.array_equal(entry["delta"]["w"], np.full(2, 2.0))
+
+    def test_a_checkpoint_with_a_rejoin_cache_still_loads(self):
+        """Earlier checkpoints held the deltas in an LRU cache of every
+        cohort member; a pending rejoin takes its delta from there, and one
+        whose delta was evicted is dropped -- it could never fold in."""
+        restored = _controller(dropout_rate=0.5, rejoin_staleness_bound=3)
+        restored.load_state_dict({
+            "pending": [[1, 0, 2, 4.0], [5, 0, 1, 8.0]],
+            "cache": {
+                "capacity": 2, "hits": 0, "misses": 0,
+                "entries": [[0, _state(1.0)], [1, _state(2.0)]],
+            },
+        })
+        assert list(restored.pending) == [1]
+        assert restored.pending[1]["weight"] == 4.0
+        assert np.array_equal(restored.pending[1]["delta"]["w"], np.full(2, 2.0))
 
 
 class TestDeviceClassRates:

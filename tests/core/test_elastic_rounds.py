@@ -71,7 +71,6 @@ def _lazy_config(**overrides) -> ExperimentConfig:
         num_workers=12,
         num_rounds=6,
         population="lazy",
-        population_cache=8,
         population_candidates=5,
         elastic=True,
         dropout_rate=0.4,
@@ -134,7 +133,7 @@ class TestNeutralElasticity:
     def test_neutral_knobs_are_bit_exact_on_lazy_population(self):
         base = dict(
             num_workers=12, num_rounds=4, population="lazy",
-            population_cache=8, population_candidates=5,
+            population_candidates=5,
         )
         reference = _run(_config(**base))
         candidate = _run(_config(elastic=True, **base))
@@ -263,17 +262,19 @@ class TestRejoin:
         records, __ = _run(_lazy_config(rejoin_staleness_bound=0))
         assert all(r["rejoined_ids"] == [] for r in records)
 
-    def test_over_selection_keeps_dropped_deltas_in_the_pool_cache(self):
-        """Satellite: over-selected lazy rounds cache *every* cohort
-        member's delta -- dropped workers included -- so a later checkout
-        of a dropped worker is still a cache hit."""
+    def test_every_dropped_worker_waits_with_its_own_delta(self):
+        """A dropped worker's local compute happened; its update waits to
+        rejoin as a delta against the global bottom it started from."""
         with Session.from_config(_lazy_config(num_rounds=1)) as session:
             session.run()
             engine = session.algorithm
             record = engine.history.records[0]
             assert record.dropped_ids
-            for worker_id in record.dropped_ids:
-                assert worker_id in engine.pool.cache
+            pending = engine._elastic.pending
+            assert sorted(pending) == record.dropped_ids
+            keys = set(engine.server.global_bottom.state_dict())
+            for entry in pending.values():
+                assert set(entry["delta"]) == keys
 
     def test_over_selection_pads_a_constrained_plan(self):
         overrides = dict(

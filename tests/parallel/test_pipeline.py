@@ -392,8 +392,8 @@ class TestPipelinedSessions:
         dict(elastic=True, dropout_rate=0.3, over_select_factor=1.5,
              rejoin_staleness_bound=2, min_cohort_fraction=0.5),
         dict(num_workers=40, population="lazy", population_candidates=8,
-             population_cache=16, elastic=True, dropout_rate=0.3,
-             over_select_factor=1.5, rejoin_staleness_bound=2),
+             elastic=True, dropout_rate=0.3, over_select_factor=1.5,
+             rejoin_staleness_bound=2),
         dict(split_policy="adaptive"),
     ], ids=["elastic", "lazy-elastic", "adaptive-split"])
     def test_aggregate_window_composes_with_the_round_knobs(self, knobs):

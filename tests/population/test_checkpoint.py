@@ -1,4 +1,4 @@
-"""Checkpoint/resume of lazy populations, including a warm delta cache."""
+"""Checkpoint/resume of lazy populations."""
 
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ def _config(**overrides) -> ExperimentConfig:
         momentum=0.9,
         seed=5,
         population="lazy",
-        population_cache=8,
     )
     params.update(overrides)
     return ExperimentConfig(**params)
@@ -36,8 +35,6 @@ def _config(**overrides) -> ExperimentConfig:
 def _assert_identical(session, reference_session) -> None:
     for record, ref_record in zip(session.history.records,
                                   reference_session.history.records):
-        # Cache fields included: a correctly restored warm cache serves the
-        # same hits after resume as the uninterrupted run.
         assert dataclasses.asdict(record) == dataclasses.asdict(ref_record)
     state = session.global_model().state_dict()
     reference = reference_session.global_model().state_dict()
@@ -45,12 +42,9 @@ def _assert_identical(session, reference_session) -> None:
         assert np.array_equal(state[key], reference[key]), key
 
 
-def test_checkpoint_resume_with_warm_cache_is_bit_exact(tmp_path):
+def test_checkpoint_resume_is_bit_exact(tmp_path):
     reference = Session.from_config(_config())
     reference.run()
-    # The small population revisits workers, so the cache is warm by round
-    # 2 and the resumed half must reproduce its hits exactly.
-    assert sum(r.cache_hits for r in reference.history.records) > 0
 
     path = tmp_path / "lazy.ckpt.json"
     session = Session.from_config(_config())
@@ -63,24 +57,29 @@ def test_checkpoint_resume_with_warm_cache_is_bit_exact(tmp_path):
     _assert_identical(resumed, reference)
 
 
-def test_warm_resume_at_smaller_configured_capacity_is_bit_exact(caplog):
-    """Pin of the capacity-mismatch fix at the session level: restoring a
-    checkpoint into a session configured with a *smaller* delta cache must
-    warn, keep the checkpointed capacity, and reproduce the uninterrupted
-    run's cache hits exactly."""
+def test_checkpoint_with_the_retired_cache_and_depths_still_resumes(tmp_path):
+    """Earlier lazy checkpoints carry a delta cache, its capacity, its
+    per-round hit/miss counters and a registry ``depths`` column; none of
+    them was read, so such a checkpoint resumes to the same run."""
+    import json
+
     reference = Session.from_config(_config())
     reference.run()
-    assert sum(r.cache_hits for r in reference.history.records) > 0
 
+    path = tmp_path / "lazy.ckpt.json"
     session = Session.from_config(_config())
     session.run(2)
-    state = session.state_dict()
+    session.save_checkpoint(path)
+    payload = json.loads(path.read_text())
+    payload["config"]["population_cache"] = 8
+    workers = payload["algorithm"]["workers"]
+    workers["cache"] = {"capacity": 8, "entries": [], "hits": 3, "misses": 5}
+    workers["registry"]["depths"] = {"0": 2}
+    for record in payload["algorithm"]["history"]["records"]:
+        record.update(cache_hits=1, cache_misses=2)
+    path.write_text(json.dumps(payload))
 
-    resumed = Session.from_config(_config(population_cache=4))
-    with caplog.at_level("WARNING"):
-        resumed.algorithm.load_state_dict(state["algorithm"])
-    assert "capacity mismatch" in caplog.text
-    assert resumed.algorithm.pool.cache.capacity == 8
+    resumed = Session.load_checkpoint(path)
     resumed.run()
     _assert_identical(resumed, reference)
 
@@ -121,8 +120,7 @@ def test_lazy_checkpoint_rejects_eager_payload_and_vice_versa():
 
     lazy = Session.from_config(_config(num_rounds=1))
     lazy.run()
-    eager = Session.from_config(_config(population="eager",
-                                        population_cache=0, num_rounds=1))
+    eager = Session.from_config(_config(population="eager", num_rounds=1))
     eager.run()
     lazy_state = lazy.algorithm.pool.workers_state()
     eager_state = eager.algorithm.pool.workers_state()

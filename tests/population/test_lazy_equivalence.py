@@ -3,8 +3,8 @@
 ``population="lazy"`` is a materialisation strategy, not a different
 algorithm: for any config where the eager path fits in memory, the lazy
 path must produce bit-identical history records and final weights.  The
-only record fields allowed to differ are the observational ``cache_hits``
-and ``cache_misses`` -- eager pools never touch the delta cache.
+only record fields allowed to differ are the wire fields, which measure
+the execution topology.
 """
 
 from __future__ import annotations
@@ -17,11 +17,6 @@ import pytest
 from repro.api.session import Session
 from repro.config import ExperimentConfig
 from repro.metrics.history import WIRE_FIELDS
-
-#: Fields that legitimately differ between lazy and eager runs: the delta
-#: cache is observational (reconstruction matches the engine's install),
-#: and wire traffic measures the execution topology, not the trajectory.
-OBSERVATIONAL_FIELDS = {"cache_hits", "cache_misses", *WIRE_FIELDS}
 
 #: (executor, transport, pipeline) rows the lazy path must match.
 VARIANTS = (
@@ -50,7 +45,6 @@ def _config(population: str, algorithm: str, **overrides) -> ExperimentConfig:
         weight_decay=1e-4,
         seed=3,
         population=population,
-        population_cache=8 if population == "lazy" else 0,
         extras={"executor_processes": 2},
     )
     params.update(overrides)
@@ -78,9 +72,9 @@ def _assert_bit_equal(reference, candidate, label: str) -> None:
     assert len(records) == len(ref_records), label
     for ref_record, record in zip(ref_records, records):
         ref_dict = {k: v for k, v in dataclasses.asdict(ref_record).items()
-                    if k not in OBSERVATIONAL_FIELDS}
+                    if k not in WIRE_FIELDS}
         got = {k: v for k, v in dataclasses.asdict(record).items()
-               if k not in OBSERVATIONAL_FIELDS}
+               if k not in WIRE_FIELDS}
         assert got == ref_dict, label
     assert set(state) == set(ref_state)
     for key in ref_state:
@@ -100,12 +94,6 @@ def test_lazy_matches_eager(algorithm, executor, transport, pipeline):
         reference, candidate,
         f"{algorithm}/lazy/{executor}/{transport}/{pipeline}",
     )
-
-
-def test_lazy_without_cache_matches_eager():
-    reference = _eager_reference("mergesfl")
-    candidate = _run(_config("lazy", "mergesfl", population_cache=0))
-    _assert_bit_equal(reference, candidate, "mergesfl/lazy/no-cache")
 
 
 def test_selected_ids_recorded_and_identical():

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.api.session import Session
 from repro.config import ExperimentConfig
-from repro.metrics.summary import cache_hit_rate, participation_summary
+from repro.metrics.summary import participation_summary
 
 
 def _session(num_workers=200, candidates=8, rounds=3, **overrides) -> Session:
@@ -24,7 +24,6 @@ def _session(num_workers=200, candidates=8, rounds=3, **overrides) -> Session:
         seed=9,
         population="lazy",
         population_candidates=candidates,
-        population_cache=8,
         extras={"population_sharding": "sampled"},
     )
     params.update(overrides)
@@ -52,17 +51,6 @@ def test_materializations_only_for_selected_workers():
     participation = participation_summary(session.history)
     assert pool.materializer.materializations == participation["total_selections"]
     assert participation["distinct_workers"] <= 8 * session.config.num_rounds
-
-
-def test_cached_deltas_bounded_by_capacity():
-    session = _session(num_workers=10, candidates=0, rounds=4,
-                       population_cache=4)
-    session.run()
-    pool = session.algorithm.pool
-    assert pool.stats()["cached_deltas"] <= 4
-    # A 10-worker population revisits workers, so the bounded cache serves
-    # real hits and the summary reflects them.
-    assert cache_hit_rate(session.history) > 0.0
 
 
 def test_label_columns_materialise_only_touched_shards():

@@ -1,4 +1,4 @@
-"""Registry round-trips, shard determinism and the delta cache."""
+"""Registry round-trips and shard determinism."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.data.partition import label_distribution, partition_dataset
 from repro.population import (
-    DeltaCache,
     PartitionShards,
     SampledShards,
     WorkerRegistry,
@@ -133,87 +132,3 @@ def test_registry_rejects_population_mismatch_and_bad_ids():
         registry.shard_indices(50)
     with pytest.raises(IndexError):
         registry.participation_count(-1)
-
-
-# -- delta cache --------------------------------------------------------------
-def _state(value):
-    return {"w": np.full((3,), float(value)), "b": np.full((2,), float(value))}
-
-
-def test_delta_cache_reconstructs_exactly():
-    cache = DeltaCache(capacity=4)
-    reference = _state(1.0)
-    cache.put(7, _state(3.5), reference)
-    rebuilt = cache.reconstruct(7, reference)
-    assert rebuilt is not None
-    for key, value in _state(3.5).items():
-        assert np.array_equal(rebuilt[key], value)
-    assert cache.reconstruct(8, reference) is None
-    assert cache.take_round_counts() == (1, 1)
-    assert cache.take_round_counts() == (0, 0)
-
-
-def test_delta_cache_evicts_least_recently_used():
-    cache = DeltaCache(capacity=2)
-    reference = _state(0.0)
-    cache.put(1, _state(1.0), reference)
-    cache.put(2, _state(2.0), reference)
-    assert cache.reconstruct(1, reference) is not None  # 1 becomes MRU
-    cache.put(3, _state(3.0), reference)                # evicts 2
-    assert cache.reconstruct(2, reference) is None
-    assert cache.reconstruct(1, reference) is not None
-    assert cache.reconstruct(3, reference) is not None
-    assert len(cache) == 2
-
-
-def test_delta_cache_state_roundtrip_preserves_entries_and_counters():
-    cache = DeltaCache(capacity=3)
-    reference = _state(1.0)
-    cache.put(1, _state(2.0), reference)
-    cache.put(2, _state(4.0), reference)
-    cache.reconstruct(1, reference)
-    cache.reconstruct(9, reference)
-    fresh = DeltaCache(capacity=3)
-    fresh.load_state_dict(cache.state_dict())
-    assert len(fresh) == 2
-    assert fresh.hits == cache.hits and fresh.misses == cache.misses
-    rebuilt = fresh.reconstruct(2, reference)
-    for key, value in _state(4.0).items():
-        assert np.array_equal(rebuilt[key], value)
-
-
-def test_delta_cache_restore_keeps_the_checkpointed_capacity(caplog):
-    """The capacity-mismatch bug: a resume at a smaller configured capacity
-    used to keep the new capacity but *all* checkpointed entries, so the
-    restored cache held more deltas than it could ever evict consistently.
-    The checkpointed capacity must win (with a warning), preserving the
-    hit/miss trajectory of the original run."""
-    cache = DeltaCache(capacity=4)
-    reference = _state(0.0)
-    for worker_id in range(4):
-        cache.put(worker_id, _state(worker_id + 1.0), reference)
-
-    shrunk = DeltaCache(capacity=2)
-    with caplog.at_level("WARNING"):
-        shrunk.load_state_dict(cache.state_dict())
-    assert "capacity mismatch" in caplog.text
-    assert shrunk.capacity == 4
-    assert len(shrunk) == 4
-    for worker_id in range(4):
-        assert shrunk.reconstruct(worker_id, reference) is not None
-
-    grown = DeltaCache(capacity=16)
-    grown.load_state_dict(cache.state_dict())
-    assert grown.capacity == 4
-    grown.put(9, _state(9.0), reference)  # evicts at the restored capacity
-    assert len(grown) == 4
-
-
-def test_delta_cache_restore_matching_capacity_stays_silent(caplog):
-    cache = DeltaCache(capacity=3)
-    cache.put(1, _state(2.0), _state(0.0))
-    fresh = DeltaCache(capacity=3)
-    with caplog.at_level("WARNING"):
-        fresh.load_state_dict(cache.state_dict())
-    assert "capacity mismatch" not in caplog.text
-    assert fresh.capacity == 3

@@ -57,20 +57,14 @@ def _run(config: ExperimentConfig):
         return history.records, session.global_model().state_dict()
 
 
-_REFERENCES: dict[tuple[str, str], tuple] = {}
+_REFERENCES: dict[str, tuple] = {}
 
 
-def _reference(algorithm: str, population: str = "eager"):
-    """A serial run whose config never mentions split points at all.
-
-    Keyed per population mode: lazy runs differ from eager in the
-    ``cache_hits``/``cache_misses`` bookkeeping columns, so each mode pins
-    against its own no-splitpoint baseline.
-    """
-    key = (algorithm, population)
-    if key not in _REFERENCES:
-        _REFERENCES[key] = _run(_config("serial", algorithm, population))
-    return _REFERENCES[key]
+def _reference(algorithm: str):
+    """A serial eager run whose config never mentions split points at all."""
+    if algorithm not in _REFERENCES:
+        _REFERENCES[algorithm] = _run(_config("serial", algorithm))
+    return _REFERENCES[algorithm]
 
 
 def _assert_bit_equal(reference, candidate, label: str) -> None:
@@ -97,7 +91,7 @@ def test_uniform_matches_default_everywhere(algorithm, executor, population):
         executor, algorithm, population, split_policy="uniform",
     ))
     _assert_bit_equal(
-        _reference(algorithm, population), candidate,
+        _reference(algorithm), candidate,
         f"{algorithm}/{executor}/{population}/uniform",
     )
 
@@ -117,7 +111,7 @@ def test_degenerate_profile_is_neutral(algorithm, executor, population):
         executor, algorithm, population, split_policy="profile",
     ))
     _assert_bit_equal(
-        _reference(algorithm, population), candidate,
+        _reference(algorithm), candidate,
         f"{algorithm}/{executor}/{population}/profile-degenerate",
     )
 
