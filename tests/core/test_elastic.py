@@ -225,6 +225,43 @@ class TestApplyAggregate:
         assert states[-1]["w"][0] == pytest.approx(14.0)
         assert weights[-1] == 2.0
 
+    def test_a_later_drop_replaces_the_pending_rejoin(self):
+        # Worker 9 drops at round 0 (arriving at 3) and again at round 1
+        # (arriving at 2): only the newer update waits, and it folds at 2.
+        controller = _controller(dropout_rate=0.5, rejoin_staleness_bound=3)
+        self._drop_and_aggregate(controller, 0, delay=3)
+        round_state = controller.begin_round(1, [8, 9], np.ones(2))
+        round_state.dropped = [9]
+        round_state.churn.rejoin_delays = {9: 1}
+        controller.apply_aggregate(
+            round_state, [8, 9], [_state(1.0), _state(6.0)], [8.0, 3.0],
+            REFERENCE,
+        )
+        entry = controller.pending[9]
+        assert (entry["origin"], entry["arrival"], entry["weight"]) == (1, 2, 3.0)
+        round_state, (states, weights) = self._healthy_round(controller, 2)
+        assert round_state.rejoined == [9]
+        assert states[-1]["w"][0] == pytest.approx(6.0)
+        assert weights[-1] == 3.0
+        assert controller.pending == {}
+
+    def test_a_pending_delta_does_not_alias_the_round_arrays(self):
+        # Engines reuse their state buffers; writing into the trained state
+        # or the reference after the round must not move the late update.
+        controller = _controller(dropout_rate=0.5, rejoin_staleness_bound=2)
+        round_state = controller.begin_round(0, [8, 9], np.ones(2))
+        round_state.dropped = [9]
+        round_state.churn.rejoin_delays = {9: 1}
+        trained, reference = _state(4.0), _state(1.0)
+        controller.apply_aggregate(
+            round_state, [8, 9], [_state(1.0), trained], [8.0, 2.0], reference
+        )
+        trained["w"][:] = -100.0
+        reference["w"][:] = 50.0
+        round_state, (states, __) = self._healthy_round(controller, 1)
+        assert round_state.rejoined == [9]
+        assert np.array_equal(states[-1]["w"], np.full(2, 3.0))
+
     def test_folding_runs_once_per_round(self):
         # SplitFed aggregates every local iteration; the rejoin must fold
         # into the first aggregate only.

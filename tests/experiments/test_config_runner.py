@@ -71,6 +71,17 @@ class TestExperimentConfig:
                                              "mystery_knob": 3})
         assert config.extras["mystery_knob"] == 3
 
+    @pytest.mark.parametrize("capacity", [0, 8, 64])
+    def test_the_retired_population_cache_is_dropped_on_load(self, capacity):
+        """Earlier configs sized the lazy pool's delta cache; the cache is
+        gone, so any capacity loads as the same config, not as an extra."""
+        config = ExperimentConfig(population="lazy")
+        payload = dict(config.to_dict(), population_cache=capacity)
+        loaded = ExperimentConfig.from_dict(payload)
+        assert loaded == config
+        assert "population_cache" not in loaded.extras
+        assert "population_cache" not in config.to_dict()
+
     def test_known_extras_lists_every_key_the_code_reads(self):
         import pathlib
         import re

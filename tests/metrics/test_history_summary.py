@@ -64,6 +64,17 @@ class TestHistory:
         with pytest.raises(ConfigurationError, match="effective_staleness 0.5"):
             History.from_dict(payload)
 
+    def test_the_retired_cache_counters_are_dropped_on_load(self):
+        """Earlier records carry the lazy pool's delta-cache hit/miss
+        counters; they load, whatever their value, as today's records."""
+        history = _history([0.3, 0.6])
+        payload = history.to_dict()
+        for record in payload["records"]:
+            record.update(cache_hits=4, cache_misses=1)
+        loaded = History.from_dict(payload)
+        assert loaded.to_dict() == history.to_dict()
+        assert "cache_hits" not in loaded.to_dict()["records"][0]
+
 
 class TestSummary:
     def test_final_and_best_accuracy(self):

@@ -84,6 +84,23 @@ def test_checkpoint_with_the_retired_cache_and_depths_still_resumes(tmp_path):
     _assert_identical(resumed, reference)
 
 
+def test_lazy_pool_state_is_the_registry_alone():
+    """The pool checkpoints its registry rows and nothing else; the
+    ``"cache"`` key of earlier checkpoints is ignored on load."""
+    session = Session.from_config(_config(num_rounds=2))
+    session.run()
+    pool = session.algorithm.pool
+    state = pool.workers_state()
+    assert set(state) == {"format", "registry"}
+
+    fresh = Session.from_config(_config(num_rounds=2)).algorithm.pool
+    fresh.load_workers_state(dict(
+        state, cache={"capacity": 8, "entries": [], "hits": 3, "misses": 5},
+    ))
+    assert fresh.workers_state() == state
+    assert fresh.live_worker_count() == 0
+
+
 def test_checkpoint_resume_with_candidate_pool(tmp_path):
     config = _config(num_workers=40, population_candidates=8, num_rounds=4)
     reference = Session.from_config(config)

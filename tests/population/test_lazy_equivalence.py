@@ -96,6 +96,16 @@ def test_lazy_matches_eager(algorithm, executor, transport, pipeline):
     )
 
 
+def test_lazy_without_cache_matches_eager():
+    """A config written when the lazy pool had a delta cache, with the cache
+    switched off, still loads and runs the eager trajectory."""
+    payload = dict(_config("lazy", "mergesfl").to_dict(), population_cache=0)
+    candidate = _run(ExperimentConfig.from_dict(payload))
+    _assert_bit_equal(
+        _eager_reference("mergesfl"), candidate, "mergesfl/lazy/no-cache"
+    )
+
+
 def test_selected_ids_recorded_and_identical():
     ref_records, _ = _eager_reference("mergesfl")
     lazy_records, _ = _run(_config("lazy", "mergesfl"))

@@ -53,6 +53,29 @@ def test_materializations_only_for_selected_workers():
     assert participation["distinct_workers"] <= 8 * session.config.num_rounds
 
 
+def test_pending_rejoins_hold_only_the_rejoin_window():
+    """The only per-worker state an elastic lazy run keeps between rounds is
+    the pending rejoins: workers dropped within the last
+    ``rejoin_staleness_bound`` rounds, one delta each."""
+    bound = 2
+    session = _session(num_workers=20, candidates=0, rounds=6,
+                       elastic=True, dropout_rate=0.4,
+                       rejoin_staleness_bound=bound, min_cohort_fraction=0.1)
+    pending = session.algorithm._elastic.pending
+    seen = 0
+    for __ in range(session.config.num_rounds):
+        session.run(1)
+        recent = {
+            worker_id
+            for record in session.history.records[-bound:]
+            for worker_id in record.dropped_ids
+        }
+        assert set(pending) <= recent
+        assert session.algorithm.pool.live_worker_count() == 0
+        seen += len(pending)
+    assert seen > 0, "no rejoin ever pending; the bound is vacuous"
+
+
 def test_label_columns_materialise_only_touched_shards():
     session = _session(num_workers=100_000, candidates=8, rounds=2,
                        extras={"population_sharding": "sampled",

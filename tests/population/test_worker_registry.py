@@ -123,6 +123,18 @@ def test_registry_state_roundtrip_is_sparse():
                           registry.participation_counts())
 
 
+def test_registry_ignores_the_retired_depths_column():
+    """Earlier checkpoints carried each worker's last policy-assigned cut
+    depth; nothing read it, so it loads as if absent and is not written."""
+    registry, _ = _registry()
+    registry.store_worker_state(3, 2, {"cursor": 7})
+    state = registry.state_dict()
+    assert "depths" not in state
+    fresh, _ = _registry()
+    fresh.load_state_dict(dict(state, depths={"3": 2, "17": 1}))
+    assert fresh.state_dict() == state
+
+
 def test_registry_rejects_population_mismatch_and_bad_ids():
     registry, _ = _registry(num_workers=50)
     other, _ = _registry(num_workers=10)
