@@ -48,58 +48,83 @@ def dirichlet_partition(
 ) -> list[np.ndarray]:
     """Partition by drawing per-worker class proportions from ``Dir(alpha)``.
 
+    Each draw deals every class's shuffled rows out in worker order, in
+    the proportions of one Dirichlet sample.  A draw that leaves a shard
+    below ``min_samples`` is re-drawn; once ``max_retries`` draws have
+    failed, the last one is topped up by moving rows one at a time from
+    the largest shard to each undersized one.
+
     Args:
         targets: Integer labels of the full training set.
         num_workers: Number of shards to create.
         alpha: Dirichlet concentration; small alpha means heavy label skew.
         rng: Random generator.
         min_samples: Minimum shard size; the draw is retried until satisfied.
-        max_retries: Maximum number of re-draws before giving up.
+        max_retries: Maximum number of re-draws before topping up.
 
     Returns:
         A list of ``num_workers`` index arrays (sorted, disjoint, covering
-        all samples).
+        all samples, each at least ``min_samples`` long).
+
+    Raises:
+        DataError: If the labels are empty or negative, or there are fewer
+            than ``num_workers * min_samples`` of them.
     """
     if num_workers <= 0:
         raise ValueError("num_workers must be positive")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    if max_retries <= 0:
+        raise ValueError(f"max_retries must be positive, got {max_retries}")
     rng = rng if rng is not None else new_rng()
     targets = np.asarray(targets, dtype=np.int64)
-    num_classes = int(targets.max()) + 1 if targets.size else 0
-    if num_classes == 0:
+    if targets.size == 0:
         raise DataError("cannot partition an empty dataset")
+    if targets.min() < 0:
+        raise DataError(f"labels must be non-negative, got {targets.min()}")
+    if targets.size < num_workers * min_samples:
+        raise DataError(
+            f"{targets.size} samples cannot give {num_workers} workers "
+            f"{min_samples} samples each ({num_workers * min_samples} needed)"
+        )
+    by_class = [
+        np.flatnonzero(targets == cls) for cls in range(int(targets.max()) + 1)
+    ]
 
     for __ in range(max_retries):
-        shards: list[list[int]] = [[] for __ in range(num_workers)]
-        for cls in range(num_classes):
-            cls_indices = np.flatnonzero(targets == cls)
+        rows, counts = [], []
+        for cls_indices in by_class:
+            cls_indices = cls_indices.copy()
             rng.shuffle(cls_indices)
             proportions = rng.dirichlet([alpha] * num_workers)
-            counts = np.floor(proportions * len(cls_indices)).astype(int)
+            cls_counts = np.floor(proportions * len(cls_indices)).astype(int)
             # Distribute the remainder to the largest-proportion workers.
-            remainder = len(cls_indices) - counts.sum()
+            remainder = len(cls_indices) - cls_counts.sum()
             if remainder > 0:
                 order = np.argsort(-proportions)
-                counts[order[:remainder]] += 1
-            offset = 0
-            for worker, count in enumerate(counts):
-                shards[worker].extend(cls_indices[offset:offset + count].tolist())
-                offset += count
-        sizes = [len(shard) for shard in shards]
-        if min(sizes) >= min_samples:
-            return [np.sort(np.asarray(shard, dtype=np.int64)) for shard in shards]
-    # Fall back: top up undersized shards from the largest one.
-    shards_arrays = [np.asarray(shard, dtype=np.int64) for shard in shards]
-    for worker, shard in enumerate(shards_arrays):
-        while len(shards_arrays[worker]) < min_samples:
-            donor = int(np.argmax([len(s) for s in shards_arrays]))
-            moved, shards_arrays[donor] = (
-                shards_arrays[donor][:1],
-                shards_arrays[donor][1:],
-            )
-            shards_arrays[worker] = np.concatenate([shards_arrays[worker], moved])
-    return [np.sort(shard) for shard in shards_arrays]
+                cls_counts[order[:remainder]] += 1
+            rows.append(cls_indices)
+            counts.append(cls_counts)
+        sizes = np.sum(counts, axis=0)
+        if sizes.min() >= min_samples:
+            break
+    # Class-major draw order within each shard: the top-up moves a
+    # donor's first row, so the stable sort is part of the partition.
+    owners = np.concatenate([
+        np.repeat(np.arange(num_workers), cls_counts) for cls_counts in counts
+    ])
+    dealt = np.concatenate(rows)[np.argsort(owners, kind="stable")]
+    shards = np.split(dealt, np.cumsum(sizes)[:-1])
+    # Top up undersized shards from the largest one.  The entry check
+    # leaves a short shard's donor at least ``min_samples + 1`` rows.
+    for worker in np.flatnonzero(sizes < min_samples):
+        while sizes[worker] < min_samples:
+            donor = int(np.argmax(sizes))
+            shards[worker] = np.append(shards[worker], shards[donor][:1])
+            shards[donor] = shards[donor][1:]
+            sizes[worker] += 1
+            sizes[donor] -= 1
+    return [np.sort(shard) for shard in shards]
 
 
 def partition_dataset(

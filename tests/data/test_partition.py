@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api.session import Session
+from repro.config import ExperimentConfig
 from repro.data.partition import (
     dirichlet_partition,
     iid_partition,
@@ -11,7 +13,75 @@ from repro.data.partition import (
     partition_dataset,
 )
 from repro.data.synthetic import make_blobs
+from repro.exceptions import DataError
 from repro.utils.rng import new_rng
+
+
+def _list_loop_partition(
+    targets, num_workers, alpha, rng=None, min_samples=2, max_retries=50
+):
+    """The per-worker list loop ``dirichlet_partition`` replaced, verbatim.
+
+    It loops forever when a shard is short and is itself the largest, which
+    the caller rules out by passing at least ``num_workers * min_samples``
+    labels.
+    """
+    if num_workers <= 0:
+        raise ValueError("num_workers must be positive")
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    rng = rng if rng is not None else new_rng()
+    targets = np.asarray(targets, dtype=np.int64)
+    num_classes = int(targets.max()) + 1 if targets.size else 0
+    if num_classes == 0:
+        raise DataError("cannot partition an empty dataset")
+
+    for __ in range(max_retries):
+        shards: list[list[int]] = [[] for __ in range(num_workers)]
+        for cls in range(num_classes):
+            cls_indices = np.flatnonzero(targets == cls)
+            rng.shuffle(cls_indices)
+            proportions = rng.dirichlet([alpha] * num_workers)
+            counts = np.floor(proportions * len(cls_indices)).astype(int)
+            # Distribute the remainder to the largest-proportion workers.
+            remainder = len(cls_indices) - counts.sum()
+            if remainder > 0:
+                order = np.argsort(-proportions)
+                counts[order[:remainder]] += 1
+            offset = 0
+            for worker, count in enumerate(counts):
+                shards[worker].extend(cls_indices[offset:offset + count].tolist())
+                offset += count
+        sizes = [len(shard) for shard in shards]
+        if min(sizes) >= min_samples:
+            return [np.sort(np.asarray(shard, dtype=np.int64)) for shard in shards]
+    # Fall back: top up undersized shards from the largest one.
+    shards_arrays = [np.asarray(shard, dtype=np.int64) for shard in shards]
+    for worker, shard in enumerate(shards_arrays):
+        while len(shards_arrays[worker]) < min_samples:
+            donor = int(np.argmax([len(s) for s in shards_arrays]))
+            moved, shards_arrays[donor] = (
+                shards_arrays[donor][:1],
+                shards_arrays[donor][1:],
+            )
+            shards_arrays[worker] = np.concatenate([shards_arrays[worker], moved])
+    return [np.sort(shard) for shard in shards_arrays]
+
+
+class _LoggedRng:
+    """A generator that records every draw it makes, in order."""
+
+    def __init__(self, seed):
+        self._rng = new_rng(seed)
+        self.calls = []
+
+    def shuffle(self, values):
+        self.calls.append(("shuffle", len(values)))
+        self._rng.shuffle(values)
+
+    def dirichlet(self, alpha):
+        self.calls.append(("dirichlet", len(alpha)))
+        return self._rng.dirichlet(alpha)
 
 
 def _coverage(shards, total):
@@ -77,6 +147,71 @@ class TestDirichletPartition:
             dirichlet_partition(np.zeros(10, dtype=int), 0, alpha=1.0)
         with pytest.raises(ValueError):
             dirichlet_partition(np.zeros(10, dtype=int), 2, alpha=0.0)
+        with pytest.raises(ValueError):
+            dirichlet_partition(np.zeros(10, dtype=int), 2, 1.0, max_retries=0)
+        with pytest.raises(DataError, match="empty"):
+            dirichlet_partition(np.zeros(0, dtype=int), 2, alpha=1.0)
+        with pytest.raises(DataError, match="non-negative"):
+            dirichlet_partition(np.array([0, -1, 1, 1]), 2, alpha=1.0)
+
+    def test_identical_to_the_list_loop(self):
+        # 1000 seeded draws over alpha 0.01-100, min_samples 0-4, 1-11
+        # classes and as few samples as the shards can hold, so many
+        # draws use up all their retries and are topped up.
+        cases = new_rng(2024)
+        exhausted = 0
+        for seed in range(1000):
+            num_classes = int(cases.integers(1, 12))
+            workers = int(cases.integers(1, 25))
+            min_samples = int(cases.integers(0, 5))
+            alpha = float(10.0 ** cases.uniform(-2.0, 2.0))
+            samples = max(workers * min_samples, 1) + int(cases.integers(0, 120))
+            targets = cases.integers(0, num_classes, size=samples)
+            retries = int(cases.choice([1, 3, 50]))
+            loop_rng, vector_rng = _LoggedRng(seed), _LoggedRng(seed)
+            expected = _list_loop_partition(
+                targets, workers, alpha, loop_rng, min_samples, retries
+            )
+            shards = dirichlet_partition(
+                targets, workers, alpha, vector_rng, min_samples, retries
+            )
+            assert vector_rng.calls == loop_rng.calls, seed
+            assert len(shards) == workers
+            for got, want in zip(shards, expected):
+                assert got.dtype == want.dtype and np.array_equal(got, want), seed
+            assert min(len(shard) for shard in shards) >= min_samples
+            draws = loop_rng.calls.count(("dirichlet", workers)) // (
+                int(targets.max()) + 1
+            )
+            exhausted += retries == 50 and draws == 50
+        assert exhausted >= 80, exhausted
+
+    def test_too_few_samples_raises_instead_of_hanging(self):
+        # The top-up used to move the largest shard's first row onto its
+        # own end forever when that shard was itself short.
+        with pytest.raises(DataError, match="1 samples .* 2 workers"):
+            dirichlet_partition(np.zeros(1, dtype=int), 2, 1.0, new_rng(0))
+        with pytest.raises(DataError, match="needed"):
+            dirichlet_partition(np.zeros(3, dtype=int), 4, 1.0, new_rng(0))
+
+    @pytest.mark.parametrize("train_samples", [1, 3])
+    def test_session_with_too_few_samples_raises(self, train_samples):
+        config = ExperimentConfig(
+            dataset="blobs", model="mlp", num_workers=4,
+            train_samples=train_samples, non_iid_level=1,
+        )
+        with pytest.raises(DataError, match=f"{train_samples} samples"):
+            Session.from_config(config)
+
+    def test_top_up_reaches_min_samples_at_the_bound(self):
+        # Exactly workers * min_samples labels: every draw is short
+        # somewhere, and the top-up must end with every shard at the floor.
+        targets = np.repeat(np.arange(3), 8)
+        shards = dirichlet_partition(
+            targets, 6, alpha=0.05, rng=new_rng(5), min_samples=4
+        )
+        assert [len(shard) for shard in shards] == [4] * 6
+        assert _coverage(shards, 24)
 
 
 class TestPartitionDataset:
