@@ -11,8 +11,8 @@ SLSQP is handed the gradients of the surrogate and of the KL constraint.
 Both are forward differences that take SciPy's own 2-point steps
 (:func:`forward_difference`), with all ``n`` perturbed points evaluated in
 one batched pass, so the solver walks exactly the iterates it would walk
-differencing the scalar functions point by point -- at a quarter of the
-cost.  An analytic gradient would be cheaper still, but it moves the
+differencing the scalar functions point by point, without a Python call
+per point.  An analytic gradient would be cheaper still, but it moves the
 rounded batch sizes.
 
 When SLSQP fails, a penalty search shrinks batches one sample at a time:
@@ -50,7 +50,8 @@ def forward_difference(
     Takes the steps of SciPy's ``approx_derivative(fun, x, method="2-point",
     abs_step=sqrt(eps), bounds=(lower, upper))`` and returns the same
     array bit for bit.  A step that would leave the box is flipped when
-    the flipped step fits, and otherwise shortened to the far bound.
+    the flipped step fits, and otherwise becomes the whole distance to
+    the farther bound.
 
     Args:
         rows_fun: Maps a ``(k, n)`` matrix of points to their ``k`` values;
