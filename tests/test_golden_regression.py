@@ -7,7 +7,8 @@ math -- a reordered reduction, a changed default, an off-by-one in batch
 regulation -- fails loudly even when every unit test still passes.  Every
 built-in algorithm name has a row (the nine split rows of
 ``repro.algorithms.BUILTIN_ALGORITHMS`` on the split engine,
-``fedavg``/``pyramidfl`` on the FL engine), plus elastic rounds, three
+``fedavg``/``pyramidfl`` on the FL engine), plus elastic rounds, a conv
+row whose rounds reach the fine-tuning solver (Alg. 1 line 6), three
 :data:`PER_DEPTH` rows whose adaptive split policy assigns mixed cut depths
 (merged mixed groups, per-worker updates through a bridge, per-iteration
 re-installs with bridges) and three :data:`LOSSY` rows whose link codec
@@ -68,6 +69,12 @@ GOLDEN_CONFIGS: dict[str, dict] = {
             "model_width": 0.3, "split_policy": "adaptive", "seed": 5,
         }
         for algorithm in ("mergesfl", "sfl_t", "splitfed")
+    },
+    # Conv2d/MaxPool2d layers, and the only row whose rounds reach the
+    # fine-tuning solver (Alg. 1 line 6): its merged KL starts above epsilon
+    # in every round.
+    "mergesfl_cifar10_alexnet_seed3": {
+        "dataset": "cifar10", "model": "alexnet_s", "model_width": 0.25,
     },
     # Lossy links, recorded on two processes over shared memory.
     "mergesfl_int8_blobs_seed3": {
