@@ -24,7 +24,7 @@ from repro.core.divergence import (
     kl_divergence,
     mixed_label_distribution,
 )
-from repro.core.regulation import finetune_batch_sizes
+from repro.core.regulation import tune_batch_sizes
 from repro.core.selection import selection_priorities
 
 
@@ -246,7 +246,7 @@ class ControlModule:
 
         # Line 6: Lagrangian fine-tuning of batch sizes towards KL <= epsilon.
         if self.finetune:
-            batch_sizes = finetune_batch_sizes(
+            batch_sizes, solution = tune_batch_sizes(
                 batch_sizes,
                 selected,
                 context.label_distributions,
@@ -255,6 +255,10 @@ class ControlModule:
                 kl_threshold=self.kl_threshold,
                 max_batch_size=context.max_batch_size,
             )
+            if solution is not None:
+                # False: no batch sizes in the box meet epsilon, and the
+                # round trains at the least-KL ones instead.
+                info["finetune_feasible"] = solution.feasible
             # Line 7: scale batch sizes to fill the bandwidth budget.
             batch_sizes = scale_to_bandwidth(
                 batch_sizes,

@@ -1,16 +1,13 @@
 """Tests for priorities, GA/greedy worker selection and batch fine-tuning."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
-from scipy import optimize
-from scipy.optimize._numdiff import approx_derivative
 
-from repro.core import regulation
 from repro.core.batching import occupied_bandwidth
-from repro.core.divergence import iid_distribution, kl_divergence, mixed_label_distribution
-from repro.core.regulation import finetune_batch_sizes, forward_difference
+from repro.core.divergence import (
+    _EPS, iid_distribution, kl_divergence, mixed_label_distribution,
+)
+from repro.core.regulation import finetune_batch_sizes, solve_finetune, tune_batch_sizes
 from repro.core.selection import (
     PopulationFitness,
     _fitness,
@@ -19,6 +16,7 @@ from repro.core.selection import (
     selection_priorities,
 )
 from repro.exceptions import SelectionError
+from repro.utils.numeric import normalize_distribution
 from repro.utils.rng import new_rng
 
 
@@ -284,18 +282,16 @@ class TestFinetuneBatchSizes:
         assert np.array_equal(tuned, [4, 4])
 
 
-_FD_STEP = np.sqrt(np.finfo(np.float64).eps)
-
-
-def _scalar_kl(sizes, sub_dists, target):
-    """The one-point mixture KL the SLSQP constraint differences."""
+def _kl(sizes, sub_dists, target):
+    """The merged KL of continuous batch sizes, as ``kl_divergence`` scores it."""
     weights = np.clip(sizes, 1e-6, None)
     mixed = (weights[:, None] * sub_dists).sum(axis=0) / weights.sum()
     return kl_divergence(mixed, target)
 
 
-def _bits(values):
-    return np.asarray(values, dtype=np.float64).tobytes()
+def _cost(sizes, base, durations):
+    """The waiting-time surrogate of Eq. 14 the solver minimises."""
+    return float(np.sum((sizes - base) ** 2 * durations) / len(base))
 
 
 def _regulation_instance(rng):
@@ -318,146 +314,197 @@ def _regulation_instance(rng):
     )
 
 
-class TestForwardDifference:
-    def test_matches_scipy_two_point_bit_for_bit(self):
-        rng = new_rng(7)
-        for __ in range(300):
-            size = int(rng.integers(1, 40))
-            dists = rng.dirichlet([0.3] * int(rng.integers(2, 11)), size=size)
-            target = rng.dirichlet([2.0] * dists.shape[1])
-            lower, upper = 1.0, float(rng.integers(2, 33))
-            x = rng.uniform(lower, upper, size=size)
-            # Points on either bound and within a step of the upper one.
-            where = rng.integers(0, 4, size=size)
-            x[where == 1] = lower
-            x[where == 2] = upper
-            x[where == 3] = upper - rng.uniform(0.0, 2 * _FD_STEP, size=size)[where == 3]
-            durations = rng.uniform(0.01, 0.05, size=size)
-            cases = [
-                (lambda s: 0.05 - _scalar_kl(s, dists, target),
-                 lambda rows: 0.05 - regulation._mixture_kl(
-                     rows, dists, regulation._smoothed(target))),
-                (lambda s: float(regulation._surrogate_waiting_cost(s, x, durations)),
-                 lambda rows: regulation._surrogate_waiting_cost(rows, x, durations)),
-            ]
-            for fun, rows_fun in cases:
-                want = approx_derivative(fun, x, method="2-point",
-                                         abs_step=_FD_STEP, bounds=(lower, upper))
-                got = forward_difference(rows_fun, x, fun(x), lower, upper)
-                assert _bits(got) == _bits(want)
-
-    def test_flipped_shortened_and_relative_steps(self):
-        # Per-coordinate bounds: a box narrower than one step (shortened to
-        # the far bound either way), steps flipped at the upper bound, and
-        # |x| so large that the absolute step rounds away.
-        x = np.array([1.0, 2.0 + 1e-9, 5.0, 3e17, -4e17, 0.0])
-        lower = np.array([1.0, 2.0, 0.0, 0.0, -1e18, -1.0])
-        upper = np.array([1.0 + 1e-9, 2.0 + 1e-9, 5.0, 1e18, 0.0, 0.0])
-
-        def fun(s):
-            return float(np.sum(np.sin(s * 1e-17) + s**2 * 1e-30))
-
-        def rows_fun(rows):
-            return np.sum(np.sin(rows * 1e-17) + rows**2 * 1e-30, axis=-1)
-
-        want = approx_derivative(fun, x, method="2-point", abs_step=_FD_STEP,
-                                 bounds=(lower, upper))
-        got = forward_difference(rows_fun, x, fun(x), lower, upper)
-        assert _bits(got) == _bits(want)
-
-    def test_a_wide_selection_is_differenced_in_blocks(self):
-        # 300 coordinates take two batched calls; the gradient still
-        # equals SciPy's.
-        rng = new_rng(9)
-        dists = rng.dirichlet([0.3] * 10, size=300)
-        target = rng.dirichlet([2.0] * 10)
-        x = rng.integers(1, 17, size=300).astype(np.float64)
-        calls = []
-
-        def rows_fun(rows):
-            calls.append(len(rows))
-            return 0.05 - regulation._mixture_kl(rows, dists, regulation._smoothed(target))
-
-        def fun(s):
-            return 0.05 - _scalar_kl(s, dists, target)
-
-        want = approx_derivative(fun, x, method="2-point", abs_step=_FD_STEP,
-                                 bounds=(1.0, 16.0))
-        got = forward_difference(rows_fun, x, fun(x), 1.0, 16.0)
-        assert _bits(got) == _bits(want)
-        assert len(calls) == 2 and sum(calls) == 300
-
-    def test_point_outside_the_bounds_raises_like_scipy(self):
-        with pytest.raises(ValueError, match="violates bound"):
-            forward_difference(lambda rows: rows.sum(axis=-1), np.array([0.5]),
-                               0.5, 1.0, 2.0)
+def _reduced(problem):
+    """The selected rows of an instance, as ``solve_finetune`` takes them."""
+    selected = problem["selected"]
+    return dict(
+        base=problem["batch_sizes"][selected].astype(np.float64),
+        distributions=problem["label_distributions"][selected],
+        target_distribution=problem["target_distribution"],
+        durations=problem["per_sample_durations"][selected],
+        kl_threshold=problem["kl_threshold"],
+        lower=1.0, upper=float(problem["max_batch_size"]),
+    )
 
 
-class TestFinetuneSolver:
-    def test_slsqp_matches_scipy_finite_differences(self, monkeypatch):
-        # The SLSQP run with the batched Jacobians must be the run SciPy
-        # makes when it differences the scalar functions itself: same
-        # iterate bits, iterations and exit status, on 1000 instances.
-        fits = []
-
-        def recording_minimize(*args, **kwargs):
-            try:
-                fits.append(optimize.minimize(*args, **kwargs))
-            except ValueError as error:
-                fits.append(error)
-                raise
-            return fits[-1]
-
-        monkeypatch.setattr(regulation, "optimize",
-                            SimpleNamespace(minimize=recording_minimize))
-        rng = new_rng(11)
-        solved = 0
-        while solved < 1000:
-            problem = _regulation_instance(rng)
-            tuned = finetune_batch_sizes(**problem)
-            if not fits:
+def _penalty_fallback(base, sub_dists, target, threshold, steps=200):
+    """The retired SLSQP fallback: shrink the most deviating worker's batch
+    one sample at a time, among the shrinks that lower the merged KL."""
+    deviations = np.asarray([kl_divergence(dist, target) for dist in sub_dists])
+    sizes = base.copy()
+    current = _kl(sizes, sub_dists, target)
+    for __ in range(steps):
+        if current <= threshold:
+            break
+        for idx in np.argsort(-deviations):
+            if sizes[idx] <= 1:
                 continue
-            fit = fits.pop()
-            selected = problem["selected"]
-            sub = problem["label_distributions"][selected]
-            target, threshold = problem["target_distribution"], problem["kl_threshold"]
-            base = problem["batch_sizes"][selected].astype(np.float64)
-            durations = problem["per_sample_durations"][selected]
-            try:
-                reference = optimize.minimize(
-                    lambda s: float(np.sum((s - base) ** 2 * durations) / len(base)),
-                    x0=base,
-                    method="SLSQP",
-                    bounds=[(1.0, float(problem["max_batch_size"]))] * len(base),
-                    constraints=[{"type": "ineq",
-                                  "fun": lambda s: threshold - _scalar_kl(s, sub, target)}],
-                    options={"maxiter": 200, "ftol": 1e-9},
-                )
-            except ValueError:
-                assert isinstance(fit, ValueError)
+            sizes[idx] -= 1.0
+            shrunk = _kl(sizes, sub_dists, target)
+            if shrunk < current:
+                current = shrunk
+                break
+            sizes[idx] += 1.0
+        else:
+            break
+    return sizes
+
+
+#: Instances per certificate check; each one reaches the solver.
+CERTIFIED = 1000
+#: The stated certificate tolerances: KKT residual (absolute, in units of
+#: the gradient) and duality gap (relative to the cost, or to the KL when
+#: the threshold is infeasible, with an absolute floor for near-zero costs).
+KKT_TOL = 1e-9
+GAP_TOL = 1e-8
+GAP_FLOOR = 1e-11
+
+
+@pytest.fixture(scope="module")
+def certified():
+    """``CERTIFIED`` seeded instances whose merged KL starts above epsilon,
+    each with its solution."""
+    rng = new_rng(11)
+    solved = []
+    while len(solved) < CERTIFIED:
+        problem = _regulation_instance(rng)
+        reduced = _reduced(problem)
+        if _kl(reduced["base"], reduced["distributions"],
+               reduced["target_distribution"]) <= reduced["kl_threshold"]:
+            continue
+        solved.append((reduced, solve_finetune(**reduced)))
+    return solved
+
+
+class TestFinetuneCertificate:
+    def test_kkt_residual_and_duality_gap_are_within_tolerance(self, certified):
+        for __, solution in certified:
+            assert solution.kkt_residual <= KKT_TOL
+            # Feasible: a bound on the cost's excess; infeasible: on the KL's.
+            excess = solution.cost if solution.feasible else solution.kl
+            assert solution.duality_gap <= GAP_TOL * excess + GAP_FLOOR
+
+    def test_both_outcomes_occur(self, certified):
+        # About one threshold in seven lies below the box's least KL.
+        infeasible = sum(not solution.feasible for __, solution in certified)
+        assert 0.05 * CERTIFIED < infeasible < 0.3 * CERTIFIED
+
+    def test_a_feasible_solution_meets_the_threshold(self, certified):
+        for reduced, solution in certified:
+            if solution.feasible:
+                kl = _kl(solution.sizes, reduced["distributions"],
+                         reduced["target_distribution"])
+                assert kl <= reduced["kl_threshold"] * (1 + 1e-9)
+                assert solution.multiplier > 0
+                assert solution.cost == pytest.approx(_cost(
+                    solution.sizes, reduced["base"], reduced["durations"]), rel=1e-12)
+
+    def test_an_infeasible_threshold_lies_below_the_certified_least_kl(self, certified):
+        for reduced, solution in certified:
+            if not solution.feasible:
+                assert solution.kl - solution.duality_gap > reduced["kl_threshold"]
+                assert solution.kl == pytest.approx(_kl(
+                    solution.sizes, reduced["distributions"],
+                    reduced["target_distribution"]), rel=1e-9)
+
+    def test_solutions_stay_in_the_box(self, certified):
+        for reduced, solution in certified:
+            assert np.all(solution.sizes >= reduced["lower"])
+            assert np.all(solution.sizes <= reduced["upper"])
+
+    def test_no_worse_than_slsqp_where_slsqp_meets_the_threshold(self, certified):
+        # SciPy is a test-only reference: SLSQP on the same programme, with
+        # the cost's and the KL's exact gradients.
+        optimize = pytest.importorskip("scipy.optimize")
+        compared = 0
+        for reduced, solution in certified:
+            base, dists = reduced["base"], reduced["distributions"]
+            target, threshold = reduced["target_distribution"], reduced["kl_threshold"]
+            durations = reduced["durations"]
+            weights = dists + _EPS * dists.sum(axis=1)[:, None]
+            phi0 = normalize_distribution(target) + _EPS
+            phi0 = phi0 / phi0.sum()
+
+            def slack_jac(sizes):
+                mass = np.clip(sizes, 1e-6, None) @ weights
+                log_ratio = np.log(mass / mass.sum() / phi0)
+                kl = mass @ log_ratio / mass.sum()
+                return -(weights @ log_ratio - kl * weights.sum(axis=1)) / mass.sum()
+
+            fit = optimize.minimize(
+                lambda sizes: _cost(sizes, base, durations), x0=base,
+                jac=lambda sizes: 2 * durations * (sizes - base) / len(base),
+                method="SLSQP",
+                bounds=[(reduced["lower"], reduced["upper"])] * len(base),
+                constraints=[{"type": "ineq",
+                              "fun": lambda sizes: threshold - _kl(sizes, dists, target),
+                              "jac": slack_jac}],
+                options={"maxiter": 200, "ftol": 1e-9},
+            )
+            overshoot = _kl(fit.x, dists, target) - threshold
+            if overshoot > 1e-6 * threshold:
                 continue
-            assert _bits(fit.x) == _bits(reference.x)
-            assert (fit.nit, fit.status) == (reference.nit, reference.status)
-            if reference.success and _scalar_kl(reference.x, sub, target) <= threshold * 1.05:
-                expected = np.clip(np.round(reference.x), 1, problem["max_batch_size"])
-                assert np.array_equal(tuned[selected], expected)
-            solved += 1
+            compared += 1
+            assert solution.feasible
+            assert _kl(solution.sizes, dists, target) <= threshold * (1 + 1e-9)
+            # Weak duality: f(y) + lambda g(y) >= f* >= f(x) - gap for every
+            # box point y, and SLSQP's may overshoot epsilon by a rounding.
+            allowance = solution.multiplier * (fit.x @ weights.sum(axis=1)) * max(overshoot, 0.0)
+            assert (solution.cost
+                    <= _cost(fit.x, base, durations) + allowance + solution.duality_gap
+                    + GAP_FLOOR)
+        assert compared >= 0.7 * CERTIFIED
 
-    def test_fallback_never_raises_merged_kl(self, monkeypatch):
-        # Shrinking the most deviating worker whether or not that helps
-        # raised the merged KL on 30 of these 300 instances.
-        def failing_minimize(*args, **kwargs):
-            raise ValueError("forced fallback")
+    def test_an_infeasible_threshold_gets_no_higher_kl_than_the_old_fallback(
+            self, certified):
+        checked = 0
+        for reduced, solution in certified:
+            if solution.feasible:
+                continue
+            dists, target = reduced["distributions"], reduced["target_distribution"]
+            fallback = _penalty_fallback(reduced["base"], dists, target,
+                                         reduced["kl_threshold"])
+            assert _kl(solution.sizes, dists, target) <= _kl(fallback, dists, target) + 1e-12
+            checked += 1
+        assert checked > 0
 
-        monkeypatch.setattr(regulation, "optimize",
-                            SimpleNamespace(minimize=failing_minimize))
-        rng = new_rng(13)
-        for __ in range(300):
+    def test_the_rounded_sizes_are_the_rounded_solution(self):
+        rng = new_rng(17)
+        ran = 0
+        for __ in range(200):
             problem = _regulation_instance(rng)
+            tuned, solution = tune_batch_sizes(**problem)
+            assert np.array_equal(tuned, finetune_batch_sizes(**problem))
+            if solution is None:
+                continue
+            ran += 1
             selected = problem["selected"]
-            dists, target = problem["label_distributions"], problem["target_distribution"]
-            before = kl_divergence(
-                mixed_label_distribution(dists, problem["batch_sizes"], selected), target)
-            tuned = finetune_batch_sizes(**problem)
-            after = kl_divergence(mixed_label_distribution(dists, tuned, selected), target)
-            assert after <= before
+            expected = np.clip(np.round(solution.sizes), 1, problem["max_batch_size"])
+            assert np.array_equal(tuned[selected], expected)
+            untouched = np.setdiff1d(np.arange(len(tuned)), selected)
+            assert np.array_equal(tuned[untouched], problem["batch_sizes"][untouched])
+        assert ran > 150
+
+    def test_one_worker_cannot_move_the_mixture(self):
+        # Its batch size does not change the merged distribution: the
+        # threshold is infeasible and every box point is a least-KL point.
+        dists = np.array([[0.9, 0.1], [0.2, 0.8]])
+        solution = solve_finetune(np.array([5.0]), dists[:1], np.array([0.5, 0.5]),
+                                  np.array([0.1]), 0.01, 1.0, 8.0)
+        assert not solution.feasible
+        assert solution.sizes.tolist() == [5.0]
+        assert solution.duality_gap <= GAP_FLOOR
+
+    def test_a_wide_selection_is_solved_and_certified(self):
+        # The regulation probe's size: 200 selected workers, 10 classes.
+        rng = new_rng(3)
+        dists = rng.dirichlet([0.2] * 10, size=200)
+        base = rng.integers(4, 17, size=200).astype(np.float64)
+        target = iid_distribution(dists)
+        threshold = 0.5 * _kl(base, dists, target)
+        durations = rng.uniform(0.01, 0.05, size=200)
+        solution = solve_finetune(base, dists, target, durations, threshold, 1.0, 16.0)
+        assert solution.feasible
+        assert solution.kkt_residual <= KKT_TOL
+        assert solution.duality_gap <= GAP_TOL * solution.cost + GAP_FLOOR
+        assert _kl(solution.sizes, dists, target) <= threshold * (1 + 1e-9)
