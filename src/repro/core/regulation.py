@@ -119,19 +119,19 @@ class _Mixture:
         self.totals = self.weights.sum(axis=1)
         self.log_phi0 = np.log(_smoothed(target))
 
-    def evaluate(self, sizes: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-        """``(KL, r^T b, log(phi / phi0), W^T b)`` at ``sizes``."""
+    def evaluate(self, sizes: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """``(KL, r^T b, log(phi / phi0))`` at ``sizes``."""
         mass = sizes @ self.weights
         total = mass.sum()
         log_ratio = np.log(mass / total) - self.log_phi0
-        return float(mass @ log_ratio) / total, float(total), log_ratio, mass
+        return float(mass @ log_ratio) / total, float(total), log_ratio
 
     def kl(self, sizes: np.ndarray) -> float:
         return self.evaluate(sizes)[0]
 
     def constraint(self, sizes: np.ndarray, threshold: float) -> tuple[float, np.ndarray]:
         """``g`` and its gradient for ``KL <= threshold``."""
-        kl, total, log_ratio, __ = self.evaluate(sizes)
+        kl, total, log_ratio = self.evaluate(sizes)
         return total * (kl - threshold), self.weights @ log_ratio - threshold * self.totals
 
     def hessian_factor(self, sizes: np.ndarray) -> np.ndarray:
@@ -273,9 +273,9 @@ def solve_finetune(
     for __ in range(_MAX_MULTIPLIER_STEPS):
         if g > 0 and constraint_floor(x, g, grad) > 0:
             break  # certified infeasible
-        value, gradient, hessian = lagrangian(multiplier)
-        residual = _stationarity(x, gradient(x), lower, upper)
-        best_bound = max(best_bound, value(x) - float(residual @ residual) / (2 * modulus))
+        residual = _stationarity(x, curvature * (x - base) + multiplier * grad, lower, upper)
+        best_bound = max(best_bound, cost(x) + multiplier * g
+                         - float(residual @ residual) / (2 * modulus))
         if g <= 0:
             hi, x_hi = multiplier, x
             if cost(x) - best_bound <= _GAP_TOL * max(cost(x), 1e-300):
@@ -337,7 +337,7 @@ def _least_kl(
     """
 
     def gradient(x):
-        kl, total, log_ratio, __ = mixture.evaluate(x)
+        kl, total, log_ratio = mixture.evaluate(x)
         return (mixture.weights @ log_ratio - kl * mixture.totals) / total
 
     def hessian(x):
@@ -346,7 +346,7 @@ def _least_kl(
         return np.full(x.size, ridge), factor
 
     # The gradient's two terms reach this size before they cancel.
-    __, total, log_ratio, __ = mixture.evaluate(x)
+    __, total, log_ratio = mixture.evaluate(x)
     scale = float(np.abs(log_ratio).max() * mixture.totals.max()) / total
     x = _projected_newton(x, lower, upper, mixture.kl, gradient, hessian,
                           _STATIONARITY_TOL * scale)
@@ -379,7 +379,8 @@ def tune_batch_sizes(
         return result.astype(np.int64), None
     label_distributions = np.atleast_2d(np.asarray(label_distributions))
     current_phi = mixed_label_distribution(label_distributions, result, selected)
-    if kl_divergence(current_phi, target_distribution) <= kl_threshold:
+    current_kl = kl_divergence(current_phi, target_distribution)
+    if current_kl <= kl_threshold:
         return result.astype(np.int64), None
 
     solution = solve_finetune(
@@ -389,8 +390,13 @@ def tune_batch_sizes(
         # an all-zero mixture is not the perspective's limit).
         max(float(min_batch_size), 1e-6), float(max_batch_size),
     )
-    result[selected] = np.clip(np.round(solution.sizes), min_batch_size, max_batch_size)
-    return result.astype(np.int64), solution
+    tuned = result.copy()
+    tuned[selected] = np.clip(np.round(solution.sizes), min_batch_size, max_batch_size)
+    # Rounding can undo a small continuous gain; line 6 never raises the KL.
+    tuned_phi = mixed_label_distribution(label_distributions, tuned, selected)
+    if kl_divergence(tuned_phi, target_distribution) > current_kl:
+        tuned = result
+    return tuned.astype(np.int64), solution
 
 
 def finetune_batch_sizes(
@@ -419,7 +425,8 @@ def finetune_batch_sizes(
         A copy of ``batch_sizes`` with the selected entries adjusted
         (integers within ``[min_batch_size, max_batch_size]``): the
         rounded optimum of Eq. 14's surrogate, or the rounded least-KL
-        point when no batch sizes in the box meet the threshold.
+        point when no batch sizes in the box meet the threshold.  When
+        rounding would raise the merged KL, the sizes stay as given.
     """
     return tune_batch_sizes(
         batch_sizes, selected, label_distributions, target_distribution,

@@ -52,6 +52,16 @@ class TestControlModule:
         assert ControlModule(greedy, select=False).solver is None
         assert len(ControlModule(greedy).plan_round(_context()).selected) >= 1
 
+    def test_fine_tuning_records_whether_epsilon_was_reachable(self):
+        # Recorded only on rounds where the solver runs (the algorithm
+        # table's rows never reach it at their contexts).
+        selection_only = ControlModule(finetune=False).plan_round(_context())
+        reachable = ControlModule(kl_threshold=0.9 * selection_only.merged_kl)
+        assert reachable.plan_round(_context()).info["finetune_feasible"] is True
+        # No batch sizes make a skewed mixture exactly IID.
+        unreachable = ControlModule(kl_threshold=0.0).plan_round(_context())
+        assert unreachable.info["finetune_feasible"] is False
+
     def test_total_batch_property(self):
         plan = RoundPlan(selected=[0, 1], batch_sizes={0: 4, 1: 6})
         assert plan.total_batch == 10
