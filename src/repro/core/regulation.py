@@ -25,9 +25,10 @@ optimum.
 **Solver.**  A safeguarded Newton search on the one Lagrange multiplier
 ``lambda`` keeps a bracket ``g(b(lo)) > 0 >= g(b(hi))`` and bisects when a
 Newton step would leave it.  Each inner problem ``min f + lambda * g`` over
-the box is solved by Bertsekas' projected Newton method; its Newton system
-is the quadratic's diagonal plus ``lambda * M M^T``, a ``C x C`` solve by
-the Woodbury identity.
+the box starts from the last point moved along the solution path's tangent
+and is solved by Bertsekas' projected Newton method; its Newton system is
+the quadratic's diagonal plus ``lambda * M M^T``, a ``C x C`` solve by the
+Woodbury identity.
 
 **Certificate.**  Every inner problem is strongly convex (modulus
 ``mu = min 2 d_i / n``), so a point ``b`` with box-stationarity residual
