@@ -3,9 +3,11 @@
 Every table and figure of the paper's evaluation has a function here that
 runs the corresponding experiment(s) and returns the rows/series the paper
 reports.  The default parameters are scaled down (fewer workers, rounds and
-samples than the 80-device testbed) so the whole benchmark suite finishes
-on a CPU-only machine; pass ``overrides`` to scale up.  EXPERIMENTS.md
-records the measured numbers next to the paper's.
+samples than the 80-device testbed) so every figure runs on a CPU-only
+machine; pass ``overrides`` to scale up.  The paper-shape tests
+(``tests/experiments/test_paper_shapes.py``) assert each figure's shape on
+the same studies, and EXPERIMENTS.md records the measured numbers next to
+the paper's.
 
 Under the hood every multi-run figure is a :class:`repro.study.Study`
 (see :func:`approaches_study`): pass ``n_jobs`` to run its trials in
@@ -61,8 +63,8 @@ def figure_config(dataset: str, algorithm: str, non_iid_level: float = 0.0,
                   **overrides) -> ExperimentConfig:
     """Build a config for one dataset/algorithm pair with fast defaults.
 
-    The shared base of every figure entry point (and of the benchmark
-    suite's study builder): the dataset's default model plus
+    The shared base of every figure entry point (and of the paper-shape
+    tests' configs): the dataset's default model plus
     :data:`FAST_DEFAULTS`, with ``overrides`` applied on top.
     """
     spec = DATASET_SPECS[dataset]

@@ -15,11 +15,11 @@ axis of the paper:
                          n_jobs=3, max_processes=8)
     histories = runner.histories()
 
-``benchmarks/bench_fig12_scalability.py`` consumes the same presets through
-the ``BENCH_PRESET`` environment variable, so the benchmark harness can be
-pointed at the paper axis without editing code.  Presets are grid studies,
-hence resumable through a :class:`~repro.study.store.StudyStore` and
-clampable through ``StudyRunner(max_processes=...)``.
+:func:`repro.experiments.figures.figure12_scalability` reports on the
+scalability presets directly (``figure12_scalability(study=...)``).
+Presets are grid studies, hence resumable through a
+:class:`~repro.study.store.StudyStore` and clampable through
+``StudyRunner(max_processes=...)``.
 
 The ``*-population`` presets sweep the *registered* population instead of
 the participating fleet: trials run over the lazy worker registry
@@ -205,7 +205,7 @@ def splitpoint_study(
     heterogeneous device classes: the ``uniform`` column is the exact
     global-cut anchor, and each history carries per-round simulated time and
     traffic so waiting-time and wire savings are read straight off the
-    records (see ``benchmarks/bench_splitpoint.py``).
+    records (see ``tests/experiments/test_paper_shapes.py::test_splitpoint_policies``).
     """
     from repro.experiments.figures import figure_config
 

@@ -2,7 +2,7 @@
 
 The package logs through the standard :mod:`logging` module under the
 ``repro`` namespace.  Library code never configures handlers; applications
-(examples, benchmarks) call :func:`configure_logging` once.
+(examples, scripts) call :func:`configure_logging` once.
 """
 
 from __future__ import annotations

@@ -278,6 +278,25 @@ def _assert_same_run(candidate, reference) -> None:
 
 WINDOW = dict(executor="process", transport="shm", pipeline="pipelined")
 BLOCKING = dict(executor="serial", pipeline="sync")
+#: cnn_h offers cut depths [3, 6, 10]; blobs' mlp offers only [2].
+MULTI_DEPTH = dict(dataset="har", model="cnn_h")
+
+
+def _run_recording_depths(config: ExperimentConfig):
+    """:func:`_run`, plus the set of cut depths the split policy assigned."""
+    depths: set[int] = set()
+    with Session.from_config(config) as session:
+        engine = session.algorithm
+        assign = engine._assign_depths
+
+        def recording(round_index, plan):
+            plan = assign(round_index, plan)
+            depths.update(plan.depths.values())
+            return plan
+
+        engine._assign_depths = recording
+        session.run()
+        return _records(session), depths
 
 
 class TestSyncCounter:
@@ -394,16 +413,19 @@ class TestPipelinedSessions:
         dict(num_workers=40, population="lazy", population_candidates=8,
              elastic=True, dropout_rate=0.3, over_select_factor=1.5,
              rejoin_staleness_bound=2),
-        dict(split_policy="adaptive"),
-    ], ids=["elastic", "lazy-elastic", "adaptive-split"])
+        dict(split_policy="adaptive", **MULTI_DEPTH),
+        dict(split_policy="profile", **MULTI_DEPTH),
+    ], ids=["elastic", "lazy-elastic", "adaptive-split", "profile-split"])
     def test_aggregate_window_composes_with_the_round_knobs(self, knobs):
         """The window accounts the round and plans the next one *before*
         the aggregate folds churn, rejoins and deltas in; under every knob
         that hooks into that window the records still equal the blocking
         order's."""
-        _assert_same_run(
-            _run(_config(**WINDOW, **knobs)), _run(_config(**BLOCKING, **knobs))
-        )
+        window, depths = _run_recording_depths(_config(**WINDOW, **knobs))
+        _assert_same_run(window, _run(_config(**BLOCKING, **knobs)))
+        if "split_policy" in knobs:
+            # The split rows run multi-depth rounds, not one global cut.
+            assert len(depths) >= 2
 
     def test_drain_is_noop_for_serial_sessions(self):
         with Session.from_config(_config(executor="serial")) as session:

@@ -124,7 +124,7 @@ class TestCodecStudy:
 class TestPresetExecution:
     def test_preset_study_runs_through_figure12(self):
         """A (tiny) preset-shaped study flows through the figure12 entry
-        point exactly like the bench harness drives it via BENCH_PRESET."""
+        point, which reports on a prebuilt study without re-shaping it."""
         from repro.experiments import figures
 
         study = scalability_study(
