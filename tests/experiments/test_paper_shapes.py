@@ -168,14 +168,18 @@ def test_fig08_network_traffic_cifar10(sweep):
     assert split_traffic < fedavg_traffic
 
 
-def test_fig08_codec_sweep(sweep):
+@pytest.mark.parametrize("split_policy, codecs", [
+    ("uniform", ("none", "fp16", "bf16", "int8", "topk")),
+    ("profile", ("none", "int8")),
+], ids=["uniform", "profile"])
+def test_fig08_codec_sweep(sweep, split_policy, codecs):
     """Link-codec extension of the traffic axis: what each codec pays in
     accuracy for its simulated traffic savings (``none`` anchors the exact
     run).  The round applies the codec on every executor."""
     study = Study.grid(
         "fig08-codec",
-        _config("cifar10", extras={"codec_topk_ratio": 0.3}),
-        axes={"codec": ("none", "fp16", "bf16", "int8", "topk")},
+        _config("cifar10", split_policy=split_policy, extras={"codec_topk_ratio": 0.3}),
+        axes={"codec": codecs},
     )
     runs = {trial.name: sweep.run(trial.config) for trial in study}
 
@@ -194,13 +198,19 @@ def test_fig08_codec_sweep(sweep):
           f"{exchange_per_sample(name):.0f}",
           f"{run.history.records[-1].traffic_mb:.1f}"]
          for name, run in runs.items()],
-        title="Fig. 8 extension: codec accuracy/traffic trade-off (mergesfl)",
+        title=f"Fig. 8 extension: codec accuracy/traffic trade-off (mergesfl, {split_policy} split)",
     ))
-    # int8 puts 8 of a float32's 32 bits on the link.  Accuracy is reported,
-    # not gated: a few-round CNN amplifies any perturbation, so codec accuracy
-    # tolerances live in tests/parallel/test_codec_sessions.py.
+    # Accuracy is reported, not gated: a few-round CNN amplifies any
+    # perturbation, so codec accuracy tolerances live in
+    # tests/parallel/test_codec_sessions.py.
     ratio = exchange_per_sample("codec=int8") / exchange_per_sample("codec=none")
-    assert ratio == pytest.approx(0.25)
+    if split_policy == "uniform":
+        # int8 puts 8 of a float32's 32 bits on the link.
+        assert ratio == pytest.approx(0.25)
+    else:
+        # Per-worker cuts move with the cheaper link (the int8 run assigns
+        # two depths), so only the direction is fixed.
+        assert ratio < 1.0
 
 
 def _fig09_waits(sweep: Sweep, codec: str) -> dict[str, float]:
