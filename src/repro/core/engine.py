@@ -444,6 +444,9 @@ class SplitTrainingEngine(RoundEngine):
         cuts = [self._cut_depth(plan, worker_id) for worker_id in worker_ids]
         depths = dict(zip(worker_ids, cuts))
         learning_rates = [self._scaled_lr(batch) for batch in batch_sizes]
+        loads = [
+            batch * self._depth_flops[cut] for batch, cut in zip(batch_sizes, cuts)
+        ]
         update = (
             self.server.update_top_merged if self.policy.merge_features
             else self.server.update_top_per_worker
@@ -456,7 +459,7 @@ class SplitTrainingEngine(RoundEngine):
             self.server.install_bridges(set(cuts))
             self.executor.install(
                 selected_workers, self.server.global_bottom, learning_rates,
-                cuts, wait,
+                cuts, wait, loads=loads,
             )
 
         def top_update(features, labels):

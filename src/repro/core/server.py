@@ -26,6 +26,21 @@ from repro.nn.serialization import (
 from repro.nn.split import carve_bridge, shift_state_keys
 
 
+#: Rows per chunk of a model's leading per-sample layers in
+#: :func:`evaluate_classifier`: the first convolution's im2col columns of 16
+#: images stay cache-sized where a whole test batch's run to tens of MB.
+EVAL_CHUNK_ROWS = 16
+
+
+def _forward_dropping_state(layers, inputs: np.ndarray) -> np.ndarray:
+    """``inputs`` through ``layers``, each layer's forward state dropped as
+    soon as it has produced its output."""
+    for layer in layers:
+        inputs = layer.forward(inputs)
+        layer.clear_forward_state()
+    return inputs
+
+
 def evaluate_classifier(
     stages: list[Sequential],
     loss_fn: CrossEntropyLoss,
@@ -38,11 +53,20 @@ def evaluate_classifier(
     ``stages`` are applied one after another (bottom then top, or the one
     full model), layer by layer: nothing runs a backward here, so each
     layer's forward state is dropped as soon as the layer has produced its
-    output, and a test batch holds one layer's columns and masks at a time
-    instead of the whole model's.  The stages run in evaluation mode and
-    come back in training mode with no forward state left on them.
+    output.  The leading layers flagged
+    :attr:`~repro.nn.module.Module.per_sample` run over each test batch in
+    chunks of ``EVAL_CHUNK_ROWS`` rows, concatenated before the first layer
+    that is not -- bit-identical to running them over the whole batch --
+    and the rest runs over the batch, so the logits and the loss reduction
+    are those of ``batch_size`` batches.  The stages run in evaluation mode
+    and come back in training mode with no forward state left on them.
     """
     layers = [layer for stage in stages for layer in stage.layers]
+    split = next(
+        (index for index, layer in enumerate(layers) if not layer.per_sample),
+        len(layers),
+    )
+    head, tail = layers[:split], layers[split:]
     for stage in stages:
         stage.eval()
     correct = 0
@@ -51,9 +75,12 @@ def evaluate_classifier(
         stop = start + batch_size
         labels = targets[start:stop]
         logits = data[start:stop]
-        for layer in layers:
-            logits = layer.forward(logits)
-            layer.clear_forward_state()
+        if head:
+            logits = np.concatenate([
+                _forward_dropping_state(head, logits[row:row + EVAL_CHUNK_ROWS])
+                for row in range(0, logits.shape[0], EVAL_CHUNK_ROWS)
+            ])
+        logits = _forward_dropping_state(tail, logits)
         losses.append(loss_fn.forward(logits, labels) * labels.shape[0])
         correct += int((logits.argmax(axis=1) == labels).sum())
     for stage in stages:

@@ -10,6 +10,8 @@ from repro.nn.module import Module
 class ReLU(Module):
     """Rectified linear unit."""
 
+    per_sample = True
+
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         mask = self._forward_state = inputs > 0
         return inputs * mask
@@ -23,6 +25,8 @@ class ReLU(Module):
 class Tanh(Module):
     """Hyperbolic tangent."""
 
+    per_sample = True
+
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         output = self._forward_state = np.tanh(inputs)
         return output
@@ -35,6 +39,8 @@ class Tanh(Module):
 
 class Sigmoid(Module):
     """Logistic sigmoid."""
+
+    per_sample = True
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         output = self._forward_state = 1.0 / (1.0 + np.exp(-inputs))

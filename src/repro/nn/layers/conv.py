@@ -123,6 +123,8 @@ class Conv2d(Module):
     into the input in between.
     """
 
+    per_sample = True
+
     def __init__(
         self,
         in_channels: int,
@@ -192,6 +194,8 @@ class Conv1d(Module):
     Implemented by delegating to the 2-D machinery with a height of one,
     which keeps a single, well-tested im2col implementation.
     """
+
+    per_sample = True
 
     def __init__(
         self,

@@ -14,6 +14,22 @@ def _pool_pair(kernel_size: int | tuple[int, int]) -> tuple[int, int]:
     return (kernel_size, kernel_size)
 
 
+def _window_max(
+    inputs: np.ndarray, kernel: tuple[int, int]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The max over non-overlapping ``kernel`` windows of the two trailing
+    axes, and one strided view per window position, row-major over the
+    window.  Rows and columns that do not fill a window are dropped."""
+    kh, kw = kernel
+    out_h, out_w = inputs.shape[-2] // kh, inputs.shape[-1] // kw
+    trimmed = inputs[..., : out_h * kh, : out_w * kw]
+    taps = [trimmed[..., i::kh, j::kw] for i in range(kh) for j in range(kw)]
+    out = taps[0]
+    for tap in taps[1:]:
+        out = np.maximum(out, tap)
+    return out, taps
+
+
 def max_pool(
     inputs: np.ndarray, kernel: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -26,13 +42,8 @@ def max_pool(
     window are dropped.
     """
     kh, kw = kernel
-    out_h, out_w = inputs.shape[-2] // kh, inputs.shape[-1] // kw
-    trimmed = inputs[..., : out_h * kh, : out_w * kw]
-    # One strided view per window position, row-major over the window.
-    taps = [trimmed[..., i::kh, j::kw] for i in range(kh) for j in range(kw)]
-    out = taps[0]
-    for tap in taps[1:]:
-        out = np.maximum(out, tap)
+    out, taps = _window_max(inputs, kernel)
+    out_w = out.shape[-1]
     hits = [tap == out for tap in taps]
     counts = np.zeros(out.shape)
     for hit in hits:
@@ -61,8 +72,11 @@ class MaxPool2d(Module):
     ``kernel_size`` may be an int (square window) or an ``(kh, kw)`` tuple.
     Inputs whose spatial size is not divisible by the kernel are truncated
     on the right/bottom (the same convention PyTorch uses with default
-    ceil_mode=False).
+    ceil_mode=False).  In evaluation mode it returns the same max without
+    building the backward mask, and keeps no forward state.
     """
+
+    per_sample = True
 
     def __init__(self, kernel_size: int | tuple[int, int]) -> None:
         super().__init__()
@@ -80,6 +94,9 @@ class MaxPool2d(Module):
             raise ShapeError(
                 f"input spatial size {height}x{width} smaller than kernel {self.kernel_size}"
             )
+        if not self.training:
+            self._forward_state = None
+            return _window_max(inputs, self.kernel_size)[0]
         out, mask = max_pool(inputs, self.kernel_size)
         self._forward_state = (mask, inputs.shape)
         return out
@@ -94,6 +111,8 @@ class MaxPool2d(Module):
 class MaxPool1d(Module):
     """Non-overlapping 1-D max pooling, delegating to :class:`MaxPool2d`."""
 
+    per_sample = True
+
     def __init__(self, kernel_size: int) -> None:
         super().__init__()
         self._pool = MaxPool2d((1, kernel_size))
@@ -102,6 +121,7 @@ class MaxPool1d(Module):
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if inputs.ndim != 3:
             raise ShapeError(f"MaxPool1d expects 3-D input, got {inputs.shape}")
+        self._pool.training = self.training
         out = self._pool.forward(inputs[:, :, None, :])
         return out[:, :, 0, :]
 
@@ -115,6 +135,8 @@ class MaxPool1d(Module):
 
 class AvgPool2d(Module):
     """Non-overlapping 2-D average pooling with ``stride == kernel_size``."""
+
+    per_sample = True
 
     def __init__(self, kernel_size: int) -> None:
         super().__init__()

@@ -13,6 +13,8 @@ from repro.utils.rng import new_rng
 class Dropout(Module):
     """Inverted dropout: active only in training mode."""
 
+    per_sample = True
+
     def __init__(self, p: float = 0.5, rng: np.random.Generator | None = None) -> None:
         super().__init__()
         if not 0.0 <= p < 1.0:
@@ -42,6 +44,8 @@ class Dropout(Module):
 
 class _BatchNormBase(Module):
     """Shared machinery for 1-D and 2-D batch normalisation."""
+
+    per_sample = True
 
     def __init__(self, num_features: int, momentum: float = 0.9, eps: float = 1e-5) -> None:
         super().__init__()

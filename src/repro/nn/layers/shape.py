@@ -10,6 +10,8 @@ from repro.nn.module import Module
 class Flatten(Module):
     """Flatten all dimensions after the batch dimension."""
 
+    per_sample = True
+
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         self._forward_state = inputs.shape
         return inputs.reshape(inputs.shape[0], -1)

@@ -34,6 +34,16 @@ class Module:
     #: columns, and rebuild the columns in ``backward``.
     keeps_columns = True
 
+    #: ``True`` on a layer whose output row ``i`` in evaluation mode is a
+    #: function of input row ``i`` alone, bit for bit whatever rows run
+    #: beside it: convolutions (one GEMM per sample), pooling, activations,
+    #: ``Flatten``, and ``Dropout`` / ``BatchNorm`` (which use no batch
+    #: statistics in evaluation mode).  Not ``Linear``: one GEMM over the
+    #: batch rounds a row differently at different batch sizes.
+    #: :func:`~repro.core.server.evaluate_classifier` runs a model's leading
+    #: ``per_sample`` layers in small chunks of rows.
+    per_sample = False
+
     def __init__(self) -> None:
         self.training = True
         #: Whatever ``forward`` keeps for ``backward``: inputs, masks,

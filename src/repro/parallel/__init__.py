@@ -28,8 +28,9 @@ Two further axes compose with the executor choice:
 * the **feature transport** (``config.transport``,
   :mod:`repro.parallel.transport`) moves tensors, raw, across the process
   executor's process boundary -- ``pipe`` pickles them, ``shm`` ships them
-  through shared-memory ring buffers (``extras["transport_capacity"]``
-  tunes the per-direction ring size).
+  through shared-memory ring buffers, each sized to the largest message
+  a round can carry unless ``extras["transport_capacity"]`` fixes the
+  per-direction ring size).
 
 Every combination is bit-exact with every other.  The link codec
 (``config.codec``, :mod:`repro.parallel.codec`) is not an execution axis:
@@ -63,7 +64,6 @@ from repro.parallel.pipeline import (
 from repro.parallel.process import ProcessExecutor
 from repro.parallel.serial import SerialExecutor
 from repro.parallel.transport import (
-    DEFAULT_RING_CAPACITY,
     PipeTransport,
     SharedMemoryTransport,
     Transport,
@@ -110,6 +110,8 @@ def _build_process(config) -> ProcessExecutor:
         processes=int(processes) if processes is not None else None,
         start_method=config.extras.get("executor_start_method"),
         transport=build_transport(config),
+        max_batch_size=config.max_batch_size,
+        max_cohort=config.num_workers,
     )
 
 
@@ -120,9 +122,11 @@ def _build_pipe_transport(config) -> PipeTransport:
 
 @register_transport("shm", description="arrays via shared-memory ring buffers")
 def _build_shm_transport(config) -> SharedMemoryTransport:
+    # Without an explicit capacity the process executor fits the rings to
+    # the largest message a round can carry when it starts its pool.
     capacity = config.extras.get("transport_capacity")
     return SharedMemoryTransport(
-        capacity=int(capacity) if capacity is not None else DEFAULT_RING_CAPACITY,
+        capacity=int(capacity) if capacity is not None else None,
     )
 
 

@@ -21,7 +21,7 @@ omits both), which is why switching executors never invalidates a checkpoint.
 Split-training call sequence, per round, as the scheduler drives it
 (``SplitTrainingEngine._run_stages``)::
 
-    install(workers, bottom, lrs, depths)  # distribute the bottom prefixes
+    install(workers, bottom, lrs, depths, loads)  # distribute the prefixes
     repeat tau times:
         forward(workers, batch_sizes)      # features for the PS
         ... top-model update on the PS ...
@@ -83,6 +83,7 @@ class Executor(abc.ABC):
         learning_rates: list[float],
         depths: list[int] | None = None,
         wait: bool = True,
+        loads: list[float] | None = None,
     ) -> None:
         """Distribute fresh copies of the global bottom model to ``workers``.
 
@@ -95,7 +96,10 @@ class Executor(abc.ABC):
 
         ``wait=False`` lets a backend with :attr:`supports_async_dispatch`
         skip the acknowledgement (the scheduler's aggregate window asks for
-        that); every other backend ignores it.
+        that); every other backend ignores it.  ``loads`` is each worker's
+        compute this round (its batch times one sample's forward FLOPs at
+        its cut), for a backend that places workers; in-process backends
+        ignore it.
         """
 
     @abc.abstractmethod

@@ -148,7 +148,8 @@ class BatchedExecutor(Executor):
             logger.warning("batched executor falling back to serial: %s", reason)
 
     # -- split training -------------------------------------------------------
-    def install(self, workers, bottom, learning_rates, depths=None, wait=True) -> None:
+    def install(self, workers, bottom, learning_rates, depths=None, wait=True,
+                loads=None) -> None:
         """Stack workers *within* each cut-depth group; one group at the tail."""
         if depths is None:
             depths = [len(bottom)] * len(workers)

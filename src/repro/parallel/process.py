@@ -24,7 +24,10 @@ unpickles them once.  A source a child lacks -- a worker built on another
 dataset -- is sent to it once with the uncounted ``load_source`` command.
 A forked child maps every page resident in the parent, so the pool first
 returns the parent's free heap to the OS
-(:func:`~repro.utils.mp.release_free_heap`).
+(:func:`~repro.utils.mp.release_free_heap`).  For the same reason -- every
+ring page is resident in both of its processes -- the pool fits its
+transport to the largest message a round can carry before it opens the
+channels (:meth:`ProcessExecutor._largest_message`).
 
 Every message is ``(command, payload, wants_reply)``: whether a command is
 acknowledged is data in the message.  A split round is four child
@@ -46,6 +49,12 @@ the global cut is the spec whose depth is ``len(bottom)``.  A hosted bottom
 steps exactly as a :class:`~repro.core.worker.SplitWorker` does
 (:func:`~repro.core.worker.local_step`).
 
+Each round deals its workers out by load: the engine passes every
+worker's batch times its per-sample forward FLOPs through ``install``, and
+:meth:`ProcessExecutor._assign` places the heaviest first, each on the
+child with the least load so far (LPT).  Without loads every worker
+weighs the same, which deals them out in turn.
+
 The scheduler's aggregate window (``supports_async_dispatch``; see
 :mod:`repro.parallel.pipeline`) sends ``install`` and ``backward`` with
 ``wait=False`` -- no reply -- and calls ``forward`` and ``bottom_states``
@@ -63,6 +72,7 @@ dirty children so checkpointing never races in-flight work.
 
 from __future__ import annotations
 
+import math
 import os
 import traceback
 from collections import deque
@@ -252,21 +262,30 @@ class ProcessExecutor(Executor):
         processes: int | None = None,
         start_method: str | None = None,
         transport: Transport | None = None,
+        max_batch_size: int | None = None,
+        max_cohort: int | None = None,
     ) -> None:
+        """``max_batch_size`` and ``max_cohort`` bound a round's traffic: with
+        both given, the pool fits its transport to the largest message a
+        round can carry (:meth:`_largest_message`); without, the transport
+        keeps its own size."""
         if processes is not None and processes <= 0:
             raise ValueError(f"processes must be positive, got {processes}")
         self._requested = processes
         self._start_method = start_method
         self._transport = transport if transport is not None else PipeTransport()
+        self._max_batch_size = max_batch_size
+        self._max_cohort = max_cohort
         self._children: list[_Child] | None = None
         self._assignment: dict[int, int] = {}
         #: Completion queue: each launched forward or requested state
         #: collection not collected yet, oldest first, as ``(command, child
         #: indices, labels)``; only a forward has labels.
         self._completions: deque[tuple[str, tuple[int, ...], dict | None]] = deque()
-        #: Wire byte total of endpoints already closed, so
-        #: :meth:`transport_stats` stays monotonic across pool restarts.
+        #: Wire and overflow byte totals of endpoints already closed, so
+        #: the counters stay monotonic across pool restarts.
         self._retired_wire = 0
+        self._retired_overflow = 0
 
     @property
     def supports_async_dispatch(self) -> bool:
@@ -285,9 +304,35 @@ class ProcessExecutor(Executor):
             return self._requested
         return max(1, min(os.cpu_count() or 1, DEFAULT_MAX_PROCESSES))
 
-    def _ensure_pool(self, workers) -> list[_Child]:
-        """The pool; started, if it is not running, holding ``workers``' sources."""
+    def _largest_message(self, model, workers) -> int | None:
+        """Array bytes of the largest message one child sends or receives in
+        a round, or ``None`` when the constructor was given no bounds.
+
+        A child hosts about its share of the largest cohort (placement by
+        load may deal it a few more; the ring's doubling absorbs them), and
+        per hosted worker a message carries either its model's state (the
+        ``states`` and ``train_full`` replies) or one iteration's features
+        or gradients at ``max_batch_size`` and the deepest cut (``model``'s
+        output; a policy that cuts shallower may overflow into the pipe,
+        which :meth:`overflow_bytes` counts).  The mini-batch rows are 8
+        bytes a sample and stay inline.
+        """
+        if self._max_batch_size is None or self._max_cohort is None or not workers:
+            return None
+        share = math.ceil(self._max_cohort / self._pool_size())
+        state = sum(param.data.nbytes for param in model.parameters())
+        probe = model.clone().eval()
+        sample = np.zeros((1, *workers[0].dataset.feature_shape))
+        features = probe.forward(sample).nbytes * self._max_batch_size
+        return share * max(state, features)
+
+    def _ensure_pool(self, workers, model) -> None:
+        """Start the pool if it is not running, holding ``workers``' sources
+        and with its channels fitted to ``model``'s traffic."""
         if self._children is None:
+            largest = self._largest_message(model, workers)
+            if largest is not None:
+                self._transport.fit(largest)
             context = get_mp_context(self._start_method)
             if context.get_start_method() == "fork":
                 release_free_heap()
@@ -307,7 +352,6 @@ class ProcessExecutor(Executor):
                 "started %d executor processes (start method %s, transport %s)",
                 len(children), context.get_start_method(), self._transport.name,
             )
-        return self._children
 
     @staticmethod
     def _make_peer_check(process):
@@ -344,6 +388,7 @@ class ProcessExecutor(Executor):
                 child.process.terminate()
                 child.process.join(timeout=5.0)
             self._retired_wire += child.endpoint.bytes_on_wire
+            self._retired_overflow += child.endpoint.bytes_overflowed
             child.endpoint.close(unlink=True)
         self._children = None
         self._assignment = {}
@@ -356,20 +401,26 @@ class ProcessExecutor(Executor):
             pass
 
     # -- messaging ------------------------------------------------------------
-    def _assign(self, workers) -> dict[int, dict]:
-        """Distribute the round's workers over the pool; returns per-child
-        ``{worker_id: worker}``.
+    def _assign(self, workers, loads=None) -> dict[int, dict]:
+        """Distribute the round's workers over the running pool; returns
+        per-child ``{worker_id: worker}``.
 
-        Each worker goes to the child with the fewest workers so far this
-        round, which deals them out in turn.  Nothing a child holds outlives
-        the round but the sources it was sent, so placement needs no memory
+        Longest processing time first: the workers in decreasing ``loads``
+        (ties in the order given), each to the child with the least load so
+        far (ties to the lowest index).  Equal loads -- ``loads`` omitted --
+        deal the workers out in turn.  Nothing a child holds outlives the
+        round but the sources it was sent, so placement needs no memory
         across rounds.
         """
-        children = self._ensure_pool(workers)
-        placed: dict[int, dict] = {index: {} for index in range(len(children))}
+        if loads is None:
+            loads = [1] * len(workers)
+        placed: dict[int, dict] = {index: {} for index in range(len(self._children))}
+        carried = [0] * len(self._children)
         self._assignment = {}
-        for position, worker in enumerate(workers):
-            child = position % len(children)
+        for position in sorted(range(len(workers)), key=lambda i: -loads[i]):
+            child = carried.index(min(carried))
+            carried[child] += loads[position]
+            worker = workers[position]
             self._assignment[worker.worker_id] = child
             placed[child][worker.worker_id] = worker
         return placed
@@ -506,8 +557,10 @@ class ProcessExecutor(Executor):
                     if not tolerate_death:
                         raise
 
-    def install(self, workers, bottom, learning_rates, depths=None, wait=True) -> None:
-        """Assign workers, send unseen sources, send one install per child.
+    def install(self, workers, bottom, learning_rates, depths=None, wait=True,
+                loads=None) -> None:
+        """Assign workers by ``loads``, send unseen sources, send one install
+        per child.
 
         Every worker's spec is ``(lr, momentum, weight_decay, max_grad_norm,
         depth)`` and the child carves ``bottom.layers[:depth]`` before
@@ -521,7 +574,8 @@ class ProcessExecutor(Executor):
         if depths is None:
             depths = [len(bottom)] * len(workers)
         self._consume_abandoned_replies()
-        placed = self._assign(workers)
+        self._ensure_pool(workers, bottom)
+        placed = self._assign(workers, loads)
         self._ship_sources(placed)
         specs = {
             worker.worker_id: (
@@ -641,8 +695,24 @@ class ProcessExecutor(Executor):
             wire += sum(child.endpoint.bytes_on_wire for child in self._children)
         return {"bytes_on_wire": wire, "logical_bytes": wire}
 
+    def overflow_bytes(self) -> int:
+        """Cumulative array bytes that missed a ring and took the pipe.
+
+        Counted as :meth:`transport_stats` counts (both directions, every
+        channel, sources excluded); always zero on the pipe transport.
+        Nonzero means the rings are smaller than the traffic: see
+        ``extras["transport_capacity"]``.
+        """
+        overflow = self._retired_overflow
+        if self._children is not None:
+            overflow += sum(
+                child.endpoint.bytes_overflowed for child in self._children
+            )
+        return overflow
+
     # -- full-model (FL) training ---------------------------------------------
     def train_full(self, workers, model, loss_fn, iterations, batch_size, learning_rate):
+        self._ensure_pool(workers, model)
         placed = self._assign(workers)
         self._ship_sources(placed)
         messages = {}

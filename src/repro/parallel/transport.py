@@ -27,7 +27,15 @@ Arrays cross raw on both transports: compressing the simulated link is
 the round's business (:class:`~repro.core.round_engine.RoundEngine`), not
 the process boundary's.  Both endpoints keep a ``bytes_on_wire`` counter
 -- on the pipe transport too -- so pipe-vs-shm comparisons report wire
-volume on both backends.
+volume on both backends.  A ring endpoint also counts
+``bytes_overflowed``: the array bytes that did not fit one message's ring
+budget and went pickled through the pipe instead.
+
+Both ends map every page of a ring when they open it, so a ring costs its
+full size in each process's resident set from the first round on.  The
+process executor therefore sizes its rings to the traffic
+(:meth:`SharedMemoryTransport.fit`, :func:`ring_capacity_for`) unless a
+capacity is given explicitly.
 
 Transports are registered in :data:`repro.api.registry.TRANSPORTS`
 (``"pipe"`` and ``"shm"``) and selected with
@@ -50,10 +58,14 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("parallel.transport")
 
-#: Default per-direction ring-buffer capacity (bytes).  Sized so several
-#: iterations of staged mini-batches plus feature/gradient replies fit
-#: without ever blocking at simulation scale.
+#: Per-direction ring capacity (bytes) of a transport nobody sized -- no
+#: explicit capacity and no :meth:`SharedMemoryTransport.fit` -- and the
+#: ceiling of a fitted one.
 DEFAULT_RING_CAPACITY = 1 << 24  # 16 MiB
+
+#: Floor of a fitted ring: below it the pages saved are not worth a
+#: message that might spill into the pipe.
+MIN_RING_CAPACITY = 1 << 18  # 256 KiB
 
 #: Frame header: magic, monotonically increasing sequence number, payload
 #: byte count.  Written before every array in the ring.
@@ -152,12 +164,12 @@ class RingBuffer:
         A shared-memory page is allocated the first time any process
         touches it, and mapped into each process the first time that one
         does.  Left to the traffic, that would happen a few hundred pages a
-        round until the head first wraps -- tens of rounds for a 16 MiB
-        ring -- and the early rounds would pay page faults the later ones
-        do not.  The
-        creator writes the (already zero) byte, which allocates the page;
-        the attaching peer only reads, since the producer may already have
-        written frames.
+        round until the head first wraps, and the early rounds would pay
+        page faults the later ones do not.  The cost is the whole block in
+        both processes' resident sets, which is why rings are sized to
+        their traffic (:func:`ring_capacity_for`).  The creator writes the
+        (already zero) byte, which allocates the page; the attaching peer
+        only reads, since the producer may already have written frames.
         """
         pages = np.frombuffer(self._shm.buf, dtype=np.uint8)[::mmap.PAGESIZE]
         if write:
@@ -258,6 +270,18 @@ class _RingRef:
     dtype: str
 
 
+def ring_capacity_for(message_bytes: int) -> int:
+    """Ring capacity for messages of up to ``message_bytes`` array bytes.
+
+    Twice the message, rounded up to a power of two, within
+    ``[MIN_RING_CAPACITY, DEFAULT_RING_CAPACITY]``.  The headroom lets a
+    no-reply message sit in the ring while the next one is written.
+    """
+    wanted = max(1, 2 * int(message_bytes))
+    capacity = 1 << (wanted - 1).bit_length()
+    return min(max(capacity, MIN_RING_CAPACITY), DEFAULT_RING_CAPACITY)
+
+
 def _pack(obj, arrays: list, budget: list):
     """Replace ring-eligible arrays in ``obj`` with :class:`_RingRef` markers.
 
@@ -300,14 +324,15 @@ def _unpack(obj, arrays: list):
     return obj
 
 
-def _array_bytes(obj) -> int:
-    """Bytes of the numeric arrays in a message (what the counters tally)."""
+def _array_bytes(obj, floor: int = -1) -> int:
+    """Bytes of the numeric arrays in a message (what the counters tally)
+    that hold more than ``floor`` bytes."""
     if isinstance(obj, np.ndarray):
-        return 0 if obj.dtype.hasobject else int(obj.nbytes)
+        return 0 if obj.dtype.hasobject or obj.nbytes <= floor else int(obj.nbytes)
     if isinstance(obj, dict):
-        return sum(_array_bytes(value) for value in obj.values())
+        return sum(_array_bytes(value, floor) for value in obj.values())
     if isinstance(obj, (list, tuple)):
-        return sum(_array_bytes(value) for value in obj)
+        return sum(_array_bytes(value, floor) for value in obj)
     return 0
 
 
@@ -326,7 +351,11 @@ class Endpoint:
     sending a dataset, keeping per-round deltas comparable across pool
     restarts).  Arrays cross raw, so those are also the bytes the arrays
     hold.  Pickle framing overhead of the control messages is not counted
-    on either transport.
+    on either transport.  ``bytes_overflowed`` tallies, in both directions
+    and under the same exemption, the array bytes that missed the ring
+    budget and were pickled through the pipe: the arrays above
+    ``INLINE_FLOOR_BYTES`` left in a control message.  It stays zero
+    without rings.
     """
 
     def __init__(self, conn, ring_out: RingBuffer | None = None,
@@ -338,6 +367,8 @@ class Endpoint:
         self._seq_in = 0
         #: Array payload bytes that crossed the process boundary.
         self.bytes_on_wire = 0
+        #: Array bytes that did not fit the ring and took the pipe.
+        self.bytes_overflowed = 0
         #: Optional liveness probe, polled while ring operations block.
         self.peer_check = None
 
@@ -356,6 +387,8 @@ class Endpoint:
             return
         arrays: list[np.ndarray] = []
         packed = _pack(message, arrays, [self._ring_out.capacity])
+        if count:
+            self.bytes_overflowed += _array_bytes(packed, INLINE_FLOOR_BYTES)
         # The payload is always written to the ring *before* the control
         # message goes through the pipe.  This is load-bearing on two
         # counts: the receiver finds the frames ready the moment the
@@ -382,6 +415,8 @@ class Endpoint:
             message = self._conn.recv()
         else:
             packed, sizes = self._conn.recv()
+            if count:
+                self.bytes_overflowed += _array_bytes(packed, INLINE_FLOOR_BYTES)
             arrays = []
             for expected in sizes:
                 self._seq_in = (self._seq_in + 1) & 0xFFFFFFFF
@@ -456,6 +491,11 @@ class Transport(abc.ABC):
                 children with (start-method aware ``Pipe``).
         """
 
+    def fit(self, message_bytes: int) -> None:
+        """Size the channels :meth:`pair` makes next for messages of up to
+        ``message_bytes`` array bytes.  Transports without a size ignore it.
+        """
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
 
@@ -476,10 +516,19 @@ class SharedMemoryTransport(Transport):
     name = "shm"
     supports_async_bulk = True
 
-    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY) -> None:
-        if capacity <= 0:
+    def __init__(self, capacity: int | None = None) -> None:
+        """``capacity`` fixes the per-direction ring size; ``None`` leaves it
+        to :meth:`fit`, and to ``DEFAULT_RING_CAPACITY`` until then."""
+        if capacity is not None and capacity <= 0:
             raise ValueError(f"ring capacity must be positive, got {capacity}")
-        self.capacity = capacity
+        self._fixed = capacity is not None
+        self.capacity = capacity if self._fixed else DEFAULT_RING_CAPACITY
+
+    def fit(self, message_bytes: int) -> None:
+        """Size the rings by :func:`ring_capacity_for`, unless the capacity
+        was given explicitly."""
+        if not self._fixed:
+            self.capacity = ring_capacity_for(message_bytes)
 
     def pair(self, context) -> tuple[Endpoint, ChildConnector]:
         parent_conn, child_conn = context.Pipe()

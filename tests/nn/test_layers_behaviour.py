@@ -116,6 +116,31 @@ class TestPooling:
         with pytest.raises(ShapeError):
             MaxPool2d(4).forward(np.zeros((1, 1, 2, 2)))
 
+    @pytest.mark.parametrize("pool, shape", [
+        (MaxPool2d(2), (3, 4, 9, 8)),
+        (MaxPool2d((2, 3)), (3, 4, 8, 9)),
+        (MaxPool1d(2), (3, 4, 17)),
+    ])
+    def test_eval_maxpool_is_the_training_max_without_the_mask(self, pool, shape):
+        """Evaluation returns the training forward's output bit for bit --
+        ties included -- and keeps no forward state for a backward."""
+        rng = np.random.default_rng(7)
+        x = rng.integers(0, 3, size=shape).astype(np.float64)  # many ties
+        x += rng.normal(size=shape) * (rng.random(shape) < 0.5)
+        trained = pool.forward(x)
+        pool.eval()
+        try:
+            evaluated = pool.forward(x)
+            assert np.array_equal(evaluated, trained)
+            assert pool._forward_state is None
+            assert getattr(pool, "_pool", pool)._forward_state is None
+            with pytest.raises(RuntimeError, match="backward called before forward"):
+                pool.backward(np.ones_like(evaluated))
+        finally:
+            pool.train()
+        pool.forward(x)  # back in training mode, the mask is kept again
+        assert getattr(pool, "_pool", pool)._forward_state is not None
+
 
 class TestActivationsAndShape:
     def test_relu_clamps_negative(self):

@@ -279,22 +279,31 @@ class TestChildLoop:
         assert "does not match the pending forward batch 0" in payload
 
 
-def test_assignment_deals_each_round_out_by_count():
-    """Each round's workers go to the least-loaded child in turn, whatever
-    ids they carry and wherever they computed before."""
+def test_assignment_places_the_heaviest_first_on_the_least_loaded_child():
+    """LPT over the loads ``install`` passes: heaviest worker first, each to
+    the child carrying the least so far; equal loads (or none) deal the
+    workers out in turn, whatever ids they carry and wherever they computed
+    before."""
     from types import SimpleNamespace
 
-    executor = ProcessExecutor(processes=4)
-    executor._children = [SimpleNamespace() for __ in range(4)]  # no spawn
+    executor = ProcessExecutor(processes=2)
+    executor._children = [SimpleNamespace() for __ in range(2)]  # no spawn
     try:
-        def assign(ids):
-            executor._assign([SimpleNamespace(worker_id=i) for i in ids])
+        def assign(ids, loads=None):
+            executor._assign([SimpleNamespace(worker_id=i) for i in ids], loads)
             return [executor._assignment[wid] for wid in ids]
 
+        # 7 -> child 0; 5 -> 1; 4 -> 1 (5 < 7); 3 -> 0 (7 < 9); 1 -> 1 (9 < 10).
+        assert assign([10, 11, 12, 13, 14], [3, 7, 4, 5, 1]) == [0, 0, 1, 1, 1]
+        # Round-robin by position would carry 8 and 12; LPT carries 10 and 10.
+        assert assign([0, 1, 2, 3], [2, 2, 2, 2]) == [0, 1, 0, 1]
+        assert assign([6, 4, 2], [5, 5, 9]) == [1, 1, 0]  # 9 -> 0; ties in order
+        assert set(executor._assignment) == {6, 4, 2}
+
+        executor._children = [SimpleNamespace() for __ in range(4)]
         assert assign([0, 8, 16, 24]) == [0, 1, 2, 3]   # all congruent mod 4
         assert assign([24, 16, 8, 0]) == [0, 1, 2, 3]   # no memory of homes
         assert assign([5, 6, 7, 8, 9, 10]) == [0, 1, 2, 3, 0, 1]
-        assert set(executor._assignment) == {5, 6, 7, 8, 9, 10}
     finally:
         executor._children = None
 

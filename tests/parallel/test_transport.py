@@ -12,11 +12,15 @@ from repro.exceptions import TransportError
 from repro.parallel.transport import (
     _FRAME,
     _MAGIC,
+    DEFAULT_RING_CAPACITY,
+    INLINE_FLOOR_BYTES,
+    MIN_RING_CAPACITY,
     ChildConnector,
     Endpoint,
     PipeTransport,
     RingBuffer,
     SharedMemoryTransport,
+    ring_capacity_for,
 )
 
 
@@ -281,6 +285,43 @@ class TestCounters:
             parent.close(unlink=True)
             child.close()
 
+    def test_an_array_that_misses_the_ring_counts_as_overflow(self):
+        """Both ends tally the array bytes pickled through the pipe because
+        the ring budget ran out -- not the small arrays that are always
+        inline, and not an uncounted message."""
+        parent, child = _loopback(capacity=1 << 14)
+        try:
+            fits = np.arange(1280.0)     # 10 KiB + frame: in the 16 KiB ring
+            spills = np.arange(4096.0)   # 32 KiB: over the whole ring
+            small = np.arange(8.0)       # below the inline floor
+            assert small.nbytes <= INLINE_FLOOR_BYTES < fits.nbytes
+            parent.send(("cmd", {"a": fits, "b": spills, "c": small}))
+            __, payload = child.recv()
+            assert np.array_equal(payload["b"], spills)
+            assert parent.bytes_overflowed == child.bytes_overflowed == spills.nbytes
+            child.send(("ok", [fits, fits]))  # the second misses the budget
+            parent.recv()
+            assert parent.bytes_overflowed == child.bytes_overflowed == (
+                spills.nbytes + fits.nbytes)
+            parent.send(("load_source", spills), count=False)
+            child.recv(count=False)
+            assert parent.bytes_overflowed == spills.nbytes + fits.nbytes
+        finally:
+            parent.close(unlink=True)
+            child.close()
+
+    def test_the_pipe_transport_never_overflows(self):
+        transport = PipeTransport()
+        parent, connector = transport.pair(multiprocessing.get_context())
+        child = connector.connect()
+        try:
+            parent.send(("cmd", np.arange(4096.0)))  # 32 KiB, fits the pipe
+            child.recv()
+            assert parent.bytes_overflowed == child.bytes_overflowed == 0
+        finally:
+            parent.close()
+            child.close()
+
     def test_a_misspelt_keyword_is_rejected(self):
         """Only ``klass`` is ignored: a typo of ``count`` must not silently
         count bytes that were meant to be exempt."""
@@ -317,6 +358,36 @@ class TestTransportConfig:
         transport = build_transport(config)
         assert isinstance(transport, SharedMemoryTransport)
         assert transport.capacity == 4096
+
+    def test_without_the_knob_the_capacity_is_left_to_fit(self):
+        from repro.config import ExperimentConfig
+        from repro.parallel import build_transport
+
+        transport = build_transport(ExperimentConfig(transport="shm"))
+        assert transport.capacity == DEFAULT_RING_CAPACITY  # until fitted
+        transport.fit(300_000)
+        assert transport.capacity == 1 << 20
+
+    def test_an_explicit_capacity_is_not_refitted(self):
+        transport = SharedMemoryTransport(capacity=4096)
+        transport.fit(300_000)
+        assert transport.capacity == 4096
+
+    def test_the_pipe_transport_ignores_fit(self):
+        PipeTransport().fit(1 << 30)
+
+    @pytest.mark.parametrize("message, capacity", [
+        (0, MIN_RING_CAPACITY),
+        (100_000, MIN_RING_CAPACITY),          # 2x = 200 KB, under the floor
+        (MIN_RING_CAPACITY // 2, MIN_RING_CAPACITY),
+        (MIN_RING_CAPACITY // 2 + 1, 2 * MIN_RING_CAPACITY),
+        (441_280, 1 << 20),                    # 2x = 862 KiB -> 1 MiB
+        (1 << 20, 1 << 21),
+        (DEFAULT_RING_CAPACITY, DEFAULT_RING_CAPACITY),  # the ceiling
+    ])
+    def test_ring_capacity_is_twice_the_message_as_a_power_of_two(
+            self, message, capacity):
+        assert ring_capacity_for(message) == capacity
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacity must be positive"):
