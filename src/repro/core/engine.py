@@ -62,6 +62,7 @@ from repro.simulation.cluster import Cluster, LazyCluster
 from repro.simulation.estimator import BandwidthEstimator, WorkerStateEstimator
 from repro.simulation.traffic import feature_bytes
 from repro.splitpoint import SplitContext, build_split_policy
+from repro.utils.numeric import clamp
 from repro.utils.rng import spawned_rng
 
 #: Clip bounds for the batch-size-proportional worker learning-rate scale
@@ -528,7 +529,7 @@ class SplitTrainingEngine(RoundEngine):
     def _scaled_lr(self, batch_size: int) -> float:
         """Worker learning rate proportional to its batch size (Section IV-B)."""
         scale = batch_size / self.config.base_batch_size
-        scale = float(np.clip(scale, *WORKER_LR_SCALE_BOUNDS))
+        scale = clamp(scale, *WORKER_LR_SCALE_BOUNDS)
         return self._current_lr * scale
 
     def _top_lr(self, plan: RoundPlan) -> float:
@@ -544,7 +545,7 @@ class SplitTrainingEngine(RoundEngine):
         if not self.policy.merge_features:
             return self._current_lr
         scale = float(self.config.extras.get("top_lr_scale", 1.0))
-        scale = float(np.clip(scale, *TOP_LR_SCALE_BOUNDS))
+        scale = clamp(scale, *TOP_LR_SCALE_BOUNDS)
         return self._current_lr * scale
 
     @property

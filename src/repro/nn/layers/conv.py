@@ -19,6 +19,8 @@ activations, not columns.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.exceptions import ShapeError
@@ -34,11 +36,14 @@ def _pair(value: int | tuple[int, int]) -> tuple[int, int]:
     return (value, value)
 
 
+@functools.cache
 def _tap_spans(
     kernel: int, stride: int, padding: int, size: int, out_size: int
-) -> list[tuple[slice, slice]]:
+) -> tuple[tuple[slice, slice], ...]:
     """Along one axis, per kernel tap: the output positions that read a real
-    (not padding) input element, and the input elements they read."""
+    (not padding) input element, and the input elements they read.  A model
+    asks for the same few geometries at every forward and backward, so the
+    spans are computed once per geometry."""
     spans = []
     for tap in range(kernel):
         first = max(0, -((tap - padding) // stride))
@@ -47,7 +52,7 @@ def _tap_spans(
         spans.append(
             (slice(first, last), slice(start, start + stride * (last - first), stride))
         )
-    return spans
+    return tuple(spans)
 
 
 def im2col(

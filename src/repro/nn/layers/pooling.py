@@ -39,7 +39,9 @@ def max_pool(
     shape ``(..., out_h, kh, out_w, kw)``: one over the number of window
     positions that equal the window's maximum at those positions (ties share
     the gradient), zero elsewhere.  Rows and columns that do not fill a
-    window are dropped.
+    window are dropped.  With :func:`max_pool_backward` this is the
+    reference :class:`MaxPool2d` is tested against; the layer itself keeps
+    no mask (:func:`max_pool_route`).
     """
     kh, kw = kernel
     out, taps = _window_max(inputs, kernel)
@@ -66,14 +68,46 @@ def max_pool_backward(
     return grad_input
 
 
+def max_pool_route(
+    inputs: np.ndarray,
+    out: np.ndarray,
+    grad_output: np.ndarray,
+    kernel: tuple[int, int],
+) -> np.ndarray:
+    """Route ``grad_output`` to the inputs from the pooled ``out`` alone.
+
+    Each window position that equals its window's maximum receives
+    ``((1 / count) * grad) * hit``: the same products, bit for bit, as
+    ``max_pool_backward(max_pool(inputs, kernel)[1], grad_output,
+    inputs.shape)``, without keeping an input-sized mask between forward
+    and backward.
+    """
+    kh, kw = kernel
+    out_h, out_w = out.shape[-2:]
+    windows = [
+        (..., slice(i, out_h * kh, kh), slice(j, out_w * kw, kw))
+        for i in range(kh) for j in range(kw)
+    ]
+    hits = [inputs[window] == out for window in windows]
+    counts = np.zeros(out.shape)
+    for hit in hits:
+        counts += hit
+    share = (1 / counts) * grad_output
+    grad_input = np.zeros(inputs.shape, dtype=np.float64)
+    for window, hit in zip(windows, hits):
+        np.multiply(share, hit, out=grad_input[window])
+    return grad_input
+
+
 class MaxPool2d(Module):
     """Non-overlapping 2-D max pooling with ``stride == kernel_size``.
 
     ``kernel_size`` may be an int (square window) or an ``(kh, kw)`` tuple.
     Inputs whose spatial size is not divisible by the kernel are truncated
     on the right/bottom (the same convention PyTorch uses with default
-    ceil_mode=False).  In evaluation mode it returns the same max without
-    building the backward mask, and keeps no forward state.
+    ceil_mode=False).  In training it keeps its input and output, from
+    which ``backward`` finds the window maxima again (nothing may write into
+    either in between); in evaluation mode it keeps no forward state.
     """
 
     per_sample = True
@@ -94,18 +128,15 @@ class MaxPool2d(Module):
             raise ShapeError(
                 f"input spatial size {height}x{width} smaller than kernel {self.kernel_size}"
             )
-        if not self.training:
-            self._forward_state = None
-            return _window_max(inputs, self.kernel_size)[0]
-        out, mask = max_pool(inputs, self.kernel_size)
-        self._forward_state = (mask, inputs.shape)
+        out = _window_max(inputs, self.kernel_size)[0]
+        self._forward_state = (inputs, out) if self.training else None
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._forward_state is None:
             raise RuntimeError("backward called before forward")
-        mask, input_shape = self._forward_state
-        return max_pool_backward(mask, grad_output, input_shape)
+        inputs, out = self._forward_state
+        return max_pool_route(inputs, out, grad_output, self.kernel_size)
 
 
 class MaxPool1d(Module):

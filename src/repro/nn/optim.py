@@ -5,6 +5,11 @@ learning rate decays multiplicatively per communication round, and
 MergeSFL additionally scales each worker's learning rate with its batch
 size (Section IV-B).  ``SGD.lr`` is therefore a plain mutable attribute so
 the training loops can re-scale it every round.
+
+Momentum buffers exist only while ``momentum > 0``: at the default of 0 an
+optimizer holds no per-parameter state, yet its ``state_dict`` still
+writes the all-zero ``velocity`` arrays it always wrote, so checkpoints
+keep their bytes and every old checkpoint loads.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ class SGD:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.max_grad_norm = max_grad_norm
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
+        #: Momentum buffers, allocated by the first step that uses them.
+        self._velocity: list[np.ndarray] | None = None
 
     def zero_grad(self) -> None:
         """Zero all parameter gradients."""
@@ -63,40 +69,46 @@ class SGD:
                 param.grad *= scale
 
     def state_dict(self) -> dict:
-        """Learning rate and momentum buffers for checkpointing."""
-        return {
-            "lr": self.lr,
-            "velocity": [buffer.copy() for buffer in self._velocity],
-        }
+        """Learning rate and momentum buffers for checkpointing (zeros for
+        buffers not yet allocated)."""
+        if self._velocity is None:
+            velocity = [np.zeros_like(p.data) for p in self.parameters]
+        else:
+            velocity = [buffer.copy() for buffer in self._velocity]
+        return {"lr": self.lr, "velocity": velocity}
 
     def load_state_dict(self, state: dict) -> None:
         """Restore state captured by :meth:`state_dict`."""
         velocity = state["velocity"]
-        if len(velocity) != len(self._velocity):
+        if len(velocity) != len(self.parameters):
             raise ValueError(
                 f"checkpoint has {len(velocity)} momentum buffers, "
-                f"optimizer has {len(self._velocity)}"
+                f"optimizer has {len(self.parameters)}"
             )
         restored = []
-        for buffer, current in zip(velocity, self._velocity):
+        for buffer, param in zip(velocity, self.parameters):
             buffer = np.asarray(buffer, dtype=np.float64)
-            if buffer.shape != current.shape:
+            if buffer.shape != param.data.shape:
                 raise ValueError(
                     f"momentum buffer shape mismatch: expected "
-                    f"{current.shape}, got {buffer.shape}"
+                    f"{param.data.shape}, got {buffer.shape}"
                 )
             restored.append(buffer.copy())
         self.lr = float(state["lr"])
-        self._velocity = restored
+        # Without momentum the buffers are never read: keep none.
+        self._velocity = restored if self.momentum else None
 
     def step(self) -> None:
         """Apply one update using the currently accumulated gradients."""
         self.clip_gradients()
-        for param, velocity in zip(self.parameters, self._velocity):
+        if self.momentum and self._velocity is None:
+            self._velocity = [np.zeros_like(p.data) for p in self.parameters]
+        for index, param in enumerate(self.parameters):
             grad = param.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
             if self.momentum:
+                velocity = self._velocity[index]
                 velocity *= self.momentum
                 velocity += grad
                 update = velocity

@@ -13,6 +13,14 @@ Sampling state never leaves the workers: mini-batches are drawn from every
 worker's own :class:`~repro.data.loader.BatchLoader` in the main process,
 so checkpoints are identical to serial execution.
 
+A stacked cohort holds each parameter once.  Between a local step and the
+next forward a group keeps its parameters, gradients and optimizer, and no
+forward state (as a serial worker does).  ``bottom_states`` hands out
+read-only row views of the stacked parameters, not copies, so the
+aggregation's one gather per key is the only copy of the cohort.  From
+then on only an install can follow: each group drops its gradients and
+optimizer, and a ``backward_step`` raises until the next install.
+
 Only the dense layers have a stacked kernel
 (:data:`~repro.parallel.kernels.BATCHED_LAYER_TYPES`).  Models containing
 any other layer -- convolution, pooling, BatchNorm2d, third-party plugins
@@ -41,12 +49,15 @@ logger = get_logger("parallel.batched")
 
 
 class _Group:
-    """One shape group: a stacked model + optimizer for a subset of workers."""
+    """One shape group: a stacked model + optimizer for a subset of workers.
+
+    ``sgd`` is ``None`` once the group's states have been collected.
+    """
 
     def __init__(self, slots: list[int], model: BatchedModel, sgd: BatchedSGD) -> None:
         self.slots = slots
         self.model = model
-        self.sgd = sgd
+        self.sgd: BatchedSGD | None = sgd
         self.pending_batch = 0
 
 
@@ -218,7 +229,14 @@ class BatchedExecutor(Executor):
         if self._fallback_active:
             self._serial.backward_step(workers, gradients)
             return
-        for depth_round in self._require_round(workers, "backward_step"):
+        depth_rounds = self._require_round(workers, "backward_step")
+        if any(group.sgd is None
+               for depth_round in depth_rounds for group in depth_round.groups):
+            raise RuntimeError(
+                "backward_step called after bottom_states; re-install the "
+                "bottom model"
+            )
+        for depth_round in depth_rounds:
             for group in depth_round.groups:
                 for slot in group.slots:
                     got = gradients[slot].shape[0]
@@ -231,6 +249,7 @@ class BatchedExecutor(Executor):
                 group.sgd.zero_grad()
                 group.model.backward(stacked)
                 group.sgd.step()
+                group.model.clear_forward_state()
 
     def bottom_states(self, workers):
         if self._fallback_active:
@@ -240,6 +259,10 @@ class BatchedExecutor(Executor):
             for group in depth_round.groups:
                 for position, slot in enumerate(group.slots):
                     states[slot] = group.model.state_dict_for(position)
+                # The states are views of the parameters, so no step may
+                # follow: only an install can.
+                group.model.keep_parameters_only()
+                group.sgd = None
         return states
 
     # -- full-model (FL) training ---------------------------------------------
@@ -299,4 +322,5 @@ class BatchedExecutor(Executor):
             for position, slot in enumerate(slots):
                 states[slot] = stacked_model.state_dict_for(position)
                 losses[slot] = means[position]
+            stacked_model.keep_parameters_only()
         return states, losses

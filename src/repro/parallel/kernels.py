@@ -17,6 +17,13 @@ layer.  Convolution and pooling spend their time inside im2col/GEMM, where
 stacking saves nothing and the larger working set costs cache: stacked
 conv kernels measured 0.83-0.85x of the per-worker loop (EXPERIMENTS.md,
 PR 13) and were deleted; models containing such layers run per worker.
+
+A stacked cohort holds each parameter once.  :class:`BatchedSGD` keeps
+momentum buffers only when ``momentum > 0``,
+:meth:`BatchedModel.state_dict_for` hands out read-only row views of the
+stacked parameters instead of copies, and
+:meth:`BatchedModel.keep_parameters_only` drops the gradients and forward
+state once no step can follow.
 """
 
 from __future__ import annotations
@@ -33,11 +40,15 @@ from repro.nn.module import Sequential
 
 
 class BatchedParameter:
-    """A parameter replicated along the leading worker axis."""
+    """A parameter replicated along the leading worker axis.
+
+    ``grad`` is ``None`` once :meth:`BatchedModel.keep_parameters_only`
+    has dropped it.
+    """
 
     def __init__(self, data: np.ndarray, name: str) -> None:
         self.data = data
-        self.grad = np.zeros_like(data)
+        self.grad: np.ndarray | None = np.zeros_like(data)
         self.name = name
 
     def zero_grad(self) -> None:
@@ -45,14 +56,23 @@ class BatchedParameter:
 
 
 class BatchedLayer:
-    """Base class: one layer vectorized over ``count`` workers."""
+    """Base class: serial ``layer`` vectorized over ``count`` workers.
+
+    Like :class:`~repro.nn.module.Module`, whatever ``forward`` keeps for
+    ``backward`` lives in ``_forward_state``, which
+    :meth:`clear_forward_state` drops.
+    """
 
     #: As :attr:`repro.nn.module.Module.needs_input_grad`.
     needs_input_grad = True
 
-    def __init__(self, count: int) -> None:
+    def __init__(self, layer, count: int) -> None:
         self.count = count
         self.params: list[BatchedParameter] = []
+        self._forward_state = None
+
+    def clear_forward_state(self) -> None:
+        self._forward_state = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -74,24 +94,23 @@ class BatchedLinear(BatchedLayer):
     """
 
     def __init__(self, layer: Linear, count: int) -> None:
-        super().__init__(count)
+        super().__init__(layer, count)
         self.weight = BatchedParameter(_stack(layer.weight.data, count), "weight")
         self.params = [self.weight]
         self.bias = None
         if layer.bias is not None:
             self.bias = BatchedParameter(_stack(layer.bias.data, count), "bias")
             self.params.append(self.bias)
-        self._cache_input: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._cache_input = inputs
+        self._forward_state = inputs
         out = np.matmul(inputs, self.weight.data.transpose(0, 2, 1))
         if self.bias is not None:
             out = out + self.bias.data[:, None, :]
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
-        inputs = self._cache_input
+        inputs = self._forward_state
         self.weight.grad += np.matmul(grad_output.transpose(0, 2, 1), inputs)
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=1)
@@ -101,55 +120,40 @@ class BatchedLinear(BatchedLayer):
 
 
 class BatchedReLU(BatchedLayer):
-    def __init__(self, layer: ReLU, count: int) -> None:
-        super().__init__(count)
-        self._mask: np.ndarray | None = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._mask = inputs > 0
-        return inputs * self._mask
+        mask = self._forward_state = inputs > 0
+        return inputs * mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * self._mask
+        return grad_output * self._forward_state
 
 
 class BatchedTanh(BatchedLayer):
-    def __init__(self, layer: Tanh, count: int) -> None:
-        super().__init__(count)
-        self._output: np.ndarray | None = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(inputs)
-        return self._output
+        self._forward_state = np.tanh(inputs)
+        return self._forward_state
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * (1.0 - self._output**2)
+        return grad_output * (1.0 - self._forward_state**2)
 
 
 class BatchedSigmoid(BatchedLayer):
-    def __init__(self, layer: Sigmoid, count: int) -> None:
-        super().__init__(count)
-        self._output: np.ndarray | None = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = 1.0 / (1.0 + np.exp(-inputs))
-        return self._output
+        self._forward_state = 1.0 / (1.0 + np.exp(-inputs))
+        return self._forward_state
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output * self._output * (1.0 - self._output)
+        output = self._forward_state
+        return grad_output * output * (1.0 - output)
 
 
 class BatchedFlatten(BatchedLayer):
-    def __init__(self, layer: Flatten, count: int) -> None:
-        super().__init__(count)
-        self._input_shape: tuple[int, ...] | None = None
-
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._input_shape = inputs.shape
+        self._forward_state = inputs.shape
         return inputs.reshape(inputs.shape[0], inputs.shape[1], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output.reshape(self._input_shape)
+        return grad_output.reshape(self._forward_state)
 
 
 class BatchedBatchNorm1d(BatchedLayer):
@@ -163,7 +167,7 @@ class BatchedBatchNorm1d(BatchedLayer):
     """
 
     def __init__(self, layer: BatchNorm1d, count: int) -> None:
-        super().__init__(count)
+        super().__init__(layer, count)
         self.momentum = layer.momentum
         self.eps = layer.eps
         self.training = True
@@ -172,7 +176,6 @@ class BatchedBatchNorm1d(BatchedLayer):
         self.params = [self.gamma, self.beta]
         self.running_mean = _stack(layer.running_mean, count).copy()
         self.running_var = _stack(layer.running_var, count).copy()
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def forward(self, flat: np.ndarray) -> np.ndarray:
         if self.training:
@@ -189,13 +192,13 @@ class BatchedBatchNorm1d(BatchedLayer):
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         normalized = (flat - mean[:, None, :]) * inv_std[:, None, :]
-        self._cache = (normalized, inv_std, flat - mean[:, None, :])
+        self._forward_state = (normalized, inv_std, flat - mean[:, None, :])
         return normalized * self.gamma.data[:, None, :] + self.beta.data[:, None, :]
 
     def backward(self, grad_flat: np.ndarray) -> np.ndarray:
-        if self._cache is None:
+        if self._forward_state is None:
             raise RuntimeError("backward called before forward")
-        normalized, inv_std, centered = self._cache
+        normalized, inv_std, centered = self._forward_state
         samples = grad_flat.shape[1]
         self.gamma.grad += (grad_flat * normalized).sum(axis=1)
         self.beta.grad += grad_flat.sum(axis=1)
@@ -223,25 +226,24 @@ class BatchedDropout(BatchedLayer):
     """
 
     def __init__(self, layer: Dropout, count: int) -> None:
-        super().__init__(count)
+        super().__init__(layer, count)
         self.p = layer.p
         self._rngs = [copy.deepcopy(layer._rng) for _ in range(count)]
-        self._mask: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         if self.p == 0.0:
-            self._mask = None
+            self._forward_state = None
             return inputs
         keep = 1.0 - self.p
-        self._mask = np.stack(
+        mask = self._forward_state = np.stack(
             [(rng.random(inputs.shape[1:]) < keep) / keep for rng in self._rngs]
         )
-        return inputs * self._mask
+        return inputs * mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._forward_state is None:
             return grad_output
-        return grad_output * self._mask
+        return grad_output * self._forward_state
 
 
 #: Serial layer type -> stacked counterpart: the *dense* layers.  With no
@@ -281,8 +283,9 @@ class BatchedModel:
     """A Sequential vectorized over ``count`` identically-initialised workers.
 
     Parameters start as ``count`` copies of the template's current values;
-    :meth:`state_dict_for` slices one worker's parameters back out under the
-    same names ``Sequential.state_dict`` would use.  The stack is the
+    :meth:`state_dict_for` hands one worker's parameters back out, as
+    read-only row views under the same names ``Sequential.state_dict``
+    would use.  The stack is the
     workers' own copies, fed raw mini-batches, so like them
     (:meth:`~repro.nn.module.Sequential.without_input_grad`) it computes no
     gradient w.r.t. its input and ``backward`` returns ``None``.
@@ -319,12 +322,30 @@ class BatchedModel:
             params.extend(layer.params)
         return params
 
+    def clear_forward_state(self) -> None:
+        for layer in self.layers:
+            layer.clear_forward_state()
+
+    def keep_parameters_only(self) -> None:
+        """Drop the gradients and the forward state: no step can follow."""
+        for param in self.parameters():
+            param.grad = None
+        self.clear_forward_state()
+
     def state_dict_for(self, slot: int) -> dict[str, np.ndarray]:
-        """State dict of worker ``slot``, named like the serial model's."""
-        return {
-            name: param.data[slot].copy()
-            for name, param in zip(self._param_names, self.parameters())
-        }
+        """State dict of worker ``slot``, named like the serial model's.
+
+        The values are read-only views of row ``slot`` of the stacked
+        parameters, not copies: the aggregation that consumes them gathers
+        them once, and a step that would write through them must not run
+        while they are in use.
+        """
+        state = {}
+        for name, param in zip(self._param_names, self.parameters()):
+            row = param.data[slot]
+            row.flags.writeable = False
+            state[name] = row
+        return state
 
 
 class BatchedSGD:
@@ -332,7 +353,8 @@ class BatchedSGD:
 
     Each worker has its own learning rate (batch-size-proportional scaling)
     and its own global-norm clip decision; all elementwise update arithmetic
-    matches the serial optimizer operation for operation.
+    matches the serial optimizer operation for operation.  Momentum buffers
+    exist only when ``momentum > 0``.
     """
 
     def __init__(
@@ -350,7 +372,9 @@ class BatchedSGD:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.max_grad_norm = max_grad_norm
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
+        self._velocity = [
+            np.zeros_like(p.data) if momentum else None for p in self.parameters
+        ]
 
     def zero_grad(self) -> None:
         for param in self.parameters:

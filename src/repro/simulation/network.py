@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.numeric import clamp
+
 #: Distance (metres) -> mean bandwidth in Mb/s.
 DISTANCE_GROUPS: dict[float, float] = {
     2.0: 24.0,
@@ -54,7 +56,7 @@ class WifiNetworkModel:
     def sample_bandwidth_mbps(self, rng: np.random.Generator) -> float:
         """Draw this round's bandwidth in Mb/s, clipped to the measured range."""
         noisy = self._mean * rng.lognormal(mean=0.0, sigma=self.jitter)
-        return float(np.clip(noisy, MIN_BANDWIDTH_MBPS, MAX_BANDWIDTH_MBPS))
+        return clamp(noisy, MIN_BANDWIDTH_MBPS, MAX_BANDWIDTH_MBPS)
 
 
 def assign_distance(worker_id: int) -> float:

@@ -20,6 +20,12 @@ def normalize_distribution(vector: np.ndarray) -> np.ndarray:
     return vec / total
 
 
+def clamp(value: float, lower: float, upper: float) -> float:
+    """``value`` limited to ``[lower, upper]``: ``float(np.clip(value, lower,
+    upper))`` for a scalar, NaN included, without NumPy's dispatch."""
+    return float(min(max(value, lower), upper))
+
+
 def safe_divide(numerator: float, denominator: float, default: float = 0.0) -> float:
     """Divide two scalars, returning ``default`` when the denominator is zero."""
     if denominator == 0:

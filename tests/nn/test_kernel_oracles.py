@@ -8,9 +8,11 @@ pooling, which the kernels must reproduce bit for bit.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.nn.layers import Conv1d, Conv2d, MaxPool2d
 from repro.nn.layers.conv import _pair, col2im, im2col
+from repro.nn.layers.pooling import max_pool, max_pool_backward
 from repro.utils.rng import new_rng
 
 #: (batch, in_channels, height, width, out_channels, kernel, stride, padding)
@@ -164,9 +166,9 @@ def test_max_pool_equals_the_reshape_max_formulation(kernel, shape):
     inputs = raw * (raw > 0)  # post-ReLU: about half the windows tie at zero
     layer = MaxPool2d(kernel)
     output = layer.forward(inputs)
-    mask, input_shape = layer._forward_state
+    pooled, mask = max_pool(inputs, layer.kernel_size)
     expected_output, expected_mask = _reshape_max_pool(inputs, layer.kernel_size)
-    assert input_shape == shape
+    assert pooled.tobytes() == output.tobytes()
     assert np.array_equal(output, expected_output)
     assert mask.shape == expected_mask.shape
     assert mask.tobytes() == expected_mask.tobytes()
@@ -200,3 +202,44 @@ def test_backward_twice_after_one_forward(make_layer, shape):
     assert np.array_equal(first, second)
     for param, grad in zip(layer.parameters(), first_grads):
         assert np.array_equal(param.grad, 2 * grad)
+
+
+#: Tie-heavy values: after the ReLU below, exact zeros of both signs (a
+#: negative input times ``False`` is ``-0.0``), repeated small integers and
+#: infinity.
+_POOL_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, np.inf, -1.0, -2.5])
+#: Gradients: signed zeros, a subnormal, the infinities, and arbitrary
+#: floats, whose rounding tells ``(1 / count) * grad`` from ``grad / count``.
+_GRAD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-320, np.inf, -np.inf]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kernel=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    shape=st.tuples(st.integers(1, 2), st.integers(1, 2),
+                    st.integers(3, 7), st.integers(3, 7)),
+    data=st.data(),
+)
+def test_max_pool_layer_routes_like_the_mask_formula(kernel, shape, data):
+    """The layer keeps no mask, yet its output and gradient are the bytes of
+    :func:`max_pool` / :func:`max_pool_backward`, ties, signed zeros and
+    infinities included."""
+    size = int(np.prod(shape))
+    raw = np.array(
+        data.draw(st.lists(_POOL_VALUES, min_size=size, max_size=size))
+    ).reshape(shape)
+    inputs = raw * (raw > 0)  # the ReLU layer's formula
+    layer = MaxPool2d(kernel)
+    output = layer.forward(inputs)
+    expected_output, mask = max_pool(inputs, kernel)
+    assert output.tobytes() == expected_output.tobytes()
+    count = output.size
+    grad_output = np.array(
+        data.draw(st.lists(_GRAD_VALUES, min_size=count, max_size=count))
+    ).reshape(output.shape)
+    with np.errstate(invalid="ignore"):  # 0 * inf off the window maxima
+        expected = max_pool_backward(mask, grad_output, shape)
+        assert layer.backward(grad_output).tobytes() == expected.tobytes()

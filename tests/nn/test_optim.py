@@ -86,6 +86,102 @@ class TestSGD:
         assert loss < first_loss * 0.5
 
 
+class TestMomentumBuffers:
+    """Buffers exist only with momentum; checkpoints do not show it."""
+
+    def _model_and_batch(self):
+        rng = new_rng(4)
+        model = build_mlp(input_dim=6, num_classes=3, hidden_dims=(5,), seed=2)
+        return model, rng.normal(size=(12, 6)), rng.integers(0, 3, size=12)
+
+    def _steps(self, model, optimizer, x, y, count):
+        loss_fn = CrossEntropyLoss()
+        for __ in range(count):
+            optimizer.zero_grad()
+            loss_fn.forward(model.forward(x), y)
+            model.backward(loss_fn.backward())
+            optimizer.step()
+
+    def test_without_momentum_no_buffer_yet_the_checkpoint_has_zeros(self):
+        model, x, y = self._model_and_batch()
+        optimizer = SGD(model.parameters(), lr=0.1, weight_decay=1e-3)
+        self._steps(model, optimizer, x, y, 3)
+        assert optimizer._velocity is None
+        state = optimizer.state_dict()
+        assert state["lr"] == 0.1
+        # What the optimizer wrote when it kept an all-zero buffer per
+        # parameter: the same arrays, so the same checkpoint bytes.
+        expected = [np.zeros_like(p.data) for p in model.parameters()]
+        assert len(state["velocity"]) == len(expected)
+        for buffer, zeros in zip(state["velocity"], expected):
+            assert buffer.dtype == zeros.dtype and buffer.shape == zeros.shape
+            assert buffer.tobytes() == zeros.tobytes()
+
+    def test_a_zero_buffer_checkpoint_loads_without_momentum(self):
+        model, __, __ = self._model_and_batch()
+        optimizer = SGD(model.parameters(), lr=0.1)
+        state = {"lr": 0.05, "velocity": [np.zeros_like(p.data)
+                                          for p in model.parameters()]}
+        optimizer.load_state_dict(state)
+        assert optimizer.lr == 0.05 and optimizer._velocity is None
+        with pytest.raises(ValueError, match="momentum buffers"):
+            optimizer.load_state_dict({"lr": 0.1, "velocity": state["velocity"][1:]})
+        wrong = [np.zeros(3)] + state["velocity"][1:]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            optimizer.load_state_dict({"lr": 0.1, "velocity": wrong})
+
+    def test_a_momentum_round_trip_resumes_bit_exactly(self):
+        model, x, y = self._model_and_batch()
+        optimizer = SGD(model.parameters(), lr=0.1, momentum=0.9)
+        self._steps(model, optimizer, x, y, 2)
+        saved_weights = model.state_dict()
+        saved = optimizer.state_dict()
+        assert any(np.any(buffer != 0) for buffer in saved["velocity"])
+        self._steps(model, optimizer, x, y, 3)
+
+        resumed, __, __ = self._model_and_batch()
+        resumed.load_state_dict(saved_weights)
+        resumed_optimizer = SGD(resumed.parameters(), lr=0.7, momentum=0.9)
+        resumed_optimizer.load_state_dict(saved)
+        self._steps(resumed, resumed_optimizer, x, y, 3)
+        for key, value in model.state_dict().items():
+            assert value.tobytes() == resumed.state_dict()[key].tobytes()
+
+    def test_momentum_set_after_construction_starts_from_zero(self):
+        model, x, y = self._model_and_batch()
+        reference_model, __, __ = self._model_and_batch()
+        optimizer = SGD(model.parameters(), lr=0.1)
+        optimizer.momentum = 0.9
+        reference = SGD(reference_model.parameters(), lr=0.1, momentum=0.9)
+        self._steps(model, optimizer, x, y, 2)
+        self._steps(reference_model, reference, x, y, 2)
+        for key, value in model.state_dict().items():
+            assert value.tobytes() == reference_model.state_dict()[key].tobytes()
+
+
+def test_a_session_checkpoint_without_momentum_keeps_its_bytes(tmp_path, monkeypatch):
+    """A momentum-0 session writes the checkpoint it wrote when every
+    optimizer kept an all-zero buffer per parameter."""
+    from repro.api.session import Session
+    from repro.config import ExperimentConfig
+
+    config = ExperimentConfig(
+        dataset="blobs", model="mlp", num_workers=5, num_rounds=2,
+        local_iterations=2, train_samples=200, test_samples=40, seed=3,
+    )
+    with Session.from_config(config) as session:
+        session.run(1)
+        session.save_checkpoint(tmp_path / "now.json")
+        monkeypatch.setattr(SGD, "state_dict", lambda self: {
+            "lr": self.lr,
+            "velocity": [np.zeros_like(p.data) for p in self.parameters],
+        })
+        session.save_checkpoint(tmp_path / "zero_buffers.json")
+    assert (tmp_path / "now.json").read_bytes() == (
+        tmp_path / "zero_buffers.json"
+    ).read_bytes()
+
+
 class TestSchedulers:
     def test_exponential_decay(self):
         opt = SGD(_quadratic_params(), lr=1.0)

@@ -279,3 +279,45 @@ def test_batched_executor_rejects_mismatched_gradient_batch():
     bad = [np.zeros((3, 16)), np.zeros((8, 16))]
     with pytest.raises(ValueError, match="does not match the pending"):
         executor.backward_step(workers, bad)
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_batched_states_are_read_only_rows_equal_to_serial(momentum):
+    """Two shape groups, two local steps, a re-install and one more step:
+    every state ``bottom_states`` hands out is a read-only view equal to the
+    serial executor's copy bit for bit, and until the next install no
+    ``backward_step`` may write through it."""
+    data = make_blobs(train_samples=120, test_samples=30, seed=2)
+    bottom = Sequential([Linear(32, 16, rng=new_rng(3)), ReLU(),
+                         Linear(16, 8, rng=new_rng(4))])
+    results = {}
+    for name, executor in (("serial", SerialExecutor()), ("batched", BatchedExecutor())):
+        workers = [
+            SplitWorker(
+                worker_id=i,
+                dataset=data.train.subset(np.arange(i * 40, (i + 1) * 40)),
+                num_classes=data.num_classes, momentum=momentum,
+                weight_decay=1e-3, seed=100 + i,
+            )
+            for i in range(3)
+        ]
+        collected = []
+        for __ in range(2):
+            executor.install(workers, bottom, [0.1, 0.05, 0.2])
+            for __ in range(2):
+                features, __ = executor.forward(workers, [8, 4, 8])
+                executor.backward_step(workers, [0.1 * f for f in features])
+            collected.append(executor.bottom_states(workers))
+            if name == "batched":
+                with pytest.raises(RuntimeError, match="after bottom_states"):
+                    executor.backward_step(workers, [0.1 * f for f in features])
+        results[name] = collected
+
+    for serial_states, batched_states in zip(results["serial"], results["batched"]):
+        for serial, batched in zip(serial_states, batched_states):
+            assert list(serial) == list(batched)
+            for key, value in batched.items():
+                assert not value.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    value[...] = 0.0
+                assert value.tobytes() == serial[key].tobytes()

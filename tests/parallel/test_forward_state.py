@@ -7,6 +7,9 @@ process children over pipe and shared memory (probed in the child), and the
 batched executor's serial fallback for conv models.  Copies whose backward follows their
 forward at once -- an FL local copy, a server bridge -- keep their columns.
 A ``tracemalloc`` budget on one ``conv_serial`` round pins the effect.
+A second one, on a ``fleet_mlp`` round, pins that the batched executor's
+stacked cohort holds each parameter once: no copied states, and no
+gradients or optimizer past the last local step.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from repro.core import worker
 from repro.core.server import SplitServer
 from repro.nn.layers import Conv1d, Conv2d, Flatten, Linear, ReLU
 from repro.nn.module import Module, Sequential
+from repro.parallel.batched import BatchedExecutor
 from repro.utils.rng import new_rng
 
 
@@ -168,3 +172,56 @@ def test_a_conv_serial_round_allocates_activations_not_columns():
             tracemalloc.stop()
     assert peak <= 60e6, f"peak {peak / 1e6:.1f} MB"
     assert retained <= 10e6, f"retained {retained / 1e6:.1f} MB"
+
+
+#: The ``fleet_mlp`` benchmark workload: 1000 blobs/MLP workers, ~550 of
+#: them selected per round and stacked by the batched executor.
+FLEET_MLP = dict(
+    algorithm="mergesfl", dataset="blobs", model="mlp", non_iid_level=5,
+    num_workers=1000, local_iterations=5, train_samples=20000,
+    test_samples=200, learning_rate=0.05, max_batch_size=16,
+    base_batch_size=8,
+)
+
+
+def test_a_fleet_round_holds_one_stacked_cohort(monkeypatch):
+    """Round 1 at seed 7 peaks at 33.6 MB while the cohort iterates, its
+    aggregation at 28.0 MB, and it keeps 9.9 MB once it returns.  When
+    every collected state was a copy, and the stacked gradients and
+    all-zero momentum buffers lived to the end of the round, the iterations
+    peaked at 43.2 MB, the aggregation at 58.2 MB, and the round kept
+    30.4 MB.  (MB above the round start.)"""
+    peaks: dict[str, int] = {}
+    bottom_states = BatchedExecutor.bottom_states
+    aggregate = SplitServer.aggregate_bottoms
+
+    def read_peak(stage: str) -> None:
+        peaks[stage] = tracemalloc.get_traced_memory()[1] - start
+        tracemalloc.reset_peak()
+
+    def probed_states(self, workers):
+        read_peak("iterations")
+        return bottom_states(self, workers)
+
+    def probed_aggregate(self, *args, **kwargs):
+        aggregate(self, *args, **kwargs)
+        read_peak("aggregation")
+
+    config = ExperimentConfig(**FLEET_MLP, seed=7, num_rounds=2)
+    with Session.from_config(config) as session:
+        assert isinstance(session.algorithm.executor, BatchedExecutor)
+        session.step()
+        monkeypatch.setattr(BatchedExecutor, "bottom_states", probed_states)
+        monkeypatch.setattr(SplitServer, "aggregate_bottoms", probed_aggregate)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            session.step()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    peak = max(peak - start, *peaks.values())
+    retained -= start
+    assert peak <= 42e6, f"peak {peak / 1e6:.1f} MB"
+    assert peaks["aggregation"] < peaks["iterations"], peaks
+    assert retained <= 16e6, f"retained {retained / 1e6:.1f} MB"

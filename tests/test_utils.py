@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from repro.utils.logging import configure_logging, get_logger
-from repro.utils.numeric import moving_average, normalize_distribution, safe_divide
+from repro.core.engine import TOP_LR_SCALE_BOUNDS, WORKER_LR_SCALE_BOUNDS
+from repro.simulation.network import MAX_BANDWIDTH_MBPS, MIN_BANDWIDTH_MBPS
+from repro.utils.numeric import (
+    clamp,
+    moving_average,
+    normalize_distribution,
+    safe_divide,
+)
 from repro.utils.rng import (
     get_rng_state,
     new_rng,
@@ -72,6 +79,25 @@ class TestNumeric:
         assert moving_average(1.0, 3.0, alpha=0.75) == pytest.approx(1.5)
         with pytest.raises(ValueError):
             moving_average(1.0, 1.0, alpha=2.0)
+
+    @pytest.mark.parametrize("lower,upper", [
+        WORKER_LR_SCALE_BOUNDS, TOP_LR_SCALE_BOUNDS,
+        (MIN_BANDWIDTH_MBPS, MAX_BANDWIDTH_MBPS), (0.0, 1.0),
+    ])
+    def test_clamp_is_np_clip_for_a_scalar(self, lower, upper):
+        """The bounds of every call site, at, inside and outside them, and
+        NaN and the infinities: the same float, signed zeros included."""
+        values = [
+            lower, upper, (lower + upper) / 2, np.nextafter(lower, -np.inf),
+            np.nextafter(upper, np.inf), lower - 1.0, upper * 3.0, -0.0, 0.0,
+            np.float64(upper / 3), 2, np.nan, np.inf, -np.inf,
+        ]
+        for value in values:
+            got = clamp(value, lower, upper)
+            expected = float(np.clip(value, lower, upper))
+            assert type(got) is float
+            assert np.array_equal(got, expected, equal_nan=True), value
+            assert np.signbit(got) == np.signbit(expected), value
 
 
 class TestLogging:
