@@ -453,6 +453,12 @@ class SplitTrainingEngine(RoundEngine):
             else self.server.update_top_per_worker
         )
 
+        # SplitFed re-installs after every iteration; the rest once a round.
+        forwards_per_install = (
+            1 if self.policy.aggregate_every_iteration
+            else self.config.local_iterations
+        )
+
         def install(wait):
             # INSTALL: distribute the global bottom, each worker's prefix of
             # it.  Bridges are carved from that same bottom before any
@@ -460,7 +466,7 @@ class SplitTrainingEngine(RoundEngine):
             self.server.install_bridges(set(cuts))
             self.executor.install(
                 selected_workers, self.server.global_bottom, learning_rates,
-                cuts, wait, loads=loads,
+                cuts, wait, loads=loads, iterations=forwards_per_install,
             )
 
         def top_update(features, labels):

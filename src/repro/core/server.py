@@ -243,11 +243,14 @@ class SplitServer:
             # each segment carries a 1/M scale.  Re-normalise every worker's
             # segment to the mean gradient over its own d_i samples, so
             # bottom models update with the same magnitude as in typical
-            # SFL (Eq. 15).
-            for worker_id, segment in self.merger.dispatch(
-                merged, group_gradient
-            ).items():
-                gradients[worker_id] = segment * (total / segment.shape[0])
+            # SFL (Eq. 15): one pass, each row times its worker's factor.
+            sizes = np.asarray(merged.segment_sizes)
+            factors = np.repeat(total / sizes, sizes)
+            gradients.update(self.merger.dispatch(
+                merged,
+                group_gradient
+                * factors.reshape(-1, *(1,) * (group_gradient.ndim - 1)),
+            ))
         return loss, gradients
 
     def update_top_per_worker(

@@ -21,6 +21,10 @@ class BatchLoader:
     *positions*; every draw hands out the *source rows* at those positions
     (:class:`~repro.data.dataset.Shard`).  A plain ``Dataset`` is loaded as
     the shard of all its rows, whose positions and rows coincide.
+
+    :meth:`next_indices_many` draws several consecutive mini-batches at
+    once, with exactly the rows and the final state of drawing them one
+    :meth:`next_indices` call at a time.
     """
 
     def __init__(self, dataset: Dataset | Shard, seed: int = 0) -> None:
@@ -40,23 +44,38 @@ class BatchLoader:
         sampling state advances here, in the checkpointed loader, and only
         the rows travel.
         """
+        return self.next_indices_many(batch_size, 1)[0]
+
+    def next_indices_many(self, batch_size: int, count: int) -> np.ndarray:
+        """The rows of ``count`` consecutive :meth:`next_indices` calls.
+
+        Returns a fresh ``(count, min(batch_size, len(self)))`` array whose
+        row ``k`` is what the ``k``-th call would have drawn; the sampling
+        state afterwards (reshuffles, cursor, RNG) is the one those calls
+        leave.  An executor that knows how many forwards follow an install
+        draws a worker's whole round with one call.
+        """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
+        if count <= 0:
+            raise ValueError(f"count must be positive, got {count}")
         size = min(batch_size, len(self.dataset))
-        stop = self._cursor + size
-        if stop <= len(self._order):
-            # The whole draw lies inside the current shuffle: one slice.
-            positions = self._order[self._cursor:stop]
-            self._cursor = stop
-        else:
-            # The draw crosses a reshuffle: what is left of the current
-            # order, then the head of the next (``size`` never exceeds one
-            # order).
-            tail = self._order[self._cursor:]
+        positions = np.empty(count * size, dtype=np.int64)
+        filled = 0
+        while True:
+            # Walk the current order; reshuffle only when a draw needs a
+            # position past its end, as one call at a time would.
+            take = min(len(positions) - filled, len(self._order) - self._cursor)
+            positions[filled:filled + take] = (
+                self._order[self._cursor:self._cursor + take]
+            )
+            filled += take
+            self._cursor += take
+            if filled == len(positions):
+                break
             self._order = self._rng.permutation(len(self.dataset))
-            self._cursor = size - len(tail)
-            positions = np.concatenate((tail, self._order[:self._cursor]))
-        return self.dataset.rows[positions]
+            self._cursor = 0
+        return self.dataset.rows[positions].reshape(count, size)
 
     def next_batch(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Return the next ``(data, targets)`` mini-batch of the given size."""

@@ -43,6 +43,15 @@ class ExecutorDeathError(ReproError, RuntimeError):
         self.worker_ids = [int(worker_id) for worker_id in worker_ids]
 
 
+class BatchSizeMismatchError(ReproError, ValueError):
+    """A forward asked for other batch sizes than the rows its install drew.
+
+    An executor told how many forwards follow an install draws the round's
+    mini-batches at the first of them; every later forward of the round
+    must ask for the same per-worker batch sizes.
+    """
+
+
 class CallbackError(ReproError):
     """A session event callback raised; the message names the callback."""
 

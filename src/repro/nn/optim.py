@@ -19,6 +19,27 @@ import numpy as np
 from repro.nn.parameter import Parameter
 
 
+def check_sgd_settings(
+    learning_rates, momentum: float, weight_decay: float,
+    max_grad_norm: float | None,
+) -> None:
+    """Raise ``ValueError`` unless every learning rate (a scalar or one per
+    worker) is finite and positive, ``momentum`` lies in ``[0, 1)``,
+    ``weight_decay`` is non-negative and ``max_grad_norm`` is ``None`` or
+    positive.  Written so that a NaN fails every check."""
+    rates = np.asarray(learning_rates, dtype=np.float64)
+    if not np.all(np.isfinite(rates) & (rates > 0)):
+        raise ValueError(
+            f"learning rates must be finite and positive, got {learning_rates}"
+        )
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+    if not weight_decay >= 0:
+        raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
+    if max_grad_norm is not None and not max_grad_norm > 0:
+        raise ValueError(f"max_grad_norm must be positive, got {max_grad_norm}")
+
+
 class SGD:
     """Stochastic gradient descent with optional momentum and weight decay."""
 
@@ -30,14 +51,7 @@ class SGD:
         weight_decay: float = 0.0,
         max_grad_norm: float | None = None,
     ) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
-        if max_grad_norm is not None and max_grad_norm <= 0:
-            raise ValueError(f"max_grad_norm must be positive, got {max_grad_norm}")
+        check_sgd_settings(lr, momentum, weight_decay, max_grad_norm)
         self.parameters = list(parameters)
         self.lr = lr
         self.momentum = momentum

@@ -21,7 +21,7 @@ omits both), which is why switching executors never invalidates a checkpoint.
 Split-training call sequence, per round, as the scheduler drives it
 (``SplitTrainingEngine._run_stages``)::
 
-    install(workers, bottom, lrs, depths, loads)  # distribute the prefixes
+    install(workers, bottom, lrs, depths, loads, iterations=tau)
     repeat tau times:
         forward(workers, batch_sizes)      # features for the PS
         ... top-model update on the PS ...
@@ -84,6 +84,7 @@ class Executor(abc.ABC):
         depths: list[int] | None = None,
         wait: bool = True,
         loads: list[float] | None = None,
+        iterations: int | None = None,
     ) -> None:
         """Distribute fresh copies of the global bottom model to ``workers``.
 
@@ -99,7 +100,11 @@ class Executor(abc.ABC):
         that); every other backend ignores it.  ``loads`` is each worker's
         compute this round (its batch times one sample's forward FLOPs at
         its cut), for a backend that places workers; in-process backends
-        ignore it.
+        ignore it.  ``iterations`` is the number of forwards before the
+        next install (``local_iterations``, or 1 under a per-iteration
+        re-install), so a backend may draw the round's mini-batches at its
+        first forward; ``None`` draws at every forward.  Either way each
+        worker's loader hands out the same rows and ends in the same state.
         """
 
     @abc.abstractmethod

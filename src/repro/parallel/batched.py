@@ -11,7 +11,16 @@ into its own rectangular tensor, within its cut depth
 
 Sampling state never leaves the workers: mini-batches are drawn from every
 worker's own :class:`~repro.data.loader.BatchLoader` in the main process,
-so checkpoints are identical to serial execution.
+so checkpoints are identical to serial execution.  An iteration costs
+O(shape groups), not O(workers): told how many forwards follow the install
+(``install(..., iterations=tau)``), the first forward draws each worker's
+whole round with one
+:meth:`~repro.data.loader.BatchLoader.next_indices_many` call and keeps a
+``(tau, members, batch)`` row array per group, so every iteration gathers a
+group's samples and labels with one ``take`` each.  Later forwards of the
+round must ask for the same batch sizes
+(:class:`~repro.exceptions.BatchSizeMismatchError`); one past ``tau``, or
+any forward without ``iterations``, draws afresh.
 
 A stacked cohort holds each parameter once.  Between a local step and the
 next forward a group keeps its parameters, gradients and optimizer, and no
@@ -33,6 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.exceptions import BatchSizeMismatchError
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.split import carve_prefix
 from repro.parallel.base import Executor
@@ -52,6 +62,8 @@ class _Group:
     """One shape group: a stacked model + optimizer for a subset of workers.
 
     ``sgd`` is ``None`` once the group's states have been collected.
+    ``rows`` and ``labels`` are the drawn ``(forwards, members, batch)``
+    source rows and their labels.
     """
 
     def __init__(self, slots: list[int], model: BatchedModel, sgd: BatchedSGD) -> None:
@@ -59,6 +71,8 @@ class _Group:
         self.model = model
         self.sgd: BatchedSGD | None = sgd
         self.pending_batch = 0
+        self.rows: np.ndarray | None = None
+        self.labels: np.ndarray | None = None
 
 
 class _DepthRound:
@@ -77,14 +91,15 @@ class _DepthRound:
         self.hyperparams = hyperparams
         self.groups: list[_Group] | None = None
 
-    def build_groups(self, shapes: list[tuple[int, ...]]) -> None:
-        """Partition the cohort slots by mini-batch shape and stack each group."""
-        by_shape: dict[tuple[int, ...], list[int]] = {}
-        for member, shape in enumerate(shapes):
-            by_shape.setdefault(shape, []).append(member)
+    def build_groups(self, keys: list[tuple]) -> None:
+        """Partition the cohort slots by :func:`_group_key` and stack each
+        group."""
+        by_key: dict[tuple, list[int]] = {}
+        for member, key in enumerate(keys):
+            by_key.setdefault(key, []).append(member)
         momentum, weight_decay, max_grad_norm = self.hyperparams
         self.groups = []
-        for members in by_shape.values():
+        for members in by_key.values():
             model = BatchedModel(self.snapshot, len(members))
             sgd = BatchedSGD(
                 model.parameters(),
@@ -114,20 +129,23 @@ def uniform_worker_hyperparams(workers) -> tuple | None:
     return next(iter(settings))
 
 
-def _gather_batches(workers, drawn, slots) -> np.ndarray:
-    """The drawn mini-batches of ``slots``, gathered by source row into one
-    ``(len(slots), batch, ...)`` array."""
-    data = workers[slots[0]].dataset.source.data
-    stacked = np.empty(
-        (len(slots), len(drawn[slots[0]][0]), *data.shape[1:]), dtype=data.dtype
-    )
-    for position, slot in enumerate(slots):
-        # ``mode="clip"`` only skips ``take``'s bounce buffer: the rows are
-        # the shard's, range-checked against this very source when it was cut.
-        workers[slot].dataset.source.data.take(
-            drawn[slot][0], axis=0, out=stacked[position], mode="clip"
-        )
-    return stacked
+def _group_key(worker, drawn: np.ndarray) -> tuple:
+    """What a stacked group shares: the batch size, and the source array
+    its members' rows index (and so the sample shape), so one ``take``
+    gathers the group."""
+    return (drawn.shape[-1], id(worker.dataset.source))
+
+
+def _stack_rows(source, drawn, slots) -> tuple[np.ndarray, np.ndarray]:
+    """The drawn rows of ``slots`` as one ``(forwards, members, batch)``
+    array, and their labels.
+
+    ``mode="clip"`` in this module's ``take`` calls only skips the bounds
+    check: the rows are the shards', range-checked against this very source
+    when they were cut.
+    """
+    rows = np.stack([drawn[slot] for slot in slots], axis=1)
+    return rows, source.targets.take(rows, mode="clip")
 
 
 class BatchedExecutor(Executor):
@@ -142,6 +160,12 @@ class BatchedExecutor(Executor):
         self._depth_rounds: list[_DepthRound] = []
         self._fallback_active = False
         self._warned: set[tuple[str, ...]] = set()
+        #: Forwards the next draw covers (``None``: one), then the drawn
+        #: batch sizes, forwards, and the index of the next one to run.
+        self._predraw: int | None = None
+        self._drawn_sizes: list[int] = []
+        self._drawn_forwards = 0
+        self._next_forward = 0
 
     # -- fallback -------------------------------------------------------------
     def _fallback_reason(self, workers, model) -> str | None:
@@ -160,11 +184,16 @@ class BatchedExecutor(Executor):
 
     # -- split training -------------------------------------------------------
     def install(self, workers, bottom, learning_rates, depths=None, wait=True,
-                loads=None) -> None:
-        """Stack workers *within* each cut-depth group; one group at the tail."""
+                loads=None, iterations=None) -> None:
+        """Stack workers *within* each cut-depth group; one group at the tail.
+
+        ``iterations`` forwards are drawn at the first one.
+        """
         if depths is None:
             depths = [len(bottom)] * len(workers)
         self._worker_ids = None
+        self._predraw = iterations
+        self._drawn_forwards = self._next_forward = 0
         reason = self._fallback_reason(workers, bottom)
         self._fallback_active = reason is not None
         if reason is not None:
@@ -205,25 +234,53 @@ class BatchedExecutor(Executor):
         if self._fallback_active:
             return self._serial.forward(workers, batch_sizes)
         depth_rounds = self._require_round(workers)
-        # Draw in cohort order, exactly like the serial loop, so sampling
-        # RNG streams stay bit-identical across executors.
+        if self._next_forward == self._drawn_forwards:
+            self._draw(workers, batch_sizes, depth_rounds)
+        elif list(batch_sizes) != self._drawn_sizes:
+            raise BatchSizeMismatchError(
+                f"forward asked for batch sizes {list(batch_sizes)}, but the "
+                f"install drew {self._drawn_sizes}"
+            )
+        forward = self._next_forward
+        self._next_forward += 1
+        features: list[np.ndarray | None] = [None] * len(workers)
+        labels: list[np.ndarray | None] = [None] * len(workers)
+        for depth_round in depth_rounds:
+            for group in depth_round.groups:
+                data = workers[group.slots[0]].dataset.source.data
+                stacked = data.take(group.rows[forward], axis=0, mode="clip")
+                group.pending_batch = stacked.shape[1]
+                outputs = group.model.forward(stacked)
+                for position, slot in enumerate(group.slots):
+                    features[slot] = outputs[position]
+                    labels[slot] = group.labels[forward, position]
+        return features, labels
+
+    def _draw(self, workers, batch_sizes, depth_rounds) -> None:
+        """Draw the next forwards' rows: the installed ``iterations`` at
+        the first forward of a round, one at any other.
+
+        Each worker draws from its own loader, so the rows and the loader
+        states are those of drawing one forward at a time, in any order.
+        """
+        count = self._predraw or 1
+        self._predraw = None
         drawn = [
-            worker.draw_batch_indices(batch_size)
+            worker.loader.next_indices_many(batch_size, count)
             for worker, batch_size in zip(workers, batch_sizes)
         ]
-        features: list[np.ndarray | None] = [None] * len(workers)
         for depth_round in depth_rounds:
             if depth_round.groups is None:
                 depth_round.build_groups([
-                    (len(drawn[slot][0]), *workers[slot].dataset.feature_shape)
+                    _group_key(workers[slot], drawn[slot])
                     for slot in depth_round.slots
                 ])
             for group in depth_round.groups:
-                stacked = _gather_batches(workers, drawn, group.slots)
-                group.pending_batch = stacked.shape[1]
-                for slot, out in zip(group.slots, group.model.forward(stacked)):
-                    features[slot] = out
-        return features, [labels for __, labels in drawn]
+                group.rows, group.labels = _stack_rows(
+                    workers[group.slots[0]].dataset.source, drawn, group.slots
+                )
+        self._drawn_sizes = list(batch_sizes)
+        self._drawn_forwards, self._next_forward = count, 0
 
     def backward_step(self, workers, gradients, wait=True) -> None:
         if self._fallback_active:
@@ -246,7 +303,7 @@ class BatchedExecutor(Executor):
                             f"forward batch {group.pending_batch}"
                         )
                 stacked = np.stack([gradients[slot] for slot in group.slots])
-                group.sgd.zero_grad()
+                # The stacked backward writes every parameter gradient.
                 group.model.backward(stacked)
                 group.sgd.step()
                 group.model.clear_forward_state()
@@ -276,25 +333,21 @@ class BatchedExecutor(Executor):
                 workers, model, loss_fn, iterations, batch_size, learning_rate
             )
         momentum, weight_decay, max_grad_norm = uniform_worker_hyperparams(workers)
-        # Pre-draw every worker's mini-batch sequence (worker-major, exactly
-        # the per-loader draw order of the serial loop).
-        batches = [
-            [worker.loader.next_batch(batch_size) for __ in range(iterations)]
+        # Draw every worker's mini-batch sequence (the per-loader draw order
+        # of the serial loop).
+        drawn = [
+            worker.loader.next_indices_many(batch_size, iterations)
             for worker in workers
         ]
-        by_shape: dict[tuple[int, ...], list[int]] = {}
-        for slot, worker_batches in enumerate(batches):
-            shapes = {data.shape for data, __ in worker_batches}
-            if len(shapes) != 1:
-                raise RuntimeError(
-                    f"worker {workers[slot].worker_id} drew mini-batches of "
-                    f"varying shapes: {sorted(map(str, shapes))}"
-                )
-            by_shape.setdefault(next(iter(shapes)), []).append(slot)
+        by_key: dict[tuple, list[int]] = {}
+        for slot, worker in enumerate(workers):
+            by_key.setdefault(_group_key(worker, drawn[slot]), []).append(slot)
 
         states: list[dict[str, np.ndarray] | None] = [None] * len(workers)
         losses = [0.0] * len(workers)
-        for slots in by_shape.values():
+        for slots in by_key.values():
+            source = workers[slots[0]].dataset.source
+            rows, labels = _stack_rows(source, drawn, slots)
             stacked_model = BatchedModel(model, len(slots))
             sgd = BatchedSGD(
                 stacked_model.parameters(),
@@ -307,14 +360,9 @@ class BatchedExecutor(Executor):
             # the serial loop's scalar accumulator.
             totals = np.zeros(len(slots))
             for iteration in range(iterations):
-                data = np.stack([batches[slot][iteration][0] for slot in slots])
-                labels = np.stack(
-                    [np.asarray(batches[slot][iteration][1], dtype=np.int64)
-                     for slot in slots]
-                )
-                sgd.zero_grad()
+                data = source.data.take(rows[iteration], axis=0, mode="clip")
                 logits = stacked_model.forward(data)
-                step_losses, grad = batched_cross_entropy(logits, labels)
+                step_losses, grad = batched_cross_entropy(logits, labels[iteration])
                 totals += step_losses
                 stacked_model.backward(grad)
                 sgd.step()

@@ -24,6 +24,12 @@ momentum buffers only when ``momentum > 0``,
 stacked parameters instead of copies, and
 :meth:`BatchedModel.keep_parameters_only` drops the gradients and forward
 state once no step can follow.
+
+A stacked backward *writes* every parameter gradient (``np.matmul(...,
+out=grad)``, ``np.sum(..., out=grad)``) and then adds ``0.0``, which is the
+serial layer's zeroed ``0.0 + x`` byte for byte; so nothing zeroes the
+stacked gradients between steps, and :meth:`BatchedSGD.step` at momentum 0
+scales them by the learning rates in place.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from repro.nn.layers.linear import Linear
 from repro.nn.layers.regularization import BatchNorm1d, Dropout
 from repro.nn.layers.shape import Flatten
 from repro.nn.module import Sequential
+from repro.nn.optim import check_sgd_settings
 
 
 class BatchedParameter:
@@ -50,9 +57,6 @@ class BatchedParameter:
         self.data = data
         self.grad: np.ndarray | None = np.zeros_like(data)
         self.name = name
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
 
 class BatchedLayer:
@@ -86,6 +90,12 @@ def _stack(array: np.ndarray, count: int) -> np.ndarray:
     return np.repeat(array[None], count, axis=0)
 
 
+def _settle(grad: np.ndarray) -> None:
+    """Finish a written gradient as the serial layer's ``0.0 + x`` would:
+    ``x + 0.0`` is ``x`` bit for bit, except that a ``-0.0`` turns ``+0.0``."""
+    grad += 0.0
+
+
 class BatchedLinear(BatchedLayer):
     """``y = x W^T + b`` for a stack of per-worker weights.
 
@@ -111,9 +121,11 @@ class BatchedLinear(BatchedLayer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
         inputs = self._forward_state
-        self.weight.grad += np.matmul(grad_output.transpose(0, 2, 1), inputs)
+        np.matmul(grad_output.transpose(0, 2, 1), inputs, out=self.weight.grad)
+        _settle(self.weight.grad)
         if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=1)
+            np.sum(grad_output, axis=1, out=self.bias.grad)
+            _settle(self.bias.grad)
         if not self.needs_input_grad:
             return None
         return np.matmul(grad_output, self.weight.data)
@@ -200,8 +212,10 @@ class BatchedBatchNorm1d(BatchedLayer):
             raise RuntimeError("backward called before forward")
         normalized, inv_std, centered = self._forward_state
         samples = grad_flat.shape[1]
-        self.gamma.grad += (grad_flat * normalized).sum(axis=1)
-        self.beta.grad += grad_flat.sum(axis=1)
+        np.sum(grad_flat * normalized, axis=1, out=self.gamma.grad)
+        _settle(self.gamma.grad)
+        np.sum(grad_flat, axis=1, out=self.beta.grad)
+        _settle(self.beta.grad)
         if not self.training:
             return grad_flat * self.gamma.data[:, None, :] * inv_std[:, None, :]
         grad_norm = grad_flat * self.gamma.data[:, None, :]
@@ -354,7 +368,10 @@ class BatchedSGD:
     Each worker has its own learning rate (batch-size-proportional scaling)
     and its own global-norm clip decision; all elementwise update arithmetic
     matches the serial optimizer operation for operation.  Momentum buffers
-    exist only when ``momentum > 0``.
+    exist only when ``momentum > 0``; without them :meth:`step` leaves the
+    gradients scaled by the learning rates, which the next backward
+    overwrites.  The settings are checked as :class:`~repro.nn.optim.SGD`
+    checks them, with one finite, positive rate per stacked row.
     """
 
     def __init__(
@@ -365,20 +382,23 @@ class BatchedSGD:
         weight_decay: float = 0.0,
         max_grad_norm: float | None = None,
     ) -> None:
-        if np.any(learning_rates <= 0):
-            raise ValueError("learning rates must be positive")
         self.parameters = list(parameters)
         self.learning_rates = np.asarray(learning_rates, dtype=np.float64)
+        check_sgd_settings(
+            self.learning_rates, momentum, weight_decay, max_grad_norm
+        )
+        rows = {param.data.shape[0] for param in self.parameters}
+        if self.learning_rates.ndim != 1 or rows - {len(self.learning_rates)}:
+            raise ValueError(
+                f"expected one learning rate per stacked row ({sorted(rows)}), "
+                f"got shape {self.learning_rates.shape}"
+            )
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.max_grad_norm = max_grad_norm
         self._velocity = [
             np.zeros_like(p.data) if momentum else None for p in self.parameters
         ]
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
 
     def _clip_scales(self) -> np.ndarray | None:
         """Per-worker gradient scale factors, or ``None`` when disabled."""
@@ -403,13 +423,15 @@ class BatchedSGD:
             grad = param.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
+            rates = self.learning_rates.reshape(-1, *tail)
             if self.momentum:
                 velocity *= self.momentum
                 velocity += grad
-                update = velocity
+                param.data -= rates * velocity
             else:
-                update = grad
-            param.data -= self.learning_rates.reshape(-1, *tail) * update
+                # The products of ``rates * grad``, without a temporary.
+                grad *= rates
+                param.data -= grad
 
 
 def batched_cross_entropy(

@@ -558,7 +558,7 @@ class ProcessExecutor(Executor):
                         raise
 
     def install(self, workers, bottom, learning_rates, depths=None, wait=True,
-                loads=None) -> None:
+                loads=None, iterations=None) -> None:
         """Assign workers by ``loads``, send unseen sources, send one install
         per child.
 

@@ -21,7 +21,7 @@ class SerialExecutor(Executor):
     name = "serial"
 
     def install(self, workers, bottom, learning_rates, depths=None, wait=True,
-                loads=None) -> None:
+                loads=None, iterations=None) -> None:
         if depths is None:
             depths = [len(bottom)] * len(workers)
         for worker, lr, depth in zip(workers, learning_rates, depths):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data.loader import BatchLoader
 from repro.data.synthetic import make_blobs
@@ -109,3 +110,52 @@ class TestNextIndices:
             assert indices.dtype == np.int64
             assert np.array_equal(indices, loader.next_indices(batch_size))
             _assert_same_state(resumed, loader)
+
+
+#: One source array; shards are scattered rows of it, so rows differ from
+#: shard positions.
+_SOURCE = make_blobs(train_samples=40, test_samples=5, seed=0).train
+
+
+class TestNextIndicesMany:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shard=st.integers(1, 12),
+        batch_size=st.integers(1, 30),
+        count=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_equals_consecutive_next_indices(
+        self, shard, batch_size, count, seed, data
+    ):
+        """``next_indices_many(b, k)`` is ``k`` consecutive ``next_indices(b)``
+        calls, from an arbitrary restored order and cursor: the same rows,
+        the same state afterwards.  Shards shorter than ``b`` and ``k * b``
+        spanning several reshuffles are both in range."""
+        rows = new_rng(seed).choice(len(_SOURCE), size=shard, replace=False)
+        restored = BatchLoader(_SOURCE.subset(rows), seed=seed).state_dict()
+        restored["order"] = new_rng(seed + 1).permutation(shard)
+        restored["cursor"] = data.draw(st.integers(0, shard), label="cursor")
+        loader = BatchLoader(_SOURCE.subset(rows))
+        reference = BatchLoader(_SOURCE.subset(rows))
+        loader.load_state_dict(restored)
+        reference.load_state_dict(restored)
+
+        drawn = loader.next_indices_many(batch_size, count)
+        expected = np.stack(
+            [reference.next_indices(batch_size) for __ in range(count)]
+        )
+        assert drawn.dtype == np.int64
+        assert drawn.shape == (count, min(batch_size, shard))
+        assert np.array_equal(drawn, expected)
+        _assert_same_state(loader, reference)
+        # The rows are a fresh array, as ``next_indices``' are.
+        before = loader.state_dict()["order"]
+        drawn[...] = -1
+        assert np.array_equal(loader.state_dict()["order"], before)
+        assert np.array_equal(loader.dataset.rows, rows)
+
+    def test_rejects_a_non_positive_count(self, loader):
+        with pytest.raises(ValueError, match="count must be positive"):
+            loader.next_indices_many(4, 0)

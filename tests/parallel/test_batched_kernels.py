@@ -1,5 +1,6 @@
-"""Layer-level bit-exactness of the stacked dense kernels, and the serial
-fallback every other model (conv/pool included) takes."""
+"""Layer-level bit-exactness of the stacked dense kernels and their
+optimizer, the batched executor's round draws, and the serial fallback
+every other model (conv/pool included) takes."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro.data.synthetic import make_blobs, make_cifar10
 from repro.core.worker import SplitWorker
+from repro.exceptions import BatchSizeMismatchError
 from repro.nn.layers import (
     BatchNorm1d,
     Conv2d,
@@ -50,6 +52,20 @@ def _layer_cases():
     ]
 
 
+def _relu_masked(rng, shape) -> np.ndarray:
+    """Upstream gradients through a ReLU whose first unit is dead: that
+    unit's column is ``-0.0`` on every sample.  Elementwise backwards pass
+    the signed zeros on; a parameter gradient summed over that column is
+    ``-0.0`` wherever the reduction keeps the sign of its terms (NumPy 2's
+    sums and OpenBLAS's GEMM start from ``+0.0`` and do not), and must
+    still be the serial layer's ``0.0 + x`` byte for byte."""
+    upstream = rng.normal(size=shape)
+    upstream[..., 0] = -np.abs(upstream[..., 0])
+    alive = rng.normal(size=shape) > 0
+    alive[..., 0] = False
+    return upstream * alive
+
+
 @pytest.mark.parametrize(
     "layer,input_shape",
     [case[1:] for case in _layer_cases()],
@@ -57,7 +73,7 @@ def _layer_cases():
 )
 def test_batched_layer_bit_exact(layer, input_shape):
     """Forward, input gradient and parameter gradients match the serial layer
-    run once per worker, bit for bit."""
+    run once per worker, byte for byte -- signed zeros included."""
     rng = new_rng(123)
     inputs = rng.normal(size=(WORKERS, *input_shape))
 
@@ -68,7 +84,8 @@ def test_batched_layer_bit_exact(layer, input_shape):
         serial.zero_grad()
         serial_out.append(serial.forward(inputs[w]))
     out_shape = serial_out[0].shape
-    grad_out = rng.normal(size=(WORKERS, *out_shape))
+    grad_out = _relu_masked(rng, (WORKERS, *out_shape))
+    assert np.signbit(grad_out[..., 0]).all()
     for w, serial in enumerate(serial_layers):
         serial_gin.append(serial.backward(grad_out[w]))
 
@@ -77,13 +94,13 @@ def test_batched_layer_bit_exact(layer, input_shape):
     gin = batched.backward(grad_out)
 
     for w in range(WORKERS):
-        assert np.array_equal(out[w], serial_out[w])
-        assert np.array_equal(gin[w], serial_gin[w])
+        assert out[w].tobytes() == serial_out[w].tobytes()
+        assert gin[w].tobytes() == serial_gin[w].tobytes()
     for batched_param, *serial_params in zip(
         batched.params, *(s.parameters() for s in serial_layers)
     ):
         for w, serial_param in enumerate(serial_params):
-            assert np.array_equal(batched_param.grad[w], serial_param.grad)
+            assert batched_param.grad[w].tobytes() == serial_param.grad.tobytes()
 
 
 def test_stacked_first_layer_skips_only_the_input_gradient():
@@ -141,14 +158,55 @@ def test_batched_sgd_bit_exact(momentum, weight_decay, max_grad_norm):
             loss.forward(logits, labels[w])
             model.backward(loss.backward())
             opt.step()
-        batched_opt.zero_grad()
         logits = batched_model.forward(data)
         batched_model.backward(batched_cross_entropy(logits, labels)[1])
         batched_opt.step()
 
     for w, model in enumerate(serial_models):
         for name, value in model.state_dict().items():
-            assert np.array_equal(batched_model.state_dict_for(w)[name], value)
+            assert batched_model.state_dict_for(w)[name].tobytes() == value.tobytes()
+
+
+def _stacked_parameters(count: int = 2):
+    return BatchedModel(Sequential([Linear(3, 2, rng=new_rng(0))]), count).parameters()
+
+
+def test_batched_sgd_takes_a_list_of_rates():
+    sgd = BatchedSGD(_stacked_parameters(), [0.1, 0.2])
+    assert sgd.learning_rates.dtype == np.float64
+    assert sgd.learning_rates.tolist() == [0.1, 0.2]
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -0.1])
+def test_a_non_finite_or_non_positive_rate_is_rejected(rate):
+    with pytest.raises(ValueError, match="finite and positive"):
+        SGD(_stacked_parameters(), lr=rate)
+    with pytest.raises(ValueError, match="finite and positive"):
+        BatchedSGD(_stacked_parameters(), [0.1, rate])
+
+
+@pytest.mark.parametrize("rates", [[0.1], [0.1, 0.1, 0.1], [[0.1, 0.1]]],
+                         ids=["short", "long", "2-d"])
+def test_one_rate_per_stacked_row(rates):
+    """A wrong-length rates vector fails at construction, not with a
+    broadcast error at the first ``step()``."""
+    with pytest.raises(ValueError, match="one learning rate per stacked row"):
+        BatchedSGD(_stacked_parameters(), rates)
+
+
+@pytest.mark.parametrize("setting", [
+    dict(momentum=1.0), dict(momentum=-0.1), dict(momentum=float("nan")),
+    dict(weight_decay=-1.0), dict(weight_decay=float("nan")),
+    dict(max_grad_norm=-1.0), dict(max_grad_norm=0.0),
+    dict(max_grad_norm=float("nan")),
+], ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
+def test_batched_sgd_checks_hyperparameters_as_sgd_does(setting):
+    """``max_grad_norm=-1.0`` used to pass and flip every gradient's sign."""
+    with pytest.raises(ValueError) as serial:
+        SGD(_stacked_parameters(), lr=0.1, **setting)
+    with pytest.raises(ValueError) as batched:
+        BatchedSGD(_stacked_parameters(), [0.1, 0.1], **setting)
+    assert str(batched.value) == str(serial.value)
 
 
 def test_batched_cross_entropy_gradient_matches_serial():
@@ -321,3 +379,103 @@ def test_batched_states_are_read_only_rows_equal_to_serial(momentum):
                 with pytest.raises(ValueError, match="read-only"):
                     value[...] = 0.0
                 assert value.tobytes() == serial[key].tobytes()
+
+
+def _draw_cohort(source) -> list[SplitWorker]:
+    """Five workers on scattered rows of one source; worker 3's shard (6
+    samples) is shorter than its batch, so its draws clamp and reshuffle."""
+    sizes = (30, 20, 24, 6, 18)
+    rows = new_rng(8).permutation(len(source))
+    starts = np.cumsum((0, *sizes))
+    return [
+        SplitWorker(
+            worker_id=10 + i, dataset=source.subset(rows[start:start + size]),
+            num_classes=4, momentum=0.5, seed=400 + i,
+        )
+        for i, (start, size) in enumerate(zip(starts, sizes))
+    ]
+
+
+#: Two cut depths over a four-layer bottom, and mixed batch sizes: three
+#: shape groups at depth 4, two at depth 2.
+_DRAW_DEPTHS = [4, 2, 4, 4, 2]
+_DRAW_SIZES = [8, 4, 5, 8, 3]
+
+
+def _drawn_round(source, iterations, forwards, sizes=_DRAW_SIZES):
+    """``forwards`` (forward, backward) pairs after one install: every
+    forward's features and labels, the states, every loader's state."""
+    bottom = Sequential([Linear(32, 16, rng=new_rng(3)), ReLU(),
+                         Linear(16, 12, rng=new_rng(4)), Tanh()])
+    workers = _draw_cohort(source)
+    executor = BatchedExecutor()
+    executor.install(workers, bottom, [0.1, 0.05, 0.2, 0.1, 0.15],
+                     _DRAW_DEPTHS, iterations=iterations)
+    outputs = []
+    for __ in range(forwards):
+        features, labels = executor.forward(workers, sizes)
+        executor.backward_step(workers, [0.1 * f for f in features])
+        outputs.append((features, labels))
+    return (outputs, executor.bottom_states(workers),
+            [worker.loader.state_dict() for worker in workers])
+
+
+def _assert_same_round(candidate, reference) -> None:
+    (outputs, states, loaders), (ref_outputs, ref_states, ref_loaders) = (
+        candidate, reference)
+    assert len(outputs) == len(ref_outputs)
+    for (features, labels), (ref_features, ref_labels) in zip(outputs, ref_outputs):
+        for ours, theirs in zip(features + labels, ref_features + ref_labels):
+            assert ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
+    for state, ref_state in zip(states, ref_states):
+        assert list(state) == list(ref_state)
+        for key in state:
+            assert state[key].tobytes() == ref_state[key].tobytes()
+    for loader, ref_loader in zip(loaders, ref_loaders):
+        assert loader["rng"] == ref_loader["rng"]
+        assert loader["cursor"] == ref_loader["cursor"]
+        assert loader["order"].tobytes() == ref_loader["order"].tobytes()
+
+
+@pytest.mark.parametrize("tau", [1, 3, 5])
+def test_a_round_drawn_at_its_first_forward_equals_drawing_per_forward(tau):
+    """``install(..., iterations=tau)`` draws every worker's round at the
+    first forward; features, labels, states and every loader's state are
+    those of drawing at each forward, across two depths and mixed batch
+    sizes -- and serial execution's too."""
+    source = make_blobs(train_samples=120, test_samples=10, seed=6).train
+    drawn = _drawn_round(source, tau, tau)
+    _assert_same_round(drawn, _drawn_round(source, None, tau))
+
+    bottom = Sequential([Linear(32, 16, rng=new_rng(3)), ReLU(),
+                         Linear(16, 12, rng=new_rng(4)), Tanh()])
+    workers = _draw_cohort(source)
+    serial = SerialExecutor()
+    serial.install(workers, bottom, [0.1, 0.05, 0.2, 0.1, 0.15], _DRAW_DEPTHS)
+    outputs = []
+    for __ in range(tau):
+        features, labels = serial.forward(workers, _DRAW_SIZES)
+        serial.backward_step(workers, [0.1 * f for f in features])
+        outputs.append((features, labels))
+    _assert_same_round(drawn, (
+        outputs, serial.bottom_states(workers),
+        [worker.loader.state_dict() for worker in workers],
+    ))
+
+
+def test_a_forward_past_the_drawn_round_draws_afresh():
+    source = make_blobs(train_samples=120, test_samples=10, seed=6).train
+    _assert_same_round(_drawn_round(source, 2, 3), _drawn_round(source, None, 3))
+
+
+def test_a_forward_with_other_batch_sizes_than_drawn_raises():
+    source = make_blobs(train_samples=120, test_samples=10, seed=6).train
+    workers = _draw_cohort(source)
+    executor = BatchedExecutor()
+    executor.install(workers, Sequential([Linear(32, 8, rng=new_rng(3))]),
+                     [0.1] * 5, iterations=3)
+    features, __ = executor.forward(workers, _DRAW_SIZES)
+    executor.backward_step(workers, [0.1 * f for f in features])
+    with pytest.raises(BatchSizeMismatchError, match="install drew"):
+        executor.forward(workers, [4] * 5)

@@ -210,6 +210,29 @@ def norm_mlp_model():
     MODELS.unregister(name)
 
 
+@pytest.mark.parametrize("algorithm,forwards", [("splitfed", 1), ("mergesfl", 3)])
+def test_batched_draws_each_install_once(algorithm, forwards, monkeypatch):
+    """The split engine tells the executor how many forwards follow an
+    install: ``local_iterations``, or 1 under SplitFed's per-iteration
+    re-install (``aggregate_every_iteration``).  The batched run that draws
+    them at once still equals serial, record for record."""
+    from repro.parallel.batched import BatchedExecutor
+
+    seen = []
+    install = BatchedExecutor.install
+
+    def spy(self, *args, iterations=None, **kwargs):
+        seen.append(iterations)
+        return install(self, *args, iterations=iterations, **kwargs)
+
+    monkeypatch.setattr(BatchedExecutor, "install", spy)
+    candidate = _run(_config("batched", algorithm))
+    assert seen and set(seen) == {forwards}
+    _assert_bit_equal(
+        _serial_reference(algorithm), candidate, f"{algorithm}/batched/drawn"
+    )
+
+
 def test_batched_checkpoint_resume_matches_serial(tmp_path):
     """Executor choice is checkpoint-safe: a batched run checkpointed after
     one round and resumed finishes bit-identically to a straight serial run."""

@@ -84,9 +84,11 @@ def test_the_split_engine_installs_with_each_workers_load():
         seen = {}
         install, forward = executor.install, executor.forward
 
-        def spy_install(workers, bottom, lrs, depths=None, wait=True, loads=None):
+        def spy_install(workers, bottom, lrs, depths=None, wait=True, loads=None,
+                        iterations=None):
             seen["install"] = (depths, loads)
-            return install(workers, bottom, lrs, depths, wait, loads=loads)
+            return install(workers, bottom, lrs, depths, wait, loads=loads,
+                           iterations=iterations)
 
         def spy_forward(workers, batch_sizes):
             seen.setdefault("batches", list(batch_sizes))
