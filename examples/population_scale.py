@@ -1,14 +1,14 @@
 """Simulate a 100,000-worker fleet on a laptop with the lazy population.
 
-With ``population="lazy"`` the experiment registers every worker as a
-compact metadata row in a sharded registry (:mod:`repro.population`) and
-materialises live worker objects only for each round's selected cohort:
-data shards are drawn lazily from per-worker RNG streams, every worker
-starts the round from the installed global model, and the cohort is
-released at round end.  Peak memory tracks the cohort size --
-here a 64-worker candidate pool -- not the registered population, and the
-trajectory is bit-exact against the eager path at any size where eager
-still fits in memory.
+Every experiment registers its workers as compact metadata rows in a
+sharded registry (:mod:`repro.population`) and materialises a live worker
+when a round selects it; with ``population="lazy"`` the cohort is evicted
+again at round end.  Data shards are drawn lazily from per-worker RNG
+streams and every worker starts the round from the installed global
+model, so peak memory tracks the cohort size -- here a 64-worker
+candidate pool -- not the registered population, and the trajectory is
+bit-exact against the resident ``population="eager"`` pool at any size
+where every worker still fits in memory.
 
 Usage::
 

@@ -32,13 +32,13 @@ from repro.nn.module import Sequential
 from repro.nn.split import SplitModel, split_model
 from repro.parallel import build_executor
 from repro.population.materializer import Materializer
-from repro.population.pool import EagerWorkerPool, LazyWorkerPool, WorkerPool
+from repro.population.pool import WorkerPool
 from repro.population.registry import (
     PartitionShards,
     SampledShards,
     WorkerRegistry,
 )
-from repro.simulation.cluster import Cluster, LazyCluster, build_cluster
+from repro.simulation.cluster import Cluster
 from repro.simulation.traffic import feature_bytes
 
 #: Fraction of the "everyone at full batch" ingress load used as the default
@@ -63,28 +63,23 @@ class ExperimentComponents:
     data: TrainTestSplit
     model: Sequential
     split: SplitModel | None
-    workers: list[SplitWorker]
-    cluster: "Cluster | LazyCluster"
+    #: The population the engines plan and train against.
+    pool: WorkerPool
+    cluster: Cluster
     bandwidth_budget: float
     #: ``None`` (e.g. hand-wired component sets) means the engines fall
     #: back to their default serial executor.
     executor: "Executor | None" = None
-    #: The population abstraction the engines train against.  ``None``
-    #: (hand-wired component sets) means :meth:`worker_pool` wraps the
-    #: eager ``workers`` list on first use; ``config.population="lazy"``
-    #: stores a :class:`~repro.population.pool.LazyWorkerPool` here and
-    #: leaves ``workers`` empty.
-    pool: "WorkerPool | None" = None
     #: Worker-selection solver shared by whichever policy the algorithm
     #: builds.  ``None`` means :meth:`selection_solver` resolves
     #: ``config.selector`` from the registry on first use.
     selection: "SelectionSolver | None" = None
 
-    def worker_pool(self) -> "WorkerPool":
-        """The population pool, wrapping the eager worker list if needed."""
-        if self.pool is None:
-            self.pool = EagerWorkerPool(self.workers)
-        return self.pool
+    @property
+    def workers(self) -> list[SplitWorker]:
+        """Every worker of a resident (``population="eager"``) population,
+        live; see :attr:`~repro.population.pool.WorkerPool.workers`."""
+        return self.pool.workers
 
     def selection_solver(self) -> "SelectionSolver":
         """The worker-selection solver, resolved from ``config.selector``."""
@@ -168,41 +163,31 @@ def _default_bandwidth_budget(
     )
 
 
-def _build_lazy_population(
-    config: ExperimentConfig, data: TrainTestSplit
-) -> LazyWorkerPool:
-    """Registry + materializer for ``population="lazy"``.
+def _build_population(config: ExperimentConfig, data: TrainTestSplit) -> WorkerPool:
+    """Registry, materializer and pool of the configured population.
 
-    ``extras['population_sharding']`` picks the shard source: ``"partition"``
-    (default) reuses :func:`partition_dataset` verbatim, which keeps the lazy
-    path bit-exact with eager construction; ``"sampled"`` derives each shard
-    lazily from a per-worker RNG stream, the O(1)-per-registration mode for
-    million-worker registries (shard size via
-    ``extras['population_samples_per_worker']``).
+    The shards are :func:`partition_dataset`'s unless an evicting
+    population sets ``extras['population_sharding']`` to ``"sampled"``:
+    each shard derived from a per-worker RNG stream, O(1) per registration
+    (size ``extras['population_samples_per_worker']``).
     """
-    sharding = config.extras.get("population_sharding", "partition")
-    if sharding == "partition":
-        source = PartitionShards(
-            partition_dataset(
-                data.train, config.num_workers, config.non_iid_level,
-                seed=config.seed,
-            )
-        )
-    elif sharding == "sampled":
+    if config.extras.get("population_sharding", "partition") == "sampled":
         default_samples = min(
             len(data.train), max(16, len(data.train) // config.num_workers)
         )
         source = SampledShards(
             train_size=len(data.train),
-            samples_per_worker=int(
-                config.extras.get("population_samples_per_worker", default_samples)
+            samples_per_worker=config.extras.get(
+                "population_samples_per_worker", default_samples
             ),
             seed=config.seed,
         )
     else:
-        raise ConfigurationError(
-            f"extras['population_sharding'] must be 'partition' or 'sampled', "
-            f"got {sharding!r}"
+        source = PartitionShards(
+            partition_dataset(
+                data.train, config.num_workers, config.non_iid_level,
+                seed=config.seed,
+            )
         )
     registry = WorkerRegistry(
         num_workers=config.num_workers,
@@ -220,11 +205,12 @@ def _build_lazy_population(
         weight_decay=config.weight_decay,
         max_grad_norm=config.max_grad_norm,
     )
-    return LazyWorkerPool(
+    return WorkerPool(
         registry=registry,
         materializer=materializer,
         candidates_per_round=config.population_candidates,
         seed=config.seed,
+        resident=config.population == "eager",
     )
 
 
@@ -266,39 +252,14 @@ def build_components(config: ExperimentConfig) -> ExperimentComponents:
         test_samples=config.test_samples,
         seed=config.seed,
     )
-    if config.population == "lazy":
-        pool = _build_lazy_population(config, data)
-        workers: list[SplitWorker] = []
-        cluster: Cluster | LazyCluster = LazyCluster(
-            num_workers=config.num_workers,
-            bandwidth_budget_mbps=config.bandwidth_budget_mbps,
-            seed=config.seed,
-            mode_change_interval=config.mode_change_interval,
-            max_live_devices=int(config.extras.get("population_live_devices", 0)),
-        )
-    else:
-        pool = None
-        shards = partition_dataset(
-            data.train, config.num_workers, config.non_iid_level, seed=config.seed
-        )
-        workers = [
-            SplitWorker(
-                worker_id=worker_id,
-                dataset=data.train.subset(shard),
-                num_classes=data.num_classes,
-                seed=config.seed + 1000 + worker_id,
-                momentum=config.momentum,
-                weight_decay=config.weight_decay,
-                max_grad_norm=config.max_grad_norm,
-            )
-            for worker_id, shard in enumerate(shards)
-        ]
-        cluster = build_cluster(
-            num_workers=config.num_workers,
-            bandwidth_budget_mbps=config.bandwidth_budget_mbps,
-            seed=config.seed,
-            mode_change_interval=config.mode_change_interval,
-        )
+    pool = _build_population(config, data)
+    cluster = Cluster(
+        num_workers=config.num_workers,
+        bandwidth_budget_mbps=config.bandwidth_budget_mbps,
+        seed=config.seed,
+        mode_change_interval=config.mode_change_interval,
+        max_live_devices=config.extras.get("population_live_devices", 0),
+    )
     model = build_model_for(config, data)
     if has_default_split(config.model):
         split = split_model(model, resolve_split_layer(config, model))
@@ -315,11 +276,10 @@ def build_components(config: ExperimentConfig) -> ExperimentComponents:
         data=data,
         model=model,
         split=split,
-        workers=workers,
+        pool=pool,
         cluster=cluster,
         bandwidth_budget=budget,
-        executor=build_executor(config, model, workers),
-        pool=pool,
+        executor=build_executor(config, model),
     )
 
 

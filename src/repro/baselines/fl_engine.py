@@ -48,7 +48,7 @@ from repro.parallel.base import Executor
 from repro.parallel.codec import WEIGHTS
 from repro.parallel.pipeline import FullRoundOps, PipelineScheduler
 from repro.population.pool import WorkerPool
-from repro.simulation.cluster import Cluster, LazyCluster
+from repro.simulation.cluster import Cluster
 from repro.utils.rng import spawned_rng
 
 
@@ -77,7 +77,7 @@ class FLTrainingEngine(RoundEngine):
         config: ExperimentConfig,
         model: Sequential,
         workers: "list[SplitWorker] | WorkerPool",
-        cluster: "Cluster | LazyCluster",
+        cluster: Cluster,
         data: TrainTestSplit,
         selection: FLSelectionStrategy,
         executor: Executor | None = None,
@@ -104,7 +104,7 @@ class FLTrainingEngine(RoundEngine):
         return cls(
             config=components.config,
             model=components.model,
-            workers=components.worker_pool(),
+            workers=components.pool,
             cluster=components.cluster,
             data=components.data,
             selection=selection,

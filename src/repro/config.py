@@ -90,19 +90,21 @@ class ExperimentConfig:
     selection_fraction: float = 0.5        # m = N/2 initial population seed
 
     # Population -------------------------------------------------------------
-    #: How registered workers are held: ``"eager"`` builds one live
-    #: :class:`~repro.core.worker.SplitWorker` per registered worker (the
-    #: historical behaviour); ``"lazy"`` keeps compact metadata rows in a
+    #: Whether a materialised worker stays resident.  Every run registers
+    #: its workers as rows of a
     #: :class:`~repro.population.registry.WorkerRegistry` and materialises
-    #: live workers only for each round's selected cohort.  Both modes are
-    #: bit-exact with each other; ``"lazy"`` bounds resident worker state by
-    #: the cohort instead of the registered population.
+    #: a live :class:`~repro.core.worker.SplitWorker` the first time a round
+    #: selects it.  ``"eager"`` keeps it live from then on; ``"lazy"`` evicts
+    #: the cohort at round end, bounding live worker state by the cohort
+    #: instead of the registered population, at the price of rebuilding it
+    #: every round.  Both train bit-identically and share one checkpoint
+    #: format, so either resumes the other's checkpoints.
     population: str = "eager"
-    #: Rows per registry shard -- the granularity at which the lazy
-    #: registry materialises its label-distribution column.
+    #: Rows per registry shard -- the granularity at which the registry
+    #: materialises its label-distribution column.
     population_shard_size: int = 4096
     #: Candidate-pool size for per-round planning under ``population="lazy"``.
-    #: ``0`` plans over the full population (bit-exact with eager); a
+    #: ``0`` plans over the full population (as ``"eager"`` does); a
     #: positive value plans each round over that many deterministically
     #: sampled candidates, keeping planning cost flat as registrations grow.
     population_candidates: int = 0
@@ -389,11 +391,7 @@ class ExperimentConfig:
                 "rejoin_staleness_bound require elastic=True; with "
                 "elastic=False they would be silently ignored"
             )
-        if self.population == "eager" and self.population_candidates > 0:
-            raise ConfigurationError(
-                "population_candidates requires population='lazy'; the eager "
-                "population always plans over every registered worker"
-            )
+        self._validate_population_extras()
         class_rates = self.extras.get("device_dropout_rates")
         if class_rates is not None:
             if not self.elastic:
@@ -412,6 +410,32 @@ class ExperimentConfig:
                         f"extras['device_dropout_rates'][{name!r}] must be a "
                         f"rate in [0, 1], got {rate!r}"
                     )
+
+    def _validate_population_extras(self) -> None:
+        """The evicting population's knobs: valid values, and none at all
+        under ``population="eager"``, which would silently ignore them."""
+        extras = [key for key in ("population_sharding", "population_live_devices",
+                                  "population_samples_per_worker")
+                  if key in self.extras]
+        if self.population == "eager" and (extras or self.population_candidates):
+            name = f"extras[{extras[0]!r}]" if extras else "population_candidates"
+            raise ConfigurationError(
+                f"{name} requires population='lazy'; the eager population "
+                f"plans over every registered worker, partition-sharded"
+            )
+        sharding = self.extras.get("population_sharding", "partition")
+        if sharding not in ("partition", "sampled"):
+            raise ConfigurationError(
+                f"extras['population_sharding'] must be 'partition' or "
+                f"'sampled', got {sharding!r}"
+            )
+        for key, low in (("population_samples_per_worker", 1),
+                         ("population_live_devices", 0)):
+            value = self.extras.get(key, low)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ConfigurationError(
+                    f"extras[{key!r}] must be an int >= {low}, got {value!r}"
+                )
 
     def _reject_misspelled_extras(self) -> None:
         """Fail on an ``extras`` key that nearly spells a known name.

@@ -90,7 +90,7 @@ class ElasticController:
             # Per-device-class churn: a worker's dropout probability comes
             # from its device profile (e.g. {"jetson_tx2": 0.3}), falling
             # back to the scalar rate for unlisted classes.  Resolved
-            # lazily per worker id so lazy clusters only materialise the
+            # lazily per worker id so the cluster only materialises the
             # devices churn actually asks about.
             rates = {str(name): float(rate) for name, rate in class_rates.items()}
             base = float(config.dropout_rate)

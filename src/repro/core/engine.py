@@ -58,7 +58,7 @@ from repro.parallel.base import Executor
 from repro.parallel.codec import FEATURES, GRADIENTS, WEIGHTS
 from repro.parallel.pipeline import PipelineScheduler, SplitRoundOps
 from repro.population.pool import WorkerPool
-from repro.simulation.cluster import Cluster, LazyCluster
+from repro.simulation.cluster import Cluster
 from repro.simulation.estimator import BandwidthEstimator, WorkerStateEstimator
 from repro.simulation.traffic import feature_bytes
 from repro.splitpoint import SplitContext, build_split_policy
@@ -103,7 +103,7 @@ class SplitTrainingEngine(RoundEngine):
         config: ExperimentConfig,
         split: SplitModel,
         workers: "list[SplitWorker] | WorkerPool",
-        cluster: "Cluster | LazyCluster",
+        cluster: Cluster,
         data: TrainTestSplit,
         policy: ControlPolicy,
         bandwidth_budget_override: float | None = None,
@@ -182,13 +182,13 @@ class SplitTrainingEngine(RoundEngine):
         """The engine over :class:`~repro.api.components.ExperimentComponents`.
 
         The one place that maps a component set to the constructor's
-        arguments: the configured executor and the population pool (eager
-        or lazy) always reach the engine, whatever the policy.
+        arguments: the configured executor and the worker pool (resident or
+        evicting) always reach the engine, whatever the policy.
         """
         return cls(
             config=components.config,
             split=components.split,
-            workers=components.worker_pool(),
+            workers=components.pool,
             cluster=components.cluster,
             data=components.data,
             policy=policy,

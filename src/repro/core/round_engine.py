@@ -49,8 +49,8 @@ from repro.parallel.base import Executor
 from repro.parallel.codec import WEIGHTS, CodecPolicy, build_codec_policy
 from repro.parallel.pipeline import PipelineScheduler, build_pipeline
 from repro.parallel.serial import SerialExecutor
-from repro.population.pool import WorkerPool, as_worker_pool
-from repro.simulation.cluster import Cluster, LazyCluster
+from repro.population.pool import WorkerPool
+from repro.simulation.cluster import Cluster
 from repro.simulation.timing import (
     average_waiting_time,
     elastic_round_duration,
@@ -72,14 +72,17 @@ class RoundEngine(Algorithm):
         self,
         config: ExperimentConfig,
         workers: "list[SplitWorker] | WorkerPool",
-        cluster: "Cluster | LazyCluster",
+        cluster: Cluster,
         data: TrainTestSplit,
         executor: Executor | None = None,
         pipeline: PipelineScheduler | None = None,
         elastic: ElasticController | None = None,
     ) -> None:
         self.config = config
-        self.pool = as_worker_pool(workers)
+        self.pool = (
+            workers if isinstance(workers, WorkerPool)
+            else WorkerPool.of_workers(workers)
+        )
         self.cluster = cluster
         self.data = data
         self.executor = executor if executor is not None else SerialExecutor()
@@ -104,11 +107,6 @@ class RoundEngine(Algorithm):
         self._current_lr = config.learning_rate
 
     # -- public API -----------------------------------------------------------
-    @property
-    def workers(self) -> list[SplitWorker]:
-        """The eager worker list (raises for lazily-materialised populations)."""
-        return self.pool.eager_workers
-
     def step_round(self) -> RoundRecord:
         """Execute one communication round and return its record."""
         self._run_round(self._round_index)
@@ -163,7 +161,14 @@ class RoundEngine(Algorithm):
         self._current_lr = float(state["current_lr"])
         self.history = History.from_dict(state["history"])
         self.traffic.load_state_dict(state["traffic"])
-        self.cluster.load_state_dict(state["cluster"])
+        # Device-list checkpoints need the round the cluster last advanced
+        # to: a prefetched plan's (split engine), else the last completed.
+        pending = state.get("pending_plan")
+        self.cluster.load_state_dict(
+            state["cluster"],
+            last_round=(int(pending["round_index"]) if pending is not None
+                        else self._round_index - 1),
+        )
         # Indexed, not ``.get``: a checkpoint has every key ``state_dict``
         # writes, and a missing one is reported by name (``Session._restore``).
         if state["elastic"] is not None and self._elastic is not None:
@@ -386,8 +391,8 @@ class RoundEngine(Algorithm):
                 error,
             )
         account()
-        # Round over: fold the cohort's mutable state back into the pool
-        # (a no-op for eager populations, the release point for lazy ones).
+        # Round over: an evicting pool folds the cohort back into its rows
+        # (a resident pool keeps it live).
         self.pool.release(selected_workers)
 
         accuracy, test_loss = self._evaluate()

@@ -8,6 +8,28 @@ from repro.data.dataset import Dataset, Shard, as_shard
 from repro.utils.rng import get_rng_state, new_rng, set_rng_state
 
 
+def check_loader_state(state: dict, size: int) -> tuple[np.ndarray, int]:
+    """The ``(order, cursor)`` of a :class:`BatchLoader` state over ``size``
+    shard positions.  Anything but a permutation of the positions and a
+    cursor in ``[0, size]`` would draw short batches or another worker's
+    rows of the shared source, and raises ``ValueError``."""
+    order = np.asarray(state["order"], dtype=np.int64)
+    if order.shape != (size,):
+        raise ValueError(
+            f"loader order length {order.shape[0] if order.ndim else 0} "
+            f"does not match the dataset size {size}"
+        )
+    if size and (order.min() < 0 or order.max() >= size
+                 or not np.all(np.bincount(order, minlength=size) == 1)):
+        raise ValueError(
+            f"loader order is not a permutation of the {size} shard positions"
+        )
+    cursor = int(state["cursor"])
+    if not 0 <= cursor <= size:
+        raise ValueError(f"loader cursor {cursor} is outside [0, {size}]")
+    return order, cursor
+
+
 class BatchLoader:
     """Cycling mini-batch sampler over a worker's local shard.
 
@@ -92,27 +114,8 @@ class BatchLoader:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore sampling state captured by :meth:`state_dict`.
-
-        The order must be a permutation of the shard's positions and the
-        cursor must lie in ``[0, len(order)]``: anything else would draw
-        short batches or another worker's rows of the shared source.
-        """
-        size = len(self.dataset)
-        order = np.asarray(state["order"], dtype=np.int64)
-        if order.shape != (size,):
-            raise ValueError(
-                f"loader order length {order.shape[0] if order.ndim else 0} "
-                f"does not match the dataset size {size}"
-            )
-        if size and (order.min() < 0 or order.max() >= size
-                     or not np.all(np.bincount(order, minlength=size) == 1)):
-            raise ValueError(
-                f"loader order is not a permutation of the {size} shard positions"
-            )
-        cursor = int(state["cursor"])
-        if not 0 <= cursor <= size:
-            raise ValueError(f"loader cursor {cursor} is outside [0, {size}]")
+        """Restore sampling state captured by :meth:`state_dict`."""
+        order, cursor = check_loader_state(state, len(self.dataset))
         set_rng_state(self._rng, state["rng"])
         self._order = order.copy()
         self._cursor = cursor

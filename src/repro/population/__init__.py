@@ -1,24 +1,19 @@
-"""Sharded, lazily-materialized worker populations.
+"""Sharded, on-demand worker populations.
 
 This package decouples the *registered* population (compact metadata rows
 in a :class:`~repro.population.registry.WorkerRegistry`) from the *live*
-workers a round actually trains (rebuilt on demand by a
-:class:`~repro.population.materializer.Materializer` and bounded by the
-selected cohort).  The engines consume either through the
-:class:`~repro.population.pool.WorkerPool` interface; ``config.population``
-selects ``"eager"`` (today's worker list, the default) or ``"lazy"``
-(registry + materializer, bit-exact with eager and scalable to millions of
-registered workers).
+workers a round actually trains (built on demand by a
+:class:`~repro.population.materializer.Materializer`).  The engines plan
+and train through one :class:`~repro.population.pool.WorkerPool`;
+``config.population`` only says whether a materialised worker stays
+resident (``"eager"``, the default) or is evicted at round end
+(``"lazy"``: live state bounded by the cohort, scalable to millions of
+registered workers).  Both train bit-identically and share one checkpoint
+format.
 """
 
 from repro.population.materializer import Materializer, WORKER_SEED_OFFSET
-from repro.population.pool import (
-    CANDIDATE_SEED_OFFSET,
-    EagerWorkerPool,
-    LazyWorkerPool,
-    WorkerPool,
-    as_worker_pool,
-)
+from repro.population.pool import CANDIDATE_SEED_OFFSET, WorkerPool
 from repro.population.registry import (
     PartitionShards,
     SampledShards,
@@ -29,8 +24,6 @@ from repro.population.registry import (
 
 __all__ = [
     "CANDIDATE_SEED_OFFSET",
-    "EagerWorkerPool",
-    "LazyWorkerPool",
     "Materializer",
     "PartitionShards",
     "SampledShards",
@@ -38,6 +31,5 @@ __all__ = [
     "WORKER_SEED_OFFSET",
     "WorkerPool",
     "WorkerRegistry",
-    "as_worker_pool",
     "sample_distinct",
 ]

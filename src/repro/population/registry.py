@@ -12,9 +12,8 @@ costs a few dense numpy allocations rather than a million model copies.
 Shard descriptors come from a :class:`ShardSource`:
 
 * :class:`PartitionShards` wraps the index lists produced by
-  :func:`repro.data.partition.partition_dataset` -- the exact shards the
-  eager path builds, which is what makes ``population="lazy"`` bit-exact
-  against eager construction.
+  :func:`repro.data.partition.partition_dataset` (the default: the same
+  shards at either residency).
 * :class:`SampledShards` derives each worker's shard lazily from a
   per-worker RNG stream (``spawned_rng``), so shard construction is O(1)
   in the registered population -- the mode used for million-worker

@@ -1,12 +1,11 @@
 """Heterogeneous cluster construction.
 
-:class:`Cluster` holds one live :class:`WorkerDevice` per registered worker
-(the eager path).  :class:`LazyCluster` answers the same queries for
-populations too large to hold live device objects: devices are derived on
-first touch from ``spawned_rng(seed, worker_id)`` -- the identical stream
-``build_cluster`` hands each eager device -- and caught up by replaying the
-missed ``advance_round`` calls, so a lazily-materialised device is
-bit-identical to an always-live one for any touch pattern.
+:class:`Cluster` holds the simulated worker devices and the PS ingress
+link.  A device is a pure function of ``(seed, worker_id, round)``: built
+on first touch from ``spawned_rng(seed, worker_id)`` and caught up by
+replaying the ``advance_round`` calls it missed, it is the device an
+always-advanced fleet would hold.  So advancing a round only re-draws the
+bandwidth budget, and a checkpoint is the budget RNG, budget and round.
 """
 
 from __future__ import annotations
@@ -16,99 +15,15 @@ import numpy as np
 from repro.simulation.device import sample_device_profile
 from repro.simulation.network import WifiNetworkModel, assign_distance
 from repro.simulation.worker_device import WorkerDevice
-from repro.utils.rng import get_rng_state, set_rng_state, spawn_rngs, spawned_rng
+from repro.utils.rng import get_rng_state, set_rng_state, spawned_rng
 
 
-class _DeviceTimes:
-    """Per-sample times of any worker subset, over ``self[worker_id]``."""
-
-    def compute_times(self, ids, forward_flops: float) -> np.ndarray:
-        """Per-sample compute time ``mu_i`` of workers ``ids`` (seconds)."""
-        return np.asarray(
-            [self[int(i)].compute_time_per_sample(forward_flops) for i in ids]
-        )
-
-    def comm_times(self, ids, bytes_per_sample: float) -> np.ndarray:
-        """Per-sample communication time ``beta_i`` of workers ``ids`` (seconds)."""
-        return np.asarray(
-            [self[int(i)].comm_time_per_sample(bytes_per_sample) for i in ids]
-        )
-
-
-class Cluster(_DeviceTimes):
-    """A collection of simulated worker devices plus the PS ingress link."""
-
-    def __init__(
-        self,
-        devices: list[WorkerDevice],
-        bandwidth_budget_mbps: float,
-        rng: np.random.Generator,
-        budget_jitter: float = 0.15,
-    ) -> None:
-        if bandwidth_budget_mbps <= 0:
-            raise ValueError("bandwidth_budget_mbps must be positive")
-        self.devices = devices
-        self.nominal_budget_mbps = bandwidth_budget_mbps
-        self.budget_jitter = budget_jitter
-        self._rng = rng
-        self.current_budget_mbps = bandwidth_budget_mbps
-
-    def __len__(self) -> int:
-        return len(self.devices)
-
-    def __getitem__(self, worker_id: int) -> WorkerDevice:
-        return self.devices[worker_id]
-
-    def advance_round(self, round_index: int) -> None:
-        """Refresh every device and re-draw the PS ingress bandwidth budget."""
-        for device in self.devices:
-            device.advance_round(round_index)
-        noise = self._rng.normal(1.0, self.budget_jitter)
-        self.current_budget_mbps = float(
-            np.clip(self.nominal_budget_mbps * noise,
-                    0.3 * self.nominal_budget_mbps,
-                    2.0 * self.nominal_budget_mbps)
-        )
-
-    def state_dict(self) -> dict:
-        """Time-varying cluster state (budget, RNGs, devices) for checkpointing."""
-        return {
-            "rng": get_rng_state(self._rng),
-            "current_budget_mbps": self.current_budget_mbps,
-            "devices": [device.state_dict() for device in self.devices],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`."""
-        devices_state = state["devices"]
-        if len(devices_state) != len(self.devices):
-            raise ValueError(
-                f"checkpoint has {len(devices_state)} devices, cluster has "
-                f"{len(self.devices)}"
-            )
-        set_rng_state(self._rng, state["rng"])
-        self.current_budget_mbps = float(state["current_budget_mbps"])
-        for device, device_state in zip(self.devices, devices_state):
-            device.load_state_dict(device_state)
-
-
-class LazyCluster(_DeviceTimes):
-    """A cluster whose devices are derived on demand from their RNG streams.
-
-    Device state is a pure function of ``(seed, worker_id, round)``: the
-    per-device generator draws its profile, mode and bandwidth at
-    construction and advances only through its own ``advance_round`` calls,
-    with no cross-device input.  The lazy cluster therefore keeps no
-    per-device state at all -- a touched device is built from
-    ``spawned_rng(seed, worker_id)`` (the stream ``build_cluster`` would
-    have given it) and replayed through the missed rounds, which makes it
-    bit-identical to an eager device.  Checkpoints carry only the budget
-    RNG, the current budget and the round counter, independent of the
-    registered population.
+class Cluster:
+    """The simulated worker devices plus the PS ingress link.
 
     ``max_live_devices`` caps the device cache; eviction is lossless (a
     re-touched device replays from scratch) and only trades memory for
-    replay time.
+    replay time.  ``0`` keeps every touched device.
     """
 
     def __init__(
@@ -131,8 +46,8 @@ class LazyCluster(_DeviceTimes):
         self.max_live_devices = max_live_devices
         self._seed = seed
         self._mode_change_interval = mode_change_interval
-        # The same stream build_cluster uses for the cluster budget
-        # (rngs[num_workers] of spawn_rngs(seed, num_workers + 2)).
+        # The stream after the devices' own: rngs[num_workers] of
+        # spawn_rngs(seed, num_workers + 2).
         self._rng = spawned_rng(seed, num_workers)
         self._round = -1
         self._devices: dict[int, WorkerDevice] = {}
@@ -149,32 +64,32 @@ class LazyCluster(_DeviceTimes):
             )
         device = self._devices.get(worker_id)
         if device is None:
-            rng = spawned_rng(self._seed, worker_id)
-            profile = sample_device_profile(rng)
-            network = WifiNetworkModel(distance_m=assign_distance(worker_id))
-            device = WorkerDevice(
-                worker_id=worker_id,
-                profile=profile,
-                network=network,
-                rng=rng,
-                mode_change_interval=self._mode_change_interval,
-            )
-            self._trim_cache()
-            self._devices[worker_id] = device
-            self._advanced[worker_id] = -1
+            device = self._register(worker_id, -1)
         # Catch up through the rounds this device missed while dormant.
         for round_index in range(self._advanced[worker_id] + 1, self._round + 1):
             device.advance_round(round_index)
         self._advanced[worker_id] = self._round
         return device
 
-    def _trim_cache(self) -> None:
-        if self.max_live_devices <= 0:
-            return
-        while len(self._devices) >= self.max_live_devices:
-            oldest = next(iter(self._devices))
-            del self._devices[oldest]
-            del self._advanced[oldest]
+    def _register(self, worker_id: int, advanced: int) -> WorkerDevice:
+        """Build worker ``worker_id``'s device as of before round 0 and
+        cache it as advanced through round ``advanced``."""
+        rng = spawned_rng(self._seed, worker_id)
+        device = WorkerDevice(
+            worker_id=worker_id,
+            profile=sample_device_profile(rng),
+            network=WifiNetworkModel(distance_m=assign_distance(worker_id)),
+            rng=rng,
+            mode_change_interval=self._mode_change_interval,
+        )
+        if self.max_live_devices > 0:
+            while len(self._devices) >= self.max_live_devices:
+                oldest = next(iter(self._devices))
+                del self._devices[oldest]
+                del self._advanced[oldest]
+        self._devices[worker_id] = device
+        self._advanced[worker_id] = advanced
+        return device
 
     @property
     def live_devices(self) -> int:
@@ -186,8 +101,20 @@ class LazyCluster(_DeviceTimes):
         """All devices, materialised (small populations / diagnostics only)."""
         return [self[worker_id] for worker_id in range(self.num_workers)]
 
+    def compute_times(self, ids, forward_flops: float) -> np.ndarray:
+        """Per-sample compute time ``mu_i`` of workers ``ids`` (seconds)."""
+        return np.asarray(
+            [self[int(i)].compute_time_per_sample(forward_flops) for i in ids]
+        )
+
+    def comm_times(self, ids, bytes_per_sample: float) -> np.ndarray:
+        """Per-sample communication time ``beta_i`` of workers ``ids`` (seconds)."""
+        return np.asarray(
+            [self[int(i)].comm_time_per_sample(bytes_per_sample) for i in ids]
+        )
+
     def advance_round(self, round_index: int) -> None:
-        """Re-draw the PS budget; devices catch up lazily on next touch."""
+        """Re-draw the PS budget; devices catch up on their next touch."""
         self._round = round_index
         noise = self._rng.normal(1.0, self.budget_jitter)
         self.current_budget_mbps = float(
@@ -197,31 +124,40 @@ class LazyCluster(_DeviceTimes):
         )
 
     def state_dict(self) -> dict:
-        """Population-independent state: budget RNG, budget and round only.
-
-        Device state is recomputed by replay, so it never enters the
-        checkpoint -- a million registered devices serialise to three
-        scalars and one RNG state.
-        """
+        """Budget RNG, budget and round: device state is recomputed by replay."""
         return {
-            "format": "lazy",
             "rng": get_rng_state(self._rng),
             "current_budget_mbps": self.current_budget_mbps,
             "round": self._round,
         }
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state captured by :meth:`state_dict`."""
-        if state.get("format") != "lazy":
+    def load_state_dict(self, state: dict, last_round: int | None = None) -> None:
+        """Restore state captured by :meth:`state_dict`.
+
+        Checkpoints of the retired all-live cluster hold every device's
+        state and no round counter; their devices are restored as they
+        were, as of ``last_round`` -- the round the cluster last advanced
+        to, which the caller knows.  The ``"format"`` key of earlier
+        checkpoints is ignored.
+        """
+        devices = state.get("devices")
+        if devices is not None and len(devices) != self.num_workers:
             raise ValueError(
-                "checkpoint holds an eager cluster but the engine runs with "
-                "population='lazy'"
+                f"checkpoint has {len(devices)} devices, cluster has "
+                f"{self.num_workers}"
+            )
+        if devices is not None and last_round is None:
+            raise ValueError(
+                "a checkpoint of every device's state needs last_round, "
+                "the round its cluster last advanced to"
             )
         set_rng_state(self._rng, state["rng"])
         self.current_budget_mbps = float(state["current_budget_mbps"])
-        self._round = int(state["round"])
+        self._round = int(state["round"] if devices is None else last_round)
         self._devices.clear()
         self._advanced.clear()
+        for worker_id, device_state in enumerate(devices or ()):
+            self._register(worker_id, self._round).load_state_dict(device_state)
 
 
 def build_cluster(
@@ -235,24 +171,9 @@ def build_cluster(
     Device families follow the 30/40/10 TX2/NX/AGX mix and workers are
     spread evenly over the four WiFi distance groups.
     """
-    if num_workers <= 0:
-        raise ValueError("num_workers must be positive")
-    rngs = spawn_rngs(seed, num_workers + 2)
-    devices = []
-    for worker_id in range(num_workers):
-        profile = sample_device_profile(rngs[worker_id])
-        network = WifiNetworkModel(distance_m=assign_distance(worker_id))
-        devices.append(
-            WorkerDevice(
-                worker_id=worker_id,
-                profile=profile,
-                network=network,
-                rng=rngs[worker_id],
-                mode_change_interval=mode_change_interval,
-            )
-        )
     return Cluster(
-        devices=devices,
+        num_workers=num_workers,
         bandwidth_budget_mbps=bandwidth_budget_mbps,
-        rng=rngs[num_workers],
+        seed=seed,
+        mode_change_interval=mode_change_interval,
     )

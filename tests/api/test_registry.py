@@ -289,7 +289,7 @@ class TestOutOfTreePlugin:
                 assert session.algorithm.executor is session.components.executor
                 assert session.algorithm.executor.name == overrides.get(
                     "executor", "batched")
-                assert session.algorithm.pool is session.components.worker_pool()
+                assert session.algorithm.pool is session.components.pool
                 history = session.run()
             assert len(history) == 2
             assert EveryoneMerged.calls == 2

@@ -374,7 +374,7 @@ class TestDamagedLoaderState:
             session.run(1)
             session.save_checkpoint(path)
         payload = load_checkpoint_payload(path)
-        order = payload["algorithm"]["workers"][1]["loader"]["order"]
+        order = payload["algorithm"]["workers"]["registry"]["loaders"]["1"]["order"]
         order[0] = order[1]
         dump_checkpoint(payload, path)
         with pytest.raises(ValueError, match="not a permutation"):

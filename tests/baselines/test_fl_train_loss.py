@@ -125,8 +125,7 @@ def test_train_loss_is_the_mean_of_the_workers_iteration_losses(executor):
     workers, of a hand-rolled loop's mean per-iteration cross-entropy."""
     config = _config(executor=executor)
     with Session.from_config(config) as session:
-        engine = session.algorithm
-        workers = copy.deepcopy(engine.workers)
+        workers = copy.deepcopy(session.components.workers)
         model = session.global_model()
         record = session.step()
     assert record.selected_ids == [worker.worker_id for worker in workers]

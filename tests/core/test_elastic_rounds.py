@@ -381,7 +381,7 @@ class TestDeathRecovery:
             session.run(1)
             self._kill_first_child(session)
             history = session.run()
-            workers = session.algorithm.workers
+            workers = session.components.workers
         assert history.records[1].dropped_ids
         for worker in workers:
             planned = sum(

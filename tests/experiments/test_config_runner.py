@@ -82,6 +82,36 @@ class TestExperimentConfig:
         assert "population_cache" not in loaded.extras
         assert "population_cache" not in config.to_dict()
 
+    @pytest.mark.parametrize("population, key, value", [
+        ("lazy", "population_sharding", "striped"),
+        ("lazy", "population_sharding", None),
+        ("lazy", "population_samples_per_worker", 0),
+        ("lazy", "population_samples_per_worker", -3),
+        ("lazy", "population_samples_per_worker", 2.5),
+        ("lazy", "population_samples_per_worker", True),
+        ("lazy", "population_live_devices", "x"),
+        ("lazy", "population_live_devices", -1),
+        ("eager", "population_sharding", "sampled"),
+        ("eager", "population_samples_per_worker", 16),
+        ("eager", "population_live_devices", 256),
+    ])
+    def test_population_extras_rejected_at_config_time(self, population, key, value):
+        """Regression: a bad population extra used to build silently or
+        fail at build time with a bare ValueError, and the eager population
+        ignored all three."""
+        with pytest.raises(ConfigurationError, match=key):
+            ExperimentConfig(population=population, extras={key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("population_sharding", "partition"),
+        ("population_sharding", "sampled"),
+        ("population_samples_per_worker", 1),
+        ("population_live_devices", 0),
+    ])
+    def test_valid_population_extras_pass_under_lazy(self, key, value):
+        assert ExperimentConfig(population="lazy", extras={key: value}).extras == {
+            key: value}
+
     def test_known_extras_lists_every_key_the_code_reads(self):
         import pathlib
         import re

@@ -1,10 +1,11 @@
-"""Checkpoint/resume of lazy populations."""
+"""Checkpoint/resume of worker populations at either residency."""
 
 from __future__ import annotations
 
 import dataclasses
 
 import numpy as np
+import pytest
 
 from repro.api.session import Session
 from repro.config import ExperimentConfig
@@ -132,16 +133,66 @@ def test_checkpoint_scales_with_participants_not_population():
     assert len(state["registry"]["loaders"]) == len(participants)
 
 
-def test_lazy_checkpoint_rejects_eager_payload_and_vice_versa():
-    import pytest
+@pytest.mark.parametrize("saved, resumed", [
+    ("lazy", "eager"), ("eager", "lazy"),
+])
+def test_a_checkpoint_resumes_at_the_other_residency(tmp_path, saved, resumed):
+    """Residency is not in the checkpoint: the payload is the registry rows
+    and the cluster's budget RNG, budget and round at either setting."""
+    import json
 
-    lazy = Session.from_config(_config(num_rounds=1))
-    lazy.run()
-    eager = Session.from_config(_config(population="eager", num_rounds=1))
-    eager.run()
-    lazy_state = lazy.algorithm.pool.workers_state()
-    eager_state = eager.algorithm.pool.workers_state()
-    with pytest.raises((ValueError, TypeError)):
-        lazy.algorithm.pool.load_workers_state(eager_state)
-    with pytest.raises((ValueError, TypeError)):
-        eager.algorithm.pool.load_workers_state(lazy_state)
+    reference = Session.from_config(_config(population=resumed))
+    reference.run()
+
+    path = tmp_path / f"{saved}.ckpt.json"
+    session = Session.from_config(_config(population=saved))
+    session.run(2)
+    session.save_checkpoint(path)
+    payload = json.loads(path.read_text())
+    payload["config"]["population"] = resumed
+    path.write_text(json.dumps(payload))
+
+    restored = Session.load_checkpoint(path)
+    assert restored.algorithm.pool.resident == (resumed == "eager")
+    restored.run()
+    _assert_identical(restored, reference)
+
+
+@pytest.mark.parametrize("window", [False, True], ids=["blocking", "window"])
+def test_a_checkpoint_of_every_worker_and_device_still_resumes(tmp_path, window):
+    """Before the one pool, an eager checkpoint held a list of every
+    worker's state and every device's state, with no cluster round; it
+    resumes to the uninterrupted run, also with a prefetched plan pending
+    (the aggregate window's: the cluster then last advanced for the plan's
+    round)."""
+    from repro.api.checkpoint import dump_checkpoint, load_checkpoint_payload
+    from repro.utils.rng import get_rng_state
+
+    config = _config(population="eager")
+    if window:
+        config = config.replace(executor="process", transport="shm",
+                                pipeline="pipelined",
+                                extras={"executor_processes": 2})
+    with Session.from_config(config) as reference:
+        reference.run()
+
+    path = tmp_path / "all-live.ckpt.json"
+    with Session.from_config(config) as session:
+        session.run(2)
+        session.save_checkpoint(path)
+    payload = load_checkpoint_payload(path)
+    algorithm = payload["algorithm"]
+    assert (algorithm["pending_plan"] is not None) == window
+    cluster = session.algorithm.cluster
+    algorithm["workers"] = [w.state_dict() for w in session.components.workers]
+    algorithm["cluster"] = {
+        "rng": get_rng_state(cluster._rng),
+        "current_budget_mbps": cluster.current_budget_mbps,
+        "devices": [device.state_dict() for device in cluster.devices],
+    }
+    dump_checkpoint(payload, path)
+
+    with Session.load_checkpoint(path) as resumed:
+        assert resumed.algorithm.cluster.state_dict() == cluster.state_dict()
+        resumed.run()
+        _assert_identical(resumed, reference)

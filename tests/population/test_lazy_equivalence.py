@@ -1,10 +1,11 @@
-"""Lazy-vs-eager bit-exactness across algorithms, executors and schedulers.
+"""Evicting-vs-resident bit-exactness across algorithms, executors and
+schedulers.
 
-``population="lazy"`` is a materialisation strategy, not a different
-algorithm: for any config where the eager path fits in memory, the lazy
-path must produce bit-identical history records and final weights.  The
-only record fields allowed to differ are the wire fields, which measure
-the execution topology.
+``population`` is a residency choice, not a different algorithm: a pool
+that evicts its cohort at round end (``"lazy"``) must produce the
+bit-identical history records and final weights of one that keeps every
+worker resident (``"eager"``).  The only record fields allowed to differ
+are the wire fields, which measure the execution topology.
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.simulation.cluster import build_cluster
+from repro.simulation.cluster import Cluster, build_cluster
+from repro.simulation.device import sample_device_profile
 from repro.simulation.estimator import BandwidthEstimator, WorkerStateEstimator
+from repro.simulation.network import WifiNetworkModel, assign_distance
 from repro.simulation.timing import (
     average_waiting_time,
     iteration_duration,
@@ -12,6 +14,8 @@ from repro.simulation.timing import (
     worker_round_duration,
 )
 from repro.simulation.traffic import TrafficMeter, feature_bytes
+from repro.simulation.worker_device import WorkerDevice
+from repro.utils.rng import spawn_rngs
 
 
 class TestCluster:
@@ -54,6 +58,66 @@ class TestCluster:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             build_cluster(num_workers=0, bandwidth_budget_mbps=10)
+
+    @staticmethod
+    def _always_live(num_workers, seed):
+        """The testbed as a list of devices that every round advances."""
+        rngs = spawn_rngs(seed, num_workers + 2)
+        return [
+            WorkerDevice(worker_id, sample_device_profile(rngs[worker_id]),
+                         WifiNetworkModel(distance_m=assign_distance(worker_id)),
+                         rngs[worker_id], mode_change_interval=3)
+            for worker_id in range(num_workers)
+        ]
+
+    @pytest.mark.parametrize("max_live_devices", [0, 2])
+    def test_devices_touched_on_demand_match_an_always_live_fleet(
+        self, max_live_devices
+    ):
+        """A device is built on first touch and replays the rounds it
+        missed, so any touch pattern (and any cache eviction) reads the
+        devices an always-advanced fleet holds."""
+        live = self._always_live(6, seed=4)
+        cluster = Cluster(6, 100.0, seed=4, mode_change_interval=3,
+                          max_live_devices=max_live_devices)
+        touches = np.random.default_rng(0)
+        for round_index in range(12):
+            for device in live:
+                device.advance_round(round_index)
+            cluster.advance_round(round_index)
+            for worker_id in touches.choice(6, size=2, replace=False):
+                assert (cluster[worker_id].state_dict()
+                        == live[worker_id].state_dict()), (round_index, worker_id)
+        assert cluster.live_devices <= (max_live_devices or 6)
+
+    def test_a_device_list_checkpoint_restores_every_device(self):
+        """Checkpoints of the retired all-live cluster hold every device and
+        no round; restored as of ``last_round``, the cluster continues as
+        the one that wrote them."""
+        saved = build_cluster(num_workers=5, bandwidth_budget_mbps=50, seed=9)
+        for round_index in range(4):
+            saved.advance_round(round_index)
+        state = saved.state_dict()
+        legacy = {
+            "rng": state["rng"],
+            "current_budget_mbps": state["current_budget_mbps"],
+            "devices": [device.state_dict() for device in saved.devices],
+        }
+        restored = build_cluster(num_workers=5, bandwidth_budget_mbps=50, seed=9)
+        restored.load_state_dict(legacy, last_round=3)
+        assert restored.live_devices == 5
+        assert restored.state_dict() == state
+        for round_index in range(4, 8):
+            saved.advance_round(round_index)
+            restored.advance_round(round_index)
+            assert restored.current_budget_mbps == saved.current_budget_mbps
+            assert ([d.state_dict() for d in restored.devices]
+                    == [d.state_dict() for d in saved.devices])
+        with pytest.raises(ValueError, match="last_round"):
+            restored.load_state_dict(legacy)
+        with pytest.raises(ValueError, match="4 devices"):
+            restored.load_state_dict(dict(legacy, devices=legacy["devices"][:4]),
+                                     last_round=3)
 
 
 class TestWorkerStateEstimator:
