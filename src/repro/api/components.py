@@ -218,11 +218,9 @@ def resolve_split_layer(config: ExperimentConfig, model: Sequential) -> int:
     """The global cut layer, validated against the actual model depth.
 
     ``extras['split_index']`` overrides the model's registered default cut;
-    out-of-range overrides -- and policy depth bounds
-    (``split_depth_min``/``split_depth_max``) that exceed the model --
-    are rejected here with a :class:`ConfigurationError` at build time,
-    before any round runs, instead of surfacing mid-run as a
-    :class:`~repro.exceptions.SplitError`.
+    out-of-range overrides are rejected here with a
+    :class:`ConfigurationError` at build time, before any round runs,
+    instead of surfacing mid-run as a :class:`~repro.exceptions.SplitError`.
     """
     depth = len(model)
     index = config.extras.get("split_index")
@@ -234,13 +232,6 @@ def resolve_split_layer(config: ExperimentConfig, model: Sequential) -> int:
             f"model {config.model!r} ({depth} layers): the cut must leave "
             f"at least one layer on each side"
         )
-    for key in ("split_depth_min", "split_depth_max"):
-        bound = config.extras.get(key)
-        if bound is not None and bound > depth:
-            raise ConfigurationError(
-                f"extras[{key!r}] ({bound}) exceeds the depth of model "
-                f"{config.model!r} ({depth} layers)"
-            )
     return index
 
 

@@ -8,7 +8,9 @@ baselines and the motivation variants) through
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field, asdict
+import math
+import numbers
+from dataclasses import dataclass, field, fields, asdict
 
 from repro.exceptions import ConfigurationError
 
@@ -20,19 +22,25 @@ KNOWN_EXTRAS = (
     "auto_budget",
     "codec_policy",
     "codec_topk_ratio",
-    "depth_aware_selection",
     "device_dropout_rates",
     "executor_processes",
     "executor_start_method",
     "population_live_devices",
     "population_samples_per_worker",
     "population_sharding",
-    "split_depth_max",
-    "split_depth_min",
     "split_index",
-    "top_lr_scale",
     "transport_capacity",
 )
+
+#: Removed ``extras`` keys and the values at which they changed nothing.
+#: Like ``staleness`` in :meth:`ExperimentConfig.from_dict`, such a key is
+#: dropped at one of those values and fails by name at any other.
+RETIRED_EXTRAS = {
+    "depth_aware_selection": (False,),
+    "split_depth_max": (),
+    "split_depth_min": (),
+    "top_lr_scale": (1.0,),
+}
 
 #: ``executor`` value that leaves the backend to
 #: :func:`repro.parallel.resolve_executor`; not a registry entry.
@@ -180,21 +188,18 @@ class ExperimentConfig:
     #: (a static depth per worker from its device class's compute/bandwidth
     #: profile) or ``"adaptive"`` (depths re-selected every round from
     #: observed durations and wire traffic); see :mod:`repro.splitpoint`.
-    #: ``extras["split_index"]`` overrides the global cut layer and
-    #: ``extras["split_depth_min"]``/``extras["split_depth_max"]`` bound the
-    #: candidate depths a policy may assign.
+    #: ``extras["split_index"]`` overrides the global cut layer; a policy
+    #: picks among every cut after a weighted layer of the bottom model.
     split_policy: str = "uniform"
     #: Which solver runs the per-round worker selection (Eq. 10-13, Alg. 1
     #: line 5): ``"ga"`` (the paper's genetic algorithm -- bit-exact with the
     #: historical behaviour), ``"ga-warm"`` (GA warm-started from the previous
     #: round's winner, with elite variable-fixing and symmetry breaking),
     #: ``"local-search"`` (greedy construction plus incremental 1-flip/1-swap
-    #: refinement), ``"greedy"`` (the construction alone, the historical
-    #: ablation) or ``"exact"`` (brute force, tiny instances only); see
-    #: :mod:`repro.selection`.  ``extras["depth_aware_selection"] = True``
-    #: additionally prices each candidate's ingress cost at its own split
-    #: depth instead of the global scalar (requires a non-uniform
-    #: ``split_policy``).
+    #: refinement) or ``"greedy"`` (the construction alone, the historical
+    #: ablation); see :mod:`repro.selection`.  Every solver prices a
+    #: candidate's ingress at the one per-sample exchange size of the
+    #: global cut (Eq. 10), whatever depth a split policy assigns it.
     selector: str = "ga"
 
     # Reproducibility --------------------------------------------------------
@@ -226,6 +231,7 @@ class ExperimentConfig:
             TRANSPORTS,
         )
 
+        self._check_numeric_types()
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(ALGORITHMS.unknown_message(self.algorithm))
         if self.dataset not in DATASETS:
@@ -253,21 +259,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 SELECTION_SOLVERS.unknown_message(self.selector)
             )
+        self._drop_retired_extras()
         self._reject_misspelled_extras()
         self._validate_split_extras()
-        depth_aware = self.extras.get("depth_aware_selection")
-        if depth_aware is not None:
-            if not isinstance(depth_aware, bool):
-                raise ConfigurationError(
-                    f"extras['depth_aware_selection'] must be a bool, "
-                    f"got {depth_aware!r}"
-                )
-            if depth_aware and self.split_policy == "uniform":
-                raise ConfigurationError(
-                    "extras['depth_aware_selection'] requires a non-uniform "
-                    "split_policy; under the uniform global cut every worker "
-                    "already shares one exchange size"
-                )
         policy_overrides = self.extras.get("codec_policy")
         if policy_overrides is not None:
             from repro.parallel.codec import PAYLOAD_CLASSES
@@ -374,10 +368,9 @@ class ExperimentConfig:
                 f"straggler_deadline must be non-negative, "
                 f"got {self.straggler_deadline}"
             )
-        if (self.rejoin_staleness_bound < 0
-                or self.rejoin_staleness_bound != int(self.rejoin_staleness_bound)):
+        if self.rejoin_staleness_bound < 0:
             raise ConfigurationError(
-                f"rejoin_staleness_bound must be a non-negative integer, "
+                f"rejoin_staleness_bound must be non-negative, "
                 f"got {self.rejoin_staleness_bound}"
             )
         if not self.elastic and (
@@ -410,6 +403,50 @@ class ExperimentConfig:
                         f"extras['device_dropout_rates'][{name!r}] must be a "
                         f"rate in [0, 1], got {rate!r}"
                     )
+
+    def _check_numeric_types(self) -> None:
+        """Type every numeric field before a range check compares it.
+
+        An ``int`` field takes any integral number but a bool (numpy ints
+        pass); a ``float`` field any real number but a bool or NaN, and a
+        finite one, except ``kl_threshold``: at infinity Alg. 1 line 6
+        never runs.
+        """
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.type == "int":
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ConfigurationError(
+                        f"{spec.name} must be an integer, got {value!r}"
+                    )
+            elif spec.type in ("float", "float | None"):
+                if value is None and spec.type != "float":
+                    continue
+                may_be_infinite = spec.name == "kl_threshold"
+                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                        or value != value
+                        or (abs(value) == math.inf and not may_be_infinite)):
+                    kind = "not NaN" if may_be_infinite else "finite"
+                    raise ConfigurationError(
+                        f"{spec.name} must be a real number, {kind}, got {value!r}"
+                    )
+
+    def _drop_retired_extras(self) -> None:
+        """Drop a removed ``extras`` key at a value that changed nothing;
+        fail by name at any other (checked before the typo detector, so a
+        removed key is never read as a misspelling of a live one)."""
+        retired = [key for key in RETIRED_EXTRAS if key in self.extras]
+        for key in retired:
+            value, neutral = self.extras[key], RETIRED_EXTRAS[key]
+            if not any(isinstance(value, bool) == isinstance(keep, bool)
+                       and value == keep for keep in neutral):
+                loads = f"; only {neutral[0]!r} still loads" if neutral else ""
+                raise ConfigurationError(
+                    f"extras[{key!r}]={value!r}: the key was removed{loads}"
+                )
+        if retired:
+            self.extras = {key: value for key, value in self.extras.items()
+                           if key not in RETIRED_EXTRAS}
 
     def _validate_population_extras(self) -> None:
         """The evicting population's knobs: valid values, and none at all
@@ -479,25 +516,6 @@ class ExperimentConfig:
                     f"extras['split_index'] must be positive (the cut must "
                     f"leave at least one bottom layer), got {split_index}"
                 )
-        bounds = {}
-        for key in ("split_depth_min", "split_depth_max"):
-            value = self.extras.get(key)
-            if value is None:
-                continue
-            if (not isinstance(value, int) or isinstance(value, bool)
-                    or value <= 0):
-                raise ConfigurationError(
-                    f"extras[{key!r}] must be a positive integer depth, "
-                    f"got {value!r}"
-                )
-            bounds[key] = value
-        if ("split_depth_min" in bounds and "split_depth_max" in bounds
-                and bounds["split_depth_min"] > bounds["split_depth_max"]):
-            raise ConfigurationError(
-                f"extras['split_depth_min'] ({bounds['split_depth_min']}) "
-                f"must be <= extras['split_depth_max'] "
-                f"({bounds['split_depth_max']})"
-            )
 
     def to_dict(self) -> dict:
         """Plain-dict representation (JSON-serialisable)."""

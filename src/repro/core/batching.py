@@ -43,7 +43,7 @@ def regulate_batch_sizes(
 def scale_to_bandwidth(
     batch_sizes: np.ndarray,
     selected: np.ndarray | list[int],
-    bandwidth_per_sample: "float | np.ndarray",
+    bandwidth_per_sample: float,
     bandwidth_budget: float,
     max_batch_size: int,
     min_batch_size: int = 1,
@@ -52,15 +52,12 @@ def scale_to_bandwidth(
 
     Implements line 7 of Alg. 1: after fine-tuning, batch sizes are scaled
     up or down by a common factor so the occupied ingress bandwidth
-    ``sum_i d_i * c_i`` approaches, but never exceeds, the budget ``B^h``.
+    ``c * sum_i d_i`` approaches, but never exceeds, the budget ``B^h``.
 
     Args:
         batch_sizes: Current per-worker batch sizes (full-length vector).
         selected: Worker indices in ``S^h``.
         bandwidth_per_sample: ``c`` -- ingress bandwidth occupied per sample.
-            A scalar charges every worker the same exchange size (the
-            historical behaviour, bit-exact); a full-length vector charges
-            worker ``i`` its own ``c_i`` (heterogeneous split depths).
         bandwidth_budget: ``B^h``.
         max_batch_size: Per-worker cap ``D``.
         min_batch_size: Per-worker floor.
@@ -68,12 +65,7 @@ def scale_to_bandwidth(
     Returns:
         A copy of ``batch_sizes`` with the selected entries rescaled.
     """
-    per_sample_costs = None
-    if np.ndim(bandwidth_per_sample) > 0:
-        per_sample_costs = np.asarray(bandwidth_per_sample, dtype=np.float64)
-        if np.any(per_sample_costs <= 0):
-            raise ValueError("bandwidth_per_sample must be positive")
-    elif bandwidth_per_sample <= 0:
+    if bandwidth_per_sample <= 0:
         raise ValueError("bandwidth_per_sample must be positive")
     if bandwidth_budget <= 0:
         raise ValueError("bandwidth_budget must be positive")
@@ -81,30 +73,15 @@ def scale_to_bandwidth(
     selected = np.asarray(list(selected), dtype=np.int64)
     if selected.size == 0:
         return result
-    if per_sample_costs is None:
-        current = float(result[selected].sum()) * bandwidth_per_sample
-    else:
-        selected_costs = per_sample_costs[selected]
-        current = float((result[selected] * selected_costs).sum())
+    current = float(result[selected].sum()) * bandwidth_per_sample
     if current <= 0:
         return result
     factor = bandwidth_budget / current
     scaled = np.floor(result[selected] * factor).astype(np.int64)
     scaled = np.clip(scaled, min_batch_size, max_batch_size)
     # Flooring may overshoot after clipping upward; trim greedily if needed.
-    if per_sample_costs is None:
-        while scaled.sum() * bandwidth_per_sample > bandwidth_budget and scaled.max() > min_batch_size:
-            scaled[int(np.argmax(scaled))] -= 1
-    else:
-        # Trim the largest bandwidth consumer first: with heterogeneous
-        # exchange sizes that is not necessarily the largest batch.
-        while (float((scaled * selected_costs).sum()) > bandwidth_budget
-               and scaled.max() > min_batch_size):
-            order = np.argsort(-(scaled * selected_costs))
-            for idx in order:
-                if scaled[idx] > min_batch_size:
-                    scaled[int(idx)] -= 1
-                    break
+    while scaled.sum() * bandwidth_per_sample > bandwidth_budget and scaled.max() > min_batch_size:
+        scaled[int(np.argmax(scaled))] -= 1
     result[selected] = scaled
     return result
 
@@ -112,20 +89,10 @@ def scale_to_bandwidth(
 def occupied_bandwidth(
     batch_sizes: np.ndarray,
     selected: np.ndarray | list[int],
-    bandwidth_per_sample: "float | np.ndarray",
+    bandwidth_per_sample: float,
 ) -> float:
-    """Ingress bandwidth consumed by the selected workers (lhs of Eq. 10).
-
-    ``bandwidth_per_sample`` may be a scalar (one exchange size for the
-    whole fleet, the historical path -- bit-exact) or a full-length
-    per-worker vector ``c_i`` (heterogeneous split depths give workers
-    different feature-exchange sizes; see ``extras['depth_aware_selection']``).
-    """
+    """Ingress bandwidth consumed by the selected workers (lhs of Eq. 10)."""
     selected = np.asarray(list(selected), dtype=np.int64)
     if selected.size == 0:
         return 0.0
-    if np.ndim(bandwidth_per_sample) > 0:
-        costs = (np.asarray(batch_sizes, dtype=np.float64)
-                 * np.asarray(bandwidth_per_sample, dtype=np.float64))
-        return float(costs[selected].sum())
     return float(np.asarray(batch_sizes)[selected].sum()) * bandwidth_per_sample

@@ -39,9 +39,8 @@ class ControlContext:
         participation_counts: ``K_i`` per worker.
         bandwidth_budget: Estimated ingress budget ``B^h`` (same unit as
             ``bandwidth_per_sample`` times a batch size).
-        bandwidth_per_sample: ``c``, ingress bandwidth occupied per sample --
-            a scalar, or a per-worker vector when split depths give workers
-            different feature-exchange sizes.
+        bandwidth_per_sample: ``c``, ingress bandwidth occupied per sample
+            at the global cut (Eq. 10).
         max_batch_size: ``D``, the default maximum batch size.
         base_batch_size: Identical batch size used by non-regulating baselines.
         rng: Round-specific random generator.
@@ -56,7 +55,7 @@ class ControlContext:
     label_distributions: np.ndarray
     participation_counts: np.ndarray
     bandwidth_budget: float
-    bandwidth_per_sample: "float | np.ndarray"
+    bandwidth_per_sample: float
     max_batch_size: int
     base_batch_size: int
     rng: np.random.Generator

@@ -72,12 +72,6 @@ from repro.utils.rng import spawned_rng
 #: step-size region.
 WORKER_LR_SCALE_BOUNDS = (0.25, 4.0)
 
-#: Clip bounds for the optional merged-top learning-rate boost
-#: (``extras['top_lr_scale']``).  The merged batch grows with the fleet, so
-#: linear scaling may warrant a larger boost than any single worker's
-#: batch-proportional scale -- hence the wider upper bound.
-TOP_LR_SCALE_BOUNDS = (0.25, 16.0)
-
 
 class ControlPolicy(Protocol):
     """Per-round decision maker plugged into the engine."""
@@ -156,19 +150,6 @@ class SplitTrainingEngine(RoundEngine):
         self.bandwidth_estimator = BandwidthEstimator(initial_mbps=nominal)
         self._budget_scale = nominal / cluster.nominal_budget_mbps
 
-        #: Depth-aware selection: hand the control policy a per-candidate
-        #: ingress-cost vector priced at each worker's current split depth
-        #: instead of the global-cut scalar.  Workers with no depth yet
-        #: price at the global cut, so round zero matches the scalar path.
-        self._depth_aware = bool(config.extras.get("depth_aware_selection", False))
-        if self._depth_aware and self._split_policy is None:
-            raise ConfigurationError(
-                "extras['depth_aware_selection'] requires a non-uniform "
-                "split_policy; under the uniform global cut every worker "
-                "already shares one exchange size"
-            )
-        self._last_depths: dict[int, int] = {}
-
         #: A plan prefetched during the previous round's aggregate window:
         #: ``(round_index, plan)`` or ``None``.
         #: Planning mutates the simulated cluster and the state estimator,
@@ -209,12 +190,7 @@ class SplitTrainingEngine(RoundEngine):
         self._tail = len(bottom)
         self._depth_candidates = [self._tail]
         if self._split_policy is not None:
-            low = int(self.config.extras.get("split_depth_min", 1))
-            high = int(self.config.extras.get("split_depth_max", self._tail))
-            self._depth_candidates = [
-                depth for depth in candidate_split_depths(bottom)
-                if low <= depth <= high
-            ] or [self._tail]
+            self._depth_candidates = candidate_split_depths(bottom)
         self._depth_flops: dict[int, float] = {}
         self._depth_exchange_bytes: dict[int, float] = {}
         self._depth_model_bytes: dict[int, float] = {}
@@ -271,11 +247,6 @@ class SplitTrainingEngine(RoundEngine):
             # Same contract as "splitpoint": only stateful solvers add the
             # key, so default (ga) checkpoints keep the historical format.
             state["selection"] = solver.state_dict()
-        if self._depth_aware:
-            state["selection_depths"] = {
-                str(worker_id): int(depth)
-                for worker_id, depth in self._last_depths.items()
-            }
         return state
 
     def _load_engine_state(self, state: dict) -> None:
@@ -294,48 +265,24 @@ class SplitTrainingEngine(RoundEngine):
         solver = getattr(self.policy, "solver", None)
         if solver is not None and state.get("selection") is not None:
             solver.load_state_dict(state["selection"])
-        if self._depth_aware and state.get("selection_depths") is not None:
-            self._last_depths = {
-                int(worker_id): int(depth)
-                for worker_id, depth in state["selection_depths"].items()
-            }
 
     # -- round mechanics ---------------------------------------------------------
     def _make_context(
         self, round_index: int, candidates: np.ndarray | None = None
     ) -> ControlContext:
         ids = self._planning_ids(candidates)
-        bandwidth: "float | np.ndarray" = self.bandwidth_per_sample
-        if self._depth_aware:
-            bandwidth = self._depth_aware_bandwidth(ids)
         return ControlContext(
             round_index=round_index,
             per_sample_durations=self.estimator.per_sample_duration(ids),
             label_distributions=self.pool.label_distributions(candidates),
             participation_counts=self.pool.participation_counts(candidates),
             bandwidth_budget=self.bandwidth_estimator.estimate(),
-            bandwidth_per_sample=bandwidth,
+            bandwidth_per_sample=self.bandwidth_per_sample,
             max_batch_size=self.config.max_batch_size,
             base_batch_size=self.config.base_batch_size,
             rng=spawned_rng(self._round_seed, round_index),
             worker_ids=candidates,
         )
-
-    def _depth_aware_bandwidth(self, ids: np.ndarray) -> np.ndarray:
-        """Per-candidate ingress cost (Mb/sample) at each worker's depth.
-
-        Reads the depth the split-point policy assigned the worker the last
-        time it participated; workers with no depth yet (round zero, or
-        never selected) price at the tail, so the vector degenerates to the
-        global-cut scalar until depths diverge.
-        """
-        costs = [
-            self._depth_exchange_bytes[
-                self._last_depths.get(int(worker_id), self._tail)
-            ] * 8.0 / 1e6
-            for worker_id in ids
-        ]
-        return np.asarray(costs, dtype=np.float64)
 
     def _observe_round(
         self, round_index: int, plan: RoundPlan, durations: np.ndarray
@@ -400,9 +347,6 @@ class SplitTrainingEngine(RoundEngine):
                     f"depth {depths.get(worker_id)!r} to worker {worker_id}; "
                     f"candidates are {sorted(valid)}"
                 )
-        if self._depth_aware:
-            for worker_id in plan.selected:
-                self._last_depths[int(worker_id)] = int(depths[worker_id])
         return plan.with_depths(depths)
 
     def _prefetch_plan(self, round_index: int) -> None:
@@ -424,7 +368,7 @@ class SplitTrainingEngine(RoundEngine):
             plan = pending[1]
         else:
             plan = self._plan_round(round_index)
-        self.server.set_learning_rate(self._top_lr(plan))
+        self.server.set_learning_rate(self._current_lr)
         return plan
 
     def _run_stages(
@@ -536,22 +480,6 @@ class SplitTrainingEngine(RoundEngine):
         """Worker learning rate proportional to its batch size (Section IV-B)."""
         scale = batch_size / self.config.base_batch_size
         scale = clamp(scale, *WORKER_LR_SCALE_BOUNDS)
-        return self._current_lr * scale
-
-    def _top_lr(self, plan: RoundPlan) -> float:
-        """Top-model learning rate for the round.
-
-        When features are merged, the top model takes a single, stable update
-        per iteration over the large merged (approximately IID) batch; the
-        round learning rate is used as-is.  A mild linear-scaling boost can
-        be enabled through ``extras['top_lr_scale']`` for larger fleets, but
-        the default of 1.0 keeps the merged update well inside the stable
-        step-size region of the scaled-down models.
-        """
-        if not self.policy.merge_features:
-            return self._current_lr
-        scale = float(self.config.extras.get("top_lr_scale", 1.0))
-        scale = clamp(scale, *TOP_LR_SCALE_BOUNDS)
         return self._current_lr * scale
 
     @property

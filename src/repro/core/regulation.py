@@ -239,7 +239,12 @@ def solve_finetune(
 
     Returns:
         The certified continuous solution (see :class:`FinetuneSolution`).
+
+    Raises:
+        ValueError: ``kl_threshold`` is NaN, which no Armijo test resolves.
     """
+    if np.isnan(kl_threshold):
+        raise ValueError(f"kl_threshold must be a number, got {kl_threshold!r}")
     base = np.clip(np.asarray(base, dtype=np.float64), lower, upper)
     mixture = _Mixture(np.asarray(distributions, dtype=np.float64), target_distribution)
     curvature = 2.0 * np.asarray(durations, dtype=np.float64) / base.size

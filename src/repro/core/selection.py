@@ -56,15 +56,10 @@ def _fitness(
     batch_sizes: np.ndarray,
     label_distributions: np.ndarray,
     target: np.ndarray,
-    bandwidth_per_sample: "float | np.ndarray",
+    bandwidth_per_sample: float,
     bandwidth_budget: float,
 ) -> float:
-    """Penalised fitness: KL divergence + constraint violation - utilisation bonus.
-
-    ``bandwidth_per_sample`` may be a scalar (one exchange size for every
-    worker, the historical path) or a per-worker vector ``c_i`` so workers
-    cut at different split depths are costed by their own exchange size.
-    """
+    """Penalised fitness: KL divergence + constraint violation - utilisation bonus."""
     selected = np.flatnonzero(mask)
     if selected.size == 0:
         return 1e6
@@ -107,7 +102,7 @@ def decode_selection(
     batch_sizes: np.ndarray,
     label_distributions: np.ndarray,
     target_distribution: np.ndarray,
-    bandwidth_per_sample: "float | np.ndarray",
+    bandwidth_per_sample: float,
     bandwidth_budget: float,
 ) -> SelectionResult:
     """Turn positional worker indices into a :class:`SelectionResult`."""
@@ -144,7 +139,7 @@ class PopulationFitness:
         batch_sizes: np.ndarray,
         label_distributions: np.ndarray,
         target_distribution: np.ndarray,
-        bandwidth_per_sample: "float | np.ndarray",
+        bandwidth_per_sample: float,
         bandwidth_budget: float,
     ) -> None:
         self._batches = np.asarray(batch_sizes, dtype=np.int64)
@@ -158,17 +153,6 @@ class PopulationFitness:
         # the normalisation inside ``kl_divergence`` is hoisted out.
         self._target = np.asarray(target_distribution, dtype=np.float64)
         self._phi0 = _smoothed_reference(self._target)
-        per_sample = np.asarray(bandwidth_per_sample, dtype=np.float64)
-        if per_sample.ndim > 0:
-            if per_sample.shape[0] != self._batches.shape[0]:
-                raise SelectionError(
-                    "bandwidth_per_sample vector and batch_sizes describe "
-                    "different worker counts"
-                )
-            #: Per-worker occupied bandwidth when selected: ``d_i * c_i``.
-            self._bandwidth_costs = self._batches.astype(np.float64) * per_sample
-        else:
-            self._bandwidth_costs = None
         self._bandwidth_per_sample = bandwidth_per_sample
         self._bandwidth_budget = bandwidth_budget
 
@@ -194,21 +178,11 @@ class PopulationFitness:
         # selected-rows sum bit for bit.
         numerators = (masks[:, :, None] * self._contributions[None, :, :]).sum(axis=1)
         sizes = masks @ self._batches
-        if self._bandwidth_costs is None:
-            used = sizes.astype(np.float64) * self._bandwidth_per_sample
-        else:
-            # Per-row subset sums in ascending index order -- boolean
-            # indexing compacts exactly like occupied_bandwidth's
-            # ``costs[selected]``, so the vector path agrees bitwise with
-            # the scalar helpers too.
-            used = np.array(
-                [float(self._bandwidth_costs[row].sum()) for row in masks]
-            )
         return self._score_rows(
-            masks.sum(axis=1), numerators, sizes, used, lambda row: masks[row]
+            masks.sum(axis=1), numerators, sizes, lambda row: masks[row]
         )
 
-    def _score_rows(self, counts, numerators, sizes, used, mask_of) -> np.ndarray:
+    def _score_rows(self, counts, numerators, sizes, mask_of) -> np.ndarray:
         """Penalised fitness of every row of mixture terms.
 
         The one vectorized copy of :func:`_fitness`, shared by
@@ -229,9 +203,12 @@ class PopulationFitness:
             )
         rows = live & ~degenerate
         if np.any(rows):
+            # Integer batch sums are exact in float64, so this is the
+            # scalar path's occupied_bandwidth bit for bit.
+            used = sizes[rows].astype(np.float64) * self._bandwidth_per_sample
             budget = self._bandwidth_budget
-            violation = np.maximum(0.0, used[rows] - budget) / budget
-            utilisation = np.minimum(1.0, used[rows] / budget)
+            violation = np.maximum(0.0, used - budget) / budget
+            utilisation = np.minimum(1.0, used / budget)
             scores[rows] = (
                 _mixture_kl(numerators[rows], sizes[rows], self._phi0)
                 + 10.0 * violation + 0.05 * (1.0 - utilisation)
@@ -248,10 +225,10 @@ class IncrementalFitness:
 
     Local search and warm-started GA elites evaluate many 1-flip / 1-swap
     neighbours of a single current mask.  This helper caches the anchor's
-    merged-mixture numerator ``sum_i d_i V_i``, its batch-size denominator
-    and its occupied bandwidth, and scores each neighbour by adjusting
-    those cached terms -- O(classes) per move instead of a full ``(N,
-    classes)`` reduction.
+    merged-mixture numerator ``sum_i d_i V_i`` and its batch-size
+    denominator (which also prices the occupied bandwidth), and scores each
+    neighbour by adjusting those cached terms -- O(classes) per move
+    instead of a full ``(N, classes)`` reduction.
 
     Numerics: after :meth:`resync` the anchor's :meth:`score` is
     bit-identical to :meth:`PopulationFitness.evaluate` (the cached terms
@@ -287,17 +264,13 @@ class IncrementalFitness:
         self._numerator = (mask[:, None] * parent._contributions).sum(axis=0)
         self._size = int(mask @ parent._batches)
         self._count = int(mask.sum())
-        if parent._bandwidth_costs is not None:
-            self._used = float(parent._bandwidth_costs[mask].sum())
-        else:
-            self._used = float(self._size) * parent._bandwidth_per_sample
         self._commits = 0
 
     def score(self) -> float:
         """Fitness of the anchor mask itself (the one-row case)."""
         return float(self._parent._score_rows(
             np.array([self._count]), self._numerator[None, :],
-            np.array([self._size]), np.array([self._used]),
+            np.array([self._size]),
             lambda row: self._mask.copy(),
         )[0])
 
@@ -316,17 +289,13 @@ class IncrementalFitness:
         numerators = self._numerator[None, :] + signs[:, None] * parent._contributions
         sizes = self._size + steps * parent._batches
         counts = self._count + steps
-        if parent._bandwidth_costs is not None:
-            used = self._used + signs * parent._bandwidth_costs
-        else:
-            used = sizes.astype(np.float64) * parent._bandwidth_per_sample
 
         def degenerate_mask(row: int) -> np.ndarray:
             mask = self._mask.copy()
             mask[row] = not mask[row]
             return mask
 
-        return parent._score_rows(counts, numerators, sizes, used, degenerate_mask)
+        return parent._score_rows(counts, numerators, sizes, degenerate_mask)
 
     def swap_scores(self, add_indices: np.ndarray, remove_index: int) -> np.ndarray:
         """Fitness of swapping ``remove_index`` for each of ``add_indices``.
@@ -347,12 +316,6 @@ class IncrementalFitness:
             self._size + parent._batches[adds]
         ) - int(parent._batches[remove_index])
         counts = np.full(adds.shape[0], self._count, dtype=np.int64)
-        if parent._bandwidth_costs is not None:
-            used = (
-                self._used + parent._bandwidth_costs[adds]
-            ) - float(parent._bandwidth_costs[remove_index])
-        else:
-            used = sizes.astype(np.float64) * parent._bandwidth_per_sample
 
         def degenerate_mask(row: int) -> np.ndarray:
             mask = self._mask.copy()
@@ -360,7 +323,7 @@ class IncrementalFitness:
             mask[remove_index] = False
             return mask
 
-        return parent._score_rows(counts, numerators, sizes, used, degenerate_mask)
+        return parent._score_rows(counts, numerators, sizes, degenerate_mask)
 
     def flip(self, index: int) -> None:
         """Commit a bit flip, updating the cached terms in O(classes)."""
@@ -370,12 +333,6 @@ class IncrementalFitness:
         self._numerator = self._numerator + sign * parent._contributions[index]
         self._size += step * int(parent._batches[index])
         self._count += step
-        if parent._bandwidth_costs is not None:
-            self._used += sign * float(parent._bandwidth_costs[index])
-        else:
-            # Scalar bandwidth derives exactly from the integer size, so
-            # the scalar path never accumulates drift in ``used``.
-            self._used = float(self._size) * parent._bandwidth_per_sample
         self._mask[index] = adding
         self._commits += 1
         if self._commits >= self.resync_interval:
@@ -476,7 +433,7 @@ def greedy_select(
     batch_sizes: np.ndarray,
     label_distributions: np.ndarray,
     target_distribution: np.ndarray,
-    bandwidth_per_sample: "float | np.ndarray",
+    bandwidth_per_sample: float,
     bandwidth_budget: float,
     priorities: np.ndarray | None = None,
 ) -> SelectionResult:
@@ -508,11 +465,6 @@ def greedy_select(
         priorities = np.ones(num_workers)
     contributions = batch_sizes.astype(np.float64)[:, None] * label_distributions
     phi0 = _smoothed_reference(target_distribution)
-    vector_costs = None
-    if np.ndim(bandwidth_per_sample) > 0:
-        vector_costs = batch_sizes.astype(np.float64) * np.asarray(
-            bandwidth_per_sample, dtype=np.float64
-        )
     remaining = list(np.argsort(-np.asarray(priorities)))
     selected: list[int] = []
     # Left-fold mixture numerator over the selected workers, in selection
@@ -523,17 +475,9 @@ def greedy_select(
     while remaining:
         rem = np.asarray(remaining, dtype=np.int64)
         trial_sizes = size + batch_sizes[rem]
-        if vector_costs is None:
-            # Integer batch sums are exact in float64, so this equals the
-            # scalar loop's per-trial occupied_bandwidth exactly.
-            used = trial_sizes.astype(np.float64) * bandwidth_per_sample
-        else:
-            base = (
-                float(vector_costs[np.asarray(selected, dtype=np.int64)].sum())
-                if selected
-                else 0.0
-            )
-            used = base + vector_costs[rem]
+        # Integer batch sums are exact in float64, so this equals the
+        # scalar loop's per-trial occupied_bandwidth exactly.
+        used = trial_sizes.astype(np.float64) * bandwidth_per_sample
         feasible = used <= bandwidth_budget
         if not np.any(feasible):
             break

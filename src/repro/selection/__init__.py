@@ -6,11 +6,10 @@ component behind :data:`repro.api.registry.SELECTION_SOLVERS`, picked by
 ``config.selector``.  The default ``ga`` delegates to the paper's genetic
 algorithm verbatim and is bit-exact by construction; ``ga-warm`` and
 ``local-search`` trade search budget for warm starts and incremental
-refinement; ``exact`` is a tiny-instance brute-force oracle for tests.
+refinement; ``greedy`` is the constructor alone, the ablation baseline.
 """
 
 from repro.selection.solvers import (
-    ExactSolver,
     GASolver,
     GreedySolver,
     LocalSearchSolver,
@@ -21,7 +20,6 @@ from repro.selection.solvers import (
 )
 
 __all__ = [
-    "ExactSolver",
     "GASolver",
     "GreedySolver",
     "LocalSearchSolver",

@@ -18,15 +18,11 @@ metadata arrays the control module plans over -- and returns a
 * ``local-search`` -- deterministic greedy construction followed by
   first-improvement 1-flip / 1-swap hill climbing on the incremental
   fitness (O(classes) per candidate move).
-* ``exact`` -- brute-force enumeration of every non-empty mask, feasible
-  only for N <= :attr:`ExactSolver.max_workers`; a test oracle, not a
-  production solver.
 
 The warm-start tricks mirror what the districting literature applies to
 graph-partition search (see ROADMAP): a previous solution seeds the
 population, bits unanimous across the elite set are frozen in offspring,
-and workers with identical ``(batch_size, label_row, bandwidth_cost)``
-signatures -- interchangeable w.r.t. the fitness, e.g. same-class devices
+and workers with identical ``(batch_size, label_row)`` signatures -- interchangeable w.r.t. the fitness, e.g. same-class devices
 holding same-distribution shards -- are canonicalised so the search never
 distinguishes permutations of them.
 """
@@ -61,8 +57,7 @@ class SelectionProblem:
         batch_sizes: Regulated per-worker batch sizes ``d_i``.
         label_distributions: ``(num_workers, num_classes)`` matrix of V_i.
         target_distribution: The reference IID distribution ``Phi_0``.
-        bandwidth_per_sample: ``c`` -- scalar, or a per-worker vector when
-            split depths give workers different exchange sizes.
+        bandwidth_per_sample: ``c``, ingress bandwidth occupied per sample.
         bandwidth_budget: ``B^h``.
         priorities: Eq. 13 priorities (``None`` means uniform).
         rng: Round-specific generator for stochastic solvers.
@@ -75,7 +70,7 @@ class SelectionProblem:
     batch_sizes: np.ndarray
     label_distributions: np.ndarray
     target_distribution: np.ndarray
-    bandwidth_per_sample: "float | np.ndarray"
+    bandwidth_per_sample: float
     bandwidth_budget: float
     priorities: np.ndarray | None = None
     rng: np.random.Generator | None = None
@@ -216,13 +211,12 @@ class GreedySolver(SelectionSolver):
 def _signature_groups(
     batch_sizes: np.ndarray,
     label_distributions: np.ndarray,
-    bandwidth_per_sample: "float | np.ndarray",
     priorities: np.ndarray,
 ) -> list[np.ndarray]:
     """Groups of >= 2 workers interchangeable w.r.t. the fitness.
 
-    Two workers with identical ``(d_i, V_i, c_i)`` contribute identically to
-    the merged mixture and the bandwidth constraint (the device class enters
+    Two workers with identical ``(d_i, V_i)`` contribute identically to the
+    merged mixture and the bandwidth constraint (the device class enters
     through the regulated batch size), so any individual selecting one of
     them has a fitness-equal twin selecting the other.  Members are ordered
     by descending priority (ties by index) -- the canonical representative
@@ -230,15 +224,9 @@ def _signature_groups(
     """
     batch_sizes = np.asarray(batch_sizes, dtype=np.int64)
     matrix = np.atleast_2d(np.asarray(label_distributions, dtype=np.float64))
-    num_workers = batch_sizes.shape[0]
-    if np.ndim(bandwidth_per_sample) > 0:
-        costs = np.asarray(bandwidth_per_sample, dtype=np.float64)
-    else:
-        costs = np.zeros(num_workers)
     buckets: dict[tuple, list[int]] = {}
-    for worker in range(num_workers):
-        key = (int(batch_sizes[worker]), float(costs[worker]),
-               matrix[worker].tobytes())
+    for worker in range(batch_sizes.shape[0]):
+        key = (int(batch_sizes[worker]), matrix[worker].tobytes())
         buckets.setdefault(key, []).append(worker)
     groups = []
     for members in buckets.values():
@@ -374,8 +362,7 @@ class WarmGASolver(GASolver):
         priorities = problem.resolved_priorities()
         fitness = problem.fitness()
         groups = _signature_groups(
-            batch_sizes, problem.label_distributions,
-            problem.bandwidth_per_sample, priorities,
+            batch_sizes, problem.label_distributions, priorities
         )
 
         seed_count = max(1, int(round(self.seed_fraction * num_workers)))
@@ -499,38 +486,6 @@ class LocalSearchSolver(SelectionSolver):
             if not improved:
                 break
         return problem.decode(np.flatnonzero(inc.mask))
-
-
-@register_selection_solver(
-    "exact", description="brute-force oracle for tiny instances (tests only)"
-)
-class ExactSolver(SelectionSolver):
-    """Enumerates every non-empty mask; the global fitness optimum.
-
-    Cost is ``2^N`` fitness rows, so instances are capped at
-    :attr:`max_workers` workers.  Used as the agreement oracle for the
-    other solvers in tests; never wire it into a production config.
-    """
-
-    name = "exact"
-
-    #: Enumerating beyond this many workers is refused outright.
-    max_workers: int = 12
-
-    def solve(self, problem: SelectionProblem) -> SelectionResult:
-        num_workers = problem.num_workers
-        if num_workers == 0:
-            raise SelectionError("cannot select from zero workers")
-        if num_workers > self.max_workers:
-            raise SelectionError(
-                f"exact solver enumerates 2^N masks and is capped at "
-                f"N <= {self.max_workers}, got N = {num_workers}"
-            )
-        codes = np.arange(1, 2 ** num_workers, dtype=np.int64)
-        masks = ((codes[:, None] >> np.arange(num_workers)) & 1).astype(bool)
-        scores = problem.fitness().evaluate(masks)
-        best = masks[int(np.argmin(scores))]
-        return problem.decode(np.flatnonzero(best))
 
 
 def build_selection_solver(

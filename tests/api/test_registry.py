@@ -198,7 +198,7 @@ class TestBuiltinRegistries:
             if isinstance(value, Registry)
         ]
         assert len(registries) == 9 and "POLICIES" not in registries
-        assert len(KNOWN_EXTRAS) == 15
+        assert len(KNOWN_EXTRAS) == 11
         assert not {"policy", "policy_kwargs"} & set(KNOWN_EXTRAS)
         for name in ("split_custom", "fl_custom"):
             assert name not in ALGORITHMS

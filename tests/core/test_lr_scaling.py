@@ -5,17 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.api.session import Session
-from repro.core.engine import TOP_LR_SCALE_BOUNDS, WORKER_LR_SCALE_BOUNDS
+from repro.core.engine import WORKER_LR_SCALE_BOUNDS
 
 
 def test_lr_scale_bounds_values():
     """The documented clip bounds of Section IV-B's lr scaling.
 
-    Changing either is a training-math change: regenerate the golden
+    Changing them is a training-math change: regenerate the golden
     history and record why.
     """
     assert WORKER_LR_SCALE_BOUNDS == (0.25, 4.0)
-    assert TOP_LR_SCALE_BOUNDS == (0.25, 16.0)
 
 
 @pytest.fixture
@@ -36,13 +35,10 @@ def test_worker_lr_clips_to_bounds(engine):
     assert engine._scaled_lr(max(1, base // 1000)) == pytest.approx(low * current)
 
 
-def test_top_lr_clips_to_bounds(fast_config):
-    low, high = TOP_LR_SCALE_BOUNDS
-    for requested, expected_scale in [(1.0, 1.0), (100.0, high), (0.001, low)]:
-        config = fast_config.replace(extras={"top_lr_scale": requested})
-        engine = Session.from_config(config).algorithm
-        plan_like = type("Plan", (), {})()
-        assert engine.policy.merge_features
-        assert engine._top_lr(plan_like) == pytest.approx(
-            expected_scale * engine._current_lr
-        )
+def test_top_model_steps_at_the_round_learning_rate(engine):
+    """The merged top update takes the round's learning rate unscaled,
+    round after round as it decays."""
+    for __ in range(2):
+        expected = engine._current_lr
+        engine.step_round()
+        assert engine.server.top_optimizer.lr == expected

@@ -1,5 +1,8 @@
 """Tests for priorities, GA/greedy worker selection and batch fine-tuning."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,21 @@ from repro.core.selection import (
 from repro.exceptions import SelectionError
 from repro.utils.numeric import normalize_distribution
 from repro.utils.rng import new_rng
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Turn a hang into a failure: SIGALRM raises after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _skewed_problem(num_workers=8, num_classes=4, seed=0):
@@ -493,6 +511,13 @@ class TestFinetuneCertificate:
                 assert np.array_equal(tuned, problem["batch_sizes"])
                 kept += 1
         assert rounded > 0.9 * CERTIFIED and kept > 0
+
+    def test_a_nan_threshold_fails_at_once(self):
+        """NaN fails every comparison, so the Armijo search never ended."""
+        dists, batch_sizes, target = _skewed_problem()
+        with _deadline(10), pytest.raises(ValueError, match="kl_threshold"):
+            solve_finetune(batch_sizes.astype(np.float64), dists, target,
+                           np.full(8, 0.1), float("nan"), 1.0, 16.0)
 
     def test_one_worker_cannot_move_the_mixture(self):
         # Its batch size does not change the merged distribution: the

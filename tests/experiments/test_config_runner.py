@@ -1,5 +1,8 @@
 """Tests for ExperimentConfig and the experiment runner."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,11 +10,33 @@ from hypothesis import strategies as st
 
 from repro.api.components import build_components, build_model_for
 from repro.api.registry import ALGORITHMS
-from repro.config import KNOWN_EXTRAS, ExperimentConfig
+from repro.config import KNOWN_EXTRAS, RETIRED_EXTRAS, ExperimentConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.reporting import format_comparison, format_table
 from repro.experiments.runner import run_experiment
 from repro.metrics.summary import compare_histories
+
+#: Every numeric config field and its annotation.
+NUMERIC_FIELDS = {
+    spec.name: spec.type for spec in dataclasses.fields(ExperimentConfig)
+    if spec.type in ("int", "float", "float | None")
+}
+
+
+def _bad_numeric_values(name: str) -> st.SearchStrategy:
+    """Values the field ``name`` must refuse: the wrong type, or NaN."""
+    wrong_types = [True, False, "3", b"3", [3], {"value": 3}, 1 + 2j]
+    if NUMERIC_FIELDS[name] != "float | None":
+        wrong_types.append(None)
+    nans = st.sampled_from([float("nan"), np.float64("nan"), np.float32("nan")])
+    bad = st.sampled_from(wrong_types) | nans
+    if NUMERIC_FIELDS[name] == "int":
+        # Any float is the wrong type for a count, integral or not.
+        bad |= st.floats(allow_nan=True, allow_infinity=True)
+        bad |= st.floats(-1e6, 1e6).map(np.float64)
+    elif name != "kl_threshold":
+        bad |= st.sampled_from([float("inf"), -np.inf, np.float64("inf")])
+    return bad
 
 
 class TestExperimentConfig:
@@ -111,6 +136,95 @@ class TestExperimentConfig:
     def test_valid_population_extras_pass_under_lazy(self, key, value):
         assert ExperimentConfig(population="lazy", extras={key: value}).extras == {
             key: value}
+
+    @pytest.mark.parametrize("key, value", [
+        ("depth_aware_selection", True),
+        ("depth_aware_selection", 0),
+        ("top_lr_scale", 2.0),
+        ("top_lr_scale", 0.25),
+        ("top_lr_scale", True),
+        ("split_depth_min", 2),
+        ("split_depth_min", None),
+        ("split_depth_max", 6),
+        ("split_depth_max", 1),
+    ])
+    def test_a_retired_extras_key_fails_by_name(self, key, value):
+        """A removed key that would have changed the run fails, naming the
+        key, whichever way the config is built."""
+        message = re.escape(f"extras[{key!r}]") + ".*was removed"
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentConfig(extras={key: value})
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentConfig.from_dict({"dataset": "blobs", key: value})
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentConfig.from_dict({"extras": {key: value}})
+
+    @pytest.mark.parametrize("key, value", [
+        ("depth_aware_selection", False),
+        ("top_lr_scale", 1.0),
+        ("top_lr_scale", 1),
+        ("top_lr_scale", np.float64(1.0)),
+    ])
+    def test_a_retired_extras_key_at_its_neutral_value_is_dropped(self, key, value):
+        config = ExperimentConfig(extras={key: value, "note": "x"})
+        assert config.extras == {"note": "x"}
+        payload = dict(ExperimentConfig().to_dict(), **{key: value})
+        assert ExperimentConfig.from_dict(payload) == ExperimentConfig()
+
+    @pytest.mark.parametrize("key", ["split_depth_min", "split_depth_max"])
+    def test_a_split_bound_is_removed_not_a_typo(self, key):
+        """The retired table is read before the typo detector: no
+        'did you mean split_index' for a key that was deliberately cut."""
+        with pytest.raises(ConfigurationError, match="was removed") as raised:
+            ExperimentConfig(extras={key: 2})
+        assert "did you mean" not in str(raised.value)
+
+    def test_retired_keys_are_no_longer_read(self):
+        assert not set(RETIRED_EXTRAS) & set(KNOWN_EXTRAS)
+
+    @pytest.mark.parametrize("name, value", [
+        ("num_workers", 2.5),
+        ("local_iterations", 1.5),
+        ("eval_batch_size", 0.5),
+        ("population_shard_size", 2.5),
+        ("max_batch_size", 16.5),
+        ("base_batch_size", 2.5),
+        ("ga_population", 3.5),
+        ("rejoin_staleness_bound", 2.0),
+        ("seed", True),
+        ("model_width", float("nan")),
+        ("bandwidth_budget_mbps", float("nan")),
+        ("straggler_deadline", float("nan")),
+        ("non_iid_level", float("nan")),
+        ("over_select_factor", float("nan")),
+        ("kl_threshold", float("nan")),
+        ("learning_rate", float("inf")),
+        ("max_grad_norm", float("nan")),
+    ])
+    def test_numeric_fields_are_typed_at_config_time(self, name, value):
+        """Regression: each of these got past validate() and failed later
+        with a bare TypeError, mid-run, in a hang (``kl_threshold``) or not
+        at all."""
+        with pytest.raises(ConfigurationError, match=f"^{name} "):
+            ExperimentConfig(**{name: value})
+
+    def test_numpy_numbers_and_an_infinite_threshold_pass(self):
+        config = ExperimentConfig(
+            num_workers=np.int64(4), max_batch_size=np.int32(16),
+            learning_rate=np.float32(0.05), model_width=1,
+            kl_threshold=float("inf"), max_grad_norm=None,
+        )
+        assert config.num_workers == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_bad_numeric_value_names_its_field(self, data):
+        """A wrong-typed or NaN value in any numeric field raises a
+        ConfigurationError that names the field, and nothing else."""
+        name = data.draw(st.sampled_from(sorted(NUMERIC_FIELDS)), label="field")
+        value = data.draw(_bad_numeric_values(name), label="value")
+        with pytest.raises(ConfigurationError, match=f"^{name} "):
+            ExperimentConfig(**{name: value})
 
     def test_known_extras_lists_every_key_the_code_reads(self):
         import pathlib

@@ -413,7 +413,7 @@ def test_ablation_weighted_vs_uniform_aggregation():
     assert weighted < uniform
 
 
-#: Production solvers under comparison ("exact" is a test oracle and blows
+#: Every registered solver (the brute-force oracle of tests/selection blows
 #: up combinatorially at this instance size).
 SOLVERS = ("ga", "ga-warm", "local-search", "greedy")
 

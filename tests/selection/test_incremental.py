@@ -17,24 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.divergence import iid_distribution
-from repro.core.selection import PopulationFitness, _fitness
+from repro.core.selection import PopulationFitness
 from repro.exceptions import SelectionError
 from repro.utils.rng import new_rng
 
-from selection_testlib import make_problem
-
 
 def _random_fitness(seed: int, num_workers: int, num_classes: int,
-                    vector: bool = False,
                     allow_zero_batches: bool = False):
     rng = new_rng(seed)
     dists = rng.dirichlet([0.3] * num_classes, size=num_workers)
     low = 0 if allow_zero_batches else 1
     batch_sizes = rng.integers(low, 17, size=num_workers)
-    bandwidth = (
-        rng.uniform(0.5, 2.0, size=num_workers) if vector else
-        float(rng.uniform(0.5, 2.0))
-    )
+    bandwidth = float(rng.uniform(0.5, 2.0))
     budget = 0.5 * float((batch_sizes * bandwidth).sum()) + 1e-9
     target = iid_distribution(dists)
     fitness = PopulationFitness(batch_sizes, dists, target, bandwidth, budget)
@@ -47,14 +41,13 @@ class TestAnchorAndCommittedMoves:
         seed=st.integers(0, 10_000),
         num_workers=st.integers(2, 24),
         num_classes=st.integers(2, 8),
-        vector=st.booleans(),
         zeros=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_anchor_score_is_bitwise_exact(self, seed, num_workers,
-                                           num_classes, vector, zeros):
+                                           num_classes, zeros):
         fitness, mask, __ = _random_fitness(
-            seed, num_workers, num_classes, vector, zeros
+            seed, num_workers, num_classes, zeros
         )
         inc = fitness.incremental(mask)
         assert inc.score() == fitness.evaluate(mask[None, :])[0]
@@ -64,15 +57,13 @@ class TestAnchorAndCommittedMoves:
         num_workers=st.integers(3, 20),
         num_classes=st.integers(2, 6),
         moves=st.integers(1, 200),
-        vector=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     def test_committed_moves_do_not_drift(self, seed, num_workers,
-                                          num_classes, moves, vector):
+                                          num_classes, moves):
         """Random flip sequences (crossing the resync interval) stay within
         reassociation distance of a from-scratch evaluation."""
-        fitness, mask, rng = _random_fitness(seed, num_workers, num_classes,
-                                             vector)
+        fitness, mask, rng = _random_fitness(seed, num_workers, num_classes)
         inc = fitness.incremental(mask)
         for __ in range(moves):
             inc.flip(int(rng.integers(num_workers)))
@@ -91,14 +82,13 @@ class TestBatchedNeighbourhoods:
         seed=st.integers(0, 10_000),
         num_workers=st.integers(2, 24),
         num_classes=st.integers(2, 8),
-        vector=st.booleans(),
         zeros=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_flip_scores_match_from_scratch_evaluation(
-            self, seed, num_workers, num_classes, vector, zeros):
+            self, seed, num_workers, num_classes, zeros):
         fitness, mask, __ = _random_fitness(
-            seed, num_workers, num_classes, vector, zeros
+            seed, num_workers, num_classes, zeros
         )
         flipped = np.tile(mask, (num_workers, 1))
         flipped[np.arange(num_workers), np.arange(num_workers)] ^= True
@@ -111,13 +101,11 @@ class TestBatchedNeighbourhoods:
         seed=st.integers(0, 10_000),
         num_workers=st.integers(4, 24),
         num_classes=st.integers(2, 8),
-        vector=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_swap_scores_match_from_scratch_evaluation(
-            self, seed, num_workers, num_classes, vector):
-        fitness, mask, __ = _random_fitness(seed, num_workers, num_classes,
-                                            vector)
+            self, seed, num_workers, num_classes):
+        fitness, mask, __ = _random_fitness(seed, num_workers, num_classes)
         mask[0], mask[1] = True, False
         remove = 0
         adds = np.flatnonzero(~mask)
@@ -166,47 +154,3 @@ class TestValidation:
         mask[:] = False
         assert fitness.incremental(mask).score() == 1e6
 
-
-class TestVectorBandwidth:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_vector_evaluate_bitwise_matches_scalar_fitness_helper(self, seed):
-        """The vectorized evaluation with a per-worker cost vector equals
-        the reference ``_fitness`` loop bit for bit."""
-        problem = make_problem(num_workers=12, seed=seed, vector_bandwidth=True)
-        fitness = problem.fitness()
-        rng = new_rng(seed + 100)
-        masks = rng.random((40, 12)) < 0.5
-        vectorized = fitness.evaluate(masks)
-        for row, mask in enumerate(masks):
-            reference = _fitness(
-                mask, problem.batch_sizes, problem.label_distributions,
-                problem.target_distribution, problem.bandwidth_per_sample,
-                problem.bandwidth_budget,
-            )
-            assert vectorized[row] == reference
-
-    def test_constant_vector_agrees_with_scalar(self):
-        """A constant cost vector is numerically the scalar path (the
-        summation order differs, so equality is allclose, not bitwise)."""
-        problem = make_problem(num_workers=10, seed=4)
-        scalar = problem.fitness()
-        vector = PopulationFitness(
-            problem.batch_sizes, problem.label_distributions,
-            problem.target_distribution,
-            np.full(10, float(problem.bandwidth_per_sample)),
-            problem.bandwidth_budget,
-        )
-        rng = new_rng(42)
-        masks = rng.random((30, 10)) < 0.5
-        np.testing.assert_allclose(
-            vector.evaluate(masks), scalar.evaluate(masks), rtol=1e-12,
-        )
-
-    def test_vector_length_mismatch_rejected(self):
-        problem = make_problem(num_workers=8, seed=5)
-        with pytest.raises(SelectionError, match="different worker counts"):
-            PopulationFitness(
-                problem.batch_sizes, problem.label_distributions,
-                problem.target_distribution, np.ones(5),
-                problem.bandwidth_budget,
-            )

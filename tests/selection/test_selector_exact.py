@@ -4,9 +4,7 @@
 mentions selection solvers: identical history records and final weights
 across both split engines, every executor and both population modes, and
 checkpoints that keep their historical format (no ``selection`` key).  The
-stateful ``ga-warm`` solver must survive checkpoint/resume bit-exactly, and
-depth-aware selection must be neutral while every worker sits at the
-global cut.
+stateful ``ga-warm`` solver must survive checkpoint/resume bit-exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import pytest
 
 from repro.api.session import Session
 from repro.config import ExperimentConfig
-from repro.exceptions import ConfigurationError
 from repro.metrics.history import WIRE_FIELDS
 
 EXECUTORS = ("serial", "batched", "process")
@@ -103,7 +100,6 @@ def test_default_checkpoint_keeps_historical_format():
         session.run(1)
         state = session.state_dict()
     assert "selection" not in state["algorithm"]
-    assert "selection_depths" not in state["algorithm"]
 
 
 def test_warm_solver_state_is_checkpointed():
@@ -160,45 +156,3 @@ def test_warm_solver_with_lazy_candidate_pool():
     assert previous and all(0 <= worker < 12 for worker in previous)
     assert all(record.num_selected >= 1 for record in records)
 
-
-class TestDepthAwareSelection:
-    def test_requires_non_uniform_split_policy(self):
-        with pytest.raises(ConfigurationError, match="depth_aware_selection"):
-            _config("serial", "mergesfl",
-                    extras={"depth_aware_selection": True})
-
-    def test_rejects_non_bool(self):
-        with pytest.raises(ConfigurationError, match="must be a bool"):
-            _config("serial", "mergesfl", split_policy="profile",
-                    extras={"depth_aware_selection": 3})
-
-    def test_neutral_at_the_degenerate_global_cut(self):
-        """On ``mlp`` the only candidate cut is the tail, so the per-worker
-        cost vector is constant at round zero and every later round; the
-        run must match plain ``profile`` bit for bit."""
-        reference = _run(_config("serial", "mergesfl",
-                                 split_policy="profile"))
-        candidate = _run(_config(
-            "serial", "mergesfl", split_policy="profile",
-            extras={"executor_processes": 2, "depth_aware_selection": True},
-        ))
-        _assert_bit_equal(reference, candidate, "depth-aware-degenerate")
-
-    def test_depths_are_checkpointed_and_resume_exactly(self, tmp_path):
-        config = _config(
-            "serial", "mergesfl", split_policy="profile",
-            extras={"executor_processes": 2, "depth_aware_selection": True},
-        )
-        straight = _run(config)
-        path = tmp_path / "depth-aware.ckpt.json"
-        with Session.from_config(config) as session:
-            session.run(1)
-            state = session.state_dict()
-            assert "selection_depths" in state["algorithm"]
-            assert state["algorithm"]["selection_depths"]
-            session.save_checkpoint(path)
-        with Session.load_checkpoint(path) as resumed:
-            resumed.run()
-            candidate = (resumed.history.records,
-                         resumed.global_model().state_dict())
-        _assert_bit_equal(straight, candidate, "depth-aware-resume")

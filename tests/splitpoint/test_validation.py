@@ -36,20 +36,8 @@ class TestConfigTime:
         with pytest.raises(ConfigurationError, match="split_index"):
             _config(extras={"split_index": bad})
 
-    @pytest.mark.parametrize("key", ["split_depth_min", "split_depth_max"])
-    @pytest.mark.parametrize("bad", [0, -2, 1.5, "4", False])
-    def test_depth_bounds_must_be_positive_integers(self, key, bad):
-        with pytest.raises(ConfigurationError, match=key):
-            _config(extras={key: bad})
-
-    def test_depth_bounds_must_be_ordered(self):
-        with pytest.raises(ConfigurationError, match="split_depth_min"):
-            _config(extras={"split_depth_min": 5, "split_depth_max": 2})
-
     def test_valid_extras_accepted(self):
-        config = _config(extras={
-            "split_index": 4, "split_depth_min": 2, "split_depth_max": 6,
-        })
+        config = _config(extras={"split_index": 4})
         assert config.extras["split_index"] == 4
 
 
@@ -66,12 +54,6 @@ class TestBuildTime:
         depth = len(split.bottom) + len(split.top)
         config = _config(extras={"split_index": depth})
         with pytest.raises(ConfigurationError, match="split_index"):
-            build_components(config)
-
-    @pytest.mark.parametrize("key", ["split_depth_min", "split_depth_max"])
-    def test_depth_bounds_beyond_model_depth_rejected(self, key):
-        config = _config(split_policy="profile", extras={key: 10_000})
-        with pytest.raises(ConfigurationError, match=key):
             build_components(config)
 
     def test_valid_override_moves_the_cut(self):

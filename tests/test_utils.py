@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.utils.logging import configure_logging, get_logger
-from repro.core.engine import TOP_LR_SCALE_BOUNDS, WORKER_LR_SCALE_BOUNDS
+from repro.core.engine import WORKER_LR_SCALE_BOUNDS
 from repro.simulation.network import MAX_BANDWIDTH_MBPS, MIN_BANDWIDTH_MBPS
 from repro.utils.numeric import (
     clamp,
@@ -81,7 +81,7 @@ class TestNumeric:
             moving_average(1.0, 1.0, alpha=2.0)
 
     @pytest.mark.parametrize("lower,upper", [
-        WORKER_LR_SCALE_BOUNDS, TOP_LR_SCALE_BOUNDS,
+        WORKER_LR_SCALE_BOUNDS,
         (MIN_BANDWIDTH_MBPS, MAX_BANDWIDTH_MBPS), (0.0, 1.0),
     ])
     def test_clamp_is_np_clip_for_a_scalar(self, lower, upper):
