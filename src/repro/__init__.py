@@ -57,19 +57,15 @@ from repro.api.registry import (
     DATASETS,
     EXECUTORS,
     MODELS,
-    PIPELINES,
     SELECTION_SOLVERS,
     SPLIT_POLICIES,
-    TRANSPORTS,
     register_algorithm,
     register_codec,
     register_dataset,
     register_executor,
     register_model,
-    register_pipeline,
     register_selection_solver,
     register_split_policy,
-    register_transport,
 )
 from repro.api.session import Session
 from repro.baselines.fl_engine import FLTrainingEngine
@@ -95,17 +91,13 @@ __all__ = [
     "DATASETS",
     "EXECUTORS",
     "MODELS",
-    "PIPELINES",
     "SELECTION_SOLVERS",
     "SPLIT_POLICIES",
-    "TRANSPORTS",
     "register_algorithm",
     "register_codec",
     "register_dataset",
     "register_executor",
     "register_model",
-    "register_pipeline",
     "register_selection_solver",
     "register_split_policy",
-    "register_transport",
 ]

@@ -74,7 +74,7 @@ class Algorithm(abc.ABC):
         return len(self.history)
 
     def drain(self) -> None:
-        """Wait until no asynchronously dispatched round work is in flight.
+        """Wait until no round work dispatched without a wait is in flight.
 
         Called by :class:`~repro.api.session.Session` before checkpointing
         so such a round (see :mod:`repro.parallel.pipeline`) can never race

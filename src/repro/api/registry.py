@@ -1,8 +1,8 @@
 """Name-based plugin registries.
 
-Every extensible axis of the system -- algorithms, datasets, models and
-the execution axes (executor, pipeline, transport), link codecs, split
-policies and selection solvers -- is backed by a :class:`Registry`.  Built-in components
+Every extensible axis of the system -- algorithms, datasets, models, the
+executor, link codecs, split policies and selection solvers -- is backed
+by a :class:`Registry`.  Built-in components
 register themselves with the decorators below in the module that defines
 them (the eleven algorithms in one loop over
 :data:`repro.algorithms.BUILTIN_ALGORITHMS`); third-party code registers
@@ -240,12 +240,6 @@ DATASETS = Registry("dataset", populate=_load_builtins)
 MODELS = Registry("model", populate=_load_builtins)
 #: Execution backends: factories ``(config) -> Executor`` (see ``repro.parallel``).
 EXECUTORS = Registry("executor", populate=_load_builtins)
-#: Round schedulers: factories ``(config) -> PipelineScheduler``
-#: (see ``repro.parallel.pipeline``).
-PIPELINES = Registry("pipeline", populate=_load_builtins)
-#: Inter-process feature transports: factories ``(config) -> Transport``
-#: (see ``repro.parallel.transport``).
-TRANSPORTS = Registry("transport", populate=_load_builtins)
 #: Payload codecs of the simulated link: :class:`~repro.parallel.codec.Codec`
 #: subclasses keyed by name (see ``repro.parallel.codec``).
 CODECS = Registry("codec", populate=_load_builtins)
@@ -260,8 +254,6 @@ register_algorithm = ALGORITHMS.register
 register_dataset = DATASETS.register
 register_model = MODELS.register
 register_executor = EXECUTORS.register
-register_pipeline = PIPELINES.register
-register_transport = TRANSPORTS.register
 register_codec = CODECS.register
 register_split_policy = SPLIT_POLICIES.register
 register_selection_solver = SELECTION_SOLVERS.register

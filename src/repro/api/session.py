@@ -202,9 +202,9 @@ class Session:
     def state_dict(self) -> dict:
         """Configuration plus full mutable algorithm state.
 
-        Drains the algorithm first: a pipelined round (see
-        :mod:`repro.parallel.pipeline`) may have asynchronously dispatched
-        work still in flight on the executor, and the capture must not race
+        Drains the algorithm first: an aggregate-window round (see
+        :mod:`repro.parallel.pipeline`) may have work dispatched without a
+        wait still in flight on the executor, and the capture must not race
         it.  Cross-round artifacts that survive the drain -- the
         scheduler's prefetched next-round plan -- are *serialized* by the
         engine's ``state_dict`` instead, so resume is exact.

@@ -46,7 +46,7 @@ from repro.nn.serialization import (
 )
 from repro.parallel.base import Executor
 from repro.parallel.codec import WEIGHTS
-from repro.parallel.pipeline import FullRoundOps, PipelineScheduler
+from repro.parallel.pipeline import FullRoundOps
 from repro.population.pool import WorkerPool
 from repro.simulation.cluster import Cluster
 from repro.utils.rng import spawned_rng
@@ -81,12 +81,11 @@ class FLTrainingEngine(RoundEngine):
         data: TrainTestSplit,
         selection: FLSelectionStrategy,
         executor: Executor | None = None,
-        pipeline: PipelineScheduler | None = None,
         elastic: ElasticController | None = None,
     ) -> None:
         super().__init__(
             config, workers, cluster, data,
-            executor=executor, pipeline=pipeline, elastic=elastic,
+            executor=executor, elastic=elastic,
         )
         self.model = model.clone()
         self.selection = selection

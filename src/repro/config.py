@@ -10,7 +10,7 @@ from __future__ import annotations
 import difflib
 import math
 import numbers
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import InitVar, asdict, dataclass, field, fields
 
 from repro.exceptions import ConfigurationError
 
@@ -41,6 +41,48 @@ RETIRED_EXTRAS = {
     "split_depth_min": (),
     "top_lr_scale": (1.0,),
 }
+
+#: Removed config fields and the values that still load.  The process
+#: executor runs the aggregate window over shared-memory rings, and every
+#: other executor the blocking order, whatever these said; the records are
+#: the same either way, so a value that named a real topology is dropped
+#: and any other fails by name.  :meth:`ExperimentConfig.to_dict` never
+#: writes them.
+RETIRED_FIELDS = {
+    "pipeline": ("sync", "pipelined"),
+    "transport": ("pipe", "shm"),
+}
+
+
+def _check_retired_fields(**given) -> None:
+    """Fail on a retired field given at a value that never loaded."""
+    for name, value in given.items():
+        if value is None or value in RETIRED_FIELDS[name]:
+            continue
+        if (name, value) == ("pipeline", "staleness"):
+            raise ConfigurationError(
+                "pipeline 'staleness' (bounded staleness) was removed; "
+                "executor='process' runs the exact schedule 'pipelined' named"
+            )
+        loads = " or ".join(repr(kept) for kept in RETIRED_FIELDS[name])
+        raise ConfigurationError(
+            f"{name}={value!r}: the {name!r} field was removed (the process "
+            f"executor runs the aggregate window over shared-memory rings); "
+            f"only {loads} still load"
+        )
+
+
+class _ConfigDict(dict):
+    """:meth:`ExperimentConfig.to_dict`'s result: a plain dict, except that
+    popping a retired field it does not hold returns ``None``, so code that
+    strips the execution knobs by name (``perfbench``'s ``task_config``)
+    runs unchanged."""
+
+    def pop(self, key, *default):
+        if key in RETIRED_FIELDS and key not in self and not default:
+            return None
+        return super().pop(key, *default)
+
 
 #: ``executor`` value that leaves the backend to
 #: :func:`repro.parallel.resolve_executor`; not a registry entry.
@@ -156,20 +198,12 @@ class ExperimentConfig:
     #: forces it and is never re-resolved: force ``"process"`` for conv
     #: models on a multi-core host, ``"serial"`` to run the reference.
     executor: str = AUTO_EXECUTOR
-    #: Where the parent waits in each round -- two constructions of the
-    #: one scheduler in :mod:`repro.parallel.pipeline`: ``"sync"`` (every
-    #: install and backward acknowledged) or ``"pipelined"`` (the aggregate
-    #: window on executors that support it: fewer blocking points, and the
-    #: round's accounting plus the next round's plan overlap the
-    #: executor's tail compute).  The two are bit-exact with each other;
-    #: executors without asynchronous dispatch run the blocking order
-    #: under both names.
-    pipeline: str = "sync"
-    #: How feature/gradient/mini-batch arrays cross the process executor's
-    #: process boundary: ``"pipe"`` (pickle over a pipe) or ``"shm"``
-    #: (shared-memory ring buffers, headers only over the pipe); see
-    #: :mod:`repro.parallel.transport`.  Ignored by in-process executors.
-    transport: str = "pipe"
+    #: Retired execution spellings (see :data:`RETIRED_FIELDS`): the process
+    #: executor always runs the aggregate window over shared-memory rings,
+    #: so ``pipeline`` and ``transport`` only load, at the values that
+    #: named that topology or the blocking reference, and are never stored.
+    pipeline: InitVar[str | None] = None
+    transport: InitVar[str | None] = None
     #: Codec of the simulated worker <-> PS link for the feature/gradient
     #: payloads: ``"none"`` (bit-exact passthrough, the default),
     #: ``"fp16"``/``"bf16"`` (half-precision casts), ``"int8"`` (per-tensor
@@ -208,7 +242,8 @@ class ExperimentConfig:
     # Free-form extras (kept for forward compatibility of saved configs).
     extras: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, pipeline: str | None, transport: str | None) -> None:
+        _check_retired_fields(pipeline=pipeline, transport=transport)
         self.validate()
 
     def validate(self) -> None:
@@ -225,10 +260,8 @@ class ExperimentConfig:
             DATASETS,
             EXECUTORS,
             MODELS,
-            PIPELINES,
             SELECTION_SOLVERS,
             SPLIT_POLICIES,
-            TRANSPORTS,
         )
 
         self._check_numeric_types()
@@ -240,15 +273,6 @@ class ExperimentConfig:
             raise ConfigurationError(MODELS.unknown_message(self.model))
         if self.executor != AUTO_EXECUTOR and self.executor not in EXECUTORS:
             raise ConfigurationError(EXECUTORS.unknown_message(self.executor))
-        if self.pipeline == "staleness":
-            raise ConfigurationError(
-                "pipeline 'staleness' (bounded staleness) was removed; "
-                "'pipelined' runs its exact schedule"
-            )
-        if self.pipeline not in PIPELINES:
-            raise ConfigurationError(PIPELINES.unknown_message(self.pipeline))
-        if self.transport not in TRANSPORTS:
-            raise ConfigurationError(TRANSPORTS.unknown_message(self.transport))
         if self.codec not in CODECS:
             raise ConfigurationError(CODECS.unknown_message(self.codec))
         if self.split_policy not in SPLIT_POLICIES:
@@ -481,12 +505,12 @@ class ExperimentConfig:
         :meth:`from_dict` swept into it (``num_worker=8``), which would
         otherwise leave the intended setting at its default without a word.
         """
-        fields = [name for name in self.__dataclass_fields__ if name != "extras"]
+        names = [spec.name for spec in fields(self) if spec.name != "extras"]
         for key in self.extras:
             if key in KNOWN_EXTRAS:
                 continue
             closest = difflib.get_close_matches(
-                str(key), [*KNOWN_EXTRAS, *fields], n=1, cutoff=_TYPO_SIMILARITY
+                str(key), [*KNOWN_EXTRAS, *names], n=1, cutoff=_TYPO_SIMILARITY
             )
             if closest:
                 kind = "extras key" if closest[0] in KNOWN_EXTRAS else "config field"
@@ -518,8 +542,9 @@ class ExperimentConfig:
                 )
 
     def to_dict(self) -> dict:
-        """Plain-dict representation (JSON-serialisable)."""
-        return asdict(self)
+        """Plain-dict representation (JSON-serialisable); the retired
+        fields are never written."""
+        return asdict(self, dict_factory=_ConfigDict)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -529,7 +554,8 @@ class ExperimentConfig:
         is dropped at its exact value 0 and fails by name otherwise.
         ``population_cache``, the capacity of the retired delta caches, is
         dropped: the lazy pool's cache was never read, and a pending rejoin
-        now carries its own delta.
+        now carries its own delta.  ``pipeline`` and ``transport`` load as
+        the constructor takes them (:data:`RETIRED_FIELDS`).
         """
         payload = dict(payload)
         payload.pop("population_cache", None)

@@ -27,11 +27,10 @@ paper's global cut is the plan without policy-assigned depths, which
 A round is an explicit stage sequence (plan -> install -> bottom-forward ->
 merge -> top-update -> backward-dispatch -> local-step -> aggregate): the
 engine supplies the stage bodies as :class:`~repro.parallel.pipeline.SplitRoundOps`
-and a :class:`~repro.parallel.pipeline.PipelineScheduler` (picked by
-``config.pipeline``) decides where the parent waits.  The engine's
-parent-side accounting and even the next round's PLAN are handed to the
-scheduler as callables it runs inside the aggregate window (cross-round
-pipelining) on executors with asynchronous dispatch, and a plan
+and the :class:`~repro.parallel.pipeline.PipelineScheduler` decides where
+the parent waits.  The engine's parent-side accounting and even the next
+round's PLAN are handed to the scheduler as callables it runs inside the
+aggregate window (cross-round pipelining) on the process executor, and a plan
 prefetched that way is serialised into ``state_dict`` so checkpoint/resume
 stays exact whichever order ran.
 """
@@ -56,7 +55,7 @@ from repro.nn.serialization import model_size_bytes
 from repro.nn.split import SplitModel, candidate_split_depths, carve_prefix
 from repro.parallel.base import Executor
 from repro.parallel.codec import FEATURES, GRADIENTS, WEIGHTS
-from repro.parallel.pipeline import PipelineScheduler, SplitRoundOps
+from repro.parallel.pipeline import SplitRoundOps
 from repro.population.pool import WorkerPool
 from repro.simulation.cluster import Cluster
 from repro.simulation.estimator import BandwidthEstimator, WorkerStateEstimator
@@ -102,7 +101,6 @@ class SplitTrainingEngine(RoundEngine):
         policy: ControlPolicy,
         bandwidth_budget_override: float | None = None,
         executor: Executor | None = None,
-        pipeline: PipelineScheduler | None = None,
         elastic: ElasticController | None = None,
     ) -> None:
         if split is None:
@@ -113,7 +111,7 @@ class SplitTrainingEngine(RoundEngine):
             )
         super().__init__(
             config, workers, cluster, data,
-            executor=executor, pipeline=pipeline, elastic=elastic,
+            executor=executor, elastic=elastic,
         )
         self.split = split
         self.policy = policy

@@ -47,7 +47,7 @@ from repro.exceptions import ExecutorDeathError
 from repro.metrics.history import History, RoundRecord, wire_round_delta
 from repro.parallel.base import Executor
 from repro.parallel.codec import WEIGHTS, CodecPolicy, build_codec_policy
-from repro.parallel.pipeline import PipelineScheduler, build_pipeline
+from repro.parallel.pipeline import PipelineScheduler
 from repro.parallel.serial import SerialExecutor
 from repro.population.pool import WorkerPool
 from repro.simulation.cluster import Cluster
@@ -75,7 +75,6 @@ class RoundEngine(Algorithm):
         cluster: Cluster,
         data: TrainTestSplit,
         executor: Executor | None = None,
-        pipeline: PipelineScheduler | None = None,
         elastic: ElasticController | None = None,
     ) -> None:
         self.config = config
@@ -86,7 +85,7 @@ class RoundEngine(Algorithm):
         self.cluster = cluster
         self.data = data
         self.executor = executor if executor is not None else SerialExecutor()
-        self.pipeline = pipeline if pipeline is not None else build_pipeline(config)
+        self.pipeline = PipelineScheduler()
         #: Round elasticity (over-selection, first-k-of-n, rejoin); ``None``
         #: keeps the historical synchronous code paths untouched.
         self._elastic = (
@@ -119,7 +118,7 @@ class RoundEngine(Algorithm):
         return self._round_index
 
     def drain(self) -> None:
-        """Wait for in-flight asynchronous dispatch (aggregate-window rounds)."""
+        """Wait for in-flight no-wait dispatch (aggregate-window rounds)."""
         self.executor.drain()
 
     def close(self) -> None:
@@ -131,8 +130,8 @@ class RoundEngine(Algorithm):
         """Every mutable piece of training state, for checkpoint/resume.
 
         Drains the executor first so the capture cannot race an
-        asynchronously dispatched round; cross-round artifacts that survive the drain are serialised
-        by the subclass through :meth:`_engine_state`.
+        aggregate-window round; cross-round artifacts that survive the
+        drain are serialised by the subclass through :meth:`_engine_state`.
         """
         self.drain()
         return {

@@ -76,7 +76,7 @@ class RoundRecord:
 
 
 #: :class:`RoundRecord` fields that measure transport wire traffic.  They
-#: depend on the execution *topology* (executor, transport, schedule), not
+#: depend on the execution *topology* (the executor, its pool and rings), not
 #: on the training trajectory, so cross-topology equivalence checks compare
 #: records with these stripped while everything else stays bit-exact.
 WIRE_FIELDS = ("bytes_on_wire", "logical_bytes", "compression_ratio")

@@ -17,32 +17,22 @@ receive the full :class:`~repro.config.ExperimentConfig` so backends can
 read tuning knobs from ``config.extras`` (the process pool size, for
 example, comes from ``extras["executor_processes"]``).
 
-Two further axes compose with the executor choice:
+The process executor runs each round in the scheduler's **aggregate
+window** (:mod:`repro.parallel.pipeline`): no acknowledgements, and the
+round's accounting and the next round's plan overlap the children's tail
+compute.  Its arrays cross the process boundary raw, through
+shared-memory ring buffers (:mod:`repro.parallel.transport`), each sized
+to the largest message a round can carry unless
+``extras["transport_capacity"]`` fixes the per-direction ring size.  The
+in-process executors run the blocking order.
 
-* the **round pipeline** (``config.pipeline``, :mod:`repro.parallel.pipeline`)
-  schedules the stages of each round with one scheduler class -- ``sync``
-  waits for every install and backward, ``pipelined`` adds the aggregate
-  window on capable executors (``process`` over ``shm``): no
-  acknowledgements, and the round's accounting and the next round's plan
-  overlap the executor's tail compute;
-* the **feature transport** (``config.transport``,
-  :mod:`repro.parallel.transport`) moves tensors, raw, across the process
-  executor's process boundary -- ``pipe`` pickles them, ``shm`` ships them
-  through shared-memory ring buffers, each sized to the largest message
-  a round can carry unless ``extras["transport_capacity"]`` fixes the
-  per-direction ring size).
-
-Every combination is bit-exact with every other.  The link codec
+Every executor is bit-exact with every other.  The link codec
 (``config.codec``, :mod:`repro.parallel.codec`) is not an execution axis:
 the round applies it, identically on every executor, so a lossy run is
 the same trajectory on all of them.
 """
 
-from repro.api.registry import (
-    register_executor,
-    register_pipeline,
-    register_transport,
-)
+from repro.api.registry import register_executor
 from repro.config import AUTO_EXECUTOR
 from repro.parallel.base import Executor
 from repro.parallel.batched import BatchedExecutor, uniform_worker_hyperparams
@@ -59,15 +49,10 @@ from repro.parallel.pipeline import (
     RoundReport,
     RoundStage,
     SplitRoundOps,
-    build_pipeline,
 )
 from repro.parallel.process import ProcessExecutor
 from repro.parallel.serial import SerialExecutor
-from repro.parallel.transport import (
-    PipeTransport,
-    SharedMemoryTransport,
-    Transport,
-)
+from repro.parallel.transport import SharedMemoryTransport
 
 __all__ = [
     "BatchedExecutor",
@@ -76,7 +61,6 @@ __all__ = [
     "CodecPolicy",
     "Executor",
     "FullRoundOps",
-    "PipeTransport",
     "PipelineScheduler",
     "ProcessExecutor",
     "RoundReport",
@@ -84,11 +68,8 @@ __all__ = [
     "SerialExecutor",
     "SharedMemoryTransport",
     "SplitRoundOps",
-    "Transport",
     "build_codec_policy",
     "build_executor",
-    "build_pipeline",
-    "build_transport",
     "resolve_executor",
 ]
 
@@ -106,40 +87,16 @@ def _build_batched(config) -> BatchedExecutor:
 @register_executor("process", description="workers fanned out to a process pool")
 def _build_process(config) -> ProcessExecutor:
     processes = config.extras.get("executor_processes")
+    # Without an explicit capacity the pool fits its rings to the largest
+    # message a round can carry when it starts.
+    capacity = config.extras.get("transport_capacity")
     return ProcessExecutor(
         processes=int(processes) if processes is not None else None,
         start_method=config.extras.get("executor_start_method"),
-        transport=build_transport(config),
+        capacity=int(capacity) if capacity is not None else None,
         max_batch_size=config.max_batch_size,
         max_cohort=config.num_workers,
     )
-
-
-@register_transport("pipe", description="pickle whole messages over a pipe")
-def _build_pipe_transport(config) -> PipeTransport:
-    return PipeTransport()
-
-
-@register_transport("shm", description="arrays via shared-memory ring buffers")
-def _build_shm_transport(config) -> SharedMemoryTransport:
-    # Without an explicit capacity the process executor fits the rings to
-    # the largest message a round can carry when it starts its pool.
-    capacity = config.extras.get("transport_capacity")
-    return SharedMemoryTransport(
-        capacity=int(capacity) if capacity is not None else None,
-    )
-
-
-@register_pipeline("sync", description="blocking reference order")
-def _build_sync_pipeline(config) -> PipelineScheduler:
-    return PipelineScheduler()
-
-
-@register_pipeline(
-    "pipelined", description="the aggregate window on capable executors (exact)"
-)
-def _build_pipelined_pipeline(config) -> PipelineScheduler:
-    return PipelineScheduler(asynchronous=True)
 
 
 def resolve_executor(config, model=None, workers=()) -> str:
@@ -179,9 +136,3 @@ def build_executor(config, model=None, workers=()) -> Executor:
 
     return EXECUTORS.get(resolve_executor(config, model, workers))(config)
 
-
-def build_transport(config) -> Transport:
-    """Instantiate the transport named in ``config.transport`` via the registry."""
-    from repro.api.registry import TRANSPORTS
-
-    return TRANSPORTS.get(config.transport)(config)

@@ -28,9 +28,9 @@ Split-training call sequence, per round, as the scheduler drives it
         backward_step(workers, gradients)  # dispatched gradients + SGD step
     bottom_states(workers)                 # collect for aggregation
 
-Backends that set :attr:`Executor.supports_async_dispatch` also run the
-scheduler's aggregate window (:mod:`repro.parallel.pipeline`), the same
-sequence with fewer waits::
+Backends that set :attr:`Executor.supports_async_dispatch` -- the process
+executor -- run the scheduler's aggregate window instead
+(:mod:`repro.parallel.pipeline`), the same sequence with fewer waits::
 
     install(..., depths, wait=False)       # no acknowledgement
     repeat tau times:
@@ -64,7 +64,7 @@ class Executor(abc.ABC):
     #: Registry name of the backend (also used in logs and error messages).
     name: str = "abstract"
 
-    #: Whether the backend implements the asynchronous protocol of the
+    #: Whether the backend implements the no-wait protocol of the
     #: scheduler's aggregate window: ``install(wait=False)``,
     #: ``launch_forward`` + ``collect_forward``,
     #: ``backward_step(..., wait=False)`` and ``request_states`` +
@@ -161,11 +161,11 @@ class Executor(abc.ABC):
 
     # -- lifecycle ------------------------------------------------------------
     def drain(self) -> None:
-        """Block until no asynchronously dispatched work is in flight.
+        """Block until no work dispatched without a wait is in flight.
 
         Engines call this before capturing checkpoint state so such a round
-        can never race the state capture.  Backends without asynchronous
-        dispatch have nothing to wait for.
+        can never race the state capture.  Backends without
+        ``supports_async_dispatch`` have nothing to wait for.
         """
 
     def close(self) -> None:

@@ -21,15 +21,15 @@ the states are requested, the parent runs the round's accounting and the
 then blocks for the states.  That leaves ``tau + 1`` blocking points
 instead of ``2 tau + 2``, and the same trajectory.
 
-The window runs when the scheduler is ``asynchronous``, the executor
-``supports_async_dispatch``, the round has at least one iteration and it
-aggregates once at its end (a per-iteration re-install, SplitFed's, has no
-tail to overlap).  The two registered names (``ExperimentConfig(pipeline=...)``)
-are two constructions of the class: ``sync`` = ``PipelineScheduler()`` and
-``pipelined`` = ``PipelineScheduler(asynchronous=True)``.
+The scheduler opens the window whenever the executor
+``supports_async_dispatch`` (the process executor; the in-process ones
+have no wait to skip), the round has at least one iteration and it
+aggregates once at its end.  SplitFed's per-iteration re-install has no
+tail to overlap, and ``tau = 0`` nothing to launch, so both keep the
+blocking order.  Which order runs is observed, not configured.
 
-The scheduler holds no cross-round *executor* state, so switching it never
-invalidates a checkpoint; ``Session.save_checkpoint`` still drains the
+The scheduler holds no cross-round *executor* state, so switching executors
+never invalidates a checkpoint; ``Session.save_checkpoint`` still drains the
 executor first, and the one cross-round artifact the window creates --
 the prefetched next-round plan -- is serialized by the engine's
 ``state_dict`` and consumed by whichever order runs the next round.
@@ -137,27 +137,18 @@ class FullRoundOps:
 
 
 class PipelineScheduler:
-    """The round scheduler: one split-round loop, with or without the
-    aggregate window.
+    """The round scheduler: one split-round loop, with the aggregate window
+    wherever it applies (see the module docstring).
 
-    Args:
-        asynchronous: Run the aggregate window where it applies (see the
-            module docstring).  ``False`` always runs the blocking order.
-
-    Whether a round gets the window is observed, not configured, and both
-    orders yield the same trajectory, so an executor without asynchronous
-    dispatch simply runs the blocking order.
+    Both orders yield the same trajectory, so an executor without
+    ``supports_async_dispatch`` simply runs the blocking order.
     """
 
-    def __init__(self, asynchronous: bool = False) -> None:
-        self.asynchronous = bool(asynchronous)
+    def __init__(self) -> None:
         #: Blocking barriers across the scheduler's lifetime (cumulative).
         self.sync_points = 0
         #: Measurements of the most recently completed round.
         self.last_report = RoundReport()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(asynchronous={self.asynchronous})"
 
     def _report(self, sync_points: int) -> None:
         self.sync_points += sync_points
@@ -172,8 +163,7 @@ class PipelineScheduler:
         """Execute INSTALL .. AGGREGATE and return the per-iteration losses."""
         executor = ops.executor
         window = (
-            self.asynchronous
-            and getattr(executor, "supports_async_dispatch", False)
+            getattr(executor, "supports_async_dispatch", False)
             and local_iterations > 0
             and not aggregate_every_iteration
         )
@@ -241,9 +231,3 @@ class PipelineScheduler:
         self._report(2)
         return trained
 
-
-def build_pipeline(config) -> PipelineScheduler:
-    """Instantiate the scheduler named in ``config.pipeline`` via the registry."""
-    from repro.api.registry import PIPELINES
-
-    return PIPELINES.get(config.pipeline)(config)

@@ -2,12 +2,11 @@
 
 A small pool of persistent child processes each hosts the bottom models of
 a subset of the selected workers.  Messages cross the process boundary
-through a pluggable :class:`~repro.parallel.transport.Transport`: the
-classic ``pipe`` transport pickles everything over a pipe, while the
-``shm`` transport moves feature/gradient/mini-batch arrays through
-shared-memory ring buffers and ships only headers.  The children run the
-very same serial layer kernels, so the training trajectory is bit-identical
-to the serial executor.
+over :class:`~repro.parallel.transport.SharedMemoryTransport` channels:
+the feature, gradient and state arrays go through shared-memory ring
+buffers and only headers through a pipe.  The children run the very same
+serial layer kernels, so the training trajectory is bit-identical to the
+serial executor.
 
 All checkpointed state stays in the parent: mini-batches are drawn from the
 workers' loaders there, which keeps sampling RNG streams out of the
@@ -26,8 +25,9 @@ A forked child maps every page resident in the parent, so the pool first
 returns the parent's free heap to the OS
 (:func:`~repro.utils.mp.release_free_heap`).  For the same reason -- every
 ring page is resident in both of its processes -- the pool fits its
-transport to the largest message a round can carry before it opens the
-channels (:meth:`ProcessExecutor._largest_message`).
+rings to the largest message a round can carry before it opens the
+channels (:meth:`ProcessExecutor._largest_message`), unless ``capacity``
+(``extras["transport_capacity"]``) fixes their size.
 
 Every message is ``(command, payload, wants_reply)``: whether a command is
 acknowledged is data in the message.  A split round is four child
@@ -55,8 +55,9 @@ worker's batch times its per-sample forward FLOPs through ``install``, and
 child with the least load so far (LPT).  Without loads every worker
 weighs the same, which deals them out in turn.
 
-The scheduler's aggregate window (``supports_async_dispatch``; see
-:mod:`repro.parallel.pipeline`) sends ``install`` and ``backward`` with
+Every round with local iterations and one aggregation runs in the
+scheduler's aggregate window (``supports_async_dispatch``; see
+:mod:`repro.parallel.pipeline`): it sends ``install`` and ``backward`` with
 ``wait=False`` -- no reply -- and calls ``forward`` and ``bottom_states``
 as their two halves: ``launch_forward`` / ``request_states`` send
 ``forward`` / ``states`` and return, ``collect_forward`` /
@@ -82,7 +83,7 @@ import numpy as np
 from repro.exceptions import ExecutorDeathError, TransportError
 from repro.utils.mp import get_mp_context, release_free_heap
 from repro.parallel.base import Executor
-from repro.parallel.transport import ChildConnector, PipeTransport, Transport
+from repro.parallel.transport import ChildConnector, SharedMemoryTransport
 from repro.utils.logging import get_logger
 
 logger = get_logger("parallel.process")
@@ -257,23 +258,28 @@ class ProcessExecutor(Executor):
 
     name = "process"
 
+    #: Over shared memory a no-reply install or gradient lands in a ring
+    #: and the parent moves on, so every round can run the aggregate window.
+    supports_async_dispatch = True
+
     def __init__(
         self,
         processes: int | None = None,
         start_method: str | None = None,
-        transport: Transport | None = None,
+        capacity: int | None = None,
         max_batch_size: int | None = None,
         max_cohort: int | None = None,
     ) -> None:
-        """``max_batch_size`` and ``max_cohort`` bound a round's traffic: with
-        both given, the pool fits its transport to the largest message a
-        round can carry (:meth:`_largest_message`); without, the transport
-        keeps its own size."""
+        """``capacity`` fixes the per-direction ring size.  Without it,
+        ``max_batch_size`` and ``max_cohort`` bound a round's traffic: with
+        both given, the pool fits its rings to the largest message a round
+        can carry (:meth:`_largest_message`); without, the rings keep
+        ``DEFAULT_RING_CAPACITY``."""
         if processes is not None and processes <= 0:
             raise ValueError(f"processes must be positive, got {processes}")
         self._requested = processes
         self._start_method = start_method
-        self._transport = transport if transport is not None else PipeTransport()
+        self._transport = SharedMemoryTransport(capacity)
         self._max_batch_size = max_batch_size
         self._max_cohort = max_cohort
         self._children: list[_Child] | None = None
@@ -286,17 +292,6 @@ class ProcessExecutor(Executor):
         #: the counters stay monotonic across pool restarts.
         self._retired_wire = 0
         self._retired_overflow = 0
-
-    @property
-    def supports_async_dispatch(self) -> bool:
-        """The aggregate window runs over out-of-band bulk transfer only.
-
-        Over shared memory a no-reply install or gradient lands in a ring
-        and the parent moves on; over a plain pipe a payload beyond the OS
-        pipe buffer holds the parent until the child has read it.  On
-        other transports the scheduler runs its blocking order.
-        """
-        return self._transport.supports_async_bulk
 
     # -- pool lifecycle -------------------------------------------------------
     def _pool_size(self) -> int:
@@ -349,8 +344,8 @@ class ProcessExecutor(Executor):
                 children.append(_Child(process, endpoint, dict(sources)))
             self._children = children
             logger.debug(
-                "started %d executor processes (start method %s, transport %s)",
-                len(children), context.get_start_method(), self._transport.name,
+                "started %d executor processes (start method %s, rings of %d bytes)",
+                len(children), context.get_start_method(), self._transport.capacity,
             )
 
     @staticmethod
@@ -687,7 +682,7 @@ class ProcessExecutor(Executor):
         channels already retired by a pool restart, so engines can take
         per-round deltas.  Sources sent to a child are excluded (see
         ``_UNCOUNTED_COMMAND``), which keeps the deltas identical across
-        pool sizes, transports and checkpoint/resume.  Arrays cross raw, so
+        pool sizes, ring sizes and checkpoint/resume.  Arrays cross raw, so
         the logical bytes are the wire bytes.
         """
         wire = self._retired_wire
@@ -699,9 +694,8 @@ class ProcessExecutor(Executor):
         """Cumulative array bytes that missed a ring and took the pipe.
 
         Counted as :meth:`transport_stats` counts (both directions, every
-        channel, sources excluded); always zero on the pipe transport.
-        Nonzero means the rings are smaller than the traffic: see
-        ``extras["transport_capacity"]``.
+        channel, sources excluded).  Nonzero means the rings are smaller
+        than the traffic: see ``extras["transport_capacity"]``.
         """
         overflow = self._retired_overflow
         if self._children is not None:

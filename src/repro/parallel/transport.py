@@ -1,21 +1,17 @@
-"""Pluggable feature transports for the process executor.
+"""Shared-memory rings: how the process executor moves arrays.
 
 The :class:`~repro.parallel.process.ProcessExecutor` exchanges messages with
-its child processes through a :class:`Transport`.  A message is an arbitrary
-picklable ``(command, payload)`` structure; what differs between transports
-is how the *bulk* of the payload -- the feature, gradient and mini-batch
-arrays -- crosses the process boundary:
-
-* :class:`PipeTransport` pickles the whole message over a
-  :func:`multiprocessing.Pipe` (the historical path).  Every array is
-  serialised, copied through the OS pipe in 64 KiB chunks and deserialised
-  on the far side.
-* :class:`SharedMemoryTransport` moves every numpy array through a pair of
-  single-producer/single-consumer ring buffers backed by
-  :mod:`multiprocessing.shared_memory`; only a small control message --
-  the command plus per-array headers (shape, dtype, byte count) -- crosses
-  the pipe.  Arrays are written/read with two ``memcpy``-like slice
-  assignments, so the per-byte cost is a fraction of pickling.
+its child processes over channels that :class:`SharedMemoryTransport`
+opens.  A message is an arbitrary picklable ``(command, payload)``
+structure; every numpy array in it -- the feature, gradient and state
+arrays -- crosses through a pair of single-producer/single-consumer ring
+buffers backed by :mod:`multiprocessing.shared_memory` (POSIX shared
+memory, ``/dev/shm`` on Linux), and only a small control message -- the
+command plus per-array headers (shape, dtype, byte count) -- crosses the
+pipe.  Arrays are written/read with two ``memcpy``-like slice
+assignments, so the per-byte cost is a fraction of pickling.  Arrays of
+at most ``INLINE_FLOOR_BYTES`` stay in the control message, where the
+ring's framing would cost more than the pickling it saves.
 
 Each array in the ring is preceded by a 16-byte frame header (magic,
 sequence number, byte count) that the receiver validates against the
@@ -23,28 +19,25 @@ control message, so a desynchronised or corrupted ring fails loudly with
 :class:`~repro.exceptions.TransportError` instead of silently reading
 garbage into the training state.
 
-Arrays cross raw on both transports: compressing the simulated link is
-the round's business (:class:`~repro.core.round_engine.RoundEngine`), not
-the process boundary's.  Both endpoints keep a ``bytes_on_wire`` counter
--- on the pipe transport too -- so pipe-vs-shm comparisons report wire
-volume on both backends.  A ring endpoint also counts
-``bytes_overflowed``: the array bytes that did not fit one message's ring
-budget and went pickled through the pipe instead.
+Arrays cross raw: compressing the simulated link is the round's business
+(:class:`~repro.core.round_engine.RoundEngine`), not the process
+boundary's.  Every endpoint keeps a ``bytes_on_wire`` counter and a
+``bytes_overflowed`` one: the array bytes that did not fit one message's
+ring budget and went pickled through the pipe instead.
 
 Both ends map every page of a ring when they open it, so a ring costs its
 full size in each process's resident set from the first round on.  The
 process executor therefore sizes its rings to the traffic
-(:meth:`SharedMemoryTransport.fit`, :func:`ring_capacity_for`) unless a
-capacity is given explicitly.
+(:meth:`SharedMemoryTransport.fit`, :func:`ring_capacity_for`) unless
+``extras["transport_capacity"]`` fixes the per-direction size.
 
-Transports are registered in :data:`repro.api.registry.TRANSPORTS`
-(``"pipe"`` and ``"shm"``) and selected with
-``ExperimentConfig(transport=...)``; see :mod:`repro.parallel`.
+:class:`PipeTransport` opens ring-less channels that pickle whole
+messages over the pipe.  No executor uses it; it is kept as the pipe
+baseline of ``perfbench``'s ``transport_echo`` probe.
 """
 
 from __future__ import annotations
 
-import abc
 import mmap
 import struct
 import time
@@ -470,51 +463,21 @@ class ChildConnector:
         return Endpoint(self.conn, ring_out=ring_out, ring_in=ring_in)
 
 
-class Transport(abc.ABC):
-    """Factory for parent/child endpoint pairs of one channel."""
-
-    #: Registry name of the transport (also used in logs and errors).
-    name: str = "abstract"
-
-    #: Whether bulk array payloads travel out-of-band (rings) rather than
-    #: through the pipe.  The process executor offers the scheduler's
-    #: aggregate window (``supports_async_dispatch``) only when this is
-    #: ``True``.
-    supports_async_bulk: bool = False
-
-    @abc.abstractmethod
-    def pair(self, context) -> tuple[Endpoint, ChildConnector]:
-        """Create one channel: the parent endpoint plus the child's recipe.
-
-        Args:
-            context: The multiprocessing context the executor spawns
-                children with (start-method aware ``Pipe``).
-        """
-
-    def fit(self, message_bytes: int) -> None:
-        """Size the channels :meth:`pair` makes next for messages of up to
-        ``message_bytes`` array bytes.  Transports without a size ignore it.
-        """
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}()"
-
-
-class PipeTransport(Transport):
-    """Pickle whole messages over a multiprocessing pipe (the classic path)."""
+class PipeTransport:
+    """Pickle whole messages over a multiprocessing pipe (no rings)."""
 
     name = "pipe"
 
     def pair(self, context) -> tuple[Endpoint, ChildConnector]:
+        """One channel: the parent endpoint plus the child's recipe."""
         parent_conn, child_conn = context.Pipe()
         return Endpoint(parent_conn), ChildConnector(conn=child_conn)
 
 
-class SharedMemoryTransport(Transport):
+class SharedMemoryTransport:
     """Ship arrays through shared-memory rings; only headers cross the pipe."""
 
     name = "shm"
-    supports_async_bulk = True
 
     def __init__(self, capacity: int | None = None) -> None:
         """``capacity`` fixes the per-direction ring size; ``None`` leaves it
@@ -531,6 +494,11 @@ class SharedMemoryTransport(Transport):
             self.capacity = ring_capacity_for(message_bytes)
 
     def pair(self, context) -> tuple[Endpoint, ChildConnector]:
+        """Create one channel: the parent endpoint plus the child's recipe.
+
+        ``context`` is the multiprocessing context the executor spawns
+        children with (start-method aware ``Pipe``).
+        """
         parent_conn, child_conn = context.Pipe()
         to_child = RingBuffer.create(self.capacity)
         to_parent = RingBuffer.create(self.capacity)

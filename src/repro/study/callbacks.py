@@ -168,10 +168,10 @@ class Timing(Callback):
 
     The simulated round durations live in the history records; this
     callback measures how long the *simulation itself* takes, which is
-    what executor/transport benchmarking wants.  It is the benchmark
+    what executor benchmarking wants.  It is the benchmark
     suite's single wall-clock source: round windows are contiguous
     (``round_start`` fires immediately after the previous ``round_end``),
-    so under a pipelined schedule any work still in flight at a round
+    so under the aggregate window any work still in flight at a round
     boundary lands in exactly one round's window and ``total`` never
     double-counts overlapped stages.
     """

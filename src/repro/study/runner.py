@@ -5,8 +5,8 @@ A :class:`StudyRunner` executes every trial of a
 across worker processes (``n_jobs>1``).  Trial-level parallelism is
 embarrassingly parallel and complements the intra-round executors of
 :mod:`repro.parallel`: each trial is an ordinary
-:class:`~repro.api.session.Session` run, so every backend/transport/
-pipeline combination works unchanged inside a trial worker process.
+:class:`~repro.api.session.Session` run, so every executor works
+unchanged inside a trial worker process.
 
 With a :class:`~repro.study.store.StudyStore` attached, each completed
 trial is persisted the moment it finishes and :meth:`StudyRunner.resume`
@@ -240,7 +240,12 @@ class StudyRunner:
 
     # -- internals -----------------------------------------------------------
     def _completed_results(self) -> dict[str, TrialResult]:
-        """Stored results for this study's trials, config-checked."""
+        """Stored results for this study's trials, config-checked.
+
+        A stored config is compared as it loads today
+        (:meth:`ExperimentConfig.from_dict`), so a row written before a
+        field was retired still matches its trial.
+        """
         if self.store is None:
             return {}
         recorded = self.store.completed(self.study.name)
@@ -249,7 +254,8 @@ class StudyRunner:
             result = recorded.get(trial.name)
             if result is None:
                 continue
-            if encode_state(result.config) != encode_state(trial.config.to_dict()):
+            stored = ExperimentConfig.from_dict(result.config).to_dict()
+            if encode_state(stored) != encode_state(trial.config.to_dict()):
                 raise StudyError(
                     f"store records trial {trial.name!r} of study "
                     f"{self.study.name!r} with a different configuration; "

@@ -190,14 +190,17 @@ class TestBuiltinRegistries:
         assert MODELS.metadata("vgg_s")["split_after_weighted"] == 13
 
     def test_one_extension_route(self):
-        """Nine registries, no policy registry, no policy extras."""
+        """Seven registries (no pipeline or transport registry since the
+        process executor always runs the window over rings), no policy
+        registry, no policy extras."""
         import repro.api.registry as registry_module
 
         registries = [
             name for name, value in vars(registry_module).items()
             if isinstance(value, Registry)
         ]
-        assert len(registries) == 9 and "POLICIES" not in registries
+        assert len(registries) == 7 and "POLICIES" not in registries
+        assert not {"PIPELINES", "TRANSPORTS"} & set(registries)
         assert len(KNOWN_EXTRAS) == 11
         assert not {"policy", "policy_kwargs"} & set(KNOWN_EXTRAS)
         for name in ("split_custom", "fl_custom"):

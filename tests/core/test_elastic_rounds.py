@@ -121,10 +121,8 @@ class TestNeutralElasticity:
         )
 
     def test_neutral_knobs_are_bit_exact_on_process_executor(self):
-        reference = _run(_config(executor="process", transport="shm"))
-        candidate = _run(
-            _config(executor="process", transport="shm", elastic=True)
-        )
+        reference = _run(_config(executor="process"))
+        candidate = _run(_config(executor="process", elastic=True))
         _assert_bit_equal(
             reference, candidate, "process/neutral-elastic",
             ignore=NEUTRAL_BOOKKEEPING,

@@ -1,6 +1,8 @@
 """Tests for ExperimentConfig and the experiment runner."""
 
 import dataclasses
+import json
+import pathlib
 import re
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.api.components import build_components, build_model_for
 from repro.api.registry import ALGORITHMS
+from repro.api.session import Session
 from repro.config import KNOWN_EXTRAS, RETIRED_EXTRAS, ExperimentConfig
 from repro.exceptions import ConfigurationError
 from repro.experiments.reporting import format_comparison, format_table
@@ -290,6 +293,104 @@ class TestExperimentConfig:
     def test_all_known_algorithms_construct(self):
         for algorithm in ALGORITHMS.names():
             ExperimentConfig(algorithm=algorithm)
+
+
+#: The retired execution spellings that still load: the values the
+#: benchmark's workloads and probes pass.
+RETIRED_SPELLINGS = [
+    ("pipeline", "sync"), ("pipeline", "pipelined"),
+    ("transport", "pipe"), ("transport", "shm"),
+]
+
+#: The checkpoint fixtures, all written while both fields were stored.
+CHECKPOINT_FIXTURES = sorted(
+    (pathlib.Path(__file__).resolve().parents[1] / "golden").glob("*.ckpt.json")
+)
+
+
+class TestRetiredExecutionFields:
+    """``pipeline`` and ``transport`` are load-only spellings: the process
+    executor always runs the aggregate window over shared-memory rings."""
+
+    @pytest.mark.parametrize("name, value", RETIRED_SPELLINGS)
+    def test_the_constructor_drops_a_retired_spelling(self, name, value):
+        config = ExperimentConfig(executor="process", **{name: value})
+        assert config == ExperimentConfig(executor="process")
+        assert name not in config.to_dict()
+
+    @pytest.mark.parametrize("name, value", RETIRED_SPELLINGS)
+    def test_from_dict_drops_a_retired_spelling(self, name, value):
+        loaded = ExperimentConfig.from_dict(
+            dict(ExperimentConfig().to_dict(), **{name: value})
+        )
+        assert loaded == ExperimentConfig()
+        assert name not in loaded.extras
+
+    @pytest.mark.parametrize("name, value", RETIRED_SPELLINGS)
+    def test_replace_drops_a_retired_spelling(self, name, value):
+        config = ExperimentConfig(num_rounds=3)
+        assert config.replace(**{name: value}) == config
+
+    def test_neither_name_is_a_field_or_written(self):
+        config = ExperimentConfig(pipeline="pipelined", transport="shm")
+        fields = {spec.name for spec in dataclasses.fields(ExperimentConfig)}
+        written = json.loads(json.dumps(config.to_dict()))
+        for name in ("pipeline", "transport"):
+            assert name not in fields
+            assert name not in config.to_dict() and name not in written
+
+    def test_the_execution_knobs_still_strip_by_name(self):
+        """Code that strips the execution knobs from ``to_dict()`` by name
+        (``perfbench``'s ``task_config``) keeps working; any other missing
+        key still raises."""
+        payload = ExperimentConfig(num_rounds=3).to_dict()
+        for knob in ("executor", "transport", "pipeline", "extras"):
+            payload.pop(knob)
+        assert ExperimentConfig(**payload) == ExperimentConfig(num_rounds=3)
+        with pytest.raises(KeyError):
+            payload.pop("executor")
+
+    @pytest.mark.parametrize("load", ["constructor", "from_dict"])
+    def test_the_staleness_pipeline_keeps_its_named_error(self, load):
+        with pytest.raises(ConfigurationError, match="'staleness'.*'pipelined'"):
+            if load == "constructor":
+                ExperimentConfig(pipeline="staleness")
+            else:
+                ExperimentConfig.from_dict({"pipeline": "staleness"})
+
+    @pytest.mark.parametrize("name, value", [
+        ("pipeline", "hyperdrive"), ("pipeline", "Sync"),
+        ("transport", "carrier-pigeon"), ("transport", ""),
+    ])
+    @pytest.mark.parametrize("load", ["constructor", "from_dict"])
+    def test_any_other_value_fails_naming_the_removed_field(self, load, name, value):
+        with pytest.raises(ConfigurationError, match=f"'{name}' field was removed"):
+            if load == "constructor":
+                ExperimentConfig(**{name: value})
+            else:
+                ExperimentConfig.from_dict({name: value})
+
+    @pytest.mark.parametrize("fixture", CHECKPOINT_FIXTURES, ids=lambda p: p.name)
+    def test_a_checkpoint_fixture_loads_and_resumes_unchanged(self, fixture):
+        """Each fixture carries ``pipeline="sync"`` and a transport; it loads
+        without them, resumes to its golden history's accuracy and loss,
+        and stays byte-identical."""
+        raw = fixture.read_bytes()
+        stored = json.loads(raw)["config"]
+        assert stored["pipeline"] == "sync" and stored["transport"] in ("pipe", "shm")
+        with Session.load_checkpoint(fixture) as resumed:
+            assert resumed.config == ExperimentConfig.from_dict(
+                {k: v for k, v in stored.items() if k not in ("pipeline", "transport")}
+            )
+            records = resumed.run().records
+        golden = json.loads(
+            fixture.with_name(fixture.name.split(".round")[0] + ".json").read_text()
+        )["records"]
+        assert len(records) == len(golden)
+        for record, expected in zip(records, golden):
+            for key in ("test_accuracy", "test_loss", "train_loss"):
+                assert getattr(record, key) == pytest.approx(expected[key], rel=1e-9)
+        assert fixture.read_bytes() == raw
 
 
 class TestRunnerAssembly:

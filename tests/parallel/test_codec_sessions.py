@@ -3,8 +3,7 @@ bounded loss, checkpoint/resume.
 
 ``codec="none"`` must leave every executor bit-exact (it builds no codec
 machinery at all).  The round applies a lossy codec in the parent, so a
-lossy run must be the same trajectory on every executor, transport and
-scheduler; the simulated network must charge each payload class its
+lossy run must be the same trajectory on every executor; the simulated network must charge each payload class its
 encoded size; the run must stay within a measured accuracy epsilon of the
 exact run; and the ``topk`` error-feedback residuals must survive a mid-run
 checkpoint so a resumed lossy run reproduces the uninterrupted one bit for
@@ -29,19 +28,11 @@ from repro.metrics.summary import schedule_divergence
 #: headroom on this container: 0.0 for int8 and topk@0.3.
 CONVERGENCE_EPSILON = 0.05
 
-#: Where the workers compute: every executor, and the process executor on
-#: both transports under both schedulers.
+#: Where the workers compute: every executor.
 TOPOLOGIES = {
     "serial": dict(executor="serial"),
     "batched": dict(executor="batched"),
-    **{
-        f"process-{transport}-{pipeline}": dict(
-            executor="process", transport=transport, pipeline=pipeline,
-            extras={"executor_processes": 2},
-        )
-        for transport in ("pipe", "shm")
-        for pipeline in ("sync", "pipelined")
-    },
+    "process": dict(executor="process", extras={"executor_processes": 2}),
 }
 
 #: The lossy cases: a codec on features and gradients, a stateful one, and
@@ -106,11 +97,14 @@ def _records(history, ignore=()):
 
 
 class TestNoneCodecExactness:
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_bit_exact_against_serial_with_unit_ratio(self, transport):
+    @pytest.mark.parametrize("rings", [{}, {"transport_capacity": 4096}],
+                             ids=["fitted-ring", "4KiB-ring"])
+    def test_bit_exact_against_serial_with_unit_ratio(self, rings):
+        """Also when the arrays overflow a 4 KiB ring into the pipe: the
+        overflow is counted on the wire like the rest."""
         reference, ref_state = _run(_config())
         history, state = _run(_config(
-            TOPOLOGIES[f"process-{transport}-sync"], {"codec": "none"}
+            TOPOLOGIES["process"], {"codec": "none", "extras": rings}
         ))
         assert _records(history, WIRE_FIELDS) == _records(reference, WIRE_FIELDS)
         for key in ref_state:
@@ -157,7 +151,7 @@ class TestLossyTrajectory:
         """Host bytes are raw whatever the codec: compression is the
         simulated link's, not the process boundary's."""
         history, __ = _run(_config(
-            LOSSY_CASES["int8"], TOPOLOGIES["process-shm-sync"]
+            LOSSY_CASES["int8"], TOPOLOGIES["process"]
         ))
         for record in history.records:
             assert record.bytes_on_wire == record.logical_bytes > 0
@@ -202,7 +196,7 @@ class TestTopKCheckpoint:
         """Error-feedback residuals live in the parent and ride the
         checkpoint: stopping a lossy process run after round 2 and resuming
         it on the serial executor reproduces the uninterrupted run."""
-        config = _config(LOSSY_CASES["topk"], TOPOLOGIES["process-shm-pipelined"])
+        config = _config(LOSSY_CASES["topk"], TOPOLOGIES["process"])
         path = tmp_path / "topk.ckpt.json"
         with Session.from_config(config) as session:
             session.run(2)

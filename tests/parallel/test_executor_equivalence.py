@@ -2,19 +2,19 @@
 
 The executors are pure execution backends -- for a fixed seed, every
 algorithm must produce *bit-identical* history records and final weights no
-matter which backend carried out the per-worker compute, which transport
-moved the tensors, or which round pipeline scheduled the stages.  These
-tests pin that contract for every engine code path:
+matter which backend carried out the per-worker compute.  These tests pin
+that contract for every engine code path:
 
 * ``mergesfl`` -- feature merging + regulated (heterogeneous) batch sizes,
   which exercises the batched executor's shape grouping;
 * ``splitfed`` -- aggregation after every local iteration (re-install path,
-  where the pipelined scheduler must fall back);
+  where the aggregate window gives way to the blocking order);
 * ``fedavg`` -- the FL engine's ``train_full`` path;
 * a convolutional model -- the stacked im2col/einsum kernels;
 * a normalised model -- the stacked BatchNorm kernels;
-* ``process`` x {``pipe``, ``shm``} x {``sync``, ``pipelined``} -- the
-  transport framing and the aggregate window.
+* ``process`` on one or two children, and on rings too small for a
+  round's arrays -- the ring framing, the pipe overflow and the aggregate
+  window.
 """
 
 from __future__ import annotations
@@ -30,20 +30,22 @@ from repro.metrics.history import WIRE_FIELDS
 
 EXECUTORS = ("serial", "batched", "process")
 
-#: (executor, transport, pipeline) variants that must match serial/sync.
-VARIANTS = (
-    ("batched", "pipe", "sync"),
-    ("process", "pipe", "sync"),
-    ("process", "shm", "sync"),
-    ("process", "pipe", "pipelined"),
-    ("process", "shm", "pipelined"),
-)
+#: Executor variants that must match serial: ``(executor, extras)`` by id.
+VARIANTS = {
+    "batched": ("batched", {}),
+    "process": ("process", {"executor_processes": 2}),
+    "process/1-child": ("process", {"executor_processes": 1}),
+}
 
 
-def _run(config: ExperimentConfig):
-    """Run a session to completion; return (history records, final weights)."""
+def _run(config: ExperimentConfig, overflow: list | None = None):
+    """Run a session to completion; return (history records, final weights).
+
+    ``overflow`` receives the process executor's overflowed bytes."""
     with Session.from_config(config) as session:
         history = session.run()
+        if overflow is not None:
+            overflow.append(session.components.executor.overflow_bytes())
         return history.records, session.global_model().state_dict()
 
 
@@ -99,36 +101,41 @@ def _config(executor: str, algorithm: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**params)
 
 
-@pytest.mark.parametrize("executor,transport,pipeline", VARIANTS,
-                         ids=["/".join(v) for v in VARIANTS])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("algorithm", ["mergesfl", "splitfed", "fedavg"])
-def test_executors_bit_exact(algorithm, executor, transport, pipeline):
+def test_executors_bit_exact(algorithm, variant):
+    executor, extras = VARIANTS[variant]
     reference = _serial_reference(algorithm)
-    candidate = _run(
-        _config(executor, algorithm, transport=transport, pipeline=pipeline)
-    )
-    _assert_bit_equal(
-        reference, candidate, f"{algorithm}/{executor}/{transport}/{pipeline}"
-    )
+    candidate = _run(_config(executor, algorithm, extras=extras))
+    _assert_bit_equal(reference, candidate, f"{algorithm}/{variant}")
 
 
-@pytest.mark.parametrize("executor,transport,pipeline", [
-    ("serial", "pipe", "sync"),
-    ("process", "shm", "pipelined"),
-], ids=["serial/sync", "process/shm/pipelined"])
 @pytest.mark.parametrize("algorithm", ["mergesfl", "splitfed", "fedavg"])
-def test_neutral_elasticity_bit_exact(algorithm, executor, transport, pipeline):
+def test_an_overflowing_ring_is_bit_exact(algorithm):
+    """``transport_capacity=4096`` rings cannot hold a round's states (and
+    FedAvg's models): those arrays cross pickled beside their control
+    message, under the aggregate window, and the run still equals serial."""
+    overflow: list = []
+    candidate = _run(_config(
+        "process", algorithm,
+        extras={"executor_processes": 2, "transport_capacity": 4096},
+    ), overflow)
+    assert overflow[0] > 0
+    _assert_bit_equal(
+        _serial_reference(algorithm), candidate, f"{algorithm}/process/4KiB-ring"
+    )
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+@pytest.mark.parametrize("algorithm", ["mergesfl", "splitfed", "fedavg"])
+def test_neutral_elasticity_bit_exact(algorithm, executor):
     """``elastic=True`` with every knob at its default is still the exact
     protocol on every backend: zero dropout, no deadline, no over-selection.
     Only the ``completed_ids`` bookkeeping column distinguishes the records."""
     reference = _serial_reference(algorithm)
-    candidate = _run(_config(
-        executor, algorithm, transport=transport, pipeline=pipeline,
-        elastic=True,
-    ))
+    candidate = _run(_config(executor, algorithm, elastic=True))
     _assert_bit_equal(
-        reference, candidate,
-        f"{algorithm}/{executor}/{pipeline}/neutral-elastic",
+        reference, candidate, f"{algorithm}/{executor}/neutral-elastic",
         ignore=("completed_ids",),
     )
 

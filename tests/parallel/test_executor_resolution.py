@@ -93,11 +93,11 @@ def test_auto_picks_batched_exactly_where_batched_does_not_fall_back(model, capl
 @pytest.mark.parametrize("overrides,backend", [
     (dict(dataset="blobs", model="mlp"), "batched"),
     (dict(dataset="blobs", model="mlp", algorithm="fedavg"), "batched"),
-    (dict(dataset="blobs", model="mlp", pipeline="pipelined"), "batched"),
+    (dict(dataset="blobs", model="mlp", momentum=0.9), "batched"),
     (dict(dataset="blobs", model="mlp", population="lazy"), "batched"),
     (dict(dataset="cifar10", model="alexnet_s", model_width=0.25), "serial"),
     (dict(dataset="har", model="cnn_h", model_width=0.25), "serial"),
-], ids=["mlp", "mlp-fedavg", "mlp-pipelined", "mlp-lazy", "alexnet_s",
+], ids=["mlp", "mlp-fedavg", "mlp-momentum", "mlp-lazy", "alexnet_s",
         "cnn_h"])
 def test_default_resolution_table(overrides, backend):
     """The resolved backend is readable from the session's components."""
@@ -137,7 +137,7 @@ def test_nothing_to_observe_resolves_to_the_reference():
     ("serial", dict(dataset="blobs", model="mlp")),
     ("batched", dict(dataset="cifar10", model="alexnet_s", model_width=0.25)),
     ("batched", dict(dataset="har", model="cnn_h", model_width=0.25)),
-    ("serial", dict(dataset="blobs", model="mlp", pipeline="pipelined")),
+    ("serial", dict(dataset="blobs", model="mlp", algorithm="fedavg")),
     ("process", dict(dataset="blobs", model="mlp")),
 ])
 def test_explicit_names_are_never_re_resolved(name, overrides):

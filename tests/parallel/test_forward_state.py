@@ -3,7 +3,7 @@
 A worker's bottom forwards at the merge barrier, so its convolutions keep
 their inputs, not im2col columns, and its forward state goes as soon as it
 has taken its local step -- on every executor path: the serial loop, the
-process children over pipe and shared memory (probed in the child), and the
+process children (probed in the child), and the
 batched executor's serial fallback for conv models.  Copies whose backward follows their
 forward at once -- an FL local copy, a server bridge -- keep their columns.
 A ``tracemalloc`` budget on one ``conv_serial`` round pins the effect.
@@ -93,10 +93,7 @@ needs_fork = pytest.mark.skipif(
     pytest.param(dict(executor="serial"), False, id="serial"),
     pytest.param(dict(executor="serial", dataset="har", model="cnn_h"), False,
                  id="serial-conv1d"),
-    pytest.param(dict(executor="process", transport="pipe"), True,
-                 id="process-pipe", marks=needs_fork),
-    pytest.param(dict(executor="process", transport="shm", pipeline="pipelined"),
-                 True, id="process-shm", marks=needs_fork),
+    pytest.param(dict(executor="process"), True, id="process", marks=needs_fork),
     pytest.param(dict(executor="batched"), False, id="batched-fallback"),
 ])
 def test_a_stepped_worker_bottom_holds_no_forward_state(

@@ -18,15 +18,9 @@ from repro.metrics.history import WIRE_FIELDS
 from repro.nn.layers import Linear, ReLU
 from repro.nn.module import Sequential
 from repro.parallel.batched import BatchedExecutor
-from repro.parallel.pipeline import (
-    PipelineScheduler,
-    RoundStage,
-    SplitRoundOps,
-    build_pipeline,
-)
+from repro.parallel.pipeline import PipelineScheduler, RoundStage, SplitRoundOps
 from repro.parallel.process import ProcessExecutor
 from repro.parallel.serial import SerialExecutor
-from repro.parallel.transport import SharedMemoryTransport
 from repro.utils.rng import new_rng
 
 
@@ -49,7 +43,9 @@ def _bottom() -> Sequential:
 
 
 def _split_ops(executor, workers, bottom, trace=None) -> SplitRoundOps:
-    """Minimal split-round ops: identity-ish top update, no-op aggregate."""
+    """Minimal split-round ops: identity-ish top update, no-op aggregate;
+    ``trace`` also records the window's ``account`` and ``prefetch_plan``
+    calls, as ``("account", None)`` and ``("prefetch", None)``."""
 
     def update_top(features, labels):
         return 0.5, [0.1 * feats for feats in features]
@@ -66,31 +62,27 @@ def _split_ops(executor, workers, bottom, trace=None) -> SplitRoundOps:
         aggregate=lambda states: None,
         on_stage=(None if trace is None
                   else lambda stage, iteration: trace.append((stage, iteration))),
+        account=None if trace is None else lambda: trace.append(("account", None)),
+        prefetch_plan=(None if trace is None
+                       else lambda: trace.append(("prefetch", None))),
     )
 
 
-def _shm_executor() -> ProcessExecutor:
-    return ProcessExecutor(processes=1, transport=SharedMemoryTransport())
+def _process_executor() -> ProcessExecutor:
+    return ProcessExecutor(processes=1)
 
 
-#: Transport factories by name; ``None`` is the process executor's pipe.
-TRANSPORTS = {
-    "pipe": lambda: None,
-    "shm": lambda: SharedMemoryTransport(capacity=1 << 20),
-}
-
-
-#: Executor factories by name, with whether they offer asynchronous dispatch.
+#: Executor factories by name, with whether they run the aggregate window.
 EXECUTORS = {
     "serial": (SerialExecutor, False),
-    "process-shm": (_shm_executor, True),
     "batched": (BatchedExecutor, False),
-    "process-pipe": (lambda: ProcessExecutor(processes=1), False),
+    "process": (_process_executor, True),
 }
 
 
-def _round_order(tau: int) -> list:
-    """INSTALL, then (forward, top update, backward) x tau, then AGGREGATE."""
+def _round_order(tau: int, window: bool = False) -> list:
+    """INSTALL, then (forward, top update, backward) x tau, then AGGREGATE;
+    the window accounts the round and plans the next one before it."""
     order = [(RoundStage.INSTALL, None)]
     for k in range(tau):
         order += [
@@ -98,48 +90,51 @@ def _round_order(tau: int) -> list:
             (RoundStage.TOP_UPDATE, k),
             (RoundStage.BACKWARD_DISPATCH, k),
         ]
+    if window:
+        order += [("account", None), (RoundStage.PLAN, None), ("prefetch", None)]
     return order + [(RoundStage.AGGREGATE, None)]
+
+
+def _run_split_round(name: str, tau: int, per_iteration: bool = False):
+    """One split round of the named executor: ``(scheduler, trace, losses)``."""
+    make_executor, __ = EXECUTORS[name]
+    trace: list = []
+    scheduler = PipelineScheduler()
+    executor = make_executor()
+    try:
+        losses = scheduler.run_split_round(
+            _split_ops(executor, _make_workers(), _bottom(), trace), tau, per_iteration
+        )
+        # No uncollected request is left behind by either order.
+        assert not getattr(executor, "_completions", ())
+    finally:
+        executor.close()
+    return scheduler, trace, losses
 
 
 class TestOneLoop:
     """Both orders emit the same stages; only the blocking points differ."""
 
-    @pytest.mark.parametrize("tau", [1, 3])
-    @pytest.mark.parametrize("asynchronous", [False, True], ids=["sync", "window"])
+    @pytest.mark.parametrize("tau", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(EXECUTORS))
-    def test_emitted_stages_are_the_round_order(self, name, asynchronous, tau):
-        """The window runs only for an asynchronous scheduler on a capable
-        executor; ``PipelineScheduler()`` is the blocking order."""
+    def test_emitted_stages_are_the_round_order(self, name, tau):
+        """The window runs exactly on the executor that supports it."""
         make_executor, capable = EXECUTORS[name]
-        trace: list = []
-        scheduler = (
-            PipelineScheduler(asynchronous=True) if asynchronous
-            else PipelineScheduler()
-        )
-        executor = make_executor()
-        try:
-            assert executor.supports_async_dispatch is capable
-            losses = scheduler.run_split_round(
-                _split_ops(executor, _make_workers(), _bottom(), trace), tau, False
-            )
-            # No uncollected request is left behind by either order.
-            assert not getattr(executor, "_completions", ())
-        finally:
-            executor.close()
+        assert make_executor().supports_async_dispatch is capable
+        scheduler, trace, losses = _run_split_round(name, tau)
         assert losses == [0.5] * tau
-        assert trace == _round_order(tau)
+        assert trace == _round_order(tau, window=capable)
         # Blocking: install + forward and backward per iteration + states;
         # window: one per forward + states.
-        window = asynchronous and capable
         assert scheduler.last_report.sync_points == (
-            tau + 1 if window else 2 * tau + 2
-        )
+            tau + 1 if capable else 2 * tau + 2
+        ) == scheduler.sync_points
 
-    def test_an_incapable_executor_runs_the_blocking_order_silently(self, caplog):
+    def test_an_in_process_executor_runs_the_blocking_order_silently(self, caplog):
         """Both orders yield the same trajectory, so there is nothing to warn
-        about when ``pipelined`` meets an executor without the window."""
+        about when an executor has no window."""
         with caplog.at_level(logging.WARNING, logger="repro.parallel.pipeline"):
-            scheduler = PipelineScheduler(asynchronous=True)
+            scheduler = PipelineScheduler()
             executor = BatchedExecutor()
             for __ in range(2):
                 scheduler.run_split_round(
@@ -150,61 +145,32 @@ class TestOneLoop:
 
 
 class TestBlockingOrder:
-    @pytest.mark.parametrize("make_executor", [SerialExecutor, _shm_executor],
-                             ids=["serial", "process-shm"])
-    def test_per_iteration_aggregation_takes_the_blocking_order(self, make_executor):
+    @pytest.mark.parametrize("name", ["serial", "process"])
+    def test_per_iteration_aggregation_takes_the_blocking_order(self, name):
         """SplitFed re-installs after every iteration: aggregate + re-install
-        after *every* iteration, no trailing aggregate, blocking order."""
-        trace: list = []
-        scheduler = PipelineScheduler(asynchronous=True)
-        executor = make_executor()
-        try:
-            scheduler.run_split_round(
-                _split_ops(executor, _make_workers(), _bottom(), trace), 2, True
-            )
-        finally:
-            executor.close()
+        after *every* iteration, no trailing aggregate, blocking order --
+        on the process executor too, with nothing accounted or prefetched."""
+        scheduler, trace, __ = _run_split_round(name, 2, per_iteration=True)
         stages = [stage for stage, __ in trace]
         assert stages.count(RoundStage.AGGREGATE) == 2
         assert stages.count(RoundStage.INSTALL) == 3
         assert stages[-2:] == [RoundStage.AGGREGATE, RoundStage.INSTALL]
+        assert "account" not in stages and "prefetch" not in stages
         assert scheduler.last_report.sync_points == 1 + 2 * 4
 
-    @pytest.mark.parametrize("name", ["serial", "process-pipe", "process-shm"])
+    @pytest.mark.parametrize("name", ["serial", "process"])
     def test_zero_iterations_take_the_blocking_order(self, name):
         """tau = 0 has no tail to overlap: install, aggregate, and no
         uncollected request left behind."""
-        make_executor, __ = EXECUTORS[name]
-        trace: list = []
-        scheduler = PipelineScheduler(asynchronous=True)
-        executor = make_executor()
-        try:
-            losses = scheduler.run_split_round(
-                _split_ops(executor, _make_workers(), _bottom(), trace), 0, False
-            )
-            assert not getattr(executor, "_completions", ())
-        finally:
-            executor.close()
+        scheduler, trace, losses = _run_split_round(name, 0)
         assert losses == []
         assert trace == _round_order(0)
         assert scheduler.last_report.sync_points == 2
-    def test_registry_lists_pipelines(self):
-        from repro.api.registry import PIPELINES
 
-        assert {"sync", "pipelined"} <= set(PIPELINES.names())
-        assert "staleness" not in PIPELINES.names()
-
-    def test_unknown_pipeline_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown pipeline"):
-            ExperimentConfig(pipeline="hyperdrive")
-
-    def test_registry_names_are_parameterisations_of_one_class(self):
-        built = {
-            name: build_pipeline(ExperimentConfig(pipeline=name))
-            for name in ("sync", "pipelined")
-        }
-        assert all(type(s) is PipelineScheduler for s in built.values())
-        assert [s.asynchronous for s in built.values()] == [False, True]
+    def test_the_scheduler_takes_no_order(self):
+        """Which order runs is observed from the executor, not configured."""
+        with pytest.raises(TypeError):
+            PipelineScheduler(asynchronous=True)
 
 
 class TestRetiredStaleness:
@@ -276,8 +242,8 @@ def _assert_same_run(candidate, reference) -> None:
         assert np.array_equal(candidate[1][key], reference[1][key]), key
 
 
-WINDOW = dict(executor="process", transport="shm", pipeline="pipelined")
-BLOCKING = dict(executor="serial", pipeline="sync")
+WINDOW = dict(executor="process")
+BLOCKING = dict(executor="serial")
 #: cnn_h offers cut depths [3, 6, 10]; blobs' mlp offers only [2].
 MULTI_DEPTH = dict(dataset="har", model="cnn_h")
 
@@ -300,35 +266,30 @@ def _run_recording_depths(config: ExperimentConfig):
 
 
 class TestSyncCounter:
-    """Exact per-round counts at tau=3 over whole sessions: the blocking
-    order blocks 2*tau+2 times (install, forward + backward per iteration,
-    states), the aggregate window tau+1 times (one per forward, states).
-    SplitFed's per-iteration re-install blocks 1 + 4*tau times (install,
-    then forward, backward, states and install per iteration) under
-    either order."""
+    """Exact per-round counts at tau=3 over whole sessions, keyed on the
+    executor: the in-process executors block 2*tau+2 times (install,
+    forward + backward per iteration, states), the process executor's
+    aggregate window tau+1 times (one per forward, states).  SplitFed's
+    per-iteration re-install blocks 1 + 4*tau times (install, then forward,
+    backward, states and install per iteration) on every executor, and an
+    FL round twice (train, aggregate)."""
 
-    BLOCKING_SYNCS, WINDOW_SYNCS, PER_ITERATION_SYNCS = 8, 4, 13
+    BLOCKING_SYNCS, WINDOW_SYNCS, PER_ITERATION_SYNCS, FULL_SYNCS = 8, 4, 13, 2
 
     CASES = {
-        "serial/sync": (dict(executor="serial"), BLOCKING_SYNCS),
-        "serial/pipelined": (
-            dict(executor="serial", pipeline="pipelined"), BLOCKING_SYNCS),
-        "batched/sync": (dict(executor="batched"), BLOCKING_SYNCS),
-        "batched/pipelined": (
-            dict(executor="batched", pipeline="pipelined"), BLOCKING_SYNCS),
-        "process-pipe/sync": (
-            dict(executor="process", transport="pipe"), BLOCKING_SYNCS),
-        "process-pipe/pipelined": (
-            dict(executor="process", transport="pipe", pipeline="pipelined"),
-            BLOCKING_SYNCS),
-        "process-shm/sync": (
-            dict(executor="process", transport="shm", pipeline="sync"),
-            BLOCKING_SYNCS),
-        "process-shm/pipelined": (WINDOW, WINDOW_SYNCS),
-        "splitfed/serial/sync": (
+        "serial": (dict(executor="serial"), BLOCKING_SYNCS),
+        "batched": (dict(executor="batched"), BLOCKING_SYNCS),
+        "process": (WINDOW, WINDOW_SYNCS),
+        # The retired spellings load and change nothing: the process
+        # executor runs the window whatever they name.
+        "process/retired-sync-pipe": (
+            dict(WINDOW, pipeline="sync", transport="pipe"), WINDOW_SYNCS),
+        "splitfed/serial": (
             dict(algorithm="splitfed", executor="serial"), PER_ITERATION_SYNCS),
-        "splitfed/process-shm/pipelined": (
+        "splitfed/process": (
             dict(algorithm="splitfed", **WINDOW), PER_ITERATION_SYNCS),
+        "fedavg/serial": (dict(algorithm="fedavg", executor="serial"), FULL_SYNCS),
+        "fedavg/process": (dict(algorithm="fedavg", **WINDOW), FULL_SYNCS),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -342,20 +303,20 @@ class TestSyncCounter:
         assert pipeline.sync_points == per_round * config.num_rounds
 
 
-class TestPipelinedSessions:
+class TestWindowSessions:
     def test_checkpoint_mid_run_drains_and_resumes_bit_exact(self, tmp_path):
-        """Saving between rounds of a pipelined process run drains in-flight
-        dispatch and serialises the prefetched plan; the resumed run matches
-        a straight serial run bit for bit."""
-        path = tmp_path / "pipelined.ckpt.json"
+        """Saving between rounds of a process run drains in-flight dispatch
+        and serialises the prefetched plan; the resumed run matches a
+        straight serial run bit for bit."""
+        path = tmp_path / "window.ckpt.json"
         with Session.from_config(_config(**WINDOW)) as session:
             session.run(1)
             # The cross-round in-flight artifact is serialised, not dropped.
             assert session.state_dict()["algorithm"]["pending_plan"] is not None
             session.save_checkpoint(path)
+        saved = json.loads(path.read_text())["config"]
+        assert "pipeline" not in saved and "transport" not in saved
         with Session.load_checkpoint(path) as resumed:
-            assert resumed.config.pipeline == "pipelined"
-            assert resumed.config.transport == "shm"
             resumed.run()
             candidate = _records(resumed)
         _assert_same_run(candidate, _run(_config(**BLOCKING)))
@@ -379,30 +340,22 @@ class TestPipelinedSessions:
         path.write_text(json.dumps(payload))
         with Session.load_checkpoint(path) as resumed:
             assert resumed.components.executor.name == reader["executor"]
-            assert resumed.config.pipeline == reader["pipeline"]
             resumed.run()
             candidate = _records(resumed)
         _assert_same_run(candidate, _run(_config(**BLOCKING)))
 
-    @pytest.mark.parametrize("executor_kw", [
-        dict(executor="serial"),
-        dict(executor="batched"),
-        dict(executor="process", transport="pipe"),
-    ], ids=["serial", "batched", "process-pipe"])
-    def test_pipelined_without_the_window_resumes_bit_exact(
-        self, tmp_path, executor_kw
-    ):
-        """``pipelined`` on an executor without asynchronous dispatch runs
-        the blocking order: nothing is prefetched, and a mid-run checkpoint
-        resumes to the uninterrupted run."""
-        config = _config(pipeline="pipelined", **executor_kw)
-        path = tmp_path / "pipelined.ckpt.json"
+    @pytest.mark.parametrize("executor", ["serial", "batched"])
+    def test_an_in_process_executor_resumes_bit_exact(self, tmp_path, executor):
+        """An executor without the window runs the blocking order -- even
+        spelled ``pipeline="pipelined"``: nothing is prefetched, and a mid-run
+        checkpoint resumes to the uninterrupted run."""
+        config = _config(executor=executor, pipeline="pipelined")
+        path = tmp_path / "blocking.ckpt.json"
         with Session.from_config(config) as session:
             session.run(1)
             assert session.state_dict()["algorithm"]["pending_plan"] is None
             session.save_checkpoint(path)
         with Session.load_checkpoint(path) as resumed:
-            assert resumed.config.pipeline == "pipelined"
             resumed.run()
             candidate = _records(resumed)
         _assert_same_run(candidate, _run(config))
@@ -447,7 +400,48 @@ def test_prefetched_plan_round_trips_through_json():
     assert restored.info == plan.info
 
 
+def _failed_then_full_round(executor) -> list:
+    """A round whose top update raises inside the window, a drain, then a
+    whole round: the bottom states that round aggregates."""
+    workers, bottom = _make_workers(), _bottom()
+    scheduler = PipelineScheduler()
+    try:
+        ops = _split_ops(executor, workers, bottom)
+
+        def failing(features, labels):
+            raise RuntimeError("top update failed")
+
+        ops.update_top = failing
+        with pytest.raises(RuntimeError, match="top update failed"):
+            scheduler.run_split_round(ops, 2, False)
+        executor.drain()
+        collected: list = []
+        ops = _split_ops(executor, workers, bottom)
+        ops.aggregate = collected.extend
+        scheduler.run_split_round(ops, 2, False)
+        return collected
+    finally:
+        executor.close()
+
+
 class TestProcessExecutorPipelineProtocol:
+    def test_the_window_is_a_property_of_the_class(self):
+        assert ProcessExecutor.supports_async_dispatch is True
+        assert SerialExecutor.supports_async_dispatch is False
+        assert BatchedExecutor.supports_async_dispatch is False
+
+    def test_a_round_that_fails_inside_the_window_leaves_a_usable_executor(self):
+        """The failed round drew its first batches and left the child's
+        forward waiting for a backward; after a drain the next window round
+        trains to the states the serial executor reaches through the same
+        two rounds."""
+        states = _failed_then_full_round(ProcessExecutor(processes=1))
+        reference = _failed_then_full_round(SerialExecutor())
+        assert len(states) == len(reference) == 2
+        for got, want in zip(states, reference):
+            assert set(got) == set(want)
+            assert all(np.array_equal(got[key], want[key]) for key in want)
+
     def test_collect_without_launch_raises(self):
         executor = ProcessExecutor(processes=1)
         try:
@@ -464,9 +458,7 @@ class TestProcessExecutorPipelineProtocol:
         and the executor stays usable."""
         workers = _make_workers()
         bottom = _bottom()
-        executor = ProcessExecutor(
-            processes=1, transport=SharedMemoryTransport(capacity=1 << 20)
-        )
+        executor = ProcessExecutor(processes=1, capacity=1 << 20)
         try:
             executor.install(workers, bottom, [0.1, 0.1])
             executor.launch_forward(workers, [8, 8])
@@ -497,13 +489,12 @@ class TestProcessExecutorPipelineProtocol:
         finally:
             executor.close()
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_the_first_forward_acknowledges_an_unwaited_install(self, transport):
+    def test_the_first_forward_acknowledges_an_unwaited_install(self):
         """The window sends its install without waiting for it; the next
         forward's reply proves the child processed it, so the channel is
         clean again without a ping."""
         workers = _make_workers()
-        executor = ProcessExecutor(processes=1, transport=TRANSPORTS[transport]())
+        executor = ProcessExecutor(processes=1)
         try:
             executor.install(workers, _bottom(), [0.1, 0.1], wait=False)
             assert executor._children[0].dirty
@@ -512,14 +503,15 @@ class TestProcessExecutorPipelineProtocol:
         finally:
             executor.close()
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_drain_discards_an_abandoned_state_request(self, transport):
+    @pytest.mark.parametrize("capacity", [None, 4096], ids=["default-ring", "4KiB-ring"])
+    def test_drain_discards_an_abandoned_state_request(self, capacity):
         """A round that failed inside the window -- after the states were
         requested, before they were collected -- leaves their reply queued;
-        draining consumes it and the next round's replies pair correctly."""
+        draining consumes it and the next round's replies pair correctly,
+        also when the states overflow a 4 KiB ring into the pipe."""
         workers = _make_workers()
         bottom = _bottom()
-        executor = ProcessExecutor(processes=1, transport=TRANSPORTS[transport]())
+        executor = ProcessExecutor(processes=1, capacity=capacity)
         try:
             executor.install(workers, bottom, [0.1, 0.1], wait=False)
             features, __ = executor.forward(workers, [8, 8])
@@ -532,6 +524,7 @@ class TestProcessExecutorPipelineProtocol:
             features, __ = executor.forward(workers, [8, 8])
             assert features[0].shape == (8, 16)
             assert len(executor.bottom_states(workers)) == 2
+            assert (executor.overflow_bytes() > 0) == (capacity is not None)
         finally:
             executor.close()
 

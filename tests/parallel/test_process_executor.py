@@ -20,7 +20,6 @@ from repro.nn.layers import Linear, ReLU
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Sequential
 from repro.parallel.process import ProcessExecutor, _child_main
-from repro.parallel.transport import SharedMemoryTransport
 from repro.utils.rng import new_rng
 
 
@@ -373,9 +372,7 @@ def test_completion_queue_pairs_replies_with_two_forwards_in_flight():
     collection receives the reply of the oldest request, in dispatch order,
     and equals the blocking protocol's results."""
     bottom = _bottom()
-    executor = ProcessExecutor(
-        processes=2, transport=SharedMemoryTransport(capacity=1 << 20)
-    )
+    executor = ProcessExecutor(processes=2, capacity=1 << 20)
     reference = ProcessExecutor(processes=1)
     try:
         workers, twins = _make_workers(), _make_workers()
@@ -446,14 +443,12 @@ def test_install_reconciles_abandoned_forward():
         executor.close()
 
 
-@pytest.mark.parametrize("transport", [None, SharedMemoryTransport(capacity=1 << 20)],
-                         ids=["pipe", "shm"])
 class TestWorkerDeath:
-    def test_child_death_mid_round_raises(self, transport):
+    def test_child_death_mid_round_raises(self):
         """Killing a pool process between commands surfaces as a RuntimeError
-        on the next exchange (never a hang), for both transports."""
+        on the next exchange (never a hang)."""
         workers = _make_workers()
-        executor = ProcessExecutor(processes=1, transport=transport)
+        executor = ProcessExecutor(processes=1)
         try:
             executor.install(workers, _bottom(), [0.1, 0.1])
             executor.forward(workers, [8, 8])
@@ -465,9 +460,9 @@ class TestWorkerDeath:
         finally:
             executor.close()
 
-    def test_death_while_forward_in_flight(self, transport):
+    def test_death_while_forward_in_flight(self):
         workers = _make_workers()
-        executor = ProcessExecutor(processes=1, transport=transport)
+        executor = ProcessExecutor(processes=1)
         try:
             executor.install(workers, _bottom(), [0.1, 0.1], wait=False)
             features, __ = executor.forward(workers, [8, 8])
@@ -481,11 +476,11 @@ class TestWorkerDeath:
         finally:
             executor.close()
 
-    def test_death_error_names_the_lost_workers(self, transport):
+    def test_death_error_names_the_lost_workers(self):
         from repro.exceptions import ExecutorDeathError
 
         workers = _make_workers()
-        executor = ProcessExecutor(processes=1, transport=transport)
+        executor = ProcessExecutor(processes=1)
         try:
             executor.install(workers, _bottom(), [0.1, 0.1])
             child = executor._children[0]
@@ -497,13 +492,13 @@ class TestWorkerDeath:
         finally:
             executor.close()
 
-    def test_drain_and_checkpoint_after_death_do_not_hang(self, transport):
+    def test_drain_and_checkpoint_after_death_do_not_hang(self):
         """The satellite regression: a dead child with work in flight used
         to make ``drain()`` block on a reply that would never come (and
         ``close()`` wait on a wedged queue).  Both must now return promptly
         so the engine can checkpoint after recovering the round."""
         workers = _make_workers()
-        executor = ProcessExecutor(processes=1, transport=transport)
+        executor = ProcessExecutor(processes=1)
         try:
             executor.install(workers, _bottom(), [0.1, 0.1])
             executor.launch_forward(workers, [8, 8])   # replies now in flight
@@ -516,9 +511,9 @@ class TestWorkerDeath:
             executor.close()                   # must not hang either
         assert executor._children is None
 
-    def test_close_terminates_a_dirty_dead_pool_promptly(self, transport):
+    def test_close_terminates_a_dirty_dead_pool_promptly(self):
         workers = _make_workers()
-        executor = ProcessExecutor(processes=2, transport=transport)
+        executor = ProcessExecutor(processes=2)
         executor.install(workers, _bottom(), [0.1, 0.1], wait=False)
         executor.launch_forward(workers, [8, 8])
         executor._children[0].process.kill()
@@ -527,12 +522,12 @@ class TestWorkerDeath:
         assert executor._children is None
         assert executor._assignment == {}
 
-    def test_pool_respawns_after_a_death_recovery_close(self, transport):
+    def test_pool_respawns_after_a_death_recovery_close(self):
         """After ``close()`` buries a dead pool, the next call lazily
         respawns children and reships shards -- the engine-level recovery
         path depends on this."""
         workers = _make_workers()
-        executor = ProcessExecutor(processes=1, transport=transport)
+        executor = ProcessExecutor(processes=1)
         try:
             executor.install(workers, _bottom(), [0.1, 0.1])
             child = executor._children[0]

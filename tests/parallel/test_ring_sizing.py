@@ -17,14 +17,14 @@ from repro.api.session import Session
 from repro.config import ExperimentConfig
 from repro.parallel.transport import DEFAULT_RING_CAPACITY
 
-#: AlexNet-S @0.4 on 16 workers over two shm children, pipelined: the
-#: benchmark's process topology, for three rounds.
+#: AlexNet-S @0.4 on 16 workers over two children: the benchmark's process
+#: topology, for three rounds.
 CONV_PROCESS = dict(
     algorithm="mergesfl", dataset="cifar10", model="alexnet_s",
     model_width=0.4, non_iid_level=10, num_workers=16, local_iterations=5,
     train_samples=1280, test_samples=160, learning_rate=0.08,
     max_batch_size=16, base_batch_size=8, executor="process",
-    transport="shm", pipeline="pipelined", seed=3, num_rounds=3,
+    seed=3, num_rounds=3,
     extras={"executor_processes": 2},
 )
 

@@ -66,13 +66,12 @@ def _run(config) -> list[dict]:
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="only a forked child inherits the parent's arrays")
-@pytest.mark.parametrize("transport", ["pipe", "shm"])
-def test_a_forked_pool_sends_no_sample(monkeypatch, transport):
+def test_a_forked_pool_sends_no_sample(monkeypatch):
     config = ExperimentConfig(
         algorithm="mergesfl", dataset="cifar10", model="alexnet_s",
         model_width=0.25, num_workers=4, num_rounds=2, local_iterations=2,
         max_batch_size=8, base_batch_size=4, train_samples=96,
-        test_samples=16, seed=5, executor="process", transport=transport,
+        test_samples=16, seed=5, executor="process",
         extras={"executor_processes": 2, "executor_start_method": "fork"},
     )
     sent = _spy_sends(monkeypatch)

@@ -23,12 +23,7 @@ from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import build_alexnet_s, build_mlp
 from repro.nn.module import Sequential
 from repro.nn.optim import SGD
-from repro.parallel import (
-    BatchedExecutor,
-    ProcessExecutor,
-    SerialExecutor,
-    SharedMemoryTransport,
-)
+from repro.parallel import BatchedExecutor, ProcessExecutor, SerialExecutor
 from repro.utils.rng import new_rng
 
 CLASSES = 4
@@ -119,10 +114,7 @@ def _assert_same_training(reference, candidate, label: str) -> None:
 _BACKENDS = {
     "serial": SerialExecutor,
     "batched": BatchedExecutor,
-    "process/pipe": lambda: ProcessExecutor(processes=2),
-    "process/shm": lambda: ProcessExecutor(
-        processes=2, transport=SharedMemoryTransport()
-    ),
+    "process": lambda: ProcessExecutor(processes=2),
 }
 #: Everything that must reproduce the serial reference.
 _CANDIDATES = sorted(set(_BACKENDS) - {"serial"})

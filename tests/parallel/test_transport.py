@@ -335,35 +335,58 @@ class TestCounters:
             child.close()
 
 
+def _process_rings(**extras) -> SharedMemoryTransport:
+    """The channel factory of a configured process executor."""
+    from repro.config import ExperimentConfig
+    from repro.parallel import build_executor
+
+    return build_executor(ExperimentConfig(
+        executor="process", extras={"executor_processes": 1, **extras}
+    ))._transport
+
+
 class TestTransportConfig:
-    def test_registry_lists_transports(self):
-        from repro.api.registry import TRANSPORTS
+    """The process executor always opens ring channels; only their size is
+    configured."""
 
-        assert {"pipe", "shm"} <= set(TRANSPORTS.names())
+    def test_the_process_executor_opens_ring_channels(self):
+        assert isinstance(_process_rings(), SharedMemoryTransport)
 
-    def test_unknown_transport_rejected(self):
+    def test_no_transport_registry_remains(self):
+        import repro
+        from repro.api import registry
+
+        for name in ("TRANSPORTS", "register_transport"):
+            assert not hasattr(registry, name) and not hasattr(repro, name)
+
+    def test_unknown_transport_rejected_by_name(self):
         from repro.config import ExperimentConfig
         from repro.exceptions import ConfigurationError
 
-        with pytest.raises(ConfigurationError, match="unknown transport"):
+        with pytest.raises(ConfigurationError, match="'transport' field was removed"):
             ExperimentConfig(transport="carrier-pigeon")
 
-    def test_capacity_knob(self):
+    @pytest.mark.parametrize("spelling", ["pipe", "shm"])
+    def test_a_retired_spelling_opens_the_same_rings(self, spelling):
         from repro.config import ExperimentConfig
-        from repro.parallel import build_transport
+        from repro.parallel import build_executor
 
-        config = ExperimentConfig(
-            transport="shm", extras={"transport_capacity": 4096}
-        )
-        transport = build_transport(config)
-        assert isinstance(transport, SharedMemoryTransport)
-        assert transport.capacity == 4096
+        executor = build_executor(ExperimentConfig(
+            executor="process", transport=spelling,
+            extras={"transport_capacity": 8192},
+        ))
+        assert isinstance(executor._transport, SharedMemoryTransport)
+        assert executor._transport.capacity == 8192
+
+    def test_capacity_knob(self):
+        assert _process_rings(transport_capacity=4096).capacity == 4096
+
+    def test_an_invalid_capacity_knob_is_rejected(self):
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            _process_rings(transport_capacity=0)
 
     def test_without_the_knob_the_capacity_is_left_to_fit(self):
-        from repro.config import ExperimentConfig
-        from repro.parallel import build_transport
-
-        transport = build_transport(ExperimentConfig(transport="shm"))
+        transport = _process_rings()
         assert transport.capacity == DEFAULT_RING_CAPACITY  # until fitted
         transport.fit(300_000)
         assert transport.capacity == 1 << 20
@@ -372,9 +395,6 @@ class TestTransportConfig:
         transport = SharedMemoryTransport(capacity=4096)
         transport.fit(300_000)
         assert transport.capacity == 4096
-
-    def test_the_pipe_transport_ignores_fit(self):
-        PipeTransport().fit(1 << 30)
 
     @pytest.mark.parametrize("message, capacity", [
         (0, MIN_RING_CAPACITY),

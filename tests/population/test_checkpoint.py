@@ -170,8 +170,7 @@ def test_a_checkpoint_of_every_worker_and_device_still_resumes(tmp_path, window)
 
     config = _config(population="eager")
     if window:
-        config = config.replace(executor="process", transport="shm",
-                                pipeline="pipelined",
+        config = config.replace(executor="process",
                                 extras={"executor_processes": 2})
     with Session.from_config(config) as reference:
         reference.run()

@@ -6,6 +6,7 @@ after a simulated interruption (both between trials and mid-trial) skips
 completed trials and finishes the rest bit-exactly.
 """
 
+import json
 from dataclasses import asdict
 
 import pytest
@@ -169,6 +170,46 @@ class TestResume:
         ])
         with pytest.raises(StudyError, match="different configuration"):
             StudyRunner(renamed, store=store).run()
+
+    @pytest.mark.parametrize("retired", [
+        {"population_cache": 64},
+        {"pipeline": "sync", "transport": "pipe"},
+        {"pipeline": "pipelined", "transport": "shm", "staleness": 0},
+    ], ids=["population-cache", "sync-pipe", "pipelined-shm"])
+    def test_a_row_written_before_a_field_was_retired_resumes(
+        self, tiny_config, tmp_path, monkeypatch, retired
+    ):
+        """A stored config is compared as it loads today: a row that still
+        carries a retired field at a value that loads is the same trial,
+        and resume() does not re-run it."""
+        study = Study("old", [Trial("only", tiny_config)])
+        store = StudyStore(tmp_path)
+        StudyRunner(study, store=store).run()
+        path = store.records_path("old")
+        row = json.loads(path.read_text())
+        row["config"].update(retired)
+        path.write_text(json.dumps(row) + "\n")
+        import repro.study.runner as runner_module
+
+        def explode(payload):
+            raise AssertionError(f"re-ran trial {payload['trial_name']}")
+
+        monkeypatch.setattr(runner_module, "_execute_trial", explode)
+        results = StudyRunner(study, store=store).resume()
+        assert list(results) == ["only"]
+
+    def test_a_retired_field_does_not_hide_a_changed_one(
+        self, tiny_config, tmp_path
+    ):
+        study = Study("old", [Trial("only", tiny_config)])
+        store = StudyStore(tmp_path)
+        StudyRunner(study, store=store).run()
+        path = store.records_path("old")
+        row = json.loads(path.read_text())
+        row["config"].update(population_cache=64, num_rounds=1)
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(StudyError, match="different configuration"):
+            StudyRunner(study, store=store).run()
 
 
 class TestCallbacksThroughStudies:

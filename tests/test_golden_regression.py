@@ -77,16 +77,15 @@ GOLDEN_CONFIGS: dict[str, dict] = {
     },
     # Lossy links, recorded on two processes over shared memory.
     "mergesfl_int8_blobs_seed3": {
-        "executor": "process", "transport": "shm", "codec": "int8",
+        "executor": "process", "codec": "int8",
         "extras": {"executor_processes": 2},
     },
     "sfl_t_topk_blobs_seed3": {
-        "algorithm": "sfl_t", "executor": "process", "transport": "shm",
-        "codec": "topk",
+        "algorithm": "sfl_t", "executor": "process", "codec": "topk",
         "extras": {"executor_processes": 2, "codec_topk_ratio": 0.3},
     },
     "fedavg_fp16_weights_blobs_seed3": {
-        "algorithm": "fedavg", "executor": "process", "transport": "shm",
+        "algorithm": "fedavg", "executor": "process",
         "extras": {"executor_processes": 2, "codec_policy": {"weights": "fp16"}},
     },
 }
