@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.config import ExperimentConfig
 from repro.core.controller import RoundPlan
-from repro.core.elastic import ElasticController, ElasticRound
+from repro.core.elastic import ElasticRound
 from repro.core.round_engine import RoundEngine
 from repro.core.server import evaluate_classifier
 from repro.core.worker import SplitWorker
@@ -81,12 +81,8 @@ class FLTrainingEngine(RoundEngine):
         data: TrainTestSplit,
         selection: FLSelectionStrategy,
         executor: Executor | None = None,
-        elastic: ElasticController | None = None,
     ) -> None:
-        super().__init__(
-            config, workers, cluster, data,
-            executor=executor, elastic=elastic,
-        )
+        super().__init__(config, workers, cluster, data, executor=executor)
         self.model = model.clone()
         self.selection = selection
         self.loss_fn = CrossEntropyLoss()
@@ -166,7 +162,7 @@ class FLTrainingEngine(RoundEngine):
         selected_workers: list[SplitWorker],
         round_index: int,
         account,
-        elastic_state: "ElasticRound | None",
+        elastic_state: ElasticRound,
     ) -> list[float]:
         """LOCAL_STEP -> AGGREGATE under the configured scheduler."""
         config = self.config
@@ -200,19 +196,16 @@ class FLTrainingEngine(RoundEngine):
         def aggregate(trained) -> None:
             states, losses = trained
             weights = [float(worker.num_samples) for worker in selected_workers]
-            resolved, observed = (states, weights), losses
-            if elastic_state is not None:
-                resolved = self._elastic.apply_aggregate(
-                    elastic_state, plan.selected, states, weights,
-                    self.model.state_dict(),
-                )
-                # A missing reply carries no loss observation either.
-                completed = set(elastic_state.completed)
-                observed = [
-                    loss for worker, loss in zip(selected_workers, losses)
-                    if worker.worker_id in completed
-                ]
-            observed_losses.extend(observed)
+            resolved = self._elastic.apply_aggregate(
+                elastic_state, plan.selected, states, weights,
+                self.model.state_dict,
+            )
+            # A missing reply carries no loss observation either.
+            completed = set(elastic_state.completed)
+            observed_losses.extend(
+                loss for worker, loss in zip(selected_workers, losses)
+                if worker.worker_id in completed
+            )
             # ``None``: below the cohort quorum, the round leaves the global
             # model unchanged.
             if resolved is not None:

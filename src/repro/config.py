@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import difflib
 import math
+import multiprocessing
 import numbers
 from dataclasses import InitVar, asdict, dataclass, field, fields
 
@@ -44,20 +45,29 @@ RETIRED_EXTRAS = {
 
 #: Removed config fields and the values that still load.  The process
 #: executor runs the aggregate window over shared-memory rings, and every
-#: other executor the blocking order, whatever these said; the records are
-#: the same either way, so a value that named a real topology is dropped
-#: and any other fails by name.  :meth:`ExperimentConfig.to_dict` never
-#: writes them.
+#: other executor the blocking order, whatever ``pipeline`` and
+#: ``transport`` said; every round runs the churn controller, whatever
+#: ``elastic`` said.  The records are the same either way, so a value that
+#: named a real topology or mode is dropped and any other fails by name.
+#: :meth:`ExperimentConfig.to_dict` never writes them.
 RETIRED_FIELDS = {
+    "elastic": (False, True),
     "pipeline": ("sync", "pipelined"),
     "transport": ("pipe", "shm"),
 }
 
 
+def _loads(value, kept) -> bool:
+    """Whether ``value`` is one of the ``kept`` values of a retired name;
+    a bool only matches a bool, so ``1`` is not ``True``."""
+    return any(isinstance(value, bool) == isinstance(keep, bool)
+               and value == keep for keep in kept)
+
+
 def _check_retired_fields(**given) -> None:
     """Fail on a retired field given at a value that never loaded."""
     for name, value in given.items():
-        if value is None or value in RETIRED_FIELDS[name]:
+        if value is None or _loads(value, RETIRED_FIELDS[name]):
             continue
         if (name, value) == ("pipeline", "staleness"):
             raise ConfigurationError(
@@ -66,9 +76,8 @@ def _check_retired_fields(**given) -> None:
             )
         loads = " or ".join(repr(kept) for kept in RETIRED_FIELDS[name])
         raise ConfigurationError(
-            f"{name}={value!r}: the {name!r} field was removed (the process "
-            f"executor runs the aggregate window over shared-memory rings); "
-            f"only {loads} still load"
+            f"{name}={value!r}: the {name!r} field was removed (see "
+            f"repro.config.RETIRED_FIELDS); only {loads} still load"
         )
 
 
@@ -160,12 +169,13 @@ class ExperimentConfig:
     population_candidates: int = 0
 
     # Elastic rounds ---------------------------------------------------------
-    #: Master switch for elastic fault-tolerant rounds (see
-    #: :mod:`repro.simulation.churn` and :mod:`repro.core.elastic`).  When
-    #: ``False`` (the default) every selected worker is assumed to reply and
-    #: trajectories are bit-exact with historical runs; the knobs below then
-    #: must stay at their neutral defaults.
-    elastic: bool = False
+    #: Every round runs the churn controller (:mod:`repro.core.elastic`,
+    #: :mod:`repro.simulation.churn`); the knobs below are its parameters.
+    #: At their defaults no worker drops, straggles or is over-selected, so
+    #: the round is the paper's synchronous aggregate.  ``elastic`` is the
+    #: retired switch that once gated them (:data:`RETIRED_FIELDS`): ``True``
+    #: and ``False`` still load, and it is never stored.
+    elastic: InitVar[bool | None] = None
     #: Per-worker per-round probability of dropping (never replying).
     dropout_rate: float = 0.0
     #: Over-selection factor ``f``: the engines select ``ceil(f * K)``
@@ -173,7 +183,8 @@ class ExperimentConfig:
     over_select_factor: float = 1.0
     #: Minimum fraction of the selected cohort that must reply for the
     #: round's aggregate to be applied; below it the round yields no update
-    #: (the session survives and continues with the next round).
+    #: (the session survives and continues with the next round).  A worker
+    #: lost to a dead executor process counts as missing like any other.
     min_cohort_fraction: float = 0.5
     #: Aggregation deadline as a multiple of the cohort's median planned
     #: duration: the server aggregates first-k-of-n at the deadline instead
@@ -242,8 +253,12 @@ class ExperimentConfig:
     # Free-form extras (kept for forward compatibility of saved configs).
     extras: dict = field(default_factory=dict)
 
-    def __post_init__(self, pipeline: str | None, transport: str | None) -> None:
-        _check_retired_fields(pipeline=pipeline, transport=transport)
+    def __post_init__(
+        self, elastic: bool | None, pipeline: str | None, transport: str | None
+    ) -> None:
+        _check_retired_fields(
+            elastic=elastic, pipeline=pipeline, transport=transport
+        )
         self.validate()
 
     def validate(self) -> None:
@@ -397,25 +412,17 @@ class ExperimentConfig:
                 f"rejoin_staleness_bound must be non-negative, "
                 f"got {self.rejoin_staleness_bound}"
             )
-        if not self.elastic and (
-            self.dropout_rate > 0
-            or self.over_select_factor > 1.0
-            or self.straggler_deadline > 0
-            or self.rejoin_staleness_bound > 0
-        ):
-            raise ConfigurationError(
-                "dropout_rate/over_select_factor/straggler_deadline/"
-                "rejoin_staleness_bound require elastic=True; with "
-                "elastic=False they would be silently ignored"
-            )
         self._validate_population_extras()
+        self._check_int_extras(executor_processes=1, transport_capacity=1)
+        start_method = self.extras.get("executor_start_method")
+        if (start_method is not None
+                and start_method not in multiprocessing.get_all_start_methods()):
+            raise ConfigurationError(
+                f"extras['executor_start_method'] must be one of "
+                f"{multiprocessing.get_all_start_methods()}, got {start_method!r}"
+            )
         class_rates = self.extras.get("device_dropout_rates")
         if class_rates is not None:
-            if not self.elastic:
-                raise ConfigurationError(
-                    "extras['device_dropout_rates'] requires elastic=True; "
-                    "with elastic=False it would be silently ignored"
-                )
             if not isinstance(class_rates, dict):
                 raise ConfigurationError(
                     f"extras['device_dropout_rates'] must be a dict of device "
@@ -462,8 +469,7 @@ class ExperimentConfig:
         retired = [key for key in RETIRED_EXTRAS if key in self.extras]
         for key in retired:
             value, neutral = self.extras[key], RETIRED_EXTRAS[key]
-            if not any(isinstance(value, bool) == isinstance(keep, bool)
-                       and value == keep for keep in neutral):
+            if not _loads(value, neutral):
                 loads = f"; only {neutral[0]!r} still loads" if neutral else ""
                 raise ConfigurationError(
                     f"extras[{key!r}]={value!r}: the key was removed{loads}"
@@ -490,10 +496,18 @@ class ExperimentConfig:
                 f"extras['population_sharding'] must be 'partition' or "
                 f"'sampled', got {sharding!r}"
             )
-        for key, low in (("population_samples_per_worker", 1),
-                         ("population_live_devices", 0)):
+        self._check_int_extras(
+            population_samples_per_worker=1, population_live_devices=0
+        )
+
+    def _check_int_extras(self, **lows: int) -> None:
+        """Each named ``extras`` key, when given, is an integer (numpy ints
+        pass, bools do not) at or above its bound: a bad value fails here by
+        name, not when (or whether) the component that reads it is built."""
+        for key, low in lows.items():
             value = self.extras.get(key, low)
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < low):
                 raise ConfigurationError(
                     f"extras[{key!r}] must be an int >= {low}, got {value!r}"
                 )
@@ -554,8 +568,9 @@ class ExperimentConfig:
         is dropped at its exact value 0 and fails by name otherwise.
         ``population_cache``, the capacity of the retired delta caches, is
         dropped: the lazy pool's cache was never read, and a pending rejoin
-        now carries its own delta.  ``pipeline`` and ``transport`` load as
-        the constructor takes them (:data:`RETIRED_FIELDS`).
+        now carries its own delta.  ``elastic``, ``pipeline`` and
+        ``transport`` load as the constructor takes them
+        (:data:`RETIRED_FIELDS`).
         """
         payload = dict(payload)
         payload.pop("population_cache", None)

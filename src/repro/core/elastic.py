@@ -1,9 +1,9 @@
 """Elastic rounds: over-selection, first-k-of-n aggregation and rejoin.
 
-The synchronous engines assume every selected worker returns its update;
+A synchronous round assumes every selected worker returns its update;
 under churn that either stalls the round (stragglers) or fails it
-(dropouts, dead executor processes).  The :class:`ElasticController` makes
-rounds *elastic* instead:
+(dropouts, dead executor processes).  Every round runs through the
+:class:`ElasticController`, which makes it *elastic* instead:
 
 * **over-selection** -- the planned cohort is padded to
   ``ceil(over_select_factor * K)`` workers (lowest participation first),
@@ -23,12 +23,15 @@ dead executor process reports real losses through
 :meth:`ElasticController.record_death`.  The controller is pure parent-side
 state and checkpoints with the engine, so elastic runs resume bit-exactly.
 
-With ``config.elastic`` false, :func:`build_elastic_controller` returns
-``None`` and the engines take their historical code paths unchanged.
+At the knobs' defaults (no dropout, no deadline, factor 1.0) nobody goes
+missing and the round is the paper's synchronous aggregate, bit for bit;
+only a dead executor process can then shrink the cohort, and the quorum
+decides whether the survivors' aggregate is applied.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,12 +50,13 @@ class ElasticRound:
         churn: The round's simulated churn draw.
         dropped: Workers whose update missed the round -- simulated churn
             plus any real executor deaths reported during the round.
-        completed: Workers whose update made the round's aggregate.
+        completed: Workers whose update arrived in time (it only enters
+            the aggregate when they meet the quorum).
         rejoined: Workers whose *earlier* update was folded in this round.
         folded: Whether rejoin folding already ran (it runs once per round
             even when a policy aggregates every local iteration).
-        no_update: Whether the round fell below the cohort quorum and left
-            the global bottom model unchanged.
+        no_update: Whether the round fell below the cohort quorum and
+            applied no aggregate (to the global bottom, or the full model).
     """
 
     round_index: int
@@ -73,7 +77,10 @@ class ElasticRound:
 
     @property
     def effective_cohort(self) -> int:
-        """Number of updates in the round's aggregate (completed + rejoined)."""
+        """Number of updates in the round's aggregate (completed + rejoined);
+        ``0`` when the round missed the quorum and applied none."""
+        if self.no_update:
+            return 0
         return len(self.completed) + len(self.rejoined)
 
 
@@ -177,14 +184,12 @@ class ElasticController:
         )
 
     def record_death(self, round_state: ElasticRound, worker_ids) -> None:
-        """Mark workers lost to a dead executor process as dropped."""
-        known = set(round_state.dropped)
-        for worker_id in worker_ids:
-            worker_id = int(worker_id)
-            if worker_id not in known:
-                round_state.dropped.append(worker_id)
-                known.add(worker_id)
-        round_state.dropped.sort()
+        """Mark workers lost to a dead executor process as dropped; the
+        round's aggregation bookkeeping starts over with its re-run."""
+        lost = {int(worker_id) for worker_id in worker_ids}
+        round_state.dropped = sorted(lost.union(round_state.dropped))
+        round_state.completed, round_state.rejoined = [], []
+        round_state.folded = round_state.no_update = False
 
     def apply_aggregate(
         self,
@@ -192,7 +197,7 @@ class ElasticController:
         worker_ids,
         states,
         weights,
-        reference,
+        global_state,
     ):
         """First-k-of-n filter plus rejoin folding for one aggregation.
 
@@ -201,8 +206,11 @@ class ElasticController:
         then leaves the global model unchanged; pending rejoins are kept
         for a later round).  A missing worker with a rejoin delay -- its
         local compute still happened in simulation -- becomes a pending
-        rejoin holding its update as a delta against ``reference``.
+        rejoin holding its update as a delta against the global model.
+        ``global_state()`` returns that model's state; it is called at most
+        once, and only when a rejoin is recorded or folded.
         """
+        reference = functools.cache(global_state)
         worker_ids = [int(worker_id) for worker_id in worker_ids]
         dropped = set(round_state.dropped)
         delays = round_state.churn.rejoin_delays
@@ -220,7 +228,7 @@ class ElasticController:
                     "arrival": round_state.round_index + delays[worker_id],
                     "weight": float(weight),
                     "delta": {
-                        key: np.asarray(state[key]) - np.asarray(reference[key])
+                        key: np.asarray(state[key]) - np.asarray(reference()[key])
                         for key in state
                     },
                 }
@@ -246,7 +254,7 @@ class ElasticController:
             if staleness > self.rejoin_staleness_bound:
                 continue
             states.append({
-                key: np.asarray(reference[key]) + delta
+                key: np.asarray(reference()[key]) + delta
                 for key, delta in entry["delta"].items()
             })
             weights.append(float(entry["weight"]))
@@ -294,14 +302,3 @@ class ElasticController:
                 "delta": {key: np.asarray(value) for key, value in delta.items()},
             }
 
-
-def build_elastic_controller(config, cluster=None) -> ElasticController | None:
-    """An :class:`ElasticController` when ``config.elastic``, else ``None``.
-
-    ``cluster`` (when given) lets ``extras["device_dropout_rates"]`` map
-    device-class names to per-worker dropout rates; without it the scalar
-    ``config.dropout_rate`` applies uniformly.
-    """
-    if not getattr(config, "elastic", False):
-        return None
-    return ElasticController(config, cluster)

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.config import ExperimentConfig
 from repro.core.controller import ControlContext, RoundPlan
-from repro.core.elastic import ElasticController, ElasticRound
+from repro.core.elastic import ElasticRound
 from repro.core.round_engine import RoundEngine
 from repro.core.server import SplitServer
 from repro.core.worker import SplitWorker
@@ -101,7 +101,6 @@ class SplitTrainingEngine(RoundEngine):
         policy: ControlPolicy,
         bandwidth_budget_override: float | None = None,
         executor: Executor | None = None,
-        elastic: ElasticController | None = None,
     ) -> None:
         if split is None:
             raise ConfigurationError(
@@ -109,10 +108,7 @@ class SplitTrainingEngine(RoundEngine):
                 f"model {config.model!r} declares no split point; register "
                 f"it with split_after_weighted metadata"
             )
-        super().__init__(
-            config, workers, cluster, data,
-            executor=executor, elastic=elastic,
-        )
+        super().__init__(config, workers, cluster, data, executor=executor)
         self.split = split
         self.policy = policy
 
@@ -264,6 +260,15 @@ class SplitTrainingEngine(RoundEngine):
         if solver is not None and state.get("selection") is not None:
             solver.load_state_dict(state["selection"])
 
+    def _stage_state(self, workers: list[SplitWorker]) -> dict:
+        """Also the server: its top model steps every iteration, and its
+        global bottom at every SplitFed aggregation."""
+        return {**super()._stage_state(workers), "server": self.server.state_dict()}
+
+    def _load_stage_state(self, state: dict) -> None:
+        super()._load_stage_state(state)
+        self.server.load_state_dict(state["server"])
+
     # -- round mechanics ---------------------------------------------------------
     def _make_context(
         self, round_index: int, candidates: np.ndarray | None = None
@@ -375,7 +380,7 @@ class SplitTrainingEngine(RoundEngine):
         selected_workers: list[SplitWorker],
         round_index: int,
         account,
-        elastic_state: "ElasticRound | None",
+        elastic_state: ElasticRound,
     ) -> list[float]:
         """INSTALL .. AGGREGATE under the configured scheduler.
 
@@ -451,7 +456,7 @@ class SplitTrainingEngine(RoundEngine):
         depths: dict[int, int],
         batch_sizes: list[int],
         states: list[dict[str, np.ndarray]],
-        elastic_state: "ElasticRound | None",
+        elastic_state: ElasticRound,
     ) -> None:
         """AGGREGATE the collected bottom states, batch-size weighted (Eq. 17)."""
         worker_ids = list(depths)
@@ -462,17 +467,14 @@ class SplitTrainingEngine(RoundEngine):
         # tail already does); everything downstream (elastic folding,
         # averaging) then runs on full states.
         states = self.server.complete_bottom_states(worker_ids, states, depths)
-        if elastic_state is not None:
-            resolved = self._elastic.apply_aggregate(
-                elastic_state, worker_ids, states, weights,
-                self.server.global_bottom.state_dict(),
-            )
-            if resolved is None:
-                # Below the cohort quorum: the round leaves the global
-                # bottom model unchanged.
-                return
-            states, weights = resolved
-        self.server.aggregate_bottoms(states, weights)
+        resolved = self._elastic.apply_aggregate(
+            elastic_state, worker_ids, states, weights,
+            self.server.global_bottom.state_dict,
+        )
+        # ``None``: below the cohort quorum, the round leaves the global
+        # bottom model unchanged.
+        if resolved is not None:
+            self.server.aggregate_bottoms(*resolved)
 
     def _scaled_lr(self, batch_size: int) -> float:
         """Worker learning rate proportional to its batch size (Section IV-B)."""

@@ -8,8 +8,12 @@ lifecycle in a single copy -- component wiring, the steppable
 and the round template::
 
     wire snapshot -> plan (+ over-selection) -> pool.checkout
-      -> elastic begin_round -> run stages (with executor-death recovery)
+      -> churn draw -> run stages (with executor-death recovery)
       -> account() -> pool.release -> evaluate -> RoundRecord -> lr decay
+
+Every round runs the :class:`~repro.core.elastic.ElasticController`; at
+its neutral defaults nobody goes missing and the round is the paper's
+synchronous aggregate.
 
 Subclasses supply only what differs between split and full-model training:
 how a round is planned (:meth:`RoundEngine._compute_plan`), what its stages
@@ -36,11 +40,7 @@ import numpy as np
 from repro.api.algorithm import Algorithm
 from repro.config import ExperimentConfig
 from repro.core.controller import RoundPlan
-from repro.core.elastic import (
-    ElasticController,
-    ElasticRound,
-    build_elastic_controller,
-)
+from repro.core.elastic import ElasticController, ElasticRound
 from repro.core.worker import SplitWorker
 from repro.data.dataset import TrainTestSplit
 from repro.exceptions import ExecutorDeathError
@@ -75,7 +75,6 @@ class RoundEngine(Algorithm):
         cluster: Cluster,
         data: TrainTestSplit,
         executor: Executor | None = None,
-        elastic: ElasticController | None = None,
     ) -> None:
         self.config = config
         self.pool = (
@@ -86,12 +85,8 @@ class RoundEngine(Algorithm):
         self.data = data
         self.executor = executor if executor is not None else SerialExecutor()
         self.pipeline = PipelineScheduler()
-        #: Round elasticity (over-selection, first-k-of-n, rejoin); ``None``
-        #: keeps the historical synchronous code paths untouched.
-        self._elastic = (
-            elastic if elastic is not None
-            else build_elastic_controller(config, cluster)
-        )
+        #: Round elasticity: over-selection, first-k-of-n and rejoin.
+        self._elastic = ElasticController(config, cluster)
         #: The simulated link's codecs (``None`` at ``codec="none"``): the
         #: round passes what crosses the link through them, on every
         #: executor, and holds every error-feedback residual.
@@ -142,9 +137,7 @@ class RoundEngine(Algorithm):
             "traffic": self.traffic.state_dict(),
             "cluster": self.cluster.state_dict(),
             "workers": self.pool.workers_state(),
-            "elastic": (
-                self._elastic.state_dict() if self._elastic is not None else None
-            ),
+            "elastic": self._elastic.state_dict(),
             "codec": (
                 self.codec.state_dict()
                 if self.codec is not None and self.codec.stateful else None
@@ -170,8 +163,8 @@ class RoundEngine(Algorithm):
         )
         # Indexed, not ``.get``: a checkpoint has every key ``state_dict``
         # writes, and a missing one is reported by name (``Session._restore``).
-        if state["elastic"] is not None and self._elastic is not None:
-            self._elastic.load_state_dict(state["elastic"])
+        # Checkpoints written without a controller hold ``None``.
+        self._elastic.load_state_dict(state["elastic"] or {})
         residuals = state["codec"]
         if self.codec is not None:
             self.codec.load_state_dict(residuals or {})
@@ -204,7 +197,7 @@ class RoundEngine(Algorithm):
         selected_workers: list[SplitWorker],
         round_index: int,
         account,
-        elastic_state: ElasticRound | None,
+        elastic_state: ElasticRound,
     ) -> list[float]:
         """Run the round's stages under the scheduler; return its losses.
 
@@ -231,6 +224,26 @@ class RoundEngine(Algorithm):
     @abc.abstractmethod
     def _evaluate(self) -> tuple[float, float]:
         """``(accuracy, loss)`` of the global model on the test split."""
+
+    def _stage_state(self, workers: list[SplitWorker]) -> dict:
+        """The parent-side state a round's stages mutate, at round start.
+
+        An executor death restores it (:meth:`_load_stage_state`) before
+        the survivors re-run, so the re-run is the round a death at its
+        first dispatch would have run: ``local_iterations`` steps on the
+        same batches.  Here: the pending rejoins an aggregate consumes and
+        the cohort's batch loaders.  Codec residuals are not rewound.
+        """
+        return {
+            "pending": dict(self._elastic.pending),
+            "loaders": [(worker, worker.loader.state_dict()) for worker in workers],
+        }
+
+    def _load_stage_state(self, state: dict) -> None:
+        """Restore what :meth:`_stage_state` took."""
+        self._elastic.pending = state["pending"]
+        for worker, loader in state["loaders"]:
+            worker.loader.load_state_dict(loader)
 
     def _observe_round(
         self, round_index: int, plan: RoundPlan, durations: np.ndarray
@@ -286,9 +299,9 @@ class RoundEngine(Algorithm):
     def _worker_durations(self, plan: RoundPlan) -> np.ndarray:
         """Planned round duration of each selected worker, in plan order.
 
-        Reads the round's cluster state without mutating anything, so the
-        same numbers come out whether it runs at the start of the round
-        (the churn draw) or inside the accounting stage.
+        Reads the round's cluster state without mutating anything;
+        :meth:`_run_round` computes it once, at the start of the round, for
+        both the churn draw and the accounting stage.
         """
         iterations = self.config.local_iterations
         model_moves = 2 * self._aggregations
@@ -324,11 +337,9 @@ class RoundEngine(Algorithm):
         plan = self._compute_plan(round_index, candidates)
         if candidates is not None:
             plan = plan.remapped(candidates)
-        if self._elastic is not None:
-            plan = self._elastic.over_select(
-                plan, self.pool, candidates, self.config.base_batch_size
-            )
-        return plan
+        return self._elastic.over_select(
+            plan, self.pool, candidates, self.config.base_batch_size
+        )
 
     def _planning_ids(self, candidates: np.ndarray | None) -> np.ndarray:
         """The worker ids a plan is computed over: the pool's candidate
@@ -346,13 +357,12 @@ class RoundEngine(Algorithm):
         if not plan.selected:
             raise RuntimeError(f"round {round_index} was planned with no workers")
         selected_workers = self.pool.checkout(plan.selected)
-        # Elastic rounds draw their churn once, up front, against the
-        # planned cohort; a death-recovery re-run reuses the same draw.
-        elastic_state: ElasticRound | None = None
-        if self._elastic is not None:
-            elastic_state = self._elastic.begin_round(
-                round_index, plan.selected, self._worker_durations(plan)
-            )
+        # The churn is drawn once, up front, against the planned cohort; a
+        # death-recovery re-run reuses the same draw.
+        durations = self._worker_durations(plan)
+        elastic_state = self._elastic.begin_round(
+            round_index, plan.selected, durations
+        )
         accounting: dict = {}
 
         def account() -> None:
@@ -368,23 +378,23 @@ class RoundEngine(Algorithm):
                 return
             for worker in selected_workers:
                 worker.participation_count += 1
-            durations = self._worker_durations(plan)
             self._charge_traffic(plan)
-            deadline = (
-                elastic_state.churn.deadline if elastic_state is not None else None
+            accounting["duration"] = elastic_round_duration(
+                durations, elastic_state.churn.deadline
             )
-            accounting["duration"] = elastic_round_duration(durations, deadline)
             accounting["waiting"] = average_waiting_time(durations)
             self._clock += accounting["duration"]
             self._observe_round(round_index, plan, durations)
 
+        # What the stages mutate before a reply can go missing: a death
+        # re-run starts the round over from here, not from the dead attempt.
+        rewind = self._stage_state(selected_workers)
         try:
             losses = self._run_stages(
                 plan, selected_workers, round_index, account, elastic_state
             )
         except ExecutorDeathError as error:
-            if elastic_state is None:
-                raise
+            self._load_stage_state(rewind)
             losses = self._recover_round(
                 plan, selected_workers, round_index, account, elastic_state,
                 error,
@@ -395,16 +405,6 @@ class RoundEngine(Algorithm):
         self.pool.release(selected_workers)
 
         accuracy, test_loss = self._evaluate()
-        if elastic_state is not None:
-            elastic_kwargs = {
-                "dropped_ids": [int(w) for w in elastic_state.dropped],
-                "completed_ids": [int(w) for w in elastic_state.completed],
-                "rejoined_ids": [int(w) for w in elastic_state.rejoined],
-                "dropout_rate": elastic_state.dropout_rate,
-                "effective_cohort": elastic_state.effective_cohort,
-            }
-        else:
-            elastic_kwargs = {"effective_cohort": len(plan.selected)}
         wire, logical, ratio = wire_round_delta(
             wire_before, self.executor.transport_stats()
         )
@@ -425,7 +425,10 @@ class RoundEngine(Algorithm):
                 bytes_on_wire=wire,
                 logical_bytes=logical,
                 compression_ratio=ratio,
-                **elastic_kwargs,
+                dropped_ids=[int(w) for w in elastic_state.dropped],
+                rejoined_ids=[int(w) for w in elastic_state.rejoined],
+                dropout_rate=elastic_state.dropout_rate,
+                effective_cohort=elastic_state.effective_cohort,
             )
         )
         self._current_lr *= config.lr_decay
@@ -449,10 +452,11 @@ class RoundEngine(Algorithm):
         The dead process takes its workers' in-flight state with it: the
         dirty pool is torn down (a fresh one spawns lazily on the next
         dispatch), the lost workers are recorded as dropped, and -- when
-        enough of the planned cohort survives -- the round's stages restart
-        with a survivor-only plan.  A second death in the re-run
-        propagates.  With too few survivors the round yields no update but
-        the session lives on.
+        the survivors meet ``min_cohort_fraction`` of the planned cohort,
+        as any round's completed workers must -- the round's stages restart
+        with a survivor-only plan, from the state :meth:`_run_round`
+        rewound to.  A second death in the re-run propagates.  With too few
+        survivors the round yields no update but the session lives on.
         """
         lost = sorted(
             {int(worker_id) for worker_id in error.worker_ids}
@@ -477,7 +481,6 @@ class RoundEngine(Algorithm):
         ]
         if len(survivors) < self._elastic.min_cohort(len(elastic_state.planned)):
             elastic_state.no_update = True
-            elastic_state.completed = []
             return []
         survivor_plan = RoundPlan(
             selected=survivors,

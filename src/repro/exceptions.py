@@ -34,8 +34,8 @@ class ExecutorDeathError(ReproError, RuntimeError):
 
     Subclasses :class:`RuntimeError` so callers matching the historical
     ``"died"`` message keep working; additionally carries the worker ids
-    that were homed on the dead process, which is what lets an elastic
-    engine re-plan the round with the survivors instead of failing it.
+    that were homed on the dead process, which is what lets the engine
+    re-plan the round with the survivors instead of failing it.
     """
 
     def __init__(self, message: str, worker_ids=()) -> None:

@@ -23,8 +23,8 @@ class RoundRecord:
             engines average the top model's per-iteration losses; FL
             engines average, over the workers whose reply was observed,
             each worker's mean per-iteration loss (``Executor.train_full``
-            returns it).  ``0.0`` when no update was observed (an elastic
-            round that lost its whole cohort).
+            returns it).  ``0.0`` when no update was observed (a round
+            that lost its whole cohort).
         test_loss: Test loss of the global model after the round.
         test_accuracy: Test accuracy of the global model after the round.
         num_selected: Number of workers in the round's worker set.
@@ -33,16 +33,17 @@ class RoundRecord:
         selected_ids: Global ids of the round's selected cohort, in plan
             order -- the participation history churn scenarios build on.
         dropped_ids: Workers whose update missed the round -- simulated
-            dropouts and stragglers plus any real executor deaths
-            (empty when elasticity is off).
-        completed_ids: Workers whose update made the round's aggregate
-            (empty when elasticity is off).
+            dropouts and stragglers plus any real executor deaths.  In a
+            round that updated the model, ``selected_ids`` minus these are
+            the workers whose update made the aggregate.
         rejoined_ids: Workers whose earlier missing update was folded into
             this round's aggregate within the rejoin staleness bound.
         dropout_rate: Fraction of the planned cohort that missed the round.
         effective_cohort: Number of updates in the round's aggregate
-            (completed + rejoined; equals ``num_selected`` when
-            elasticity is off).
+            (completed + rejoined; ``num_selected`` when nobody went
+            missing, ``0`` when the round missed the quorum and applied
+            no aggregate -- a split engine's top model still trained on
+            the round's merged features).
         bytes_on_wire: Array-payload bytes that crossed the executor's
             process boundary this round (both directions; ``0`` for
             in-process executors).  Host bytes, not the simulated link's:
@@ -66,7 +67,6 @@ class RoundRecord:
     merged_kl: float = 0.0
     selected_ids: list[int] = field(default_factory=list)
     dropped_ids: list[int] = field(default_factory=list)
-    completed_ids: list[int] = field(default_factory=list)
     rejoined_ids: list[int] = field(default_factory=list)
     dropout_rate: float = 0.0
     effective_cohort: int = 0
@@ -81,11 +81,13 @@ class RoundRecord:
 #: records with these stripped while everything else stays bit-exact.
 WIRE_FIELDS = ("bytes_on_wire", "logical_bytes", "compression_ratio")
 
-#: Fields earlier versions recorded that no longer exist: the lazy pool's
-#: delta-cache hit/miss counters.  The cache rebuilt bottoms that every
-#: install overwrote, so they observed nothing of the trajectory, and
-#: :meth:`History.from_dict` drops them whatever their value.
-RETIRED_FIELDS = ("cache_hits", "cache_misses")
+#: Fields earlier versions recorded that no longer exist, which
+#: :meth:`History.from_dict` drops whatever their value: the lazy pool's
+#: delta-cache hit/miss counters (the cache rebuilt bottoms that every
+#: install overwrote, so they observed nothing of the trajectory), and
+#: ``completed_ids``, which ``selected_ids`` minus ``dropped_ids`` gives for
+#: every round that updated the model.
+RETIRED_FIELDS = ("cache_hits", "cache_misses", "completed_ids")
 
 
 def wire_round_delta(before: dict | None, after: dict | None
@@ -159,7 +161,8 @@ class History:
         realized lag of the retired bounded-staleness scheduler: 0.0 (every
         exact run) is dropped, anything else fails by name -- that
         trajectory can no longer be produced.  :data:`RETIRED_FIELDS` are
-        dropped.
+        dropped.  A record written before ``effective_cohort`` existed
+        aggregated its whole cohort: it loads with ``num_selected`` there.
         """
         history = cls(algorithm=payload.get("algorithm", ""))
         for record in payload.get("records", []):
@@ -167,6 +170,7 @@ class History:
                 key: value for key, value in record.items()
                 if key not in RETIRED_FIELDS
             }
+            record.setdefault("effective_cohort", record["num_selected"])
             lag = record.pop("effective_staleness", 0.0)
             if lag != 0.0:
                 raise ConfigurationError(

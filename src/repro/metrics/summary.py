@@ -87,28 +87,19 @@ def participation_summary(history: History) -> dict:
 
 
 def mean_dropout_rate(history: History) -> float:
-    """Average per-round dropout rate (0.0 for non-elastic runs)."""
+    """Average per-round dropout rate (0.0 when nobody went missing)."""
     if not history.records:
         return 0.0
     return float(np.mean([record.dropout_rate for record in history.records]))
 
 
 def mean_effective_cohort(history: History) -> float:
-    """Average number of updates entering the per-round aggregate.
-
-    Records written before elasticity existed (or by non-elastic runs of
-    older versions) carry ``effective_cohort == 0``; those fall back to
-    ``num_selected``, which is what the synchronous engines aggregated.
-    """
+    """Average number of updates entering the per-round aggregate; a round
+    that missed the quorum counts 0 (records written before the field
+    existed load with ``num_selected``, see :meth:`History.from_dict`)."""
     if not history.records:
         return 0.0
-    return float(
-        np.mean([
-            record.effective_cohort if record.effective_cohort > 0
-            else record.num_selected
-            for record in history.records
-        ])
-    )
+    return float(np.mean([record.effective_cohort for record in history.records]))
 
 
 def schedule_divergence(relaxed: History, exact: History) -> dict:

@@ -49,7 +49,7 @@ PAPER_POPULATION_SCALES = (1_000, 100_000, 1_000_000)
 #: A smaller population axis for dry-running the preset plumbing.
 SMOKE_POPULATION_SCALES = (500, 5_000)
 
-#: Per-round dropout axis of the churn sweeps (0 = neutral elasticity).
+#: Per-round dropout axis of the churn sweeps (0 = nobody drops).
 PAPER_CHURN_RATES = (0.0, 0.1, 0.3)
 
 #: A shorter axis for dry-running the churn preset plumbing.
@@ -140,8 +140,8 @@ def churn_study(
 ) -> Study:
     """A ``dropout_rate`` grid over elastic rounds (:mod:`repro.core.elastic`).
 
-    Every trial runs with elasticity on -- over-selection 1.25 and a
-    two-round rejoin staleness bound unless overridden -- and the axis
+    Every trial runs with over-selection 1.25 and a two-round rejoin
+    staleness bound unless overridden, and the axis
     sweeps the per-round dropout probability, so the study measures the
     accuracy cost of churn under the recovery machinery (the rate-0.0 trial
     isolates the over-selection padding with zero churn).
@@ -149,7 +149,6 @@ def churn_study(
     from repro.experiments.figures import figure_config
 
     overrides = {k: v for k, v in overrides.items() if k != "dropout_rate"}
-    overrides.setdefault("elastic", True)
     overrides.setdefault("over_select_factor", 1.25)
     overrides.setdefault("rejoin_staleness_bound", 2)
     base = figure_config(

@@ -63,7 +63,7 @@ def trial_process_footprint(config: ExperimentConfig) -> int:
         return 1
     requested = config.extras.get("executor_processes")
     if requested is not None:
-        return 1 + max(1, int(requested))
+        return 1 + int(requested)
     return 1 + max(1, min(os.cpu_count() or 1, DEFAULT_MAX_PROCESSES))
 
 #: Either a list of callbacks cloned into every trial, or a factory

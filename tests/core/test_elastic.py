@@ -7,11 +7,11 @@ import pytest
 
 from repro.config import ExperimentConfig
 from repro.core.controller import RoundPlan
-from repro.core.elastic import ElasticController, build_elastic_controller
+from repro.core.elastic import ElasticController
 
 
 def _controller(**overrides) -> ElasticController:
-    params = dict(elastic=True, seed=3)
+    params = dict(seed=3)
     params.update(overrides)
     return ElasticController(ExperimentConfig(**params))
 
@@ -38,15 +38,21 @@ def _state(value: float) -> dict:
 REFERENCE = _state(0.0)
 
 
-class TestBuild:
-    def test_disabled_config_builds_nothing(self):
-        assert build_elastic_controller(ExperimentConfig()) is None
+def _global(state: dict):
+    """The ``global_state`` callable ``apply_aggregate`` reads lazily."""
+    return lambda: state
 
-    def test_enabled_config_builds_a_controller(self):
-        controller = build_elastic_controller(
-            ExperimentConfig(elastic=True, dropout_rate=0.25)
-        )
-        assert isinstance(controller, ElasticController)
+
+class TestBuild:
+    def test_the_default_config_builds_a_neutral_controller(self):
+        controller = ElasticController(ExperimentConfig())
+        assert controller.churn.dropout_rate == 0.0
+        assert controller.churn.straggler_deadline == 0.0
+        assert controller.over_select_factor == 1.0
+        assert controller.rejoin_staleness_bound == 0
+
+    def test_the_knobs_reach_the_controller(self):
+        controller = ElasticController(ExperimentConfig(dropout_rate=0.25))
         assert controller.churn.dropout_rate == 0.25
 
 
@@ -103,7 +109,7 @@ class TestApplyAggregate:
         resolved = controller.apply_aggregate(
             round_state, [0, 1, 2],
             [_state(1.0), _state(2.0), _state(3.0)], [8.0, 8.0, 8.0],
-            REFERENCE,
+            _global(REFERENCE),
         )
         states, weights = resolved
         assert [s["w"][0] for s in states] == [1.0, 3.0]
@@ -118,11 +124,38 @@ class TestApplyAggregate:
         round_state.dropped = [0, 1]
         resolved = controller.apply_aggregate(
             round_state, [0, 1, 2, 3], [_state(i) for i in range(4)],
-            [8.0] * 4, REFERENCE,
+            [8.0] * 4, _global(REFERENCE),
         )
         assert resolved is None
         assert round_state.no_update
-        assert round_state.effective_cohort == 2  # completed, not aggregated
+        assert round_state.completed == [2, 3]
+        # Nothing entered an aggregate: the model did not change.
+        assert round_state.effective_cohort == 0
+
+    def test_the_global_state_is_read_only_for_a_rejoin(self):
+        """Copying the global model costs a full state; a round where no
+        missing worker waits to rejoin and nothing folds never asks."""
+        def unread():
+            raise AssertionError("global state read without a rejoin")
+
+        controller = _controller(dropout_rate=0.5, rejoin_staleness_bound=2)
+        round_state = controller.begin_round(0, [0, 1, 2], np.ones(3))
+        round_state.dropped = [1]
+        round_state.churn.rejoin_delays = {}
+        states, __ = controller.apply_aggregate(
+            round_state, [0, 1, 2], [_state(1.0), _state(2.0), _state(3.0)],
+            [8.0] * 3, unread,
+        )
+        assert len(states) == 2
+        reads = []
+        round_state = controller.begin_round(1, [0, 1], np.ones(2))
+        round_state.dropped = [1]
+        round_state.churn.rejoin_delays = {1: 1}
+        controller.apply_aggregate(
+            round_state, [0, 1], [_state(1.0), _state(2.0)], [8.0] * 2,
+            lambda: reads.append(1) or REFERENCE,
+        )
+        assert reads == [1]
 
     def test_only_a_missing_worker_with_a_delay_becomes_pending(self):
         controller = _controller(dropout_rate=0.5, rejoin_staleness_bound=2)
@@ -131,7 +164,7 @@ class TestApplyAggregate:
         round_state.churn.rejoin_delays = {1: 2}  # 2 never rejoins
         controller.apply_aggregate(
             round_state, [0, 1, 2], [_state(1.0), _state(2.0), _state(3.0)],
-            [8.0, 4.0, 8.0], _state(0.5),
+            [8.0, 4.0, 8.0], _global(_state(0.5)),
         )
         assert list(controller.pending) == [1]
         entry = controller.pending[1]
@@ -145,7 +178,7 @@ class TestApplyAggregate:
         round_state.churn.rejoin_delays = {9: delay}
         return controller.apply_aggregate(
             round_state, [8, 9], [_state(1.0), _state(4.0)], [8.0, 2.0],
-            REFERENCE,
+            _global(REFERENCE),
         )
 
     def _healthy_round(self, controller, round_index, ids=(8,)):
@@ -155,7 +188,7 @@ class TestApplyAggregate:
         round_state.dropped = []  # pin the churn draw: everyone completes
         resolved = controller.apply_aggregate(
             round_state, list(ids), [_state(1.0)] * len(ids),
-            [8.0] * len(ids), REFERENCE,
+            [8.0] * len(ids), _global(REFERENCE),
         )
         return round_state, resolved
 
@@ -214,12 +247,12 @@ class TestApplyAggregate:
         round_state.dropped = [9]
         controller.apply_aggregate(
             round_state, [8, 9], [_state(1.0), _state(7.0)], [8.0, 8.0],
-            REFERENCE,
+            _global(REFERENCE),
         )
         round_state = controller.begin_round(3, [8], np.ones(1))
         round_state.dropped = []
         states, weights = controller.apply_aggregate(
-            round_state, [8], [_state(1.0)], [8.0], _state(10.0)
+            round_state, [8], [_state(1.0)], [8.0], _global(_state(10.0))
         )
         assert round_state.rejoined == [9]
         assert states[-1]["w"][0] == pytest.approx(14.0)
@@ -235,7 +268,7 @@ class TestApplyAggregate:
         round_state.churn.rejoin_delays = {9: 1}
         controller.apply_aggregate(
             round_state, [8, 9], [_state(1.0), _state(6.0)], [8.0, 3.0],
-            REFERENCE,
+            _global(REFERENCE),
         )
         entry = controller.pending[9]
         assert (entry["origin"], entry["arrival"], entry["weight"]) == (1, 2, 3.0)
@@ -254,7 +287,7 @@ class TestApplyAggregate:
         round_state.churn.rejoin_delays = {9: 1}
         trained, reference = _state(4.0), _state(1.0)
         controller.apply_aggregate(
-            round_state, [8, 9], [_state(1.0), trained], [8.0, 2.0], reference
+            round_state, [8, 9], [_state(1.0), trained], [8.0, 2.0], _global(reference)
         )
         trained["w"][:] = -100.0
         reference["w"][:] = 50.0
@@ -269,10 +302,10 @@ class TestApplyAggregate:
         self._drop_and_aggregate(controller, 0, delay=1)
         round_state = controller.begin_round(1, [8], np.ones(1))
         first = controller.apply_aggregate(
-            round_state, [8], [_state(1.0)], [8.0], REFERENCE
+            round_state, [8], [_state(1.0)], [8.0], _global(REFERENCE)
         )
         second = controller.apply_aggregate(
-            round_state, [8], [_state(1.0)], [8.0], REFERENCE
+            round_state, [8], [_state(1.0)], [8.0], _global(REFERENCE)
         )
         assert len(first[0]) == 2
         assert len(second[0]) == 1
@@ -301,7 +334,7 @@ class TestCheckpointing:
         round_state.churn.rejoin_delays = {1: 2}
         controller.apply_aggregate(
             round_state, [0, 1], [_state(1.0), _state(2.0)], [8.0, 4.0],
-            REFERENCE,
+            _global(REFERENCE),
         )
         restored = _controller(dropout_rate=0.5, rejoin_staleness_bound=3)
         restored.load_state_dict(controller.state_dict())
@@ -338,9 +371,9 @@ class TestDeviceClassRates:
     def test_rates_resolve_through_the_device_class(self):
         cluster = self._cluster()
         rates = {"jetson_tx2": 0.5, "jetson_agx": 0.1}
-        controller = build_elastic_controller(
+        controller = ElasticController(
             ExperimentConfig(
-                elastic=True, dropout_rate=0.02,
+                dropout_rate=0.02,
                 extras={"device_dropout_rates": rates},
             ),
             cluster,
@@ -351,15 +384,15 @@ class TestDeviceClassRates:
             assert controller.churn.rate_of(worker_id) == expected
 
     def test_without_class_rates_the_scalar_stays(self):
-        controller = build_elastic_controller(
-            ExperimentConfig(elastic=True, dropout_rate=0.25), self._cluster()
+        controller = ElasticController(
+            ExperimentConfig(dropout_rate=0.25), self._cluster()
         )
         assert controller.churn.dropout_rate == 0.25
 
     def test_class_rates_without_cluster_fall_back_to_scalar(self):
-        controller = build_elastic_controller(
+        controller = ElasticController(
             ExperimentConfig(
-                elastic=True, dropout_rate=0.25,
+                dropout_rate=0.25,
                 extras={"device_dropout_rates": {"jetson_tx2": 0.9}},
             )
         )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import multiprocessing
 import pathlib
 import re
 
@@ -129,6 +130,28 @@ class TestExperimentConfig:
         ignored all three."""
         with pytest.raises(ConfigurationError, match=key):
             ExperimentConfig(population=population, extras={key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("executor_processes", 0),
+        ("executor_processes", "two"),
+        ("transport_capacity", 0),
+        ("transport_capacity", "big"),
+        ("executor_start_method", "teleport"),
+    ])
+    def test_executor_extras_rejected_at_config_time(self, key, value):
+        """Regression: these constructed, then failed with a bare ValueError
+        when the process executor was built -- or were silently ignored
+        under any other executor."""
+        with pytest.raises(ConfigurationError, match=re.escape(repr(key))):
+            ExperimentConfig(extras={key: value})
+
+    @pytest.mark.parametrize("integer", [int, np.int64])
+    def test_valid_executor_extras_pass(self, integer):
+        extras = {
+            "executor_processes": integer(2), "transport_capacity": integer(4096),
+            "executor_start_method": multiprocessing.get_all_start_methods()[0],
+        }
+        assert ExperimentConfig(extras=extras).extras == extras
 
     @pytest.mark.parametrize("key, value", [
         ("population_sharding", "partition"),
@@ -300,9 +323,10 @@ class TestExperimentConfig:
 RETIRED_SPELLINGS = [
     ("pipeline", "sync"), ("pipeline", "pipelined"),
     ("transport", "pipe"), ("transport", "shm"),
+    ("elastic", False), ("elastic", True),
 ]
 
-#: The checkpoint fixtures, all written while both fields were stored.
+#: The checkpoint fixtures, all written while these fields were stored.
 CHECKPOINT_FIXTURES = sorted(
     (pathlib.Path(__file__).resolve().parents[1] / "golden").glob("*.ckpt.json")
 )
@@ -310,7 +334,8 @@ CHECKPOINT_FIXTURES = sorted(
 
 class TestRetiredExecutionFields:
     """``pipeline`` and ``transport`` are load-only spellings: the process
-    executor always runs the aggregate window over shared-memory rings."""
+    executor always runs the aggregate window over shared-memory rings.
+    So is ``elastic``: every round runs the churn controller."""
 
     @pytest.mark.parametrize("name, value", RETIRED_SPELLINGS)
     def test_the_constructor_drops_a_retired_spelling(self, name, value):
@@ -331,11 +356,14 @@ class TestRetiredExecutionFields:
         config = ExperimentConfig(num_rounds=3)
         assert config.replace(**{name: value}) == config
 
-    def test_neither_name_is_a_field_or_written(self):
-        config = ExperimentConfig(pipeline="pipelined", transport="shm")
+    def test_no_retired_name_is_a_field_or_written(self):
+        config = ExperimentConfig(
+            pipeline="pipelined", transport="shm", elastic=True
+        )
         fields = {spec.name for spec in dataclasses.fields(ExperimentConfig)}
         written = json.loads(json.dumps(config.to_dict()))
-        for name in ("pipeline", "transport"):
+        assert len(fields) == 39
+        for name in ("pipeline", "transport", "elastic"):
             assert name not in fields
             assert name not in config.to_dict() and name not in written
 
@@ -361,6 +389,7 @@ class TestRetiredExecutionFields:
     @pytest.mark.parametrize("name, value", [
         ("pipeline", "hyperdrive"), ("pipeline", "Sync"),
         ("transport", "carrier-pigeon"), ("transport", ""),
+        ("elastic", 1), ("elastic", "yes"), ("elastic", 0.0),
     ])
     @pytest.mark.parametrize("load", ["constructor", "from_dict"])
     def test_any_other_value_fails_naming_the_removed_field(self, load, name, value):
@@ -372,15 +401,17 @@ class TestRetiredExecutionFields:
 
     @pytest.mark.parametrize("fixture", CHECKPOINT_FIXTURES, ids=lambda p: p.name)
     def test_a_checkpoint_fixture_loads_and_resumes_unchanged(self, fixture):
-        """Each fixture carries ``pipeline="sync"`` and a transport; it loads
-        without them, resumes to its golden history's accuracy and loss,
-        and stays byte-identical."""
+        """Each fixture carries ``pipeline="sync"``, a transport and
+        ``elastic=False``; it loads without them, resumes to its golden
+        history's accuracy and loss, and stays byte-identical."""
         raw = fixture.read_bytes()
         stored = json.loads(raw)["config"]
         assert stored["pipeline"] == "sync" and stored["transport"] in ("pipe", "shm")
+        assert stored["elastic"] is False
+        retired = ("pipeline", "transport", "elastic")
         with Session.load_checkpoint(fixture) as resumed:
             assert resumed.config == ExperimentConfig.from_dict(
-                {k: v for k, v in stored.items() if k not in ("pipeline", "transport")}
+                {k: v for k, v in stored.items() if k not in retired}
             )
             records = resumed.run().records
         golden = json.loads(

@@ -318,11 +318,11 @@ def _churn_config(**overrides) -> ExperimentConfig:
 
 def test_dropout_sweep(sweep):
     """Over-selection keeps the lossy runs within a learning tolerance of the
-    exact (elasticity off) run even at 30 % per-round dropout."""
+    exact (no churn) run even at 30 % per-round dropout."""
     rows = [("exact", sweep.run(_churn_config()).history)]
     for rate in DROPOUT_RATES:
         config = _churn_config(
-            elastic=True, dropout_rate=rate,
+            dropout_rate=rate,
             over_select_factor=OVER_SELECT if rate else 1.0,
             rejoin_staleness_bound=2 if rate else 0,
         )
@@ -338,7 +338,7 @@ def test_dropout_sweep(sweep):
         title=f"Dropout sweep at over-selection {OVER_SELECT}",
     ))
     exact = final_accuracy(rows[0][1])
-    # Neutral elasticity is the exact protocol.
+    # Rate 0 without padding is the exact protocol.
     assert final_accuracy(rows[1][1]) == exact
     for __, history in rows[2:]:
         assert final_accuracy(history) >= exact - 0.15
@@ -349,7 +349,7 @@ def test_first_k_of_n_beats_wait_for_all(sweep):
     the simulated clock comes in under the wait-for-all run's."""
     wait_all = sweep.run(_churn_config()).history.records[-1].sim_time
     first_k = sweep.run(
-        _churn_config(elastic=True, straggler_deadline=1.5)
+        _churn_config(straggler_deadline=1.5)
     ).history.records[-1].sim_time
     print()
     print(format_table(

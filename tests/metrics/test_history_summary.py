@@ -64,16 +64,21 @@ class TestHistory:
         with pytest.raises(ConfigurationError, match="effective_staleness 0.5"):
             History.from_dict(payload)
 
-    def test_the_retired_cache_counters_are_dropped_on_load(self):
+    @pytest.mark.parametrize("retired", [
+        {"cache_hits": 4, "cache_misses": 1},
+        {"completed_ids": [0, 1, 2, 3]},
+    ], ids=["cache-counters", "completed-ids"])
+    def test_the_retired_fields_are_dropped_on_load(self, retired):
         """Earlier records carry the lazy pool's delta-cache hit/miss
-        counters; they load, whatever their value, as today's records."""
+        counters and the completed cohort (``selected_ids`` minus
+        ``dropped_ids``); they load, whatever their value, as today's
+        records."""
         history = _history([0.3, 0.6])
         payload = history.to_dict()
         for record in payload["records"]:
-            record.update(cache_hits=4, cache_misses=1)
+            record.update(retired)
         loaded = History.from_dict(payload)
         assert loaded.to_dict() == history.to_dict()
-        assert "cache_hits" not in loaded.to_dict()["records"][0]
 
 
 class TestSummary:

@@ -59,18 +59,17 @@ def _serial_reference(algorithm: str):
     return _REFERENCES[algorithm]
 
 
-def _assert_bit_equal(reference, candidate, label: str, ignore=()) -> None:
+def _assert_bit_equal(reference, candidate, label: str) -> None:
     # Wire-traffic fields measure the execution topology, not the training
     # trajectory, so cross-executor/transport comparisons strip them.
-    ignore = tuple(ignore) + WIRE_FIELDS
     ref_records, ref_state = reference
     records, state = candidate
     assert len(records) == len(ref_records)
     for ref_record, record in zip(ref_records, records):
         ref_dict = {k: v for k, v in dataclasses.asdict(ref_record).items()
-                    if k not in ignore}
+                    if k not in WIRE_FIELDS}
         dict_ = {k: v for k, v in dataclasses.asdict(record).items()
-                 if k not in ignore}
+                 if k not in WIRE_FIELDS}
         assert dict_ == ref_dict, label
     assert set(state) == set(ref_state)
     for key in ref_state:
@@ -128,15 +127,16 @@ def test_an_overflowing_ring_is_bit_exact(algorithm):
 
 @pytest.mark.parametrize("executor", ["serial", "process"])
 @pytest.mark.parametrize("algorithm", ["mergesfl", "splitfed", "fedavg"])
-def test_neutral_elasticity_bit_exact(algorithm, executor):
-    """``elastic=True`` with every knob at its default is still the exact
-    protocol on every backend: zero dropout, no deadline, no over-selection.
-    Only the ``completed_ids`` bookkeeping column distinguishes the records."""
+def test_neutral_churn_knobs_bit_exact(algorithm, executor):
+    """Churn knobs that cannot fire while nobody drops, straggles or is
+    over-selected (a rejoin bound, a full quorum) leave the exact protocol
+    untouched on every backend: every record column matches."""
     reference = _serial_reference(algorithm)
-    candidate = _run(_config(executor, algorithm, elastic=True))
+    candidate = _run(_config(
+        executor, algorithm, rejoin_staleness_bound=2, min_cohort_fraction=1.0,
+    ))
     _assert_bit_equal(
-        reference, candidate, f"{algorithm}/{executor}/neutral-elastic",
-        ignore=("completed_ids",),
+        reference, candidate, f"{algorithm}/{executor}/neutral-churn-knobs"
     )
 
 

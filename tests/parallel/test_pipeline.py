@@ -361,10 +361,10 @@ class TestWindowSessions:
         _assert_same_run(candidate, _run(config))
 
     @pytest.mark.parametrize("knobs", [
-        dict(elastic=True, dropout_rate=0.3, over_select_factor=1.5,
+        dict(dropout_rate=0.3, over_select_factor=1.5,
              rejoin_staleness_bound=2, min_cohort_fraction=0.5),
         dict(num_workers=40, population="lazy", population_candidates=8,
-             elastic=True, dropout_rate=0.3, over_select_factor=1.5,
+             dropout_rate=0.3, over_select_factor=1.5,
              rejoin_staleness_bound=2),
         dict(split_policy="adaptive", **MULTI_DEPTH),
         dict(split_policy="profile", **MULTI_DEPTH),

@@ -382,8 +382,12 @@ class TestTransportConfig:
         assert _process_rings(transport_capacity=4096).capacity == 4096
 
     def test_an_invalid_capacity_knob_is_rejected(self):
-        with pytest.raises(ValueError, match="capacity must be positive"):
+        from repro.exceptions import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="'transport_capacity'"):
             _process_rings(transport_capacity=0)
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            SharedMemoryTransport(capacity=0)
 
     def test_without_the_knob_the_capacity_is_left_to_fit(self):
         transport = _process_rings()

@@ -54,12 +54,12 @@ def test_materializations_only_for_selected_workers():
 
 
 def test_pending_rejoins_hold_only_the_rejoin_window():
-    """The only per-worker state an elastic lazy run keeps between rounds is
+    """The only per-worker state a lazy run under churn keeps between rounds is
     the pending rejoins: workers dropped within the last
     ``rejoin_staleness_bound`` rounds, one delta each."""
     bound = 2
     session = _session(num_workers=20, candidates=0, rounds=6,
-                       elastic=True, dropout_rate=0.4,
+                       dropout_rate=0.4,
                        rejoin_staleness_bound=bound, min_cohort_fraction=0.1)
     pending = session.algorithm._elastic.pending
     seen = 0

@@ -62,22 +62,16 @@ class TestBuildTime:
 
 
 class TestDeviceDropoutRates:
-    def test_requires_elastic(self):
-        with pytest.raises(ConfigurationError, match="elastic"):
-            _config(extras={"device_dropout_rates": {"jetson_tx2": 0.3}})
-
     def test_must_be_a_dict(self):
         with pytest.raises(ConfigurationError, match="device_dropout_rates"):
-            _config(elastic=True, extras={"device_dropout_rates": 0.3})
+            _config(extras={"device_dropout_rates": 0.3})
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5, "high"])
     def test_rates_must_be_probabilities(self, bad):
         with pytest.raises(ConfigurationError, match="device_dropout_rates"):
-            _config(elastic=True,
-                    extras={"device_dropout_rates": {"jetson_tx2": bad}})
+            _config(extras={"device_dropout_rates": {"jetson_tx2": bad}})
 
     def test_valid_rates_accepted(self):
-        config = _config(elastic=True, extras={
-            "device_dropout_rates": {"jetson_tx2": 0.4, "jetson_agx": 0.0},
-        })
-        assert config.elastic
+        rates = {"jetson_tx2": 0.4, "jetson_agx": 0.0}
+        config = _config(extras={"device_dropout_rates": rates})
+        assert config.extras["device_dropout_rates"] == rates

@@ -56,7 +56,6 @@ class TestChurnStudy:
         study = get_preset("paper-churn")
         assert [t.config.dropout_rate for t in study] == list(PAPER_CHURN_RATES)
         for trial in study:
-            assert trial.config.elastic
             assert trial.config.over_select_factor == 1.25
             assert trial.config.rejoin_staleness_bound == 2
             assert trial.tags["dropout_rate"] == trial.config.dropout_rate

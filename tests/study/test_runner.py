@@ -12,7 +12,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.api.session import Session
-from repro.exceptions import CallbackError, StudyError
+from repro.exceptions import CallbackError, ConfigurationError, StudyError
 from repro.experiments.runner import run_experiment
 from repro.study import (
     EarlyStopping,
@@ -175,7 +175,10 @@ class TestResume:
         {"population_cache": 64},
         {"pipeline": "sync", "transport": "pipe"},
         {"pipeline": "pipelined", "transport": "shm", "staleness": 0},
-    ], ids=["population-cache", "sync-pipe", "pipelined-shm"])
+        {"elastic": False},
+        {"elastic": True},
+    ], ids=["population-cache", "sync-pipe", "pipelined-shm", "elastic-off",
+            "elastic-on"])
     def test_a_row_written_before_a_field_was_retired_resumes(
         self, tiny_config, tmp_path, monkeypatch, retired
     ):
@@ -188,6 +191,9 @@ class TestResume:
         path = store.records_path("old")
         row = json.loads(path.read_text())
         row["config"].update(retired)
+        # Rows of that era also listed each round's completed workers.
+        for record in row["history"]["records"]:
+            record["completed_ids"] = record["selected_ids"]
         path.write_text(json.dumps(row) + "\n")
         import repro.study.runner as runner_module
 
@@ -197,6 +203,19 @@ class TestResume:
         monkeypatch.setattr(runner_module, "_execute_trial", explode)
         results = StudyRunner(study, store=store).resume()
         assert list(results) == ["only"]
+
+    def test_a_retired_field_at_a_value_that_never_loaded_fails_by_name(
+        self, tiny_config, tmp_path
+    ):
+        study = Study("old", [Trial("only", tiny_config)])
+        store = StudyStore(tmp_path)
+        StudyRunner(study, store=store).run()
+        path = store.records_path("old")
+        row = json.loads(path.read_text())
+        row["config"].update(elastic="yes")
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(ConfigurationError, match="'elastic' field was removed"):
+            StudyRunner(study, store=store).resume()
 
     def test_a_retired_field_does_not_hide_a_changed_one(
         self, tiny_config, tmp_path

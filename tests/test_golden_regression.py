@@ -53,7 +53,7 @@ GOLDEN_CONFIGS: dict[str, dict] = {
     "pyramidfl_blobs_seed3": {"algorithm": "pyramidfl"},
     "splitfed_blobs_seed3": {"algorithm": "splitfed"},
     "mergesfl_elastic_blobs_seed3": {
-        "elastic": True, "dropout_rate": 0.3, "over_select_factor": 1.25,
+        "dropout_rate": 0.3, "over_select_factor": 1.25,
     },
     **{
         f"{algorithm}_blobs_seed3": {"algorithm": algorithm}
