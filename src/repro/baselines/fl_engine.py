@@ -226,6 +226,6 @@ class FLTrainingEngine(RoundEngine):
 
     def _evaluate(self) -> tuple[float, float]:
         return evaluate_classifier(
-            [self.model], self.loss_fn, self.data.test.data,
-            self.data.test.targets, self.config.eval_batch_size,
+            [self.model], self.loss_fn, self.data.test,
+            self.config.eval_batch_size,
         )

@@ -501,7 +501,4 @@ class SplitTrainingEngine(RoundEngine):
         )
 
     def _evaluate(self) -> tuple[float, float]:
-        return self.server.evaluate(
-            self.data.test.data, self.data.test.targets,
-            self.config.eval_batch_size,
-        )
+        return self.server.evaluate(self.data.test, self.config.eval_batch_size)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.merging import FeatureMerger
+from repro.data.dataset import Dataset
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Sequential
 from repro.nn.optim import SGD
@@ -44,11 +45,14 @@ def _forward_dropping_state(layers, inputs: np.ndarray) -> np.ndarray:
 def evaluate_classifier(
     stages: list[Sequential],
     loss_fn: CrossEntropyLoss,
-    data: np.ndarray,
-    targets: np.ndarray,
+    dataset: Dataset,
     batch_size: int,
 ) -> tuple[float, float]:
     """Accuracy and mean loss of a model over a test set, in batches.
+
+    The test samples are read through :meth:`Dataset.gather
+    <repro.data.dataset.Dataset.gather>`, as float64 rows, one chunk (or
+    one batch) at a time: the float32 store is never cast whole.
 
     ``stages`` are applied one after another (bottom then top, or the one
     full model), layer by layer: nothing runs a backward here, so each
@@ -71,21 +75,24 @@ def evaluate_classifier(
         stage.eval()
     correct = 0
     losses = []
-    for start in range(0, data.shape[0], batch_size):
-        stop = start + batch_size
-        labels = targets[start:stop]
-        logits = data[start:stop]
+    total = len(dataset)
+    for start in range(0, total, batch_size):
+        rows = np.arange(start, min(start + batch_size, total))
+        labels = dataset.targets[rows]
         if head:
             logits = np.concatenate([
-                _forward_dropping_state(head, logits[row:row + EVAL_CHUNK_ROWS])
-                for row in range(0, logits.shape[0], EVAL_CHUNK_ROWS)
+                _forward_dropping_state(
+                    head, dataset.gather(rows[row:row + EVAL_CHUNK_ROWS])
+                )
+                for row in range(0, rows.size, EVAL_CHUNK_ROWS)
             ])
+        else:
+            logits = dataset.gather(rows)
         logits = _forward_dropping_state(tail, logits)
         losses.append(loss_fn.forward(logits, labels) * labels.shape[0])
         correct += int((logits.argmax(axis=1) == labels).sum())
     for stage in stages:
         stage.train()
-    total = data.shape[0]
     if total == 0:
         return 0.0, 0.0
     return correct / total, float(np.sum(losses) / total)
@@ -321,12 +328,10 @@ class SplitServer:
         load_module_extra_state(self.top, state["top_extra"])
 
     # -- evaluation -------------------------------------------------------------
-    def evaluate(
-        self, data: np.ndarray, targets: np.ndarray, batch_size: int = 256
-    ) -> tuple[float, float]:
+    def evaluate(self, dataset: Dataset, batch_size: int = 256) -> tuple[float, float]:
         """Accuracy and mean loss of the current global model on a test set."""
         return evaluate_classifier(
-            [self.global_bottom, self.top], self.loss_fn, data, targets, batch_size
+            [self.global_bottom, self.top], self.loss_fn, dataset, batch_size
         )
 
     # -- learning-rate control -----------------------------------------------

@@ -107,10 +107,10 @@ class SplitWorker:
     def draw_batch_indices(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw the next mini-batch as ``(rows, labels)``.
 
-        ``rows`` index the shard's *source* (``dataset.source.data[rows]``
-        is the mini-batch :meth:`draw_batch` returns), not the shard's own
-        positions.  For executors that gather the samples next to the
-        compute: only the rows need to travel, and the sampling RNG
+        ``rows`` index the shard's *source* (``dataset.source.gather(rows)``
+        is the float64 mini-batch :meth:`draw_batch` returns), not the
+        shard's own positions.  For executors that gather the samples next
+        to the compute: only the rows need to travel, and the sampling RNG
         advances exactly as in :meth:`draw_batch`.
         """
         rows = self.loader.next_indices(batch_size)

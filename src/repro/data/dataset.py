@@ -13,8 +13,15 @@ from repro.exceptions import DataError
 class Dataset:
     """A supervised dataset held fully in memory.
 
+    The samples are *stored* in float32 and *computed on* in float64:
+    ``data`` is cast to float32 on construction, half the memory of the
+    float64 array, and every read of sample values goes through
+    :meth:`gather`, which returns float64 rows.  Everything after the gather
+    -- models, losses, checkpoints -- stays float64.
+
     Attributes:
-        data: Input array of shape ``(samples, *feature_shape)``.
+        data: Float32 store of shape ``(samples, *feature_shape)``; read it
+            through :meth:`gather`.
         targets: Integer labels of shape ``(samples,)``.
         num_classes: Number of distinct classes.
         name: Human-readable dataset name.
@@ -26,7 +33,7 @@ class Dataset:
     name: str = "dataset"
 
     def __post_init__(self) -> None:
-        self.data = np.asarray(self.data, dtype=np.float64)
+        self.data = np.asarray(self.data, dtype=np.float32)
         self.targets = np.asarray(self.targets, dtype=np.int64)
         if self.data.shape[0] != self.targets.shape[0]:
             raise DataError(
@@ -49,10 +56,19 @@ class Dataset:
         """Shape of a single input sample."""
         return tuple(self.data.shape[1:])
 
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """The samples at ``rows``, as float64: the one read of ``data``.
+
+        ``rows`` is an integer array of any shape (a mini-batch, or the
+        ``(forwards, workers, batch)`` rows of a stacked cohort); the result
+        has shape ``rows.shape + feature_shape``.
+        """
+        return self.data.take(rows, axis=0).astype(np.float64)
+
     def subset(self, indices: np.ndarray) -> "Shard":
         """The rows ``indices`` of this dataset, as a :class:`Shard`.
 
-        No sample is copied: the shard reads this dataset's ``data`` by row.
+        No sample is copied: the shard's loader gathers this dataset's rows.
         """
         return Shard(self, indices)
 
@@ -70,7 +86,7 @@ class Shard:
     meet here.  *Positions* ``0 .. len(shard) - 1`` are the shard's own; a
     :class:`~repro.data.loader.BatchLoader` shuffles and checkpoints them.
     *Rows* ``rows[positions]`` index the source, and are what a loader hands
-    out: ``source.data[rows]`` is the mini-batch.
+    out: ``source.gather(rows)`` is the mini-batch.
     """
 
     def __init__(self, source: Dataset, rows: np.ndarray) -> None:

@@ -103,7 +103,7 @@ class BatchLoader:
         """Return the next ``(data, targets)`` mini-batch of the given size."""
         rows = self.next_indices(batch_size)
         source = self.dataset.source
-        return source.data[rows], source.targets[rows]
+        return source.gather(rows), source.targets[rows]
 
     def state_dict(self) -> dict:
         """Sampling state (RNG, shuffle order, cursor) for checkpointing."""
@@ -119,12 +119,3 @@ class BatchLoader:
         set_rng_state(self._rng, state["rng"])
         self._order = order.copy()
         self._cursor = cursor
-
-    def iter_eval_batches(self, batch_size: int):
-        """Iterate once over the shard in order (for evaluation)."""
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        source, rows = self.dataset.source, self.dataset.rows
-        for start in range(0, len(rows), batch_size):
-            batch = rows[start:start + batch_size]
-            yield source.data[batch], source.targets[batch]

@@ -7,6 +7,10 @@ windows for HAR, waveforms for Speech, RGB images for CIFAR-10/IMAGE-100).
 Such data is learnable by the scaled-down model zoo within a handful of
 communication rounds, while exhibiting the same label-skew phenomena under
 Dirichlet partitioning that drive the paper's non-IID results.
+
+A sample is computed in float64 and stored in float32
+(:class:`~repro.data.dataset.Dataset`): the stored value is the float64
+``template + noise`` rounded once.
 """
 
 from __future__ import annotations
@@ -48,7 +52,9 @@ DATASET_SPECS: dict[str, DatasetSpec] = {
 }
 
 
-#: Samples whose noise is drawn at once while a dataset is generated.
+#: Samples generated at once: each chunk's templates and noise are summed in
+#: float64 and written into the float32 store, so generation never holds a
+#: float64 array of the whole dataset.
 NOISE_CHUNK = 128
 
 
@@ -117,13 +123,15 @@ def _class_conditional(
 
     def _sample(count: int) -> tuple[np.ndarray, np.ndarray]:
         labels = rng.integers(0, num_classes, size=count)
-        # ``templates[labels] + noise`` without a full-size noise temporary:
-        # consecutive draws of the generator are one draw cut in pieces, and
+        # ``templates[labels] + noise`` in float64, rounded once into the
+        # float32 store, without a full-size float64 temporary: consecutive
+        # draws of the generator are one draw cut in pieces, and
         # ``t + n == n + t`` bit for bit.
-        data = templates[labels]
+        data = np.empty((count, *templates.shape[1:]), dtype=np.float32)
         for start in range(0, count, NOISE_CHUNK):
-            block = data[start:start + NOISE_CHUNK]
+            block = templates[labels[start:start + NOISE_CHUNK]]
             block += rng.normal(0.0, noise, size=block.shape)
+            data[start:start + NOISE_CHUNK] = block
         return data, labels
 
     train_data, train_labels = _sample(train_samples)

@@ -181,7 +181,7 @@ def figure4_gradient_directions(
     for shard in shards:
         pool = np.flatnonzero(np.isin(targets, shard))
         picked = rng.choice(pool, size=min(batch_size, pool.size), replace=False)
-        batches.append((data.train.data[picked], targets[picked]))
+        batches.append((data.train.gather(picked), targets[picked]))
     return compare_gradient_directions(split, batches)
 
 

@@ -140,9 +140,8 @@ def _stack_rows(source, drawn, slots) -> tuple[np.ndarray, np.ndarray]:
     """The drawn rows of ``slots`` as one ``(forwards, members, batch)``
     array, and their labels.
 
-    ``mode="clip"`` in this module's ``take`` calls only skips the bounds
-    check: the rows are the shards', range-checked against this very source
-    when they were cut.
+    ``mode="clip"`` only skips the bounds check: the rows are the shards',
+    range-checked against this very source when they were cut.
     """
     rows = np.stack([drawn[slot] for slot in slots], axis=1)
     return rows, source.targets.take(rows, mode="clip")
@@ -247,8 +246,8 @@ class BatchedExecutor(Executor):
         labels: list[np.ndarray | None] = [None] * len(workers)
         for depth_round in depth_rounds:
             for group in depth_round.groups:
-                data = workers[group.slots[0]].dataset.source.data
-                stacked = data.take(group.rows[forward], axis=0, mode="clip")
+                source = workers[group.slots[0]].dataset.source
+                stacked = source.gather(group.rows[forward])
                 group.pending_batch = stacked.shape[1]
                 outputs = group.model.forward(stacked)
                 for position, slot in enumerate(group.slots):
@@ -360,8 +359,7 @@ class BatchedExecutor(Executor):
             # the serial loop's scalar accumulator.
             totals = np.zeros(len(slots))
             for iteration in range(iterations):
-                data = source.data.take(rows[iteration], axis=0, mode="clip")
-                logits = stacked_model.forward(data)
+                logits = stacked_model.forward(source.gather(rows[iteration]))
                 step_losses, grad = batched_cross_entropy(logits, labels[iteration])
                 totals += step_losses
                 stacked_model.backward(grad)

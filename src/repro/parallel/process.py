@@ -15,11 +15,12 @@ the round, in the parent -- and a child keeps nothing across rounds but the
 datasets it was sent, so each round deals its workers out over the
 children afresh.  A worker's shard is rows of a *source* dataset
 (:class:`~repro.data.dataset.Shard`); messages carry the drawn rows, 8
-bytes a sample, and the child gathers ``source.data[rows]`` itself,
-bit-identical to the parent.  The pool starts its children with the sources
-of its first install's workers as ``Process`` arguments: a forked child
-reads the parent's arrays copy-on-write and never writes them, a spawned one
-unpickles them once.  A source a child lacks -- a worker built on another
+bytes a sample, and the child gathers ``source.gather(rows)`` itself, the
+same float64 rows as the parent's.  The pool starts its children with the
+sources of its first install's workers as ``Process`` arguments: a forked
+child reads the parent's float32 stores copy-on-write and never writes them,
+a spawned one unpickles them once, float32 as they are (half the bytes of a
+float64 copy).  A source a child lacks -- a worker built on another
 dataset -- is sent to it once with the uncounted ``load_source`` command.
 A forked child maps every page resident in the parent, so the pool first
 returns the parent's free heap to the OS
@@ -124,7 +125,7 @@ def _child_main(connector: ChildConnector, sources: dict) -> None:
 
     def run_forward(worker_id: int, key: int, rows: np.ndarray) -> np.ndarray:
         pending[worker_id] = rows.shape[0]
-        return bottoms[worker_id][0].forward(sources[key].data[rows])
+        return bottoms[worker_id][0].forward(sources[key].gather(rows))
 
     #: Traceback of a failed no-reply command, delivered with the next
     #: replying command so reply pairing stays one-to-one.
@@ -178,7 +179,7 @@ def _child_main(connector: ChildConnector, sources: dict) -> None:
                         reply[worker_id] = train_local_model(
                             model,
                             loss_fn,
-                            ((source.data[rows], source.targets[rows])
+                            ((source.gather(rows), source.targets[rows])
                              for rows in row_batches),
                             *hyperparams,
                         )

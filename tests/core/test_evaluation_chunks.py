@@ -2,7 +2,8 @@
 of rows, and the numbers are those of whole-batch evaluation, bit for bit.
 
 The oracle is the whole-batch ``evaluate_classifier`` as it was before the
-chunking, kept verbatim below.
+chunking, kept verbatim below; it is fed the whole test set gathered to
+float64 at once.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ def test_chunked_evaluation_equals_whole_batches_bitwise(model, batch_size):
     split, test = _model_and_test_set(model)
     stages = [split.bottom, split.top]
     expected = _evaluate_whole_batches(
-        stages, CrossEntropyLoss(), test.data, test.targets, batch_size)
-    got = evaluate_classifier(
-        stages, CrossEntropyLoss(), test.data, test.targets, batch_size)
+        stages, CrossEntropyLoss(), test.gather(np.arange(len(test))),
+        test.targets, batch_size)
+    got = evaluate_classifier(stages, CrossEntropyLoss(), test, batch_size)
     assert got == expected
     for stage in stages:
         assert stage.training

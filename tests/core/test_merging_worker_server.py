@@ -209,7 +209,7 @@ class TestSplitServer:
     def test_evaluate_returns_accuracy_and_loss(self):
         server, __ = _server_setup()
         data = make_blobs(train_samples=10, test_samples=40, seed=0)
-        accuracy, loss = server.evaluate(data.test.data, data.test.targets)
+        accuracy, loss = server.evaluate(data.test)
         assert 0.0 <= accuracy <= 1.0
         assert loss > 0
 
@@ -218,11 +218,11 @@ class TestSplitServer:
         # columns and masks must not stay on it until the next evaluation.
         server, __ = _server_setup()
         data = make_blobs(train_samples=10, test_samples=40, seed=0)
-        first = server.evaluate(data.test.data, data.test.targets)
+        first = server.evaluate(data.test)
         for stage in (server.global_bottom, server.top):
             assert stage.training and all(layer.training for layer in stage)
             assert all(layer._forward_state is None for layer in stage)
-        assert server.evaluate(data.test.data, data.test.targets) == first
+        assert server.evaluate(data.test) == first
 
     def test_set_learning_rate(self):
         server, __ = _server_setup()

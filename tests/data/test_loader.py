@@ -41,10 +41,6 @@ class TestBatchLoader:
         with pytest.raises(ValueError):
             loader.next_batch(0)
 
-    def test_eval_batches_cover_dataset_in_order(self, loader):
-        total = sum(batch.shape[0] for batch, __ in loader.iter_eval_batches(16))
-        assert total == 50
-
     def test_deterministic_given_seed(self):
         data = make_blobs(train_samples=30, test_samples=5, seed=0)
         first = BatchLoader(data.train, seed=7).next_batch(10)

@@ -2,7 +2,7 @@
 
 A worker's shard holds source rows, not samples.  Its loader shuffles and
 checkpoints shard positions and hands out the rows at them; every executor
-gathers ``source.data[rows]``, the bits a copied shard gave.  A
+gathers ``source.gather(rows)``, the bits a copied shard gave.  A
 ``tracemalloc`` bound on one ``conv_serial`` set-up pins that the session
 holds the training set once.
 """
@@ -61,7 +61,7 @@ def test_drawn_rows_and_labels_are_the_sources(source):
         data, batch_labels = by_batch.draw_batch(batch_size)
         assert np.array_equal(labels, source.targets[rows])
         assert np.array_equal(batch_labels, labels)
-        assert np.array_equal(data, source.data[rows])
+        assert data.tobytes() == source.gather(rows).tobytes()
 
 
 def _workers(source) -> list[SplitWorker]:

@@ -81,7 +81,7 @@ class TestGenerators:
 def _one_shot(feature_shape, num_classes, train_samples, test_samples, noise,
               signal, rng, name, smooth=True):
     """The reference formula: each split is ``templates[labels]`` plus one
-    full-size noise draw."""
+    full-size noise draw, in float64."""
     if smooth:
         templates = synthetic._make_templates(feature_shape, num_classes, rng)
     else:
@@ -97,9 +97,10 @@ def _one_shot(feature_shape, num_classes, train_samples, test_samples, noise,
 
 
 class TestChunkedNoise:
-    """The generator adds its noise chunk by chunk into the templates it
-    gathered; that is the one-shot formula bit for bit, with the RNG left
-    in the same state."""
+    """The generator sums templates and noise chunk by chunk in float64 and
+    writes each chunk into the float32 store; that is the one-shot float64
+    formula rounded once to float32, bit for bit, with the RNG left in the
+    same state."""
 
     @pytest.mark.parametrize(
         "train_samples", [1, NOISE_CHUNK - 1, NOISE_CHUNK, NOISE_CHUNK + 1, 1280]
@@ -118,6 +119,8 @@ class TestChunkedNoise:
         split = generate(*args, **kwargs)
         expected = _one_shot(*args, **{**kwargs, "rng": reference_rng})
         for dataset, (data, labels) in zip((split.train, split.test), expected):
-            assert dataset.data.tobytes() == data.tobytes()
+            assert data.dtype == np.float64
+            assert dataset.data.dtype == np.float32
+            assert dataset.data.tobytes() == data.astype(np.float32).tobytes()
             assert np.array_equal(dataset.targets, labels)
         assert kwargs["rng"].bit_generator.state == reference_rng.bit_generator.state

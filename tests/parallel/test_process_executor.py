@@ -114,7 +114,7 @@ class TestChildLoop:
             ("forward", {0: (key, rows)}),
             ("close", None),
         ], sources={key: source})
-        expected = bottom.clone().train().forward(source.data[rows])
+        expected = bottom.clone().train().forward(source.gather(rows))
         assert np.array_equal(endpoint.replies[1][1][0], expected)
 
     def test_load_source_adds_a_source_the_child_did_not_inherit(self):
@@ -128,7 +128,7 @@ class TestChildLoop:
             ("close", None),
         ], sources={0: _source()})
         assert [status for status, __ in endpoint.replies] == ["ok", "ok", "ok"]
-        expected = bottom.clone().train().forward(source.data[rows])
+        expected = bottom.clone().train().forward(source.gather(rows))
         assert np.array_equal(endpoint.replies[2][1][0], expected)
 
     def test_install_carves_the_prefix_at_the_spec_depth(self):
@@ -146,7 +146,7 @@ class TestChildLoop:
         for worker_id, depth in ((0, 2), (1, 3)):
             prefix = Sequential(bottom.layers[:depth]).clone().train()
             assert np.array_equal(
-                features[worker_id], prefix.forward(source.data[rows])
+                features[worker_id], prefix.forward(source.gather(rows))
             )
             assert sorted(states[worker_id]) == sorted(prefix.state_dict())
 
@@ -200,7 +200,7 @@ class TestChildLoop:
         rng = np.random.default_rng(2)
         for __ in range(2):
             rows, __ = worker.draw_batch_indices(4)
-            features.append(worker.bottom.forward(source.data[rows]))
+            features.append(worker.bottom.forward(source.gather(rows)))
             gradient = rng.normal(size=features[-1].shape)
             worker.backward_and_step(gradient)
             script += [("forward", {0: (0, rows)}), ("backward", {0: gradient})]

@@ -110,7 +110,12 @@ LOSSY = sorted(
 #: A two-round checkpoint of ``sfl_t_topk_blobs_seed3`` saved by the process
 #: executor over shared memory, its top-k residuals gathered from the
 #: children (``features|<worker>``) and the parent (``gradients|<worker>``).
-#: Never regenerated: it pins that such a checkpoint keeps loading.
+#: Never re-saved, since today's code would not write that layout: it pins
+#: that such a checkpoint keeps loading.  When samples moved to a float32
+#: store, only the leaves that depend on sample values were re-taken from a
+#: fresh two-round run of the same config (the server's ``bottom`` and
+#: ``top`` weights, the records' losses and the codec residuals), so that it
+#: still resumes to the golden; every other byte is the original's.
 TOPK_PROCESS_CHECKPOINT = GOLDEN_DIR / "sfl_t_topk_blobs_seed3.round2.process.ckpt.json"
 
 #: What a round costs on the simulated network; a run resumed from
