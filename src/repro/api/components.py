@@ -11,6 +11,7 @@ it (see :mod:`repro.api.registry`), not editing this module.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -20,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.base import Executor
     from repro.selection.solvers import SelectionSolver
 
-from repro.api.registry import ALGORITHMS, MODELS
+from repro.api.registry import ALGORITHMS, DATASETS, MODELS
 from repro.config import ExperimentConfig
 from repro.core.worker import SplitWorker
 from repro.data.dataset import TrainTestSplit
@@ -60,6 +61,9 @@ class ExperimentComponents:
     """
 
     config: ExperimentConfig
+    #: The process's shared, read-only data plane for this config's key
+    #: (see :func:`build_components`): other sessions may hold the same
+    #: arrays, so a write into them raises ``ValueError``.
     data: TrainTestSplit
     model: Sequential
     split: SplitModel | None
@@ -163,15 +167,72 @@ def _default_bandwidth_budget(
     )
 
 
-def _build_population(config: ExperimentConfig, data: TrainTestSplit) -> WorkerPool:
+#: The one data plane this process holds (see :func:`_data_plane`):
+#: ``"data"`` is ``(key, TrainTestSplit)`` and, under it, ``"shards"`` is
+#: ``(key, shard arrays)``.  Set-ups in several threads take turns.
+_PLANE: dict = {}
+_PLANE_LOCK = threading.Lock()
+
+
+def _data_plane(
+    config: ExperimentConfig, partition: bool
+) -> tuple[TrainTestSplit, list[np.ndarray] | None]:
+    """The configured dataset and, with ``partition``, its shard arrays,
+    shared read-only by every session of one key in this process.
+
+    The data is keyed by the registered generator (a re-registered name
+    misses), ``train_samples``, ``test_samples`` and ``seed``; under it,
+    the partition by ``num_workers`` and ``non_iid_level``.  A miss drops
+    the held entry before generating, so two planes never live here at
+    once.  :func:`make_dataset` and :func:`partition_dataset` stay pure.
+    """
+    data_key = (
+        DATASETS.get(config.dataset), config.train_samples,
+        config.test_samples, config.seed,
+    )
+    with _PLANE_LOCK:
+        if _PLANE.get("data", (None,))[0] != data_key:
+            _PLANE.clear()
+            data = make_dataset(
+                config.dataset,
+                train_samples=config.train_samples,
+                test_samples=config.test_samples,
+                seed=config.seed,
+            )
+            for array in (data.train.data, data.train.targets,
+                          data.test.data, data.test.targets):
+                array.flags.writeable = False
+            _PLANE["data"] = (data_key, data)
+        data = _PLANE["data"][1]
+        if not partition:
+            return data, None
+        shards_key = (config.num_workers, config.non_iid_level)
+        if _PLANE.get("shards", (None,))[0] != shards_key:
+            _PLANE.pop("shards", None)
+            shards = partition_dataset(
+                data.train, config.num_workers, config.non_iid_level,
+                seed=config.seed,
+            )
+            for shard in shards:
+                shard.flags.writeable = False
+            _PLANE["shards"] = (shards_key, shards)
+        return data, _PLANE["shards"][1]
+
+
+def _build_population(
+    config: ExperimentConfig,
+    data: TrainTestSplit,
+    shards: list[np.ndarray] | None,
+) -> WorkerPool:
     """Registry, materializer and pool of the configured population.
 
-    The shards are :func:`partition_dataset`'s unless an evicting
-    population sets ``extras['population_sharding']`` to ``"sampled"``:
-    each shard derived from a per-worker RNG stream, O(1) per registration
-    (size ``extras['population_samples_per_worker']``).
+    The shards are :func:`partition_dataset`'s (``shards``) unless an
+    evicting population sets ``extras['population_sharding']`` to
+    ``"sampled"`` (``shards`` is ``None``): each shard derived from a
+    per-worker RNG stream, O(1) per registration (size
+    ``extras['population_samples_per_worker']``).
     """
-    if config.extras.get("population_sharding", "partition") == "sampled":
+    if shards is None:
         default_samples = min(
             len(data.train), max(16, len(data.train) // config.num_workers)
         )
@@ -183,12 +244,7 @@ def _build_population(config: ExperimentConfig, data: TrainTestSplit) -> WorkerP
             seed=config.seed,
         )
     else:
-        source = PartitionShards(
-            partition_dataset(
-                data.train, config.num_workers, config.non_iid_level,
-                seed=config.seed,
-            )
-        )
+        source = PartitionShards(shards)
     registry = WorkerRegistry(
         num_workers=config.num_workers,
         num_classes=data.num_classes,
@@ -236,14 +292,18 @@ def resolve_split_layer(config: ExperimentConfig, model: Sequential) -> int:
 
 
 def build_components(config: ExperimentConfig) -> ExperimentComponents:
-    """Materialise dataset, partition, model, split, cluster and workers."""
-    data = make_dataset(
-        config.dataset,
-        train_samples=config.train_samples,
-        test_samples=config.test_samples,
-        seed=config.seed,
-    )
-    pool = _build_population(config, data)
+    """Materialise dataset, partition, model, split, cluster and workers.
+
+    The dataset and its partition are the process's *data plane*: a
+    session whose dataset, sizes and seed (and, for the partition, worker
+    count and non-IID level) match the previous set-up's reuses its
+    arrays instead of generating them again.  They are read-only, since
+    other sessions may hold them; the next set-up with another key frees
+    them before it generates.
+    """
+    sampled = config.extras.get("population_sharding", "partition") == "sampled"
+    data, shards = _data_plane(config, partition=not sampled)
+    pool = _build_population(config, data, shards)
     cluster = Cluster(
         num_workers=config.num_workers,
         bandwidth_budget_mbps=config.bandwidth_budget_mbps,

@@ -22,6 +22,12 @@ TrainTestSplit`` and model entries are builders returning a
 :func:`repro.api.components.build_model_for` for the keyword contract
 selected by the ``input_kind`` metadata).
 
+A dataset maker must be a pure function of ``(train_samples, test_samples,
+seed)``: a process keeps the last one's arrays and serves the next session
+of the same key from them, read-only, without calling it again (see
+:func:`repro.api.components.build_components`).  Registering a name again
+(``override=True``) is a new maker, and its next session generates.
+
 The registries populate lazily: the first lookup imports
 :mod:`repro.api.builtins`, which pulls in every module carrying built-in
 registrations.  Registration itself never triggers population, so plugin
@@ -234,7 +240,8 @@ def _load_builtins() -> None:
 
 #: Experiment algorithms: factories ``(components) -> Algorithm``.
 ALGORITHMS = Registry("algorithm", populate=_load_builtins)
-#: Dataset analogues: makers ``(train_samples, test_samples, seed) -> TrainTestSplit``.
+#: Dataset analogues: makers ``(train_samples, test_samples, seed) -> TrainTestSplit``,
+#: pure functions of those three (a process reuses their arrays by key).
 DATASETS = Registry("dataset", populate=_load_builtins)
 #: Model builders returning a ``Sequential`` (see ``build_model_for``).
 MODELS = Registry("model", populate=_load_builtins)

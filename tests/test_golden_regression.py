@@ -32,7 +32,15 @@ To regenerate after an *intentional* change to the training math::
     PYTHONPATH=src python tests/test_golden_regression.py --regenerate [NAME ...]
 
 (every row when no name is given) and explain in the commit message why
-the trajectory moved.
+the trajectory moved.  It writes a fresh run's values of the record keys
+each golden already has into its existing file, so a golden keeps its
+keys, its ``config`` and its ``description``; only a row with no file yet
+is written whole, in today's schema.  It never writes a checkpoint
+fixture: a fixture pins a layout today's code would not save, so when the
+trajectory moves, only the leaves that depend on it are re-taken from a
+fresh two-round run of the fixture's config, leaf by leaf, and every
+other byte is kept (as when samples moved to a float32 store;
+EXPERIMENTS.md "Samples stored in float32").
 """
 
 from __future__ import annotations
@@ -378,37 +386,61 @@ def test_topk_process_checkpoint_resumes_to_golden(executor, tmp_path):
     )
 
 
-def _regenerate(names: list[str]) -> None:
-    from repro.api.session import Session
+def _regenerate(names: list[str], golden_dir: pathlib.Path = GOLDEN_DIR) -> None:
+    """Write each named row's fresh record values into its golden file
+    under ``golden_dir`` (see the module docstring)."""
     from repro.metrics.history import WIRE_FIELDS
 
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    golden_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
-        config = _golden_config(name)
+        path = golden_dir / f"{name}.json"
         records = _run_history(name)
-        if name in LOSSY:
-            records = [
-                {k: v for k, v in record.items() if k not in WIRE_FIELDS}
-                for record in records
-            ]
-        payload = {
-            "description": (
-                f"Fixed-seed {config.num_rounds}-round {config.algorithm} "
-                f"history on {config.dataset}/{config.model}; see "
-                f"tests/test_golden_regression.py"
-            ),
-            "config": config.to_dict(),
-            "records": records,
-        }
-        _golden_path(name).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {_golden_path(name)}")
-        if name in CHECKPOINT_FIXTURES:
-            with Session.from_config(config) as session:
-                session.run(CHECKPOINT_FIXTURES[name])
-                session.save_checkpoint(_checkpoint_path(name))
-            print(f"wrote {_checkpoint_path(name)}")
+        if path.exists():
+            payload = json.loads(path.read_text())
+            assert len(payload["records"]) == len(records), name
+            for golden, fresh in zip(payload["records"], records):
+                golden.update({k: fresh[k] for k in golden if k in fresh})
+        else:
+            config = _golden_config(name)
+            if name in LOSSY:
+                records = [
+                    {k: v for k, v in record.items() if k not in WIRE_FIELDS}
+                    for record in records
+                ]
+            payload = {
+                "description": (
+                    f"Fixed-seed {config.num_rounds}-round {config.algorithm} "
+                    f"history on {config.dataset}/{config.model}; see "
+                    f"tests/test_golden_regression.py"
+                ),
+                "config": config.to_dict(),
+                "records": records,
+            }
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path}")
+
+
+def test_regenerate_on_unchanged_code_rewrites_three_goldens_byte_for_byte(
+    tmp_path,
+):
+    """``--regenerate`` writes the named goldens' files as they are and no
+    checkpoint fixture: a split row with a fixture, the FL row with one,
+    and a lossy row recorded on the process executor."""
+    import shutil
+
+    copy = tmp_path / "golden"
+    shutil.copytree(GOLDEN_DIR, copy)
+    before = {path.name: path.stat().st_mtime_ns for path in copy.iterdir()}
+    names = ["mergesfl_blobs_seed3", "fedavg_blobs_seed3", "sfl_t_topk_blobs_seed3"]
+    _regenerate(names, copy)
+    written = {
+        path.name for path in copy.iterdir()
+        if path.stat().st_mtime_ns != before[path.name]
+    }
+    assert written == {f"{name}.json" for name in names}
+    assert sorted(before) == sorted(path.name for path in copy.iterdir())
+    for path in GOLDEN_DIR.iterdir():
+        assert (copy / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 if __name__ == "__main__":
