@@ -1,18 +1,16 @@
-"""Simulate a 100,000-worker fleet on a laptop with the lazy population.
+"""Simulate a 100,000-worker fleet on a laptop.
 
 Every experiment registers its workers as compact metadata rows in a
 sharded registry (:mod:`repro.population`) and materialises a live worker
-when a round selects it; with ``population="lazy"`` the cohort is evicted
-again at round end.  Data shards are drawn lazily from per-worker RNG
-streams and every worker starts the round from the installed global
-model, so peak memory tracks the cohort size -- here a 64-worker
-candidate pool -- not the registered population, and the trajectory is
-bit-exact against the resident ``population="eager"`` pool at any size
-where every worker still fits in memory.
+the first time a round selects it, keeping it live from then on.  Data
+shards are drawn lazily from per-worker RNG streams and every worker
+starts the round from the installed global model, so memory tracks the
+distinct participants -- a few hundred over eight rounds of a 64-worker
+candidate pool -- not the registered population.
 
 Usage::
 
-    python examples/population_scale.py               # 100k workers, ~10 s
+    python examples/population_scale.py               # 100k workers, ~1.5 s
     POPULATION_WORKERS=1000000 python examples/population_scale.py
 """
 
@@ -38,9 +36,7 @@ def main() -> None:
         base_batch_size=16,
         selection_fraction=0.25,
         bandwidth_budget_mbps=40.0,
-        # The population knobs: lazy materialisation and a 64-worker
-        # candidate pool per round.
-        population="lazy",
+        # Plan each round over a 64-worker candidate pool.
         population_candidates=64,
         seed=7,
         extras={
@@ -70,15 +66,14 @@ def main() -> None:
         ["registered workers", f"{stats['registered']:,}"],
         ["rounds", str(config.num_rounds)],
         ["wall-clock / round", f"{elapsed / config.num_rounds:.3f}s"],
-        ["peak live workers", str(stats["peak_live"])],
-        ["live after run", str(stats["live"])],
+        ["live workers", str(stats["live"])],
         ["distinct participants", str(participation["distinct_workers"])],
         ["mean cohort", f"{participation['mean_cohort']:.1f}"],
         ["final accuracy", f"{session.history.records[-1].test_accuracy:.3f}"],
     ]
     print()
     print(format_table(["metric", "value"], rows,
-                       title=f"Lazy population at {num_workers:,} workers"))
+                       title=f"Population of {num_workers:,} workers"))
 
 
 if __name__ == "__main__":

@@ -81,8 +81,8 @@ class ExperimentComponents:
 
     @property
     def workers(self) -> list[SplitWorker]:
-        """Every worker of a resident (``population="eager"``) population,
-        live; see :attr:`~repro.population.pool.WorkerPool.workers`."""
+        """Every worker, live; see
+        :attr:`~repro.population.pool.WorkerPool.workers`."""
         return self.pool.workers
 
     def selection_solver(self) -> "SelectionSolver":
@@ -226,11 +226,10 @@ def _build_population(
 ) -> WorkerPool:
     """Registry, materializer and pool of the configured population.
 
-    The shards are :func:`partition_dataset`'s (``shards``) unless an
-    evicting population sets ``extras['population_sharding']`` to
-    ``"sampled"`` (``shards`` is ``None``): each shard derived from a
-    per-worker RNG stream, O(1) per registration (size
-    ``extras['population_samples_per_worker']``).
+    The shards are :func:`partition_dataset`'s (``shards``) unless
+    ``extras['population_sharding']`` is ``"sampled"`` (``shards`` is
+    ``None``): each shard derived from a per-worker RNG stream, O(1) per
+    registration (size ``extras['population_samples_per_worker']``).
     """
     if shards is None:
         default_samples = min(
@@ -250,7 +249,6 @@ def _build_population(
         num_classes=data.num_classes,
         targets=data.train.targets,
         source=source,
-        shard_size=config.population_shard_size,
     )
     materializer = Materializer(
         registry=registry,
@@ -266,7 +264,6 @@ def _build_population(
         materializer=materializer,
         candidates_per_round=config.population_candidates,
         seed=config.seed,
-        resident=config.population == "eager",
     )
 
 

@@ -47,12 +47,16 @@ RETIRED_EXTRAS = {
 #: executor runs the aggregate window over shared-memory rings, and every
 #: other executor the blocking order, whatever ``pipeline`` and
 #: ``transport`` said; every round runs the churn controller, whatever
-#: ``elastic`` said.  The records are the same either way, so a value that
-#: named a real topology or mode is dropped and any other fails by name.
+#: ``elastic`` said; a materialised worker stays live, whatever
+#: ``population`` said, and a registry shard holds 4096 rows.  The records
+#: are the same either way, so a value that named a real topology, mode or
+#: the shard size every run used is dropped and any other fails by name.
 #: :meth:`ExperimentConfig.to_dict` never writes them.
 RETIRED_FIELDS = {
     "elastic": (False, True),
     "pipeline": ("sync", "pipelined"),
+    "population": ("eager", "lazy"),
+    "population_shard_size": (4096,),
     "transport": ("pipe", "shm"),
 }
 
@@ -149,23 +153,19 @@ class ExperimentConfig:
     selection_fraction: float = 0.5        # m = N/2 initial population seed
 
     # Population -------------------------------------------------------------
-    #: Whether a materialised worker stays resident.  Every run registers
-    #: its workers as rows of a
+    #: Every run registers its workers as rows of a
     #: :class:`~repro.population.registry.WorkerRegistry` and materialises
     #: a live :class:`~repro.core.worker.SplitWorker` the first time a round
-    #: selects it.  ``"eager"`` keeps it live from then on; ``"lazy"`` evicts
-    #: the cohort at round end, bounding live worker state by the cohort
-    #: instead of the registered population, at the price of rebuilding it
-    #: every round.  Both train bit-identically and share one checkpoint
-    #: format, so either resumes the other's checkpoints.
-    population: str = "eager"
-    #: Rows per registry shard -- the granularity at which the registry
-    #: materialises its label-distribution column.
-    population_shard_size: int = 4096
-    #: Candidate-pool size for per-round planning under ``population="lazy"``.
-    #: ``0`` plans over the full population (as ``"eager"`` does); a
-    #: positive value plans each round over that many deterministically
-    #: sampled candidates, keeping planning cost flat as registrations grow.
+    #: selects it; it stays live from then on.  ``population`` (the retired
+    #: choice to evict the cohort at round end) and ``population_shard_size``
+    #: (rows per registry shard, always 4096) only load
+    #: (:data:`RETIRED_FIELDS`) and are never stored.
+    population: InitVar[str | None] = None
+    population_shard_size: InitVar[int | None] = None
+    #: Candidate-pool size for per-round planning.  ``0`` plans over the
+    #: full population; a positive value plans each round over that many
+    #: deterministically sampled candidates, keeping planning cost flat as
+    #: registrations grow.
     population_candidates: int = 0
 
     # Elastic rounds ---------------------------------------------------------
@@ -254,10 +254,12 @@ class ExperimentConfig:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(
-        self, elastic: bool | None, pipeline: str | None, transport: str | None
+        self, population: str | None, population_shard_size: int | None,
+        elastic: bool | None, pipeline: str | None, transport: str | None,
     ) -> None:
         _check_retired_fields(
-            elastic=elastic, pipeline=pipeline, transport=transport
+            population=population, population_shard_size=population_shard_size,
+            elastic=elastic, pipeline=pipeline, transport=transport,
         )
         self.validate()
 
@@ -375,15 +377,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"selection_fraction must be in (0, 1], got {self.selection_fraction}"
             )
-        if self.population not in ("eager", "lazy"):
-            raise ConfigurationError(
-                f"population must be 'eager' or 'lazy', got {self.population!r}"
-            )
-        if self.population_shard_size <= 0:
-            raise ConfigurationError(
-                f"population_shard_size must be positive, "
-                f"got {self.population_shard_size}"
-            )
         if self.population_candidates < 0:
             raise ConfigurationError(
                 f"population_candidates must be non-negative, "
@@ -479,17 +472,7 @@ class ExperimentConfig:
                            if key not in RETIRED_EXTRAS}
 
     def _validate_population_extras(self) -> None:
-        """The evicting population's knobs: valid values, and none at all
-        under ``population="eager"``, which would silently ignore them."""
-        extras = [key for key in ("population_sharding", "population_live_devices",
-                                  "population_samples_per_worker")
-                  if key in self.extras]
-        if self.population == "eager" and (extras or self.population_candidates):
-            name = f"extras[{extras[0]!r}]" if extras else "population_candidates"
-            raise ConfigurationError(
-                f"{name} requires population='lazy'; the eager population "
-                f"plans over every registered worker, partition-sharded"
-            )
+        """The population's extras take valid values."""
         sharding = self.extras.get("population_sharding", "partition")
         if sharding not in ("partition", "sampled"):
             raise ConfigurationError(
@@ -568,9 +551,8 @@ class ExperimentConfig:
         is dropped at its exact value 0 and fails by name otherwise.
         ``population_cache``, the capacity of the retired delta caches, is
         dropped: the lazy pool's cache was never read, and a pending rejoin
-        now carries its own delta.  ``elastic``, ``pipeline`` and
-        ``transport`` load as the constructor takes them
-        (:data:`RETIRED_FIELDS`).
+        now carries its own delta.  The :data:`RETIRED_FIELDS` load as the
+        constructor takes them.
         """
         payload = dict(payload)
         payload.pop("population_cache", None)

@@ -46,7 +46,7 @@ class ControlContext:
         rng: Round-specific random generator.
         worker_ids: Global worker id of every row in the dense arrays
             (``None`` when row indices *are* the global ids).  Stateful
-            selection solvers key cross-round state on these so lazy
+            selection solvers key cross-round state on these so per-round
             candidate pools remap correctly between rounds.
     """
 

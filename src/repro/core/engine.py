@@ -157,8 +157,8 @@ class SplitTrainingEngine(RoundEngine):
         """The engine over :class:`~repro.api.components.ExperimentComponents`.
 
         The one place that maps a component set to the constructor's
-        arguments: the configured executor and the worker pool (resident or
-        evicting) always reach the engine, whatever the policy.
+        arguments: the configured executor and the worker pool always reach
+        the engine, whatever the policy.
         """
         return cls(
             config=components.config,

@@ -400,9 +400,6 @@ class RoundEngine(Algorithm):
                 error,
             )
         account()
-        # Round over: an evicting pool folds the cohort back into its rows
-        # (a resident pool keeps it live).
-        self.pool.release(selected_workers)
 
         accuracy, test_loss = self._evaluate()
         wire, logical, ratio = wire_round_delta(

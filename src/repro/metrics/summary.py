@@ -62,8 +62,8 @@ def speedup(baseline: History, candidate: History, target: float) -> float | Non
 def participation_summary(history: History) -> dict:
     """Aggregate the per-round participation history of a run.
 
-    Uses the ``selected_ids`` recorded per round, so it works for eager and
-    lazy populations alike (and for histories loaded from checkpoints).
+    Uses the ``selected_ids`` recorded per round, so it works with or
+    without a candidate pool (and for histories loaded from checkpoints).
 
     Returns:
         ``distinct_workers`` (how many workers ever participated),

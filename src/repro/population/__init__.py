@@ -4,12 +4,10 @@ This package decouples the *registered* population (compact metadata rows
 in a :class:`~repro.population.registry.WorkerRegistry`) from the *live*
 workers a round actually trains (built on demand by a
 :class:`~repro.population.materializer.Materializer`).  The engines plan
-and train through one :class:`~repro.population.pool.WorkerPool`;
-``config.population`` only says whether a materialised worker stays
-resident (``"eager"``, the default) or is evicted at round end
-(``"lazy"``: live state bounded by the cohort, scalable to millions of
-registered workers).  Both train bit-identically and share one checkpoint
-format.
+and train through one :class:`~repro.population.pool.WorkerPool`, which
+builds a worker the first time a round selects it and keeps it live:
+live state grows with the distinct participants, not the registered
+population, which may run to millions of rows.
 """
 
 from repro.population.materializer import Materializer, WORKER_SEED_OFFSET

@@ -3,14 +3,12 @@
 Planning reads metadata columns (label distributions, participation
 counts) and, optionally, a per-round candidate subset -- no live worker is
 needed to plan a round.  Execution checks the selected cohort out as live
-workers and releases it at round end.  Every registered worker is a
+workers.  Every registered worker is a
 :class:`~repro.population.registry.WorkerRegistry` row that a
 :class:`~repro.population.materializer.Materializer` builds into a live
-worker on first checkout.  Residency is the one choice: a *resident* pool
-(``population="eager"``) keeps what it built, an *evicting* pool
-(``population="lazy"``) folds the cohort back into its rows, bounding live
-state by the cohort.  Both train bit-identically and checkpoint the rows
-alone, so either resumes the other's checkpoints.
+worker on first checkout.  A built worker stays live, so live state grows
+with the distinct participants, never with the registered population.
+The pool checkpoints the rows alone, live workers folded in.
 """
 
 from __future__ import annotations
@@ -53,23 +51,20 @@ class WorkerPool:
         materializer: Materializer,
         candidates_per_round: int = 0,
         seed: int = 0,
-        resident: bool = False,
     ) -> None:
         if candidates_per_round < 0:
             raise ValueError("candidates_per_round must be non-negative")
         self.registry = registry
         self.materializer = materializer
         self.candidates_per_round = candidates_per_round
-        self.resident = resident
         self._candidate_seed = seed + CANDIDATE_SEED_OFFSET
         self._live: dict[int, SplitWorker] = {}
-        self.peak_live_workers = 0
 
     @classmethod
     def of_workers(cls, workers: list[SplitWorker]) -> "WorkerPool":
-        """A resident pool over hand-built workers (``worker_id`` = list
-        position), all live from the start; the registry reads their
-        labels from the concatenation of their shards' labels."""
+        """A pool over hand-built workers (``worker_id`` = list position),
+        all live from the start; the registry reads their labels from the
+        concatenation of their shards' labels."""
         workers = list(workers)
         if not workers:
             raise ValueError("a worker pool needs at least one worker")
@@ -92,9 +87,8 @@ class WorkerPool:
                 for start, size in zip(starts, sizes)
             ]),
         )
-        pool = cls(registry, HeldWorkers(registry, workers), resident=True)
+        pool = cls(registry, HeldWorkers(registry, workers))
         pool._live = dict(enumerate(workers))
-        pool.peak_live_workers = len(workers)
         return pool
 
     def __len__(self) -> int:
@@ -110,7 +104,7 @@ class WorkerPool:
         counts = self.registry.participation_counts(ids)
         if self._live:
             # Live workers count in place; their registry rows are stale
-            # until the worker is folded back (at eviction or checkpoint).
+            # until the worker is folded back (at release or checkpoint).
             if ids is None:
                 for worker_id, worker in self._live.items():
                     counts[worker_id] = worker.participation_count
@@ -143,27 +137,20 @@ class WorkerPool:
                 worker = self.materializer.materialize(worker_id)
                 self._live[worker_id] = worker
             workers.append(worker)
-        self.peak_live_workers = max(self.peak_live_workers, len(self._live))
         return workers
 
     def release(self, workers: list[SplitWorker]) -> None:
-        """Return a cohort at round end: an evicting pool folds its state
-        into the rows and drops it, a resident pool keeps it live."""
-        if self.resident:
-            return
+        """Fold ``workers``' state into their rows and drop them; the next
+        checkout builds them again from the rows.  The round never calls
+        this: it is the explicit fold-and-drop primitive."""
         for worker in workers:
             self.materializer.release(worker)
             self._live.pop(worker.worker_id, None)
 
     @property
     def workers(self) -> list[SplitWorker]:
-        """Every worker of a resident pool, live, in id order (materialises
-        the untouched ones; an evicting pool's need not fit in memory)."""
-        if not self.resident:
-            raise RuntimeError(
-                "an evicting worker pool (population='lazy') holds no "
-                "persistent worker list; use checkout()"
-            )
+        """Every worker, live, in id order (materialises the untouched
+        ones, so only for a population that fits in memory)."""
         return self.checkout(range(len(self)))
 
     # -- introspection + checkpointing ---------------------------------------
@@ -176,7 +163,6 @@ class WorkerPool:
         return {
             "registered": len(self.registry),
             "live": len(self._live),
-            "peak_live": self.peak_live_workers,
             "materializations": self.materializer.materializations,
             "label_shards_built": self.registry.built_label_shards,
         }

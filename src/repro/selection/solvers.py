@@ -63,8 +63,8 @@ class SelectionProblem:
         rng: Round-specific generator for stochastic solvers.
         worker_ids: Global worker id of every candidate row, ascending
             (``None`` when candidate-local indices *are* the global ids).
-            Stateful solvers key their cross-round state on these so lazy
-            candidate pools remap correctly between rounds.
+            Stateful solvers key their cross-round state on these so
+            per-round candidate pools remap correctly between rounds.
     """
 
     batch_sizes: np.ndarray
@@ -308,8 +308,8 @@ class WarmGASolver(GASolver):
     fixing and symmetry canonicalisation, and finish with a 1-flip polish
     of the winner on the incremental fitness.
 
-    State is the previous winning *global* worker ids, so a lazy
-    population's per-round candidate pools remap correctly:
+    State is the previous winning *global* worker ids, so a population's
+    per-round candidate pools remap correctly:
     ``np.isin(candidate_ids, previous)`` rebuilds the candidate-local mask
     whatever subset of the fleet is in this round's pool.
     """

@@ -22,7 +22,7 @@ Presets are grid studies, hence resumable through a
 ``StudyRunner(max_processes=...)``.
 
 The ``*-population`` presets sweep the *registered* population instead of
-the participating fleet: trials run over the lazy worker registry
+the participating fleet: trials run over the worker registry
 (:mod:`repro.population`) with a fixed candidate pool, extending the
 scalability axis to a million registered workers while each round still
 materialises only its cohort.
@@ -42,7 +42,7 @@ PAPER_WORKER_SCALES = (100, 200, 400)
 #: A smaller axis with the same shape, for dry-running the preset plumbing.
 SMOKE_WORKER_SCALES = (8, 16, 24)
 
-#: Registered-population axis for the lazy worker registry (three orders of
+#: Registered-population axis for the worker registry (three orders of
 #: magnitude beyond the paper's fleets; the cohort stays candidate-bounded).
 PAPER_POPULATION_SCALES = (1_000, 100_000, 1_000_000)
 
@@ -103,12 +103,12 @@ def population_study(
     name: str | None = None,
     **overrides,
 ) -> Study:
-    """A registered-population grid over the lazy worker registry.
+    """A registered-population grid over the worker registry.
 
     Sweeps ``num_workers`` far beyond the paper's fleets while holding the
     per-round cohort fixed through a candidate pool, so every trial does
     comparable work and the axis isolates the cost of *registering* workers
-    (which the lazy registry keeps flat).  ``overrides`` apply to every
+    (which the registry keeps flat).  ``overrides`` apply to every
     trial's config; the population knobs themselves may be overridden too.
     """
     from repro.experiments.figures import figure_config
@@ -119,7 +119,6 @@ def population_study(
     # sampled sharding derives shards per worker, O(1) in the population.
     extras.setdefault("population_sharding", "sampled")
     extras.setdefault("population_live_devices", 4096)
-    overrides.setdefault("population", "lazy")
     overrides.setdefault("population_candidates", 64)
     base = figure_config(
         dataset, algorithm, non_iid_level,

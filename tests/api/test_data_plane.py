@@ -128,13 +128,13 @@ class TestMisses:
             assert not shard.flags.writeable
 
     def test_sampled_sharding_bypasses_the_partition(self, fast_config):
-        partitioned = build_components(fast_config.replace(population="lazy"))
+        partitioned = build_components(fast_config)
         sampled = build_components(fast_config.replace(
-            population="lazy", extras={"population_sharding": "sampled"}
+            extras={"population_sharding": "sampled"}
         ))
         assert isinstance(sampled.pool.registry.source, SampledShards)
         assert sampled.data is partitioned.data
-        again = build_components(fast_config.replace(population="lazy"))
+        again = build_components(fast_config)
         for mine, theirs in zip(_shards(partitioned), _shards(again), strict=True):
             assert mine is theirs
 

@@ -226,8 +226,8 @@ class TestOutOfTreePlugin:
     @pytest.mark.parametrize("overrides", [
         {},
         {"executor": "batched"},
-        {"population": "lazy"},
-    ], ids=["default", "batched", "lazy"])
+        {"extras": {"population_sharding": "sampled"}},
+    ], ids=["default", "batched", "sampled"])
     def test_plugin_experiment_runs_end_to_end(self, overrides):
         from repro.api.session import Session
         from repro.core.controller import ControlModule

@@ -68,12 +68,11 @@ def _config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**params)
 
 
-def _lazy_config(**overrides) -> ExperimentConfig:
+def _rotating_config(**overrides) -> ExperimentConfig:
     """A rotating-cohort population: candidate pools make rejoins real."""
     params = dict(
         num_workers=12,
         num_rounds=6,
-        population="lazy",
         population_candidates=5,
         dropout_rate=0.4,
         over_select_factor=1.5,
@@ -128,14 +127,11 @@ class TestNeutralElasticity:
         candidate = _run(_config(executor="process", **NEUTRAL_KNOBS))
         _assert_bit_equal(reference, candidate, "process/neutral-knobs")
 
-    def test_neutral_knobs_are_bit_exact_on_lazy_population(self):
-        base = dict(
-            num_workers=12, num_rounds=4, population="lazy",
-            population_candidates=5,
-        )
+    def test_neutral_knobs_are_bit_exact_with_a_candidate_pool(self):
+        base = dict(num_workers=12, num_rounds=4, population_candidates=5)
         reference = _run(_config(**base))
         candidate = _run(_config(**NEUTRAL_KNOBS, **base))
-        _assert_bit_equal(reference, candidate, "lazy/neutral-knobs")
+        _assert_bit_equal(reference, candidate, "candidates/neutral-knobs")
 
     def test_default_records_carry_the_whole_cohort(self):
         records, __ = _run(_config())
@@ -265,7 +261,7 @@ class TestTotalDropout:
 
 class TestRejoin:
     def test_missing_workers_rejoin_within_the_bound(self):
-        records, __ = _run(_lazy_config())
+        records, __ = _run(_rotating_config())
         rejoined = [r for r in records if r["rejoined_ids"]]
         assert rejoined, "no worker ever rejoined; the scenario is vacuous"
         for record in rejoined:
@@ -277,13 +273,13 @@ class TestRejoin:
             assert not set(record["rejoined_ids"]) & completed
 
     def test_rejoins_require_a_positive_bound(self):
-        records, __ = _run(_lazy_config(rejoin_staleness_bound=0))
+        records, __ = _run(_rotating_config(rejoin_staleness_bound=0))
         assert all(r["rejoined_ids"] == [] for r in records)
 
     def test_every_dropped_worker_waits_with_its_own_delta(self):
         """A dropped worker's local compute happened; its update waits to
         rejoin as a delta against the global bottom it started from."""
-        with Session.from_config(_lazy_config(num_rounds=1)) as session:
+        with Session.from_config(_rotating_config(num_rounds=1)) as session:
             session.run()
             engine = session.algorithm
             record = engine.history.records[0]
@@ -435,7 +431,7 @@ class TestDeathRecovery:
         ("mergesfl", _config, 1),
         ("splitfed", _config, 1),
         # Round 2 folds worker 2's rejoin at its first SplitFed aggregate.
-        ("splitfed", _lazy_config, 2),
+        ("splitfed", _rotating_config, 2),
     ], ids=["mergesfl", "splitfed", "splitfed-rejoin"])
     def test_a_mid_round_death_reruns_the_round_from_its_start(
         self, algorithm, make_config, death_round
@@ -519,7 +515,7 @@ def _counted(method, counts: dict, key: str):
 
 class TestElasticCheckpointing:
     def test_resume_mid_run_is_bit_exact_with_pending_rejoins(self, tmp_path):
-        config = _lazy_config()
+        config = _rotating_config()
         path = tmp_path / "elastic.ckpt.json"
         with Session.from_config(config) as session:
             session.run(2)

@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 from repro.api.components import build_components, build_model_for
 from repro.api.registry import ALGORITHMS
 from repro.api.session import Session
-from repro.config import KNOWN_EXTRAS, RETIRED_EXTRAS, ExperimentConfig
+from repro.config import (
+    KNOWN_EXTRAS,
+    RETIRED_EXTRAS,
+    RETIRED_FIELDS,
+    ExperimentConfig,
+)
 from repro.exceptions import ConfigurationError
 from repro.experiments.reporting import format_comparison, format_table
 from repro.experiments.runner import run_experiment
@@ -104,32 +109,28 @@ class TestExperimentConfig:
     def test_the_retired_population_cache_is_dropped_on_load(self, capacity):
         """Earlier configs sized the lazy pool's delta cache; the cache is
         gone, so any capacity loads as the same config, not as an extra."""
-        config = ExperimentConfig(population="lazy")
+        config = ExperimentConfig(population_candidates=8)
         payload = dict(config.to_dict(), population_cache=capacity)
         loaded = ExperimentConfig.from_dict(payload)
         assert loaded == config
         assert "population_cache" not in loaded.extras
         assert "population_cache" not in config.to_dict()
 
-    @pytest.mark.parametrize("population, key, value", [
-        ("lazy", "population_sharding", "striped"),
-        ("lazy", "population_sharding", None),
-        ("lazy", "population_samples_per_worker", 0),
-        ("lazy", "population_samples_per_worker", -3),
-        ("lazy", "population_samples_per_worker", 2.5),
-        ("lazy", "population_samples_per_worker", True),
-        ("lazy", "population_live_devices", "x"),
-        ("lazy", "population_live_devices", -1),
-        ("eager", "population_sharding", "sampled"),
-        ("eager", "population_samples_per_worker", 16),
-        ("eager", "population_live_devices", 256),
+    @pytest.mark.parametrize("key, value", [
+        ("population_sharding", "striped"),
+        ("population_sharding", None),
+        ("population_samples_per_worker", 0),
+        ("population_samples_per_worker", -3),
+        ("population_samples_per_worker", 2.5),
+        ("population_samples_per_worker", True),
+        ("population_live_devices", "x"),
+        ("population_live_devices", -1),
     ])
-    def test_population_extras_rejected_at_config_time(self, population, key, value):
+    def test_population_extras_rejected_at_config_time(self, key, value):
         """Regression: a bad population extra used to build silently or
-        fail at build time with a bare ValueError, and the eager population
-        ignored all three."""
+        fail at build time with a bare ValueError."""
         with pytest.raises(ConfigurationError, match=key):
-            ExperimentConfig(population=population, extras={key: value})
+            ExperimentConfig(extras={key: value})
 
     @pytest.mark.parametrize("key, value", [
         ("executor_processes", 0),
@@ -157,11 +158,17 @@ class TestExperimentConfig:
         ("population_sharding", "partition"),
         ("population_sharding", "sampled"),
         ("population_samples_per_worker", 1),
+        ("population_samples_per_worker", 16),
         ("population_live_devices", 0),
+        ("population_live_devices", 256),
     ])
-    def test_valid_population_extras_pass_under_lazy(self, key, value):
-        assert ExperimentConfig(population="lazy", extras={key: value}).extras == {
-            key: value}
+    def test_valid_population_extras_pass_on_any_config(self, key, value):
+        """The population knobs are parameters: no setting gates them (the
+        retired ``population="eager"`` refused every one of them)."""
+        assert ExperimentConfig(extras={key: value}).extras == {key: value}
+
+    def test_a_candidate_pool_is_valid_on_any_config(self):
+        assert ExperimentConfig(population_candidates=8).population_candidates == 8
 
     @pytest.mark.parametrize("key, value", [
         ("depth_aware_selection", True),
@@ -212,7 +219,6 @@ class TestExperimentConfig:
         ("num_workers", 2.5),
         ("local_iterations", 1.5),
         ("eval_batch_size", 0.5),
-        ("population_shard_size", 2.5),
         ("max_batch_size", 16.5),
         ("base_batch_size", 2.5),
         ("ga_population", 3.5),
@@ -324,6 +330,8 @@ RETIRED_SPELLINGS = [
     ("pipeline", "sync"), ("pipeline", "pipelined"),
     ("transport", "pipe"), ("transport", "shm"),
     ("elastic", False), ("elastic", True),
+    ("population", "eager"), ("population", "lazy"),
+    ("population_shard_size", 4096),
 ]
 
 #: The checkpoint fixtures, all written while these fields were stored.
@@ -335,7 +343,9 @@ CHECKPOINT_FIXTURES = sorted(
 class TestRetiredExecutionFields:
     """``pipeline`` and ``transport`` are load-only spellings: the process
     executor always runs the aggregate window over shared-memory rings.
-    So is ``elastic``: every round runs the churn controller."""
+    So is ``elastic``: every round runs the churn controller; and so are
+    ``population`` (a built worker stays live) and
+    ``population_shard_size`` (a registry shard holds 4096 rows)."""
 
     @pytest.mark.parametrize("name, value", RETIRED_SPELLINGS)
     def test_the_constructor_drops_a_retired_spelling(self, name, value):
@@ -358,12 +368,13 @@ class TestRetiredExecutionFields:
 
     def test_no_retired_name_is_a_field_or_written(self):
         config = ExperimentConfig(
-            pipeline="pipelined", transport="shm", elastic=True
+            pipeline="pipelined", transport="shm", elastic=True,
+            population="lazy", population_shard_size=4096,
         )
         fields = {spec.name for spec in dataclasses.fields(ExperimentConfig)}
         written = json.loads(json.dumps(config.to_dict()))
-        assert len(fields) == 39
-        for name in ("pipeline", "transport", "elastic"):
+        assert len(fields) == 37
+        for name in RETIRED_FIELDS:
             assert name not in fields
             assert name not in config.to_dict() and name not in written
 
@@ -390,6 +401,9 @@ class TestRetiredExecutionFields:
         ("pipeline", "hyperdrive"), ("pipeline", "Sync"),
         ("transport", "carrier-pigeon"), ("transport", ""),
         ("elastic", 1), ("elastic", "yes"), ("elastic", 0.0),
+        ("population", "Lazy"), ("population", "resident"), ("population", True),
+        ("population_shard_size", 2.5), ("population_shard_size", 1024),
+        ("population_shard_size", True),
     ])
     @pytest.mark.parametrize("load", ["constructor", "from_dict"])
     def test_any_other_value_fails_naming_the_removed_field(self, load, name, value):
@@ -401,17 +415,19 @@ class TestRetiredExecutionFields:
 
     @pytest.mark.parametrize("fixture", CHECKPOINT_FIXTURES, ids=lambda p: p.name)
     def test_a_checkpoint_fixture_loads_and_resumes_unchanged(self, fixture):
-        """Each fixture carries ``pipeline="sync"``, a transport and
-        ``elastic=False``; it loads without them, resumes to its golden
-        history's accuracy and loss, and stays byte-identical."""
+        """Each fixture carries ``pipeline="sync"``, a transport,
+        ``elastic=False``, ``population="eager"`` and a 4096-row shard
+        size; it loads without them, resumes to its golden history's
+        accuracy and loss, and stays byte-identical."""
         raw = fixture.read_bytes()
         stored = json.loads(raw)["config"]
         assert stored["pipeline"] == "sync" and stored["transport"] in ("pipe", "shm")
         assert stored["elastic"] is False
-        retired = ("pipeline", "transport", "elastic")
+        assert stored["population"] == "eager"
+        assert stored["population_shard_size"] == 4096
         with Session.load_checkpoint(fixture) as resumed:
             assert resumed.config == ExperimentConfig.from_dict(
-                {k: v for k, v in stored.items() if k not in retired}
+                {k: v for k, v in stored.items() if k not in RETIRED_FIELDS}
             )
             records = resumed.run().records
         golden = json.loads(

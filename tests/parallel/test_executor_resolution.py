@@ -94,10 +94,11 @@ def test_auto_picks_batched_exactly_where_batched_does_not_fall_back(model, capl
     (dict(dataset="blobs", model="mlp"), "batched"),
     (dict(dataset="blobs", model="mlp", algorithm="fedavg"), "batched"),
     (dict(dataset="blobs", model="mlp", momentum=0.9), "batched"),
-    (dict(dataset="blobs", model="mlp", population="lazy"), "batched"),
+    (dict(dataset="blobs", model="mlp",
+          extras={"population_sharding": "sampled"}), "batched"),
     (dict(dataset="cifar10", model="alexnet_s", model_width=0.25), "serial"),
     (dict(dataset="har", model="cnn_h", model_width=0.25), "serial"),
-], ids=["mlp", "mlp-fedavg", "mlp-momentum", "mlp-lazy", "alexnet_s",
+], ids=["mlp", "mlp-fedavg", "mlp-momentum", "mlp-sampled", "alexnet_s",
         "cnn_h"])
 def test_default_resolution_table(overrides, backend):
     """The resolved backend is readable from the session's components."""

@@ -363,12 +363,12 @@ class TestWindowSessions:
     @pytest.mark.parametrize("knobs", [
         dict(dropout_rate=0.3, over_select_factor=1.5,
              rejoin_staleness_bound=2, min_cohort_fraction=0.5),
-        dict(num_workers=40, population="lazy", population_candidates=8,
+        dict(num_workers=40, population_candidates=8,
              dropout_rate=0.3, over_select_factor=1.5,
              rejoin_staleness_bound=2),
         dict(split_policy="adaptive", **MULTI_DEPTH),
         dict(split_policy="profile", **MULTI_DEPTH),
-    ], ids=["elastic", "lazy-elastic", "adaptive-split", "profile-split"])
+    ], ids=["elastic", "candidates-elastic", "adaptive-split", "profile-split"])
     def test_aggregate_window_composes_with_the_round_knobs(self, knobs):
         """The window accounts the round and plans the next one *before*
         the aggregate folds churn, rejoins and deltas in; under every knob

@@ -1,4 +1,4 @@
-"""Checkpoint/resume of worker populations at either residency."""
+"""Checkpoint/resume of worker populations."""
 
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ def _config(**overrides) -> ExperimentConfig:
         learning_rate=0.1,
         momentum=0.9,
         seed=5,
-        population="lazy",
     )
     params.update(overrides)
     return ExperimentConfig(**params)
@@ -47,27 +46,27 @@ def test_checkpoint_resume_is_bit_exact(tmp_path):
     reference = Session.from_config(_config())
     reference.run()
 
-    path = tmp_path / "lazy.ckpt.json"
+    path = tmp_path / "run.ckpt.json"
     session = Session.from_config(_config())
     session.run(2)
     session.save_checkpoint(path)
 
     resumed = Session.load_checkpoint(path)
-    assert resumed.config.population == "lazy"
     resumed.run()
     _assert_identical(resumed, reference)
 
 
 def test_checkpoint_with_the_retired_cache_and_depths_still_resumes(tmp_path):
-    """Earlier lazy checkpoints carry a delta cache, its capacity, its
-    per-round hit/miss counters and a registry ``depths`` column; none of
-    them was read, so such a checkpoint resumes to the same run."""
+    """Earlier evicting-pool checkpoints carry a delta cache, its
+    capacity, its per-round hit/miss counters and a registry ``depths``
+    column; none of them was read, so such a checkpoint resumes to the same
+    run."""
     import json
 
     reference = Session.from_config(_config())
     reference.run()
 
-    path = tmp_path / "lazy.ckpt.json"
+    path = tmp_path / "cached.ckpt.json"
     session = Session.from_config(_config())
     session.run(2)
     session.save_checkpoint(path)
@@ -85,7 +84,7 @@ def test_checkpoint_with_the_retired_cache_and_depths_still_resumes(tmp_path):
     _assert_identical(resumed, reference)
 
 
-def test_lazy_pool_state_is_the_registry_alone():
+def test_pool_state_is_the_registry_alone():
     """The pool checkpoints its registry rows and nothing else; the
     ``"cache"`` key of earlier checkpoints is ignored on load."""
     session = Session.from_config(_config(num_rounds=2))
@@ -133,27 +132,26 @@ def test_checkpoint_scales_with_participants_not_population():
     assert len(state["registry"]["loaders"]) == len(participants)
 
 
-@pytest.mark.parametrize("saved, resumed", [
-    ("lazy", "eager"), ("eager", "lazy"),
-])
-def test_a_checkpoint_resumes_at_the_other_residency(tmp_path, saved, resumed):
-    """Residency is not in the checkpoint: the payload is the registry rows
-    and the cluster's budget RNG, budget and round at either setting."""
+@pytest.mark.parametrize("population", ["eager", "lazy"])
+def test_a_checkpoint_spelling_a_residency_resumes(tmp_path, population):
+    """Checkpoints written while ``population`` was a field carry it; at
+    either value they load without it and resume to the same run."""
     import json
 
-    reference = Session.from_config(_config(population=resumed))
+    reference = Session.from_config(_config())
     reference.run()
 
-    path = tmp_path / f"{saved}.ckpt.json"
-    session = Session.from_config(_config(population=saved))
+    path = tmp_path / f"{population}.ckpt.json"
+    session = Session.from_config(_config())
     session.run(2)
     session.save_checkpoint(path)
     payload = json.loads(path.read_text())
-    payload["config"]["population"] = resumed
+    assert "population" not in payload["config"]
+    payload["config"]["population"] = population
     path.write_text(json.dumps(payload))
 
     restored = Session.load_checkpoint(path)
-    assert restored.algorithm.pool.resident == (resumed == "eager")
+    assert restored.config == _config()
     restored.run()
     _assert_identical(restored, reference)
 
@@ -168,7 +166,7 @@ def test_a_checkpoint_of_every_worker_and_device_still_resumes(tmp_path, window)
     from repro.api.checkpoint import dump_checkpoint, load_checkpoint_payload
     from repro.utils.rng import get_rng_state
 
-    config = _config(population="eager")
+    config = _config()
     if window:
         config = config.replace(executor="process",
                                 extras={"executor_processes": 2})

@@ -1,4 +1,5 @@
-"""The memory contract: live worker state is bounded by the cohort."""
+"""The memory contract: live worker state grows with the distinct
+participants, never with the registered population."""
 
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ def _session(num_workers=200, candidates=8, rounds=3, **overrides) -> Session:
         train_samples=240,
         test_samples=64,
         seed=9,
-        population="lazy",
         population_candidates=candidates,
         extras={"population_sharding": "sampled"},
     )
@@ -30,33 +30,27 @@ def _session(num_workers=200, candidates=8, rounds=3, **overrides) -> Session:
     return Session.from_config(ExperimentConfig(**params))
 
 
-def test_peak_live_bounded_by_cohort_and_released_at_round_end():
-    session = _session()
-    session.run()
+def test_each_participant_is_built_once_and_stays_live():
+    """Registration builds no worker; a round builds each newly selected
+    one, and it stays live: live workers == materializations == distinct
+    participants."""
+    session = _session(num_workers=20, rounds=4)
     pool = session.algorithm.pool
+    assert pool.stats()["live"] == pool.stats()["materializations"] == 0
+    session.run()
     stats = pool.stats()
-    assert stats["registered"] == 200
-    # Resident worker state never exceeds the candidate pool (which caps
-    # the selectable cohort) ...
-    assert 0 < stats["peak_live"] <= 8
-    # ... and the cohort is fully released once the round is over.
-    assert pool.live_worker_count() == 0
-    assert stats["live"] == 0
-
-
-def test_materializations_only_for_selected_workers():
-    session = _session()
-    session.run()
-    pool = session.algorithm.pool
     participation = participation_summary(session.history)
-    assert pool.materializer.materializations == participation["total_selections"]
-    assert participation["distinct_workers"] <= 8 * session.config.num_rounds
+    assert stats["registered"] == 20
+    assert stats["live"] == stats["materializations"] == (
+        participation["distinct_workers"])
+    # Some worker returned and was not built again.
+    assert participation["distinct_workers"] < participation["total_selections"]
 
 
 def test_pending_rejoins_hold_only_the_rejoin_window():
-    """The only per-worker state a lazy run under churn keeps between rounds is
-    the pending rejoins: workers dropped within the last
-    ``rejoin_staleness_bound`` rounds, one delta each."""
+    """The only per-worker state a run under churn keeps between rounds
+    besides its live workers is the pending rejoins: workers dropped within
+    the last ``rejoin_staleness_bound`` rounds, one delta each."""
     bound = 2
     session = _session(num_workers=20, candidates=0, rounds=6,
                        dropout_rate=0.4,
@@ -71,7 +65,6 @@ def test_pending_rejoins_hold_only_the_rejoin_window():
             for worker_id in record.dropped_ids
         }
         assert set(pending) <= recent
-        assert session.algorithm.pool.live_worker_count() == 0
         seen += len(pending)
     assert seen > 0, "no rejoin ever pending; the bound is vacuous"
 

@@ -177,8 +177,10 @@ class TestResume:
         {"pipeline": "pipelined", "transport": "shm", "staleness": 0},
         {"elastic": False},
         {"elastic": True},
+        {"population": "lazy"},
+        {"population_shard_size": 4096},
     ], ids=["population-cache", "sync-pipe", "pipelined-shm", "elastic-off",
-            "elastic-on"])
+            "elastic-on", "population-lazy", "population-shard-size"])
     def test_a_row_written_before_a_field_was_retired_resumes(
         self, tiny_config, tmp_path, monkeypatch, retired
     ):

@@ -7,7 +7,8 @@ math -- a reordered reduction, a changed default, an off-by-one in batch
 regulation -- fails loudly even when every unit test still passes.  Every
 built-in algorithm name has a row (the nine split rows of
 ``repro.algorithms.BUILTIN_ALGORITHMS`` on the split engine,
-``fedavg``/``pyramidfl`` on the FL engine), plus elastic rounds, a conv
+``fedavg``/``pyramidfl`` on the FL engine), plus elastic rounds, a
+candidate pool over sampled shards, a conv
 row whose rounds reach the fine-tuning solver (Alg. 1 line 6), three
 :data:`PER_DEPTH` rows whose adaptive split policy assigns mixed cut depths
 (merged mixed groups, per-worker updates through a bridge, per-iteration
@@ -82,6 +83,13 @@ GOLDEN_CONFIGS: dict[str, dict] = {
     # in every round.
     "mergesfl_cifar10_alexnet_seed3": {
         "dataset": "cifar10", "model": "alexnet_s", "model_width": 0.25,
+    },
+    # A per-round candidate pool over sampled shards, 40 workers.  Recorded
+    # while the pool could evict its cohort at round end, on the evicting
+    # pool: the resident pool must reproduce that trajectory.
+    "mergesfl_candidates_blobs_seed3": {
+        "num_workers": 40, "population_candidates": 8,
+        "extras": {"population_sharding": "sampled"},
     },
     # Lossy links, recorded on two processes over shared memory.
     "mergesfl_int8_blobs_seed3": {
