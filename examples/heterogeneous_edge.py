@@ -19,7 +19,9 @@ from repro.simulation.cluster import build_cluster
 def show_cluster_heterogeneity() -> None:
     """Print the per-sample compute-time spread of a simulated cluster."""
     cluster = build_cluster(num_workers=12, bandwidth_budget_mbps=100, seed=1)
-    times = cluster.compute_times(range(len(cluster)), forward_flops=2e6)
+    times, __ = cluster.per_sample_times(
+        range(len(cluster)), forward_flops=2e6, bytes_per_sample=0
+    )
     rows = [
         [device.worker_id, device.profile.name, device.mode,
          f"{device.bandwidth_mbps:.1f}", f"{1000 * mu:.2f}"]

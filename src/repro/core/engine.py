@@ -313,8 +313,9 @@ class SplitTrainingEngine(RoundEngine):
         candidate count, not the population.
         """
         ids = self._planning_ids(candidates)
-        mus = self.cluster.compute_times(ids, self.bottom_flops)
-        betas = self.cluster.comm_times(ids, self.feature_exchange_bytes)
+        mus, betas = self.cluster.per_sample_times(
+            ids, self.bottom_flops, self.feature_exchange_bytes
+        )
         self.estimator.update_ids(ids, mus, betas)
         return self.policy.plan_round(self._make_context(round_index, candidates))
 

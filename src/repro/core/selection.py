@@ -121,12 +121,14 @@ class PopulationFitness:
     The per-worker KL contribution vectors ``d_i * V_i`` (the numerator
     terms of Eq. 11) and the smoothed reference distribution of Eq. 12 are
     precomputed once per round; evaluating a population of membership masks
-    is then one masked matrix reduction plus a row-wise KL instead of a
-    Python loop over individuals -- ``population x generations`` scalar
-    fitness calls collapse into ``generations`` matrix ops.
+    is then one masked fold over the worker axis plus a row-wise KL instead
+    of a Python loop over individuals -- ``population x generations``
+    scalar fitness calls collapse into ``generations`` array ops.  The fold
+    runs over one wide axis, classes x population, so NumPy's inner loop is
+    not a row's few classes long.
 
     Every reduction is arranged to be bit-identical to :func:`_fitness`:
-    unselected workers contribute exact ``0.0`` rows to a sequential sum
+    unselected workers contribute exact ``0.0`` terms to a sequential sum
     over the worker axis (adding ``0.0`` is a bitwise no-op), batch-size
     sums are integer-valued and therefore order-independent in float64, and
     the per-class reductions run over the same contiguous axis length as
@@ -173,14 +175,25 @@ class PopulationFitness:
         if len(slot_of) < masks.shape[0]:
             __, distinct = np.unique(inverse, return_index=True)
             return self.evaluate(masks[distinct])[inverse]
-        # Masked stack: unselected workers become exact-zero rows, so the
-        # sequential sum over the worker axis reproduces the scalar path's
-        # selected-rows sum bit for bit.
-        numerators = (masks[:, :, None] * self._contributions[None, :, :]).sum(axis=1)
+        numerators = self._numerators(masks)
         sizes = masks @ self._batches
         return self._score_rows(
             masks.sum(axis=1), numerators, sizes, lambda row: masks[row]
         )
+
+    def _numerators(self, masks: np.ndarray) -> np.ndarray:
+        """Mixture numerators ``sum_i mask_i * d_i V_i`` of every mask row.
+
+        Unselected workers contribute exact ``0.0`` terms to a sequential
+        fold over the worker axis (adding ``0.0`` is a bitwise no-op), so
+        each row is the scalar path's selected-rows sum bit for bit.  The
+        terms are laid out workers x (classes, population): the fold's
+        inner loop runs over every class of every row at once, not over a
+        row's few classes.
+        """
+        weights = masks.T.astype(np.float64)
+        terms = self._contributions[:, :, None] * weights[:, None, :]
+        return np.ascontiguousarray(terms.sum(axis=0).T)
 
     def _score_rows(self, counts, numerators, sizes, mask_of) -> np.ndarray:
         """Penalised fitness of every row of mixture terms.
@@ -258,10 +271,7 @@ class IncrementalFitness:
     def resync(self) -> None:
         """Rebuild the cached terms from scratch (bit-exact with evaluate)."""
         parent, mask = self._parent, self._mask
-        # Non-last-axis sum: a sequential fold over the worker axis with
-        # exact 0.0 rows for unselected workers -- the same reduction
-        # PopulationFitness.evaluate applies.
-        self._numerator = (mask[:, None] * parent._contributions).sum(axis=0)
+        self._numerator = parent._numerators(mask[None, :])[0]
         self._size = int(mask @ parent._batches)
         self._count = int(mask.sum())
         self._commits = 0
@@ -364,6 +374,13 @@ def genetic_select(
     evolution minimises the KL divergence of the merged label distribution
     under the ingress-bandwidth constraint (Eq. 10).
 
+    A generation is one ``(population, N)`` bool array, scored by one
+    :meth:`PopulationFitness.evaluate`.  Each child takes its tournament
+    (``rng.integers``), then one ``rng.random(2 N)`` for crossover and
+    mutation, then a repair draw if it came out empty: the random stream,
+    and therefore the result for a fixed seed, is the one the per-child
+    loop of two ``rng.random(N)`` draws consumed.
+
     Returns:
         The best individual found, decoded into a :class:`SelectionResult`.
     """
@@ -392,35 +409,35 @@ def genetic_select(
     seed_mask = np.zeros(num_workers, dtype=bool)
     seed_mask[priority_order[:seed_count]] = True
 
-    population = [seed_mask.copy()]
-    for __ in range(population_size - 1):
-        individual = seed_mask.copy()
-        flips = rng.random(num_workers) < 0.25
-        individual[flips] = ~individual[flips]
+    # One (P, N) array holds a generation; a population size below one
+    # still keeps the seed individual.
+    population = np.repeat(seed_mask[None, :], max(1, population_size), axis=0)
+    for individual in population[1:]:
+        individual ^= rng.random(num_workers) < 0.25
         if not individual.any():
             individual[int(rng.integers(num_workers))] = True
-        population.append(individual)
 
-    scores = fitness.evaluate(np.stack(population))
+    scores = fitness.evaluate(population)
 
     for __ in range(generations):
-        new_population = [population[int(np.argmin(scores))].copy()]  # elitism
-        while len(new_population) < population_size:
-            # Tournament selection of two parents.
-            contenders = rng.integers(0, population_size, size=4)
-            parent_a = population[int(contenders[:2][np.argmin(scores[contenders[:2]])])]
-            parent_b = population[int(contenders[2:][np.argmin(scores[contenders[2:]])])]
-            # Uniform crossover.
-            crossover = rng.random(num_workers) < 0.5
-            child = np.where(crossover, parent_a, parent_b)
-            # Bit-flip mutation.
-            flips = rng.random(num_workers) < mutation_rate
-            child = np.where(flips, ~child, child)
+        ranked = scores.tolist()
+        offspring = np.empty_like(population)
+        offspring[0] = population[int(np.argmin(scores))]  # elitism
+        for child in offspring[1:]:
+            # Tournament selection of two parents: the first contender
+            # wins a tie, as argmin over the pair would pick it.
+            a, b, c, d = rng.integers(0, population_size, size=4).tolist()
+            parent_a = population[a if ranked[a] <= ranked[b] else b]
+            parent_b = population[c if ranked[c] <= ranked[d] else d]
+            # One draw feeds uniform crossover, then bit-flip mutation: the
+            # stream of two rng.random(num_workers) calls, in that order.
+            draws = rng.random(2 * num_workers)
+            child[:] = np.where(draws[:num_workers] < 0.5, parent_a, parent_b)
+            child ^= draws[num_workers:] < mutation_rate
             if not child.any():
                 child[int(rng.integers(num_workers))] = True
-            new_population.append(child)
-        population = new_population
-        scores = fitness.evaluate(np.stack(population))
+        population = offspring
+        scores = fitness.evaluate(population)
 
     best = population[int(np.argmin(scores))]
     return decode_selection(

@@ -400,26 +400,29 @@ class BatchedSGD:
             np.zeros_like(p.data) if momentum else None for p in self.parameters
         ]
 
-    def _clip_scales(self) -> np.ndarray | None:
-        """Per-worker gradient scale factors, or ``None`` when disabled."""
+    def _clipped_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Workers whose global gradient norm exceeds the bound, and their
+        scale factors; none when clipping is disabled.
+
+        The serial optimizer scales a worker's gradients only when it
+        clips, so the other rows are left untouched, not multiplied by 1.0.
+        """
         if self.max_grad_norm is None:
-            return None
+            return np.empty(0, dtype=np.intp), np.empty(0)
         count = self.learning_rates.shape[0]
         total = np.zeros(count)
         for param in self.parameters:
             total += np.sum(param.grad.reshape(count, -1) ** 2, axis=1)
         norm = np.sqrt(total)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # Multiplying unclipped workers by exactly 1.0 is a bitwise no-op,
-            # matching the serial optimizer's conditional clip.
-            return np.where(norm > self.max_grad_norm, self.max_grad_norm / norm, 1.0)
+        rows = np.flatnonzero(norm > self.max_grad_norm)
+        return rows, self.max_grad_norm / norm[rows]
 
     def step(self) -> None:
-        scales = self._clip_scales()
+        rows, scales = self._clipped_rows()
         for param, velocity in zip(self.parameters, self._velocity):
             tail = (1,) * (param.data.ndim - 1)
-            if scales is not None:
-                param.grad *= scales.reshape(-1, *tail)
+            if rows.size:
+                param.grad[rows] *= scales.reshape(-1, *tail)
             grad = param.grad
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data

@@ -6,6 +6,9 @@ on first touch from ``spawned_rng(seed, worker_id)`` and caught up by
 replaying the ``advance_round`` calls it missed, it is the device an
 always-advanced fleet would hold.  So advancing a round only re-draws the
 bandwidth budget, and a checkpoint is the budget RNG, budget and round.
+Planning reads each worker's ``(mu_i, beta_i)`` through
+:meth:`Cluster.per_sample_times`: one device lookup, and so one catch-up,
+per worker.
 """
 
 from __future__ import annotations
@@ -101,17 +104,17 @@ class Cluster:
         """All devices, materialised (small populations / diagnostics only)."""
         return [self[worker_id] for worker_id in range(self.num_workers)]
 
-    def compute_times(self, ids, forward_flops: float) -> np.ndarray:
-        """Per-sample compute time ``mu_i`` of workers ``ids`` (seconds)."""
-        return np.asarray(
-            [self[int(i)].compute_time_per_sample(forward_flops) for i in ids]
-        )
-
-    def comm_times(self, ids, bytes_per_sample: float) -> np.ndarray:
-        """Per-sample communication time ``beta_i`` of workers ``ids`` (seconds)."""
-        return np.asarray(
-            [self[int(i)].comm_time_per_sample(bytes_per_sample) for i in ids]
-        )
+    def per_sample_times(
+        self, ids, forward_flops: float, bytes_per_sample: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-sample compute and communication times ``(mu_i, beta_i)``
+        of workers ``ids`` (seconds), from one device lookup per worker."""
+        mus, betas = [], []
+        for worker_id in ids:
+            device = self[worker_id]
+            mus.append(device.compute_time_per_sample(forward_flops))
+            betas.append(device.comm_time_per_sample(bytes_per_sample))
+        return np.asarray(mus), np.asarray(betas)
 
     def advance_round(self, round_index: int) -> None:
         """Re-draw the PS budget; devices catch up on their next touch."""

@@ -14,6 +14,7 @@ from repro.core.regulation import finetune_batch_sizes, solve_finetune, tune_bat
 from repro.core.selection import (
     PopulationFitness,
     _fitness,
+    decode_selection,
     genetic_select,
     greedy_select,
     selection_priorities,
@@ -48,6 +49,96 @@ def _skewed_problem(num_workers=8, num_classes=4, seed=0):
     batch_sizes = rng.integers(4, 17, size=num_workers)
     target = iid_distribution(dists)
     return dists, batch_sizes, target
+
+
+def _reference_genetic_select(
+    batch_sizes, label_distributions, target_distribution,
+    bandwidth_per_sample, bandwidth_budget, priorities, population_size=20,
+    generations=15, mutation_rate=0.05, seed_fraction=0.5, rng=None,
+):
+    """The GA as it bred before one (P, N) array held a generation: a list
+    of individuals, argmin tournaments and two ``rng.random(N)`` draws per
+    child.  Kept as the reference :func:`genetic_select` must equal."""
+    batch_sizes = np.asarray(batch_sizes, dtype=np.int64)
+    num_workers = batch_sizes.shape[0]
+    fitness = PopulationFitness(
+        batch_sizes, label_distributions, target_distribution,
+        bandwidth_per_sample, bandwidth_budget,
+    )
+    seed_count = max(1, int(round(seed_fraction * num_workers)))
+    priority_order = np.argsort(-np.asarray(priorities, dtype=np.float64))
+    seed_mask = np.zeros(num_workers, dtype=bool)
+    seed_mask[priority_order[:seed_count]] = True
+
+    population = [seed_mask.copy()]
+    for __ in range(population_size - 1):
+        individual = seed_mask.copy()
+        flips = rng.random(num_workers) < 0.25
+        individual[flips] = ~individual[flips]
+        if not individual.any():
+            individual[int(rng.integers(num_workers))] = True
+        population.append(individual)
+
+    scores = fitness.evaluate(np.stack(population))
+
+    for __ in range(generations):
+        new_population = [population[int(np.argmin(scores))].copy()]
+        while len(new_population) < population_size:
+            contenders = rng.integers(0, population_size, size=4)
+            parent_a = population[int(contenders[:2][np.argmin(scores[contenders[:2]])])]
+            parent_b = population[int(contenders[2:][np.argmin(scores[contenders[2:]])])]
+            crossover = rng.random(num_workers) < 0.5
+            child = np.where(crossover, parent_a, parent_b)
+            flips = rng.random(num_workers) < mutation_rate
+            child = np.where(flips, ~child, child)
+            if not child.any():
+                child[int(rng.integers(num_workers))] = True
+            new_population.append(child)
+        population = new_population
+        scores = fitness.evaluate(np.stack(population))
+
+    best = population[int(np.argmin(scores))]
+    return decode_selection(
+        np.flatnonzero(best), batch_sizes, label_distributions,
+        target_distribution, bandwidth_per_sample, bandwidth_budget,
+    )
+
+
+class _CountingRng:
+    """A generator that counts the GA's empty-child repair draws (its only
+    ``integers`` calls without ``size``)."""
+
+    def __init__(self, seed):
+        self._rng = new_rng(seed)
+        self.repairs = 0
+
+    def random(self, size):
+        return self._rng.random(size)
+
+    def integers(self, *args, **kwargs):
+        if "size" not in kwargs:
+            self.repairs += 1
+        return self._rng.integers(*args, **kwargs)
+
+    @property
+    def state(self):
+        return self._rng.bit_generator.state
+
+
+def _assert_breeds_as_reference(args, priorities, seed, **knobs) -> int:
+    """Same seed, same selection, KL and feasibility, and the generator
+    left in the same state; returns the repair draws the run made."""
+    reference_rng, rng = _CountingRng(seed), _CountingRng(seed)
+    reference = _reference_genetic_select(
+        *args, priorities, rng=reference_rng, **knobs
+    )
+    result = genetic_select(*args, priorities=priorities, rng=rng, **knobs)
+    assert result.selected.tobytes() == reference.selected.tobytes()
+    assert result.kl == reference.kl
+    assert result.feasible == reference.feasible
+    assert rng.state == reference_rng.state
+    assert rng.repairs == reference_rng.repairs
+    return rng.repairs
 
 
 class TestPriorities:
@@ -109,6 +200,60 @@ class TestGeneticSelect:
             priorities=priorities, rng=new_rng(0),
         )
         assert 0 in result.selected
+
+    @pytest.mark.parametrize("num_classes", [2, 4, 10])
+    @pytest.mark.parametrize("num_workers", [1, 2, 13, 64, 1000, 1200])
+    def test_breeding_matches_the_reference_loop(self, num_workers, num_classes):
+        """Loose and infeasible budgets, tied and distinct priorities, and
+        a population of one (the seed individual and no children)."""
+        rng = new_rng(1000 * num_workers + num_classes)
+        batch_sizes = rng.integers(1, 17, size=num_workers)
+        dists = rng.dirichlet(np.ones(num_classes), size=num_workers)
+        target = iid_distribution(dists)
+        for budget in (2.0 * batch_sizes.sum(), 0.5 * batch_sizes.min()):
+            args = (batch_sizes, dists, target, 1.0, budget)
+            for priorities in (np.ones(num_workers),
+                               selection_priorities(rng.integers(0, 3, num_workers))):
+                _assert_breeds_as_reference(
+                    args, priorities, seed=int(rng.integers(2**31)),
+                )
+            _assert_breeds_as_reference(
+                args, np.ones(num_workers), seed=int(rng.integers(2**31)),
+                population_size=1, generations=2,
+            )
+
+    @pytest.mark.parametrize("num_workers", [13, 64])
+    def test_a_tied_tournament_picks_the_first_contender(self, num_workers):
+        """Identical workers make distinct masks of one size score the same
+        bits, so tournaments tie between different parents; the first
+        contender wins, as argmin over the pair picks it."""
+        dists = np.tile([[0.7, 0.2, 0.1]], (num_workers, 1))
+        batch_sizes = np.full(num_workers, 8)
+        target = np.array([0.2, 0.3, 0.5])
+        # The seed selects half the workers; the budget fits three quarters.
+        args = (batch_sizes, dists, target, 1.0, 6.0 * num_workers)
+        for seed in range(4):
+            _assert_breeds_as_reference(args, np.ones(num_workers), seed)
+
+    @pytest.mark.parametrize("population_size,generations,mutation_rate", [
+        (2, 3, 0.05), (6, 4, 0.9), (20, 15, 0.05),
+    ])
+    def test_the_empty_child_repair_draw_is_reproduced(
+        self, population_size, generations, mutation_rate
+    ):
+        """One- and two-worker fleets empty a child often; each repair is
+        one ``rng.integers`` draw, made at the same point of the stream."""
+        repairs = 0
+        for num_workers in (1, 2):
+            dists, batch_sizes, target = _skewed_problem(num_workers, 2, seed=7)
+            args = (batch_sizes, dists, target, 1.0, 2.0 * batch_sizes.sum())
+            for seed in range(5):
+                repairs += _assert_breeds_as_reference(
+                    args, np.ones(num_workers), seed,
+                    population_size=population_size, generations=generations,
+                    mutation_rate=mutation_rate,
+                )
+        assert repairs > 0
 
     def test_zero_workers_raises(self):
         with pytest.raises(SelectionError):
@@ -176,6 +321,30 @@ class TestPopulationFitness:
             for mask in masks
         ])
         assert np.array_equal(fitness.evaluate(masks), reference)
+
+    @pytest.mark.parametrize("num_workers,num_classes,rows", [
+        (1000, 4, 20),     # a fleet_mlp plan's population
+        (1000, 4, 1), (64, 10, 1), (1000, 4, 40), (1200, 10, 40), (13, 2, 40),
+    ])
+    def test_population_shapes_match_scalar_fitness(
+        self, num_workers, num_classes, rows
+    ):
+        """Every row is the scalar fitness of its mask, and an incremental
+        evaluator anchored at it scores it the same, bit for bit."""
+        rng = new_rng(rows * num_workers + num_classes)
+        batch_sizes, dists, target = self._random_problem(rng, num_workers, num_classes)
+        budget = 0.3 * 16.0 * num_workers
+        fitness = PopulationFitness(batch_sizes, dists, target, 0.3, budget)
+        masks = rng.random((rows, num_workers)) < rng.uniform(0.05, 0.95, (rows, 1))
+        scores = fitness.evaluate(masks)
+        reference = np.asarray([
+            _fitness(mask, np.asarray(batch_sizes, dtype=np.int64),
+                     np.atleast_2d(dists), target, 0.3, budget)
+            for mask in masks
+        ])
+        assert scores.tobytes() == reference.tobytes()
+        for mask, score in zip(masks, scores):
+            assert fitness.incremental(mask).score() == score
 
     def test_zero_batch_sizes_match_scalar_fallback(self):
         """Masks whose selected workers all have zero batch size hit the

@@ -167,6 +167,52 @@ def test_batched_sgd_bit_exact(momentum, weight_decay, max_grad_norm):
             assert batched_model.state_dict_for(w)[name].tobytes() == value.tobytes()
 
 
+@pytest.mark.parametrize("momentum,weight_decay", [(0.0, 0.0), (0.9, 1e-4)])
+def test_batched_sgd_scales_only_the_rows_that_clip(momentum, weight_decay):
+    """Rows above the clip bound are scaled, the rest (an all-zero gradient
+    among them) are left as they are: each row is the serial optimizer's
+    conditional clip and update, byte for byte."""
+    rng = new_rng(31)
+    template = Sequential([Linear(8, 6, rng=rng), ReLU(), Linear(6, 3, rng=rng)])
+    lrs = np.asarray([0.1, 0.05, 0.2, 0.15])
+    max_grad_norm = 1.0
+    serial_models = [template.clone() for _ in range(WORKERS)]
+    serial_opts = [
+        SGD(model.parameters(), lr=lr, momentum=momentum,
+            weight_decay=weight_decay, max_grad_norm=max_grad_norm)
+        for model, lr in zip(serial_models, lrs)
+    ]
+    batched_model = BatchedModel(template, WORKERS)
+    batched_opt = BatchedSGD(
+        batched_model.parameters(), lrs, momentum=momentum,
+        weight_decay=weight_decay, max_grad_norm=max_grad_norm,
+    )
+    # Global gradient norms per row: ~7 and ~0.07, zero, ~3.5.
+    row_scales = np.array([1.0, 0.01, 0.0, 0.5])
+    for __ in range(3):
+        grads = [
+            rng.normal(size=param.data.shape)
+            * row_scales.reshape(-1, *(1,) * (param.data.ndim - 1))
+            for param in batched_model.parameters()
+        ]
+        norms = np.sqrt(sum(
+            np.sum(grad.reshape(WORKERS, -1) ** 2, axis=1) for grad in grads
+        ))
+        assert list(norms > max_grad_norm) == [True, False, False, True]
+        assert norms[2] == 0.0
+        for w, (model, opt) in enumerate(zip(serial_models, serial_opts)):
+            for param, grad in zip(model.parameters(), grads):
+                param.grad = grad[w].copy()
+            opt.step()
+        for param, grad in zip(batched_model.parameters(), grads):
+            param.grad = grad.copy()
+        batched_opt.step()
+
+    for w, model in enumerate(serial_models):
+        for name, value in model.state_dict().items():
+            assert batched_model.state_dict_for(w)[name].tobytes() == value.tobytes()
+
+
 def _stacked_parameters(count: int = 2):
     return BatchedModel(Sequential([Linear(3, 2, rng=new_rng(0))]), count).parameters()
 

@@ -2,8 +2,7 @@
 
 ``selector="ga"`` must be indistinguishable from a config that never
 mentions selection solvers: identical history records and final weights
-across both split engines, every executor and both population modes, and
-checkpoints that keep their historical format (no ``selection`` key).  The
+across both split engines and every executor, and checkpoints that keep their historical format (no ``selection`` key).  The
 stateful ``ga-warm`` solver must survive checkpoint/resume bit-exactly.
 """
 
@@ -20,11 +19,9 @@ from repro.metrics.history import WIRE_FIELDS
 
 EXECUTORS = ("serial", "batched", "process")
 ALGORITHMS = ("mergesfl", "splitfed")
-POPULATIONS = ("eager", "lazy")
 
 
-def _config(executor: str, algorithm: str, population: str = "eager",
-            **overrides) -> ExperimentConfig:
+def _config(executor: str, algorithm: str, **overrides) -> ExperimentConfig:
     params = dict(
         algorithm=algorithm,
         dataset="blobs",
@@ -42,7 +39,6 @@ def _config(executor: str, algorithm: str, population: str = "eager",
         weight_decay=1e-4,
         seed=3,
         executor=executor,
-        population=population,
         extras={"executor_processes": 2},
     )
     params.update(overrides)
@@ -55,15 +51,14 @@ def _run(config: ExperimentConfig):
         return history.records, session.global_model().state_dict()
 
 
-_REFERENCES: dict[tuple[str, str], tuple] = {}
+_REFERENCES: dict[str, tuple] = {}
 
 
-def _reference(algorithm: str, population: str = "eager"):
+def _reference(algorithm: str):
     """A serial run whose config never mentions selection solvers."""
-    key = (algorithm, population)
-    if key not in _REFERENCES:
-        _REFERENCES[key] = _run(_config("serial", algorithm, population))
-    return _REFERENCES[key]
+    if algorithm not in _REFERENCES:
+        _REFERENCES[algorithm] = _run(_config("serial", algorithm))
+    return _REFERENCES[algorithm]
 
 
 def _assert_bit_equal(reference, candidate, label: str) -> None:
@@ -81,15 +76,13 @@ def _assert_bit_equal(reference, candidate, label: str) -> None:
         assert np.array_equal(state[key], ref_state[key]), f"{label}: {key}"
 
 
-@pytest.mark.parametrize("population", POPULATIONS)
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_ga_selector_matches_default_everywhere(algorithm, executor, population):
+def test_ga_selector_matches_default_everywhere(algorithm, executor):
     """An explicit ``selector="ga"`` run is the default run, bit for bit."""
-    candidate = _run(_config(executor, algorithm, population, selector="ga"))
+    candidate = _run(_config(executor, algorithm, selector="ga"))
     _assert_bit_equal(
-        _reference(algorithm, population), candidate,
-        f"{algorithm}/{executor}/{population}/ga",
+        _reference(algorithm), candidate, f"{algorithm}/{executor}/ga",
     )
 
 
@@ -112,13 +105,12 @@ def test_warm_solver_state_is_checkpointed():
     assert selection["previous"] == sorted(selection["previous"])
 
 
-@pytest.mark.parametrize("population", POPULATIONS)
-def test_warm_solver_checkpoint_resume_is_bit_exact(tmp_path, population):
+def test_warm_solver_checkpoint_resume_is_bit_exact(tmp_path):
     """ga-warm: 1 round + save + resume 2 == 3 rounds straight."""
-    config = _config("serial", "mergesfl", population, selector="ga-warm")
+    config = _config("serial", "mergesfl", selector="ga-warm")
     straight = _run(config)
 
-    path = tmp_path / f"warm-{population}.ckpt.json"
+    path = tmp_path / "warm.ckpt.json"
     with Session.from_config(config) as session:
         session.run(1)
         session.save_checkpoint(path)
@@ -126,7 +118,7 @@ def test_warm_solver_checkpoint_resume_is_bit_exact(tmp_path, population):
         resumed.run()
         candidate = (resumed.history.records,
                      resumed.global_model().state_dict())
-    _assert_bit_equal(straight, candidate, f"warm-resume/{population}")
+    _assert_bit_equal(straight, candidate, "warm-resume")
 
 
 @pytest.mark.parametrize("selector", ["ga-warm", "local-search", "greedy"])
@@ -140,11 +132,11 @@ def test_alternative_selectors_run_and_are_deterministic(selector):
     assert all(record.num_selected >= 1 for record in records)
 
 
-def test_warm_solver_with_lazy_candidate_pool():
+def test_warm_solver_state_is_remapped_across_candidate_pools():
     """Warm state is keyed on global ids, so per-round candidate pools
     (different subsets each round) remap it instead of corrupting it."""
     config = _config(
-        "serial", "mergesfl", "lazy",
+        "serial", "mergesfl",
         selector="ga-warm", num_workers=12, num_rounds=4,
         population_candidates=6,
     )

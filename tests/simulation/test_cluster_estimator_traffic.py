@@ -28,17 +28,21 @@ class TestCluster:
 
     def test_compute_and_comm_time_vectors(self):
         cluster = build_cluster(num_workers=6, bandwidth_budget_mbps=100, seed=0)
-        mus = cluster.compute_times(range(6), 1e6)
-        betas = cluster.comm_times(range(6), 2048)
+        mus, betas = cluster.per_sample_times(range(6), 1e6, 2048)
         assert mus.shape == (6,) and betas.shape == (6,)
         assert np.all(mus > 0) and np.all(betas > 0)
+        # Each pair is its device's mu and beta.
+        for device, mu, beta in zip(cluster.devices, mus, betas):
+            assert mu == device.compute_time_per_sample(1e6)
+            assert beta == device.comm_time_per_sample(2048)
         # Any subset, in the order asked for.
-        assert np.array_equal(cluster.compute_times([4, 1], 1e6), mus[[4, 1]])
-        assert np.array_equal(cluster.comm_times([4, 1], 2048), betas[[4, 1]])
+        subset = cluster.per_sample_times([4, 1], 1e6, 2048)
+        assert np.array_equal(subset[0], mus[[4, 1]])
+        assert np.array_equal(subset[1], betas[[4, 1]])
 
     def test_heterogeneity_present(self):
         cluster = build_cluster(num_workers=30, bandwidth_budget_mbps=100, seed=0)
-        mus = cluster.compute_times(range(30), 1e6)
+        mus, __ = cluster.per_sample_times(range(30), 1e6, 2048)
         assert mus.max() / mus.min() > 3.0
 
     def test_advance_round_refreshes_budget(self):

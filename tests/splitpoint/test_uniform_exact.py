@@ -2,8 +2,7 @@
 
 ``split_policy="uniform"`` must be indistinguishable from a config that
 never mentions split points: identical history records and final weights
-across both split engines, every executor and both population modes, and
-checkpoints that keep their historical format (no ``splitpoint`` state, no
+across both split engines and every executor, and checkpoints that keep their historical format (no ``splitpoint`` state, no
 ``depths`` registry column).  A degenerate multi-depth run -- ``profile``
 on a model whose only candidate cut is the tail -- pins that the per-depth
 machinery itself is neutral when every worker lands on the global cut.
@@ -22,11 +21,9 @@ from repro.metrics.history import WIRE_FIELDS
 
 EXECUTORS = ("serial", "batched", "process")
 ALGORITHMS = ("mergesfl", "splitfed")
-POPULATIONS = ("eager", "lazy")
 
 
-def _config(executor: str, algorithm: str, population: str = "eager",
-            **overrides) -> ExperimentConfig:
+def _config(executor: str, algorithm: str, **overrides) -> ExperimentConfig:
     params = dict(
         algorithm=algorithm,
         dataset="blobs",
@@ -44,7 +41,6 @@ def _config(executor: str, algorithm: str, population: str = "eager",
         weight_decay=1e-4,
         seed=3,
         executor=executor,
-        population=population,
         extras={"executor_processes": 2},
     )
     params.update(overrides)
@@ -61,7 +57,7 @@ _REFERENCES: dict[str, tuple] = {}
 
 
 def _reference(algorithm: str):
-    """A serial eager run whose config never mentions split points at all."""
+    """A serial run whose config never mentions split points at all."""
     if algorithm not in _REFERENCES:
         _REFERENCES[algorithm] = _run(_config("serial", algorithm))
     return _REFERENCES[algorithm]
@@ -82,37 +78,27 @@ def _assert_bit_equal(reference, candidate, label: str) -> None:
         assert np.array_equal(state[key], ref_state[key]), f"{label}: {key}"
 
 
-@pytest.mark.parametrize("population", POPULATIONS)
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_uniform_matches_default_everywhere(algorithm, executor, population):
+def test_uniform_matches_default_everywhere(algorithm, executor):
     """An explicit ``split_policy="uniform"`` run is the default run."""
-    candidate = _run(_config(
-        executor, algorithm, population, split_policy="uniform",
-    ))
+    candidate = _run(_config(executor, algorithm, split_policy="uniform"))
     _assert_bit_equal(
-        _reference(algorithm), candidate,
-        f"{algorithm}/{executor}/{population}/uniform",
+        _reference(algorithm), candidate, f"{algorithm}/{executor}/uniform",
     )
 
 
-@pytest.mark.parametrize("executor,population", [
-    ("serial", "eager"),
-    ("batched", "lazy"),
-    ("process", "eager"),
-])
+@pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_degenerate_profile_is_neutral(algorithm, executor, population):
+def test_degenerate_profile_is_neutral(algorithm, executor):
     """On ``mlp`` the only candidate cut is the tail, so ``profile`` sends
     every worker through the multi-depth machinery *at the global cut* --
     assignment, grouped merge, bridge-free install -- and must still be
     bit-exact with the uniform anchor."""
-    candidate = _run(_config(
-        executor, algorithm, population, split_policy="profile",
-    ))
+    candidate = _run(_config(executor, algorithm, split_policy="profile"))
     _assert_bit_equal(
         _reference(algorithm), candidate,
-        f"{algorithm}/{executor}/{population}/profile-degenerate",
+        f"{algorithm}/{executor}/profile-degenerate",
     )
 
 
@@ -125,8 +111,8 @@ def test_uniform_checkpoint_keeps_historical_format():
     assert "splitpoint" not in state["algorithm"]
 
 
-def test_uniform_lazy_registry_serialises_no_depths():
-    with Session.from_config(_config("serial", "mergesfl", "lazy")) as session:
+def test_uniform_registry_serialises_no_depths():
+    with Session.from_config(_config("serial", "mergesfl")) as session:
         session.run(1)
         state = session.state_dict()
     registry = state["algorithm"]["workers"]["registry"]
