@@ -141,7 +141,7 @@ class FLTrainingEngine(RoundEngine):
         scope = self._base_batch_plan(self._planning_ids(candidates))
         selected = self.selection.select(
             round_index,
-            self._worker_durations(scope),
+            self._worker_durations(scope, self._cohort_costs(scope)),
             self.pool.label_distributions(candidates),
             self.pool.participation_counts(candidates),
             spawned_rng(self._round_seed, round_index),
@@ -219,10 +219,11 @@ class FLTrainingEngine(RoundEngine):
         ))
         return observed_losses
 
-    def _worker_costs(
-        self, plan: RoundPlan, worker_id: int
-    ) -> tuple[float, int, int]:
-        return self.full_flops, 0, self.model_bytes
+    def _cohort_costs(
+        self, plan: RoundPlan
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        costs = self.full_flops, 0, self.model_bytes
+        return tuple(np.full(len(plan.selected), cost) for cost in costs)
 
     def _evaluate(self) -> tuple[float, float]:
         return evaluate_classifier(

@@ -490,16 +490,13 @@ class SplitTrainingEngine(RoundEngine):
             return self.config.local_iterations
         return 1
 
-    def _worker_costs(
-        self, plan: RoundPlan, worker_id: int
-    ) -> tuple[float, int, int]:
-        """``(forward flops, exchange bytes, model bytes)`` at the worker's cut."""
-        depth = self._cut_depth(plan, worker_id)
-        return (
-            self._depth_flops[depth],
-            self._depth_exchange_bytes[depth],
-            self._depth_model_bytes[depth],
-        )
+    def _cohort_costs(
+        self, plan: RoundPlan
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(forward flops, exchange bytes, model bytes)`` at each worker's cut."""
+        cuts = [self._cut_depth(plan, worker_id) for worker_id in plan.selected]
+        tables = self._depth_flops, self._depth_exchange_bytes, self._depth_model_bytes
+        return tuple(np.asarray([table[cut] for cut in cuts]) for table in tables)
 
     def _evaluate(self) -> tuple[float, float]:
         return self.server.evaluate(self.data.test, self.config.eval_batch_size)

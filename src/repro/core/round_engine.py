@@ -17,10 +17,10 @@ synchronous aggregate.
 
 Subclasses supply only what differs between split and full-model training:
 how a round is planned (:meth:`RoundEngine._compute_plan`), what its stages
-compute (:meth:`RoundEngine._run_stages`), what a worker's round costs in
-simulated compute and bytes (:meth:`RoundEngine._worker_costs`), how the
-global model is evaluated (:meth:`RoundEngine._evaluate`) and which extra
-state they checkpoint.
+compute (:meth:`RoundEngine._run_stages`), what the cohort costs in
+simulated compute and bytes (:meth:`RoundEngine._cohort_costs`, read once
+a round for its time and its traffic), how the global model is evaluated
+(:meth:`RoundEngine._evaluate`) and which extra state they checkpoint.
 
 The round also owns the simulated worker <-> PS link.  One
 :class:`~repro.parallel.codec.CodecPolicy` (none at ``codec="none"``)
@@ -53,7 +53,8 @@ from repro.population.pool import WorkerPool
 from repro.simulation.cluster import Cluster
 from repro.simulation.timing import (
     average_waiting_time,
-    elastic_round_duration,
+    round_duration,
+    round_times,
 )
 from repro.simulation.traffic import BYTES_PER_ELEMENT, TrafficMeter
 from repro.utils.logging import get_logger
@@ -206,10 +207,11 @@ class RoundEngine(Algorithm):
         """
 
     @abc.abstractmethod
-    def _worker_costs(
-        self, plan: RoundPlan, worker_id: int
-    ) -> tuple[float, int, int]:
-        """One worker's ``(forward flops, exchange bytes, model bytes)``.
+    def _cohort_costs(
+        self, plan: RoundPlan
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(forward flops, exchange bytes, model bytes)``, each an array
+        aligned with ``plan.selected``.
 
         Flops and exchange bytes (feature upload plus gradient download)
         are per sample; the model bytes are what the worker swaps with the
@@ -296,38 +298,35 @@ class RoundEngine(Algorithm):
         return (nbytes + self._link_bytes(WEIGHTS, nbytes)) / 2
 
     # -- simulated cost model ----------------------------------------------------
-    def _worker_durations(self, plan: RoundPlan) -> np.ndarray:
-        """Planned round duration of each selected worker, in plan order.
+    def _worker_durations(self, plan: RoundPlan, costs) -> np.ndarray:
+        """Planned round duration of each selected worker, in plan order,
+        at the cohort's :meth:`_cohort_costs` (Eq. 7 plus the model
+        exchange, :func:`~repro.simulation.timing.round_times`).
 
         Reads the round's cluster state without mutating anything;
         :meth:`_run_round` computes it once, at the start of the round, for
         both the churn draw and the accounting stage.
         """
-        iterations = self.config.local_iterations
-        model_moves = 2 * self._aggregations
-        durations = []
-        for worker_id in plan.selected:
-            device = self.cluster[worker_id]
-            flops, exchange, model_bytes = self._worker_costs(plan, worker_id)
-            mu = device.compute_time_per_sample(flops)
-            beta = device.comm_time_per_sample(exchange)
-            compute_comm = iterations * plan.batch_sizes[worker_id] * (mu + beta)
-            durations.append(
-                compute_comm + model_moves * device.model_transfer_time(model_bytes)
-            )
-        return np.asarray(durations)
+        mus, betas, moves = self.cluster.per_sample_times(plan.selected, *costs)
+        batches = np.array([plan.batch_sizes[worker_id] for worker_id in plan.selected])
+        return sum(round_times(
+            mus + betas, moves, batches,
+            self.config.local_iterations, self._aggregations,
+        ))
 
-    def _charge_traffic(self, plan: RoundPlan) -> None:
+    def _charge_traffic(self, plan: RoundPlan, costs) -> None:
         """Features up + gradients down for every iteration, plus the model
         exchange once per aggregation."""
         iterations = self.config.local_iterations
         aggregations = self._aggregations
-        for worker_id in plan.selected:
-            __, exchange, model_bytes = self._worker_costs(plan, worker_id)
+        __, exchange, model_bytes = costs
+        for worker_id, worker_exchange, worker_model_bytes in zip(
+            plan.selected, exchange, model_bytes
+        ):
             self.traffic.add_feature_exchange(
-                iterations * plan.batch_sizes[worker_id] * exchange
+                iterations * plan.batch_sizes[worker_id] * worker_exchange
             )
-            self.traffic.add_model_exchange(model_bytes * aggregations)
+            self.traffic.add_model_exchange(worker_model_bytes * aggregations)
 
     # -- round mechanics ---------------------------------------------------------
     def _plan_round(self, round_index: int) -> RoundPlan:
@@ -359,7 +358,8 @@ class RoundEngine(Algorithm):
         selected_workers = self.pool.checkout(plan.selected)
         # The churn is drawn once, up front, against the planned cohort; a
         # death-recovery re-run reuses the same draw.
-        durations = self._worker_durations(plan)
+        costs = self._cohort_costs(plan)
+        durations = self._worker_durations(plan, costs)
         elastic_state = self._elastic.begin_round(
             round_index, plan.selected, durations
         )
@@ -378,11 +378,10 @@ class RoundEngine(Algorithm):
                 return
             for worker in selected_workers:
                 worker.participation_count += 1
-            self._charge_traffic(plan)
-            accounting["duration"] = elastic_round_duration(
-                durations, elastic_state.churn.deadline
-            )
-            accounting["waiting"] = average_waiting_time(durations)
+            self._charge_traffic(plan, costs)
+            deadline = elastic_state.churn.deadline
+            accounting["duration"] = round_duration(durations, deadline)
+            accounting["waiting"] = average_waiting_time(durations, deadline)
             self._clock += accounting["duration"]
             self._observe_round(round_index, plan, durations)
 

@@ -22,7 +22,7 @@ from repro.simulation.cluster import Cluster, build_cluster
 from repro.simulation.estimator import WorkerStateEstimator, BandwidthEstimator
 from repro.simulation.traffic import TrafficMeter, feature_bytes
 from repro.simulation.timing import (
-    iteration_duration,
+    round_times,
     round_duration,
     average_waiting_time,
 )
@@ -43,7 +43,7 @@ __all__ = [
     "BandwidthEstimator",
     "TrafficMeter",
     "feature_bytes",
-    "iteration_duration",
+    "round_times",
     "round_duration",
     "average_waiting_time",
 ]

@@ -6,9 +6,10 @@ on first touch from ``spawned_rng(seed, worker_id)`` and caught up by
 replaying the ``advance_round`` calls it missed, it is the device an
 always-advanced fleet would hold.  So advancing a round only re-draws the
 bandwidth budget, and a checkpoint is the budget RNG, budget and round.
-Planning reads each worker's ``(mu_i, beta_i)`` through
+Planning reads each worker's ``(mu_i, beta_i)``, and the round's cost
+model also its model move time ``m_i``, through
 :meth:`Cluster.per_sample_times`: one device lookup, and so one catch-up,
-per worker.
+per worker, at costs one per worker when workers cut at different depths.
 """
 
 from __future__ import annotations
@@ -105,16 +106,30 @@ class Cluster:
         return [self[worker_id] for worker_id in range(self.num_workers)]
 
     def per_sample_times(
-        self, ids, forward_flops: float, bytes_per_sample: float
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, ids, forward_flops, bytes_per_sample, model_bytes=None
+    ) -> tuple[np.ndarray, ...]:
         """Per-sample compute and communication times ``(mu_i, beta_i)``
-        of workers ``ids`` (seconds), from one device lookup per worker."""
-        mus, betas = [], []
-        for worker_id in ids:
-            device = self[worker_id]
-            mus.append(device.compute_time_per_sample(forward_flops))
-            betas.append(device.comm_time_per_sample(bytes_per_sample))
-        return np.asarray(mus), np.asarray(betas)
+        of workers ``ids`` (seconds), from one device lookup per worker.
+
+        Each cost is shared by every worker or an array aligned with
+        ``ids``; given ``model_bytes``, one model move's time ``m_i`` is a
+        third array.
+        """
+        ids = list(ids)
+        devices = [self[worker_id] for worker_id in ids]
+
+        def per_worker(cost) -> list[float]:
+            return np.broadcast_to(np.asarray(cost, np.float64), len(ids)).tolist()
+
+        mus = np.array([device.compute_time_per_sample(flops) for device, flops
+                        in zip(devices, per_worker(forward_flops))])
+        betas = np.array([device.comm_time_per_sample(nbytes) for device, nbytes
+                          in zip(devices, per_worker(bytes_per_sample))])
+        if model_bytes is None:
+            return mus, betas
+        moves = np.array([device.model_transfer_time(nbytes) for device, nbytes
+                          in zip(devices, per_worker(model_bytes))])
+        return mus, betas, moves
 
     def advance_round(self, round_index: int) -> None:
         """Re-draw the PS budget; devices catch up on their next touch."""

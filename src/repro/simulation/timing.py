@@ -1,9 +1,17 @@
-"""Round timing model (Eq. 7-8 of the paper).
+"""Round timing model (Eq. 7-8 of the paper, plus the model exchange).
 
-Worker ``i`` running ``tau`` local iterations with batch size ``d_i`` takes
-``t_i = tau * d_i * (mu_i + beta_i)`` seconds in a round; the round finishes
-when the slowest selected worker finishes, and every faster worker idles for
-the difference.
+A worker's simulated round has two parts, both computed by
+:func:`round_times` and nowhere else: the **regulated** part, Eq. 7's
+``tau * d_i * (mu_i + beta_i)`` for ``tau`` local iterations at batch size
+``d_i``, on which batch-size regulation (Eq. 9) acts; and the **fixed**
+part, ``2 * aggregations * m_i`` for swapping the (bottom) model with the
+PS, which Eq. 7 leaves out and every engine here charges.  Whether
+regulation should equalise the regulated part alone, as Eq. 9 does, or the
+whole round is an open question about the paper (ROADMAP item 4).
+
+The round ends when the slowest worker finishes, or at the straggler
+deadline when one is set; every worker that finished earlier idles until
+then (Eq. 8).
 """
 
 from __future__ import annotations
@@ -11,57 +19,35 @@ from __future__ import annotations
 import numpy as np
 
 
-def iteration_duration(batch_size: int, mu: float, beta: float) -> float:
-    """Duration of one local iteration for a single worker (seconds)."""
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    if mu < 0 or beta < 0:
-        raise ValueError("per-sample times must be non-negative")
-    return batch_size * (mu + beta)
+def round_times(per_sample, moves, batches, tau: int, aggregations: int):
+    """``(regulated, fixed)`` simulated round times; a round takes their sum.
 
-
-def worker_round_duration(
-    tau: int, batch_size: int, mu: float, beta: float
-) -> float:
-    """Duration of a whole round for one worker: ``tau * d * (mu + beta)``."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return tau * iteration_duration(batch_size, mu, beta)
-
-
-def round_duration(worker_durations: np.ndarray) -> float:
-    """Completion time of a synchronous round (the slowest worker)."""
-    durations = np.asarray(worker_durations, dtype=np.float64)
-    if durations.size == 0:
-        return 0.0
-    if np.any(durations < 0):
-        raise ValueError("durations must be non-negative")
-    return float(durations.max())
-
-
-def elastic_round_duration(
-    worker_durations: np.ndarray, deadline: float | None = None
-) -> float:
-    """Completion time of an elastic round: first-k-of-n at the deadline.
-
-    Without a deadline this is :func:`round_duration` (the server waits for
-    the slowest selected worker); with one, the server stops waiting at the
-    deadline and aggregates whatever arrived, so the round never runs
-    longer than the deadline itself.
+    ``per_sample`` is ``mu_i + beta_i``, ``moves`` the time ``m_i`` of one
+    model move and ``batches`` the batch size ``d_i``, each a scalar or an
+    array aligned with the cohort.
     """
-    full = round_duration(worker_durations)
-    if deadline is None:
-        return full
-    if deadline < 0:
-        raise ValueError("deadline must be non-negative")
-    return float(min(full, deadline))
+    return tau * batches * per_sample, 2 * aggregations * moves
 
 
-def average_waiting_time(worker_durations: np.ndarray) -> float:
-    """Average idle time across workers in a synchronous round (Eq. 8)."""
+def round_duration(worker_durations, deadline: float | None = None) -> float:
+    """Completion time of a round: the slowest worker, capped at the
+    deadline, where the server stops waiting and aggregates what arrived."""
     durations = np.asarray(worker_durations, dtype=np.float64)
+    if np.any(durations < 0) or (deadline is not None and deadline < 0):
+        raise ValueError("durations and deadline must be non-negative")
     if durations.size == 0:
         return 0.0
-    if np.any(durations < 0):
-        raise ValueError("durations must be non-negative")
-    return float((durations.max() - durations).mean())
+    full = float(durations.max())
+    return full if deadline is None else min(full, float(deadline))
+
+
+def average_waiting_time(
+    worker_durations, deadline: float | None = None
+) -> float:
+    """Average idle time across workers until the round ends (Eq. 8); a
+    worker still running at the deadline does not idle."""
+    durations = np.asarray(worker_durations, dtype=np.float64)
+    end = round_duration(durations, deadline)
+    if durations.size == 0:
+        return 0.0
+    return float(np.maximum(end - durations, 0.0).mean())

@@ -20,10 +20,11 @@ Policies:
   durations, co-optimizing with the regulated per-worker batch sizes of the
   round plan.
 
-Both cost models read the engine's per-depth tables, whose exchange and
-model bytes are what the simulated link carries: under a compressing codec
-they are the encoded sizes, so communication-heavy shallow cuts get
-cheaper.
+Both cost models price a depth with the engines' round-time model
+(:func:`~repro.simulation.timing.round_times`) over the engine's per-depth
+tables, whose exchange and model bytes are what the simulated link
+carries: under a compressing codec they are the encoded sizes, so
+communication-heavy shallow cuts get cheaper.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.api.registry import SPLIT_POLICIES, register_split_policy
+from repro.simulation.timing import round_times
 from repro.simulation.worker_device import TRAIN_FLOPS_MULTIPLIER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -106,16 +108,6 @@ class SplitPolicy:
         return f"{type(self).__name__}()"
 
 
-def _round_cost(
-    depth_cost: float, move_cost: float, batch: int, ctx: SplitContext
-) -> float:
-    """One worker's round duration estimate for a per-sample cost."""
-    return (
-        ctx.local_iterations * batch * depth_cost
-        + 2.0 * ctx.aggregations * move_cost
-    )
-
-
 @register_split_policy("uniform")
 class UniformSplitPolicy(SplitPolicy):
     """Every worker cuts at the full bottom depth (the global constant)."""
@@ -163,7 +155,8 @@ class ProfileSplitPolicy(SplitPolicy):
             mu = ctx.flops[depth] * TRAIN_FLOPS_MULTIPLIER / throughput
             beta = ctx.exchange_bytes[depth] * 8.0 / (mean_mbps * 1e6)
             move = ctx.model_bytes[depth] * 8.0 / (mean_mbps * 1e6)
-            cost = _round_cost(mu + beta, move, ctx.base_batch_size, ctx)
+            cost = sum(round_times(mu + beta, move, ctx.base_batch_size,
+                                   ctx.local_iterations, ctx.aggregations))
             # Ties go to the deeper cut (closer to the global constant).
             if cost <= best_cost:
                 best_depth, best_cost = depth, cost
@@ -210,7 +203,8 @@ class AdaptiveSplitPolicy(SplitPolicy):
             mu = slowdown * device.compute_time_per_sample(ctx.flops[depth])
             beta = device.comm_time_per_sample(ctx.exchange_bytes[depth])
             move = device.model_transfer_time(ctx.model_bytes[depth])
-            cost = _round_cost(mu + beta, move, batch, ctx)
+            cost = sum(round_times(mu + beta, move, batch,
+                                   ctx.local_iterations, ctx.aggregations))
             if cost <= best_cost:
                 best_depth, best_cost = depth, cost
         return best_depth

@@ -9,9 +9,8 @@ from repro.simulation.estimator import BandwidthEstimator, WorkerStateEstimator
 from repro.simulation.network import WifiNetworkModel, assign_distance
 from repro.simulation.timing import (
     average_waiting_time,
-    iteration_duration,
     round_duration,
-    worker_round_duration,
+    round_times,
 )
 from repro.simulation.traffic import TrafficMeter, feature_bytes
 from repro.simulation.worker_device import WorkerDevice
@@ -39,6 +38,41 @@ class TestCluster:
         subset = cluster.per_sample_times([4, 1], 1e6, 2048)
         assert np.array_equal(subset[0], mus[[4, 1]])
         assert np.array_equal(subset[1], betas[[4, 1]])
+
+    def test_per_worker_costs(self, monkeypatch):
+        # Workers cut at different depths: one cost per worker, and the
+        # model move time from the same device lookup.
+        cluster = build_cluster(num_workers=6, bandwidth_budget_mbps=100, seed=0)
+        ids = [5, 0, 3]
+        flops = np.array([1e6, 2e6, 4e5])
+        exchange = np.array([2048, 0, 512])
+        model_bytes = np.array([4e4, 1e5, 0.0])
+        mus, betas, moves = cluster.per_sample_times(
+            ids, flops, exchange, model_bytes
+        )
+        for index, worker_id in enumerate(ids):
+            device = cluster[worker_id]
+            assert mus[index] == device.compute_time_per_sample(flops[index])
+            assert betas[index] == device.comm_time_per_sample(exchange[index])
+            assert moves[index] == device.model_transfer_time(model_bytes[index])
+        # A scalar cost is every worker's, with or without the move times.
+        shared = cluster.per_sample_times(ids, 1e6, exchange, 4e4)
+        assert np.array_equal(shared[1], betas)
+        assert np.array_equal(
+            shared[0], cluster.per_sample_times(ids, 1e6, 2048)[0]
+        )
+        assert shared[2][0] == moves[0]
+        # Each worker is looked up once.
+        lookups = []
+        lookup = Cluster.__getitem__
+
+        def counted(self, worker_id):
+            lookups.append(int(worker_id))
+            return lookup(self, worker_id)
+
+        monkeypatch.setattr(Cluster, "__getitem__", counted)
+        cluster.per_sample_times(ids, flops, exchange, model_bytes)
+        assert lookups == ids
 
     def test_heterogeneity_present(self):
         cluster = build_cluster(num_workers=30, bandwidth_budget_mbps=100, seed=0)
@@ -225,9 +259,19 @@ class TestTraffic:
 
 
 class TestTiming:
-    def test_iteration_and_round_duration(self):
-        assert iteration_duration(10, 0.1, 0.2) == pytest.approx(3.0)
-        assert worker_round_duration(5, 10, 0.1, 0.2) == pytest.approx(15.0)
+    def test_round_times_parts(self):
+        # One iteration, no model moves: d * (mu + beta).
+        assert round_times(0.1 + 0.2, 0.0, 10, 1, 1) == pytest.approx((3.0, 0.0))
+        # tau iterations and two moves per aggregation.
+        regulated, fixed = round_times(0.1 + 0.2, 0.5, 10, 5, 3)
+        assert regulated == pytest.approx(15.0)
+        assert fixed == pytest.approx(3.0)
+        # A cohort in one call.
+        regulated, fixed = round_times(
+            np.array([0.3, 0.1]), np.array([0.5, 0.0]), np.array([10, 4]), 5, 1
+        )
+        assert regulated == pytest.approx([15.0, 2.0])
+        assert fixed == pytest.approx([1.0, 0.0])
 
     def test_round_duration_is_max(self):
         assert round_duration(np.array([1.0, 5.0, 3.0])) == 5.0
@@ -239,12 +283,23 @@ class TestTiming:
     def test_equal_durations_have_zero_waiting(self):
         assert average_waiting_time(np.array([2.0, 2.0, 2.0])) == 0.0
 
+    def test_deadline_caps_the_round_and_its_waiting(self):
+        durations = np.array([1.0, 10.0])
+        assert round_duration(durations, deadline=1.5) == 1.5
+        # The fast worker idles until the deadline; the straggler, still
+        # running when the server stops waiting, does not idle at all.
+        assert average_waiting_time(durations, deadline=1.5) == 0.25
+        # A deadline past the slowest worker changes nothing.
+        assert round_duration(durations, deadline=20.0) == 10.0
+        assert average_waiting_time(durations, deadline=20.0) == 4.5
+        assert average_waiting_time(durations) == 4.5
+
     def test_empty_inputs(self):
         assert round_duration(np.array([])) == 0.0
         assert average_waiting_time(np.array([])) == 0.0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            iteration_duration(0, 0.1, 0.1)
-        with pytest.raises(ValueError):
             round_duration(np.array([-1.0]))
+        with pytest.raises(ValueError):
+            round_duration(np.array([1.0]), deadline=-1.0)

@@ -188,3 +188,14 @@ class TestTimingProperties:
         duration = round_duration(durations)
         waiting = average_waiting_time(durations)
         assert 0.0 <= waiting <= duration
+
+    @given(hnp.arrays(dtype=np.float64, shape=st.integers(1, 20),
+                      elements=st.floats(min_value=0.0, max_value=1e4)),
+           st.floats(min_value=0.0, max_value=2e4))
+    @settings(max_examples=50, deadline=None)
+    def test_waiting_time_bounded_by_deadline_round(self, durations, deadline):
+        duration = round_duration(durations, deadline)
+        waiting = average_waiting_time(durations, deadline)
+        assert duration <= deadline
+        assert 0.0 <= waiting <= duration
+        assert waiting <= average_waiting_time(durations)
