@@ -75,4 +75,9 @@ def _factory(row):
 
 
 for _name, (_description, _row) in BUILTIN_ALGORITHMS.items():
-    register_algorithm(_name, _factory(_row), description=_description)
+    # ``full_model``: the FL engine trains no split model, so a config
+    # naming a split policy for it is rejected.
+    register_algorithm(
+        _name, _factory(_row), description=_description,
+        full_model=not isinstance(_row, dict),
+    )

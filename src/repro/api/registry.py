@@ -20,7 +20,9 @@ engine), dataset entries are makers ``(train_samples, test_samples, seed) ->
 TrainTestSplit`` and model entries are builders returning a
 :class:`~repro.nn.module.Sequential` (see
 :func:`repro.api.components.build_model_for` for the keyword contract
-selected by the ``input_kind`` metadata).
+selected by the ``input_kind`` metadata).  An algorithm that trains the full
+model on every worker, as the FL engine does, is registered with
+``full_model=True``: a config that names a split policy for it is rejected.
 
 A dataset maker must be a pure function of ``(train_samples, test_samples,
 seed)``: a process keeps the last one's arrays and serves the next session

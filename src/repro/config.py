@@ -296,6 +296,14 @@ class ExperimentConfig:
             raise ConfigurationError(
                 SPLIT_POLICIES.unknown_message(self.split_policy)
             )
+        if (self.split_policy != "uniform"
+                and ALGORITHMS.metadata(self.algorithm).get("full_model")):
+            raise ConfigurationError(
+                f"algorithm {self.algorithm!r} trains the full model on every "
+                f"worker and cuts nothing, so split_policy="
+                f"{self.split_policy!r} would be ignored; use "
+                f"split_policy='uniform'"
+            )
         if self.selector not in SELECTION_SOLVERS:
             raise ConfigurationError(
                 SELECTION_SOLVERS.unknown_message(self.selector)

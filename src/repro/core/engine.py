@@ -425,8 +425,7 @@ class SplitTrainingEngine(RoundEngine):
             features = self._delivered(FEATURES, worker_ids, features)
             loss, gradients = update(worker_ids, features, labels, depths)
             return loss, self._delivered(
-                GRADIENTS, worker_ids,
-                [gradients[worker_id] for worker_id in worker_ids],
+                GRADIENTS, worker_ids, gradients.in_order(worker_ids)
             )
 
         ops = SplitRoundOps(

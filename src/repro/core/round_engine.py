@@ -62,6 +62,14 @@ from repro.utils.logging import get_logger
 logger = get_logger("core.round_engine")
 
 
+def _plan_batches(plan: RoundPlan) -> np.ndarray:
+    """The planned batch sizes, aligned with ``plan.selected``."""
+    return np.fromiter(
+        map(plan.batch_sizes.__getitem__, plan.selected),
+        dtype=np.int64, count=len(plan.selected),
+    )
+
+
 class RoundEngine(Algorithm):
     """Round lifecycle shared by the split and full-model engines."""
 
@@ -308,7 +316,7 @@ class RoundEngine(Algorithm):
         both the churn draw and the accounting stage.
         """
         mus, betas, moves = self.cluster.per_sample_times(plan.selected, *costs)
-        batches = np.array([plan.batch_sizes[worker_id] for worker_id in plan.selected])
+        batches = _plan_batches(plan)
         return sum(round_times(
             mus + betas, moves, batches,
             self.config.local_iterations, self._aggregations,
@@ -316,17 +324,12 @@ class RoundEngine(Algorithm):
 
     def _charge_traffic(self, plan: RoundPlan, costs) -> None:
         """Features up + gradients down for every iteration, plus the model
-        exchange once per aggregation."""
-        iterations = self.config.local_iterations
-        aggregations = self._aggregations
+        exchange once per aggregation, worker after worker in plan order."""
         __, exchange, model_bytes = costs
-        for worker_id, worker_exchange, worker_model_bytes in zip(
-            plan.selected, exchange, model_bytes
-        ):
-            self.traffic.add_feature_exchange(
-                iterations * plan.batch_sizes[worker_id] * worker_exchange
-            )
-            self.traffic.add_model_exchange(worker_model_bytes * aggregations)
+        self.traffic.add_feature_exchange(
+            self.config.local_iterations * _plan_batches(plan) * exchange
+        )
+        self.traffic.add_model_exchange(model_bytes * self._aggregations)
 
     # -- round mechanics ---------------------------------------------------------
     def _plan_round(self, round_index: int) -> RoundPlan:

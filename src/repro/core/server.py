@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.merging import FeatureMerger
+from repro.core.merging import Dispatched, FeatureMerger
 from repro.data.dataset import Dataset
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Sequential
@@ -193,7 +193,7 @@ class SplitServer:
         features: list[np.ndarray],
         labels: list[np.ndarray],
         depths: dict[int, int] | None = None,
-    ) -> tuple[float, dict[int, np.ndarray]]:
+    ) -> tuple[float, Dispatched]:
         """Feature merging update (Eq. 16) followed by gradient dispatching.
 
         Workers sharing a cut depth merge within their group, every non-tail
@@ -205,7 +205,8 @@ class SplitServer:
 
         Returns:
             ``(loss, gradients)`` where ``gradients`` maps each worker id to
-            the gradient segment of its features.
+            the gradient segment of its features
+            (:class:`~repro.core.merging.Dispatched`, in merge order).
         """
         if depths is None:
             depths = dict.fromkeys(worker_ids, len(self.global_bottom))
@@ -232,7 +233,7 @@ class SplitServer:
         mixed_gradient = self.top.backward(self.loss_fn.backward())
         self.top_optimizer.step()
         total = int(mixed.shape[0])
-        gradients: dict[int, np.ndarray] = {}
+        dispatched = []
         offset = 0
         for depth, merged in groups:
             size = merged.total_samples
@@ -251,14 +252,13 @@ class SplitServer:
             # segment to the mean gradient over its own d_i samples, so
             # bottom models update with the same magnitude as in typical
             # SFL (Eq. 15): one pass, each row times its worker's factor.
-            sizes = np.asarray(merged.segment_sizes)
-            factors = np.repeat(total / sizes, sizes)
-            gradients.update(self.merger.dispatch(
+            factors = np.repeat(total / merged.sizes, merged.sizes)
+            dispatched.append(self.merger.dispatch(
                 merged,
                 group_gradient
                 * factors.reshape(-1, *(1,) * (group_gradient.ndim - 1)),
             ))
-        return loss, gradients
+        return loss, Dispatched.join(dispatched)
 
     def update_top_per_worker(
         self,
@@ -266,7 +266,7 @@ class SplitServer:
         features: list[np.ndarray],
         labels: list[np.ndarray],
         depths: dict[int, int] | None = None,
-    ) -> tuple[float, dict[int, np.ndarray]]:
+    ) -> tuple[float, Dispatched]:
         """Typical-SFL update: the top model is updated once per worker, in turn.
 
         A worker cut above the tail goes through its depth's bridge, which
@@ -275,7 +275,7 @@ class SplitServer:
         if depths is None:
             depths = dict.fromkeys(worker_ids, len(self.global_bottom))
         tail = len(self.global_bottom)
-        gradients: dict[int, np.ndarray] = {}
+        gradients: list[np.ndarray] = []
         losses = []
         for worker_id, feats, labs in zip(worker_ids, features, labels):
             bridge_pair = (
@@ -293,10 +293,10 @@ class SplitServer:
             if bridge_pair is not None:
                 gradient = bridge.backward(gradient)
                 optimizer.step()
-            gradients[worker_id] = gradient
+            gradients.append(gradient)
             self.top_optimizer.step()
         mean_loss = float(np.mean(losses)) if losses else 0.0
-        return mean_loss, gradients
+        return mean_loss, Dispatched(list(worker_ids), gradients)
 
     # -- bottom-model aggregation ---------------------------------------------
     def aggregate_bottoms(

@@ -45,8 +45,9 @@ class BatchLoader:
     the shard of all its rows, whose positions and rows coincide.
 
     :meth:`next_indices_many` draws several consecutive mini-batches at
-    once, with exactly the rows and the final state of drawing them one
-    :meth:`next_indices` call at a time.
+    once, and :func:`draw_cohort` those of many loaders, with exactly the
+    rows and the final states of drawing them one :meth:`next_indices`
+    call at a time.
     """
 
     def __init__(self, dataset: Dataset | Shard, seed: int = 0) -> None:
@@ -71,33 +72,14 @@ class BatchLoader:
     def next_indices_many(self, batch_size: int, count: int) -> np.ndarray:
         """The rows of ``count`` consecutive :meth:`next_indices` calls.
 
-        Returns a fresh ``(count, min(batch_size, len(self)))`` array whose
-        row ``k`` is what the ``k``-th call would have drawn; the sampling
+        Returns a ``(count, min(batch_size, len(self)))`` array whose row
+        ``k`` is what the ``k``-th call would have drawn; the sampling
         state afterwards (reshuffles, cursor, RNG) is the one those calls
-        leave.  An executor that knows how many forwards follow an install
-        draws a worker's whole round with one call.
+        leave.  It is :func:`draw_cohort` over this one loader.
         """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if count <= 0:
-            raise ValueError(f"count must be positive, got {count}")
-        size = min(batch_size, len(self.dataset))
-        positions = np.empty(count * size, dtype=np.int64)
-        filled = 0
-        while True:
-            # Walk the current order; reshuffle only when a draw needs a
-            # position past its end, as one call at a time would.
-            take = min(len(positions) - filled, len(self._order) - self._cursor)
-            positions[filled:filled + take] = (
-                self._order[self._cursor:self._cursor + take]
-            )
-            filled += take
-            self._cursor += take
-            if filled == len(positions):
-                break
-            self._order = self._rng.permutation(len(self.dataset))
-            self._cursor = 0
-        return self.dataset.rows[positions].reshape(count, size)
+        return draw_cohort([self], min(batch_size, len(self.dataset)), count)[:, 0]
 
     def next_batch(self, batch_size: int) -> tuple[np.ndarray, np.ndarray]:
         """Return the next ``(data, targets)`` mini-batch of the given size."""
@@ -119,3 +101,64 @@ class BatchLoader:
         set_rng_state(self._rng, state["rng"])
         self._order = order.copy()
         self._cursor = cursor
+
+
+def draw_cohort(loaders, size: int, count: int) -> np.ndarray:
+    """The rows of ``count`` consecutive width-``size`` draws from each loader.
+
+    Returns a fresh ``(count, len(loaders), size)`` array: ``[:, i]`` is
+    ``loaders[i].next_indices_many(size, count)``, and every loader is left
+    in the state those calls leave.  ``size`` must not exceed any loader's
+    shard (a batch above a shard draws the whole shard, so its width is the
+    shard's length).
+
+    Each loader still reshuffles with its own ``rng.permutation``, as often
+    and in the order one call at a time would; the walk over the orders and
+    the position-to-row map run once over the whole cohort: the orders in
+    play and the shards' rows are concatenated, and one ``take`` each reads
+    every loader's window.  An executor draws a shape group of workers'
+    whole round with one call.
+    """
+    if count <= 0:
+        raise ValueError(f"count must be positive, got {count}")
+    need = size * count
+    if need == 0:
+        return np.empty((count, len(loaders), size), dtype=np.int64)
+    orders = []        # every order a window reads, loader after loader
+    rows = []          # every loader's shard rows
+    starts = []        # where each window opens in the concatenated orders
+    bases = []         # where each shard opens in the concatenated rows
+    walked = placed = 0
+    for loader in loaders:
+        order = loader._order
+        length = order.shape[0]
+        if length < size:
+            raise ValueError(
+                f"draw width {size} exceeds a shard of {length} samples"
+            )
+        cursor = loader._cursor
+        starts.append(walked + cursor)
+        bases.append(placed)
+        rows.append(loader.dataset.rows)
+        orders.append(order)
+        walked += length
+        placed += length
+        missing = need - (length - cursor)
+        if missing <= 0:
+            loader._cursor = cursor + need
+            continue
+        # Reshuffle whenever the window runs past the end of an order.
+        reshuffles = -(-missing // length)
+        for __ in range(reshuffles):
+            order = loader._rng.permutation(length)
+            orders.append(order)
+        walked += reshuffles * length
+        loader._order = order
+        loader._cursor = missing - (reshuffles - 1) * length
+    window = np.arange(need, dtype=np.int64).reshape(count, 1, size)
+    positions = np.concatenate(orders).take(
+        np.asarray(starts, dtype=np.int64)[:, None] + window
+    )
+    return np.concatenate(rows).take(
+        positions + np.asarray(bases, dtype=np.int64)[:, None]
+    )

@@ -11,16 +11,26 @@ into its own rectangular tensor, within its cut depth
 
 Sampling state never leaves the workers: mini-batches are drawn from every
 worker's own :class:`~repro.data.loader.BatchLoader` in the main process,
-so checkpoints are identical to serial execution.  An iteration costs
-O(shape groups), not O(workers): told how many forwards follow the install
-(``install(..., iterations=tau)``), the first forward draws each worker's
-whole round with one
-:meth:`~repro.data.loader.BatchLoader.next_indices_many` call and keeps a
-``(tau, members, batch)`` row array per group, so every iteration gathers a
-group's samples and labels with one ``take`` each.  Later forwards of the
-round must ask for the same batch sizes
-(:class:`~repro.exceptions.BatchSizeMismatchError`); one past ``tau``, or
-any forward without ``iterations``, draws afresh.
+so checkpoints are identical to serial execution.
+
+An iteration of a cohort at one cut depth costs O(shape groups), not
+O(workers), in Python steps: every per-worker quantity is a numpy array
+or a C-level ``map``.  The one per-worker Python loop left is the round's
+draw.  Told how many forwards follow the install
+(``install(..., iterations=tau)``), the first forward draws each shape
+group's whole round with one :func:`~repro.data.loader.draw_cohort` call,
+which visits each loader once for its own reshuffles (its
+``permutation`` calls, new order and cursor), and keeps a
+``(tau, members, width)`` row array per group and the round's labels in
+merge order, so every iteration gathers a group's samples with one
+``take``.  A forward writes every group's features into one
+:class:`~repro.core.merging.Segments` array in cohort order, which the
+server merges as it is, and a backward reads each group's gradients out
+of the dispatched segments with one ``take``.  A cohort cut at several
+depths hands its segments over one view per worker.  Later forwards of
+the round must ask for the same batch sizes
+(:class:`~repro.exceptions.BatchSizeMismatchError`); one past ``tau``,
+or any forward without ``iterations``, draws afresh.
 
 A stacked cohort holds each parameter once.  Between a local step and the
 next forward a group keeps its parameters, gradients and optimizer, and no
@@ -40,8 +50,12 @@ per layer-type set; ``executor="auto"`` never picks this backend for them
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import numpy as np
 
+from repro.core.merging import Segments
+from repro.data.loader import draw_cohort
 from repro.exceptions import BatchSizeMismatchError
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.split import carve_prefix
@@ -57,22 +71,32 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("parallel.batched")
 
+_shard = attrgetter("dataset")
+_shard_rows = attrgetter("rows")
+_source = attrgetter("source")
+_loader = attrgetter("loader")
+_worker_id = attrgetter("worker_id")
+
 
 class _Group:
     """One shape group: a stacked model + optimizer for a subset of workers.
 
     ``sgd`` is ``None`` once the group's states have been collected.
-    ``rows`` and ``labels`` are the drawn ``(forwards, members, batch)``
-    source rows and their labels.
+    ``rows`` are the drawn ``(forwards, members, width)`` source rows, and
+    ``segment_rows`` where the members' rows sit in their depth round's
+    :class:`~repro.core.merging.Segments` (features out, gradients in).
     """
 
-    def __init__(self, slots: list[int], model: BatchedModel, sgd: BatchedSGD) -> None:
+    def __init__(self, slots, width, source, loaders, segment_rows,
+                 model, sgd) -> None:
         self.slots = slots
+        self.width = width
+        self.source = source
+        self.loaders = loaders
+        self.segment_rows = segment_rows
         self.model = model
         self.sgd: BatchedSGD | None = sgd
-        self.pending_batch = 0
         self.rows: np.ndarray | None = None
-        self.labels: np.ndarray | None = None
 
 
 class _DepthRound:
@@ -81,7 +105,9 @@ class _DepthRound:
     ``slots`` are their positions in the cohort; a uniform round is a
     single depth round over every slot.  They stack into one (or more, by
     mini-batch shape) vectorized kernels once the first forward has shown
-    the shapes.
+    the shapes.  ``widths`` are the slots' draw widths, the segment sizes
+    of the round's features and gradients, and ``labels`` the drawn
+    ``(forwards, samples)`` labels in segment order.
     """
 
     def __init__(self, slots, snapshot, learning_rates, hyperparams) -> None:
@@ -90,16 +116,17 @@ class _DepthRound:
         self.learning_rates = np.asarray(learning_rates, dtype=np.float64)
         self.hyperparams = hyperparams
         self.groups: list[_Group] | None = None
+        self.widths: np.ndarray | None = None
+        self.labels: np.ndarray | None = None
 
-    def build_groups(self, keys: list[tuple]) -> None:
-        """Partition the cohort slots by :func:`_group_key` and stack each
-        group."""
-        by_key: dict[tuple, list[int]] = {}
-        for member, key in enumerate(keys):
-            by_key.setdefault(key, []).append(member)
+    def build_groups(self, workers, widths: np.ndarray) -> None:
+        """Partition the round's slots by :func:`_shape_groups` and stack
+        each group."""
         momentum, weight_decay, max_grad_norm = self.hyperparams
+        self.widths = widths[self.slots]
+        starts = np.cumsum(self.widths) - self.widths
         self.groups = []
-        for members in by_key.values():
+        for members, width, source in _shape_groups(workers, widths, self.slots):
             model = BatchedModel(self.snapshot, len(members))
             sgd = BatchedSGD(
                 model.parameters(),
@@ -108,9 +135,13 @@ class _DepthRound:
                 weight_decay=weight_decay,
                 max_grad_norm=max_grad_norm,
             )
-            self.groups.append(
-                _Group([self.slots[member] for member in members], model, sgd)
-            )
+            slots = [self.slots[member] for member in members]
+            self.groups.append(_Group(
+                slots, width, source,
+                list(map(_loader, map(workers.__getitem__, slots))),
+                (starts[members, None] + np.arange(width)).ravel(),
+                model, sgd,
+            ))
 
 
 def uniform_worker_hyperparams(workers) -> tuple | None:
@@ -129,22 +160,36 @@ def uniform_worker_hyperparams(workers) -> tuple | None:
     return next(iter(settings))
 
 
-def _group_key(worker, drawn: np.ndarray) -> tuple:
-    """What a stacked group shares: the batch size, and the source array
-    its members' rows index (and so the sample shape), so one ``take``
-    gathers the group."""
-    return (drawn.shape[-1], id(worker.dataset.source))
+def _draw_widths(workers, batch_sizes) -> np.ndarray:
+    """Each worker's draw width: its batch size, capped at its shard."""
+    batch_sizes = np.asarray(batch_sizes, dtype=np.int64)
+    if batch_sizes.size and batch_sizes.min() <= 0:
+        raise ValueError(f"batch_size must be positive, got {batch_sizes.min()}")
+    lengths = np.fromiter(
+        map(len, map(_shard_rows, map(_shard, workers))),
+        dtype=np.int64, count=len(workers),
+    )
+    return np.minimum(batch_sizes, lengths)
 
 
-def _stack_rows(source, drawn, slots) -> tuple[np.ndarray, np.ndarray]:
-    """The drawn rows of ``slots`` as one ``(forwards, members, batch)``
-    array, and their labels.
+def _shape_groups(workers, widths: np.ndarray, slots: list[int]):
+    """``slots`` partitioned by what a stacked group shares: the draw
+    width, and the source array its members' rows index (and so the
+    sample shape), so one ``take`` gathers the group.
 
-    ``mode="clip"`` only skips the bounds check: the rows are the shards',
-    range-checked against this very source when they were cut.
+    Yields ``(members, width, source)``, ``members`` ascending positions
+    in ``slots``.
     """
-    rows = np.stack([drawn[slot] for slot in slots], axis=1)
-    return rows, source.targets.take(rows, mode="clip")
+    sources = list(map(_source, map(_shard, map(workers.__getitem__, slots))))
+    codes = {id(source): code for code, source in enumerate(sources)}
+    keys = widths[slots] * len(sources) + np.fromiter(
+        map(codes.__getitem__, map(id, sources)),
+        dtype=np.int64, count=len(sources),
+    )
+    order = np.argsort(keys, kind="stable")
+    for members in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+        first = members[0]
+        yield members, int(widths[slots[first]]), sources[first]
 
 
 class BatchedExecutor(Executor):
@@ -212,14 +257,14 @@ class BatchedExecutor(Executor):
                 [learning_rates[slot] for slot in slots],
                 hyperparams,
             ))
-        self._worker_ids = [worker.worker_id for worker in workers]
+        self._worker_ids = list(map(_worker_id, workers))
 
     def _require_round(self, workers, after_forward: str | None = None):
         """The installed depth rounds; ``after_forward`` names a caller that
         needs the groups the first forward builds."""
         if self._worker_ids is None:
             raise RuntimeError("no bottom model installed on the batched executor")
-        if [worker.worker_id for worker in workers] != self._worker_ids:
+        if list(map(_worker_id, workers)) != self._worker_ids:
             raise RuntimeError(
                 "worker set changed since install(); re-install the bottom model"
             )
@@ -242,17 +287,33 @@ class BatchedExecutor(Executor):
             )
         forward = self._next_forward
         self._next_forward += 1
+        parts = []
+        for depth_round in depth_rounds:
+            features = None
+            for group in depth_round.groups:
+                outputs = group.model.forward(group.source.gather(group.rows[forward]))
+                if features is None:
+                    features = np.empty(
+                        (depth_round.labels.shape[1], *outputs.shape[2:]),
+                        dtype=outputs.dtype,
+                    )
+                features[group.segment_rows] = outputs.reshape(-1, *outputs.shape[2:])
+            parts.append((
+                Segments(features, depth_round.widths),
+                Segments(depth_round.labels[forward], depth_round.widths),
+            ))
+        if len(parts) == 1:
+            return parts[0]
+        # Workers cut at several depths: interleave their segments back
+        # into cohort order, one view per worker.
         features: list[np.ndarray | None] = [None] * len(workers)
         labels: list[np.ndarray | None] = [None] * len(workers)
-        for depth_round in depth_rounds:
-            for group in depth_round.groups:
-                source = workers[group.slots[0]].dataset.source
-                stacked = source.gather(group.rows[forward])
-                group.pending_batch = stacked.shape[1]
-                outputs = group.model.forward(stacked)
-                for position, slot in enumerate(group.slots):
-                    features[slot] = outputs[position]
-                    labels[slot] = group.labels[forward, position]
+        for depth_round, (round_features, round_labels) in zip(depth_rounds, parts):
+            for slot, feature, label in zip(
+                depth_round.slots, round_features, round_labels
+            ):
+                features[slot] = feature
+                labels[slot] = label
         return features, labels
 
     def _draw(self, workers, batch_sizes, depth_rounds) -> None:
@@ -260,24 +321,34 @@ class BatchedExecutor(Executor):
         the first forward of a round, one at any other.
 
         Each worker draws from its own loader, so the rows and the loader
-        states are those of drawing one forward at a time, in any order.
+        states are those of drawing one forward at a time, in any order;
+        :func:`~repro.data.loader.draw_cohort` draws a whole shape group.
         """
         count = self._predraw or 1
         self._predraw = None
-        drawn = [
-            worker.loader.next_indices_many(batch_size, count)
-            for worker, batch_size in zip(workers, batch_sizes)
-        ]
+        widths = _draw_widths(workers, batch_sizes)
         for depth_round in depth_rounds:
             if depth_round.groups is None:
-                depth_round.build_groups([
-                    _group_key(workers[slot], drawn[slot])
-                    for slot in depth_round.slots
-                ])
-            for group in depth_round.groups:
-                group.rows, group.labels = _stack_rows(
-                    workers[group.slots[0]].dataset.source, drawn, group.slots
+                depth_round.build_groups(workers, widths)
+            elif not np.array_equal(widths[depth_round.slots], depth_round.widths):
+                raise BatchSizeMismatchError(
+                    f"forward asked for batch sizes {list(batch_sizes)}, but "
+                    f"the installed groups were stacked for "
+                    f"{self._drawn_sizes}"
                 )
+            labels = None
+            for group in depth_round.groups:
+                group.rows = draw_cohort(group.loaders, group.width, count)
+                # ``mode="clip"`` only skips the bounds check: the rows are
+                # the shards', range-checked against this very source when
+                # they were cut.
+                drawn = group.source.targets.take(group.rows, mode="clip")
+                if labels is None:
+                    labels = np.empty(
+                        (count, int(depth_round.widths.sum())), dtype=drawn.dtype
+                    )
+                labels[:, group.segment_rows] = drawn.reshape(count, -1)
+            depth_round.labels = labels
         self._drawn_sizes = list(batch_sizes)
         self._drawn_forwards, self._next_forward = count, 0
 
@@ -293,17 +364,27 @@ class BatchedExecutor(Executor):
                 "bottom model"
             )
         for depth_round in depth_rounds:
+            received = Segments.of(
+                gradients if len(depth_rounds) == 1
+                else [gradients[slot] for slot in depth_round.slots]
+            )
+            if len(received) != len(depth_round.slots):
+                raise ValueError(
+                    f"{len(received)} gradients for {len(depth_round.slots)} workers"
+                )
+            mismatched = np.flatnonzero(received.sizes != depth_round.widths)
+            if mismatched.size:
+                first = mismatched[0]
+                raise ValueError(
+                    f"gradient batch {received.sizes[first]} does not match "
+                    f"the pending forward batch {depth_round.widths[first]}"
+                )
+            trailing = received.flat.shape[1:]
             for group in depth_round.groups:
-                for slot in group.slots:
-                    got = gradients[slot].shape[0]
-                    if got != group.pending_batch:
-                        raise ValueError(
-                            f"gradient batch {got} does not match the pending "
-                            f"forward batch {group.pending_batch}"
-                        )
-                stacked = np.stack([gradients[slot] for slot in group.slots])
                 # The stacked backward writes every parameter gradient.
-                group.model.backward(stacked)
+                group.model.backward(received.flat[group.segment_rows].reshape(
+                    len(group.slots), group.width, *trailing
+                ))
                 group.sgd.step()
                 group.model.clear_forward_state()
 
@@ -332,21 +413,19 @@ class BatchedExecutor(Executor):
                 workers, model, loss_fn, iterations, batch_size, learning_rate
             )
         momentum, weight_decay, max_grad_norm = uniform_worker_hyperparams(workers)
-        # Draw every worker's mini-batch sequence (the per-loader draw order
-        # of the serial loop).
-        drawn = [
-            worker.loader.next_indices_many(batch_size, iterations)
-            for worker in workers
-        ]
-        by_key: dict[tuple, list[int]] = {}
-        for slot, worker in enumerate(workers):
-            by_key.setdefault(_group_key(worker, drawn[slot]), []).append(slot)
-
+        # Draw every worker's mini-batch sequence, a shape group at a time
+        # (each loader draws as the serial loop's calls would).
         states: list[dict[str, np.ndarray] | None] = [None] * len(workers)
         losses = [0.0] * len(workers)
-        for slots in by_key.values():
-            source = workers[slots[0]].dataset.source
-            rows, labels = _stack_rows(source, drawn, slots)
+        widths = _draw_widths(workers, [batch_size] * len(workers))
+        for members, width, source in _shape_groups(
+            workers, widths, list(range(len(workers)))
+        ):
+            slots = members.tolist()
+            rows = draw_cohort(
+                list(map(_loader, map(workers.__getitem__, slots))), width, iterations
+            )
+            labels = source.targets.take(rows, mode="clip")
             stacked_model = BatchedModel(model, len(slots))
             sgd = BatchedSGD(
                 stacked_model.parameters(),

@@ -181,15 +181,15 @@ class WorkerRegistry:
         return self.source.num_samples(self._check_id(worker_id))
 
     # -- label distributions -------------------------------------------------
-    def _label_row(self, worker_id: int) -> np.ndarray:
-        """The cached label-distribution row of one worker, built on demand.
+    def _label_rows(self, shard_id: int, offsets: np.ndarray) -> np.ndarray:
+        """Registry shard ``shard_id``'s label-distribution rows, with the
+        rows at ``offsets`` built.
 
-        Rows live in per-shard arrays but are filled individually: a
-        candidate pool scattered over a million-row registry touches a few
-        rows in many shards, and building whole shards for those would put
-        an O(shard_size) factor back into every round.
+        Rows live in per-shard arrays but are filled individually, once
+        each: a candidate pool scattered over a million-row registry
+        touches a few rows in many shards, and building whole shards for
+        those would put an O(shard_size) factor back into every round.
         """
-        shard_id = worker_id // self.shard_size
         rows = self._label_shards.get(shard_id)
         if rows is None:
             start = shard_id * self.shard_size
@@ -197,24 +197,39 @@ class WorkerRegistry:
             rows = np.empty((stop - start, self.num_classes), dtype=np.float64)
             self._label_shards[shard_id] = rows
             self._label_built[shard_id] = np.zeros(stop - start, dtype=bool)
-        offset = worker_id % self.shard_size
-        if not self._label_built[shard_id][offset]:
+        built = self._label_built[shard_id]
+        missing = np.unique(offsets[~built[offsets]])
+        for offset in missing.tolist():
             rows[offset] = label_distribution(
                 self._targets,
-                self.source.shard_indices(worker_id),
+                self.source.shard_indices(shard_id * self.shard_size + offset),
                 self.num_classes,
             )
-            self._label_built[shard_id][offset] = True
-        return rows[offset]
+        built[missing] = True
+        return rows
 
     def label_distributions(self, ids: np.ndarray | None = None) -> np.ndarray:
-        """Label-distribution rows ``V_i`` for ``ids`` (all rows if ``None``)."""
+        """Label-distribution rows ``V_i`` for ``ids`` (all rows if ``None``).
+
+        The ids are checked at once and read with one ``take`` per registry
+        shard they touch; only rows never read before are built.
+        """
         if ids is None:
             ids = np.arange(self.num_workers, dtype=np.int64)
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        outside = np.flatnonzero((ids < 0) | (ids >= self.num_workers))
+        if outside.size:
+            self._check_id(ids[outside[0]])
         out = np.empty((ids.shape[0], self.num_classes), dtype=np.float64)
-        for position, worker_id in enumerate(ids):
-            out[position] = self._label_row(self._check_id(worker_id))
+        if not ids.size:
+            return out
+        shard_ids = ids // self.shard_size
+        order = np.argsort(shard_ids, kind="stable")
+        bounds = np.flatnonzero(np.diff(shard_ids[order])) + 1
+        for positions in np.split(order, bounds):
+            shard_id = int(shard_ids[positions[0]])
+            offsets = ids[positions] - shard_id * self.shard_size
+            out[positions] = self._label_rows(shard_id, offsets).take(offsets, axis=0)
         return out
 
     @property

@@ -18,7 +18,11 @@ import numpy as np
 
 from repro.simulation.device import sample_device_profile
 from repro.simulation.network import WifiNetworkModel, assign_distance
-from repro.simulation.worker_device import WorkerDevice
+from repro.simulation.worker_device import (
+    WorkerDevice,
+    train_seconds,
+    transfer_seconds,
+)
 from repro.utils.rng import get_rng_state, set_rng_state, spawned_rng
 
 
@@ -116,20 +120,31 @@ class Cluster:
         third array.
         """
         ids = list(ids)
-        devices = [self[worker_id] for worker_id in ids]
+        throughputs = np.empty(len(ids))
+        bandwidths = np.empty(len(ids))
+        for position, worker_id in enumerate(ids):
+            device = self[worker_id]
+            throughputs[position] = device.profile.throughput(device.mode)
+            bandwidths[position] = device.bandwidth_mbps
 
-        def per_worker(cost) -> list[float]:
-            return np.broadcast_to(np.asarray(cost, np.float64), len(ids)).tolist()
+        def per_worker(cost) -> np.ndarray:
+            return np.broadcast_to(np.asarray(cost, np.float64), len(ids))
 
-        mus = np.array([device.compute_time_per_sample(flops) for device, flops
-                        in zip(devices, per_worker(forward_flops))])
-        betas = np.array([device.comm_time_per_sample(nbytes) for device, nbytes
-                          in zip(devices, per_worker(bytes_per_sample))])
+        # The devices' own formulas over the cohort's arrays: every element
+        # is the float the scalar method returns.
+        flops, exchange = per_worker(forward_flops), per_worker(bytes_per_sample)
+        if flops.size and flops.min() <= 0:
+            raise ValueError("forward_flops must be positive")
+        if exchange.size and exchange.min() < 0:
+            raise ValueError("bytes_per_sample must be non-negative")
+        mus = train_seconds(flops, throughputs)
+        betas = transfer_seconds(exchange, bandwidths)
         if model_bytes is None:
             return mus, betas
-        moves = np.array([device.model_transfer_time(nbytes) for device, nbytes
-                          in zip(devices, per_worker(model_bytes))])
-        return mus, betas, moves
+        moves = per_worker(model_bytes)
+        if moves.size and moves.min() < 0:
+            raise ValueError("model_bytes must be non-negative")
+        return mus, betas, transfer_seconds(moves, bandwidths)
 
     def advance_round(self, round_index: int) -> None:
         """Re-draw the PS budget; devices catch up on their next touch."""

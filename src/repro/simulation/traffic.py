@@ -29,24 +29,39 @@ class TrafficMeter:
     def __init__(self) -> None:
         self._bytes: dict[str, float] = {category: 0.0 for category in self.CATEGORIES}
 
-    def add(self, category: str, num_bytes: float) -> None:
-        """Record ``num_bytes`` of traffic in the given category."""
+    def add(self, category: str, num_bytes: "float | np.ndarray") -> None:
+        """Record ``num_bytes`` of traffic in the given category.
+
+        An array records each of its amounts in turn: the category's
+        counter is their sequential float sum (``np.add.accumulate``, not
+        the pairwise ``np.sum``), exactly what one call per amount adds up.
+        """
         if category not in self._bytes:
             raise ValueError(
                 f"unknown traffic category {category!r}; known: {self.CATEGORIES}"
             )
-        if num_bytes < 0:
+        amounts = np.ravel(np.asarray(num_bytes, dtype=np.float64))
+        if amounts.size and amounts.min() < 0:
             raise ValueError("traffic must be non-negative")
-        self._bytes[category] += float(num_bytes)
+        self._bytes[category] = float(np.add.accumulate(
+            np.concatenate([[self._bytes[category]], amounts])
+        )[-1])
 
-    def add_model_exchange(self, model_bytes: float, num_workers: int = 1) -> None:
-        """Record a model being both downloaded and uploaded by ``num_workers``."""
-        self.add("model", 2.0 * model_bytes * num_workers)
+    def add_model_exchange(
+        self, model_bytes: "float | np.ndarray", num_workers: int = 1
+    ) -> None:
+        """Record a model being both downloaded and uploaded by ``num_workers``
+        (per amount, for an array of models)."""
+        self.add("model", 2.0 * np.asarray(model_bytes) * num_workers)
 
-    def add_feature_exchange(self, feature_and_grad_bytes: float) -> None:
-        """Record a feature upload plus its gradient download."""
-        self.add("feature", feature_and_grad_bytes / 2.0)
-        self.add("gradient", feature_and_grad_bytes / 2.0)
+    def add_feature_exchange(
+        self, feature_and_grad_bytes: "float | np.ndarray"
+    ) -> None:
+        """Record a feature upload plus its gradient download (per amount,
+        for an array of exchanges)."""
+        halves = np.asarray(feature_and_grad_bytes) / 2.0
+        self.add("feature", halves)
+        self.add("gradient", halves)
 
     @property
     def total_bytes(self) -> float:

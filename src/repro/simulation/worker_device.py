@@ -13,6 +13,18 @@ from repro.utils.rng import get_rng_state, set_rng_state
 TRAIN_FLOPS_MULTIPLIER = 3.0
 
 
+def train_seconds(forward_flops, throughput):
+    """Seconds to train on one sample at ``throughput`` FLOP/s (mu_i);
+    scalars or arrays, the same float either way."""
+    return forward_flops * TRAIN_FLOPS_MULTIPLIER / throughput
+
+
+def transfer_seconds(nbytes, bandwidth_mbps):
+    """Seconds to move ``nbytes`` over a ``bandwidth_mbps`` link (beta_i for
+    a sample's feature and gradient, m_i for a model); scalars or arrays."""
+    return nbytes * 8.0 / (bandwidth_mbps * 1e6)
+
+
 class WorkerDevice:
     """Simulated edge device hosting one federated worker.
 
@@ -74,21 +86,19 @@ class WorkerDevice:
         """Seconds to train on one sample (mu_i in the paper)."""
         if forward_flops <= 0:
             raise ValueError("forward_flops must be positive")
-        train_flops = forward_flops * TRAIN_FLOPS_MULTIPLIER
-        return train_flops / self.profile.throughput(self.mode)
+        return train_seconds(forward_flops, self.profile.throughput(self.mode))
 
     def comm_time_per_sample(self, bytes_per_sample: float) -> float:
         """Seconds to exchange one sample's feature + gradient (beta_i)."""
         if bytes_per_sample < 0:
             raise ValueError("bytes_per_sample must be non-negative")
-        bits = bytes_per_sample * 8.0
-        return bits / (self.bandwidth_mbps * 1e6)
+        return transfer_seconds(bytes_per_sample, self.bandwidth_mbps)
 
     def model_transfer_time(self, model_bytes: float) -> float:
         """Seconds to upload or download a (sub)model of the given size."""
         if model_bytes < 0:
             raise ValueError("model_bytes must be non-negative")
-        return model_bytes * 8.0 / (self.bandwidth_mbps * 1e6)
+        return transfer_seconds(model_bytes, self.bandwidth_mbps)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

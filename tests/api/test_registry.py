@@ -176,8 +176,11 @@ class TestBuiltinRegistries:
 
         assert ALGORITHMS.names() == sorted(BUILTIN_ALGORITHMS)
         assert len(BUILTIN_ALGORITHMS) == 11
-        for name, (description, _) in BUILTIN_ALGORITHMS.items():
-            assert ALGORITHMS.metadata(name) == {"description": description}
+        for name, (description, row) in BUILTIN_ALGORITHMS.items():
+            assert ALGORITHMS.metadata(name) == {
+                "description": description,
+                "full_model": not isinstance(row, dict),
+            }
 
     def test_all_builtin_datasets_registered(self):
         assert {"har", "speech", "cifar10", "image100", "blobs"} <= set(DATASETS.names())

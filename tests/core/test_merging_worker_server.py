@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.merging import FeatureMerger
+from repro.core.merging import Dispatched, FeatureMerger, Segments
 from repro.core.server import SplitServer
 from repro.core.worker import SplitWorker
 from repro.data.synthetic import make_blobs
@@ -59,6 +59,52 @@ class TestFeatureMerger:
         merged = merger.merge([0], [np.ones((2, 4))], [np.array([0, 1])])
         with pytest.raises(ShapeError):
             merger.dispatch(merged, np.ones((3, 4)))
+
+
+class TestSegments:
+    def test_segments_are_views_of_one_array(self):
+        arrays = [np.ones((2, 3)), np.zeros((0, 3)), np.full((4, 3), 2.0)]
+        segments = Segments.of(arrays)
+        assert segments.sizes.tolist() == [2, 0, 4]
+        assert len(segments) == 3
+        assert segments.flat.tobytes() == np.concatenate(arrays).tobytes()
+        for got, array in zip(segments, arrays):
+            assert np.shares_memory(got, segments.flat) or got.size == 0
+            assert got.tobytes() == array.tobytes()
+        assert segments[-1].tobytes() == arrays[-1].tobytes()
+        with pytest.raises(IndexError):
+            segments[3]
+        assert Segments.of(segments) is segments
+
+    def test_mismatched_trailing_shapes_are_a_shape_error(self):
+        with pytest.raises(ShapeError, match="inconsistent shapes"):
+            Segments.of([np.ones((2, 4)), np.ones((2, 5))])
+
+    def test_merging_segments_takes_their_array_as_it_is(self, merger):
+        features = Segments(np.arange(12.0).reshape(6, 2), [1, 3, 2])
+        labels = Segments(np.arange(6), [1, 3, 2])
+        merged = merger.merge([4, 2, 9], features, labels)
+        assert merged.features is features.flat
+        assert merged.labels is labels.flat
+        assert merged.segment_sizes == [1, 3, 2]
+        mismatched = Segments(np.arange(6), [2, 2, 2])
+        with pytest.raises(ShapeError, match="worker 4"):
+            merger.merge([4, 2, 9], features, mismatched)
+
+    def test_a_dispatch_hands_out_its_segments_in_any_order(self, merger):
+        merged = merger.merge(
+            [4, 2, 9], [np.ones((1, 2)), np.ones((3, 2)), np.ones((2, 2))],
+            [np.zeros(1), np.zeros(3), np.zeros(2)],
+        )
+        gradient = np.arange(12.0).reshape(6, 2)
+        dispatched = merger.dispatch(merged, gradient)
+        assert isinstance(dispatched, Dispatched)
+        assert list(dispatched) == [4, 2, 9]
+        assert dispatched.in_order([4, 2, 9]) is dispatched.segments
+        reordered = dispatched.in_order([9, 4, 2])
+        assert [segment.tobytes() for segment in reordered] == [
+            gradient[4:].tobytes(), gradient[:1].tobytes(), gradient[1:4].tobytes()
+        ]
 
 
 def _worker(worker_id=0, samples=60, seed=0):

@@ -19,14 +19,13 @@ from repro.api.session import Session
 from repro.config import ExperimentConfig
 from repro.core.server import EVAL_CHUNK_ROWS, evaluate_classifier
 from repro.data.dataset import Dataset
-from repro.data.loader import BatchLoader
+from repro.data.loader import BatchLoader, draw_cohort
 from repro.data.synthetic import make_blobs, make_dataset
 from repro.nn.layers.linear import Linear
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import build_mlp
 from repro.nn.module import Module, Sequential
 from repro.parallel import kernels
-from repro.parallel.batched import _stack_rows
 
 
 @pytest.mark.parametrize("name", sorted(DATASETS.names()))
@@ -60,8 +59,7 @@ def test_gather_takes_the_batched_executors_stacked_rows():
         BatchLoader(source.subset(np.arange(start, start + 20)), seed=start)
         for start in (0, 20, 40)
     ]
-    drawn = [loader.next_indices_many(6, 4) for loader in loaders]
-    rows, __ = _stack_rows(source, drawn, [0, 1, 2])
+    rows = draw_cohort(loaders, 6, 4)
     assert rows.shape == (4, 3, 6)
     gathered = source.gather(rows)
     assert gathered.dtype == np.float64

@@ -144,3 +144,52 @@ def test_registry_rejects_population_mismatch_and_bad_ids():
         registry.shard_indices(50)
     with pytest.raises(IndexError):
         registry.participation_count(-1)
+
+
+def _reference_label_distributions(registry, ids):
+    """The per-id read ``label_distributions`` replaced: check each id,
+    build its row if missing, copy it out."""
+    ids = np.asarray(ids, dtype=np.int64)
+    out = np.empty((ids.shape[0], registry.num_classes), dtype=np.float64)
+    for position, worker_id in enumerate(ids):
+        worker_id = int(worker_id)
+        if not 0 <= worker_id < registry.num_workers:
+            raise IndexError(
+                f"worker id {worker_id} outside registry of {registry.num_workers}"
+            )
+        out[position] = label_distribution(
+            registry._targets, registry.source.shard_indices(worker_id),
+            registry.num_classes,
+        )
+    return out
+
+
+@pytest.mark.parametrize("ids", [
+    [7, 8, 9, 15, 16, 0, 49],        # across shard boundaries, unsorted
+    [3, 3, 40, 3, 40, 41, 41],        # repeated ids
+    list(range(50)),                  # every row
+    [],                               # nothing
+])
+def test_label_distributions_equal_the_per_id_read(ids):
+    registry, _ = _registry(num_workers=50, shard_size=8)
+    expected = _reference_label_distributions(registry, ids)
+    for __ in range(2):               # rows built on first read, then cached
+        got = registry.label_distributions(np.asarray(ids, dtype=np.int64))
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    # Rows the first reads left unbuilt, beside cached ones in their shards.
+    every = np.arange(50)
+    assert registry.label_distributions(every).tobytes() == (
+        _reference_label_distributions(registry, every).tobytes()
+    )
+
+
+@pytest.mark.parametrize("bad", [50, -1])
+def test_label_distributions_reject_an_out_of_range_id_like_the_per_id_read(bad):
+    registry, _ = _registry(num_workers=50, shard_size=8)
+    ids = np.array([1, 9, bad, 60, 2])
+    with pytest.raises(IndexError) as expected:
+        _reference_label_distributions(registry, ids)
+    with pytest.raises(IndexError) as got:
+        registry.label_distributions(ids)
+    assert str(got.value) == str(expected.value)

@@ -41,6 +41,22 @@ class TestConfigTime:
         assert config.extras["split_index"] == 4
 
 
+    @pytest.mark.parametrize("policy", ["profile", "adaptive"])
+    @pytest.mark.parametrize("algorithm", ["fedavg", "pyramidfl"])
+    def test_a_full_model_algorithm_rejects_a_split_policy(self, algorithm, policy):
+        """The FL engine cuts nothing: a policy it would silently ignore
+        is a configuration error naming both."""
+        with pytest.raises(ConfigurationError) as error:
+            _config(algorithm=algorithm, split_policy=policy)
+        assert repr(algorithm) in str(error.value)
+        assert repr(policy) in str(error.value)
+
+    @pytest.mark.parametrize("algorithm", ["fedavg", "pyramidfl", "mergesfl"])
+    def test_the_uniform_policy_suits_every_algorithm(self, algorithm):
+        config = _config(algorithm=algorithm, split_policy="uniform")
+        assert config.split_policy == "uniform"
+
+
 class TestBuildTime:
     def test_split_index_beyond_model_depth_rejected(self):
         config = _config(extras={"split_index": 10_000})
