@@ -156,9 +156,8 @@ def _default_bandwidth_budget(
     """
     if not config.extras.get("auto_budget", True):
         return config.bandwidth_budget_mbps
-    probe = split.bottom.clone()
-    sample = probe.forward(np.zeros((1, *data.feature_shape), dtype=np.float64))
-    per_sample_mbits = 2 * feature_bytes(tuple(sample.shape[1:]), 1) * 8.0 / 1e6
+    feature_shape = split.bottom_profile(data.feature_shape)[1]
+    per_sample_mbits = 2 * feature_bytes(feature_shape, 1) * 8.0 / 1e6
     return (
         DEFAULT_BUDGET_UTILISATION
         * config.num_workers
@@ -209,10 +208,13 @@ def _data_plane(
         shards_key = (config.num_workers, config.non_iid_level)
         if _PLANE.get("shards", (None,))[0] != shards_key:
             _PLANE.pop("shards", None)
-            shards = partition_dataset(
-                data.train, config.num_workers, config.non_iid_level,
-                seed=config.seed,
-            )
+            shards = [
+                np.asarray(shard, dtype=np.int64)
+                for shard in partition_dataset(
+                    data.train, config.num_workers, config.non_iid_level,
+                    seed=config.seed,
+                )
+            ]
             for shard in shards:
                 shard.flags.writeable = False
             _PLANE["shards"] = (shards_key, shards)
@@ -313,9 +315,11 @@ def build_components(config: ExperimentConfig) -> ExperimentComponents:
         split = split_model(model, resolve_split_layer(config, model))
     else:
         split = None
-    # Without a split there is no feature traffic to budget against; the
-    # configured ingress budget is used verbatim.
-    if split is not None:
+    # Without a split, or under a full-model (FL) algorithm, there is no
+    # feature traffic to budget against; the configured ingress budget is
+    # used verbatim.
+    full_model = ALGORITHMS.metadata(config.algorithm).get("full_model")
+    if split is not None and not full_model:
         budget = _default_bandwidth_budget(config, split, data)
     else:
         budget = config.bandwidth_budget_mbps

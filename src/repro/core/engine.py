@@ -49,7 +49,7 @@ from repro.core.server import SplitServer
 from repro.core.worker import SplitWorker
 from repro.data.dataset import TrainTestSplit
 from repro.exceptions import ConfigurationError
-from repro.nn.models import estimate_forward_flops
+from repro.nn.models import forward_profile
 from repro.nn.module import Sequential
 from repro.nn.serialization import model_size_bytes
 from repro.nn.split import SplitModel, candidate_split_depths, carve_prefix
@@ -175,12 +175,20 @@ class SplitTrainingEngine(RoundEngine):
         """Static per-depth costs of the split model, ``{depth: cost}``.
 
         Accounting, planning and the split policy read these tables; without
-        a split policy the tail is their only row.  The tail row probes the
-        *live* global bottom, as the engine always has (a Dropout that
-        ``extras["split_index"]`` leaves in the bottom draws here);
-        shallower prefixes probe clones, which cannot perturb the real model.
+        a split policy the tail is their only row.  Each row costs one
+        forward of one sample: the tail row is the split's
+        :meth:`~repro.nn.split.SplitModel.bottom_profile` (which the default
+        bandwidth budget has probed already), shallower prefixes probe
+        clones.  Neither perturbs the real model -- except that a bottom
+        layer with extra state (a Dropout that ``extras["split_index"]``
+        leaves in the bottom draws at every training forward) still sees
+        the two forwards through the live global bottom that it always has.
         """
         bottom = self.server.global_bottom
+        if any(layer.extra_state() for layer in bottom.layers):
+            dummy = np.zeros((1, *input_shape), dtype=np.float64)
+            bottom.forward(dummy)
+            bottom.forward(dummy)
         self._tail = len(bottom)
         self._depth_candidates = [self._tail]
         if self._split_policy is not None:
@@ -189,12 +197,16 @@ class SplitTrainingEngine(RoundEngine):
         self._depth_exchange_bytes: dict[int, float] = {}
         self._depth_model_bytes: dict[int, float] = {}
         for depth in sorted({self._tail, *self._depth_candidates}):
-            prefix = bottom if depth == self._tail else carve_prefix(bottom, depth)
-            self._depth_flops[depth] = estimate_forward_flops(prefix, input_shape)
-            sample = prefix.forward(np.zeros((1, *input_shape), dtype=np.float64))
+            if depth == self._tail:
+                prefix = bottom
+                flops, sample_shape = self.split.bottom_profile(input_shape)
+            else:
+                prefix = carve_prefix(bottom, depth)
+                flops, sample_shape = forward_profile(prefix, input_shape)
+            self._depth_flops[depth] = flops
             # One sample's feature upload plus gradient download, and one
             # move of the prefix model, as the simulated link charges them.
-            sample_bytes = feature_bytes(tuple(sample.shape[1:]), 1)
+            sample_bytes = feature_bytes(sample_shape, 1)
             self._depth_exchange_bytes[depth] = self._link_bytes(
                 FEATURES, sample_bytes
             ) + self._link_bytes(GRADIENTS, sample_bytes)

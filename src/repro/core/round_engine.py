@@ -390,12 +390,18 @@ class RoundEngine(Algorithm):
 
         # What the stages mutate before a reply can go missing: a death
         # re-run starts the round over from here, not from the dead attempt.
-        rewind = self._stage_state(selected_workers)
+        # A backend that never dies loses no reply, so nothing is taken.
+        rewind = (
+            None if getattr(self.executor, "never_dies", False)
+            else self._stage_state(selected_workers)
+        )
         try:
             losses = self._run_stages(
                 plan, selected_workers, round_index, account, elastic_state
             )
         except ExecutorDeathError as error:
+            if rewind is None:
+                raise
             self._load_stage_state(rewind)
             losses = self._recover_round(
                 plan, selected_workers, round_index, account, elastic_state,

@@ -14,7 +14,9 @@ keeps its input (a reference, like ``Linear``) and output size for
 is on.  A worker's split bottom turns it off: its forward waits at the merge
 barrier for the whole cohort, so ``backward`` re-unfolds the input with the
 same ``im2col`` instead -- bit-identical gradients for a cohort that holds
-activations, not columns.
+activations, not columns.  The activations it holds are the convolutions'
+inputs; a max-pool keeps one bool per window position, not the activation
+it pooled (:class:`~repro.nn.layers.pooling.MaxPool2d`).
 """
 
 from __future__ import annotations

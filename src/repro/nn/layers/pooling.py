@@ -41,7 +41,7 @@ def max_pool(
     the gradient), zero elsewhere.  Rows and columns that do not fill a
     window are dropped.  With :func:`max_pool_backward` this is the
     reference :class:`MaxPool2d` is tested against; the layer itself keeps
-    no mask (:func:`max_pool_route`).
+    no mask, only its window hits (one bool per window position).
     """
     kh, kw = kernel
     out, taps = _window_max(inputs, kernel)
@@ -68,46 +68,18 @@ def max_pool_backward(
     return grad_input
 
 
-def max_pool_route(
-    inputs: np.ndarray,
-    out: np.ndarray,
-    grad_output: np.ndarray,
-    kernel: tuple[int, int],
-) -> np.ndarray:
-    """Route ``grad_output`` to the inputs from the pooled ``out`` alone.
-
-    Each window position that equals its window's maximum receives
-    ``((1 / count) * grad) * hit``: the same products, bit for bit, as
-    ``max_pool_backward(max_pool(inputs, kernel)[1], grad_output,
-    inputs.shape)``, without keeping an input-sized mask between forward
-    and backward.
-    """
-    kh, kw = kernel
-    out_h, out_w = out.shape[-2:]
-    windows = [
-        (..., slice(i, out_h * kh, kh), slice(j, out_w * kw, kw))
-        for i in range(kh) for j in range(kw)
-    ]
-    hits = [inputs[window] == out for window in windows]
-    counts = np.zeros(out.shape)
-    for hit in hits:
-        counts += hit
-    share = (1 / counts) * grad_output
-    grad_input = np.zeros(inputs.shape, dtype=np.float64)
-    for window, hit in zip(windows, hits):
-        np.multiply(share, hit, out=grad_input[window])
-    return grad_input
-
-
 class MaxPool2d(Module):
     """Non-overlapping 2-D max pooling with ``stride == kernel_size``.
 
     ``kernel_size`` may be an int (square window) or an ``(kh, kw)`` tuple.
     Inputs whose spatial size is not divisible by the kernel are truncated
     on the right/bottom (the same convention PyTorch uses with default
-    ceil_mode=False).  In training it keeps its input and output, from
-    which ``backward`` finds the window maxima again (nothing may write into
-    either in between); in evaluation mode it keeps no forward state.
+    ceil_mode=False).  In training it keeps the window hits -- one bool per
+    window position and pooled output, ``(kh * kw, *out.shape)``, true where
+    the position equals its window's maximum -- and the input shape, from
+    which ``backward`` routes the gradient; not the input it pooled, which
+    is eight times the hits' size.  In evaluation mode it keeps no forward
+    state.
     """
 
     per_sample = True
@@ -128,15 +100,33 @@ class MaxPool2d(Module):
             raise ShapeError(
                 f"input spatial size {height}x{width} smaller than kernel {self.kernel_size}"
             )
-        out = _window_max(inputs, self.kernel_size)[0]
-        self._forward_state = (inputs, out) if self.training else None
+        out, taps = _window_max(inputs, self.kernel_size)
+        if not self.training:
+            self._forward_state = None
+            return out
+        hits = np.empty((len(taps), *out.shape), dtype=bool)
+        for hit, tap in zip(hits, taps):
+            np.equal(tap, out, out=hit)
+        self._forward_state = (hits, inputs.shape)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        """Each window position that equals its window's maximum receives
+        ``((1 / count) * grad) * hit``: the same products, bit for bit, as
+        ``max_pool_backward(max_pool(inputs, kernel)[1], grad_output,
+        inputs.shape)``."""
         if self._forward_state is None:
             raise RuntimeError("backward called before forward")
-        inputs, out = self._forward_state
-        return max_pool_route(inputs, out, grad_output, self.kernel_size)
+        hits, input_shape = self._forward_state
+        kh, kw = self.kernel_size
+        out_h, out_w = hits.shape[-2:]
+        share = (1 / hits.sum(axis=0, dtype=np.float64)) * grad_output
+        grad_input = np.zeros(input_shape, dtype=np.float64)
+        for index, hit in enumerate(hits):
+            i, j = divmod(index, kw)
+            window = (..., slice(i, out_h * kh, kh), slice(j, out_w * kw, kw))
+            np.multiply(share, hit, out=grad_input[window])
+        return grad_input
 
 
 class MaxPool1d(Module):

@@ -281,13 +281,23 @@ def estimate_forward_flops(model: Sequential, input_shape: tuple[int, ...]) -> i
     """Estimate the multiply-accumulate count of one forward pass per sample.
 
     Used by the device simulator to convert a model into per-sample compute
-    time on a given Jetson profile.  The estimate walks the network with a
-    single dummy sample and charges 2*fan_in MACs per output element of each
-    weighted layer.
+    time on a given Jetson profile.  See :func:`forward_profile`.
     """
-    dummy = np.zeros((1, *input_shape), dtype=np.float64)
+    return forward_profile(model, input_shape)[0]
+
+
+def forward_profile(
+    model: Sequential, input_shape: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    """One sample's forward MACs through ``model`` and its output shape.
+
+    Both come from one forward of a single dummy sample, which charges
+    2*fan_in MACs per output element of each weighted layer.  The forward
+    runs through ``model`` itself: a Dropout in it draws, and a convolution
+    keeps its forward state.
+    """
+    activations = np.zeros((1, *input_shape), dtype=np.float64)
     total = 0
-    activations = dummy
     for layer in model.layers:
         outputs = layer.forward(activations)
         if isinstance(layer, (Conv2d, Conv1d)):
@@ -296,4 +306,4 @@ def estimate_forward_flops(model: Sequential, input_shape: tuple[int, ...]) -> i
         elif isinstance(layer, Linear):
             total += 2 * layer.in_features * layer.out_features
         activations = outputs
-    return int(total)
+    return int(total), tuple(activations.shape[1:])

@@ -46,10 +46,12 @@ class Module:
 
     def __init__(self) -> None:
         self.training = True
-        #: Whatever ``forward`` keeps for ``backward``: inputs, masks,
-        #: shapes, and a convolution's im2col columns unless
-        #: :attr:`keeps_columns` is off.  A kept input is a reference, not a
-        #: copy, so nothing may write into it between forward and backward.
+        #: Whatever ``forward`` keeps for ``backward``, and no more:
+        #: inputs, masks, shapes, a convolution's im2col columns unless
+        #: :attr:`keeps_columns` is off, and a max-pool's window hits (one
+        #: bool per window position, not the activation it pooled).  A kept
+        #: input is a reference, not a copy, so nothing may write into it
+        #: between forward and backward.
         #: Every layer stores it here and nowhere else, so that copying a
         #: module and :meth:`clear_forward_state` can skip or drop it
         #: without knowing the layer.
@@ -146,7 +148,9 @@ class Module:
         running statistics, RNG streams, ``training``.  The forward state
         is left behind, so a clone costs the model's size whatever batch
         the original last saw, and ``backward`` on a fresh clone raises
-        until the clone has run its own ``forward``.
+        until the clone has run its own ``forward``.  Layer attributes
+        set on the original -- :attr:`keeps_columns`,
+        :attr:`needs_input_grad` -- come along.
         """
         return copy.deepcopy(self)
 
@@ -155,7 +159,7 @@ class Module:
         memo[id(self)] = copied
         for name, value in vars(self).items():
             copied.__dict__[name] = (
-                None if name == "_forward_state" else copy.deepcopy(value, memo)
+                None if name == "_forward_state" else _copied(value, memo)
             )
         return copied
 
@@ -166,6 +170,40 @@ class Module:
     def num_parameters(self) -> int:
         """Total number of trainable scalars."""
         return sum(param.size for param in self.parameters())
+
+
+#: Attribute types a copy shares: nothing can write into them.
+_IMMUTABLE = (bool, int, float, str, type(None))
+
+
+def _copied(value, memo: dict):
+    """``copy.deepcopy(value, memo)`` for what a layer holds, without its
+    generic machinery: immutable values are shared, and modules,
+    parameters, numeric arrays and lists of them are copied directly --
+    through ``memo``, so an object held twice is still copied once.  Only
+    other values (a Dropout's RNG stream) take a real deep copy."""
+    kind = type(value)
+    if kind in _IMMUTABLE or (
+        kind is tuple and all(type(item) in _IMMUTABLE for item in value)
+    ):
+        return value
+    copied = memo.get(id(value))
+    if copied is not None:
+        return copied
+    if isinstance(value, Module):
+        return value.__deepcopy__(memo)
+    if kind is list:
+        copied = memo[id(value)] = []
+        copied.extend(_copied(item, memo) for item in value)
+        return copied
+    if kind is Parameter:
+        copied = value.copy()
+    elif kind is np.ndarray and value.dtype != object:
+        copied = value.copy(order="K")
+    else:
+        return copy.deepcopy(value, memo)
+    memo[id(value)] = copied
+    return copied
 
 
 class Sequential(Module):

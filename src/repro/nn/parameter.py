@@ -36,8 +36,10 @@ class Parameter:
 
     def copy(self) -> "Parameter":
         """Return a deep copy (data and grad)."""
-        clone = Parameter(self.data.copy(), name=self.name)
-        clone.grad = self.grad.copy()
+        clone = Parameter.__new__(Parameter)
+        clone.data = self.data.copy(order="K")
+        clone.grad = self.grad.copy(order="K")
+        clone.name = self.name
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -9,9 +9,10 @@ the split layer is what the server dispatches to workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.exceptions import SplitError
+from repro.nn.models import forward_profile
 from repro.nn.module import Module, Sequential
 
 
@@ -30,10 +31,28 @@ class SplitModel:
     bottom: Sequential
     top: Sequential
     split_index: int
+    _profiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def full_forward(self, inputs):
         """Run the two halves back to back (used for evaluation)."""
         return self.top.forward(self.bottom.forward(inputs))
+
+    def bottom_profile(
+        self, input_shape: tuple[int, ...]
+    ) -> tuple[int, tuple[int, ...]]:
+        """:func:`~repro.nn.models.forward_profile` of the bottom: one
+        sample's forward MACs and its feature shape.
+
+        The cut fixes both, whatever the parameters, so the bottom is probed
+        once per input shape, and on a clone: the probe neither draws from
+        a Dropout in the bottom nor leaves forward state on it.  Set-up
+        reads it twice (the default bandwidth budget and the engine's
+        accounting at the global cut).
+        """
+        key = tuple(input_shape)
+        if key not in self._profiles:
+            self._profiles[key] = forward_profile(self.bottom.clone(), key)
+        return self._profiles[key]
 
 
 def split_model(model: Module, split_index: int) -> SplitModel:

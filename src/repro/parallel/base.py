@@ -74,6 +74,18 @@ class Executor(abc.ABC):
     #: this ``False``; the scheduler then runs its blocking order.
     supports_async_dispatch: bool = False
 
+    #: Whether none of the backend's own code can raise
+    #: :class:`~repro.exceptions.ExecutorDeathError`: it runs every worker
+    #: in this process, so a round never loses workers mid-stage and the
+    #: round engine takes no rewind snapshot before the stages.  A subclass
+    #: does not inherit the promise -- a stage it overrides may die -- unless
+    #: it declares it again.
+    never_dies: bool = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.never_dies = cls.__dict__.get("never_dies", False)
+
     # -- split training -------------------------------------------------------
     @abc.abstractmethod
     def install(

@@ -196,6 +196,7 @@ class BatchedExecutor(Executor):
     """Vectorize the per-worker compute across the worker axis."""
 
     name = "batched"
+    never_dies = True
 
     def __init__(self) -> None:
         self._serial = SerialExecutor()

@@ -19,6 +19,7 @@ class SerialExecutor(Executor):
     """Run every worker's computation sequentially (the historical semantics)."""
 
     name = "serial"
+    never_dies = True
 
     def install(self, workers, bottom, learning_rates, depths=None, wait=True,
                 loads=None, iterations=None) -> None:

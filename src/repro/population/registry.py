@@ -75,12 +75,17 @@ class ShardSource(abc.ABC):
 
 
 class PartitionShards(ShardSource):
-    """Shards taken verbatim from :func:`partition_dataset` output."""
+    """Shards taken verbatim from :func:`partition_dataset` output.
+
+    The shards are ``int64`` index arrays, held as given: the data plane
+    (:func:`~repro.api.components.build_components`) converts them once for
+    every session of its key.
+    """
 
     kind = "partition"
 
     def __init__(self, shards: list[np.ndarray]) -> None:
-        self._shards = [np.asarray(shard, dtype=np.int64) for shard in shards]
+        self._shards = list(shards)
 
     def __len__(self) -> int:
         return len(self._shards)

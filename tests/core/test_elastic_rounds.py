@@ -504,6 +504,31 @@ class _DiesAtForward(SerialExecutor):
         return super().forward(workers, batch_sizes)
 
 
+def test_only_a_backend_that_can_die_takes_the_rewind_snapshot(monkeypatch):
+    """The serial and batched executors never raise ``ExecutorDeathError``,
+    so their rounds take no rewind snapshot; a subclass, whose stages may
+    die (``_DiesAtForward``), does not inherit that promise."""
+    from repro.core.engine import SplitTrainingEngine
+    from repro.parallel.batched import BatchedExecutor
+    from repro.parallel.process import ProcessExecutor
+
+    assert SerialExecutor.never_dies and BatchedExecutor.never_dies
+    assert not ProcessExecutor.never_dies and not _DiesAtForward.never_dies
+    snapshots = []
+    stage_state = SplitTrainingEngine._stage_state
+
+    def counted(self, workers):
+        snapshots.append(type(self.executor).__name__)
+        return stage_state(self, workers)
+
+    monkeypatch.setattr(SplitTrainingEngine, "_stage_state", counted)
+    for executor in (SerialExecutor(), BatchedExecutor(), _DiesAtForward(0)):
+        with Session.from_config(_config(num_rounds=1)) as session:
+            session.algorithm.executor = executor
+            session.run()
+    assert snapshots == ["_DiesAtForward"]
+
+
 def _counted(method, counts: dict, key: str):
     def wrapper(*args, **kwargs):
         counts[key] += 1

@@ -203,6 +203,42 @@ class TestCloneContract:
         assert np.array_equal(clone.forward(x), model.forward(x))
         assert np.array_equal(clone.forward(x), model.forward(x))  # streams advance alike
 
+    def test_a_clone_is_an_independent_copy_without_forward_state(self):
+        model, x = self._warm()
+        model.without_kept_columns().without_input_grad()
+        model.forward(x)
+        clone = model.clone()
+        originals, copies = _arrays(model, []), _arrays(clone, [])
+        # The original also holds its forward state; the clone holds none.
+        assert all(layer._forward_state is None for layer in clone.layers)
+        kept = {id(array) for array in _arrays(
+            [layer._forward_state for layer in model.layers], [])}
+        originals = [array for array in originals if id(array) not in kept]
+        assert len(originals) == len(copies)
+        for original, copied in zip(originals, copies):
+            assert copied.tobytes() == original.tobytes()
+            assert copied.dtype == original.dtype and copied.shape == original.shape
+            assert not np.shares_memory(copied, original)
+        for copied in copies:
+            copied[...] = 7.0
+        assert not any(np.all(original == 7.0) for original in originals)
+        # The dropout stream is copied, and draws on its own.
+        dropout, cloned_dropout = model.layers[5], clone.layers[5]
+        assert cloned_dropout._rng is not dropout._rng
+        assert cloned_dropout.extra_state() == dropout.extra_state()
+        before = dropout.extra_state()
+        cloned_dropout.forward(np.ones((4, 3)))
+        assert dropout.extra_state() == before != cloned_dropout.extra_state()
+        # Marks set on the original's layers come along.
+        assert not clone.layers[0].needs_input_grad
+        assert not any(layer.keeps_columns for layer in clone.layers)
+
+    def test_a_layer_held_twice_is_copied_once(self):
+        shared = Linear(3, 3, rng=new_rng(0))
+        clone = Sequential([shared, ReLU(), shared]).clone()
+        assert clone.layers[0] is clone.layers[2] is not shared
+        assert clone.layers[0].weight is clone.layers[2].weight
+
     def test_backward_on_a_fresh_clone_raises(self):
         model, __ = self._warm()
         clone = model.clone()
