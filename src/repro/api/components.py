@@ -52,9 +52,10 @@ DEFAULT_BUDGET_UTILISATION = 0.6
 class ExperimentComponents:
     """Everything needed to instantiate an algorithm.
 
-    ``split`` is ``None`` for models that declare no split point
-    (no ``split_after_weighted`` registry metadata); such models can only
-    run full-model (FL) algorithms.  ``executor`` is the execution backend
+    A component set is consumed by the one engine built from it: that
+    engine advances ``pool``, ``cluster`` and ``workers`` and trains
+    ``model``'s layers in place.  A caller that needs an untouched model
+    hands over ``model.clone()``.  ``executor`` is the execution backend
     (the :data:`~repro.api.registry.EXECUTORS` entry ``config.executor``
     names or, for ``"auto"``, resolves to -- its ``name`` says which) that
     the engines use for per-worker compute.
@@ -66,6 +67,9 @@ class ExperimentComponents:
     #: arrays, so a write into them raises ``ValueError``.
     data: TrainTestSplit
     model: Sequential
+    #: ``model`` cut at the global split layer, as views of its layers;
+    #: ``None`` under a full-model (FL) algorithm, or for a model that
+    #: declares no split point (no ``split_after_weighted`` metadata).
     split: SplitModel | None
     #: The population the engines plan and train against.
     pool: WorkerPool
@@ -311,18 +315,13 @@ def build_components(config: ExperimentConfig) -> ExperimentComponents:
         max_live_devices=config.extras.get("population_live_devices", 0),
     )
     model = build_model_for(config, data)
-    if has_default_split(config.model):
-        split = split_model(model, resolve_split_layer(config, model))
-    else:
-        split = None
-    # Without a split, or under a full-model (FL) algorithm, there is no
-    # feature traffic to budget against; the configured ingress budget is
-    # used verbatim.
+    # Without a split there is no feature traffic to budget against; the
+    # configured ingress budget is used verbatim.
+    split, budget = None, config.bandwidth_budget_mbps
     full_model = ALGORITHMS.metadata(config.algorithm).get("full_model")
-    if split is not None and not full_model:
+    if has_default_split(config.model) and not full_model:
+        split = split_model(model, resolve_split_layer(config, model))
         budget = _default_bandwidth_budget(config, split, data)
-    else:
-        budget = config.bandwidth_budget_mbps
     return ExperimentComponents(
         config=config,
         data=data,

@@ -68,7 +68,8 @@ class FLSelectionStrategy(Protocol):
 
 
 class FLTrainingEngine(RoundEngine):
-    """FedAvg-style training with a pluggable worker-selection strategy."""
+    """FedAvg-style training with a pluggable worker-selection strategy, on
+    ``model`` itself: the engine adopts it and trains it in place."""
 
     ROUND_SEED_OFFSET = 40617
 
@@ -83,7 +84,7 @@ class FLTrainingEngine(RoundEngine):
         executor: Executor | None = None,
     ) -> None:
         super().__init__(config, workers, cluster, data, executor=executor)
-        self.model = model.clone()
+        self.model = model
         self.selection = selection
         self.loss_fn = CrossEntropyLoss()
         #: One model move as the simulated link charges it.
@@ -109,9 +110,7 @@ class FLTrainingEngine(RoundEngine):
     # -- public API -----------------------------------------------------------
     def global_model(self) -> Sequential:
         """A copy of the current global model, in evaluation mode."""
-        model = self.model.clone()
-        model.eval()
-        return model
+        return self.model.clone().eval()
 
     # -- checkpointing -----------------------------------------------------------
     def _engine_state(self) -> dict:

@@ -296,13 +296,13 @@ class ExperimentConfig:
             raise ConfigurationError(
                 SPLIT_POLICIES.unknown_message(self.split_policy)
             )
-        if (self.split_policy != "uniform"
-                and ALGORITHMS.metadata(self.algorithm).get("full_model")):
+        if ALGORITHMS.metadata(self.algorithm).get("full_model") and (
+                self.split_policy != "uniform" or "split_index" in self.extras):
             raise ConfigurationError(
                 f"algorithm {self.algorithm!r} trains the full model on every "
-                f"worker and cuts nothing, so split_policy="
-                f"{self.split_policy!r} would be ignored; use "
-                f"split_policy='uniform'"
+                f"worker and cuts nothing, so it would ignore split_policy="
+                f"{self.split_policy!r} and extras['split_index']; use "
+                f"split_policy='uniform' and no split_index"
             )
         if self.selector not in SELECTION_SOLVERS:
             raise ConfigurationError(

@@ -104,9 +104,10 @@ class SplitTrainingEngine(RoundEngine):
     ) -> None:
         if split is None:
             raise ConfigurationError(
-                f"algorithm {config.algorithm!r} trains a split model, but "
-                f"model {config.model!r} declares no split point; register "
-                f"it with split_after_weighted metadata"
+                f"algorithm {config.algorithm!r} trains a split model, but got "
+                f"none: model {config.model!r} declares no split point (register "
+                f"it with split_after_weighted metadata), or the components "
+                f"were built for a full-model algorithm, which cuts nothing"
             )
         super().__init__(config, workers, cluster, data, executor=executor)
         self.split = split
@@ -216,13 +217,10 @@ class SplitTrainingEngine(RoundEngine):
 
     # -- public API -----------------------------------------------------------
     def global_model(self) -> Sequential:
-        """The current global model (bottom + top), as a single Sequential."""
-        combined = Sequential(
-            list(self.server.global_bottom.clone().layers)
-            + list(self.server.top.clone().layers)
-        )
-        combined.eval()
-        return combined
+        """A copy of the current global model (bottom + top), as a single
+        Sequential in evaluation mode."""
+        layers = [*self.server.global_bottom.layers, *self.server.top.layers]
+        return Sequential(layers).clone().eval()
 
     # -- checkpointing -----------------------------------------------------------
     def _engine_state(self) -> dict:

@@ -109,6 +109,9 @@ class SplitServer:
       gradient segments for dispatching.
     * :meth:`update_top_per_worker` -- sequential per-worker updates of the
       top model (typical SFL without feature merging).
+
+    It adopts ``bottom_template`` / ``top_model`` as ``global_bottom`` /
+    ``top`` and trains them in place (hand it clones to keep originals).
     """
 
     def __init__(
@@ -120,8 +123,8 @@ class SplitServer:
         weight_decay: float = 0.0,
         max_grad_norm: float | None = 5.0,
     ) -> None:
-        self.global_bottom = bottom_template.clone()
-        self.top = top_model.clone()
+        self.global_bottom = bottom_template
+        self.top = top_model
         self.top.train()
         self.loss_fn = CrossEntropyLoss()
         self.top_optimizer = SGD(

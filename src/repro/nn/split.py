@@ -18,7 +18,7 @@ from repro.nn.module import Module, Sequential
 
 @dataclass
 class SplitModel:
-    """The two halves of a split model.
+    """The two halves of a split model, views of one model's layers.
 
     Attributes:
         bottom: Worker-side submodel (input layer up to, excluding, the
@@ -59,8 +59,8 @@ def split_model(model: Module, split_index: int) -> SplitModel:
     """Split a :class:`Sequential` model at ``split_index``.
 
     Layers ``[0, split_index)`` become the bottom model and layers
-    ``[split_index, len(model))`` become the top model.  The returned halves
-    are deep copies, so mutating them does not affect the original model.
+    ``[split_index, len(model))`` become the top model.  The halves are
+    views holding ``model``'s own layers: training them trains ``model``.
 
     Args:
         model: A ``Sequential`` model.
@@ -76,8 +76,8 @@ def split_model(model: Module, split_index: int) -> SplitModel:
         raise SplitError(
             f"split index must be in (0, {len(model)}), got {split_index}"
         )
-    bottom = Sequential(model.layers[:split_index]).clone()
-    top = Sequential(model.layers[split_index:]).clone()
+    bottom = Sequential(model.layers[:split_index])
+    top = Sequential(model.layers[split_index:])
     return SplitModel(bottom=bottom, top=top, split_index=split_index)
 
 

@@ -55,9 +55,10 @@ def _cohort(split, input_shape, depths=None):
     """A server and workers holding its bottom -- each worker's prefix of it
     under ``depths`` -- with their drawn batches and uploaded features."""
     rng = np.random.default_rng(5)
-    # No gradient clipping anywhere: SGD clips ``param.grad`` in place.
-    server = SplitServer(split.bottom, split.top, learning_rate=0.1,
-                         max_grad_norm=None)
+    # No gradient clipping anywhere: SGD clips ``param.grad`` in place.  The
+    # server trains what it is handed, and ``split`` stays the reference.
+    server = SplitServer(split.bottom.clone(), split.top.clone(),
+                         learning_rate=0.1, max_grad_norm=None)
     workers = []
     for worker_id in range(len(BATCH_SIZES)):
         shard = Dataset(

@@ -26,10 +26,12 @@ class TestSplitModel:
         split = split_model(tiny_mlp, 2)
         assert np.allclose(split.full_forward(x), expected)
 
-    def test_split_halves_are_copies(self, tiny_mlp):
+    def test_split_halves_hold_the_models_layers(self, tiny_mlp):
         split = split_model(tiny_mlp, 2)
+        halves = list(split.bottom.layers) + list(split.top.layers)
+        assert all(a is b for a, b in zip(halves, tiny_mlp.layers, strict=True))
         split.bottom.parameters()[0].data[:] = 0.0
-        assert not np.allclose(tiny_mlp.parameters()[0].data, 0.0)
+        assert np.allclose(tiny_mlp.parameters()[0].data, 0.0)
 
     def test_split_index_bounds(self, tiny_mlp):
         with pytest.raises(SplitError):

@@ -51,6 +51,15 @@ class TestConfigTime:
         assert repr(algorithm) in str(error.value)
         assert repr(policy) in str(error.value)
 
+    @pytest.mark.parametrize("algorithm", ["fedavg", "pyramidfl"])
+    def test_a_full_model_algorithm_rejects_a_split_index(self, algorithm):
+        """Nor does it read a cut: an override it would silently ignore
+        is a configuration error naming both."""
+        with pytest.raises(ConfigurationError) as error:
+            _config(algorithm=algorithm, extras={"split_index": 4})
+        assert repr(algorithm) in str(error.value)
+        assert "split_index" in str(error.value)
+
     @pytest.mark.parametrize("algorithm", ["fedavg", "pyramidfl", "mergesfl"])
     def test_the_uniform_policy_suits_every_algorithm(self, algorithm):
         config = _config(algorithm=algorithm, split_policy="uniform")
